@@ -14,6 +14,12 @@ calibration, nondemolition, branch norms, cross-branch biorthogonality, finite
 additivity, the complement annihilation, and the final reproducibility
 residuals.  Audit failures set flags in the report instead of raising, so
 adversarial couplings produce a readable diagnosis.
+
+The pipeline couples and splits once; every audit reuses that branch set.
+Factor-side steps are one-sided products on the ``d1 x d2`` coefficient
+matrix ``Psi`` of the coupled state: the complement residual is the norm of
+``Psi @ (Q^k)'.T`` and the pointer's reduced state is ``rho_2 = Psi.T @
+Psi.conj()``, so no composite-space operator or density matrix is formed.
 """
 
 from __future__ import annotations
@@ -26,10 +32,10 @@ import numpy as np
 from .hilbert import (
     DEFAULT_TOL,
     DensityOperator,
+    HilbertSpace,
     Operator,
     Projector,
     StateVector,
-    partial_trace,
     pure_density,
     trace_probability,
 )
@@ -41,13 +47,14 @@ from .premeasurement import (
     verify_calibration,
     verify_nondemolition,
 )
-from .schmidt import BipartiteState, SchmidtForm, schmidt_decompose
+from .schmidt import BipartiteState, SchmidtForm, gram_residual, schmidt_decompose
 
 __all__ = [
     "OutcomeRecord",
     "AuditFlags",
     "ProbabilityReport",
     "derive_probabilities",
+    "pointer_density",
     "complement_check",
     "check_additivity",
     "check_prc",
@@ -84,17 +91,7 @@ class AuditFlags:
 
     @property
     def all_ok(self) -> bool:
-        return all(
-            (
-                self.cc_ok,
-                self.nondemolition_ok,
-                self.norm_law_ok,
-                self.biorthogonality_ok,
-                self.additivity_ok,
-                self.complement_ok,
-                self.prc_ok,
-            )
-        )
+        return all(vars(self).values())
 
 
 @dataclass(frozen=True)
@@ -117,10 +114,6 @@ class ProbabilityReport:
         return [r.derived for r in self.records]
 
     @property
-    def oracle(self) -> list[float]:
-        return [r.oracle for r in self.records]
-
-    @property
     def max_oracle_residual(self) -> float:
         return max(r.residual for r in self.records)
 
@@ -132,8 +125,8 @@ def complement_check(
     schmidt2: Sequence[StateVector],
     tol: float = DEFAULT_TOL,
 ) -> float:
-    """Norm of ``(I (x) (Q^k)') Psi`` where ``(Q^k)'`` is the pointer projector
-    minus the branch's factor-2 Schmidt span.
+    """Norm of ``(I (x) (Q^k)') psi = Psi @ (Q^k)'.T`` where ``(Q^k)'`` is the
+    pointer projector minus the branch's factor-2 Schmidt span.
 
     The sub-projector relation guarantees ``(Q^k)'`` is again a projector;
     if its projector invariants fail a ValueError is raised, since that
@@ -145,8 +138,13 @@ def complement_check(
         comp -= np.outer(v.amplitudes, v.amplitudes.conj())
     # Raises when not Hermitian/idempotent within tol.
     Projector(Operator(q.space, comp), tol)
-    lifted = np.kron(np.eye(model.d1), comp)
-    return float(np.linalg.norm(lifted @ psi12.state.amplitudes))
+    return float(np.linalg.norm(psi12.coefficient_matrix() @ comp.T))
+
+
+def pointer_density(psi12: BipartiteState) -> DensityOperator:
+    """Reduced state of the second factor, ``rho_2 = Psi.T @ Psi.conj()``."""
+    psi = psi12.coefficient_matrix()
+    return DensityOperator(HilbertSpace(psi12.d2, "pointer"), psi.T @ psi.conj())
 
 
 def check_additivity(
@@ -178,14 +176,6 @@ def check_prc(report: ProbabilityReport) -> tuple[float, ...]:
     return tuple(r.residual for r in report.records)
 
 
-def _cross_gram_residual(vectors: list[np.ndarray]) -> float:
-    if not vectors:
-        return 0.0
-    mat = np.column_stack(vectors)
-    gram = mat.conj().T @ mat
-    return float(np.linalg.norm(gram - np.eye(len(vectors))))
-
-
 def derive_probabilities(
     model: PremeasurementModel,
     phi: StateVector,
@@ -209,7 +199,7 @@ def derive_probabilities(
     psi12 = evolve(model, phi)
     bset = branches(model, psi12)
     rho_phi = pure_density(phi)
-    rho2 = partial_trace(pure_density(psi12.state), psi12.dims, keep=1)
+    rho2 = pointer_density(psi12)
 
     branch_forms: dict[int, SchmidtForm] = {}
     for b in bset.branches:
@@ -220,9 +210,9 @@ def derive_probabilities(
 
     # Composite biorthogonality: the union of branch Schmidt vectors must be
     # orthonormal on each factor.
-    all1 = [v.amplitudes for form in branch_forms.values() for v in form.basis1]
-    all2 = [v.amplitudes for form in branch_forms.values() for v in form.basis2]
-    biorth_residual = max(_cross_gram_residual(all1), _cross_gram_residual(all2))
+    all1 = [v for form in branch_forms.values() for v in form.basis1]
+    all2 = [v for form in branch_forms.values() for v in form.basis2]
+    biorth_residual = max(gram_residual(all1), gram_residual(all2))
 
     weights = bset.weights
     additivity_residuals = [0.0]
@@ -274,8 +264,8 @@ def derive_probabilities(
         )
 
     calibration = verify_calibration(model, tol, trials=calibration_trials, seed=seed)
-    nondemolition = verify_nondemolition(model, phi, tol)
-    norm_law = branch_norm_law(model, phi, tol)
+    nondemolition = verify_nondemolition(model, bset, tol)
+    norm_law = branch_norm_law(model, phi, bset, tol)
     prc_residuals = [r.residual for r in records]
 
     max_complement = max(kept_complement)

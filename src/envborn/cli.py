@@ -64,18 +64,20 @@ def _jsonable(value):
     return value
 
 
-def _dump(report: dict) -> str:
+def _dump(report: dict | list) -> str:
     return json.dumps(_jsonable(report), sort_keys=True, indent=2) + "\n"
 
 
 def _apply_overrides(scenario: Scenario, args) -> Scenario:
+    if args.tolerance is None and args.seed is None and args.trials is None:
+        return scenario
     raw = scenario.canonical()
-    if getattr(args, "tolerance", None) is not None:
-        raw["tolerances"]["operator"] = float(args.tolerance)
-    if getattr(args, "seed", None) is not None:
-        raw["seed"] = int(args.seed)
-    if getattr(args, "trials", None) is not None and "mixture" in raw:
-        raw["mixture"]["trials"] = int(args.trials)
+    if args.tolerance is not None:
+        raw["tolerances"]["operator"] = args.tolerance
+    if args.seed is not None:
+        raw["seed"] = args.seed
+    if args.trials is not None and "mixture" in raw:
+        raw["mixture"]["trials"] = args.trials
     return parse_scenario(raw)
 
 
@@ -343,10 +345,16 @@ def main(argv: list[str] | None = None) -> int:
         try:
             default_tol = float(tol_env)
         except ValueError:
-            print(f"invalid {_ENV_TOLERANCE}={tol_env!r}", file=sys.stderr)
+            default_tol = math.nan
+        if not 0 < default_tol < math.inf:
+            print(f"invalid {_ENV_TOLERANCE}={tol_env!r}: must be a finite number > 0", file=sys.stderr)
             return EXIT_INPUT
 
     args = _build_parser().parse_args(argv)
+    tol_arg = getattr(args, "tolerance", None)
+    if tol_arg is not None and not 0 < tol_arg < math.inf:
+        print(f"error: --tolerance must be a finite number > 0, got {tol_arg!r}", file=sys.stderr)
+        return EXIT_INPUT
 
     if args.command == "report":
         code = EXIT_PASS
@@ -382,10 +390,7 @@ def main(argv: list[str] | None = None) -> int:
             break
 
     if args.format == "structured":
-        payload = reports[0] if len(reports) == 1 else reports
-        text = _dump(payload) if isinstance(payload, dict) else (
-            json.dumps(_jsonable(payload), sort_keys=True, indent=2) + "\n"
-        )
+        text = _dump(reports[0] if len(reports) == 1 else reports)
     else:
         text = "".join(render_text(r) for r in reports)
     _emit(text, args.out)

@@ -227,9 +227,12 @@ class DensityOperator:
 def make_state(space: HilbertSpace, amplitudes) -> StateVector:
     """Normalize ``amplitudes`` and wrap them as a StateVector on ``space``.
 
-    Raises ValueError on length mismatch or a (numerically) zero vector.
+    Raises ValueError on length mismatch, a non-finite amplitude or a
+    (numerically) zero vector.
     """
     vec = _as_vector(amplitudes, space.dim)
+    if not np.all(np.isfinite(vec)):
+        raise ValueError("amplitudes must be finite")
     norm = np.linalg.norm(vec)
     if norm < 1e-12:
         raise ValueError("cannot normalize a zero vector")

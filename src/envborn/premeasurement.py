@@ -8,6 +8,12 @@ state n.  By inspection this satisfies the calibration condition (a certain
 measured event makes the matching pointer event certain) and nondemolition
 (branches stay in their eigenspace); the verify_* functions check both
 numerically rather than trusting the construction.
+
+Only the coupling is a dense composite matrix.  Every other step acts on one
+factor as a one-sided product on the ``d1 x d2`` coefficient matrix ``Psi``:
+``(I (x) Q) psi`` is ``Psi @ Q.T`` and ``(P (x) I) psi`` is ``P @ Psi``.
+Calibration couples all samples of an outcome at once through the coupling
+restricted to the ready state, ``W = U (. (x) ready)`` (``d1*d2 x d1``).
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ from .hilbert import (
     trace_probability,
 )
 from .rng import random_unit_vector
-from .schmidt import ZERO_BRANCH_THRESHOLD, BipartiteState
+from .schmidt import ZERO_BRANCH_THRESHOLD, BipartiteState, gram_residual
 
 __all__ = [
     "PointerApparatus",
@@ -78,9 +84,7 @@ class PointerApparatus:
             )
         if len(states) > self.space.dim:
             raise ValueError("more pointer outcomes than apparatus dimensions")
-        mat = np.column_stack([s.amplitudes for s in states])
-        gram = mat.conj().T @ mat
-        if np.linalg.norm(gram - np.eye(len(states))) > self.tol:
+        if gram_residual(states) > self.tol:
             raise ValueError("pointer states are not orthonormal within tolerance")
         for n, (q, chi) in enumerate(zip(self.pointer_observable.projectors, states)):
             residual = np.linalg.norm(q.matrix @ chi.amplitudes - chi.amplitudes)
@@ -142,14 +146,6 @@ class PremeasurementModel:
     def composite_space(self) -> HilbertSpace:
         return self.unitary.space
 
-    def lifted_pointer_projector(self, n: int) -> np.ndarray:
-        """I (x) Q^n on the composite space."""
-        return np.kron(np.eye(self.d1), self.apparatus.pointer_observable.projectors[n].matrix)
-
-    def lifted_system_projector(self, n: int) -> np.ndarray:
-        """P^n (x) I on the composite space."""
-        return np.kron(self.measured.projectors[n].matrix, np.eye(self.d2))
-
 
 @dataclass(frozen=True)
 class Branch:
@@ -206,14 +202,13 @@ def householder_map(origin: StateVector, target: StateVector) -> Operator:
     alpha = overlap / abs(overlap) if abs(overlap) > 0 else 1.0
     w = x - alpha * y
     norm_w_sq = float((w.conj() @ w).real)
+    phase_fix = np.eye(d, dtype=complex) + (np.conj(alpha) - 1.0) * np.outer(y, y.conj())
     if norm_w_sq < 1e-24:
         # origin is (numerically) a phase multiple of target: rotate that ray.
-        mat = np.eye(d, dtype=complex) + (np.conj(alpha) - 1.0) * np.outer(y, y.conj())
-        return Operator(origin.space, mat)
+        return Operator(origin.space, phase_fix)
     # dividing by <w, w> instead of normalizing w keeps basis-to-basis maps
     # exact permutation matrices
     reflection = np.eye(d, dtype=complex) - (2.0 / norm_w_sq) * np.outer(w, w.conj())
-    phase_fix = np.eye(d, dtype=complex) + (np.conj(alpha) - 1.0) * np.outer(y, y.conj())
     return Operator(origin.space, phase_fix @ reflection)
 
 
@@ -254,18 +249,19 @@ def evolve(model: PremeasurementModel, phi: StateVector) -> BipartiteState:
 
 
 def branches(model: PremeasurementModel, psi12: BipartiteState) -> BranchSet:
-    """Pointer-projected terms ``(I (x) Q^n) Psi`` with squared-norm weights.
+    """Pointer-projected terms ``(I (x) Q^n) psi = Psi @ Q^n.T`` with
+    squared-norm weights.
 
     Terms with squared norm below ``ZERO_BRANCH_THRESHOLD`` are recorded as
     omitted outcomes instead of branches.
     """
     if psi12.dims != (model.d1, model.d2):
         raise ValueError(f"state dims {psi12.dims} do not match model")
-    vec = psi12.state.amplitudes
+    psi = psi12.coefficient_matrix()
     kept = []
     omitted = []
-    for n in range(model.outcome_count):
-        term = model.lifted_pointer_projector(n) @ vec
+    for n, q in enumerate(model.apparatus.pointer_observable.projectors):
+        term = (psi @ q.matrix.T).reshape(-1)
         weight = float(np.linalg.norm(term) ** 2)
         if weight < ZERO_BRANCH_THRESHOLD:
             omitted.append(n)
@@ -281,8 +277,16 @@ def eigenspace_basis(projector: Projector, tol: float = DEFAULT_TOL) -> list[np.
     return [vectors[:, i] for i in range(len(values)) if values[i] > 0.5]
 
 
+class _ResidualAudit:
+    """Passes when ``max_residual`` is within ``tolerance``."""
+
+    @property
+    def passed(self) -> bool:
+        return self.max_residual <= self.tolerance
+
+
 @dataclass(frozen=True)
-class CalibrationReport:
+class CalibrationReport(_ResidualAudit):
     """Max post-coupling residual ``||(I (x) Q^n) Psi - Psi||`` per outcome,
     over eigenspace basis vectors and random eigenspace samples."""
 
@@ -292,10 +296,6 @@ class CalibrationReport:
     @property
     def max_residual(self) -> float:
         return max(self.residuals)
-
-    @property
-    def passed(self) -> bool:
-        return self.max_residual <= self.tolerance
 
 
 def verify_calibration(
@@ -308,30 +308,27 @@ def verify_calibration(
 
     For each outcome n, every eigenspace basis vector of P^n plus ``trials``
     random unit vectors in that eigenspace (inputs certain for outcome n) is
-    coupled to the apparatus; the output must be fixed by I (x) Q^n.
+    coupled to the apparatus; the output must be fixed by I (x) Q^n.  The
+    samples of one outcome are coupled together as the columns of one matrix.
     """
     rng = np.random.default_rng(seed)
-    space1 = model.measured.space
+    d1, d2 = model.d1, model.d2
+    # U (phi (x) ready) = coupled @ phi for every system input phi
+    coupled = model.unitary.matrix.reshape(d1 * d2, d1, d2) @ model.apparatus.ready_state.amplitudes
     residuals = []
-    for n in range(model.outcome_count):
-        p = model.measured.projectors[n]
-        basis = eigenspace_basis(p)
-        samples = list(basis)
-        for _ in range(trials):
-            coeff = random_unit_vector(len(basis), rng)
-            samples.append(sum(c * b for c, b in zip(coeff, basis)))
-        lifted_q = model.lifted_pointer_projector(n)
-        worst = 0.0
-        for vec in samples:
-            phi = StateVector(space1, vec / np.linalg.norm(vec))
-            out = evolve(model, phi).state.amplitudes
-            worst = max(worst, float(np.linalg.norm(lifted_q @ out - out)))
-        residuals.append(worst)
+    for p, q in zip(model.measured.projectors, model.apparatus.pointer_observable.projectors):
+        basis = np.column_stack(eigenspace_basis(p))
+        coeffs = [random_unit_vector(basis.shape[1], rng) for _ in range(trials)]
+        inputs = np.column_stack([basis] + [basis @ c for c in coeffs])
+        inputs = inputs / np.linalg.norm(inputs, axis=0)
+        out = coupled @ inputs
+        out = (out / np.linalg.norm(out, axis=0)).T.reshape(-1, d1, d2)
+        residuals.append(float(np.linalg.norm(out @ q.matrix.T - out, axis=(1, 2)).max()))
     return CalibrationReport(residuals=tuple(residuals), tolerance=tol)
 
 
 @dataclass(frozen=True)
-class NondemolitionReport:
+class NondemolitionReport(_ResidualAudit):
     """Residual ``||(P^k (x) I) branch_k - branch_k||`` per nonzero branch."""
 
     residuals: dict[int, float]
@@ -341,26 +338,23 @@ class NondemolitionReport:
     def max_residual(self) -> float:
         return max(self.residuals.values()) if self.residuals else 0.0
 
-    @property
-    def passed(self) -> bool:
-        return self.max_residual <= self.tolerance
-
 
 def verify_nondemolition(
-    model: PremeasurementModel, phi: StateVector, tol: float = DEFAULT_TOL
+    model: PremeasurementModel, bset: BranchSet, tol: float = DEFAULT_TOL
 ) -> NondemolitionReport:
-    """Each nonzero branch must be fixed by its own system eigenprojector
-    (it is then a joint eigenvector of P^k (x) I and I (x) Q^k)."""
-    bset = branches(model, evolve(model, phi))
+    """Each nonzero branch ``B_k`` must be fixed by its own system
+    eigenprojector, ``P^k @ B_k = B_k`` (it is then a joint eigenvector of
+    P^k (x) I and I (x) Q^k)."""
     residuals = {}
     for b in bset.branches:
-        lifted_p = model.lifted_system_projector(b.outcome)
-        residuals[b.outcome] = float(np.linalg.norm(lifted_p @ b.vector - b.vector))
+        term = b.vector.reshape(model.d1, model.d2)
+        p = model.measured.projectors[b.outcome].matrix
+        residuals[b.outcome] = float(np.linalg.norm(p @ term - term))
     return NondemolitionReport(residuals=residuals, tolerance=tol)
 
 
 @dataclass(frozen=True)
-class NormLawReport:
+class NormLawReport(_ResidualAudit):
     """Branch weights against the trace-rule values <phi|P^k|phi>."""
 
     deviations: dict[int, float]
@@ -372,18 +366,13 @@ class NormLawReport:
         entries = list(self.deviations.values()) + list(self.omitted_oracle.values())
         return max(entries) if entries else 0.0
 
-    @property
-    def passed(self) -> bool:
-        return self.max_residual <= self.tolerance
-
 
 def branch_norm_law(
-    model: PremeasurementModel, phi: StateVector, tol: float = DEFAULT_TOL
+    model: PremeasurementModel, phi: StateVector, bset: BranchSet, tol: float = DEFAULT_TOL
 ) -> NormLawReport:
-    """Unitarity preserves each term's norm, so branch weights must equal the
-    eigenspace probabilities of the input; omitted branches must correspond to
-    vanishing eigenspace probability."""
-    bset = branches(model, evolve(model, phi))
+    """Unitarity preserves each term's norm, so the weights of the branches
+    ``bset`` of ``phi`` must equal the eigenspace probabilities of the input;
+    omitted branches must correspond to vanishing eigenspace probability."""
     rho = pure_density(phi)
     deviations = {}
     for b in bset.branches:

@@ -13,7 +13,8 @@ self-contained and diffable.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -58,6 +59,8 @@ def decode_vector(data, what: str, dim: int | None = None) -> np.ndarray:
         ):
             raise ScenarioError(f"{what}[{i}] is not a [re, im] pair: {pair!r}")
         out[i] = complex(float(pair[0]), float(pair[1]))
+        if not np.isfinite(out[i]):
+            raise ScenarioError(f"{what}[{i}] is not finite: {pair!r}")
     if dim is not None and len(out) != dim:
         raise ScenarioError(f"{what} has length {len(out)}, expected {dim}")
     return out
@@ -71,9 +74,11 @@ def _decode_span(data, what: str, dim: int) -> list[np.ndarray]:
 
 @dataclass(frozen=True)
 class Scenario:
-    """A fully resolved scenario; ``raw`` is the canonical dictionary."""
+    """A fully resolved scenario; ``raw`` is the canonical dictionary.  The
+    premeasurement model is built once (``parse_scenario`` does it) and kept."""
 
     raw: dict
+    _model: PremeasurementModel | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def name(self) -> str:
@@ -170,6 +175,8 @@ class Scenario:
             raise ScenarioError(f"invalid apparatus: {exc}") from exc
 
     def model(self) -> PremeasurementModel:
+        if self._model is not None:
+            return self._model
         measured = self.observable()
         apparatus = self.apparatus()
         try:
@@ -184,6 +191,7 @@ class Scenario:
             )
         elif override is not None:
             raise ScenarioError(f"unknown unitary_override {override!r}")
+        object.__setattr__(self, "_model", model)
         return model
 
     def mixture_spec(self) -> MixtureSpec:
@@ -227,10 +235,6 @@ def _require(data: dict, key: str, kind, what: str):
     if key not in data:
         raise ScenarioError(f"missing required field {what}.{key}")
     value = data[key]
-    if kind is float:
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise ScenarioError(f"{what}.{key} must be a number")
-        return float(value)
     if kind is int:
         if not isinstance(value, int) or isinstance(value, bool):
             raise ScenarioError(f"{what}.{key} must be an integer")
@@ -268,16 +272,16 @@ def parse_scenario(data: dict, default_operator_tol: float = DEFAULT_TOL) -> Sce
 
     out: dict = {}
     out["name"] = str(data.get("name", "scenario"))
-    out["seed"] = int(data.get("seed", 0))
-    if out["seed"] < 0:
-        raise ScenarioError("seed must be a non-negative integer")
+    out["seed"] = data.get("seed", 0)
+    if not isinstance(out["seed"], int) or isinstance(out["seed"], bool) or out["seed"] < 0:
+        raise ScenarioError(f"seed must be a non-negative integer, got {out['seed']!r}")
 
     tolerances = data.get("tolerances", {})
     if not isinstance(tolerances, dict) or set(tolerances) - {"operator", "norm"}:
         raise ScenarioError("tolerances must be an object with operator/norm keys")
     out["tolerances"] = {
-        "operator": float(tolerances.get("operator", default_operator_tol)),
-        "norm": float(tolerances.get("norm", NORM_TOL)),
+        "operator": _tolerance(tolerances.get("operator", default_operator_tol), "tolerances.operator"),
+        "norm": _tolerance(tolerances.get("norm", NORM_TOL), "tolerances.norm"),
     }
 
     dims = data.get("dims")
@@ -314,13 +318,13 @@ def parse_scenario(data: dict, default_operator_tol: float = DEFAULT_TOL) -> Sce
         out["sampling"] = _canonical_sampling(data["sampling"])
 
     scenario = Scenario(raw=json.loads(json.dumps(out, sort_keys=True)))
-    # eager validation of every declared section
-    if "observable" in out:
-        scenario.observable()
-    if "apparatus" in out:
-        scenario.apparatus()
+    # eager validation of every declared section; the model covers both halves
     if "observable" in out and "apparatus" in out:
         scenario.model()
+    elif "observable" in out:
+        scenario.observable()
+    elif "apparatus" in out:
+        scenario.apparatus()
     if "input_state" in out:
         scenario.input_state()
     if "composite_state" in out:
@@ -328,6 +332,13 @@ def parse_scenario(data: dict, default_operator_tol: float = DEFAULT_TOL) -> Sce
     if "mixture" in out:
         scenario.mixture_spec()
     return scenario
+
+
+def _tolerance(value, what: str) -> float:
+    # an upper bound of the largest float also rejects integers too large to convert
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 < value <= sys.float_info.max:
+        raise ScenarioError(f"{what} must be a finite number > 0, got {value!r}")
+    return float(value)
 
 
 def _infer_component_dim(mixture: dict) -> int:

@@ -79,7 +79,8 @@ class BipartiteState:
         return HilbertSpace(self.d1), HilbertSpace(self.d2)
 
 
-def _gram_residual(vectors: Sequence[StateVector]) -> float:
+def gram_residual(vectors: Sequence[StateVector]) -> float:
+    """``||G - I||`` for the Gram matrix ``G`` of ``vectors``."""
     mat = np.column_stack([v.amplitudes for v in vectors])
     gram = mat.conj().T @ mat
     return float(np.linalg.norm(gram - np.eye(len(vectors))))
@@ -112,7 +113,7 @@ class SchmidtForm:
         if n > min(d1, d2):
             raise ValueError(f"{n} terms exceed min factor dimension {min(d1, d2)}")
         for basis, name in ((self.basis1, "factor-1"), (self.basis2, "factor-2")):
-            if _gram_residual(basis) > self.tol:
+            if gram_residual(basis) > self.tol:
                 raise ValueError(f"{name} basis is not orthonormal within tolerance")
         coeffs.setflags(write=False)
         object.__setattr__(self, "coefficients", coeffs)

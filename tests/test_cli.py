@@ -8,6 +8,9 @@ from pathlib import Path
 
 import pytest
 
+import envborn.born
+import envborn.premeasurement
+import envborn.scenario
 from envborn.cli import main
 from envborn.scenario import parse_scenario
 
@@ -270,6 +273,88 @@ class TestBatchAndOutput:
             ["schmidt", fixture_path("bell"), "--format", "structured", "--out", str(target)]
         )
         assert target.read_text(encoding="utf-8") == out
+
+
+def write_variant(tmp_path, name: str, **changes) -> str:
+    data = json.loads(Path(fixture_path(name)).read_text(encoding="utf-8"))
+    data.update(changes)
+    path = tmp_path / "variant.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    return str(path)
+
+
+class TestInputHardening:
+    """Malformed numbers end in exit 2 with a message naming the field."""
+
+    def assert_input_error(self, args, field):
+        code, _, err = run_cli(args)
+        assert code == 2
+        assert field in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["derive", "sample"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_input_amplitude(self, tmp_path, command, bad):
+        path = write_variant(
+            tmp_path,
+            "degenerate-3d",
+            input_state=[[1.0, 0.0], [bad, 0.0], [0.0, 1.0]],
+            sampling={"n": 100, "seed": 1},
+        )
+        self.assert_input_error([command, path], "input_state[1]")
+
+    def test_non_finite_pointer_state(self, tmp_path):
+        data = json.loads(Path(fixture_path("degenerate-3d")).read_text(encoding="utf-8"))
+        apparatus = data["apparatus"]
+        apparatus["ready_state"] = [[float("nan"), 0.0]] + apparatus["ready_state"][1:]
+        path = write_variant(tmp_path, "degenerate-3d", apparatus=apparatus)
+        self.assert_input_error(["derive", path], "ready_state[0]")
+
+    @pytest.mark.parametrize("seed", [True, 2.7, "x", [1]])
+    def test_malformed_seed(self, tmp_path, seed):
+        path = write_variant(tmp_path, "degenerate-3d", seed=seed)
+        self.assert_input_error(["derive", path], "seed")
+
+    @pytest.mark.parametrize("key", ["operator", "norm"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0, 0.0, 10**400, "1e-9", True])
+    def test_malformed_scenario_tolerance(self, tmp_path, key, value):
+        path = write_variant(tmp_path, "degenerate-3d", tolerances={key: value})
+        self.assert_input_error(["derive", path], f"tolerances.{key}")
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1", "0"])
+    def test_malformed_tolerance_option(self, value):
+        self.assert_input_error(
+            ["derive", fixture_path("degenerate-3d"), "--tolerance", value], "--tolerance"
+        )
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1", "0"])
+    def test_malformed_tolerance_env_var(self, monkeypatch, value):
+        monkeypatch.setenv("ENVBORN_TOLERANCE", value)
+        self.assert_input_error(["derive", fixture_path("degenerate-3d")], "ENVBORN_TOLERANCE")
+
+
+@pytest.mark.parametrize(
+    "command, name", [("derive", "degenerate-3d"), ("sample", "sample-fair")]
+)
+def test_one_coupling_build_and_one_evolve_per_command(monkeypatch, command, name):
+    calls = {"build_premeasurement": 0, "evolve": 0}
+
+    def counted(func):
+        def wrapper(*args, **kwargs):
+            calls[func.__name__] += 1
+            return func(*args, **kwargs)
+
+        return wrapper
+
+    build = counted(envborn.premeasurement.build_premeasurement)
+    evolve = counted(envborn.premeasurement.evolve)
+    monkeypatch.setattr(envborn.scenario, "build_premeasurement", build)
+    monkeypatch.setattr(envborn.premeasurement, "build_premeasurement", build)
+    monkeypatch.setattr(envborn.born, "evolve", evolve)
+    monkeypatch.setattr(envborn.premeasurement, "evolve", evolve)
+    code, _, _ = run_cli([command, fixture_path(name)])
+    assert code == 0
+    assert calls == {"build_premeasurement": 1, "evolve": 1}
 
 
 def test_module_entry_point():

@@ -57,6 +57,11 @@ class TestMakeState:
         with pytest.raises(ValueError, match="zero"):
             make_state(D2, [0, 0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, np.nan)])
+    def test_non_finite_amplitude(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            make_state(D2, [1, bad])
+
     @given(st.lists(st.floats(-10, 10), min_size=2, max_size=6))
     def test_always_unit_norm(self, values):
         if np.linalg.norm(values) < 1e-6:

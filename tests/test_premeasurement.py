@@ -47,6 +47,10 @@ def qubit_apparatus():
     )
 
 
+def coupled_branches(model, phi):
+    return branches(model, evolve(model, phi))
+
+
 def cnot_model():
     a = complete_observable([basis_state(D2, 0), basis_state(D2, 1)], [1.0, -1.0])
     return build_premeasurement(a, qubit_apparatus())
@@ -240,12 +244,14 @@ class TestVerifyCalibration:
 
 class TestVerifyNondemolition:
     def test_eigenstate_single_branch(self):
-        report = verify_nondemolition(cnot_model(), basis_state(D2, 1))
+        model = cnot_model()
+        report = verify_nondemolition(model, coupled_branches(model, basis_state(D2, 1)))
         assert report.passed
         assert list(report.residuals) == [1]
 
     def test_degenerate_model_passes(self):
-        report = verify_nondemolition(degenerate_model(), make_state(D3, [1, 1, 1]))
+        model = degenerate_model()
+        report = verify_nondemolition(model, coupled_branches(model, make_state(D3, [1, 1, 1])))
         assert report.passed
 
     def test_swap_coupling_demolishes(self):
@@ -254,30 +260,34 @@ class TestVerifyNondemolition:
         a = complete_observable([basis_state(D2, 0), basis_state(D2, 1)], [1.0, -1.0])
         swap = np.eye(4)[[0, 2, 1, 3]].astype(complex)
         model = PremeasurementModel(a, qubit_apparatus(), Operator(HilbertSpace(4), swap))
-        report = verify_nondemolition(model, make_state(D2, [1, 1]))
+        report = verify_nondemolition(model, coupled_branches(model, make_state(D2, [1, 1])))
         assert not report.passed
 
     def test_random_inputs_pass(self):
         rng = np.random.default_rng(36)
         model = random_model(4, 3, 3, rng)
         for _ in range(100):
-            report = verify_nondemolition(model, random_state(HilbertSpace(4), rng))
+            phi = random_state(HilbertSpace(4), rng)
+            report = verify_nondemolition(model, coupled_branches(model, phi))
             assert report.passed
 
 
 class TestBranchNormLaw:
     def test_eigenstate(self):
-        report = branch_norm_law(cnot_model(), basis_state(D2, 0))
+        model, phi = cnot_model(), basis_state(D2, 0)
+        report = branch_norm_law(model, phi, coupled_branches(model, phi))
         assert report.passed
         assert report.deviations[0] <= 1e-12
 
     def test_degenerate_weights(self):
-        report = branch_norm_law(degenerate_model(), make_state(D3, [1, 1, 1]))
+        model, phi = degenerate_model(), make_state(D3, [1, 1, 1])
+        report = branch_norm_law(model, phi, coupled_branches(model, phi))
         assert report.passed
 
     def test_omitted_branch_has_zero_oracle(self):
         model = degenerate_model()
-        report = branch_norm_law(model, basis_state(D3, 2))  # inside range(P^2) only
+        phi = basis_state(D3, 2)  # inside range(P^2) only
+        report = branch_norm_law(model, phi, coupled_branches(model, phi))
         assert report.passed
         assert 0 in report.omitted_oracle
         assert report.omitted_oracle[0] <= 1e-12
@@ -299,7 +309,8 @@ class TestBranchNormLaw:
                     )
                     assert fixed <= 1e-12  # input satisfies certainty premise
                     out = evolve(model, phi).state.amplitudes
-                    lifted = model.lifted_pointer_projector(n)
+                    q = model.apparatus.pointer_observable.projectors[n].matrix
+                    lifted = np.kron(np.eye(model.d1), q)
                     assert np.linalg.norm(lifted @ out - out) <= 1e-10
 
 

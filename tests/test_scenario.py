@@ -168,6 +168,19 @@ class TestParsing:
         with pytest.raises(ScenarioError, match="input_state"):
             parse_scenario(minimal_derive(input_state=[[0, 0], [0, 0]]))
 
+    def test_non_finite_amplitude_names_field(self):
+        with pytest.raises(ScenarioError, match=r"input_state\[0\] is not finite"):
+            parse_scenario(minimal_derive(input_state=[[float("nan"), 0], [1, 0]]))
+
+    @pytest.mark.parametrize("seed", [True, 2.7, "3", [1]])
+    def test_non_integer_seed_rejected(self, seed):
+        with pytest.raises(ScenarioError, match="seed"):
+            parse_scenario(minimal_derive(seed=seed))
+
+    def test_parsed_model_is_kept(self):
+        scenario = parse_scenario(minimal_derive())
+        assert scenario.model() is scenario.model()
+
     def test_negative_seed_rejected(self):
         with pytest.raises(ScenarioError, match="seed"):
             parse_scenario(minimal_derive(seed=-1))

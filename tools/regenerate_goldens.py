@@ -5,8 +5,17 @@ Run from the repository root after any change that legitimately alters report
 content, then review the diff:
 
     python3 tools/regenerate_goldens.py
+
+To confirm that a change leaves every report untouched, regenerate into
+memory only:
+
+    python3 tools/regenerate_goldens.py --check
+
+Check mode writes nothing.  It lists each fixture whose report or exit code
+differs from the stored one and exits 1 on any difference, 0 otherwise.
 """
 
+import argparse
 import io
 import sys
 from contextlib import redirect_stdout
@@ -32,22 +41,44 @@ CASES = {
 }
 
 
-def regenerate() -> int:
+def render(name: str) -> tuple[str, int]:
+    """The structured report and exit code of one fixture's subcommand."""
+    command, _ = CASES[name]
+    buffer = io.StringIO()
+    with redirect_stdout(buffer):
+        code = main([command, str(FIXTURES / f"{name}.json"), "--format", "structured"])
+    return buffer.getvalue(), code
+
+
+def regenerate(check: bool = False) -> int:
     golden = FIXTURES / "golden"
-    golden.mkdir(exist_ok=True)
-    for name, (command, expected_code) in CASES.items():
-        scenario = FIXTURES / f"{name}.json"
-        buffer = io.StringIO()
-        with redirect_stdout(buffer):
-            code = main([command, str(scenario), "--format", "structured"])
+    if not check:
+        golden.mkdir(exist_ok=True)
+    differing = []
+    for name, (_, expected_code) in CASES.items():
+        report, code = render(name)
+        out = golden / f"{name}.report.json"
+        if check:
+            stored = out.read_text(encoding="utf-8") if out.exists() else None
+            if code != expected_code or report != stored:
+                differing.append(name)
+                print(f"{name}: differs (exit {code}, expected {expected_code})")
+            continue
         if code != expected_code:
             print(f"{name}: exit {code}, expected {expected_code}", file=sys.stderr)
             return 1
-        out = golden / f"{name}.report.json"
-        out.write_text(buffer.getvalue(), encoding="utf-8")
+        out.write_text(report, encoding="utf-8")
         print(f"wrote {out}")
-    return 0
+    if check:
+        print(f"{len(differing)} of {len(CASES)} golden reports differ")
+    return 1 if differing else 0
 
 
 if __name__ == "__main__":
-    raise SystemExit(regenerate())
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--check",
+        action="store_true",
+        help="compare with the stored reports in memory; write nothing",
+    )
+    raise SystemExit(regenerate(check=parser.parse_args().check))

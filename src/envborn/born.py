@@ -32,7 +32,6 @@ import numpy as np
 from .hilbert import (
     DEFAULT_TOL,
     DensityOperator,
-    HilbertSpace,
     Operator,
     Projector,
     StateVector,
@@ -47,7 +46,7 @@ from .premeasurement import (
     verify_calibration,
     verify_nondemolition,
 )
-from .schmidt import BipartiteState, SchmidtForm, gram_residual, schmidt_decompose
+from .schmidt import BipartiteState, SchmidtForm, gram_residual, pointer_density, schmidt_decompose
 
 __all__ = [
     "OutcomeRecord",
@@ -139,12 +138,6 @@ def complement_check(
     # Raises when not Hermitian/idempotent within tol.
     Projector(Operator(q.space, comp), tol)
     return float(np.linalg.norm(psi12.coefficient_matrix() @ comp.T))
-
-
-def pointer_density(psi12: BipartiteState) -> DensityOperator:
-    """Reduced state of the second factor, ``rho_2 = Psi.T @ Psi.conj()``."""
-    psi = psi12.coefficient_matrix()
-    return DensityOperator(HilbertSpace(psi12.d2, "pointer"), psi.T @ psi.conj())
 
 
 def check_additivity(

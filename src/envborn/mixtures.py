@@ -2,10 +2,20 @@
 
 A proper mixture blends pure sub-ensembles with statistical weights (optionally
 realized as sub-ensemble counts N_k / N); an improper mixture is a subsystem's
-reduced density operator from an entangled partner.  Both probability routes
-are computed twice on every call (sub-ensemble sum vs trace rule, composite
-trace vs reduced trace) and the internal identities are enforced, so a
-disagreement signals an arithmetic bug, not a physics result.
+reduced density operator from an entangled partner.  Each probability is
+computed by two routes that must agree, so a disagreement signals an
+arithmetic bug, not a physics result:
+
+* ``_proper``: the sub-ensemble sum ``sum_k w_k <phi_k|P|phi_k>`` against the
+  trace rule ``tr(P rho_mix)`` on the mixed density operator;
+* ``_improper``: the composite expectation ``<Psi|(P x I)|Psi>`` against the
+  trace rule ``tr(P rho_1)`` on the reduced state.
+
+Both work on factor 1 only: with ``Psi`` the ``d1 x d2`` coefficient matrix of
+the partner, the composite expectation is ``vdot(Psi, P @ Psi)`` and ``rho_1 =
+Psi Psi^H``, so no composite-space lift or density matrix is formed.  The
+public probabilities and every trial of ``proper_improper_equivalence`` (which
+builds ``rho_mix`` and ``rho_1`` once) run both cross-checks.
 """
 
 from __future__ import annotations
@@ -20,9 +30,6 @@ from .hilbert import (
     Projector,
     StateVector,
     NORM_TOL,
-    partial_trace,
-    pure_density,
-    trace_probability,
 )
 from .rng import random_projector
 from .schmidt import BipartiteState
@@ -86,17 +93,12 @@ def mix(spec: MixtureSpec) -> DensityOperator:
     return DensityOperator(spec.space, rho)
 
 
-def proper_probability(P: Projector, spec: MixtureSpec, tol: float = NORM_TOL) -> float:
-    """Event probability in a proper mixture via the sub-ensemble sum
-    ``sum_k w_k <phi_k|P|phi_k>``, verified on every call against the trace
-    rule on the mixed density operator."""
-    if P.space.dim != spec.space.dim:
-        raise ValueError("projector and mixture spaces differ")
+def _proper(P: Projector, spec: MixtureSpec, rho_mix: DensityOperator, tol: float) -> float:
     by_components = 0.0
     for state, w in spec.components:
         amp = state.amplitudes
         by_components += w * float((amp.conj() @ (P.matrix @ amp)).real)
-    by_trace = float(np.trace(P.matrix @ mix(spec).matrix).real)
+    by_trace = float(np.trace(P.matrix @ rho_mix.matrix).real)
     if abs(by_components - by_trace) > tol:
         raise ValueError(
             "sub-ensemble sum and trace rule disagree: "
@@ -105,17 +107,8 @@ def proper_probability(P: Projector, spec: MixtureSpec, tol: float = NORM_TOL) -
     return min(max(by_components, 0.0), 1.0)
 
 
-def improper_probability(P1: Projector, psi12: BipartiteState, tol: float = NORM_TOL) -> float:
-    """First-factor event probability in an entangled composite, computed both
-    on the composite state and through the reduced density operator; the two
-    must agree within ``tol``."""
-    d1, d2 = psi12.dims
-    if P1.space.dim != d1:
-        raise ValueError(f"projector dim {P1.space.dim} does not match factor 1 ({d1})")
-    vec = psi12.state.amplitudes
-    lifted = np.kron(P1.matrix, np.eye(d2))
-    on_composite = float((vec.conj() @ (lifted @ vec)).real)
-    rho1 = partial_trace(pure_density(psi12.state), psi12.dims, keep=0)
+def _improper(P1: Projector, psi: np.ndarray, rho1: DensityOperator, tol: float) -> float:
+    on_composite = float(np.vdot(psi, P1.matrix @ psi).real)
     on_reduced = float(np.trace(P1.matrix @ rho1.matrix).real)
     if abs(on_composite - on_reduced) > tol:
         raise ValueError(
@@ -123,6 +116,30 @@ def improper_probability(P1: Projector, psi12: BipartiteState, tol: float = NORM
             f"{on_composite!r} vs {on_reduced!r}"
         )
     return min(max(on_reduced, 0.0), 1.0)
+
+
+def _reduced_first(psi: np.ndarray) -> DensityOperator:
+    """``rho_1 = Psi Psi^H`` for the coefficient matrix ``Psi``."""
+    return DensityOperator(HilbertSpace(psi.shape[0]), np.einsum("aj,bj->ab", psi, psi.conj()))
+
+
+def proper_probability(P: Projector, spec: MixtureSpec, tol: float = NORM_TOL) -> float:
+    """Event probability in a proper mixture via the sub-ensemble sum
+    ``sum_k w_k <phi_k|P|phi_k>``, verified on every call against the trace
+    rule on the mixed density operator."""
+    if P.space.dim != spec.space.dim:
+        raise ValueError("projector and mixture spaces differ")
+    return _proper(P, spec, mix(spec), tol)
+
+
+def improper_probability(P1: Projector, psi12: BipartiteState, tol: float = NORM_TOL) -> float:
+    """First-factor event probability in an entangled composite, computed both
+    on the composite state and through the reduced density operator; the two
+    must agree within ``tol``."""
+    if P1.space.dim != psi12.d1:
+        raise ValueError(f"projector dim {P1.space.dim} does not match factor 1 ({psi12.d1})")
+    psi = psi12.coefficient_matrix()
+    return _improper(P1, psi, _reduced_first(psi), tol)
 
 
 def proper_improper_equivalence(
@@ -137,9 +154,11 @@ def proper_improper_equivalence(
 
     Requires the mixed density operator to equal the composite's reduced state
     (otherwise the comparison is meaningless and a ValueError is raised).
+    Every trial runs both cross-checks of each route at ``NORM_TOL``.
     """
     rho_mix = mix(spec)
-    rho1 = partial_trace(pure_density(psi12.state), psi12.dims, keep=0)
+    psi = psi12.coefficient_matrix()
+    rho1 = _reduced_first(psi)
     gap = np.linalg.norm(rho_mix.matrix - rho1.matrix)
     if gap > tol:
         raise ValueError(
@@ -152,24 +171,23 @@ def proper_improper_equivalence(
     for _ in range(trials):
         rank = int(rng.integers(1, space1.dim + 1))
         P = random_projector(space1, rank, rng)
-        worst = max(worst, abs(proper_probability(P, spec) - improper_probability(P, psi12)))
+        proper = _proper(P, spec, rho_mix, NORM_TOL)
+        worst = max(worst, abs(proper - _improper(P, psi, rho1, NORM_TOL)))
     return worst
 
 
 def purify(rho: DensityOperator, threshold: float = 1e-12) -> BipartiteState:
     """Canonical purification: ``sum_l sqrt(r_l) |l>_1 |l>_2`` over the
     eigenbasis of ``rho`` (eigenvalues below ``threshold`` dropped).  The
-    partner factor has the same dimension; tracing it out recovers ``rho``."""
+    partner factor has the same dimension; tracing it out recovers ``rho``.
+    The coefficient matrix is ``V diag(sqrt(r)) V.T`` over the kept
+    eigenvectors ``V``, in descending eigenvalue order."""
     values, vectors = np.linalg.eigh(rho.matrix)
     order = np.argsort(values)[::-1]
+    kept = order[values[order] >= threshold]
+    v = vectors[:, kept]
     d = rho.space.dim
-    vec = np.zeros(d * d, dtype=complex)
-    for idx in order:
-        r = float(values[idx])
-        if r < threshold:
-            continue
-        v = vectors[:, idx]
-        vec += np.sqrt(r) * np.kron(v, v)
+    vec = ((v * np.sqrt(values[kept])) @ v.T).reshape(-1)
     vec /= np.linalg.norm(vec)
     composite = HilbertSpace(d * d, rho.space.label and f"{rho.space.label}+partner")
     return BipartiteState(StateVector(composite, vec), (d, d))

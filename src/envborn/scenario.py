@@ -75,10 +75,12 @@ def _decode_span(data, what: str, dim: int) -> list[np.ndarray]:
 @dataclass(frozen=True)
 class Scenario:
     """A fully resolved scenario; ``raw`` is the canonical dictionary.  The
-    premeasurement model is built once (``parse_scenario`` does it) and kept."""
+    premeasurement model and the mixture are built once (``parse_scenario``
+    does it) and kept."""
 
     raw: dict
     _model: PremeasurementModel | None = field(default=None, init=False, repr=False, compare=False)
+    _mixture: MixtureSpec | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def name(self) -> str:
@@ -195,6 +197,8 @@ class Scenario:
         return model
 
     def mixture_spec(self) -> MixtureSpec:
+        if self._mixture is not None:
+            return self._mixture
         if "mixture" not in self.raw:
             raise ScenarioError("scenario has no mixture section")
         spec = self.raw["mixture"]
@@ -208,9 +212,11 @@ class Scenario:
             )
         counts = tuple(spec["counts"]) if "counts" in spec else None
         try:
-            return MixtureSpec(tuple(components), counts)
+            mixture = MixtureSpec(tuple(components), counts)
         except ValueError as exc:
             raise ScenarioError(f"invalid mixture: {exc}") from exc
+        object.__setattr__(self, "_mixture", mixture)
+        return mixture
 
     def mixture_partner(self) -> BipartiteState:
         spec = self.raw["mixture"]
@@ -235,10 +241,6 @@ def _require(data: dict, key: str, kind, what: str):
     if key not in data:
         raise ScenarioError(f"missing required field {what}.{key}")
     value = data[key]
-    if kind is int:
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ScenarioError(f"{what}.{key} must be an integer")
-        return value
     if not isinstance(value, kind):
         raise ScenarioError(f"{what}.{key} has wrong type {type(value).__name__}")
     return value
@@ -272,16 +274,14 @@ def parse_scenario(data: dict, default_operator_tol: float = DEFAULT_TOL) -> Sce
 
     out: dict = {}
     out["name"] = str(data.get("name", "scenario"))
-    out["seed"] = data.get("seed", 0)
-    if not isinstance(out["seed"], int) or isinstance(out["seed"], bool) or out["seed"] < 0:
-        raise ScenarioError(f"seed must be a non-negative integer, got {out['seed']!r}")
+    out["seed"] = _integer(data.get("seed", 0), "seed", 0)
 
     tolerances = data.get("tolerances", {})
     if not isinstance(tolerances, dict) or set(tolerances) - {"operator", "norm"}:
         raise ScenarioError("tolerances must be an object with operator/norm keys")
     out["tolerances"] = {
-        "operator": _tolerance(tolerances.get("operator", default_operator_tol), "tolerances.operator"),
-        "norm": _tolerance(tolerances.get("norm", NORM_TOL), "tolerances.norm"),
+        "operator": _positive_float(tolerances.get("operator", default_operator_tol), "tolerances.operator"),
+        "norm": _positive_float(tolerances.get("norm", NORM_TOL), "tolerances.norm"),
     }
 
     dims = data.get("dims")
@@ -334,11 +334,21 @@ def parse_scenario(data: dict, default_operator_tol: float = DEFAULT_TOL) -> Sce
     return scenario
 
 
-def _tolerance(value, what: str) -> float:
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _positive_float(value, what: str) -> float:
     # an upper bound of the largest float also rejects integers too large to convert
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 < value <= sys.float_info.max:
+    if not _is_number(value) or not 0 < value <= sys.float_info.max:
         raise ScenarioError(f"{what} must be a finite number > 0, got {value!r}")
     return float(value)
+
+
+def _integer(value, what: str, minimum: int) -> int:
+    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
+        raise ScenarioError(f"{what} must be an integer >= {minimum}, got {value!r}")
+    return value
 
 
 def _infer_component_dim(mixture: dict) -> int:
@@ -371,10 +381,12 @@ def _canonical_observable(spec, d1: int) -> dict:
             _decode_span(span, f"observable.projectors[{n}]", d1)
             for n, span in enumerate(spec["projectors"])
         ]
-    if not isinstance(eigenvalues, list) or not all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) for v in eigenvalues
-    ):
+    if not isinstance(eigenvalues, list):
         raise ScenarioError("observable.eigenvalues must be a list of numbers")
+    for n, v in enumerate(eigenvalues):
+        # the bound rejects NaN, infinities and integers too large to convert
+        if not _is_number(v) or not abs(v) <= sys.float_info.max:
+            raise ScenarioError(f"observable.eigenvalues[{n}] must be a finite number, got {v!r}")
     if len(eigenvalues) != len(spans):
         raise ScenarioError("observable needs one eigenvalue per projector")
     return {
@@ -419,16 +431,13 @@ def _canonical_mixture(spec, d1: int, has_partner: bool) -> dict:
         if not isinstance(comp, dict) or "state" not in comp or "weight" not in comp:
             raise ScenarioError(f"mixture.components[{n}] needs state and weight")
         vec = decode_vector(comp["state"], f"mixture.components[{n}].state", d1)
-        canon_components.append(
-            {"state": encode_vector(vec), "weight": float(comp["weight"])}
-        )
+        weight = _positive_float(comp["weight"], f"mixture.components[{n}].weight")
+        canon_components.append({"state": encode_vector(vec), "weight": weight})
     out = {
         "components": canon_components,
         "auto_purify": bool(spec.get("auto_purify", False)),
-        "trials": int(spec.get("trials", 50)),
+        "trials": _integer(spec.get("trials", 50), "mixture.trials", 1),
     }
-    if out["trials"] < 1:
-        raise ScenarioError("mixture.trials must be positive")
     if "counts" in spec:
         counts = spec["counts"]
         if not isinstance(counts, list) or not all(isinstance(c, int) for c in counts):
@@ -445,13 +454,9 @@ def _canonical_sampling(spec) -> dict:
     if not isinstance(spec, dict):
         raise ScenarioError("sampling must be an object")
     out = {
-        "n": _require(spec, "n", int, "sampling"),
-        "seed": _require(spec, "seed", int, "sampling"),
+        "n": _integer(_require(spec, "n", object, "sampling"), "sampling.n", 1),
+        "seed": _integer(_require(spec, "seed", object, "sampling"), "sampling.seed", 0),
     }
-    if out["n"] < 1:
-        raise ScenarioError("sampling.n must be positive")
-    if out["seed"] < 0:
-        raise ScenarioError("sampling.seed must be a non-negative integer")
     if "bias" in spec:
         bias = spec["bias"]
         if not isinstance(bias, list) or not all(isinstance(b, int) for b in bias):

@@ -21,12 +21,11 @@ import numpy as np
 
 from .hilbert import (
     DEFAULT_TOL,
+    DensityOperator,
     HilbertSpace,
     Operator,
     Projector,
     StateVector,
-    partial_trace,
-    pure_density,
 )
 
 __all__ = [
@@ -34,6 +33,7 @@ __all__ = [
     "BipartiteState",
     "SchmidtForm",
     "SublemmaReport",
+    "pointer_density",
     "schmidt_decompose",
     "reconstruct",
     "twin_unitary",
@@ -77,6 +77,12 @@ class BipartiteState:
 
     def factor_spaces(self) -> tuple[HilbertSpace, HilbertSpace]:
         return HilbertSpace(self.d1), HilbertSpace(self.d2)
+
+
+def pointer_density(psi12: BipartiteState) -> DensityOperator:
+    """Reduced state of the second factor, ``rho_2 = Psi.T @ Psi.conj()``."""
+    psi = psi12.coefficient_matrix()
+    return DensityOperator(HilbertSpace(psi12.d2, "pointer"), psi.T @ psi.conj())
 
 
 def gram_residual(vectors: Sequence[StateVector]) -> float:
@@ -238,7 +244,8 @@ def swap_witness(form: SchmidtForm, perm: Sequence[int]) -> tuple[Operator, Oper
 def check_envariance(
     psi: BipartiteState, u1: Operator, u2: Operator, tol: float = DEFAULT_TOL
 ) -> float:
-    """The invariance residual ||(U1 x U2) Psi - Psi||."""
+    """The invariance residual ||(U1 x U2) Psi - Psi||, computed on the
+    coefficient matrix as ``U1 @ Psi @ U2.T``."""
     d1, d2 = psi.dims
     if u1.space.dim != d1 or u2.space.dim != d2:
         raise ValueError(
@@ -248,9 +255,9 @@ def check_envariance(
     for name, u in (("U1", u1), ("U2", u2)):
         if not u.is_unitary(tol):
             raise ValueError(f"{name} is not unitary within tolerance {tol:.1e}")
-    vec = psi.state.amplitudes
-    moved = np.kron(u1.matrix, u2.matrix) @ vec
-    return float(np.linalg.norm(moved - vec))
+    coeffs = psi.coefficient_matrix()
+    moved = u1.matrix @ coeffs @ u2.matrix.T
+    return float(np.linalg.norm(moved - coeffs))
 
 
 def schmidt_probabilities(form: SchmidtForm) -> np.ndarray:
@@ -276,14 +283,14 @@ def sublemma_check(
     Hypothesis: ``(I x Q2) Psi = Psi`` within ``tol`` (violations raise).
     Checked conclusions: Q2 fixes every factor-2 Schmidt vector with nonzero
     coefficient (equivalently the span projector is a sub-projector of Q2),
-    and the first proof step ``Q2 rho_2 = rho_2``.
+    and the first proof step ``Q2 rho_2 = rho_2``.  The hypothesis is
+    checked on the coefficient matrix as ``Psi @ Q2.T``.
     """
-    d1, d2 = psi.dims
+    d2 = psi.d2
     if q2.space.dim != d2:
         raise ValueError(f"Q2 dim {q2.space.dim} does not match factor 2 dim {d2}")
-    vec = psi.state.amplitudes
-    lifted = np.kron(np.eye(d1), q2.matrix)
-    hypothesis = float(np.linalg.norm(lifted @ vec - vec))
+    coeffs = psi.coefficient_matrix()
+    hypothesis = float(np.linalg.norm(coeffs @ q2.matrix.T - coeffs))
     if hypothesis > tol:
         raise ValueError(
             f"hypothesis violated: ||(I x Q2) Psi - Psi|| = {hypothesis:.3e} > {tol:.1e}"
@@ -298,7 +305,7 @@ def sublemma_check(
         sub += np.outer(amp, amp.conj())
     residuals.append(np.linalg.norm(q2.matrix @ sub - sub))
 
-    rho2 = partial_trace(pure_density(psi.state), psi.dims, keep=1)
+    rho2 = pointer_density(psi)
     residuals.append(np.linalg.norm(q2.matrix @ rho2.matrix - rho2.matrix))
 
     worst = float(max(residuals))

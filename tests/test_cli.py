@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import envborn.born
+import envborn.mixtures
 import envborn.premeasurement
 import envborn.scenario
 from envborn.cli import main
@@ -321,6 +322,31 @@ class TestInputHardening:
         path = write_variant(tmp_path, "degenerate-3d", tolerances={key: value})
         self.assert_input_error(["derive", path], f"tolerances.{key}")
 
+    @pytest.mark.parametrize("weight", [None, "abc", float("nan"), float("inf"), 0.0, -0.5, True])
+    def test_malformed_mixture_weight(self, tmp_path, weight):
+        data = json.loads(Path(fixture_path("mixtures-bell")).read_text(encoding="utf-8"))
+        mixture = data["mixture"]
+        mixture["components"][1]["weight"] = weight
+        path = write_variant(tmp_path, "mixtures-bell", mixture=mixture)
+        self.assert_input_error(["mixtures", path], "mixture.components[1].weight")
+
+    @pytest.mark.parametrize("trials", [True, 2.7, "5", 0, -3])
+    def test_malformed_mixture_trials(self, tmp_path, trials):
+        data = json.loads(Path(fixture_path("mixtures-bell")).read_text(encoding="utf-8"))
+        mixture = dict(data["mixture"], trials=trials)
+        path = write_variant(tmp_path, "mixtures-bell", mixture=mixture)
+        self.assert_input_error(["mixtures", path], "mixture.trials")
+
+    @pytest.mark.parametrize(
+        "bad", [float("nan"), float("inf"), -float("inf"), pytest.param(10**400, id="huge-int")]
+    )
+    def test_non_finite_observable_eigenvalue(self, tmp_path, bad):
+        data = json.loads(Path(fixture_path("degenerate-3d")).read_text(encoding="utf-8"))
+        observable = data["observable"]
+        observable["eigenvalues"] = [bad] + observable["eigenvalues"][1:]
+        path = write_variant(tmp_path, "degenerate-3d", observable=observable)
+        self.assert_input_error(["derive", path], "observable.eigenvalues[0]")
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-1", "0"])
     def test_malformed_tolerance_option(self, value):
         self.assert_input_error(
@@ -355,6 +381,20 @@ def test_one_coupling_build_and_one_evolve_per_command(monkeypatch, command, nam
     code, _, _ = run_cli([command, fixture_path(name)])
     assert code == 0
     assert calls == {"build_premeasurement": 1, "evolve": 1}
+
+
+@pytest.mark.parametrize("extra, parses", [([], 1), (["--trials", "7"], 2)])
+def test_mixture_parsed_once_per_scenario(monkeypatch, extra, parses):
+    specs = []
+
+    def counted(*args, **kwargs):
+        specs.append(envborn.mixtures.MixtureSpec(*args, **kwargs))
+        return specs[-1]
+
+    monkeypatch.setattr(envborn.scenario, "MixtureSpec", counted)
+    code, _, _ = run_cli(["mixtures", fixture_path("mixtures-purified"), *extra])
+    assert code == 0
+    assert len(specs) == parses
 
 
 def test_module_entry_point():

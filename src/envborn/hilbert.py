@@ -120,9 +120,13 @@ class Operator:
     def dim(self) -> int:
         return self.space.dim
 
-    def is_unitary(self, tol: float = DEFAULT_TOL) -> bool:
+    def unitary_residual(self) -> float:
+        """Frobenius residual ``||M^H M - I||``."""
         d = self.space.dim
-        return np.linalg.norm(self.matrix.conj().T @ self.matrix - np.eye(d)) <= tol
+        return float(np.linalg.norm(self.matrix.conj().T @ self.matrix - np.eye(d)))
+
+    def is_unitary(self, tol: float = DEFAULT_TOL) -> bool:
+        return self.unitary_residual() <= tol
 
 
 @dataclass(frozen=True)

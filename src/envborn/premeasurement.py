@@ -2,23 +2,32 @@
 
 A model couples a measured observable ``A = sum_n a_n P^n`` on the system to a
 pointer observable ``B = sum_n b_n Q^n`` on the apparatus through a composite
-unitary.  The constructed unitary has the block form ``sum_n P^n (x) V_n``
-where each ``V_n`` is an apparatus unitary taking the ready state to pointer
-state n.  By inspection this satisfies the calibration condition (a certain
-measured event makes the matching pointer event certain) and nondemolition
-(branches stay in their eigenspace); the verify_* functions check both
-numerically rather than trusting the construction.
+unitary ``U``.  The constructed coupling has the block form
+``sum_n P^n (x) V_n`` where each ``V_n`` is an apparatus unitary taking the
+ready state to pointer state n.  By inspection this satisfies the calibration
+condition (a certain measured event makes the matching pointer event certain)
+and nondemolition (branches stay in their eigenspace); the verify_* functions
+check both numerically rather than trusting the construction.
 
-Only the coupling is a dense composite matrix.  Every other step acts on one
-factor as a one-sided product on the ``d1 x d2`` coefficient matrix ``Psi``:
+A model holds its coupling in one of two forms.  ``build_premeasurement``
+stores the blocks: one ``V_n`` per outcome, with ``P^n`` taken from the
+measured observable; the ``(d1*d2)^2`` matrix is never formed.  A
+user-supplied coupling (a negative control, a branch-entangling unitary) is a
+dense composite ``Operator``.  Either way the model checks the same
+unitarity residual ``||U^H U - I||_F`` against its tolerance at construction.
+For blocks it is computed from the factor Grams, since
+``U^H U = sum_{n,m} (P^n^H P^m) (x) (V_n^H V_m)``.
+
+Construction also restricts the coupling to the ready state once, giving the
+ready map ``W = U (. (x) ready)`` (``d1*d2 x d1``); ``evolve`` and
+calibration read only ``W``.  Every other step acts on one factor as a
+one-sided product on the ``d1 x d2`` coefficient matrix ``Psi``:
 ``(I (x) Q) psi`` is ``Psi @ Q.T`` and ``(P (x) I) psi`` is ``P @ Psi``.
-Calibration couples all samples of an outcome at once through the coupling
-restricted to the ready state, ``W = U (. (x) ready)`` (``d1*d2 x d1``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -102,24 +111,30 @@ class PointerApparatus:
 
 @dataclass(frozen=True)
 class PremeasurementModel:
-    """Measured observable, apparatus, and the composite coupling unitary.
+    """Measured observable, apparatus, and the coupling unitary ``U``.
 
-    Construction only enforces type invariants (unitarity, matching outcome
-    counts); whether the unitary actually calibrates is the job of
+    ``coupling`` is either a tuple of apparatus operators ``V_n``, one per
+    outcome, standing for ``U = sum_n P^n (x) V_n`` with the measured
+    projectors ``P^n``, or a dense composite ``Operator`` for any other
+    unitary.  Construction enforces type invariants only: matching outcome
+    counts and ``||U^H U - I||_F <= tol``, the same quantity for both
+    forms.  Whether the unitary actually calibrates is the job of
     verify_calibration, so adversarial couplings can be represented and
-    flagged.
+    flagged.  ``ready_map`` is ``W = U (. (x) ready)``, so that
+    ``U (phi (x) ready) = W @ phi``.
     """
 
     measured: Observable
     apparatus: PointerApparatus
-    unitary: Operator
+    coupling: Operator | tuple[Operator, ...]
     tol: float = DEFAULT_TOL
+    ready_map: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        expected = self.measured.space.dim * self.apparatus.space.dim
-        if self.unitary.space.dim != expected:
+        d1, d2 = self.d1, self.d2
+        if isinstance(self.coupling, Operator) and self.coupling.space.dim != d1 * d2:
             raise ValueError(
-                f"composite unitary dim {self.unitary.space.dim}, expected {expected}"
+                f"composite unitary dim {self.coupling.space.dim}, expected {d1 * d2}"
             )
         if self.measured.outcome_count != self.apparatus.outcome_count:
             raise ValueError(
@@ -127,8 +142,30 @@ class PremeasurementModel:
                 f"({self.measured.outcome_count} vs {self.apparatus.outcome_count}); "
                 "outcomes must pair one to one"
             )
-        if not self.unitary.is_unitary(self.tol):
-            raise ValueError("composite coupling is not unitary within tolerance")
+        ready = self.apparatus.ready_state.amplitudes
+        if isinstance(self.coupling, Operator):
+            residual = self.coupling.unitary_residual()
+            ready_map = self.coupling.matrix.reshape(d1 * d2, d1, d2) @ ready
+        else:
+            blocks = tuple(self.coupling)
+            if len(blocks) != self.outcome_count or any(v.space.dim != d2 for v in blocks):
+                raise ValueError(
+                    f"a block coupling needs {self.outcome_count} apparatus operators "
+                    f"of dim {d2}"
+                )
+            p = np.array([q.matrix for q in self.measured.projectors])
+            v = np.array([b.matrix for b in blocks])
+            residual = _block_unitarity_residual(p, v)
+            # W[(i, a), j] = sum_n P^n[i, j] (V_n ready)[a]
+            ready_map = (p.reshape(len(p), d1 * d1).T @ (v @ ready)).reshape(d1, d1, d2)
+            ready_map = ready_map.transpose(0, 2, 1).reshape(d1 * d2, d1)
+            object.__setattr__(self, "coupling", blocks)
+        if residual > self.tol:
+            raise ValueError(
+                f"composite coupling is not unitary within tolerance: residual {residual:.3e}"
+            )
+        ready_map.setflags(write=False)
+        object.__setattr__(self, "ready_map", ready_map)
 
     @property
     def d1(self) -> int:
@@ -144,7 +181,29 @@ class PremeasurementModel:
 
     @property
     def composite_space(self) -> HilbertSpace:
-        return self.unitary.space
+        return HilbertSpace(self.d1 * self.d2, "system*pointer")
+
+
+def _block_grams(blocks: np.ndarray) -> np.ndarray:
+    """Row ``(n, m)`` is ``vec(blocks[n]^H @ blocks[m])``, taken from one
+    product of the blocks concatenated side by side."""
+    count, d, _ = blocks.shape
+    side_by_side = blocks.transpose(1, 0, 2).reshape(d, count * d)
+    gram = side_by_side.conj().T @ side_by_side
+    return gram.reshape(count, d, count, d).transpose(0, 2, 1, 3).reshape(count * count, d * d)
+
+
+def _block_unitarity_residual(p: np.ndarray, v: np.ndarray) -> float:
+    """``||U^H U - I||_F`` of ``U = sum_n p[n] (x) v[n]`` without forming ``U``.
+
+    Entry ``[(i, j), (a, b)]`` of the product below is ``<i, a| U^H U |j, b>``;
+    the Frobenius norm does not depend on that entry order.
+    """
+    d1, d2 = p.shape[1], v.shape[1]
+    residual = _block_grams(p).T @ _block_grams(v)
+    # the identity is 1 where i == j and a == b
+    residual[:: d1 + 1, :: d2 + 1] -= 1.0
+    return float(np.linalg.norm(residual))
 
 
 @dataclass(frozen=True)
@@ -223,27 +282,15 @@ def build_premeasurement(
     nondemolition by construction.  Complete (nondegenerate) observables are
     the special case of all rank-1 system projectors.
     """
-    if measured.outcome_count != apparatus.outcome_count:
-        raise ValueError(
-            f"outcome counts differ: measured {measured.outcome_count}, "
-            f"apparatus {apparatus.outcome_count}"
-        )
-    d1 = measured.space.dim
-    d2 = apparatus.space.dim
-    u = np.zeros((d1 * d2, d1 * d2), dtype=complex)
-    for p, chi in zip(measured.projectors, apparatus.pointer_states):
-        v = householder_map(apparatus.ready_state, chi)
-        u += np.kron(p.matrix, v.matrix)
-    composite = HilbertSpace(d1 * d2, "system*pointer")
-    return PremeasurementModel(measured, apparatus, Operator(composite, u), tol)
+    blocks = tuple(householder_map(apparatus.ready_state, chi) for chi in apparatus.pointer_states)
+    return PremeasurementModel(measured, apparatus, blocks, tol)
 
 
 def evolve(model: PremeasurementModel, phi: StateVector) -> BipartiteState:
     """Couple ``phi`` to the ready apparatus: U (phi (x) ready), normalized."""
     if phi.space.dim != model.d1:
         raise ValueError(f"input state dim {phi.space.dim}, expected {model.d1}")
-    joint = np.kron(phi.amplitudes, model.apparatus.ready_state.amplitudes)
-    out = model.unitary.matrix @ joint
+    out = model.ready_map @ phi.amplitudes
     out = out / np.linalg.norm(out)
     return BipartiteState(StateVector(model.composite_space, out), (model.d1, model.d2))
 
@@ -313,15 +360,13 @@ def verify_calibration(
     """
     rng = np.random.default_rng(seed)
     d1, d2 = model.d1, model.d2
-    # U (phi (x) ready) = coupled @ phi for every system input phi
-    coupled = model.unitary.matrix.reshape(d1 * d2, d1, d2) @ model.apparatus.ready_state.amplitudes
     residuals = []
     for p, q in zip(model.measured.projectors, model.apparatus.pointer_observable.projectors):
         basis = np.column_stack(eigenspace_basis(p))
         coeffs = [random_unit_vector(basis.shape[1], rng) for _ in range(trials)]
         inputs = np.column_stack([basis] + [basis @ c for c in coeffs])
         inputs = inputs / np.linalg.norm(inputs, axis=0)
-        out = coupled @ inputs
+        out = model.ready_map @ inputs
         out = (out / np.linalg.norm(out, axis=0)).T.reshape(-1, d1, d2)
         residuals.append(float(np.linalg.norm(out @ q.matrix.T - out, axis=(1, 2)).max()))
     return CalibrationReport(residuals=tuple(residuals), tolerance=tol)

@@ -37,6 +37,9 @@ from .schmidt import BipartiteState
 __all__ = ["ScenarioError", "Scenario", "load_scenario", "parse_scenario"]
 
 SCHEMA_VERSION = "envborn.report.v1"
+# Largest accepted d1 * d2: a dense composite complex matrix, or the d1^2 x d2^2
+# Gram product of a block coupling, stays within 256 MiB.
+MAX_COMPOSITE_DIM = 4096
 
 
 class ScenarioError(ValueError):
@@ -295,9 +298,14 @@ def parse_scenario(data: dict, default_operator_tol: float = DEFAULT_TOL) -> Sce
     if (
         not isinstance(dims, list)
         or len(dims) != 2
-        or not all(isinstance(d, int) and d >= 1 for d in dims)
+        or not all(_is_integer(d) and d >= 1 for d in dims)
     ):
         raise ScenarioError(f"dims must be two positive integers, got {dims!r}")
+    if dims[0] * dims[1] > MAX_COMPOSITE_DIM:
+        raise ScenarioError(
+            f"dims {dims!r} give a composite dimension {dims[0] * dims[1]} "
+            f"above the limit {MAX_COMPOSITE_DIM}"
+        )
     out["dims"] = [int(dims[0]), int(dims[1])]
     d1, d2 = out["dims"]
 
@@ -345,8 +353,12 @@ def _positive_float(value, what: str) -> float:
     return float(value)
 
 
+def _is_integer(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _integer(value, what: str, minimum: int) -> int:
-    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
+    if not _is_integer(value) or value < minimum:
         raise ScenarioError(f"{what} must be an integer >= {minimum}, got {value!r}")
     return value
 
@@ -433,14 +445,17 @@ def _canonical_mixture(spec, d1: int, has_partner: bool) -> dict:
         vec = decode_vector(comp["state"], f"mixture.components[{n}].state", d1)
         weight = _positive_float(comp["weight"], f"mixture.components[{n}].weight")
         canon_components.append({"state": encode_vector(vec), "weight": weight})
+    auto_purify = spec.get("auto_purify", False)
+    if not isinstance(auto_purify, bool):
+        raise ScenarioError(f"mixture.auto_purify must be true or false, got {auto_purify!r}")
     out = {
         "components": canon_components,
-        "auto_purify": bool(spec.get("auto_purify", False)),
+        "auto_purify": auto_purify,
         "trials": _integer(spec.get("trials", 50), "mixture.trials", 1),
     }
     if "counts" in spec:
         counts = spec["counts"]
-        if not isinstance(counts, list) or not all(isinstance(c, int) for c in counts):
+        if not isinstance(counts, list) or not all(_is_integer(c) for c in counts):
             raise ScenarioError("mixture.counts must be a list of integers")
         out["counts"] = counts
     if out["auto_purify"] and has_partner:
@@ -459,7 +474,7 @@ def _canonical_sampling(spec) -> dict:
     }
     if "bias" in spec:
         bias = spec["bias"]
-        if not isinstance(bias, list) or not all(isinstance(b, int) for b in bias):
+        if not isinstance(bias, list) or not all(_is_integer(b) for b in bias):
             raise ScenarioError("sampling.bias must be a list of integers")
         out["bias"] = bias
     return out

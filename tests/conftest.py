@@ -48,6 +48,17 @@ def random_scenario(d1, d2, outcomes, rng):
     return model, phi
 
 
+def dense_coupling(model):
+    """The model's coupling as a dense composite matrix: the blocks lifted as
+    ``sum_n np.kron(P^n, V_n)``, or the user-supplied operator itself."""
+    if isinstance(model.coupling, Operator):
+        return model.coupling.matrix
+    return sum(
+        np.kron(p.matrix, v.matrix)
+        for p, v in zip(model.measured.projectors, model.coupling)
+    )
+
+
 def entangle_branches(model, rng):
     """Compose the coupling with a random unitary acting inside each
     range(P^k) (x) range(Q^k) block.
@@ -71,5 +82,5 @@ def entangle_branches(model, rng):
         mixer += block
         block_total += cols @ cols.conj().T
     mixer -= block_total  # identity outside the blocks, random inside
-    unitary = Operator(model.composite_space, mixer @ model.unitary.matrix)
+    unitary = Operator(model.composite_space, mixer @ dense_coupling(model))
     return PremeasurementModel(model.measured, model.apparatus, unitary)

@@ -347,6 +347,34 @@ class TestInputHardening:
         path = write_variant(tmp_path, "degenerate-3d", observable=observable)
         self.assert_input_error(["derive", path], "observable.eigenvalues[0]")
 
+    @pytest.mark.parametrize("value", ["no", 1, None])
+    def test_auto_purify_must_be_bool(self, tmp_path, value):
+        data = json.loads(Path(fixture_path("mixtures-bell")).read_text(encoding="utf-8"))
+        del data["composite_state"]
+        data["mixture"]["auto_purify"] = value
+        path = tmp_path / "variant.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        self.assert_input_error(["mixtures", str(path)], "mixture.auto_purify")
+
+    def test_boolean_mixture_counts(self, tmp_path):
+        data = json.loads(Path(fixture_path("mixtures-bell")).read_text(encoding="utf-8"))
+        mixture = dict(data["mixture"], counts=[True, True])
+        path = write_variant(tmp_path, "mixtures-bell", mixture=mixture)
+        self.assert_input_error(["mixtures", path], "mixture.counts")
+
+    def test_boolean_sampling_bias(self, tmp_path):
+        path = write_variant(
+            tmp_path, "sample-biased", sampling={"n": 100, "seed": 1, "bias": [True, -1]}
+        )
+        self.assert_input_error(["sample", path], "sampling.bias")
+
+    @pytest.mark.parametrize(
+        "dims", [[True, 2], [3, True], [4097, 1], [65, 64], [1, 10**12]]
+    )
+    def test_malformed_or_oversized_dims(self, tmp_path, dims):
+        path = write_variant(tmp_path, "degenerate-3d", dims=dims)
+        self.assert_input_error(["derive", path], "dims")
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-1", "0"])
     def test_malformed_tolerance_option(self, value):
         self.assert_input_error(

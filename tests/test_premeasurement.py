@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import dense_coupling
 
 from envborn.hilbert import (
     HilbertSpace,
@@ -119,14 +120,14 @@ class TestBuildPremeasurement:
         cnot = np.array(
             [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
         )
-        assert np.allclose(model.unitary.matrix, cnot)
-        out = model.unitary.matrix @ np.kron([0, 1], [1, 0])
+        assert np.allclose(dense_coupling(model), cnot)
+        out = dense_coupling(model) @ np.kron([0, 1], [1, 0])
         assert np.allclose(out, np.kron([0, 1], [0, 1]))
 
     def test_degenerate_eigenvector_preserved(self):
         model = degenerate_model()
         chi = model.apparatus.pointer_states
-        out = model.unitary.matrix @ np.kron(
+        out = dense_coupling(model) @ np.kron(
             basis_state(D3, 1).amplitudes, model.apparatus.ready_state.amplitudes
         )
         assert np.allclose(out, np.kron(basis_state(D3, 1).amplitudes, chi[0].amplitudes))
@@ -137,8 +138,19 @@ class TestBuildPremeasurement:
             d1, d2 = int(rng.integers(2, 5)), int(rng.integers(2, 5))
             outcomes = int(rng.integers(1, min(d1, d2) + 1))
             model = random_model(d1, d2, outcomes, rng)
-            u = model.unitary.matrix
+            u = dense_coupling(model)
             assert np.linalg.norm(u.conj().T @ u - np.eye(d1 * d2)) <= 1e-10
+
+    def test_non_unitary_couplings_rejected(self):
+        model = cnot_model()
+        halved = Operator(HilbertSpace(4), 0.5 * np.eye(4))
+        with pytest.raises(ValueError, match="not unitary"):
+            PremeasurementModel(model.measured, model.apparatus, halved)
+        blocks = (model.coupling[0], Operator(POINTER2, 0.5 * np.eye(2)))
+        with pytest.raises(ValueError, match="not unitary"):
+            PremeasurementModel(model.measured, model.apparatus, blocks)
+        with pytest.raises(ValueError, match="block coupling needs 2"):
+            PremeasurementModel(model.measured, model.apparatus, model.coupling[:1])
 
     def test_outcome_count_mismatch(self):
         a = complete_observable([basis_state(D3, i) for i in range(3)])

@@ -2,8 +2,10 @@ import json
 
 import numpy as np
 import pytest
+from conftest import dense_coupling
 
 from envborn.scenario import (
+    MAX_COMPOSITE_DIM,
     ScenarioError,
     decode_vector,
     encode_vector,
@@ -189,6 +191,13 @@ class TestParsing:
         with pytest.raises(ScenarioError, match="seed"):
             parse_scenario(minimal_derive(sampling={"n": 10, "seed": -2}))
 
+    def test_dims_bounded_by_composite_dimension(self):
+        side = int(MAX_COMPOSITE_DIM**0.5)
+        assert parse_scenario({"dims": [side, side]}).dims == (side, side)
+        assert parse_scenario({"dims": [MAX_COMPOSITE_DIM, 1]}).dims == (MAX_COMPOSITE_DIM, 1)
+        with pytest.raises(ScenarioError, match="dims"):
+            parse_scenario({"dims": [MAX_COMPOSITE_DIM + 1, 1]})
+
     def test_sampling_requires_integers(self):
         with pytest.raises(ScenarioError, match="integer"):
             parse_scenario(minimal_derive(sampling={"n": 10.5, "seed": 0}))
@@ -199,12 +208,13 @@ class TestBuilders:
         scenario = parse_scenario(minimal_derive())
         model = scenario.model()
         assert model.outcome_count == 2
-        assert model.unitary.is_unitary()
+        u = dense_coupling(model)
+        assert np.linalg.norm(u.conj().T @ u - np.eye(4)) <= 1e-10
 
     def test_identity_override(self):
         scenario = parse_scenario(minimal_derive(unitary_override="identity"))
         model = scenario.model()
-        assert np.allclose(model.unitary.matrix, np.eye(4))
+        assert np.allclose(dense_coupling(model), np.eye(4))
 
     def test_unknown_override(self):
         with pytest.raises(ScenarioError, match="unitary_override"):

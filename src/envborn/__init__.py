@@ -16,11 +16,9 @@ from .hilbert import (
     Operator,
     Projector,
     StateVector,
-    apply,
     basis_state,
     complete_observable,
     identity,
-    identity_projector,
     make_state,
     orthonormalize,
     partial_trace,
@@ -28,7 +26,6 @@ from .hilbert import (
     pure_density,
     spectral_observable,
     tensor,
-    tensor_operator,
     trace_probability,
 )
 from .schmidt import (
@@ -66,7 +63,6 @@ from .born import (
     OutcomeRecord,
     ProbabilityReport,
     check_additivity,
-    check_prc,
     complement_check,
     derive_probabilities,
 )
@@ -83,7 +79,6 @@ from .ensemble import (
     SampleRun,
     frequency_check,
     sample_outcomes,
-    split_sample,
 )
 
 __version__ = "0.1.0"

@@ -16,8 +16,10 @@ residuals.  Audit failures set flags in the report instead of raising, so
 adversarial couplings produce a readable diagnosis.
 
 The pipeline couples and splits once; every audit reuses that branch set.
-Factor-side steps are one-sided products on the ``d1 x d2`` coefficient
-matrix ``Psi`` of the coupled state: the complement residual is the norm of
+The coupled state and each branch are ``d1 x d2`` coefficient matrices: a
+normalized branch is Schmidt-decomposed by the SVD of its matrix as it
+stands.  Factor-side steps are one-sided products on the coefficient matrix
+``Psi`` of the coupled state: the complement residual is the norm of
 ``Psi @ (Q^k)'.T`` and the pointer's reduced state is ``rho_2 = Psi.T @
 Psi.conj()``, so no composite-space operator or density matrix is formed.
 """
@@ -35,6 +37,7 @@ from .hilbert import (
     Operator,
     Projector,
     StateVector,
+    check_orthogonal,
     pure_density,
     trace_probability,
 )
@@ -56,7 +59,6 @@ __all__ = [
     "pointer_density",
     "complement_check",
     "check_additivity",
-    "check_prc",
 ]
 
 
@@ -137,7 +139,7 @@ def complement_check(
         comp -= np.outer(v.amplitudes, v.amplitudes.conj())
     # Raises when not Hermitian/idempotent within tol.
     Projector(Operator(q.space, comp), tol)
-    return float(np.linalg.norm(psi12.coefficient_matrix() @ comp.T))
+    return float(np.linalg.norm(psi12.matrix @ comp.T))
 
 
 def check_additivity(
@@ -148,25 +150,13 @@ def check_additivity(
     Parts must be mutually orthogonal.  All finite-dimensional scenarios can
     only exercise the finite restriction of countable additivity.
     """
-    for i in range(len(parts)):
-        for j in range(i + 1, len(parts)):
-            cross = np.linalg.norm(parts[i].matrix @ parts[j].matrix)
-            if cross > tol:
-                raise ValueError(
-                    f"parts {i} and {j} are not orthogonal (residual {cross:.3e})"
-                )
+    check_orthogonal(parts, tol)
     total = np.zeros((rho.space.dim, rho.space.dim), dtype=complex)
     for p in parts:
         total += p.matrix
     whole = trace_probability(Projector(Operator(rho.space, total), tol), rho, tol)
     pieces = sum(trace_probability(p, rho, tol) for p in parts)
     return abs(whole - pieces)
-
-
-def check_prc(report: ProbabilityReport) -> tuple[float, ...]:
-    """Probability-reproducibility residuals: derived pointer-event
-    probabilities against the trace-rule values on the input state."""
-    return tuple(r.residual for r in report.records)
 
 
 def derive_probabilities(
@@ -196,10 +186,7 @@ def derive_probabilities(
 
     branch_forms: dict[int, SchmidtForm] = {}
     for b in bset.branches:
-        normalized = StateVector(psi12.state.space, b.normalized())
-        branch_forms[b.outcome] = schmidt_decompose(
-            BipartiteState(normalized, psi12.dims)
-        )
+        branch_forms[b.outcome] = schmidt_decompose(BipartiteState(b.normalized()))
 
     # Composite biorthogonality: the union of branch Schmidt vectors must be
     # orthonormal on each factor.

@@ -98,9 +98,7 @@ def run_schmidt(scenario: Scenario) -> dict:
     psi = scenario.composite_state()
     form = schmidt_decompose(psi)
     back = reconstruct(form)
-    residual = float(
-        np.linalg.norm(back.state.amplitudes - psi.state.amplitudes)
-    )
+    residual = float(np.linalg.norm(back.matrix - psi.matrix))
     section = {
         "coefficients": [float(c) for c in form.coefficients],
         "basis1": [encode_vector(v.amplitudes) for v in form.basis1],

@@ -18,7 +18,6 @@ __all__ = [
     "SampleRun",
     "FrequencyReport",
     "sample_outcomes",
-    "split_sample",
     "frequency_check",
 ]
 
@@ -77,36 +76,6 @@ def sample_outcomes(probabilities: Sequence[float], n: int, seed: int) -> Sample
     if n < 1:
         raise ValueError("sample count must be positive")
     counts = _draw_counts(p, n, np.random.default_rng(seed))
-    return SampleRun(
-        probabilities=tuple(p.tolist()),
-        sample_count=int(n),
-        seed=int(seed),
-        counts=tuple(int(c) for c in counts),
-    )
-
-
-def split_sample(probabilities: Sequence[float], n: int, seed: int, parts: int) -> SampleRun:
-    """Deterministic partitioned run for parallel execution.
-
-    N is split into ``parts`` near-equal sub-runs (remainder spread over the
-    first ones); sub-run i draws from the generator seeded with
-    ``SeedSequence(seed).spawn()[i]`` and the merged counts are the elementwise
-    sum, a deterministic function of (seed, parts).  Sub-runs are independent,
-    so they may execute concurrently.
-    """
-    p = _validated_distribution(probabilities)
-    if n < 1:
-        raise ValueError("sample count must be positive")
-    if not 1 <= parts <= n:
-        raise ValueError(f"parts must be in [1, {n}], got {parts}")
-    base, extra = divmod(n, parts)
-    children = np.random.SeedSequence(seed).spawn(parts)
-    counts = np.zeros(len(p), dtype=int)
-    for i, child in enumerate(children):
-        size = base + (1 if i < extra else 0)
-        if size == 0:
-            continue
-        counts += _draw_counts(p, size, np.random.default_rng(child))
     return SampleRun(
         probabilities=tuple(p.tolist()),
         sample_count=int(n),

@@ -13,7 +13,7 @@ per call.  Matrix norms are Frobenius, vector norms Euclidean.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -29,10 +29,7 @@ __all__ = [
     "make_state",
     "basis_state",
     "tensor",
-    "tensor_operator",
     "identity",
-    "identity_projector",
-    "apply",
     "pure_density",
     "partial_trace",
     "trace_probability",
@@ -90,7 +87,7 @@ class StateVector:
 
     def __post_init__(self):
         vec = _as_vector(self.amplitudes, self.space.dim)
-        if abs(np.linalg.norm(vec) - 1.0) > NORM_TOL:
+        if not abs(np.linalg.norm(vec) - 1.0) <= NORM_TOL:  # also rejects NaN
             raise ValueError(
                 f"state vector is not normalized: |norm - 1| = "
                 f"{abs(np.linalg.norm(vec) - 1.0):.3e}"
@@ -158,6 +155,16 @@ class Projector:
         return int(round(np.trace(self.matrix).real))
 
 
+def check_orthogonal(projectors: Sequence[Projector], tol: float) -> None:
+    """Raise ValueError naming the first pair ``i < j`` of ``projectors`` with
+    ``||P_i P_j|| > tol``."""
+    for i in range(len(projectors)):
+        for j in range(i + 1, len(projectors)):
+            cross = np.linalg.norm(projectors[i].matrix @ projectors[j].matrix)
+            if cross > tol:
+                raise ValueError(f"projectors {i} and {j} are not orthogonal: residual {cross:.3e}")
+
+
 @dataclass(frozen=True)
 class Observable:
     """Spectral form: distinct real eigenvalues with an orthogonal, complete
@@ -179,14 +186,7 @@ class Observable:
             _check_dim(p.space, self.space, "observable projector")
             if p.rank < 1:
                 raise ValueError("eigenprojectors must have rank >= 1")
-        for i in range(len(projs)):
-            for j in range(i + 1, len(projs)):
-                cross = np.linalg.norm(projs[i].matrix @ projs[j].matrix)
-                if cross > self.tol:
-                    raise ValueError(
-                        f"projectors {i} and {j} are not orthogonal: "
-                        f"residual {cross:.3e}"
-                    )
+        check_orthogonal(projs, self.tol)
         total = sum(p.matrix for p in projs)
         completeness = np.linalg.norm(total - np.eye(self.space.dim))
         if completeness > self.tol:
@@ -263,30 +263,8 @@ def tensor(u: StateVector, v: StateVector) -> StateVector:
     return StateVector(space, np.kron(u.amplitudes, v.amplitudes))
 
 
-def tensor_operator(a: Operator | Projector, b: Operator | Projector) -> Operator:
-    """Kronecker product of two operators, first factor slow."""
-    space = HilbertSpace(a.space.dim * b.space.dim)
-    return Operator(space, np.kron(a.matrix, b.matrix))
-
-
 def identity(space: HilbertSpace) -> Operator:
     return Operator(space, np.eye(space.dim, dtype=complex))
-
-
-def identity_projector(space: HilbertSpace) -> Projector:
-    return Projector(identity(space))
-
-
-def apply(op: Operator | Projector, state: Union[StateVector, np.ndarray]) -> np.ndarray:
-    """Matrix-vector product.  The result is NOT renormalized (projection
-    generally breaks normalization); callers re-wrap when a unit vector is
-    expected."""
-    vec = state.amplitudes if isinstance(state, StateVector) else _as_vector(state)
-    if vec.shape != (op.space.dim,):
-        raise ValueError(
-            f"dimension mismatch: operator dim {op.space.dim}, vector {vec.shape}"
-        )
-    return op.matrix @ vec
 
 
 def pure_density(state: StateVector) -> DensityOperator:

@@ -138,8 +138,7 @@ def improper_probability(P1: Projector, psi12: BipartiteState, tol: float = NORM
     must agree within ``tol``."""
     if P1.space.dim != psi12.d1:
         raise ValueError(f"projector dim {P1.space.dim} does not match factor 1 ({psi12.d1})")
-    psi = psi12.coefficient_matrix()
-    return _improper(P1, psi, _reduced_first(psi), tol)
+    return _improper(P1, psi12.matrix, _reduced_first(psi12.matrix), tol)
 
 
 def proper_improper_equivalence(
@@ -157,7 +156,7 @@ def proper_improper_equivalence(
     Every trial runs both cross-checks of each route at ``NORM_TOL``.
     """
     rho_mix = mix(spec)
-    psi = psi12.coefficient_matrix()
+    psi = psi12.matrix
     rho1 = _reduced_first(psi)
     gap = np.linalg.norm(rho_mix.matrix - rho1.matrix)
     if gap > tol:
@@ -186,8 +185,5 @@ def purify(rho: DensityOperator, threshold: float = 1e-12) -> BipartiteState:
     order = np.argsort(values)[::-1]
     kept = order[values[order] >= threshold]
     v = vectors[:, kept]
-    d = rho.space.dim
-    vec = ((v * np.sqrt(values[kept])) @ v.T).reshape(-1)
-    vec /= np.linalg.norm(vec)
-    composite = HilbertSpace(d * d, rho.space.label and f"{rho.space.label}+partner")
-    return BipartiteState(StateVector(composite, vec), (d, d))
+    psi = (v * np.sqrt(values[kept])) @ v.T
+    return BipartiteState(psi / np.linalg.norm(psi))

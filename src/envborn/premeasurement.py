@@ -20,8 +20,9 @@ For blocks it is computed from the factor Grams, since
 
 Construction also restricts the coupling to the ready state once, giving the
 ready map ``W = U (. (x) ready)`` (``d1*d2 x d1``); ``evolve`` and
-calibration read only ``W``.  Every other step acts on one factor as a
-one-sided product on the ``d1 x d2`` coefficient matrix ``Psi``:
+calibration read only ``W``; ``evolve`` reshapes ``W @ phi`` into the
+``d1 x d2`` coefficient matrix ``Psi``, and each branch is such a matrix.
+Every other step acts on one factor as a one-sided product on ``Psi``:
 ``(I (x) Q) psi`` is ``Psi @ Q.T`` and ``(P (x) I) psi`` is ``P @ Psi``.
 """
 
@@ -208,19 +209,19 @@ def _block_unitarity_residual(p: np.ndarray, v: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class Branch:
-    """One unnormalized pointer-projected term of the post-coupling state."""
+    """One unnormalized pointer-projected term ``Psi @ Q^n.T`` (``d1 x d2``)."""
 
     outcome: int
-    vector: np.ndarray
+    matrix: np.ndarray
     weight: float
 
     def __post_init__(self):
-        vec = np.asarray(self.vector, dtype=complex).reshape(-1)
-        vec.setflags(write=False)
-        object.__setattr__(self, "vector", vec)
+        mat = np.asarray(self.matrix, dtype=complex)
+        mat.setflags(write=False)
+        object.__setattr__(self, "matrix", mat)
 
     def normalized(self) -> np.ndarray:
-        return self.vector / np.sqrt(self.weight)
+        return self.matrix / np.sqrt(self.weight)
 
 
 @dataclass(frozen=True)
@@ -232,7 +233,7 @@ class BranchSet:
 
     def __post_init__(self):
         for b in self.branches:
-            if abs(b.weight - np.linalg.norm(b.vector) ** 2) > 1e-12:
+            if abs(b.weight - np.linalg.norm(b.matrix) ** 2) > 1e-12:
                 raise ValueError(f"branch {b.outcome} weight does not match its norm")
         total = sum(b.weight for b in self.branches)
         if abs(total - 1.0) > 1e-10:
@@ -287,12 +288,12 @@ def build_premeasurement(
 
 
 def evolve(model: PremeasurementModel, phi: StateVector) -> BipartiteState:
-    """Couple ``phi`` to the ready apparatus: U (phi (x) ready), normalized."""
+    """Couple ``phi`` to the ready apparatus: ``U (phi (x) ready)``,
+    normalized, as the coefficient matrix ``W @ phi`` reshaped to ``d1 x d2``."""
     if phi.space.dim != model.d1:
         raise ValueError(f"input state dim {phi.space.dim}, expected {model.d1}")
     out = model.ready_map @ phi.amplitudes
-    out = out / np.linalg.norm(out)
-    return BipartiteState(StateVector(model.composite_space, out), (model.d1, model.d2))
+    return BipartiteState((out / np.linalg.norm(out)).reshape(model.d1, model.d2))
 
 
 def branches(model: PremeasurementModel, psi12: BipartiteState) -> BranchSet:
@@ -304,16 +305,16 @@ def branches(model: PremeasurementModel, psi12: BipartiteState) -> BranchSet:
     """
     if psi12.dims != (model.d1, model.d2):
         raise ValueError(f"state dims {psi12.dims} do not match model")
-    psi = psi12.coefficient_matrix()
+    psi = psi12.matrix
     kept = []
     omitted = []
     for n, q in enumerate(model.apparatus.pointer_observable.projectors):
-        term = (psi @ q.matrix.T).reshape(-1)
+        term = psi @ q.matrix.T
         weight = float(np.linalg.norm(term) ** 2)
         if weight < ZERO_BRANCH_THRESHOLD:
             omitted.append(n)
         else:
-            kept.append(Branch(outcome=n, vector=term, weight=weight))
+            kept.append(Branch(outcome=n, matrix=term, weight=weight))
     return BranchSet(branches=tuple(kept), omitted=tuple(omitted))
 
 
@@ -392,9 +393,8 @@ def verify_nondemolition(
     P^k (x) I and I (x) Q^k)."""
     residuals = {}
     for b in bset.branches:
-        term = b.vector.reshape(model.d1, model.d2)
         p = model.measured.projectors[b.outcome].matrix
-        residuals[b.outcome] = float(np.linalg.norm(p @ term - term))
+        residuals[b.outcome] = float(np.linalg.norm(p @ b.matrix - b.matrix))
     return NondemolitionReport(residuals=residuals, tolerance=tol)
 
 

@@ -40,6 +40,8 @@ SCHEMA_VERSION = "envborn.report.v1"
 # Largest accepted d1 * d2: a dense composite complex matrix, or the d1^2 x d2^2
 # Gram product of a block coupling, stays within 256 MiB.
 MAX_COMPOSITE_DIM = 4096
+# Largest accepted sampling.n: about 16 bytes per draw, the same 256 MiB budget.
+MAX_SAMPLES = 2**24
 
 
 class ScenarioError(ValueError):
@@ -58,12 +60,13 @@ def decode_vector(data, what: str, dim: int | None = None) -> np.ndarray:
         if (
             not isinstance(pair, list)
             or len(pair) != 2
-            or not all(isinstance(x, (int, float)) for x in pair)
+            or not all(_is_number(x) for x in pair)
         ):
             raise ScenarioError(f"{what}[{i}] is not a [re, im] pair: {pair!r}")
-        out[i] = complex(float(pair[0]), float(pair[1]))
-        if not np.isfinite(out[i]):
+        # the bound rejects NaN, infinities and integers too large to convert
+        if not all(abs(x) <= sys.float_info.max for x in pair):
             raise ScenarioError(f"{what}[{i}] is not finite: {pair!r}")
+        out[i] = complex(float(pair[0]), float(pair[1]))
     if dim is not None and len(out) != dim:
         raise ScenarioError(f"{what} has length {len(out)}, expected {dim}")
     return out
@@ -127,8 +130,10 @@ class Scenario:
             raise ScenarioError("scenario has no composite_state")
         d1, d2 = self.dims
         vec = decode_vector(self.raw["composite_state"], "composite_state", d1 * d2)
-        state = _normalized(HilbertSpace(d1 * d2, "sys*pointer"), vec, "composite_state")
-        return BipartiteState(state, (d1, d2))
+        norm = np.linalg.norm(vec)
+        if not 1e-12 <= norm < np.inf:
+            raise ScenarioError(f"composite_state cannot be normalized: norm {norm:.3e}")
+        return BipartiteState((vec / norm).reshape(d1, d2))
 
     def observable(self) -> Observable:
         if "observable" not in self.raw:
@@ -472,6 +477,8 @@ def _canonical_sampling(spec) -> dict:
         "n": _integer(_require(spec, "n", object, "sampling"), "sampling.n", 1),
         "seed": _integer(_require(spec, "seed", object, "sampling"), "sampling.seed", 0),
     }
+    if out["n"] > MAX_SAMPLES:
+        raise ScenarioError(f"sampling.n must be at most {MAX_SAMPLES}, got {out['n']!r}")
     if "bias" in spec:
         bias = spec["bias"]
         if not isinstance(bias, list) or not all(_is_integer(b) for b in bias):

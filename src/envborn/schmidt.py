@@ -1,10 +1,11 @@
 """Schmidt (biorthogonal) decomposition and envariance witnesses.
 
-A bipartite pure state is decomposed by SVD of its coefficient matrix into
-``sum_i a_i |i>_1 |i>_2`` with nonnegative coefficients and orthonormal factor
-bases.  Twin unitaries (opposite phases on matched Schmidt vectors) and
-counter-permutations of equal-coefficient terms leave the composite state
-invariant; ``check_envariance`` measures the residual directly.
+A bipartite pure state is held as its ``d1 x d2`` coefficient matrix ``Psi``
+and decomposed by the SVD of ``Psi`` into ``sum_i a_i |i>_1 |i>_2`` with
+nonnegative coefficients and orthonormal factor bases.  Twin unitaries
+(opposite phases on matched Schmidt vectors) and counter-permutations of
+equal-coefficient terms leave the composite state invariant;
+``check_envariance`` measures the residual ``U1 @ Psi @ U2.T - Psi``.
 
 ``schmidt_probabilities`` returns {a_i^2}.  This is the probability assignment
 for Schmidt states taken as an axiom by the derivation pipeline; it performs
@@ -21,6 +22,7 @@ import numpy as np
 
 from .hilbert import (
     DEFAULT_TOL,
+    NORM_TOL,
     DensityOperator,
     HilbertSpace,
     Operator,
@@ -49,19 +51,23 @@ ZERO_BRANCH_THRESHOLD = 1e-12
 
 @dataclass(frozen=True)
 class BipartiteState:
-    """A state vector with a declared (d1, d2) factorization."""
+    """A unit-norm bipartite pure state as its ``d1 x d2`` coefficient matrix:
+    ``matrix[i, j]`` is the amplitude of ``|i>_1 |j>_2`` (flat index ``i * d2 + j``)."""
 
-    state: StateVector
-    dims: tuple[int, int]
+    matrix: np.ndarray
 
     def __post_init__(self):
-        d1, d2 = self.dims
-        if d1 * d2 != self.state.space.dim:
-            raise ValueError(
-                f"declared factorization {d1}x{d2} does not match "
-                f"dim {self.state.space.dim}"
-            )
-        object.__setattr__(self, "dims", (int(d1), int(d2)))
+        psi = np.asarray(self.matrix, dtype=complex)
+        if psi.ndim != 2:
+            raise ValueError(f"expected a d1 x d2 coefficient matrix, got shape {psi.shape}")
+        if not abs(np.linalg.norm(psi) - 1.0) <= NORM_TOL:  # also rejects NaN
+            raise ValueError(f"bipartite state is not normalized: norm {np.linalg.norm(psi)!r}")
+        psi.setflags(write=False)
+        object.__setattr__(self, "matrix", psi)
+
+    @property
+    def dims(self) -> tuple[int, int]:
+        return self.matrix.shape
 
     @property
     def d1(self) -> int:
@@ -71,17 +77,10 @@ class BipartiteState:
     def d2(self) -> int:
         return self.dims[1]
 
-    def coefficient_matrix(self) -> np.ndarray:
-        """Amplitudes reshaped to d1 x d2 (first factor is the slow index)."""
-        return self.state.amplitudes.reshape(self.dims)
-
-    def factor_spaces(self) -> tuple[HilbertSpace, HilbertSpace]:
-        return HilbertSpace(self.d1), HilbertSpace(self.d2)
-
 
 def pointer_density(psi12: BipartiteState) -> DensityOperator:
     """Reduced state of the second factor, ``rho_2 = Psi.T @ Psi.conj()``."""
-    psi = psi12.coefficient_matrix()
+    psi = psi12.matrix
     return DensityOperator(HilbertSpace(psi12.d2, "pointer"), psi.T @ psi.conj())
 
 
@@ -141,7 +140,7 @@ def schmidt_decompose(psi: BipartiteState) -> SchmidtForm:
     factor-2 partner).
     """
     d1, d2 = psi.dims
-    u, s, vh = np.linalg.svd(psi.coefficient_matrix(), full_matrices=False)
+    u, s, vh = np.linalg.svd(psi.matrix, full_matrices=False)
     keep = s >= ZERO_BRANCH_THRESHOLD
     s = s[keep]
     u = u[:, keep]
@@ -173,14 +172,11 @@ def schmidt_decompose(psi: BipartiteState) -> SchmidtForm:
 
 
 def reconstruct(form: SchmidtForm) -> BipartiteState:
-    """Inverse of schmidt_decompose: sum_i a_i |i>_1 |i>_2, normalized."""
-    d1 = form.basis1[0].space.dim
-    d2 = form.basis2[0].space.dim
-    vec = np.zeros(d1 * d2, dtype=complex)
-    for a, b1, b2 in zip(form.coefficients, form.basis1, form.basis2):
-        vec += a * np.kron(b1.amplitudes, b2.amplitudes)
-    vec /= np.linalg.norm(vec)
-    return BipartiteState(StateVector(HilbertSpace(d1 * d2), vec), (d1, d2))
+    """Inverse of schmidt_decompose: ``sum_i a_i |i>_1 |i>_2``, normalized,
+    with coefficient matrix ``sum_i a_i outer(|i>_1, |i>_2)``."""
+    terms = zip(form.coefficients, form.basis1, form.basis2)
+    psi = sum(a * np.outer(b1.amplitudes, b2.amplitudes) for a, b1, b2 in terms)
+    return BipartiteState(psi / np.linalg.norm(psi))
 
 
 def _phased_identity(dim: int, vectors: Sequence[StateVector], factors: np.ndarray) -> np.ndarray:
@@ -255,7 +251,7 @@ def check_envariance(
     for name, u in (("U1", u1), ("U2", u2)):
         if not u.is_unitary(tol):
             raise ValueError(f"{name} is not unitary within tolerance {tol:.1e}")
-    coeffs = psi.coefficient_matrix()
+    coeffs = psi.matrix
     moved = u1.matrix @ coeffs @ u2.matrix.T
     return float(np.linalg.norm(moved - coeffs))
 
@@ -289,7 +285,7 @@ def sublemma_check(
     d2 = psi.d2
     if q2.space.dim != d2:
         raise ValueError(f"Q2 dim {q2.space.dim} does not match factor 2 dim {d2}")
-    coeffs = psi.coefficient_matrix()
+    coeffs = psi.matrix
     hypothesis = float(np.linalg.norm(coeffs @ q2.matrix.T - coeffs))
     if hypothesis > tol:
         raise ValueError(

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from envborn.hilbert import HilbertSpace, Operator, make_state, spectral_observable
+from envborn.hilbert import HilbertSpace, Operator, StateVector, make_state, spectral_observable
 from envborn.premeasurement import (
     PointerApparatus,
     PremeasurementModel,
@@ -46,6 +46,12 @@ def random_scenario(d1, d2, outcomes, rng):
     model = build_premeasurement(measured, apparatus)
     phi = random_state(sys_space, rng)
     return model, phi
+
+
+def flat_state(psi12):
+    """The composite amplitudes of a BipartiteState as a StateVector (first
+    factor is the slow index), for oracles on the composite space."""
+    return StateVector(HilbertSpace(psi12.d1 * psi12.d2), psi12.matrix.reshape(-1))
 
 
 def dense_coupling(model):

@@ -178,7 +178,7 @@ def test_criterion_envariance_witnesses():
     worst_twin = 0.0
     for _ in range(100):
         d1, d2 = int(rng.integers(2, 5)), int(rng.integers(2, 5))
-        psi = BipartiteState(random_state(HilbertSpace(d1 * d2), rng), (d1, d2))
+        psi = BipartiteState(random_state(HilbertSpace(d1 * d2), rng).amplitudes.reshape(d1, d2))
         form = schmidt_decompose(psi)
         phases = rng.uniform(-np.pi, np.pi, size=len(form))
         u1, u2 = twin_unitary(form, phases)
@@ -200,7 +200,7 @@ def test_criterion_envariance_witnesses():
         worst_swap = max(worst_swap, check_envariance(psi, u1, u2))
 
     # non-envariant control: a one-sided flip moves the Bell state by sqrt(2)
-    bell = BipartiteState(make_state(HilbertSpace(4), [1, 0, 0, 1]), (2, 2))
+    bell = BipartiteState(np.array([[1, 0], [0, 1]]) / np.sqrt(2))
     sx = Operator(HilbertSpace(2), np.array([[0, 1], [1, 0]], dtype=complex))
     ident = Operator(HilbertSpace(2), np.eye(2, dtype=complex))
     control = abs(check_envariance(bell, sx, ident) - np.sqrt(2))
@@ -219,7 +219,7 @@ def test_criterion_subprojector_lemma():
     for _ in range(100):
         d1 = int(rng.integers(2, 4))
         d2 = int(rng.integers(d1, 5))
-        psi = BipartiteState(random_state(HilbertSpace(d1 * d2), rng), (d1, d2))
+        psi = BipartiteState(random_state(HilbertSpace(d1 * d2), rng).amplitudes.reshape(d1, d2))
         form = schmidt_decompose(psi)
         support = [v.amplitudes for v in form.basis2]
         # random orthogonal extension of the factor-2 Schmidt support
@@ -264,8 +264,8 @@ def test_criterion_mixture_identities():
         worst_proper = max(worst_proper, abs(by_parts - by_trace))
 
         d2 = int(rng.integers(2, 5))
-        psi = BipartiteState(random_state(HilbertSpace(d * d2), rng), (d, d2))
-        vec = psi.state.amplitudes
+        psi = BipartiteState(random_state(HilbertSpace(d * d2), rng).amplitudes.reshape(d, d2))
+        vec = psi.matrix.reshape(-1)
         on_composite = float((vec.conj() @ (np.kron(p.matrix, np.eye(d2)) @ vec)).real)
         on_reduced = improper_probability(p, psi)
         worst_improper = max(worst_improper, abs(on_composite - on_reduced))

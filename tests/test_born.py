@@ -3,10 +3,11 @@ import dataclasses
 import numpy as np
 import pytest
 from conftest import entangle_branches, random_scenario
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from envborn.born import (
     check_additivity,
-    check_prc,
     complement_check,
     derive_probabilities,
 )
@@ -31,8 +32,8 @@ from envborn.premeasurement import (
     build_premeasurement,
     evolve,
 )
-from envborn.rng import random_density, random_orthogonal_partition
-from envborn.schmidt import schmidt_decompose
+from envborn.rng import random_density, random_orthogonal_partition, random_unitary
+from envborn.schmidt import BipartiteState, schmidt_decompose
 
 D2 = HilbertSpace(2, "sys")
 D3 = HilbertSpace(3, "sys")
@@ -220,9 +221,7 @@ class TestEntangledBranches:
         phi = make_state(D3, [1, 1, 1])
         psi12 = evolve(model, phi)
         b = branches(model, psi12).branches[0]
-        form = schmidt_decompose(
-            type(psi12)(StateVector(psi12.state.space, b.normalized()), psi12.dims)
-        )
+        form = schmidt_decompose(BipartiteState(b.normalized()))
         assert len(form.basis2) == 2
         assert complement_check(model, psi12, 0, form.basis2) <= 1e-10
         report = derive_probabilities(model, phi)
@@ -236,9 +235,7 @@ class TestComplementCheck:
         psi12 = evolve(model, phi)
         bset = branches(model, psi12)
         b = bset.branches[0]
-        form = schmidt_decompose(
-            type(psi12)(StateVector(psi12.state.space, b.normalized()), psi12.dims)
-        )
+        form = schmidt_decompose(BipartiteState(b.normalized()))
         residual = complement_check(model, psi12, 0, form.basis2)
         assert residual <= 1e-12
 
@@ -260,9 +257,7 @@ class TestComplementCheck:
         phi = make_state(D2, [0.6, 0.8])
         psi12 = evolve(model, phi)
         b = branches(model, psi12).branches[0]
-        form = schmidt_decompose(
-            type(psi12)(StateVector(psi12.state.space, b.normalized()), psi12.dims)
-        )
+        form = schmidt_decompose(BipartiteState(b.normalized()))
         assert len(form.basis2) == 1
         residual = complement_check(model, psi12, 0, form.basis2)
         assert residual <= 1e-10
@@ -273,9 +268,7 @@ class TestComplementCheck:
             model, phi = random_scenario(4, 4, 2, rng)
             psi12 = evolve(model, phi)
             for b in branches(model, psi12).branches:
-                form = schmidt_decompose(
-                    type(psi12)(StateVector(psi12.state.space, b.normalized()), psi12.dims)
-                )
+                form = schmidt_decompose(BipartiteState(b.normalized()))
                 assert complement_check(model, psi12, b.outcome, form.basis2) <= 1e-10
 
 
@@ -307,7 +300,7 @@ class TestCheckAdditivity:
         rho = pure_density(basis_state(space, 0))
         p = projector_from_span([basis_state(space, 0)])
         q = projector_from_span([make_state(space, [1, 1])])
-        with pytest.raises(ValueError, match="orthogonal"):
+        with pytest.raises(ValueError, match="0 and 1 are not orthogonal"):
             check_additivity(rho, [p, q])
 
 
@@ -317,11 +310,11 @@ class TestCheckPrc:
         for _ in range(10):
             model, phi = random_scenario(3, 3, 2, rng)
             report = derive_probabilities(model, phi)
-            assert max(check_prc(report)) <= 1e-10
+            assert max(r.residual for r in report.records) <= 1e-10
 
     def test_certainty_residual_zero(self):
         report = derive_probabilities(degenerate_model(), basis_state(D3, 2))
-        residuals = check_prc(report)
+        residuals = [r.residual for r in report.records]
         assert residuals[1] <= 1e-14
 
     def test_corrupted_report_flagged(self):
@@ -335,7 +328,7 @@ class TestCheckPrc:
                 dataclasses.replace(r1, derived=r1.derived - 1e-3),
             ),
         )
-        assert max(check_prc(corrupted)) > 1e-4
+        assert max(r.residual for r in corrupted.records) > 1e-4
 
 
 class TestOracleAgreement:
@@ -347,6 +340,42 @@ class TestOracleAgreement:
         for record in report.records:
             oracle = trace_probability(model.measured.projectors[record.outcome], rho)
             assert record.derived == pytest.approx(oracle, abs=1e-9)
+
+
+def _rotated(projectors, u):
+    return [Projector(Operator(p.space, u @ p.matrix @ u.conj().T)) for p in projectors]
+
+
+def _moved(state, u):
+    return StateVector(state.space, u @ state.amplitudes)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 5), st.integers(1, 5), st.integers(0, 2**32 - 1))
+def test_local_basis_change_invariance(d1, d2, outcomes, seed):
+    # A Haar U1 on the system (measured projectors and phi) and a Haar V2 on
+    # the apparatus (pointer projectors, ready and pointer states) describe
+    # the same measurement in other local bases: nothing derived may move.
+    rng = np.random.default_rng(seed)
+    model, phi = random_scenario(d1, d2, min(outcomes, d1, d2), rng)
+    u1, v2 = random_unitary(d1, rng), random_unitary(d2, rng)
+    measured = spectral_observable(
+        model.measured.eigenvalues, _rotated(model.measured.projectors, u1)
+    )
+    app = model.apparatus
+    pointer_obs = spectral_observable(
+        app.pointer_observable.eigenvalues, _rotated(app.pointer_observable.projectors, v2)
+    )
+    apparatus = PointerApparatus(
+        app.space,
+        _moved(app.ready_state, v2),
+        pointer_obs,
+        tuple(_moved(chi, v2) for chi in app.pointer_states),
+    )
+    before = derive_probabilities(model, phi)
+    after = derive_probabilities(build_premeasurement(measured, apparatus), _moved(phi, u1))
+    assert np.max(np.abs(np.subtract(after.derived, before.derived))) <= 1e-10
+    assert after.flags == before.flags
 
 
 def test_parallel_scenarios_match_sequential():

@@ -294,7 +294,9 @@ class TestInputHardening:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("command", ["derive", "sample"])
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize(
+        "bad", [float("nan"), float("inf"), -float("inf"), pytest.param(10**400, id="huge-int")]
+    )
     def test_non_finite_input_amplitude(self, tmp_path, command, bad):
         path = write_variant(
             tmp_path,
@@ -367,6 +369,30 @@ class TestInputHardening:
             tmp_path, "sample-biased", sampling={"n": 100, "seed": 1, "bias": [True, -1]}
         )
         self.assert_input_error(["sample", path], "sampling.bias")
+
+    def test_boolean_input_amplitude(self, tmp_path):
+        path = write_variant(
+            tmp_path, "degenerate-3d", input_state=[[1.0, 0.0], [0.0, False], [0.0, 1.0]]
+        )
+        self.assert_input_error(["derive", path], "input_state[1]")
+
+    def test_boolean_pointer_state(self, tmp_path):
+        data = json.loads(Path(fixture_path("degenerate-3d")).read_text(encoding="utf-8"))
+        apparatus = data["apparatus"]
+        apparatus["pointer_states"][1] = [[0.0, 0.0], [True, 0.0]]
+        path = write_variant(tmp_path, "degenerate-3d", apparatus=apparatus)
+        self.assert_input_error(["derive", path], "apparatus.pointer_states[1][1]")
+
+    def test_boolean_observable_projector_span(self, tmp_path):
+        data = json.loads(Path(fixture_path("degenerate-3d")).read_text(encoding="utf-8"))
+        observable = data["observable"]
+        observable["projectors"][0][0] = [[True, 0.0], [0.0, 0.0], [0.0, 0.0]]
+        path = write_variant(tmp_path, "degenerate-3d", observable=observable)
+        self.assert_input_error(["derive", path], "observable.projectors[0][0][0]")
+
+    def test_oversized_sample_count(self, tmp_path):
+        path = write_variant(tmp_path, "sample-fair", sampling={"n": 10**15, "seed": 42})
+        self.assert_input_error(["sample", path], "sampling.n")
 
     @pytest.mark.parametrize(
         "dims", [[True, 2], [3, True], [4097, 1], [65, 64], [1, 10**12]]

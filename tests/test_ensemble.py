@@ -7,7 +7,6 @@ from envborn.ensemble import (
     SampleRun,
     frequency_check,
     sample_outcomes,
-    split_sample,
 )
 
 
@@ -60,22 +59,6 @@ class TestSampleOutcomes:
                 errors.append(max(abs(f - q) for f, q in zip(run.frequencies, p)))
             medians.append(np.median(errors))
         assert medians[0] >= medians[1] >= medians[2]
-
-
-class TestSplitSample:
-    def test_deterministic_merge(self):
-        a = split_sample([0.25, 0.75], 10000, seed=9, parts=4)
-        b = split_sample([0.25, 0.75], 10000, seed=9, parts=4)
-        assert a.counts == b.counts
-        assert sum(a.counts) == 10000
-
-    def test_uneven_partition_covers_all_draws(self):
-        run = split_sample([0.5, 0.5], 10007, seed=3, parts=3)
-        assert sum(run.counts) == 10007
-
-    def test_partition_passes_frequency_check(self):
-        run = split_sample([0.5, 0.5], 100000, seed=12, parts=8)
-        assert frequency_check(run).passed
 
 
 class TestFrequencyCheck:

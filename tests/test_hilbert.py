@@ -8,18 +8,15 @@ from envborn.hilbert import (
     HilbertSpace,
     Operator,
     Projector,
-    apply,
     basis_state,
     complete_observable,
     identity,
-    identity_projector,
     make_state,
     partial_trace,
     projector_from_span,
     pure_density,
     spectral_observable,
     tensor,
-    tensor_operator,
     trace_probability,
 )
 from envborn.rng import random_density, random_orthogonal_partition, random_projector, random_state
@@ -98,32 +95,6 @@ class TestTensor:
                 )
 
 
-class TestApply:
-    def test_identity(self):
-        out = apply(identity(D2), basis_state(D2, 0))
-        assert np.allclose(out, [1, 0])
-
-    def test_projection_shrinks_norm(self):
-        p = projector_from_span([basis_state(D2, 0)])
-        out = apply(p, plus())
-        assert np.allclose(out, [INV_SQRT2, 0])
-        assert np.linalg.norm(out) == pytest.approx(INV_SQRT2)
-
-    def test_lifted_pointer_projector_term(self):
-        # brute-force matrix multiply oracle on a Bell-type composite
-        bell = make_state(D4, [1, 0, 0, 1])
-        q1 = projector_from_span([basis_state(D2, 1)])
-        lifted = tensor_operator(identity(D2), q1)
-        out = apply(lifted, bell)
-        expected = np.kron(np.eye(2), q1.matrix) @ bell.amplitudes
-        assert np.allclose(out, expected)
-        assert np.allclose(out, [0, 0, 0, INV_SQRT2])
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            apply(identity(D3), basis_state(D2, 0))
-
-
 def reduced_by_loops(vec, dims, keep):
     """Independent oracle: partial trace by explicit index contraction."""
     d1, d2 = dims
@@ -188,7 +159,7 @@ class TestPartialTrace:
 class TestTraceProbability:
     def test_completeness(self):
         rho = pure_density(plus())
-        assert trace_probability(identity_projector(D2), rho) == pytest.approx(1.0)
+        assert trace_probability(Projector(identity(D2)), rho) == pytest.approx(1.0)
 
     def test_symmetry(self):
         p = projector_from_span([basis_state(D2, 0)])
@@ -244,7 +215,7 @@ class TestSpectralObservable:
         assert obs.projectors[1].rank == 1
 
     def test_non_orthogonal_rejected(self):
-        with pytest.raises(ValueError, match="orthogonal"):
+        with pytest.raises(ValueError, match="0 and 1 are not orthogonal"):
             spectral_observable(
                 [1.0, -1.0],
                 [projector_from_span([basis_state(D2, 0)]), projector_from_span([plus()])],
@@ -264,7 +235,7 @@ class TestSpectralObservable:
     def test_rank_zero_projector_rejected(self):
         zero = Projector(Operator(D2, np.zeros((2, 2), dtype=complex)))
         with pytest.raises(ValueError, match="rank"):
-            spectral_observable([0.0, 1.0], [identity_projector(D2), zero])
+            spectral_observable([0.0, 1.0], [Projector(identity(D2)), zero])
 
     def test_random_observables_satisfy_invariants(self):
         rng = np.random.default_rng(14)
@@ -316,3 +287,9 @@ class TestInvariants:
 
         with pytest.raises(ValueError, match="normalized"):
             StateVector(D2, np.array([1.0, 1.0]))
+
+    def test_state_vector_rejects_nan(self):
+        from envborn.hilbert import StateVector
+
+        with pytest.raises(ValueError, match="normalized"):
+            StateVector(D2, np.array([np.nan, 0.0]))

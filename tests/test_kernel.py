@@ -23,7 +23,6 @@ from envborn.hilbert import (
     Observable,
     Operator,
     Projector,
-    StateVector,
     identity,
 )
 from envborn.premeasurement import (
@@ -100,7 +99,7 @@ def test_one_sided_products_match_composite_lifts(case, seed):
     d1, d2 = model.d1, model.d2
     pointer_projectors = model.apparatus.pointer_observable.projectors
     psi12 = evolve(model, phi)
-    vec = psi12.state.amplitudes
+    vec = psi12.matrix.reshape(-1)
     assert np.linalg.norm(vec - lifted_evolve(model, phi.amplitudes)) <= AGREE
 
     bset = branches(model, psi12)
@@ -108,7 +107,7 @@ def test_one_sided_products_match_composite_lifts(case, seed):
     for n, q in enumerate(pointer_projectors):
         term = pointer_lift(model, q.matrix) @ vec
         if n in kept:
-            assert np.linalg.norm(kept[n].vector - term) <= AGREE
+            assert np.linalg.norm(kept[n].matrix.reshape(-1) - term) <= AGREE
             assert abs(kept[n].weight - np.linalg.norm(term) ** 2) <= AGREE
         else:
             assert n in bset.omitted
@@ -120,14 +119,14 @@ def test_one_sided_products_match_composite_lifts(case, seed):
     nondemolition = verify_nondemolition(model, bset)
     for b in bset.branches:
         lifted_p = np.kron(model.measured.projectors[b.outcome].matrix, np.eye(d2))
-        expected = np.linalg.norm(lifted_p @ b.vector - b.vector)
+        term = b.matrix.reshape(-1)
+        expected = np.linalg.norm(lifted_p @ term - term)
         assert abs(nondemolition.residuals[b.outcome] - expected) <= AGREE
 
     for n, q in enumerate(pointer_projectors):
         schmidt2 = ()
         if n in kept:
-            normalized = StateVector(psi12.state.space, kept[n].normalized())
-            schmidt2 = schmidt_decompose(BipartiteState(normalized, (d1, d2))).basis2
+            schmidt2 = schmidt_decompose(BipartiteState(kept[n].normalized())).basis2
         comp = q.matrix - sum(
             (np.outer(v.amplitudes, v.amplitudes.conj()) for v in schmidt2),
             np.zeros((d2, d2), dtype=complex),
@@ -201,7 +200,7 @@ def test_block_coupling_matches_dense_coupling(case, seed):
     assert np.linalg.norm(model.ready_map - u.reshape(d1 * d2, d1, d2) @ ready) <= AGREE
 
     psi12 = evolve(model, phi)
-    assert np.linalg.norm(psi12.state.amplitudes - lifted_evolve(model, phi.amplitudes)) <= AGREE
+    assert np.linalg.norm(psi12.matrix.reshape(-1) - lifted_evolve(model, phi.amplitudes)) <= AGREE
 
     calibration = verify_calibration(model, trials=TRIALS, seed=seed)
     reference = lifted_calibration(model, TRIALS, seed)

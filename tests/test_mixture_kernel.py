@@ -8,6 +8,7 @@ require agreement to 1e-12.
 """
 
 import numpy as np
+from conftest import flat_state
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -44,11 +45,11 @@ def complex_normal(shape, rng):
 
 
 def reduced(psi12, keep):
-    return partial_trace(pure_density(psi12.state), psi12.dims, keep=keep).matrix
+    return partial_trace(pure_density(flat_state(psi12)), psi12.dims, keep=keep).matrix
 
 
 def lifted_expectation(P1, psi12):
-    vec = psi12.state.amplitudes
+    vec = psi12.matrix.reshape(-1)
     return float((vec.conj() @ np.kron(P1.matrix, np.eye(psi12.d2)) @ vec).real)
 
 
@@ -70,7 +71,7 @@ def mixtures_with_partners(draw):
         np.sqrt(w) * np.outer(s.amplitudes, partner_basis[:, k])
         for k, (s, w) in enumerate(zip(states, weights))
     )
-    psi12 = BipartiteState(make_state(HilbertSpace(d1 * d2), coeffs.reshape(-1)), (d1, d2))
+    psi12 = BipartiteState(coeffs / np.linalg.norm(coeffs))
     return spec, psi12, rng
 
 
@@ -136,7 +137,7 @@ def test_purify_matches_kron_sum(d, rank, seed):
 
     psi12 = purify(rho)
     assert psi12.dims == (d, d)
-    assert np.linalg.norm(psi12.state.amplitudes - expected) <= AGREE
+    assert np.linalg.norm(psi12.matrix.reshape(-1) - expected) <= AGREE
     assert np.linalg.norm(reduced(psi12, 0) - rho.matrix) <= 1e-10
 
 
@@ -146,7 +147,7 @@ def bipartite_states(draw):
     d1 = draw(st.integers(1, 5))
     d2 = draw(st.integers(1, 5))
     vec = complex_normal(d1 * d2, rng)
-    return BipartiteState(make_state(HilbertSpace(d1 * d2), vec), (d1, d2)), rng
+    return BipartiteState((vec / np.linalg.norm(vec)).reshape(d1, d2)), rng
 
 
 @settings(max_examples=60, deadline=None)
@@ -154,7 +155,7 @@ def bipartite_states(draw):
 def test_envariance_residual_matches_kron_lift(case):
     psi12, rng = case
     d1, d2 = psi12.dims
-    vec = psi12.state.amplitudes
+    vec = psi12.matrix.reshape(-1)
     form = schmidt_decompose(psi12)
     twins = twin_unitary(form, rng.uniform(0, 2 * np.pi, size=len(form)))
     generic = (
@@ -175,11 +176,11 @@ def test_sublemma_matches_composite_references(case, rank):
     d1, d2 = psi12.dims
     q2 = random_projector(HilbertSpace(d2), min(rank, d2), rng)
     # a state supported inside range(Q2) on the second factor
-    coeffs = psi12.coefficient_matrix() @ q2.matrix.T
+    coeffs = psi12.matrix @ q2.matrix.T
     if np.linalg.norm(coeffs) < 1e-6:
         return
-    psi = BipartiteState(make_state(HilbertSpace(d1 * d2), coeffs.reshape(-1)), (d1, d2))
-    vec = psi.state.amplitudes
+    psi = BipartiteState(coeffs / np.linalg.norm(coeffs))
+    vec = psi.matrix.reshape(-1)
     assert np.linalg.norm(np.kron(np.eye(d1), q2.matrix) @ vec - vec) <= AGREE
 
     report = sublemma_check(psi, q2)

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from conftest import flat_state
 
 from envborn.hilbert import (
     DensityOperator,
     HilbertSpace,
+    Projector,
     basis_state,
-    identity_projector,
+    identity,
     make_state,
     partial_trace,
     projector_from_span,
@@ -30,7 +32,7 @@ def zero_plus_mixture():
 
 
 def bell():
-    return BipartiteState(make_state(HilbertSpace(4), [1, 0, 0, 1]), (2, 2))
+    return BipartiteState(np.array([[1, 0], [0, 1]]) / np.sqrt(2))
 
 
 def random_spec(dim, parts, rng):
@@ -96,7 +98,7 @@ class TestProperProbability:
         assert proper_probability(p, zero_plus_mixture()) == pytest.approx(0.75, abs=1e-12)
 
     def test_identity_event(self):
-        assert proper_probability(identity_projector(D2), zero_plus_mixture()) == pytest.approx(1.0)
+        assert proper_probability(Projector(identity(D2)), zero_plus_mixture()) == pytest.approx(1.0)
 
     def test_single_component_reduces_to_pure_rule(self):
         phi = make_state(D2, [0.6, 0.8])
@@ -122,13 +124,12 @@ class TestImproperProbability:
         assert improper_probability(p, bell()) == pytest.approx(0.5, abs=1e-12)
 
     def test_product_state(self):
-        vec = np.kron([1, 0], [1, 1]) / np.sqrt(2)
-        psi = BipartiteState(make_state(HilbertSpace(4), vec), (2, 2))
+        psi = BipartiteState(np.outer([1, 0], [1, 1]) / np.sqrt(2))
         p = projector_from_span([basis_state(D2, 0)])
         assert improper_probability(p, psi) == pytest.approx(1.0, abs=1e-12)
 
     def test_skewed_state(self):
-        psi = BipartiteState(make_state(HilbertSpace(4), [2, 0, 0, 1]), (2, 2))
+        psi = BipartiteState(np.array([[2, 0], [0, 1]]) / np.sqrt(5))
         p = projector_from_span([basis_state(D2, 0)])
         assert improper_probability(p, psi) == pytest.approx(0.8, abs=1e-12)
 
@@ -136,10 +137,10 @@ class TestImproperProbability:
         rng = np.random.default_rng(53)
         for _ in range(100):
             d1, d2 = int(rng.integers(2, 4)), int(rng.integers(2, 4))
-            psi = BipartiteState(random_state(HilbertSpace(d1 * d2), rng), (d1, d2))
+            psi = BipartiteState(random_state(HilbertSpace(d1 * d2), rng).amplitudes.reshape(d1, d2))
             p = random_projector(HilbertSpace(d1), int(rng.integers(1, d1 + 1)), rng)
             value = improper_probability(p, psi)  # raises on disagreement > 1e-12
-            vec = psi.state.amplitudes
+            vec = psi.matrix.reshape(-1)
             composite_route = float(
                 (vec.conj() @ (np.kron(p.matrix, np.eye(d2)) @ vec)).real
             )
@@ -169,7 +170,7 @@ class TestPurify:
         expected = np.zeros(4)
         expected[0] = np.sqrt(0.8)
         expected[3] = np.sqrt(0.2)
-        assert np.allclose(np.abs(psi.state.amplitudes), expected)
+        assert np.allclose(np.abs(psi.matrix.reshape(-1)), expected)
 
     def test_round_trip_recovers_density(self):
         rng = np.random.default_rng(54)
@@ -178,7 +179,7 @@ class TestPurify:
             diag = rng.dirichlet(np.ones(dim))
             rho = DensityOperator(HilbertSpace(dim), np.diag(diag).astype(complex))
             psi = purify(rho)
-            back = partial_trace(pure_density(psi.state), psi.dims, keep=0)
+            back = partial_trace(pure_density(flat_state(psi)), psi.dims, keep=0)
             assert np.linalg.norm(back.matrix - rho.matrix) <= 1e-12
 
     def test_general_density_round_trip(self):
@@ -188,5 +189,5 @@ class TestPurify:
         for _ in range(10):
             rho = random_density(HilbertSpace(3), rng)
             psi = purify(rho)
-            back = partial_trace(pure_density(psi.state), psi.dims, keep=0)
+            back = partial_trace(pure_density(flat_state(psi)), psi.dims, keep=0)
             assert np.linalg.norm(back.matrix - rho.matrix) <= 1e-12

@@ -163,13 +163,13 @@ class TestEvolve:
         model = cnot_model()
         psi = evolve(model, basis_state(D2, 1))
         expected = np.kron([0, 1], [0, 1])
-        assert np.linalg.norm(psi.state.amplitudes - expected) <= 1e-12
+        assert np.linalg.norm(psi.matrix.reshape(-1) - expected) <= 1e-12
 
     def test_linearity_on_superposition(self):
         model = cnot_model()
         psi = evolve(model, make_state(D2, [1, 1]))
         expected = (np.kron([1, 0], [1, 0]) + np.kron([0, 1], [0, 1])) / np.sqrt(2)
-        assert np.allclose(psi.state.amplitudes, expected)
+        assert np.allclose(psi.matrix.reshape(-1), expected)
 
     def test_degenerate_branch_structure(self):
         model = degenerate_model()
@@ -179,7 +179,7 @@ class TestEvolve:
         expected = np.kron((e[0] + e[1]) / np.sqrt(3), [1, 0]) + np.kron(
             e[2] / np.sqrt(3), [0, 1]
         )
-        assert np.allclose(psi.state.amplitudes, expected)
+        assert np.allclose(psi.matrix.reshape(-1), expected)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dim"):
@@ -222,7 +222,7 @@ class TestBranches:
         for _ in range(20):
             model = random_model(4, 4, 3, rng)
             bset = branches(model, evolve(model, random_state(HilbertSpace(4), rng)))
-            vecs = [b.vector for b in bset.branches]
+            vecs = [b.matrix.reshape(-1) for b in bset.branches]
             for i in range(len(vecs)):
                 for j in range(i + 1, len(vecs)):
                     assert abs(vecs[i].conj() @ vecs[j]) <= 1e-10
@@ -320,7 +320,7 @@ class TestBranchNormLaw:
                         - phi.amplitudes
                     )
                     assert fixed <= 1e-12  # input satisfies certainty premise
-                    out = evolve(model, phi).state.amplitudes
+                    out = evolve(model, phi).matrix.reshape(-1)
                     q = model.apparatus.pointer_observable.projectors[n].matrix
                     lifted = np.kron(np.eye(model.d1), q)
                     assert np.linalg.norm(lifted @ out - out) <= 1e-10

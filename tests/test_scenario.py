@@ -6,6 +6,7 @@ from conftest import dense_coupling
 
 from envborn.scenario import (
     MAX_COMPOSITE_DIM,
+    MAX_SAMPLES,
     ScenarioError,
     decode_vector,
     encode_vector,
@@ -36,6 +37,11 @@ class TestVectorCodec:
     def test_rejects_non_pairs(self):
         with pytest.raises(ScenarioError, match="pair"):
             decode_vector([[1, 0], [2]], "v")
+
+    @pytest.mark.parametrize("pair", [[True, 0], [0, False]])
+    def test_rejects_booleans(self, pair):
+        with pytest.raises(ScenarioError, match=r"v\[1\]"):
+            decode_vector([[1, 0], pair], "v")
 
     def test_rejects_wrong_length(self):
         with pytest.raises(ScenarioError, match="length"):
@@ -145,6 +151,13 @@ class TestParsing:
         with pytest.raises(ScenarioError, match="not both"):
             parse_scenario(data)
 
+    @pytest.mark.parametrize("scale", [0.0, 1e308])
+    def test_composite_state_must_normalize(self, scale):
+        # 1e308 is finite, but the norm of four such entries overflows
+        data = {"dims": [2, 2], "composite_state": [[scale, 0]] * 4}
+        with pytest.raises(ScenarioError, match="composite_state"):
+            parse_scenario(data)
+
     def test_observable_eigenvalue_projector_count_mismatch(self):
         data = minimal_derive()
         data["observable"] = {
@@ -197,6 +210,13 @@ class TestParsing:
         assert parse_scenario({"dims": [MAX_COMPOSITE_DIM, 1]}).dims == (MAX_COMPOSITE_DIM, 1)
         with pytest.raises(ScenarioError, match="dims"):
             parse_scenario({"dims": [MAX_COMPOSITE_DIM + 1, 1]})
+
+    def test_sample_count_bounded(self):
+        sampling = parse_scenario(minimal_derive(sampling={"n": MAX_SAMPLES, "seed": 0})).sampling()
+        assert sampling["n"] == MAX_SAMPLES
+        for n in (MAX_SAMPLES + 1, 10**15):
+            with pytest.raises(ScenarioError, match=r"sampling\.n"):
+                parse_scenario(minimal_derive(sampling={"n": n, "seed": 0}))
 
     def test_sampling_requires_integers(self):
         with pytest.raises(ScenarioError, match="integer"):

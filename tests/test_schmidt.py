@@ -1,16 +1,15 @@
 import numpy as np
 import pytest
+from conftest import flat_state
 
 from envborn.hilbert import (
     HilbertSpace,
     Operator,
     StateVector,
     basis_state,
-    make_state,
     partial_trace,
     projector_from_span,
     pure_density,
-    tensor,
 )
 from envborn.rng import random_state, random_unitary
 from envborn.schmidt import (
@@ -32,16 +31,16 @@ D3 = HilbertSpace(3)
 
 
 def bell():
-    return BipartiteState(make_state(HilbertSpace(4), [1, 0, 0, 1]), (2, 2))
+    return BipartiteState(np.array([[1, 0], [0, 1]]) / np.sqrt(2))
 
 
 def skewed():
     # (2|00> + |11>) / sqrt(5)
-    return BipartiteState(make_state(HilbertSpace(4), [2, 0, 0, 1]), (2, 2))
+    return BipartiteState(np.array([[2, 0], [0, 1]]) / np.sqrt(5))
 
 
 def random_bipartite(d1, d2, rng):
-    return BipartiteState(random_state(HilbertSpace(d1 * d2), rng), (d1, d2))
+    return BipartiteState(random_state(HilbertSpace(d1 * d2), rng).amplitudes.reshape(d1, d2))
 
 
 def uniform_form(terms, d1, d2, rng):
@@ -56,13 +55,30 @@ def uniform_form(terms, d1, d2, rng):
     )
 
 
+class TestBipartiteState:
+    def test_dims_from_matrix_shape(self):
+        psi = BipartiteState(np.outer([1, 0], [0, 0, 1]))
+        assert psi.dims == (2, 3)
+        assert (psi.d1, psi.d2) == (2, 3)
+        assert not psi.matrix.flags.writeable
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [np.array([1.0, 0.0]), np.array([[1.0, 1.0]]), np.array([[np.nan, 0.0]])],
+        ids=["flat", "unnormalized", "nan"],
+    )
+    def test_invalid_matrix_rejected(self, matrix):
+        with pytest.raises(ValueError):
+            BipartiteState(matrix)
+
+
 class TestDecompose:
     def test_bell_coefficients(self):
         form = schmidt_decompose(bell())
         assert np.allclose(form.coefficients, [INV_SQRT2, INV_SQRT2])
 
     def test_product_state_single_term(self):
-        psi = BipartiteState(tensor(basis_state(D2, 0), make_state(D2, [1, 1])), (2, 2))
+        psi = BipartiteState(np.outer([1, 0], [1, 1]) / np.sqrt(2))
         form = schmidt_decompose(psi)
         assert len(form) == 1
         assert form.coefficients[0] == pytest.approx(1.0)
@@ -71,7 +87,7 @@ class TestDecompose:
         psi = skewed()
         form = schmidt_decompose(psi)
         # oracle: eigenvalues of the reduced density operator, square-rooted
-        rho2 = partial_trace(pure_density(psi.state), (2, 2), keep=1)
+        rho2 = partial_trace(pure_density(flat_state(psi)), (2, 2), keep=1)
         expected = np.sqrt(np.sort(np.linalg.eigvalsh(rho2.matrix))[::-1])
         assert np.allclose(form.coefficients, expected)
         assert np.allclose(form.coefficients, [2 / np.sqrt(5), 1 / np.sqrt(5)])
@@ -82,7 +98,7 @@ class TestDecompose:
             for d2 in (2, 3, 4):
                 psi = random_bipartite(d1, d2, rng)
                 form = schmidt_decompose(psi)
-                rho2 = partial_trace(pure_density(psi.state), (d1, d2), keep=1)
+                rho2 = partial_trace(pure_density(flat_state(psi)), (d1, d2), keep=1)
                 eigs = np.sort(np.linalg.eigvalsh(rho2.matrix))[::-1][: len(form)]
                 assert np.allclose(
                     np.sort(form.coefficients**2), np.sort(eigs), atol=1e-8
@@ -103,19 +119,19 @@ class TestReconstruct:
             np.array([1.0]), (basis_state(D2, 0),), (basis_state(D2, 1),)
         )
         psi = reconstruct(form)
-        assert np.allclose(psi.state.amplitudes, [0, 1, 0, 0])
+        assert np.allclose(psi.matrix.reshape(-1), [0, 1, 0, 0])
 
     def test_bell_round_trip(self):
         psi = bell()
         back = reconstruct(schmidt_decompose(psi))
-        assert np.linalg.norm(back.state.amplitudes - psi.state.amplitudes) <= 1e-12
+        assert np.linalg.norm(back.matrix.reshape(-1) - psi.matrix.reshape(-1)) <= 1e-12
 
     def test_random_round_trip(self):
         rng = np.random.default_rng(23)
         for d1, d2 in [(3, 4), (2, 3), (4, 2), (4, 4)]:
             psi = random_bipartite(d1, d2, rng)
             back = reconstruct(schmidt_decompose(psi))
-            assert np.linalg.norm(back.state.amplitudes - psi.state.amplitudes) <= 1e-10
+            assert np.linalg.norm(back.matrix.reshape(-1) - psi.matrix.reshape(-1)) <= 1e-10
 
 
 class TestTwinUnitary:
@@ -130,12 +146,12 @@ class TestTwinUnitary:
         form = schmidt_decompose(psi)
         u1, u2 = twin_unitary(form, [np.pi / 3, np.pi / 7])
         # brute-force application oracle
-        moved = np.kron(u1.matrix, u2.matrix) @ psi.state.amplitudes
-        assert np.linalg.norm(moved - psi.state.amplitudes) <= 1e-12
+        moved = np.kron(u1.matrix, u2.matrix) @ psi.matrix.reshape(-1)
+        assert np.linalg.norm(moved - psi.matrix.reshape(-1)) <= 1e-12
         assert check_envariance(psi, u1, u2) <= 1e-10
 
     def test_single_term_global_phase(self):
-        psi = BipartiteState(tensor(basis_state(D2, 0), basis_state(D2, 1)), (2, 2))
+        psi = BipartiteState(np.outer([1, 0], [0, 1]))
         form = schmidt_decompose(psi)
         u1, u2 = twin_unitary(form, [np.pi])
         assert check_envariance(psi, u1, u2) <= 1e-12
@@ -207,8 +223,8 @@ class TestCheckEnvariance:
         psi = bell()
         sx = Operator(D2, np.array([[0, 1], [1, 0]], dtype=complex))
         ident = Operator(D2, np.eye(2, dtype=complex))
-        moved = np.kron(sx.matrix, np.eye(2)) @ psi.state.amplitudes
-        assert np.linalg.norm(moved - psi.state.amplitudes) == pytest.approx(np.sqrt(2))
+        moved = np.kron(sx.matrix, np.eye(2)) @ psi.matrix.reshape(-1)
+        assert np.linalg.norm(moved - psi.matrix.reshape(-1)) == pytest.approx(np.sqrt(2))
         assert check_envariance(psi, sx, ident) == pytest.approx(np.sqrt(2), abs=1e-10)
 
     def test_non_unitary_rejected(self):
@@ -224,7 +240,7 @@ class TestSchmidtProbabilities:
         assert np.allclose(schmidt_probabilities(schmidt_decompose(bell())), [0.5, 0.5])
 
     def test_single_term(self):
-        psi = BipartiteState(tensor(basis_state(D2, 0), basis_state(D2, 0)), (2, 2))
+        psi = BipartiteState(np.outer([1, 0], [1, 0]))
         assert np.allclose(schmidt_probabilities(schmidt_decompose(psi)), [1.0])
 
     def test_skewed(self):
@@ -254,7 +270,7 @@ class TestSublemma:
         vec = np.zeros(6, dtype=complex)
         vec[0] = 2.0  # |0>|0>
         vec[4] = 1.0  # |1>|1>
-        psi = BipartiteState(make_state(HilbertSpace(6), vec), (2, 3))
+        psi = BipartiteState((vec / np.linalg.norm(vec)).reshape(2, 3))
         q2 = projector_from_span([basis_state(D3, 0), basis_state(D3, 1)])
         report = sublemma_check(psi, q2)
         assert report.holds

@@ -15,8 +15,8 @@ file under ``--label``, so two source trees can be compared in one file;
 alternate the labels over several rounds so that drift in machine speed
 falls on both sides:
 
-    python3 tools/bench.py --label parent --src ../parent/src
-    python3 tools/bench.py --label change
+    python3 tools/bench.py --label parent --src ../parent/src --out BENCH.json
+    python3 tools/bench.py --label change --out BENCH.json
 
 This harness is not part of the test suite.
 """
@@ -130,7 +130,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--label", required=True, help="name of this run in the output file")
     parser.add_argument("--src", default=str(ROOT / "src"), help="source tree to import envborn from")
-    parser.add_argument("--out", default=str(ROOT / "BENCH_5.json"))
+    parser.add_argument("--out", required=True, help="JSON file to append this run's round to")
     args = parser.parse_args(argv)
 
     for var in THREAD_VARS:

@@ -10,6 +10,7 @@ scenario-driven CLI round out the toolkit.
 from .hilbert import (
     DEFAULT_TOL,
     NORM_TOL,
+    Audit,
     DensityOperator,
     HilbertSpace,
     Observable,
@@ -32,7 +33,6 @@ from .schmidt import (
     ZERO_BRANCH_THRESHOLD,
     BipartiteState,
     SchmidtForm,
-    SublemmaReport,
     check_envariance,
     reconstruct,
     schmidt_decompose,
@@ -44,9 +44,6 @@ from .schmidt import (
 from .premeasurement import (
     Branch,
     BranchSet,
-    CalibrationReport,
-    NondemolitionReport,
-    NormLawReport,
     PointerApparatus,
     PremeasurementModel,
     branch_norm_law,
@@ -59,7 +56,6 @@ from .premeasurement import (
     verify_nondemolition,
 )
 from .born import (
-    AuditFlags,
     OutcomeRecord,
     ProbabilityReport,
     check_additivity,

@@ -12,8 +12,9 @@ the measured event on the input state.
 Every surrounding step is machine-checked against the trace-rule oracle:
 calibration, nondemolition, branch norms, cross-branch biorthogonality, finite
 additivity, the complement annihilation, and the final reproducibility
-residuals.  Audit failures set flags in the report instead of raising, so
-adversarial couplings produce a readable diagnosis.
+residuals.  Each check is an ``Audit`` in the report; a failed audit is
+reported instead of raised, so adversarial couplings produce a readable
+diagnosis.
 
 The pipeline couples and splits once; every audit reuses that branch set.
 The coupled state and each branch are ``d1 x d2`` coefficient matrices: a
@@ -27,12 +28,14 @@ Psi.conj()``, so no composite-space operator or density matrix is formed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .hilbert import (
     DEFAULT_TOL,
+    Audit,
     DensityOperator,
     Operator,
     Projector,
@@ -53,7 +56,6 @@ from .schmidt import BipartiteState, SchmidtForm, gram_residual, pointer_density
 
 __all__ = [
     "OutcomeRecord",
-    "AuditFlags",
     "ProbabilityReport",
     "derive_probabilities",
     "pointer_density",
@@ -81,26 +83,11 @@ class OutcomeRecord:
 
 
 @dataclass(frozen=True)
-class AuditFlags:
-    cc_ok: bool
-    nondemolition_ok: bool
-    norm_law_ok: bool
-    biorthogonality_ok: bool
-    additivity_ok: bool
-    complement_ok: bool
-    prc_ok: bool
-
-    @property
-    def all_ok(self) -> bool:
-        return all(vars(self).values())
-
-
-@dataclass(frozen=True)
 class ProbabilityReport:
+    """Per-outcome records plus the audits, by name in pipeline order."""
+
     records: tuple[OutcomeRecord, ...]
-    flags: AuditFlags
-    audit_residuals: dict[str, float]
-    tolerance: float
+    audits: Mapping[str, Audit]
 
     def __post_init__(self):
         derived = [r.derived for r in self.records]
@@ -109,14 +96,15 @@ class ProbabilityReport:
         if abs(sum(derived) - 1.0) > 1e-10:
             raise ValueError(f"derived probabilities sum to {sum(derived)!r}")
         object.__setattr__(self, "records", tuple(self.records))
+        object.__setattr__(self, "audits", MappingProxyType(dict(self.audits)))
 
     @property
     def derived(self) -> list[float]:
         return [r.derived for r in self.records]
 
     @property
-    def max_oracle_residual(self) -> float:
-        return max(r.residual for r in self.records)
+    def passed(self) -> bool:
+        return all(a.passed for a in self.audits.values())
 
 
 def complement_check(
@@ -177,7 +165,7 @@ def derive_probabilities(
     zero; transfer each pointer-event probability to the measured event
     (probability reproducibility) and compare with the trace-rule oracle.
 
-    Audit failures are reported through flags, never raised.
+    Audit failures are reported in ``audits``, never raised.
     """
     psi12 = evolve(model, phi)
     bset = branches(model, psi12)
@@ -195,13 +183,13 @@ def derive_probabilities(
     biorth_residual = max(gram_residual(all1), gram_residual(all2))
 
     weights = bset.weights
-    additivity_residuals = [0.0]
+    additivity: dict[int, float] = {}
     # Complement annihilation is a step of the derivation only for kept
     # branches (the nonzero-term reindexing); omitted outcomes report the
     # full pointer-projector residual sqrt(weight) for information, and are
-    # already covered by the norm law's vanishing-oracle check.
-    kept_complement: list[float] = [0.0]
-    complement_ok = True
+    # already covered by the norm law's vanishing-oracle check.  A complement
+    # that is not a projector fails the audit for any outcome.
+    complement: dict[int, float] = {}
     records = []
     for n in range(model.outcome_count):
         eigenvalue = model.measured.eigenvalues[n]
@@ -216,9 +204,9 @@ def derive_probabilities(
                 for v in form.basis2
             ]
             try:
-                additivity_residuals.append(check_additivity(rho2, parts, tol))
+                additivity[n] = check_additivity(rho2, parts, tol)
             except ValueError:
-                additivity_residuals.append(float("inf"))
+                additivity[n] = float("inf")
             schmidt2 = form.basis2
         else:
             detail = ()
@@ -227,10 +215,9 @@ def derive_probabilities(
         try:
             complement_residual = complement_check(model, psi12, n, schmidt2, tol)
         except ValueError:
-            complement_residual = float("inf")
-            complement_ok = False
+            complement_residual = complement[n] = float("inf")
         if n in branch_forms:
-            kept_complement.append(complement_residual)
+            complement[n] = complement_residual
         oracle = trace_probability(model.measured.projectors[n], rho_phi, tol)
         records.append(
             OutcomeRecord(
@@ -243,33 +230,15 @@ def derive_probabilities(
             )
         )
 
-    calibration = verify_calibration(model, tol, trials=calibration_trials, seed=seed)
-    nondemolition = verify_nondemolition(model, bset, tol)
-    norm_law = branch_norm_law(model, phi, bset, tol)
-    prc_residuals = [r.residual for r in records]
-
-    max_complement = max(kept_complement)
-    flags = AuditFlags(
-        cc_ok=calibration.passed,
-        nondemolition_ok=nondemolition.passed,
-        norm_law_ok=norm_law.passed,
-        biorthogonality_ok=biorth_residual <= tol,
-        additivity_ok=max(additivity_residuals) <= tol,
-        complement_ok=complement_ok and max_complement <= tol,
-        prc_ok=max(prc_residuals) <= tol,
-    )
-    audit_residuals = {
-        "calibration": calibration.max_residual,
-        "nondemolition": nondemolition.max_residual,
-        "norm_law": norm_law.max_residual,
-        "biorthogonality": biorth_residual,
-        "additivity": max(additivity_residuals),
-        "complement": max_complement,
-        "prc": max(prc_residuals),
-    }
     return ProbabilityReport(
         records=tuple(records),
-        flags=flags,
-        audit_residuals=audit_residuals,
-        tolerance=tol,
+        audits={
+            "calibration": verify_calibration(model, tol, trials=calibration_trials, seed=seed),
+            "nondemolition": verify_nondemolition(model, bset, tol),
+            "norm_law": branch_norm_law(model, phi, bset, tol),
+            "biorthogonality": Audit({None: biorth_residual}, tol),
+            "additivity": Audit(additivity, tol),
+            "complement": Audit(complement, tol),
+            "prc": Audit({r.outcome: r.residual for r in records}, tol),
+        },
     )

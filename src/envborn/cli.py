@@ -116,18 +116,9 @@ def _derivation_section(scenario: Scenario) -> tuple[dict, list[float], bool]:
     report = derive_probabilities(
         model, phi, tol=scenario.operator_tol, seed=scenario.seed
     )
-    flags = report.flags
     audits = {
-        name: {"ok": ok, "max_residual": report.audit_residuals[name]}
-        for name, ok in (
-            ("calibration", flags.cc_ok),
-            ("nondemolition", flags.nondemolition_ok),
-            ("norm_law", flags.norm_law_ok),
-            ("biorthogonality", flags.biorthogonality_ok),
-            ("additivity", flags.additivity_ok),
-            ("complement", flags.complement_ok),
-            ("prc", flags.prc_ok),
-        )
+        name: {"ok": audit.passed, "max_residual": audit.max_residual}
+        for name, audit in report.audits.items()
     }
     section = {
         "outcomes": [
@@ -146,7 +137,7 @@ def _derivation_section(scenario: Scenario) -> tuple[dict, list[float], bool]:
         "audit_seed": scenario.seed,
         "tolerance": scenario.operator_tol,
     }
-    return section, report.derived, flags.all_ok
+    return section, report.derived, report.passed
 
 
 def run_derive(scenario: Scenario) -> dict:
@@ -252,7 +243,7 @@ def render_text(report: dict) -> str:
                 f" {_fmt(rec['residual'])}"
             )
         audit_bits = []
-        for name, audit in d["audits"].items():
+        for name, audit in sorted(d["audits"].items()):
             status = "ok" if audit["ok"] else "FAIL"
             audit_bits.append(f"{name}={status}({_fmt(audit['max_residual'])})")
         lines.append("  audits: " + " ".join(audit_bits))

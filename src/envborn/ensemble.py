@@ -97,11 +97,6 @@ class FrequencyReport:
         defined = [z for z in self.zscores if z is not None]
         return self.exact_ok and all(abs(z) <= self.sigmas for z in defined)
 
-    @property
-    def max_abs_z(self) -> float:
-        defined = [abs(z) for z in self.zscores if z is not None]
-        return max(defined) if defined else 0.0
-
 
 def frequency_check(run: SampleRun, sigmas: float = 4.0) -> FrequencyReport:
     """Binomial z-score acceptance: ``z_k = (c_k - N p_k) / sqrt(N p_k (1 - p_k))``

@@ -13,13 +13,15 @@ per call.  Matrix norms are Frobenius, vector norms Euclidean.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from types import MappingProxyType
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 __all__ = [
     "DEFAULT_TOL",
     "NORM_TOL",
+    "Audit",
     "HilbertSpace",
     "StateVector",
     "Operator",
@@ -43,7 +45,9 @@ DEFAULT_TOL = 1e-10  # operator-identity checks (double-precision SVD/eig noise 
 NORM_TOL = 1e-12     # vector-norm and trace checks
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
+def _freeze(values) -> np.ndarray:
+    """A read-only complex copy, so no caller's array is frozen or aliased."""
+    a = np.array(values, dtype=complex)
     a.setflags(write=False)
     return a
 
@@ -53,6 +57,26 @@ def _as_vector(values, dim: int | None = None) -> np.ndarray:
     if dim is not None and vec.shape != (dim,):
         raise ValueError(f"expected a vector of length {dim}, got {vec.shape}")
     return vec
+
+
+@dataclass(frozen=True)
+class Audit:
+    """One audited identity: a residual per outcome index (``None`` keys a
+    check over the whole state) and the tolerance each must stay within."""
+
+    residuals: Mapping[int | None, float]
+    tolerance: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "residuals", MappingProxyType(dict(self.residuals)))
+
+    @property
+    def max_residual(self) -> float:
+        return max(self.residuals.values(), default=0.0)
+
+    @property
+    def passed(self) -> bool:
+        return self.max_residual <= self.tolerance
 
 
 @dataclass(frozen=True)
@@ -86,13 +110,13 @@ class StateVector:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        vec = _as_vector(self.amplitudes, self.space.dim)
+        vec = _freeze(_as_vector(self.amplitudes, self.space.dim))
         if not abs(np.linalg.norm(vec) - 1.0) <= NORM_TOL:  # also rejects NaN
             raise ValueError(
                 f"state vector is not normalized: |norm - 1| = "
                 f"{abs(np.linalg.norm(vec) - 1.0):.3e}"
             )
-        object.__setattr__(self, "amplitudes", _freeze(vec))
+        object.__setattr__(self, "amplitudes", vec)
 
     @property
     def dim(self) -> int:
@@ -107,11 +131,11 @@ class Operator:
     matrix: np.ndarray
 
     def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=complex)
+        mat = _freeze(self.matrix)
         d = self.space.dim
         if mat.shape != (d, d):
             raise ValueError(f"expected a {d}x{d} matrix, got {mat.shape}")
-        object.__setattr__(self, "matrix", _freeze(mat))
+        object.__setattr__(self, "matrix", mat)
 
     @property
     def dim(self) -> int:
@@ -210,7 +234,7 @@ class DensityOperator:
     tol: float = DEFAULT_TOL
 
     def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=complex)
+        mat = _freeze(self.matrix)
         d = self.space.dim
         if mat.shape != (d, d):
             raise ValueError(f"expected a {d}x{d} matrix, got {mat.shape}")
@@ -225,7 +249,7 @@ class DensityOperator:
             raise ValueError(
                 f"density operator has a negative eigenvalue: {lowest:.3e}"
             )
-        object.__setattr__(self, "matrix", _freeze(mat))
+        object.__setattr__(self, "matrix", mat)
 
 
 def make_state(space: HilbertSpace, amplitudes) -> StateVector:

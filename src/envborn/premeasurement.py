@@ -34,11 +34,13 @@ import numpy as np
 
 from .hilbert import (
     DEFAULT_TOL,
+    Audit,
     HilbertSpace,
     Observable,
     Operator,
     Projector,
     StateVector,
+    _freeze,
     pure_density,
     trace_probability,
 )
@@ -57,9 +59,6 @@ __all__ = [
     "verify_calibration",
     "verify_nondemolition",
     "branch_norm_law",
-    "CalibrationReport",
-    "NondemolitionReport",
-    "NormLawReport",
     "eigenspace_basis",
 ]
 
@@ -216,9 +215,7 @@ class Branch:
     weight: float
 
     def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=complex)
-        mat.setflags(write=False)
-        object.__setattr__(self, "matrix", mat)
+        object.__setattr__(self, "matrix", _freeze(self.matrix))
 
     def normalized(self) -> np.ndarray:
         return self.matrix / np.sqrt(self.weight)
@@ -325,105 +322,66 @@ def eigenspace_basis(projector: Projector, tol: float = DEFAULT_TOL) -> list[np.
     return [vectors[:, i] for i in range(len(values)) if values[i] > 0.5]
 
 
-class _ResidualAudit:
-    """Passes when ``max_residual`` is within ``tolerance``."""
-
-    @property
-    def passed(self) -> bool:
-        return self.max_residual <= self.tolerance
-
-
-@dataclass(frozen=True)
-class CalibrationReport(_ResidualAudit):
-    """Max post-coupling residual ``||(I (x) Q^n) Psi - Psi||`` per outcome,
-    over eigenspace basis vectors and random eigenspace samples."""
-
-    residuals: tuple[float, ...]
-    tolerance: float
-
-    @property
-    def max_residual(self) -> float:
-        return max(self.residuals)
-
-
 def verify_calibration(
     model: PremeasurementModel,
     tol: float = DEFAULT_TOL,
     trials: int = 20,
     seed: int = 0,
-) -> CalibrationReport:
+) -> Audit:
     """Check the calibration condition outcome by outcome.
 
     For each outcome n, every eigenspace basis vector of P^n plus ``trials``
     random unit vectors in that eigenspace (inputs certain for outcome n) is
     coupled to the apparatus; the output must be fixed by I (x) Q^n.  The
     samples of one outcome are coupled together as the columns of one matrix.
+    The residual of outcome n is the largest ``||(I (x) Q^n) Psi - Psi||``
+    over its samples.
     """
     rng = np.random.default_rng(seed)
     d1, d2 = model.d1, model.d2
-    residuals = []
-    for p, q in zip(model.measured.projectors, model.apparatus.pointer_observable.projectors):
+    residuals = {}
+    for n, (p, q) in enumerate(
+        zip(model.measured.projectors, model.apparatus.pointer_observable.projectors)
+    ):
         basis = np.column_stack(eigenspace_basis(p))
         coeffs = [random_unit_vector(basis.shape[1], rng) for _ in range(trials)]
         inputs = np.column_stack([basis] + [basis @ c for c in coeffs])
         inputs = inputs / np.linalg.norm(inputs, axis=0)
         out = model.ready_map @ inputs
         out = (out / np.linalg.norm(out, axis=0)).T.reshape(-1, d1, d2)
-        residuals.append(float(np.linalg.norm(out @ q.matrix.T - out, axis=(1, 2)).max()))
-    return CalibrationReport(residuals=tuple(residuals), tolerance=tol)
-
-
-@dataclass(frozen=True)
-class NondemolitionReport(_ResidualAudit):
-    """Residual ``||(P^k (x) I) branch_k - branch_k||`` per nonzero branch."""
-
-    residuals: dict[int, float]
-    tolerance: float
-
-    @property
-    def max_residual(self) -> float:
-        return max(self.residuals.values()) if self.residuals else 0.0
+        residuals[n] = float(np.linalg.norm(out @ q.matrix.T - out, axis=(1, 2)).max())
+    return Audit(residuals, tol)
 
 
 def verify_nondemolition(
     model: PremeasurementModel, bset: BranchSet, tol: float = DEFAULT_TOL
-) -> NondemolitionReport:
+) -> Audit:
     """Each nonzero branch ``B_k`` must be fixed by its own system
     eigenprojector, ``P^k @ B_k = B_k`` (it is then a joint eigenvector of
-    P^k (x) I and I (x) Q^k)."""
+    P^k (x) I and I (x) Q^k); the residual of branch k is
+    ``||P^k @ B_k - B_k||``."""
     residuals = {}
     for b in bset.branches:
         p = model.measured.projectors[b.outcome].matrix
         residuals[b.outcome] = float(np.linalg.norm(p @ b.matrix - b.matrix))
-    return NondemolitionReport(residuals=residuals, tolerance=tol)
-
-
-@dataclass(frozen=True)
-class NormLawReport(_ResidualAudit):
-    """Branch weights against the trace-rule values <phi|P^k|phi>."""
-
-    deviations: dict[int, float]
-    omitted_oracle: dict[int, float]
-    tolerance: float
-
-    @property
-    def max_residual(self) -> float:
-        entries = list(self.deviations.values()) + list(self.omitted_oracle.values())
-        return max(entries) if entries else 0.0
+    return Audit(residuals, tol)
 
 
 def branch_norm_law(
     model: PremeasurementModel, phi: StateVector, bset: BranchSet, tol: float = DEFAULT_TOL
-) -> NormLawReport:
+) -> Audit:
     """Unitarity preserves each term's norm, so the weights of the branches
     ``bset`` of ``phi`` must equal the eigenspace probabilities of the input;
-    omitted branches must correspond to vanishing eigenspace probability."""
+    omitted branches must correspond to vanishing eigenspace probability.
+
+    The residual of a kept branch k is ``|weight_k - <phi|P^k|phi>|``, and of
+    an omitted outcome n its trace-rule value ``<phi|P^n|phi>``.
+    """
     rho = pure_density(phi)
-    deviations = {}
+    residuals = {}
     for b in bset.branches:
         oracle = trace_probability(model.measured.projectors[b.outcome], rho)
-        deviations[b.outcome] = abs(b.weight - oracle)
-    omitted_oracle = {
-        n: trace_probability(model.measured.projectors[n], rho) for n in bset.omitted
-    }
-    return NormLawReport(deviations=deviations, omitted_oracle=omitted_oracle, tolerance=tol)
+        residuals[b.outcome] = abs(b.weight - oracle)
+    for n in bset.omitted:
+        residuals[n] = trace_probability(model.measured.projectors[n], rho)
+    return Audit(residuals, tol)

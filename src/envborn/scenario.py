@@ -104,10 +104,6 @@ class Scenario:
     def operator_tol(self) -> float:
         return self.raw["tolerances"]["operator"]
 
-    @property
-    def norm_tol(self) -> float:
-        return self.raw["tolerances"]["norm"]
-
     def canonical(self) -> dict:
         return json.loads(json.dumps(self.raw, sort_keys=True))
 

@@ -23,18 +23,19 @@ import numpy as np
 from .hilbert import (
     DEFAULT_TOL,
     NORM_TOL,
+    Audit,
     DensityOperator,
     HilbertSpace,
     Operator,
     Projector,
     StateVector,
+    _freeze,
 )
 
 __all__ = [
     "ZERO_BRANCH_THRESHOLD",
     "BipartiteState",
     "SchmidtForm",
-    "SublemmaReport",
     "pointer_density",
     "schmidt_decompose",
     "reconstruct",
@@ -57,12 +58,11 @@ class BipartiteState:
     matrix: np.ndarray
 
     def __post_init__(self):
-        psi = np.asarray(self.matrix, dtype=complex)
+        psi = _freeze(self.matrix)
         if psi.ndim != 2:
             raise ValueError(f"expected a d1 x d2 coefficient matrix, got shape {psi.shape}")
         if not abs(np.linalg.norm(psi) - 1.0) <= NORM_TOL:  # also rejects NaN
             raise ValueError(f"bipartite state is not normalized: norm {np.linalg.norm(psi)!r}")
-        psi.setflags(write=False)
         object.__setattr__(self, "matrix", psi)
 
     @property
@@ -101,7 +101,7 @@ class SchmidtForm:
     tol: float = DEFAULT_TOL
 
     def __post_init__(self):
-        coeffs = np.asarray(self.coefficients, dtype=float).reshape(-1)
+        coeffs = np.array(self.coefficients, dtype=float).reshape(-1)
         n = len(coeffs)
         if len(self.basis1) != n or len(self.basis2) != n:
             raise ValueError("coefficients and bases must have equal lengths")
@@ -265,15 +265,9 @@ def schmidt_probabilities(form: SchmidtForm) -> np.ndarray:
     return form.coefficients**2
 
 
-@dataclass(frozen=True)
-class SublemmaReport:
-    holds: bool
-    max_residual: float
-
-
 def sublemma_check(
     psi: BipartiteState, q2: Projector, tol: float = DEFAULT_TOL
-) -> SublemmaReport:
+) -> Audit:
     """Verify the sub-projector relation behind branch complements.
 
     Hypothesis: ``(I x Q2) Psi = Psi`` within ``tol`` (violations raise).
@@ -304,5 +298,4 @@ def sublemma_check(
     rho2 = pointer_density(psi)
     residuals.append(np.linalg.norm(q2.matrix @ rho2.matrix - rho2.matrix))
 
-    worst = float(max(residuals))
-    return SublemmaReport(holds=worst <= tol, max_residual=worst)
+    return Audit({None: float(max(residuals))}, tol)

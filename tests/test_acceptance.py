@@ -100,7 +100,7 @@ def random_suite():
 
 def test_criterion_end_to_end_born(random_suite):
     entries, elapsed = random_suite
-    worst = max(e.report.max_oracle_residual for e in entries)
+    worst = max(e.report.audits["prc"].max_residual for e in entries)
     complete = sum(
         1 for e in entries if e.model.outcome_count == e.model.measured.space.dim
     )
@@ -154,8 +154,8 @@ def test_criterion_calibration(random_suite):
 
 def test_criterion_nondemolition_and_norm_law(random_suite):
     entries, _ = random_suite
-    worst_nd = max(e.report.audit_residuals["nondemolition"] for e in entries)
-    worst_norm = max(e.report.audit_residuals["norm_law"] for e in entries)
+    worst_nd = max(e.report.audits["nondemolition"].max_residual for e in entries)
+    worst_norm = max(e.report.audits["norm_law"].max_residual for e in entries)
     verdict(
         "nondemolition and branch norm law (<= 1e-10 on the random suite)",
         worst_nd <= 1e-10 and worst_norm <= 1e-10,
@@ -165,7 +165,7 @@ def test_criterion_nondemolition_and_norm_law(random_suite):
 
 def test_criterion_composite_biorthogonality(random_suite):
     entries, _ = random_suite
-    worst = max(e.report.audit_residuals["biorthogonality"] for e in entries)
+    worst = max(e.report.audits["biorthogonality"].max_residual for e in entries)
     verdict(
         "composite Schmidt biorthogonality across branches (<= 1e-10)",
         worst <= 1e-10,
@@ -227,7 +227,7 @@ def test_criterion_subprojector_lemma():
         extra = int(rng.integers(0, d2 - len(support) + 1))
         span = support + [full[:, len(support) + j] for j in range(extra)]
         report = sublemma_check(psi, projector_from_span(span))
-        assert report.holds
+        assert report.passed
         worst = max(worst, report.max_residual)
 
         if len(support) >= 2:

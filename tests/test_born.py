@@ -1,4 +1,6 @@
 import dataclasses
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -70,26 +72,28 @@ class TestDeriveProbabilities:
     def test_complete_observable_amplitude_squares(self):
         report = derive_probabilities(cnot_model(), make_state(D2, [0.6, 0.8]))
         assert report.derived == pytest.approx([0.36, 0.64], abs=1e-12)
-        assert report.max_oracle_residual <= 1e-10
-        assert report.flags.all_ok
+        assert report.audits["prc"].max_residual <= 1e-10
+        assert report.passed
 
     def test_degenerate_eigenspace_weights(self):
         report = derive_probabilities(degenerate_model(), make_state(D3, [1, 1, 1]))
         assert report.derived == pytest.approx([2 / 3, 1 / 3], abs=1e-10)
-        assert report.flags.all_ok
+        assert report.passed
 
     def test_eigenstate_certainty(self):
         report = derive_probabilities(degenerate_model(), basis_state(D3, 2))
         assert report.derived == pytest.approx([0.0, 1.0], abs=1e-12)
-        assert report.flags.all_ok
+        assert report.passed
 
     def test_audit_failures_reported_not_raised(self):
         a = complete_observable([basis_state(D2, 0), basis_state(D2, 1)], [1.0, -1.0])
         broken = PremeasurementModel(a, qubit_apparatus(), identity(HilbertSpace(4)))
         report = derive_probabilities(broken, make_state(D2, [0.6, 0.8]))
-        assert not report.flags.cc_ok
-        assert not report.flags.prc_ok
-        assert not report.flags.all_ok
+        assert not report.audits["calibration"].passed
+        assert not report.audits["prc"].passed
+        assert not report.passed
+        with pytest.raises(TypeError):
+            report.audits["calibration"] = report.audits["nondemolition"]
         # derived values still form a distribution
         assert sum(report.derived) == pytest.approx(1.0, abs=1e-10)
 
@@ -98,7 +102,7 @@ class TestDeriveProbabilities:
         # derived 0, and the audits must not trip on the sqrt(weight)-sized
         # leftover under the omitted pointer projector
         report = derive_probabilities(cnot_model(), make_state(D2, [1.0, 1e-7]))
-        assert report.flags.all_ok
+        assert report.passed
         assert report.records[1].derived == 0.0
         assert report.records[1].schmidt_detail == ()
         assert report.records[1].complement_residual == pytest.approx(1e-7, rel=1e-4)
@@ -120,15 +124,15 @@ class TestDeriveProbabilities:
             outcomes = int(rng.integers(1, min(d1, d2) + 1))
             model, phi = random_scenario(d1, d2, outcomes, rng)
             report = derive_probabilities(model, phi, seed=int(rng.integers(2**32)))
-            assert report.flags.all_ok
-            assert report.max_oracle_residual <= 1e-9
+            assert report.passed
+            assert report.audits["prc"].max_residual <= 1e-9
 
     def test_composite_biorthogonality_residual(self):
         rng = np.random.default_rng(42)
         for _ in range(10):
             model, phi = random_scenario(4, 4, 2, rng)
             report = derive_probabilities(model, phi)
-            assert report.audit_residuals["biorthogonality"] <= 1e-10
+            assert report.audits["biorthogonality"].max_residual <= 1e-10
 
     def test_branch_detail_sums_to_branch_weight(self):
         # the per-term detail is basis-dependent; its sum is the weight
@@ -161,7 +165,7 @@ class TestDeriveProbabilities:
             )
             model = build_premeasurement(a, apparatus)
             report = derive_probabilities(model, phi)
-            assert report.flags.all_ok
+            assert report.passed
             derived.append(report.derived)
         assert derived[0] == pytest.approx(derived[1], abs=1e-10)
 
@@ -177,8 +181,8 @@ class TestEntangledBranches:
             base, phi = random_scenario(4, 4, 2, rng)
             model = entangle_branches(base, rng)
             report = derive_probabilities(model, phi, seed=int(rng.integers(2**32)))
-            assert report.flags.all_ok
-            assert report.max_oracle_residual <= 1e-9
+            assert report.passed
+            assert report.audits["prc"].max_residual <= 1e-9
             found_multi = found_multi or any(
                 len(r.schmidt_detail) > 1 for r in report.records
             )
@@ -225,7 +229,7 @@ class TestEntangledBranches:
         assert len(form.basis2) == 2
         assert complement_check(model, psi12, 0, form.basis2) <= 1e-10
         report = derive_probabilities(model, phi)
-        assert report.flags.all_ok
+        assert report.passed
 
 
 class TestComplementCheck:
@@ -270,6 +274,27 @@ class TestComplementCheck:
             for b in branches(model, psi12).branches:
                 form = schmidt_decompose(BipartiteState(b.normalized()))
                 assert complement_check(model, psi12, b.outcome, form.basis2) <= 1e-10
+
+    def test_omitted_outcome_complement_failure_reports_inf(self):
+        # Q^1 is idempotent only to ~6e-16, so at tol 1e-20 its complement
+        # check raises for the omitted outcome 1; the audit records inf there
+        ptr3 = HilbertSpace(3, "pointer")
+        q0 = projector_from_span([basis_state(ptr3, 0)])
+        q1 = projector_from_span([make_state(ptr3, [0, 1, 2j]), make_state(ptr3, [0, 2j, 1])])
+        apparatus = PointerApparatus(
+            ptr3,
+            basis_state(ptr3, 0),
+            spectral_observable([0.0, 1.0], [q0, q1]),
+            (basis_state(ptr3, 0), make_state(ptr3, [0, 1, 2j])),
+        )
+        a = complete_observable([basis_state(D2, 0), basis_state(D2, 1)])
+        model = build_premeasurement(a, apparatus)
+        report = derive_probabilities(model, basis_state(D2, 0), tol=1e-20)
+        complement = report.audits["complement"]
+        assert complement.residuals == {0: 0.0, 1: float("inf")}
+        assert complement.max_residual == float("inf")
+        assert not complement.passed
+        assert report.records[1].complement_residual == float("inf")
 
 
 class TestCheckAdditivity:
@@ -375,7 +400,9 @@ def test_local_basis_change_invariance(d1, d2, outcomes, seed):
     before = derive_probabilities(model, phi)
     after = derive_probabilities(build_premeasurement(measured, apparatus), _moved(phi, u1))
     assert np.max(np.abs(np.subtract(after.derived, before.derived))) <= 1e-10
-    assert after.flags == before.flags
+    assert [a.passed for a in after.audits.values()] == [
+        a.passed for a in before.audits.values()
+    ]
 
 
 def test_parallel_scenarios_match_sequential():
@@ -391,3 +418,12 @@ def test_parallel_scenarios_match_sequential():
             pool.map(lambda mp: derive_probabilities(mp[0], mp[1], seed=7).derived, scenarios)
         )
     assert parallel == sequential
+
+
+def test_readme_library_example_runs(capsys):
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    (example,) = re.findall(r"```python\n(.*?)```", readme.read_text(encoding="utf-8"), re.S)
+    exec(compile(example, "README.md", "exec"), {})
+    derived, passed = capsys.readouterr().out.splitlines()
+    assert derived.startswith("[0.36")
+    assert passed == "True"

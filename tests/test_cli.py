@@ -1,11 +1,13 @@
 import io
 import json
+import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import envborn.born
@@ -13,7 +15,8 @@ import envborn.mixtures
 import envborn.premeasurement
 import envborn.scenario
 from envborn.cli import main
-from envborn.scenario import parse_scenario
+from envborn.rng import random_unit_vector, random_unitary
+from envborn.scenario import encode_vector, parse_scenario
 
 FIXTURES = resources.files("envborn.fixtures")
 
@@ -209,6 +212,16 @@ class TestReportCommand:
         code, out, _ = run_cli(["report", golden])
         assert code == 1
         assert "FAIL" in out
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+    def test_text_output_matches_report_of_structured_output(self, name, tmp_path):
+        command, expected_code = GOLDEN_CASES[name]
+        stored = str(tmp_path / "report.json")
+        code, text, _ = run_cli([command, fixture_path(name)])
+        run_cli([command, fixture_path(name), "--format", "structured", "--out", stored])
+        report_code, rendered, _ = run_cli(["report", stored])
+        assert code == report_code == expected_code
+        assert text == rendered
 
     def test_unknown_schema_rejected(self, tmp_path):
         bogus = tmp_path / "r.json"
@@ -459,3 +472,81 @@ def test_module_entry_point():
     )
     assert result.returncode == 0
     assert "PASS" in result.stdout
+
+
+def _large_scenarios(tmp_path) -> list[tuple[str, str]]:
+    """A 24x24 scenario with eight rank-3 outcomes for derive and sample, and
+    sixteen components in d = 16 with a 256-dim purified partner for mixtures."""
+    rng = np.random.default_rng(11)
+    d, outcomes, rank = 24, 8, 3
+    system, pointer = random_unitary(d, rng), random_unitary(d, rng)
+    spans = [[pointer[:, n]] for n in range(outcomes)]
+    spans[-1] += [pointer[:, j] for j in range(outcomes, d)]
+    derive = {
+        "name": "large-24x24",
+        "dims": [d, d],
+        "input_state": encode_vector(random_unit_vector(d, rng)),
+        "observable": {
+            "eigenvalues": [float(n) for n in range(outcomes)],
+            "projectors": [
+                [encode_vector(system[:, n * rank + j]) for j in range(rank)]
+                for n in range(outcomes)
+            ],
+        },
+        "apparatus": {
+            "ready_state": encode_vector(random_unit_vector(d, rng)),
+            "pointer_states": [encode_vector(pointer[:, n]) for n in range(outcomes)],
+            "pointer_projectors": [[encode_vector(v) for v in span] for span in spans],
+        },
+        "sampling": {"n": 20000, "seed": 5},
+    }
+    weights = rng.random(16) + 0.1
+    mixtures = {
+        "name": "large-mixtures",
+        "mixture": {
+            "components": [
+                {"state": encode_vector(random_unit_vector(16, rng)), "weight": float(w)}
+                for w in weights / weights.sum()
+            ],
+            "auto_purify": True,
+            "trials": 20,
+        },
+    }
+    paths = {}
+    for scenario in (derive, mixtures):
+        paths[scenario["name"]] = tmp_path / f"{scenario['name']}.json"
+        paths[scenario["name"]].write_text(json.dumps(scenario), encoding="utf-8")
+    return [
+        ("derive", str(paths["large-24x24"])),
+        ("sample", str(paths["large-24x24"])),
+        ("mixtures", str(paths["large-mixtures"])),
+    ]
+
+
+_EACH_STRUCTURED = """
+import sys
+from envborn.cli import main
+for command, path in zip(sys.argv[1::2], sys.argv[2::2]):
+    print(command, path, main([command, path, "--format", "structured"]), flush=True)
+"""
+
+
+def test_reports_identical_across_blas_thread_counts(tmp_path):
+    runs = [(command, fixture_path(name)) for name, (command, _) in sorted(GOLDEN_CASES.items())]
+    runs += [("mixtures", fixture_path("mixtures-mismatch"))] + _large_scenarios(tmp_path)
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ)
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            env[var] = threads
+        result = subprocess.run(
+            [sys.executable, "-c", _EACH_STRUCTURED, *(arg for run in runs for arg in run)],
+            capture_output=True,
+            env=env,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        outputs.append(result.stdout)
+    for command, path in runs[-3:]:
+        assert f"{command} {path} 0\n".encode() in outputs[0]
+    assert outputs[0] == outputs[1]

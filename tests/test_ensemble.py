@@ -70,7 +70,7 @@ class TestFrequencyCheck:
     def test_sampler_output_passes(self):
         report = frequency_check(sample_outcomes([0.5, 0.5], 100000, seed=42))
         assert report.passed
-        assert report.max_abs_z <= 4.0
+        assert max(abs(z) for z in report.zscores) <= 4.0
 
     def test_ten_sigma_shift_fails(self):
         run = sample_outcomes([0.5, 0.5], 100000, seed=42)

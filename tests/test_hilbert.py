@@ -1,13 +1,17 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from envborn.hilbert import (
+    Audit,
     DensityOperator,
     HilbertSpace,
     Operator,
     Projector,
+    StateVector,
     basis_state,
     complete_observable,
     identity,
@@ -19,7 +23,9 @@ from envborn.hilbert import (
     tensor,
     trace_probability,
 )
+from envborn.premeasurement import Branch
 from envborn.rng import random_density, random_orthogonal_partition, random_projector, random_state
+from envborn.schmidt import BipartiteState, SchmidtForm
 
 INV_SQRT2 = 0.7071067811865476
 # amplitudes of [2, 0, 1] divided by its norm sqrt(5)
@@ -283,13 +289,73 @@ class TestInvariants:
             Projector(Operator(D2, np.diag([0.5, 0.5]).astype(complex)))
 
     def test_state_vector_rejects_unnormalized(self):
-        from envborn.hilbert import StateVector
-
         with pytest.raises(ValueError, match="normalized"):
             StateVector(D2, np.array([1.0, 1.0]))
 
     def test_state_vector_rejects_nan(self):
-        from envborn.hilbert import StateVector
-
         with pytest.raises(ValueError, match="normalized"):
             StateVector(D2, np.array([np.nan, 0.0]))
+
+
+class TestAudit:
+    def test_empty_map_passes_with_zero_residual(self):
+        audit = Audit({}, 1e-10)
+        assert audit.max_residual == 0.0
+        assert audit.passed
+
+    def test_infinite_residual_fails(self):
+        audit = Audit({0: 1e-12, 1: math.inf}, 1e-10)
+        assert audit.max_residual == math.inf
+        assert not audit.passed
+
+    def test_tolerance_is_inclusive(self):
+        assert Audit({None: 1e-10}, 1e-10).passed
+        assert not Audit({None: math.nextafter(1e-10, 1.0)}, 1e-10).passed
+
+    def test_residuals_are_a_read_only_copy(self):
+        residuals = {0: 1.0}
+        audit = Audit(residuals, 1e-10)
+        residuals[0] = 0.0
+        with pytest.raises(TypeError):
+            audit.residuals[0] = 0.0
+        assert audit.residuals == {0: 1.0}
+        assert not audit.passed
+
+    def test_max_over_outcomes(self):
+        audit = Audit({0: 1e-13, 2: 3e-11, 1: 2e-12}, 1e-11)
+        assert audit.max_residual == 3e-11
+        assert not audit.passed
+
+
+# class -> (the stored array of a value built from a caller's array, a maker
+# of a fresh caller's array)
+STORED_COPY_CASES = {
+    "StateVector": (
+        lambda a: StateVector(D2, a).amplitudes,
+        lambda: np.array([1, 0], dtype=complex),
+    ),
+    "Operator": (lambda a: Operator(D2, a).matrix, lambda: np.eye(2, dtype=complex)),
+    "DensityOperator": (
+        lambda a: DensityOperator(D2, a).matrix,
+        lambda: np.diag([1, 0]).astype(complex),
+    ),
+    "BipartiteState": (
+        lambda a: BipartiteState(a).matrix,
+        lambda: np.eye(2, dtype=complex) / math.sqrt(2),
+    ),
+    "Branch": (lambda a: Branch(0, a, 1.0).matrix, lambda: np.array([[1, 0]], dtype=complex)),
+    "SchmidtForm": (
+        lambda a: SchmidtForm(a, (basis_state(D2, 0),), (basis_state(D2, 0),)).coefficients,
+        lambda: np.array([1.0]),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STORED_COPY_CASES))
+def test_constructor_stores_a_frozen_copy(name):
+    stored_of, make = STORED_COPY_CASES[name]
+    values = make()
+    stored = stored_of(values)
+    assert not stored.flags.writeable
+    values[0] = 5  # the caller's array stays writable ...
+    assert np.array_equal(stored, make())  # ... and the stored value does not move

@@ -114,7 +114,7 @@ def test_one_sided_products_match_composite_lifts(case, seed):
 
     calibration = verify_calibration(model, trials=TRIALS, seed=seed)
     reference = lifted_calibration(model, TRIALS, seed)
-    assert np.max(np.abs(np.subtract(calibration.residuals, reference))) <= AGREE
+    assert np.max(np.abs(np.subtract(list(calibration.residuals.values()), reference))) <= AGREE
 
     nondemolition = verify_nondemolition(model, bset)
     for b in bset.branches:
@@ -204,7 +204,7 @@ def test_block_coupling_matches_dense_coupling(case, seed):
 
     calibration = verify_calibration(model, trials=TRIALS, seed=seed)
     reference = lifted_calibration(model, TRIALS, seed)
-    assert np.max(np.abs(np.subtract(calibration.residuals, reference))) <= AGREE
+    assert np.max(np.abs(np.subtract(list(calibration.residuals.values()), reference))) <= AGREE
 
 
 @settings(max_examples=60, deadline=None)

@@ -193,4 +193,4 @@ def test_sublemma_matches_composite_references(case, rank):
     rho2 = reduced(psi, 1)
     residuals.append(np.linalg.norm(q2.matrix @ rho2 - rho2))
     assert abs(report.max_residual - max(residuals)) <= AGREE
-    assert report.holds
+    assert report.passed

@@ -289,7 +289,7 @@ class TestBranchNormLaw:
         model, phi = cnot_model(), basis_state(D2, 0)
         report = branch_norm_law(model, phi, coupled_branches(model, phi))
         assert report.passed
-        assert report.deviations[0] <= 1e-12
+        assert report.residuals[0] <= 1e-12
 
     def test_degenerate_weights(self):
         model, phi = degenerate_model(), make_state(D3, [1, 1, 1])
@@ -299,10 +299,11 @@ class TestBranchNormLaw:
     def test_omitted_branch_has_zero_oracle(self):
         model = degenerate_model()
         phi = basis_state(D3, 2)  # inside range(P^2) only
-        report = branch_norm_law(model, phi, coupled_branches(model, phi))
+        bset = coupled_branches(model, phi)
+        report = branch_norm_law(model, phi, bset)
         assert report.passed
-        assert 0 in report.omitted_oracle
-        assert report.omitted_oracle[0] <= 1e-12
+        assert bset.omitted == (0,)
+        assert report.residuals[0] <= 1e-12
 
     def test_calibration_implication_on_random_eigenspace_vectors(self):
         # an input fixed by P^n must produce an output fixed by I (x) Q^n

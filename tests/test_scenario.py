@@ -54,7 +54,7 @@ class TestParsing:
         assert scenario.name == "scenario"
         assert scenario.seed == 0
         assert scenario.operator_tol == 1e-10
-        assert scenario.norm_tol == 1e-12
+        assert scenario.raw["tolerances"]["norm"] == 1e-12
 
     def test_complete_sugar_canonicalizes_to_projectors(self):
         scenario = parse_scenario(minimal_derive())

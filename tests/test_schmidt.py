@@ -259,7 +259,7 @@ class TestSchmidtProbabilities:
 class TestSublemma:
     def test_identity_projector_holds(self):
         report = sublemma_check(bell(), projector_from_span([basis_state(D2, 0), basis_state(D2, 1)]))
-        assert report.holds
+        assert report.passed
 
     def test_hypothesis_violation_raises(self):
         with pytest.raises(ValueError, match="hypothesis"):
@@ -273,7 +273,7 @@ class TestSublemma:
         psi = BipartiteState((vec / np.linalg.norm(vec)).reshape(2, 3))
         q2 = projector_from_span([basis_state(D3, 0), basis_state(D3, 1)])
         report = sublemma_check(psi, q2)
-        assert report.holds
+        assert report.passed
         assert report.max_residual <= 1e-12
 
     def test_random_support_extensions(self):
@@ -287,4 +287,4 @@ class TestSublemma:
             basis = np.linalg.svd(np.column_stack(support), full_matrices=True)[0]
             extension = basis[:, len(support) : len(support) + 1]
             q2 = projector_from_span(support + [extension[:, 0]])
-            assert sublemma_check(psi, q2).holds
+            assert sublemma_check(psi, q2).passed

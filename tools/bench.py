@@ -98,7 +98,7 @@ def run_ladder(repeats: int, seed: int) -> list[dict]:
                 lambda: build_premeasurement(measured, apparatus), repeats
             )
             derive_ms, derive_n, report = timed(lambda: derive_probabilities(model, phi), repeats)
-            if not report.flags.all_ok:
+            if not report.passed:
                 raise RuntimeError(f"audits failed at {d1}x{d2}, N={outcomes}")
             rung = {
                 "dims": [d1, d2],

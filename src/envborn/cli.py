@@ -17,6 +17,7 @@ tolerance for scenarios that do not pin one; ``--tolerance`` overrides both.
 from __future__ import annotations
 
 import argparse
+import copy
 import json
 import math
 import os
@@ -71,7 +72,7 @@ def _dump(report: dict | list) -> str:
 def _apply_overrides(scenario: Scenario, args) -> Scenario:
     if args.tolerance is None and args.seed is None and args.trials is None:
         return scenario
-    raw = scenario.canonical()
+    raw = copy.deepcopy(scenario.raw)
     if args.tolerance is not None:
         raw["tolerances"]["operator"] = args.tolerance
     if args.seed is not None:
@@ -85,7 +86,7 @@ def _envelope(command: str, scenario: Scenario, section_name: str, section: dict
     return {
         "schema_version": SCHEMA_VERSION,
         "command": command,
-        "scenario": scenario.canonical(),
+        "scenario": scenario.raw,
         section_name: section,
         "pass": bool(passed),
     }
@@ -173,7 +174,7 @@ def run_sample(scenario: Scenario, fail_fast: bool = False) -> dict:
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": "sample",
-        "scenario": scenario.canonical(),
+        "scenario": scenario.raw,
         "derivation": derivation,
     }
     if fail_fast and not derive_ok:

@@ -5,9 +5,10 @@ apparatus, input states, and optional mixture/sampling sections.  Complex
 scalars are two-element arrays ``[re, im]`` of decimal floats, vectors are
 arrays of such pairs, and projectors are lists of spanning vectors.
 
-Parsing resolves all defaults; ``Scenario.canonical()`` re-serializes to a
-normal form that parses back to an identical scenario, which keeps reports
-self-contained and diffable.
+Parsing decodes every vector once, resolves all defaults and builds each
+declared section.  ``Scenario.raw`` is the canonical form: plain floats with
+every default spelled out, which parses back to an identical scenario and
+keeps reports self-contained and diffable.
 """
 
 from __future__ import annotations
@@ -42,6 +43,9 @@ SCHEMA_VERSION = "envborn.report.v1"
 MAX_COMPOSITE_DIM = 4096
 # Largest accepted sampling.n: about 16 bytes per draw, the same 256 MiB budget.
 MAX_SAMPLES = 2**24
+# Largest accepted mixture.trials: each trial draws a random d1 x d1 projector,
+# so this bounds the run time as MAX_SAMPLES bounds the memory.
+MAX_TRIALS = 2**16
 
 
 class ScenarioError(ValueError):
@@ -78,15 +82,24 @@ def _decode_span(data, what: str, dim: int) -> list[np.ndarray]:
     return [decode_vector(v, f"{what}[{i}]", dim) for i, v in enumerate(data)]
 
 
+def _decode_spans(data, what: str, dim: int) -> list[list[np.ndarray]]:
+    if not isinstance(data, list):
+        raise ScenarioError(f"{what} must be a list of spans")
+    return [_decode_span(span, f"{what}[{n}]", dim) for n, span in enumerate(data)]
+
+
 @dataclass(frozen=True)
 class Scenario:
-    """A fully resolved scenario; ``raw`` is the canonical dictionary.  The
-    premeasurement model and the mixture are built once (``parse_scenario``
-    does it) and kept."""
+    """A fully resolved scenario: ``raw`` is the canonical dictionary, and each
+    section it declares is built once, by ``parse_scenario``, and kept."""
 
     raw: dict
-    _model: PremeasurementModel | None = field(default=None, init=False, repr=False, compare=False)
-    _mixture: MixtureSpec | None = field(default=None, init=False, repr=False, compare=False)
+    _input_state: StateVector | None = field(default=None, repr=False, compare=False)
+    _composite_state: BipartiteState | None = field(default=None, repr=False, compare=False)
+    _observable: Observable | None = field(default=None, repr=False, compare=False)
+    _apparatus: PointerApparatus | None = field(default=None, repr=False, compare=False)
+    _model: PremeasurementModel | None = field(default=None, repr=False, compare=False)
+    _mixture: MixtureSpec | None = field(default=None, repr=False, compare=False)
 
     @property
     def name(self) -> str:
@@ -104,134 +117,43 @@ class Scenario:
     def operator_tol(self) -> float:
         return self.raw["tolerances"]["operator"]
 
-    def canonical(self) -> dict:
-        return json.loads(json.dumps(self.raw, sort_keys=True))
-
-    # -- builders -----------------------------------------------------------
-
-    def system_space(self) -> HilbertSpace:
-        return HilbertSpace(self.dims[0], "sys")
-
-    def pointer_space(self) -> HilbertSpace:
-        return HilbertSpace(self.dims[1], "pointer")
-
     def input_state(self) -> StateVector:
-        if "input_state" not in self.raw:
-            raise ScenarioError("scenario has no input_state")
-        vec = decode_vector(self.raw["input_state"], "input_state", self.dims[0])
-        return _normalized(self.system_space(), vec, "input_state")
+        return _present(self._input_state, "input_state")
 
     def composite_state(self) -> BipartiteState:
-        if "composite_state" not in self.raw:
-            raise ScenarioError("scenario has no composite_state")
-        d1, d2 = self.dims
-        vec = decode_vector(self.raw["composite_state"], "composite_state", d1 * d2)
-        norm = np.linalg.norm(vec)
-        if not 1e-12 <= norm < np.inf:
-            raise ScenarioError(f"composite_state cannot be normalized: norm {norm:.3e}")
-        return BipartiteState((vec / norm).reshape(d1, d2))
+        return _present(self._composite_state, "composite_state")
 
     def observable(self) -> Observable:
-        if "observable" not in self.raw:
-            raise ScenarioError("scenario has no observable")
-        spec = self.raw["observable"]
-        d1 = self.dims[0]
-        try:
-            projectors = [
-                projector_from_span(_decode_span(span, f"observable.projectors[{n}]", d1))
-                for n, span in enumerate(spec["projectors"])
-            ]
-            return spectral_observable(spec["eigenvalues"], projectors, self.operator_tol)
-        except ScenarioError:
-            raise
-        except ValueError as exc:
-            raise ScenarioError(f"invalid observable: {exc}") from exc
+        return _present(self._observable, "observable")
 
     def apparatus(self) -> PointerApparatus:
-        if "apparatus" not in self.raw:
-            raise ScenarioError("scenario has no apparatus")
-        spec = self.raw["apparatus"]
-        d2 = self.dims[1]
-        space = self.pointer_space()
-        try:
-            ready = _normalized(
-                space, decode_vector(spec["ready_state"], "apparatus.ready_state", d2), "ready_state"
-            )
-            states = tuple(
-                _normalized(
-                    space,
-                    decode_vector(v, f"apparatus.pointer_states[{n}]", d2),
-                    f"pointer state {n}",
-                )
-                for n, v in enumerate(spec["pointer_states"])
-            )
-            projectors = [
-                projector_from_span(
-                    _decode_span(span, f"apparatus.pointer_projectors[{n}]", d2)
-                )
-                for n, span in enumerate(spec["pointer_projectors"])
-            ]
-            pointer_obs = spectral_observable(
-                list(range(len(projectors))), projectors, self.operator_tol
-            )
-            return PointerApparatus(space, ready, pointer_obs, states, self.operator_tol)
-        except ScenarioError:
-            raise
-        except ValueError as exc:
-            raise ScenarioError(f"invalid apparatus: {exc}") from exc
+        return _present(self._apparatus, "apparatus")
 
     def model(self) -> PremeasurementModel:
-        if self._model is not None:
-            return self._model
-        measured = self.observable()
-        apparatus = self.apparatus()
-        try:
-            model = build_premeasurement(measured, apparatus, self.operator_tol)
-        except ValueError as exc:
-            raise ScenarioError(f"cannot build premeasurement: {exc}") from exc
-        override = self.raw.get("unitary_override")
-        if override == "identity":
-            # negative-control hook: replace the coupling with the identity
-            model = PremeasurementModel(
-                measured, apparatus, identity(model.composite_space), self.operator_tol
-            )
-        elif override is not None:
-            raise ScenarioError(f"unknown unitary_override {override!r}")
-        object.__setattr__(self, "_model", model)
-        return model
+        # the model exists exactly when both halves do; each names its absence
+        self.observable()
+        self.apparatus()
+        return self._model
 
     def mixture_spec(self) -> MixtureSpec:
-        if self._mixture is not None:
-            return self._mixture
-        if "mixture" not in self.raw:
-            raise ScenarioError("scenario has no mixture section")
-        spec = self.raw["mixture"]
-        d1 = self.dims[0]
-        space = self.system_space()
-        components = []
-        for n, comp in enumerate(spec["components"]):
-            vec = decode_vector(comp["state"], f"mixture.components[{n}].state", d1)
-            components.append(
-                (_normalized(space, vec, f"mixture component {n}"), float(comp["weight"]))
-            )
-        counts = tuple(spec["counts"]) if "counts" in spec else None
-        try:
-            mixture = MixtureSpec(tuple(components), counts)
-        except ValueError as exc:
-            raise ScenarioError(f"invalid mixture: {exc}") from exc
-        object.__setattr__(self, "_mixture", mixture)
-        return mixture
+        return _present(self._mixture, "mixture section")
 
     def mixture_partner(self) -> BipartiteState:
-        spec = self.raw["mixture"]
-        if spec["auto_purify"]:
-            return purify(mix(self.mixture_spec()))
+        spec = self.mixture_spec()
+        if self.raw["mixture"]["auto_purify"]:
+            return purify(mix(spec))
         return self.composite_state()
 
     def sampling(self) -> dict:
         if "sampling" not in self.raw:
             raise ScenarioError("scenario has no sampling section")
         return self.raw["sampling"]
+
+
+def _present(part, what: str):
+    if part is None:
+        raise ScenarioError(f"scenario has no {what}")
+    return part
 
 
 def _normalized(space: HilbertSpace, vec: np.ndarray, what: str) -> StateVector:
@@ -251,11 +173,13 @@ def _require(data: dict, key: str, kind, what: str):
 
 
 def parse_scenario(data: dict, default_operator_tol: float = DEFAULT_TOL) -> Scenario:
-    """Validate a scenario dictionary and resolve every default.
+    """Validate a scenario dictionary, resolve every default and build each
+    declared section.
 
-    The result's ``raw`` dictionary is canonical: serializing and re-parsing
-    it yields an identical scenario.  ``default_operator_tol`` applies only
-    when the scenario does not pin ``tolerances.operator`` itself.
+    The result's ``raw`` dictionary is canonical and shares no mutable object
+    with ``data``: serializing and re-parsing it yields an identical scenario.
+    ``default_operator_tol`` applies only when the scenario does not pin
+    ``tolerances.operator`` itself.
     """
     if not isinstance(data, dict):
         raise ScenarioError("scenario must be a JSON object")
@@ -277,7 +201,9 @@ def parse_scenario(data: dict, default_operator_tol: float = DEFAULT_TOL) -> Sce
         raise ScenarioError(f"unknown scenario fields: {sorted(unknown)}")
 
     out: dict = {}
-    out["name"] = str(data.get("name", "scenario"))
+    out["name"] = data.get("name", "scenario")
+    if not isinstance(out["name"], str):
+        raise ScenarioError(f"name must be a string, got {out['name']!r}")
     out["seed"] = _integer(data.get("seed", 0), "seed", 0)
 
     tolerances = data.get("tolerances", {})
@@ -287,6 +213,7 @@ def parse_scenario(data: dict, default_operator_tol: float = DEFAULT_TOL) -> Sce
         "operator": _positive_float(tolerances.get("operator", default_operator_tol), "tolerances.operator"),
         "norm": _positive_float(tolerances.get("norm", NORM_TOL), "tolerances.norm"),
     }
+    tol = out["tolerances"]["operator"]
 
     dims = data.get("dims")
     if dims is None:
@@ -310,37 +237,50 @@ def parse_scenario(data: dict, default_operator_tol: float = DEFAULT_TOL) -> Sce
     out["dims"] = [int(dims[0]), int(dims[1])]
     d1, d2 = out["dims"]
 
-    for key in ("input_state", "composite_state"):
-        if key in data:
-            expected = d1 if key == "input_state" else d1 * d2
-            out[key] = encode_vector(decode_vector(data[key], key, expected))
+    phi = psi = observable = apparatus = model = mixture = None
+    if "input_state" in data:
+        vec = decode_vector(data["input_state"], "input_state", d1)
+        out["input_state"] = encode_vector(vec)
+        phi = _normalized(HilbertSpace(d1, "sys"), vec, "input_state")
+    if "composite_state" in data:
+        vec = decode_vector(data["composite_state"], "composite_state", d1 * d2)
+        out["composite_state"] = encode_vector(vec)
+        norm = np.linalg.norm(vec)
+        if not 1e-12 <= norm < np.inf:
+            raise ScenarioError(f"composite_state cannot be normalized: norm {norm:.3e}")
+        psi = BipartiteState((vec / norm).reshape(d1, d2))
 
     if "observable" in data:
-        out["observable"] = _canonical_observable(data["observable"], d1)
+        out["observable"], observable = _parse_observable(data["observable"], d1, tol)
     if "apparatus" in data:
-        out["apparatus"] = _canonical_apparatus(data["apparatus"], d2)
+        out["apparatus"], apparatus = _parse_apparatus(data["apparatus"], d2, tol)
     if "unitary_override" in data:
-        out["unitary_override"] = str(data["unitary_override"])
+        if data["unitary_override"] != "identity":
+            raise ScenarioError(f"unknown unitary_override {data['unitary_override']!r}")
+        out["unitary_override"] = "identity"
+    if observable is not None and apparatus is not None:
+        try:
+            model = build_premeasurement(observable, apparatus, tol)
+        except ValueError as exc:
+            raise ScenarioError(f"cannot build premeasurement: {exc}") from exc
+        if "unitary_override" in out:
+            # negative-control hook: replace the coupling with the identity
+            model = PremeasurementModel(observable, apparatus, identity(model.composite_space), tol)
+
     if "mixture" in data:
-        out["mixture"] = _canonical_mixture(data["mixture"], d1, "composite_state" in out)
+        out["mixture"], mixture = _parse_mixture(data["mixture"], d1, psi is not None)
     if "sampling" in data:
         out["sampling"] = _canonical_sampling(data["sampling"])
 
-    scenario = Scenario(raw=json.loads(json.dumps(out, sort_keys=True)))
-    # eager validation of every declared section; the model covers both halves
-    if "observable" in out and "apparatus" in out:
-        scenario.model()
-    elif "observable" in out:
-        scenario.observable()
-    elif "apparatus" in out:
-        scenario.apparatus()
-    if "input_state" in out:
-        scenario.input_state()
-    if "composite_state" in out:
-        scenario.composite_state()
-    if "mixture" in out:
-        scenario.mixture_spec()
-    return scenario
+    return Scenario(
+        out,
+        _input_state=phi,
+        _composite_state=psi,
+        _observable=observable,
+        _apparatus=apparatus,
+        _model=model,
+        _mixture=mixture,
+    )
 
 
 def _is_number(value) -> bool:
@@ -364,6 +304,13 @@ def _integer(value, what: str, minimum: int) -> int:
     return value
 
 
+def _integer_list(value, what: str) -> list[int]:
+    if not isinstance(value, list) or not all(_is_integer(v) for v in value):
+        raise ScenarioError(f"{what} must be a list of integers")
+    # a copy, so the canonical dictionary shares no list with the caller
+    return list(value)
+
+
 def _infer_component_dim(mixture: dict) -> int:
     components = mixture.get("components")
     if not isinstance(components, list) or not components:
@@ -374,7 +321,7 @@ def _infer_component_dim(mixture: dict) -> int:
     return len(state)
 
 
-def _canonical_observable(spec, d1: int) -> dict:
+def _parse_observable(spec, d1: int, tol: float) -> tuple[dict, Observable]:
     if not isinstance(spec, dict):
         raise ScenarioError("observable must be an object")
     if "complete" in spec:
@@ -390,10 +337,7 @@ def _canonical_observable(spec, d1: int) -> dict:
         if "projectors" not in spec or "eigenvalues" not in spec:
             raise ScenarioError("observable needs eigenvalues and projectors (or complete)")
         eigenvalues = spec["eigenvalues"]
-        spans = [
-            _decode_span(span, f"observable.projectors[{n}]", d1)
-            for n, span in enumerate(spec["projectors"])
-        ]
+        spans = _decode_spans(spec["projectors"], "observable.projectors", d1)
     if not isinstance(eigenvalues, list):
         raise ScenarioError("observable.eigenvalues must be a list of numbers")
     for n, v in enumerate(eigenvalues):
@@ -402,13 +346,18 @@ def _canonical_observable(spec, d1: int) -> dict:
             raise ScenarioError(f"observable.eigenvalues[{n}] must be a finite number, got {v!r}")
     if len(eigenvalues) != len(spans):
         raise ScenarioError("observable needs one eigenvalue per projector")
-    return {
+    canonical = {
         "eigenvalues": [float(v) for v in eigenvalues],
         "projectors": [[encode_vector(v) for v in span] for span in spans],
     }
+    try:
+        projectors = [projector_from_span(span) for span in spans]
+        return canonical, spectral_observable(canonical["eigenvalues"], projectors, tol)
+    except ValueError as exc:
+        raise ScenarioError(f"invalid observable: {exc}") from exc
 
 
-def _canonical_apparatus(spec, d2: int) -> dict:
+def _parse_apparatus(spec, d2: int, tol: float) -> tuple[dict, PointerApparatus]:
     if not isinstance(spec, dict):
         raise ScenarioError("apparatus must be an object")
     ready = decode_vector(_require(spec, "ready_state", list, "apparatus"), "ready_state", d2)
@@ -417,10 +366,7 @@ def _canonical_apparatus(spec, d2: int) -> dict:
         for n, v in enumerate(_require(spec, "pointer_states", list, "apparatus"))
     ]
     if "pointer_projectors" in spec:
-        spans = [
-            _decode_span(span, f"apparatus.pointer_projectors[{n}]", d2)
-            for n, span in enumerate(spec["pointer_projectors"])
-        ]
+        spans = _decode_spans(spec["pointer_projectors"], "apparatus.pointer_projectors", d2)
     else:
         if len(pointer_states) != d2:
             raise ScenarioError(
@@ -428,24 +374,36 @@ def _canonical_apparatus(spec, d2: int) -> dict:
                 f"states form a full basis ({len(pointer_states)} states in dim {d2})"
             )
         spans = [[v] for v in pointer_states]
-    return {
+    canonical = {
         "ready_state": encode_vector(ready),
         "pointer_states": [encode_vector(v) for v in pointer_states],
         "pointer_projectors": [[encode_vector(v) for v in span] for span in spans],
     }
+    space = HilbertSpace(d2, "pointer")
+    ready_state = _normalized(space, ready, "ready_state")
+    states = tuple(
+        _normalized(space, v, f"pointer state {n}") for n, v in enumerate(pointer_states)
+    )
+    try:
+        projectors = [projector_from_span(span) for span in spans]
+        pointer_obs = spectral_observable(list(range(len(projectors))), projectors, tol)
+        return canonical, PointerApparatus(space, ready_state, pointer_obs, states, tol)
+    except ValueError as exc:
+        raise ScenarioError(f"invalid apparatus: {exc}") from exc
 
 
-def _canonical_mixture(spec, d1: int, has_partner: bool) -> dict:
+def _parse_mixture(spec, d1: int, has_partner: bool) -> tuple[dict, MixtureSpec]:
     if not isinstance(spec, dict):
         raise ScenarioError("mixture must be an object")
-    components = _require(spec, "components", list, "mixture")
-    canon_components = []
-    for n, comp in enumerate(components):
+    space = HilbertSpace(d1, "sys")
+    canon_components, components = [], []
+    for n, comp in enumerate(_require(spec, "components", list, "mixture")):
         if not isinstance(comp, dict) or "state" not in comp or "weight" not in comp:
             raise ScenarioError(f"mixture.components[{n}] needs state and weight")
         vec = decode_vector(comp["state"], f"mixture.components[{n}].state", d1)
         weight = _positive_float(comp["weight"], f"mixture.components[{n}].weight")
         canon_components.append({"state": encode_vector(vec), "weight": weight})
+        components.append((_normalized(space, vec, f"mixture component {n}"), weight))
     auto_purify = spec.get("auto_purify", False)
     if not isinstance(auto_purify, bool):
         raise ScenarioError(f"mixture.auto_purify must be true or false, got {auto_purify!r}")
@@ -454,16 +412,19 @@ def _canonical_mixture(spec, d1: int, has_partner: bool) -> dict:
         "auto_purify": auto_purify,
         "trials": _integer(spec.get("trials", 50), "mixture.trials", 1),
     }
+    if out["trials"] > MAX_TRIALS:
+        raise ScenarioError(f"mixture.trials must be at most {MAX_TRIALS}, got {out['trials']!r}")
     if "counts" in spec:
-        counts = spec["counts"]
-        if not isinstance(counts, list) or not all(_is_integer(c) for c in counts):
-            raise ScenarioError("mixture.counts must be a list of integers")
-        out["counts"] = counts
-    if out["auto_purify"] and has_partner:
+        out["counts"] = _integer_list(spec["counts"], "mixture.counts")
+    if auto_purify and has_partner:
         raise ScenarioError("give either auto_purify or composite_state, not both")
-    if not out["auto_purify"] and not has_partner:
+    if not auto_purify and not has_partner:
         raise ScenarioError("mixture needs composite_state or auto_purify for a partner")
-    return out
+    try:
+        counts = tuple(out["counts"]) if "counts" in out else None
+        return out, MixtureSpec(tuple(components), counts)
+    except ValueError as exc:
+        raise ScenarioError(f"invalid mixture: {exc}") from exc
 
 
 def _canonical_sampling(spec) -> dict:
@@ -476,10 +437,7 @@ def _canonical_sampling(spec) -> dict:
     if out["n"] > MAX_SAMPLES:
         raise ScenarioError(f"sampling.n must be at most {MAX_SAMPLES}, got {out['n']!r}")
     if "bias" in spec:
-        bias = spec["bias"]
-        if not isinstance(bias, list) or not all(_is_integer(b) for b in bias):
-            raise ScenarioError("sampling.bias must be a list of integers")
-        out["bias"] = bias
+        out["bias"] = _integer_list(spec["bias"], "sampling.bias")
     return out
 
 

@@ -1,5 +1,7 @@
+import copy
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import envborn.born
 import envborn.mixtures
@@ -16,7 +20,7 @@ import envborn.premeasurement
 import envborn.scenario
 from envborn.cli import main
 from envborn.rng import random_unit_vector, random_unitary
-from envborn.scenario import encode_vector, parse_scenario
+from envborn.scenario import MAX_COMPOSITE_DIM, decode_vector, encode_vector, parse_scenario
 
 FIXTURES = resources.files("envborn.fixtures")
 
@@ -237,12 +241,12 @@ class TestScenarioEcho:
         command, _ = GOLDEN_CASES[name]
         _, out, _ = run_cli([command, fixture_path(name), "--format", "structured"])
         echoed = json.loads(out)["scenario"]
-        assert parse_scenario(echoed).canonical() == echoed
+        assert parse_scenario(echoed).raw == echoed
 
     def test_canonicalization_is_a_fixpoint(self):
         data = json.loads(Path(fixture_path("sample-fair")).read_text(encoding="utf-8"))
-        once = parse_scenario(data).canonical()
-        twice = parse_scenario(once).canonical()
+        once = parse_scenario(data).raw
+        twice = parse_scenario(once).raw
         assert once == twice
 
 
@@ -414,6 +418,50 @@ class TestInputHardening:
         path = write_variant(tmp_path, "degenerate-3d", dims=dims)
         self.assert_input_error(["derive", path], "dims")
 
+    def test_non_list_observable_projectors(self, tmp_path):
+        data = json.loads(Path(fixture_path("degenerate-3d")).read_text(encoding="utf-8"))
+        observable = dict(data["observable"], projectors=5)
+        path = write_variant(tmp_path, "degenerate-3d", observable=observable)
+        self.assert_input_error(["derive", path], "observable.projectors")
+
+    def test_non_list_pointer_projectors(self, tmp_path):
+        data = json.loads(Path(fixture_path("degenerate-3d")).read_text(encoding="utf-8"))
+        apparatus = dict(data["apparatus"], pointer_projectors=5)
+        path = write_variant(tmp_path, "degenerate-3d", apparatus=apparatus)
+        self.assert_input_error(["derive", path], "apparatus.pointer_projectors")
+
+    @pytest.mark.parametrize("name", [[1], None, 5, True])
+    def test_non_string_name(self, tmp_path, name):
+        data = json.loads(Path(fixture_path("bell")).read_text(encoding="utf-8"))
+        data["name"] = name
+        path = tmp_path / "variant.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        self.assert_input_error(["schmidt", str(path)], "name")
+
+    @pytest.mark.parametrize("fixture, command", [("degenerate-3d", "derive"), ("bell", "schmidt")])
+    @pytest.mark.parametrize("override", [5, "swap", "Identity", None])
+    def test_unknown_unitary_override(self, tmp_path, fixture, command, override):
+        path = write_variant(tmp_path, fixture, unitary_override=override)
+        self.assert_input_error([command, path], "unitary_override")
+
+    @pytest.mark.parametrize(
+        "command, name, drop, section",
+        [
+            ("derive", "bell", None, "observable"),
+            ("mixtures", "degenerate-3d", None, "mixture section"),
+            ("sample", "degenerate-3d", None, "sampling section"),
+            ("schmidt", "degenerate-3d", None, "composite_state"),
+            ("derive", "degenerate-3d", "apparatus", "apparatus"),
+            ("derive", "degenerate-3d", "input_state", "input_state"),
+        ],
+    )
+    def test_missing_section(self, tmp_path, command, name, drop, section):
+        data = json.loads(Path(fixture_path(name)).read_text(encoding="utf-8"))
+        data.pop(drop, None)
+        path = tmp_path / "variant.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        self.assert_input_error([command, str(path)], f"scenario has no {section}")
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-1", "0"])
     def test_malformed_tolerance_option(self, value):
         self.assert_input_error(
@@ -523,6 +571,33 @@ def _large_scenarios(tmp_path) -> list[tuple[str, str]]:
     ]
 
 
+def _count_vectors(value) -> int:
+    """The number of JSON vectors (non-empty lists of [re, im] pairs) in ``value``."""
+    if isinstance(value, dict):
+        return sum(_count_vectors(v) for v in value.values())
+    if not isinstance(value, list) or not value:
+        return 0
+    if all(isinstance(pair, list) and len(pair) == 2 for pair in value):
+        if all(isinstance(x, (int, float)) for pair in value for x in pair):
+            return 1
+    return sum(_count_vectors(v) for v in value)
+
+
+def test_each_json_vector_decoded_once(monkeypatch, tmp_path):
+    command, path = _large_scenarios(tmp_path)[1]
+    calls = []
+
+    def counted(data, what, dim=None):
+        calls.append(what)
+        return decode_vector(data, what, dim)
+
+    monkeypatch.setattr(envborn.scenario, "decode_vector", counted)
+    code, _, _ = run_cli([command, path, "--format", "structured"])
+    assert code == 0
+    data = json.loads(Path(path).read_text(encoding="utf-8"))
+    assert len(calls) == _count_vectors(data) == 58
+
+
 _EACH_STRUCTURED = """
 import sys
 from envborn.cli import main
@@ -550,3 +625,49 @@ def test_reports_identical_across_blas_thread_counts(tmp_path):
     for command, path in runs[-3:]:
         assert f"{command} {path} 0\n".encode() in outputs[0]
     assert outputs[0] == outputs[1]
+
+
+# Every bundled scenario, fuzzed one field at a time.
+_FUZZ_FIXTURES = sorted([*GOLDEN_CASES, "mixtures-mismatch"])
+_FUZZ_VALUES = [
+    7, -1, 0, "x", {}, [], None, True, False,
+    math.nan, math.inf, -math.inf, 10**400, MAX_COMPOSITE_DIM + 1,
+]
+_FUZZ_EDITS = ["delete", "shorten", "lengthen"]
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True, database=None)
+@given(
+    name=st.sampled_from(_FUZZ_FIXTURES),
+    command=st.sampled_from(["schmidt", "derive", "mixtures", "sample"]),
+    data=st.data(),
+)
+def test_one_field_mutations_exit_cleanly(fuzz_dir, name, command, data):
+    """A wrong type, a non-finite or huge number, a wrong length or a deleted
+    key anywhere in a fixture ends in exit 0, 1 or 2, never in an exception."""
+    scenario = json.loads(Path(fixture_path(name)).read_text(encoding="utf-8"))
+    # a random walk from the root picks the field
+    parent, key, node = None, None, scenario
+    while isinstance(node, (dict, list)) and node and data.draw(st.booleans()):
+        parent = node
+        key = data.draw(st.sampled_from(list(node) if isinstance(node, dict) else range(len(node))))
+        node = node[key]
+    edit = data.draw(st.sampled_from(_FUZZ_VALUES + _FUZZ_EDITS))
+    if edit == "delete" and parent is not None:
+        del parent[key]
+    elif edit in ("shorten", "lengthen") and isinstance(node, list) and node:
+        node[:] = node[:-1] if edit == "shorten" else node + [copy.deepcopy(node[-1])]
+    elif edit not in _FUZZ_EDITS:
+        if parent is None:
+            scenario = edit
+        else:
+            parent[key] = copy.deepcopy(edit)
+    path = fuzz_dir / "mutated.json"
+    path.write_text(json.dumps(scenario), encoding="utf-8")
+    code, _, _ = run_cli([command, str(path)])
+    assert code in (0, 1, 2)

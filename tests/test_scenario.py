@@ -1,12 +1,15 @@
+import copy
 import json
 
 import numpy as np
 import pytest
 from conftest import dense_coupling
 
+import envborn.scenario
 from envborn.scenario import (
     MAX_COMPOSITE_DIM,
     MAX_SAMPLES,
+    MAX_TRIALS,
     ScenarioError,
     decode_vector,
     encode_vector,
@@ -222,6 +225,61 @@ class TestParsing:
         with pytest.raises(ScenarioError, match="integer"):
             parse_scenario(minimal_derive(sampling={"n": 10.5, "seed": 0}))
 
+    def test_mixture_trials_bounded(self):
+        data = {
+            "mixture": {
+                "components": [{"state": [[1, 0]], "weight": 1.0}],
+                "auto_purify": True,
+                "trials": MAX_TRIALS,
+            }
+        }
+        assert parse_scenario(data).raw["mixture"]["trials"] == MAX_TRIALS
+        for trials in (MAX_TRIALS + 1, 10**400):
+            data["mixture"]["trials"] = trials
+            with pytest.raises(ScenarioError, match=r"mixture\.trials"):
+                parse_scenario(data)
+
+    def test_raw_shares_no_list_with_the_input(self):
+        data = {
+            "dims": [2, 2],
+            "composite_state": [[1, 0], [0, 0], [0, 0], [1, 0]],
+            "mixture": {
+                "components": [
+                    {"state": [[1, 0], [0, 0]], "weight": 0.5},
+                    {"state": [[0, 0], [1, 0]], "weight": 0.5},
+                ],
+                "counts": [1, 1],
+            },
+            "sampling": {"n": 10, "seed": 0, "bias": [1, -1]},
+        }
+        scenario = parse_scenario(data)
+        before = copy.deepcopy(scenario.raw)
+        data["dims"][0] = 3
+        data["composite_state"][0][0] = 0.5
+        data["mixture"]["components"][0]["state"].append([0, 0])
+        data["mixture"]["counts"].append(3)
+        data["sampling"]["bias"][0] = 5
+        assert scenario.raw == before
+
+    def test_each_vector_decoded_once(self, monkeypatch):
+        # complete sugar and default pointer projectors reuse their basis vectors
+        calls = []
+
+        def counted(data, what, dim=None):
+            calls.append(what)
+            return decode_vector(data, what, dim)
+
+        monkeypatch.setattr(envborn.scenario, "decode_vector", counted)
+        parse_scenario(minimal_derive()).model()
+        assert sorted(calls) == [
+            "apparatus.pointer_states[0]",
+            "apparatus.pointer_states[1]",
+            "input_state",
+            "observable.complete[0]",
+            "observable.complete[1]",
+            "ready_state",
+        ]
+
 
 class TestBuilders:
     def test_model_builds_and_couples(self):
@@ -239,6 +297,10 @@ class TestBuilders:
     def test_unknown_override(self):
         with pytest.raises(ScenarioError, match="unitary_override"):
             parse_scenario(minimal_derive(unitary_override="swap")).model()
+
+    def test_identity_override_kept_without_a_model(self):
+        scenario = parse_scenario({"dims": [2, 2], "unitary_override": "identity"})
+        assert scenario.raw["unitary_override"] == "identity"
 
     def test_input_state_normalized_on_build(self):
         scenario = parse_scenario(minimal_derive(input_state=[[3, 0], [4, 0]]))
@@ -262,7 +324,7 @@ class TestLoadScenario:
         path = tmp_path / "ok.json"
         path.write_text(json.dumps(minimal_derive()), encoding="utf-8")
         scenario = load_scenario(path)
-        assert parse_scenario(scenario.canonical()).canonical() == scenario.canonical()
+        assert parse_scenario(scenario.raw).raw == scenario.raw
 
     def test_default_tolerance_override(self, tmp_path):
         path = tmp_path / "ok.json"

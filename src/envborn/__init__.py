@@ -12,7 +12,6 @@ from .hilbert import (
     NORM_TOL,
     Audit,
     DensityOperator,
-    HilbertSpace,
     Observable,
     Operator,
     Projector,
@@ -25,7 +24,6 @@ from .hilbert import (
     partial_trace,
     projector_from_span,
     pure_density,
-    spectral_observable,
     tensor,
     trace_probability,
 )

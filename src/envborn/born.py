@@ -37,7 +37,6 @@ from .hilbert import (
     DEFAULT_TOL,
     Audit,
     DensityOperator,
-    Operator,
     Projector,
     StateVector,
     check_orthogonal,
@@ -126,7 +125,7 @@ def complement_check(
     for v in schmidt2:
         comp -= np.outer(v.amplitudes, v.amplitudes.conj())
     # Raises when not Hermitian/idempotent within tol.
-    Projector(Operator(q.space, comp), tol)
+    Projector(comp, tol)
     return float(np.linalg.norm(psi12.matrix @ comp.T))
 
 
@@ -139,10 +138,10 @@ def check_additivity(
     only exercise the finite restriction of countable additivity.
     """
     check_orthogonal(parts, tol)
-    total = np.zeros((rho.space.dim, rho.space.dim), dtype=complex)
+    total = np.zeros((rho.dim, rho.dim), dtype=complex)
     for p in parts:
         total += p.matrix
-    whole = trace_probability(Projector(Operator(rho.space, total), tol), rho, tol)
+    whole = trace_probability(Projector(total, tol), rho, tol)
     pieces = sum(trace_probability(p, rho, tol) for p in parts)
     return abs(whole - pieces)
 
@@ -197,12 +196,7 @@ def derive_probabilities(
             form = branch_forms[n]
             detail = tuple(float(weights[n] * c**2) for c in form.coefficients)
             derived = float(sum(detail))
-            parts = [
-                Projector(
-                    Operator(form.basis2[0].space, np.outer(v.amplitudes, v.amplitudes.conj()))
-                )
-                for v in form.basis2
-            ]
+            parts = [Projector(np.outer(v.amplitudes, v.amplitudes.conj())) for v in form.basis2]
             try:
                 additivity[n] = check_additivity(rho2, parts, tol)
             except ValueError:

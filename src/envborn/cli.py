@@ -49,24 +49,14 @@ EXIT_INPUT = 2
 _ENV_TOLERANCE = "ENVBORN_TOLERANCE"
 
 
-def _jsonable(value):
-    """Recursively convert numpy scalars and non-finite floats for JSON."""
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, (np.floating, float)):
-        f = float(value)
-        return f if math.isfinite(f) else None
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, np.bool_):
-        return bool(value)
-    return value
+def _finite(x: float) -> float | None:
+    """``x``, or ``None`` for the ``inf`` a failed audit step records."""
+    return x if math.isfinite(x) else None
 
 
 def _dump(report: dict | list) -> str:
-    return json.dumps(_jsonable(report), sort_keys=True, indent=2) + "\n"
+    # the builders emit plain Python values; a non-finite float is a bug, not output
+    return json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def _apply_overrides(scenario: Scenario, args) -> Scenario:
@@ -118,7 +108,7 @@ def _derivation_section(scenario: Scenario) -> tuple[dict, list[float], bool]:
         model, phi, tol=scenario.operator_tol, seed=scenario.seed
     )
     audits = {
-        name: {"ok": audit.passed, "max_residual": audit.max_residual}
+        name: {"ok": audit.passed, "max_residual": _finite(audit.max_residual)}
         for name, audit in report.audits.items()
     }
     section = {
@@ -130,7 +120,7 @@ def _derivation_section(scenario: Scenario) -> tuple[dict, list[float], bool]:
                 "oracle": r.oracle,
                 "residual": r.residual,
                 "schmidt_detail": list(r.schmidt_detail),
-                "complement_residual": r.complement_residual,
+                "complement_residual": _finite(r.complement_residual),
             }
             for r in report.records
         ],
@@ -263,6 +253,23 @@ def render_text(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _render_stored(report) -> str:
+    """``render_text`` of a report read back from JSON; raises ValueError,
+    with the reason, for anything this version cannot render."""
+    if not isinstance(report, dict):
+        raise ValueError(
+            f"is not a valid envborn report: expected an object, got {type(report).__name__}"
+        )
+    if report.get("schema_version") != SCHEMA_VERSION:
+        raise ValueError(f"has unsupported schema {report.get('schema_version')!r}")
+    try:
+        return render_text(report)
+    except KeyError as exc:
+        raise ValueError(f"is not a valid envborn report: missing field {exc}") from exc
+    except (AttributeError, IndexError, TypeError, ValueError, ArithmeticError) as exc:
+        raise ValueError(f"is not a valid envborn report: {exc}") from exc
+
+
 # -- argument parsing and dispatch ----------------------------------------------
 
 
@@ -350,19 +357,21 @@ def main(argv: list[str] | None = None) -> int:
         code = EXIT_PASS
         for path in args.files:
             try:
-                report = json.loads(Path(path).read_text(encoding="utf-8"))
-            except (OSError, json.JSONDecodeError) as exc:
+                stored = json.loads(Path(path).read_text(encoding="utf-8"))
+            # json.loads raises a plain ValueError for an integer of over 4300
+            # digits and RecursionError for deep nesting
+            except (OSError, ValueError, RecursionError) as exc:
                 print(f"error: cannot read report {path}: {exc}", file=sys.stderr)
                 return EXIT_INPUT
-            if report.get("schema_version") != SCHEMA_VERSION:
-                print(
-                    f"error: {path} has unsupported schema "
-                    f"{report.get('schema_version')!r}",
-                    file=sys.stderr,
-                )
+            # a batch run stores a non-empty list of reports, rendered in order
+            batch = stored if isinstance(stored, list) and stored else [stored]
+            try:
+                text = "".join(_render_stored(report) for report in batch)
+            except ValueError as exc:
+                print(f"error: {path} {exc}", file=sys.stderr)
                 return EXIT_INPUT
-            sys.stdout.write(render_text(report))
-            if not report.get("pass"):
+            sys.stdout.write(text)
+            if not all(report.get("pass") for report in batch):
                 code = max(code, EXIT_VERIFICATION)
         return code
 

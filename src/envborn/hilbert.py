@@ -1,8 +1,8 @@
 """Dense finite-dimensional Hilbert-space arithmetic.
 
 States, operators, projectors, observables and density operators are immutable
-wrappers around complex numpy arrays.  Every operation is pure; values are safe
-to share across threads.
+wrappers around complex numpy arrays.  A value's dimension is its array's
+shape.  Every operation is pure; values are safe to share across threads.
 
 Two absolute tolerances are used throughout the package: ``DEFAULT_TOL`` for
 operator-identity checks (idempotence, completeness, unitarity) and the
@@ -22,7 +22,6 @@ __all__ = [
     "DEFAULT_TOL",
     "NORM_TOL",
     "Audit",
-    "HilbertSpace",
     "StateVector",
     "Operator",
     "Projector",
@@ -35,7 +34,6 @@ __all__ = [
     "pure_density",
     "partial_trace",
     "trace_probability",
-    "spectral_observable",
     "complete_observable",
     "projector_from_span",
     "orthonormalize",
@@ -53,7 +51,9 @@ def _freeze(values) -> np.ndarray:
 
 
 def _as_vector(values, dim: int | None = None) -> np.ndarray:
-    vec = np.asarray(values, dtype=complex).reshape(-1)
+    vec = np.asarray(values, dtype=complex)
+    if vec.ndim != 1 or vec.size == 0:
+        raise ValueError(f"expected a non-empty 1-D vector, got shape {vec.shape}")
     if dim is not None and vec.shape != (dim,):
         raise ValueError(f"expected a vector of length {dim}, got {vec.shape}")
     return vec
@@ -80,37 +80,13 @@ class Audit:
 
 
 @dataclass(frozen=True)
-class HilbertSpace:
-    """A finite-dimensional complex vector space with a cosmetic label.
-
-    Compatibility between values is decided by dimension alone; the label
-    exists for readable reports and error messages.
-    """
-
-    dim: int
-    label: str = ""
-
-    def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError(f"dimension must be >= 1, got {self.dim}")
-
-
-def _check_dim(space: HilbertSpace, other: HilbertSpace, what: str) -> None:
-    if space.dim != other.dim:
-        raise ValueError(
-            f"dimension mismatch in {what}: {space.dim} vs {other.dim}"
-        )
-
-
-@dataclass(frozen=True)
 class StateVector:
-    """A unit vector of complex amplitudes over a HilbertSpace."""
+    """A unit vector of complex amplitudes."""
 
-    space: HilbertSpace
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        vec = _freeze(_as_vector(self.amplitudes, self.space.dim))
+        vec = _freeze(_as_vector(self.amplitudes))
         if not abs(np.linalg.norm(vec) - 1.0) <= NORM_TOL:  # also rejects NaN
             raise ValueError(
                 f"state vector is not normalized: |norm - 1| = "
@@ -120,59 +96,48 @@ class StateVector:
 
     @property
     def dim(self) -> int:
-        return self.space.dim
+        return self.amplitudes.shape[0]
 
 
 @dataclass(frozen=True)
 class Operator:
     """A general linear map as a dense dim x dim complex matrix."""
 
-    space: HilbertSpace
     matrix: np.ndarray
 
     def __post_init__(self):
         mat = _freeze(self.matrix)
-        d = self.space.dim
-        if mat.shape != (d, d):
-            raise ValueError(f"expected a {d}x{d} matrix, got {mat.shape}")
+        if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.size == 0:
+            raise ValueError(f"expected a non-empty square matrix, got shape {mat.shape}")
         object.__setattr__(self, "matrix", mat)
 
     @property
     def dim(self) -> int:
-        return self.space.dim
+        return self.matrix.shape[0]
 
     def unitary_residual(self) -> float:
         """Frobenius residual ``||M^H M - I||``."""
-        d = self.space.dim
-        return float(np.linalg.norm(self.matrix.conj().T @ self.matrix - np.eye(d)))
+        return float(np.linalg.norm(self.matrix.conj().T @ self.matrix - np.eye(self.dim)))
 
     def is_unitary(self, tol: float = DEFAULT_TOL) -> bool:
         return self.unitary_residual() <= tol
 
 
 @dataclass(frozen=True)
-class Projector:
+class Projector(Operator):
     """An orthogonal projector: Hermitian and idempotent within tolerance."""
 
-    base: Operator
     tol: float = DEFAULT_TOL
 
     def __post_init__(self):
-        mat = self.base.matrix
+        super().__post_init__()
+        mat = self.matrix
         herm = np.linalg.norm(mat - mat.conj().T)
         if herm > self.tol:
             raise ValueError(f"projector is not Hermitian: residual {herm:.3e}")
         idem = np.linalg.norm(mat @ mat - mat)
         if idem > self.tol:
             raise ValueError(f"projector is not idempotent: residual {idem:.3e}")
-
-    @property
-    def space(self) -> HilbertSpace:
-        return self.base.space
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return self.base.matrix
 
     @property
     def rank(self) -> int:
@@ -194,7 +159,6 @@ class Observable:
     """Spectral form: distinct real eigenvalues with an orthogonal, complete
     projector family (eigenvalues may be arbitrarily degenerate)."""
 
-    space: HilbertSpace
     eigenvalues: tuple[float, ...]
     projectors: tuple[Projector, ...]
     tol: float = DEFAULT_TOL
@@ -203,16 +167,20 @@ class Observable:
         values = tuple(float(v) for v in self.eigenvalues)
         projs = tuple(self.projectors)
         if len(values) != len(projs):
-            raise ValueError("one projector per eigenvalue is required")
+            raise ValueError("eigenvalues and projectors must have the same length")
+        if not projs:
+            raise ValueError("an observable needs at least one outcome")
         if len(set(values)) != len(values):
             raise ValueError(f"eigenvalues are not pairwise distinct: {values}")
+        d = projs[0].dim
         for p in projs:
-            _check_dim(p.space, self.space, "observable projector")
+            if p.dim != d:
+                raise ValueError(f"dimension mismatch in observable projector: {p.dim} vs {d}")
             if p.rank < 1:
                 raise ValueError("eigenprojectors must have rank >= 1")
         check_orthogonal(projs, self.tol)
         total = sum(p.matrix for p in projs)
-        completeness = np.linalg.norm(total - np.eye(self.space.dim))
+        completeness = np.linalg.norm(total - np.eye(d))
         if completeness > self.tol:
             raise ValueError(
                 f"projectors do not resolve the identity: residual {completeness:.3e}"
@@ -221,23 +189,23 @@ class Observable:
         object.__setattr__(self, "projectors", projs)
 
     @property
+    def dim(self) -> int:
+        return self.projectors[0].dim
+
+    @property
     def outcome_count(self) -> int:
         return len(self.eigenvalues)
 
 
 @dataclass(frozen=True)
-class DensityOperator:
+class DensityOperator(Operator):
     """A Hermitian, unit-trace, positive-semidefinite operator."""
 
-    space: HilbertSpace
-    matrix: np.ndarray
     tol: float = DEFAULT_TOL
 
     def __post_init__(self):
-        mat = _freeze(self.matrix)
-        d = self.space.dim
-        if mat.shape != (d, d):
-            raise ValueError(f"expected a {d}x{d} matrix, got {mat.shape}")
+        super().__post_init__()
+        mat = self.matrix
         herm = np.linalg.norm(mat - mat.conj().T)
         if herm > self.tol:
             raise ValueError(f"density operator is not Hermitian: residual {herm:.3e}")
@@ -249,31 +217,30 @@ class DensityOperator:
             raise ValueError(
                 f"density operator has a negative eigenvalue: {lowest:.3e}"
             )
-        object.__setattr__(self, "matrix", mat)
 
 
-def make_state(space: HilbertSpace, amplitudes) -> StateVector:
-    """Normalize ``amplitudes`` and wrap them as a StateVector on ``space``.
+def make_state(amplitudes) -> StateVector:
+    """Normalize ``amplitudes`` and wrap them as a StateVector.
 
-    Raises ValueError on length mismatch, a non-finite amplitude or a
+    Raises ValueError on a non-vector input, a non-finite amplitude or a
     (numerically) zero vector.
     """
-    vec = _as_vector(amplitudes, space.dim)
+    vec = _as_vector(amplitudes)
     if not np.all(np.isfinite(vec)):
         raise ValueError("amplitudes must be finite")
     norm = np.linalg.norm(vec)
     if norm < 1e-12:
         raise ValueError("cannot normalize a zero vector")
-    return StateVector(space, vec / norm)
+    return StateVector(vec / norm)
 
 
-def basis_state(space: HilbertSpace, index: int) -> StateVector:
-    """The computational basis vector e_index."""
-    if not 0 <= index < space.dim:
-        raise ValueError(f"basis index {index} out of range for dim {space.dim}")
-    vec = np.zeros(space.dim, dtype=complex)
+def basis_state(dim: int, index: int) -> StateVector:
+    """The computational basis vector e_index of length ``dim``."""
+    if not 0 <= index < dim:
+        raise ValueError(f"basis index {index} out of range for dim {dim}")
+    vec = np.zeros(dim, dtype=complex)
     vec[index] = 1.0
-    return StateVector(space, vec)
+    return StateVector(vec)
 
 
 def tensor(u: StateVector, v: StateVector) -> StateVector:
@@ -282,19 +249,17 @@ def tensor(u: StateVector, v: StateVector) -> StateVector:
     The amplitude at composite index (i, j) is ``u[i] * v[j]`` with flat index
     ``i * dim(v) + j``, matching ``np.kron``.
     """
-    label = f"{u.space.label}*{v.space.label}" if u.space.label or v.space.label else ""
-    space = HilbertSpace(u.dim * v.dim, label)
-    return StateVector(space, np.kron(u.amplitudes, v.amplitudes))
+    return StateVector(np.kron(u.amplitudes, v.amplitudes))
 
 
-def identity(space: HilbertSpace) -> Operator:
-    return Operator(space, np.eye(space.dim, dtype=complex))
+def identity(dim: int) -> Operator:
+    return Operator(np.eye(dim, dtype=complex))
 
 
 def pure_density(state: StateVector) -> DensityOperator:
     """The rank-1 density operator |phi><phi|."""
     vec = state.amplitudes
-    return DensityOperator(state.space, np.outer(vec, vec.conj()))
+    return DensityOperator(np.outer(vec, vec.conj()))
 
 
 def partial_trace(rho: DensityOperator, dims: tuple[int, int], keep: int) -> DensityOperator:
@@ -311,20 +276,12 @@ def partial_trace(rho: DensityOperator, dims: tuple[int, int], keep: int) -> Den
         0 keeps the first factor (traces out the second), 1 keeps the second.
     """
     d1, d2 = dims
-    if d1 * d2 != rho.space.dim:
-        raise ValueError(
-            f"declared factorization {d1}x{d2} does not match dim {rho.space.dim}"
-        )
+    if d1 * d2 != rho.dim:
+        raise ValueError(f"declared factorization {d1}x{d2} does not match dim {rho.dim}")
     if keep not in (0, 1):
         raise ValueError(f"keep must be 0 or 1, got {keep}")
     blocks = rho.matrix.reshape(d1, d2, d1, d2)
-    if keep == 0:
-        reduced = np.einsum("ajbj->ab", blocks)
-        space = HilbertSpace(d1, rho.space.label and f"{rho.space.label}.0")
-    else:
-        reduced = np.einsum("jajb->ab", blocks)
-        space = HilbertSpace(d2, rho.space.label and f"{rho.space.label}.1")
-    return DensityOperator(space, reduced)
+    return DensityOperator(np.einsum("ajbj->ab" if keep == 0 else "jajb->ab", blocks))
 
 
 def trace_probability(P: Projector, rho: DensityOperator, tol: float = DEFAULT_TOL) -> float:
@@ -335,7 +292,8 @@ def trace_probability(P: Projector, rho: DensityOperator, tol: float = DEFAULT_T
     that signals malformed inputs); tiny excursions outside [0, 1] from
     floating-point projector algebra are clamped.
     """
-    _check_dim(P.space, rho.space, "trace_probability")
+    if P.dim != rho.dim:
+        raise ValueError(f"dimension mismatch in trace_probability: {P.dim} vs {rho.dim}")
     value = complex(np.trace(P.matrix @ rho.matrix))
     if abs(value.imag) > tol:
         raise ValueError(
@@ -345,21 +303,6 @@ def trace_probability(P: Projector, rho: DensityOperator, tol: float = DEFAULT_T
     if p < -tol or p > 1.0 + tol:
         raise ValueError(f"trace value {p!r} lies outside [0, 1] beyond tolerance")
     return min(max(p, 0.0), 1.0)
-
-
-def spectral_observable(
-    eigenvalues: Sequence[float],
-    projectors: Sequence[Projector],
-    tol: float = DEFAULT_TOL,
-) -> Observable:
-    """Build an Observable from eigenvalues and eigenprojectors, verifying all
-    invariants (distinctness, mutual orthogonality, completeness)."""
-    if len(eigenvalues) != len(projectors):
-        raise ValueError("eigenvalues and projectors must have the same length")
-    if not projectors:
-        raise ValueError("an observable needs at least one outcome")
-    space = projectors[0].space
-    return Observable(space, tuple(float(v) for v in eigenvalues), tuple(projectors), tol)
 
 
 def complete_observable(
@@ -374,7 +317,7 @@ def complete_observable(
     if eigenvalues is None:
         eigenvalues = list(range(len(basis)))
     projectors = [projector_from_span([b], tol=tol) for b in basis]
-    return spectral_observable(eigenvalues, projectors, tol=tol)
+    return Observable(eigenvalues, projectors, tol)
 
 
 def orthonormalize(vectors: Iterable[np.ndarray], dependence_tol: float = 1e-10) -> list[np.ndarray]:
@@ -404,14 +347,10 @@ def projector_from_span(
     """Orthogonal projector onto the span of the given vectors."""
     if not vectors:
         raise ValueError("span requires at least one vector")
-    first = vectors[0]
-    space = first.space if isinstance(first, StateVector) else HilbertSpace(len(_as_vector(first)))
-    raw = [
-        v.amplitudes if isinstance(v, StateVector) else _as_vector(v, space.dim)
-        for v in vectors
-    ]
-    basis = orthonormalize(raw)
-    mat = np.zeros((space.dim, space.dim), dtype=complex)
+    raw = [v.amplitudes if isinstance(v, StateVector) else v for v in vectors]
+    d = len(_as_vector(raw[0]))
+    basis = orthonormalize(_as_vector(v, d) for v in raw)
+    mat = np.zeros((d, d), dtype=complex)
     for b in basis:
         mat += np.outer(b, b.conj())
-    return Projector(Operator(space, mat), tol)
+    return Projector(mat, tol)

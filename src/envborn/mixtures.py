@@ -26,7 +26,6 @@ import numpy as np
 
 from .hilbert import (
     DensityOperator,
-    HilbertSpace,
     Projector,
     StateVector,
     NORM_TOL,
@@ -61,8 +60,7 @@ class MixtureSpec:
         total = sum(w for _, w in comps)
         if abs(total - 1.0) > NORM_TOL:
             raise ValueError(f"weights sum to {total!r}, expected 1")
-        dim = comps[0][0].space.dim
-        if any(s.space.dim != dim for s, _ in comps):
+        if any(s.dim != comps[0][0].dim for s, _ in comps):
             raise ValueError("all components must share one space")
         if self.counts is not None:
             counts = tuple(int(n) for n in self.counts)
@@ -80,17 +78,17 @@ class MixtureSpec:
         object.__setattr__(self, "components", comps)
 
     @property
-    def space(self) -> HilbertSpace:
-        return self.components[0][0].space
+    def dim(self) -> int:
+        return self.components[0][0].dim
 
 
 def mix(spec: MixtureSpec) -> DensityOperator:
     """The proper-mixture density operator ``sum_k w_k |phi_k><phi_k|``."""
-    d = spec.space.dim
+    d = spec.dim
     rho = np.zeros((d, d), dtype=complex)
     for state, w in spec.components:
         rho += w * np.outer(state.amplitudes, state.amplitudes.conj())
-    return DensityOperator(spec.space, rho)
+    return DensityOperator(rho)
 
 
 def _proper(P: Projector, spec: MixtureSpec, rho_mix: DensityOperator, tol: float) -> float:
@@ -120,14 +118,14 @@ def _improper(P1: Projector, psi: np.ndarray, rho1: DensityOperator, tol: float)
 
 def _reduced_first(psi: np.ndarray) -> DensityOperator:
     """``rho_1 = Psi Psi^H`` for the coefficient matrix ``Psi``."""
-    return DensityOperator(HilbertSpace(psi.shape[0]), np.einsum("aj,bj->ab", psi, psi.conj()))
+    return DensityOperator(np.einsum("aj,bj->ab", psi, psi.conj()))
 
 
 def proper_probability(P: Projector, spec: MixtureSpec, tol: float = NORM_TOL) -> float:
     """Event probability in a proper mixture via the sub-ensemble sum
     ``sum_k w_k <phi_k|P|phi_k>``, verified on every call against the trace
     rule on the mixed density operator."""
-    if P.space.dim != spec.space.dim:
+    if P.dim != spec.dim:
         raise ValueError("projector and mixture spaces differ")
     return _proper(P, spec, mix(spec), tol)
 
@@ -136,8 +134,8 @@ def improper_probability(P1: Projector, psi12: BipartiteState, tol: float = NORM
     """First-factor event probability in an entangled composite, computed both
     on the composite state and through the reduced density operator; the two
     must agree within ``tol``."""
-    if P1.space.dim != psi12.d1:
-        raise ValueError(f"projector dim {P1.space.dim} does not match factor 1 ({psi12.d1})")
+    if P1.dim != psi12.d1:
+        raise ValueError(f"projector dim {P1.dim} does not match factor 1 ({psi12.d1})")
     return _improper(P1, psi12.matrix, _reduced_first(psi12.matrix), tol)
 
 
@@ -165,11 +163,10 @@ def proper_improper_equivalence(
             "proper/improper comparison is meaningless"
         )
     rng = np.random.default_rng(seed)
-    space1 = HilbertSpace(psi12.d1)
     worst = 0.0
     for _ in range(trials):
-        rank = int(rng.integers(1, space1.dim + 1))
-        P = random_projector(space1, rank, rng)
+        rank = int(rng.integers(1, psi12.d1 + 1))
+        P = random_projector(psi12.d1, rank, rng)
         proper = _proper(P, spec, rho_mix, NORM_TOL)
         worst = max(worst, abs(proper - _improper(P, psi, rho1, NORM_TOL)))
     return worst

@@ -35,7 +35,6 @@ import numpy as np
 from .hilbert import (
     DEFAULT_TOL,
     Audit,
-    HilbertSpace,
     Observable,
     Operator,
     Projector,
@@ -74,7 +73,6 @@ class PointerApparatus:
     apparatus dimension (enforced through the observable's completeness).
     """
 
-    space: HilbertSpace
     ready_state: StateVector
     pointer_observable: Observable
     pointer_states: tuple[StateVector, ...]
@@ -82,16 +80,17 @@ class PointerApparatus:
 
     def __post_init__(self):
         states = tuple(self.pointer_states)
-        if self.ready_state.space.dim != self.space.dim:
-            raise ValueError("ready state does not live on the apparatus space")
-        if self.pointer_observable.space.dim != self.space.dim:
-            raise ValueError("pointer observable does not live on the apparatus space")
+        if self.ready_state.dim != self.pointer_observable.dim:
+            raise ValueError(
+                f"ready state dim {self.ready_state.dim} does not match "
+                f"pointer observable dim {self.pointer_observable.dim}"
+            )
         if len(states) != self.pointer_observable.outcome_count:
             raise ValueError(
                 f"{len(states)} pointer states for "
                 f"{self.pointer_observable.outcome_count} pointer outcomes"
             )
-        if len(states) > self.space.dim:
+        if len(states) > self.dim:
             raise ValueError("more pointer outcomes than apparatus dimensions")
         if gram_residual(states) > self.tol:
             raise ValueError("pointer states are not orthonormal within tolerance")
@@ -103,6 +102,10 @@ class PointerApparatus:
                     f"(residual {residual:.3e})"
                 )
         object.__setattr__(self, "pointer_states", states)
+
+    @property
+    def dim(self) -> int:
+        return self.ready_state.dim
 
     @property
     def outcome_count(self) -> int:
@@ -132,10 +135,8 @@ class PremeasurementModel:
 
     def __post_init__(self):
         d1, d2 = self.d1, self.d2
-        if isinstance(self.coupling, Operator) and self.coupling.space.dim != d1 * d2:
-            raise ValueError(
-                f"composite unitary dim {self.coupling.space.dim}, expected {d1 * d2}"
-            )
+        if isinstance(self.coupling, Operator) and self.coupling.dim != d1 * d2:
+            raise ValueError(f"composite unitary dim {self.coupling.dim}, expected {d1 * d2}")
         if self.measured.outcome_count != self.apparatus.outcome_count:
             raise ValueError(
                 "measured and pointer outcome counts differ "
@@ -148,7 +149,7 @@ class PremeasurementModel:
             ready_map = self.coupling.matrix.reshape(d1 * d2, d1, d2) @ ready
         else:
             blocks = tuple(self.coupling)
-            if len(blocks) != self.outcome_count or any(v.space.dim != d2 for v in blocks):
+            if len(blocks) != self.outcome_count or any(v.dim != d2 for v in blocks):
                 raise ValueError(
                     f"a block coupling needs {self.outcome_count} apparatus operators "
                     f"of dim {d2}"
@@ -169,19 +170,15 @@ class PremeasurementModel:
 
     @property
     def d1(self) -> int:
-        return self.measured.space.dim
+        return self.measured.dim
 
     @property
     def d2(self) -> int:
-        return self.apparatus.space.dim
+        return self.apparatus.dim
 
     @property
     def outcome_count(self) -> int:
         return self.measured.outcome_count
-
-    @property
-    def composite_space(self) -> HilbertSpace:
-        return HilbertSpace(self.d1 * self.d2, "system*pointer")
 
 
 def _block_grams(blocks: np.ndarray) -> np.ndarray:
@@ -250,9 +247,9 @@ def householder_map(origin: StateVector, target: StateVector) -> Operator:
     phase rotation on the target direction then pins the image to ``target``
     with coefficient +1.  Equal states map to the identity.
     """
-    if origin.space.dim != target.space.dim:
+    if origin.dim != target.dim:
         raise ValueError("origin and target must share a dimension")
-    d = origin.space.dim
+    d = origin.dim
     x = origin.amplitudes
     y = target.amplitudes
     overlap = complex(y.conj() @ x)
@@ -262,11 +259,11 @@ def householder_map(origin: StateVector, target: StateVector) -> Operator:
     phase_fix = np.eye(d, dtype=complex) + (np.conj(alpha) - 1.0) * np.outer(y, y.conj())
     if norm_w_sq < 1e-24:
         # origin is (numerically) a phase multiple of target: rotate that ray.
-        return Operator(origin.space, phase_fix)
+        return Operator(phase_fix)
     # dividing by <w, w> instead of normalizing w keeps basis-to-basis maps
     # exact permutation matrices
     reflection = np.eye(d, dtype=complex) - (2.0 / norm_w_sq) * np.outer(w, w.conj())
-    return Operator(origin.space, phase_fix @ reflection)
+    return Operator(phase_fix @ reflection)
 
 
 def build_premeasurement(
@@ -287,8 +284,8 @@ def build_premeasurement(
 def evolve(model: PremeasurementModel, phi: StateVector) -> BipartiteState:
     """Couple ``phi`` to the ready apparatus: ``U (phi (x) ready)``,
     normalized, as the coefficient matrix ``W @ phi`` reshaped to ``d1 x d2``."""
-    if phi.space.dim != model.d1:
-        raise ValueError(f"input state dim {phi.space.dim}, expected {model.d1}")
+    if phi.dim != model.d1:
+        raise ValueError(f"input state dim {phi.dim}, expected {model.d1}")
     out = model.ready_map @ phi.amplitudes
     return BipartiteState((out / np.linalg.norm(out)).reshape(model.d1, model.d2))
 

@@ -11,12 +11,9 @@ import numpy as np
 
 from .hilbert import (
     DensityOperator,
-    HilbertSpace,
-    Operator,
     Projector,
     StateVector,
     make_state,
-    projector_from_span,
 )
 
 __all__ = [
@@ -35,8 +32,8 @@ def random_unit_vector(dim: int, rng: np.random.Generator) -> np.ndarray:
     return vec / np.linalg.norm(vec)
 
 
-def random_state(space: HilbertSpace, rng: np.random.Generator) -> StateVector:
-    return make_state(space, random_unit_vector(space.dim, rng))
+def random_state(dim: int, rng: np.random.Generator) -> StateVector:
+    return make_state(random_unit_vector(dim, rng))
 
 
 def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -48,38 +45,33 @@ def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     return q * phases
 
 
-def random_projector(space: HilbertSpace, rank: int, rng: np.random.Generator) -> Projector:
-    """Random rank-``rank`` orthogonal projector on ``space``."""
-    if not 1 <= rank <= space.dim:
-        raise ValueError(f"rank must be in [1, {space.dim}], got {rank}")
-    u = random_unitary(space.dim, rng)
-    mat = u[:, :rank] @ u[:, :rank].conj().T
-    return Projector(Operator(space, mat))
+def random_projector(dim: int, rank: int, rng: np.random.Generator) -> Projector:
+    """Random rank-``rank`` orthogonal projector of dimension ``dim``."""
+    if not 1 <= rank <= dim:
+        raise ValueError(f"rank must be in [1, {dim}], got {rank}")
+    u = random_unitary(dim, rng)
+    return Projector(u[:, :rank] @ u[:, :rank].conj().T)
 
 
-def random_density(space: HilbertSpace, rng: np.random.Generator) -> DensityOperator:
+def random_density(dim: int, rng: np.random.Generator) -> DensityOperator:
     """Random full-rank density operator (normalized Wishart)."""
-    d = space.dim
-    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     w = g @ g.conj().T
-    return DensityOperator(space, w / np.trace(w).real)
+    return DensityOperator(w / np.trace(w).real)
 
 
-def random_orthogonal_partition(
-    space: HilbertSpace, parts: int, rng: np.random.Generator
-) -> list[Projector]:
-    """Split ``space`` into ``parts`` mutually orthogonal projectors of random
-    ranks summing to the dimension (each part nonempty)."""
-    d = space.dim
-    if not 1 <= parts <= d:
-        raise ValueError(f"parts must be in [1, {d}], got {parts}")
-    cuts = np.sort(rng.choice(np.arange(1, d), size=parts - 1, replace=False))
-    ranks = np.diff(np.concatenate(([0], cuts, [d])))
-    u = random_unitary(d, rng)
+def random_orthogonal_partition(dim: int, parts: int, rng: np.random.Generator) -> list[Projector]:
+    """Split dimension ``dim`` into ``parts`` mutually orthogonal projectors of
+    random ranks summing to ``dim`` (each part nonempty)."""
+    if not 1 <= parts <= dim:
+        raise ValueError(f"parts must be in [1, {dim}], got {parts}")
+    cuts = np.sort(rng.choice(np.arange(1, dim), size=parts - 1, replace=False))
+    ranks = np.diff(np.concatenate(([0], cuts, [dim])))
+    u = random_unitary(dim, rng)
     projectors = []
     start = 0
     for r in ranks:
         cols = u[:, start : start + r]
-        projectors.append(Projector(Operator(space, cols @ cols.conj().T)))
+        projectors.append(Projector(cols @ cols.conj().T))
         start += r
     return projectors

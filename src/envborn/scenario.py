@@ -23,13 +23,11 @@ import numpy as np
 from .hilbert import (
     DEFAULT_TOL,
     NORM_TOL,
-    HilbertSpace,
     Observable,
     StateVector,
     identity,
     make_state,
     projector_from_span,
-    spectral_observable,
 )
 from .mixtures import MixtureSpec, mix, purify
 from .premeasurement import PointerApparatus, PremeasurementModel, build_premeasurement
@@ -52,6 +50,13 @@ class ScenarioError(ValueError):
     """Malformed or inconsistent scenario input (CLI exit code 2)."""
 
 
+def _shown(value, limit: int = 60) -> str:
+    """``repr(value)`` for an error message, cut to ``limit`` characters plus
+    ``...``, so that a huge rejected value cannot swamp the message."""
+    text = repr(value)
+    return text if len(text) <= limit else text[:limit] + "..."
+
+
 def encode_vector(vec: np.ndarray) -> list[list[float]]:
     return [[float(z.real), float(z.imag)] for z in np.asarray(vec, dtype=complex)]
 
@@ -66,10 +71,10 @@ def decode_vector(data, what: str, dim: int | None = None) -> np.ndarray:
             or len(pair) != 2
             or not all(_is_number(x) for x in pair)
         ):
-            raise ScenarioError(f"{what}[{i}] is not a [re, im] pair: {pair!r}")
+            raise ScenarioError(f"{what}[{i}] is not a [re, im] pair: {_shown(pair)}")
         # the bound rejects NaN, infinities and integers too large to convert
         if not all(abs(x) <= sys.float_info.max for x in pair):
-            raise ScenarioError(f"{what}[{i}] is not finite: {pair!r}")
+            raise ScenarioError(f"{what}[{i}] is not finite: {_shown(pair)}")
         out[i] = complex(float(pair[0]), float(pair[1]))
     if dim is not None and len(out) != dim:
         raise ScenarioError(f"{what} has length {len(out)}, expected {dim}")
@@ -156,9 +161,9 @@ def _present(part, what: str):
     return part
 
 
-def _normalized(space: HilbertSpace, vec: np.ndarray, what: str) -> StateVector:
+def _normalized(vec: np.ndarray, what: str) -> StateVector:
     try:
-        return make_state(space, vec)
+        return make_state(vec)
     except ValueError as exc:
         raise ScenarioError(f"invalid {what}: {exc}") from exc
 
@@ -198,12 +203,12 @@ def parse_scenario(data: dict, default_operator_tol: float = DEFAULT_TOL) -> Sce
     }
     unknown = set(data) - known
     if unknown:
-        raise ScenarioError(f"unknown scenario fields: {sorted(unknown)}")
+        raise ScenarioError(f"unknown scenario fields: {_shown(sorted(unknown))}")
 
     out: dict = {}
     out["name"] = data.get("name", "scenario")
     if not isinstance(out["name"], str):
-        raise ScenarioError(f"name must be a string, got {out['name']!r}")
+        raise ScenarioError(f"name must be a string, got {_shown(out['name'])}")
     out["seed"] = _integer(data.get("seed", 0), "seed", 0)
 
     tolerances = data.get("tolerances", {})
@@ -228,10 +233,10 @@ def parse_scenario(data: dict, default_operator_tol: float = DEFAULT_TOL) -> Sce
         or len(dims) != 2
         or not all(_is_integer(d) and d >= 1 for d in dims)
     ):
-        raise ScenarioError(f"dims must be two positive integers, got {dims!r}")
+        raise ScenarioError(f"dims must be two positive integers, got {_shown(dims)}")
     if dims[0] * dims[1] > MAX_COMPOSITE_DIM:
         raise ScenarioError(
-            f"dims {dims!r} give a composite dimension {dims[0] * dims[1]} "
+            f"dims {_shown(dims)} give a composite dimension {_shown(dims[0] * dims[1])} "
             f"above the limit {MAX_COMPOSITE_DIM}"
         )
     out["dims"] = [int(dims[0]), int(dims[1])]
@@ -241,7 +246,7 @@ def parse_scenario(data: dict, default_operator_tol: float = DEFAULT_TOL) -> Sce
     if "input_state" in data:
         vec = decode_vector(data["input_state"], "input_state", d1)
         out["input_state"] = encode_vector(vec)
-        phi = _normalized(HilbertSpace(d1, "sys"), vec, "input_state")
+        phi = _normalized(vec, "input_state")
     if "composite_state" in data:
         vec = decode_vector(data["composite_state"], "composite_state", d1 * d2)
         out["composite_state"] = encode_vector(vec)
@@ -256,7 +261,7 @@ def parse_scenario(data: dict, default_operator_tol: float = DEFAULT_TOL) -> Sce
         out["apparatus"], apparatus = _parse_apparatus(data["apparatus"], d2, tol)
     if "unitary_override" in data:
         if data["unitary_override"] != "identity":
-            raise ScenarioError(f"unknown unitary_override {data['unitary_override']!r}")
+            raise ScenarioError(f"unknown unitary_override {_shown(data['unitary_override'])}")
         out["unitary_override"] = "identity"
     if observable is not None and apparatus is not None:
         try:
@@ -265,7 +270,7 @@ def parse_scenario(data: dict, default_operator_tol: float = DEFAULT_TOL) -> Sce
             raise ScenarioError(f"cannot build premeasurement: {exc}") from exc
         if "unitary_override" in out:
             # negative-control hook: replace the coupling with the identity
-            model = PremeasurementModel(observable, apparatus, identity(model.composite_space), tol)
+            model = PremeasurementModel(observable, apparatus, identity(d1 * d2), tol)
 
     if "mixture" in data:
         out["mixture"], mixture = _parse_mixture(data["mixture"], d1, psi is not None)
@@ -290,7 +295,7 @@ def _is_number(value) -> bool:
 def _positive_float(value, what: str) -> float:
     # an upper bound of the largest float also rejects integers too large to convert
     if not _is_number(value) or not 0 < value <= sys.float_info.max:
-        raise ScenarioError(f"{what} must be a finite number > 0, got {value!r}")
+        raise ScenarioError(f"{what} must be a finite number > 0, got {_shown(value)}")
     return float(value)
 
 
@@ -300,7 +305,7 @@ def _is_integer(value) -> bool:
 
 def _integer(value, what: str, minimum: int) -> int:
     if not _is_integer(value) or value < minimum:
-        raise ScenarioError(f"{what} must be an integer >= {minimum}, got {value!r}")
+        raise ScenarioError(f"{what} must be an integer >= {minimum}, got {_shown(value)}")
     return value
 
 
@@ -343,7 +348,9 @@ def _parse_observable(spec, d1: int, tol: float) -> tuple[dict, Observable]:
     for n, v in enumerate(eigenvalues):
         # the bound rejects NaN, infinities and integers too large to convert
         if not _is_number(v) or not abs(v) <= sys.float_info.max:
-            raise ScenarioError(f"observable.eigenvalues[{n}] must be a finite number, got {v!r}")
+            raise ScenarioError(
+                f"observable.eigenvalues[{n}] must be a finite number, got {_shown(v)}"
+            )
     if len(eigenvalues) != len(spans):
         raise ScenarioError("observable needs one eigenvalue per projector")
     canonical = {
@@ -352,7 +359,7 @@ def _parse_observable(spec, d1: int, tol: float) -> tuple[dict, Observable]:
     }
     try:
         projectors = [projector_from_span(span) for span in spans]
-        return canonical, spectral_observable(canonical["eigenvalues"], projectors, tol)
+        return canonical, Observable(canonical["eigenvalues"], projectors, tol)
     except ValueError as exc:
         raise ScenarioError(f"invalid observable: {exc}") from exc
 
@@ -379,15 +386,12 @@ def _parse_apparatus(spec, d2: int, tol: float) -> tuple[dict, PointerApparatus]
         "pointer_states": [encode_vector(v) for v in pointer_states],
         "pointer_projectors": [[encode_vector(v) for v in span] for span in spans],
     }
-    space = HilbertSpace(d2, "pointer")
-    ready_state = _normalized(space, ready, "ready_state")
-    states = tuple(
-        _normalized(space, v, f"pointer state {n}") for n, v in enumerate(pointer_states)
-    )
+    ready_state = _normalized(ready, "ready_state")
+    states = tuple(_normalized(v, f"pointer state {n}") for n, v in enumerate(pointer_states))
     try:
         projectors = [projector_from_span(span) for span in spans]
-        pointer_obs = spectral_observable(list(range(len(projectors))), projectors, tol)
-        return canonical, PointerApparatus(space, ready_state, pointer_obs, states, tol)
+        pointer_obs = Observable(list(range(len(projectors))), projectors, tol)
+        return canonical, PointerApparatus(ready_state, pointer_obs, states, tol)
     except ValueError as exc:
         raise ScenarioError(f"invalid apparatus: {exc}") from exc
 
@@ -395,7 +399,6 @@ def _parse_apparatus(spec, d2: int, tol: float) -> tuple[dict, PointerApparatus]
 def _parse_mixture(spec, d1: int, has_partner: bool) -> tuple[dict, MixtureSpec]:
     if not isinstance(spec, dict):
         raise ScenarioError("mixture must be an object")
-    space = HilbertSpace(d1, "sys")
     canon_components, components = [], []
     for n, comp in enumerate(_require(spec, "components", list, "mixture")):
         if not isinstance(comp, dict) or "state" not in comp or "weight" not in comp:
@@ -403,17 +406,19 @@ def _parse_mixture(spec, d1: int, has_partner: bool) -> tuple[dict, MixtureSpec]
         vec = decode_vector(comp["state"], f"mixture.components[{n}].state", d1)
         weight = _positive_float(comp["weight"], f"mixture.components[{n}].weight")
         canon_components.append({"state": encode_vector(vec), "weight": weight})
-        components.append((_normalized(space, vec, f"mixture component {n}"), weight))
+        components.append((_normalized(vec, f"mixture component {n}"), weight))
     auto_purify = spec.get("auto_purify", False)
     if not isinstance(auto_purify, bool):
-        raise ScenarioError(f"mixture.auto_purify must be true or false, got {auto_purify!r}")
+        raise ScenarioError(f"mixture.auto_purify must be true or false, got {_shown(auto_purify)}")
     out = {
         "components": canon_components,
         "auto_purify": auto_purify,
         "trials": _integer(spec.get("trials", 50), "mixture.trials", 1),
     }
     if out["trials"] > MAX_TRIALS:
-        raise ScenarioError(f"mixture.trials must be at most {MAX_TRIALS}, got {out['trials']!r}")
+        raise ScenarioError(
+            f"mixture.trials must be at most {MAX_TRIALS}, got {_shown(out['trials'])}"
+        )
     if "counts" in spec:
         out["counts"] = _integer_list(spec["counts"], "mixture.counts")
     if auto_purify and has_partner:
@@ -435,7 +440,7 @@ def _canonical_sampling(spec) -> dict:
         "seed": _integer(_require(spec, "seed", object, "sampling"), "sampling.seed", 0),
     }
     if out["n"] > MAX_SAMPLES:
-        raise ScenarioError(f"sampling.n must be at most {MAX_SAMPLES}, got {out['n']!r}")
+        raise ScenarioError(f"sampling.n must be at most {MAX_SAMPLES}, got {_shown(out['n'])}")
     if "bias" in spec:
         out["bias"] = _integer_list(spec["bias"], "sampling.bias")
     return out
@@ -448,6 +453,8 @@ def load_scenario(path: str | Path, default_operator_tol: float = DEFAULT_TOL) -
         raise ScenarioError(f"cannot read {path}: {exc}") from exc
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    # json.loads raises a plain ValueError for an integer of over 4300 digits
+    # and RecursionError for deep nesting
+    except (ValueError, RecursionError) as exc:
         raise ScenarioError(f"{path} is not valid JSON: {exc}") from exc
     return parse_scenario(data, default_operator_tol)

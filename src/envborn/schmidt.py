@@ -25,7 +25,6 @@ from .hilbert import (
     NORM_TOL,
     Audit,
     DensityOperator,
-    HilbertSpace,
     Operator,
     Projector,
     StateVector,
@@ -81,7 +80,7 @@ class BipartiteState:
 def pointer_density(psi12: BipartiteState) -> DensityOperator:
     """Reduced state of the second factor, ``rho_2 = Psi.T @ Psi.conj()``."""
     psi = psi12.matrix
-    return DensityOperator(HilbertSpace(psi12.d2, "pointer"), psi.T @ psi.conj())
+    return DensityOperator(psi.T @ psi.conj())
 
 
 def gram_residual(vectors: Sequence[StateVector]) -> float:
@@ -113,8 +112,8 @@ class SchmidtForm:
             raise ValueError("coefficients must be in descending order")
         if abs(np.sum(coeffs**2) - 1.0) > self.tol:
             raise ValueError("squared coefficients must sum to 1")
-        d1 = self.basis1[0].space.dim
-        d2 = self.basis2[0].space.dim
+        d1 = self.basis1[0].dim
+        d2 = self.basis2[0].dim
         if n > min(d1, d2):
             raise ValueError(f"{n} terms exceed min factor dimension {min(d1, d2)}")
         for basis, name in ((self.basis1, "factor-1"), (self.basis2, "factor-2")):
@@ -139,7 +138,6 @@ def schmidt_decompose(psi: BipartiteState) -> SchmidtForm:
     nonzero component made real positive (compensating phase pushed into the
     factor-2 partner).
     """
-    d1, d2 = psi.dims
     u, s, vh = np.linalg.svd(psi.matrix, full_matrices=False)
     keep = s >= ZERO_BRANCH_THRESHOLD
     s = s[keep]
@@ -162,12 +160,10 @@ def schmidt_decompose(psi: BipartiteState) -> SchmidtForm:
     # SVD returns descending singular values; break ties deterministically by
     # the factor-1 leading-component index.
     order = sorted(range(len(s)), key=lambda i: (-s[i], lead_index[i]))
-    space1 = HilbertSpace(d1)
-    space2 = HilbertSpace(d2)
     return SchmidtForm(
         coefficients=np.array([s[i] for i in order]),
-        basis1=tuple(StateVector(space1, vecs1[i]) for i in order),
-        basis2=tuple(StateVector(space2, vecs2[i]) for i in order),
+        basis1=tuple(StateVector(vecs1[i]) for i in order),
+        basis2=tuple(StateVector(vecs2[i]) for i in order),
     )
 
 
@@ -197,11 +193,11 @@ def twin_unitary(form: SchmidtForm, phases: Sequence[float]) -> tuple[Operator, 
             f"expected {len(form)} phases (one per Schmidt term), got {len(phases)}"
         )
     th = np.asarray(phases, dtype=float)
-    d1 = form.basis1[0].space.dim
-    d2 = form.basis2[0].space.dim
+    d1 = form.basis1[0].dim
+    d2 = form.basis2[0].dim
     u1 = _phased_identity(d1, form.basis1, np.exp(1j * th))
     u2 = _phased_identity(d2, form.basis2, np.exp(-1j * th))
-    return Operator(HilbertSpace(d1), u1), Operator(HilbertSpace(d2), u2)
+    return Operator(u1), Operator(u2)
 
 
 def swap_witness(form: SchmidtForm, perm: Sequence[int]) -> tuple[Operator, Operator]:
@@ -225,8 +221,8 @@ def swap_witness(form: SchmidtForm, perm: Sequence[int]) -> tuple[Operator, Oper
                 f"coefficients {coeffs[i]!r} and {coeffs[perm[i]]!r} moved by the "
                 "permutation are unequal; the swap would not be envariant"
             )
-    d1 = form.basis1[0].space.dim
-    d2 = form.basis2[0].space.dim
+    d1 = form.basis1[0].dim
+    d2 = form.basis2[0].dim
     u1 = np.eye(d1, dtype=complex)
     u2 = np.eye(d2, dtype=complex)
     for i in moving:
@@ -234,7 +230,7 @@ def swap_witness(form: SchmidtForm, perm: Sequence[int]) -> tuple[Operator, Oper
         a2, t2 = form.basis2[i].amplitudes, form.basis2[perm[i]].amplitudes
         u1 += np.outer(t1, a1.conj()) - np.outer(a1, a1.conj())
         u2 += np.outer(t2, a2.conj()) - np.outer(a2, a2.conj())
-    return Operator(HilbertSpace(d1), u1), Operator(HilbertSpace(d2), u2)
+    return Operator(u1), Operator(u2)
 
 
 def check_envariance(
@@ -243,9 +239,9 @@ def check_envariance(
     """The invariance residual ||(U1 x U2) Psi - Psi||, computed on the
     coefficient matrix as ``U1 @ Psi @ U2.T``."""
     d1, d2 = psi.dims
-    if u1.space.dim != d1 or u2.space.dim != d2:
+    if u1.dim != d1 or u2.dim != d2:
         raise ValueError(
-            f"factor dimensions ({u1.space.dim}, {u2.space.dim}) do not match "
+            f"factor dimensions ({u1.dim}, {u2.dim}) do not match "
             f"state factors {psi.dims}"
         )
     for name, u in (("U1", u1), ("U2", u2)):
@@ -277,8 +273,8 @@ def sublemma_check(
     checked on the coefficient matrix as ``Psi @ Q2.T``.
     """
     d2 = psi.d2
-    if q2.space.dim != d2:
-        raise ValueError(f"Q2 dim {q2.space.dim} does not match factor 2 dim {d2}")
+    if q2.dim != d2:
+        raise ValueError(f"Q2 dim {q2.dim} does not match factor 2 dim {d2}")
     coeffs = psi.matrix
     hypothesis = float(np.linalg.norm(coeffs @ q2.matrix.T - coeffs))
     if hypothesis > tol:

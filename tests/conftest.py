@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from envborn.hilbert import HilbertSpace, Operator, StateVector, make_state, spectral_observable
+from envborn.hilbert import Observable, Operator, StateVector, make_state
 from envborn.premeasurement import (
     PointerApparatus,
     PremeasurementModel,
@@ -25,33 +25,31 @@ def random_scenario(d1, d2, outcomes, rng):
     the designated pointer states are random unit vectors inside their
     eigenspaces, and the ready state is unconstrained.
     """
-    sys_space = HilbertSpace(d1, "sys")
-    ptr_space = HilbertSpace(d2, "pointer")
     eigenvalues = sorted(rng.normal(size=outcomes) * 3, reverse=True)
-    measured = spectral_observable(
-        eigenvalues, random_orthogonal_partition(sys_space, outcomes, rng)
+    measured = Observable(
+        eigenvalues, random_orthogonal_partition(d1, outcomes, rng)
     )
-    pointer_projs = random_orthogonal_partition(ptr_space, outcomes, rng)
-    pointer_obs = spectral_observable(list(range(outcomes)), pointer_projs)
+    pointer_projs = random_orthogonal_partition(d2, outcomes, rng)
+    pointer_obs = Observable(list(range(outcomes)), pointer_projs)
     pointer_states = []
     for q in pointer_projs:
         basis = eigenspace_basis(q)
         coeff = random_unit_vector(len(basis), rng)
         pointer_states.append(
-            make_state(ptr_space, sum(c * b for c, b in zip(coeff, basis)))
+            make_state(sum(c * b for c, b in zip(coeff, basis)))
         )
     apparatus = PointerApparatus(
-        ptr_space, random_state(ptr_space, rng), pointer_obs, tuple(pointer_states)
+        random_state(d2, rng), pointer_obs, tuple(pointer_states)
     )
     model = build_premeasurement(measured, apparatus)
-    phi = random_state(sys_space, rng)
+    phi = random_state(d1, rng)
     return model, phi
 
 
 def flat_state(psi12):
     """The composite amplitudes of a BipartiteState as a StateVector (first
     factor is the slow index), for oracles on the composite space."""
-    return StateVector(HilbertSpace(psi12.d1 * psi12.d2), psi12.matrix.reshape(-1))
+    return StateVector(psi12.matrix.reshape(-1))
 
 
 def dense_coupling(model):
@@ -88,5 +86,5 @@ def entangle_branches(model, rng):
         mixer += block
         block_total += cols @ cols.conj().T
     mixer -= block_total  # identity outside the blocks, random inside
-    unitary = Operator(model.composite_space, mixer @ dense_coupling(model))
+    unitary = Operator(mixer @ dense_coupling(model))
     return PremeasurementModel(model.measured, model.apparatus, unitary)

@@ -20,7 +20,6 @@ from envborn.born import check_additivity, derive_probabilities
 from envborn.cli import main
 from envborn.ensemble import frequency_check, sample_outcomes
 from envborn.hilbert import (
-    HilbertSpace,
     Operator,
     basis_state,
     complete_observable,
@@ -102,7 +101,7 @@ def test_criterion_end_to_end_born(random_suite):
     entries, elapsed = random_suite
     worst = max(e.report.audits["prc"].max_residual for e in entries)
     complete = sum(
-        1 for e in entries if e.model.outcome_count == e.model.measured.space.dim
+        1 for e in entries if e.model.outcome_count == e.model.measured.dim
     )
     degenerate = sum(
         1 for e in entries if any(p.rank >= 2 for p in e.model.measured.projectors)
@@ -134,15 +133,13 @@ def test_criterion_calibration(random_suite):
         worst = max(worst, report.max_residual)
 
     # negative control: identity coupling must be flagged
-    sys2 = HilbertSpace(2, "sys")
-    ptr2 = HilbertSpace(2, "pointer")
-    pointer_obs = complete_observable([basis_state(ptr2, 0), basis_state(ptr2, 1)])
+    pointer_obs = complete_observable([basis_state(2, 0), basis_state(2, 1)])
     apparatus = PointerApparatus(
-        ptr2, basis_state(ptr2, 0), pointer_obs,
-        (basis_state(ptr2, 0), basis_state(ptr2, 1)),
+        basis_state(2, 0), pointer_obs,
+        (basis_state(2, 0), basis_state(2, 1)),
     )
-    measured = complete_observable([basis_state(sys2, 0), basis_state(sys2, 1)])
-    uncoupled = PremeasurementModel(measured, apparatus, identity(HilbertSpace(4)))
+    measured = complete_observable([basis_state(2, 0), basis_state(2, 1)])
+    uncoupled = PremeasurementModel(measured, apparatus, identity(4))
     control_flagged = not verify_calibration(uncoupled).passed
 
     verdict(
@@ -178,7 +175,7 @@ def test_criterion_envariance_witnesses():
     worst_twin = 0.0
     for _ in range(100):
         d1, d2 = int(rng.integers(2, 5)), int(rng.integers(2, 5))
-        psi = BipartiteState(random_state(HilbertSpace(d1 * d2), rng).amplitudes.reshape(d1, d2))
+        psi = BipartiteState(random_state(d1 * d2, rng).amplitudes.reshape(d1, d2))
         form = schmidt_decompose(psi)
         phases = rng.uniform(-np.pi, np.pi, size=len(form))
         u1, u2 = twin_unitary(form, phases)
@@ -191,8 +188,8 @@ def test_criterion_envariance_witnesses():
         u, v = random_unitary(d, rng), random_unitary(d, rng)
         form = SchmidtForm(
             np.full(terms, 1.0 / np.sqrt(terms)),
-            tuple(make_state(HilbertSpace(d), u[:, i]) for i in range(terms)),
-            tuple(make_state(HilbertSpace(d), v[:, i]) for i in range(terms)),
+            tuple(make_state(u[:, i]) for i in range(terms)),
+            tuple(make_state(v[:, i]) for i in range(terms)),
         )
         psi = reconstruct(form)
         perm = list(rng.permutation(terms))
@@ -201,8 +198,8 @@ def test_criterion_envariance_witnesses():
 
     # non-envariant control: a one-sided flip moves the Bell state by sqrt(2)
     bell = BipartiteState(np.array([[1, 0], [0, 1]]) / np.sqrt(2))
-    sx = Operator(HilbertSpace(2), np.array([[0, 1], [1, 0]], dtype=complex))
-    ident = Operator(HilbertSpace(2), np.eye(2, dtype=complex))
+    sx = Operator(np.array([[0, 1], [1, 0]], dtype=complex))
+    ident = Operator(np.eye(2, dtype=complex))
     control = abs(check_envariance(bell, sx, ident) - np.sqrt(2))
 
     verdict(
@@ -219,7 +216,7 @@ def test_criterion_subprojector_lemma():
     for _ in range(100):
         d1 = int(rng.integers(2, 4))
         d2 = int(rng.integers(d1, 5))
-        psi = BipartiteState(random_state(HilbertSpace(d1 * d2), rng).amplitudes.reshape(d1, d2))
+        psi = BipartiteState(random_state(d1 * d2, rng).amplitudes.reshape(d1, d2))
         form = schmidt_decompose(psi)
         support = [v.amplitudes for v in form.basis2]
         # random orthogonal extension of the factor-2 Schmidt support
@@ -250,10 +247,9 @@ def test_criterion_mixture_identities():
     worst_improper = 0.0
     for _ in range(100):
         d = int(rng.integers(2, 5))
-        space = HilbertSpace(d)
         weights = rng.dirichlet(np.ones(int(rng.integers(2, 5))))
-        spec = MixtureSpec(tuple((random_state(space, rng), w) for w in weights))
-        p = random_projector(space, int(rng.integers(1, d + 1)), rng)
+        spec = MixtureSpec(tuple((random_state(d, rng), w) for w in weights))
+        p = random_projector(d, int(rng.integers(1, d + 1)), rng)
         # route 1: sub-ensemble sum; route 2: trace rule
         by_parts = sum(
             w * float((s.amplitudes.conj() @ (p.matrix @ s.amplitudes)).real)
@@ -264,7 +260,7 @@ def test_criterion_mixture_identities():
         worst_proper = max(worst_proper, abs(by_parts - by_trace))
 
         d2 = int(rng.integers(2, 5))
-        psi = BipartiteState(random_state(HilbertSpace(d * d2), rng).amplitudes.reshape(d, d2))
+        psi = BipartiteState(random_state(d * d2, rng).amplitudes.reshape(d, d2))
         vec = psi.matrix.reshape(-1)
         on_composite = float((vec.conj() @ (np.kron(p.matrix, np.eye(d2)) @ vec)).real)
         on_reduced = improper_probability(p, psi)
@@ -273,11 +269,10 @@ def test_criterion_mixture_identities():
     worst_equiv = 0.0
     for _ in range(10):
         d = int(rng.integers(2, 5))
-        space = HilbertSpace(d)
         weights = rng.dirichlet(np.ones(d))
         basis = random_unitary(d, rng)
         spec = MixtureSpec(
-            tuple((make_state(space, basis[:, i]), w) for i, w in enumerate(weights))
+            tuple((make_state(basis[:, i]), w) for i, w in enumerate(weights))
         )
         psi = purify(mix(spec))
         worst_equiv = max(
@@ -297,9 +292,8 @@ def test_criterion_finite_additivity():
     worst = 0.0
     for _ in range(100):
         d = int(rng.integers(2, 6))
-        space = HilbertSpace(d)
-        rho = random_density(space, rng)
-        parts = random_orthogonal_partition(space, int(rng.integers(1, d + 1)), rng)
+        rho = random_density(d, rng)
+        parts = random_orthogonal_partition(d, int(rng.integers(1, d + 1)), rng)
         worst = max(worst, check_additivity(rho, parts))
     verdict(
         "finite additivity over 100 random (state, partition) pairs (<= 1e-10)",

@@ -14,7 +14,7 @@ from envborn.born import (
     derive_probabilities,
 )
 from envborn.hilbert import (
-    HilbertSpace,
+    Observable,
     Operator,
     Projector,
     StateVector,
@@ -24,7 +24,6 @@ from envborn.hilbert import (
     make_state,
     projector_from_span,
     pure_density,
-    spectral_observable,
     trace_probability,
 )
 from envborn.premeasurement import (
@@ -37,15 +36,14 @@ from envborn.premeasurement import (
 from envborn.rng import random_density, random_orthogonal_partition, random_unitary
 from envborn.schmidt import BipartiteState, schmidt_decompose
 
-D2 = HilbertSpace(2, "sys")
-D3 = HilbertSpace(3, "sys")
-POINTER2 = HilbertSpace(2, "pointer")
+D2 = 2
+D3 = 3
+POINTER2 = 2
 
 
 def qubit_apparatus():
     b = complete_observable([basis_state(POINTER2, 0), basis_state(POINTER2, 1)])
     return PointerApparatus(
-        POINTER2,
         basis_state(POINTER2, 0),
         b,
         (basis_state(POINTER2, 0), basis_state(POINTER2, 1)),
@@ -58,7 +56,7 @@ def cnot_model():
 
 
 def degenerate_model():
-    a = spectral_observable(
+    a = Observable(
         [1.0, -1.0],
         [
             projector_from_span([basis_state(D3, 0), basis_state(D3, 1)]),
@@ -70,13 +68,13 @@ def degenerate_model():
 
 class TestDeriveProbabilities:
     def test_complete_observable_amplitude_squares(self):
-        report = derive_probabilities(cnot_model(), make_state(D2, [0.6, 0.8]))
+        report = derive_probabilities(cnot_model(), make_state([0.6, 0.8]))
         assert report.derived == pytest.approx([0.36, 0.64], abs=1e-12)
         assert report.audits["prc"].max_residual <= 1e-10
         assert report.passed
 
     def test_degenerate_eigenspace_weights(self):
-        report = derive_probabilities(degenerate_model(), make_state(D3, [1, 1, 1]))
+        report = derive_probabilities(degenerate_model(), make_state([1, 1, 1]))
         assert report.derived == pytest.approx([2 / 3, 1 / 3], abs=1e-10)
         assert report.passed
 
@@ -87,8 +85,8 @@ class TestDeriveProbabilities:
 
     def test_audit_failures_reported_not_raised(self):
         a = complete_observable([basis_state(D2, 0), basis_state(D2, 1)], [1.0, -1.0])
-        broken = PremeasurementModel(a, qubit_apparatus(), identity(HilbertSpace(4)))
-        report = derive_probabilities(broken, make_state(D2, [0.6, 0.8]))
+        broken = PremeasurementModel(a, qubit_apparatus(), identity(4))
+        report = derive_probabilities(broken, make_state([0.6, 0.8]))
         assert not report.audits["calibration"].passed
         assert not report.audits["prc"].passed
         assert not report.passed
@@ -101,7 +99,7 @@ class TestDeriveProbabilities:
         # weight 1e-14 falls under the zero-branch threshold: outcome omitted,
         # derived 0, and the audits must not trip on the sqrt(weight)-sized
         # leftover under the omitted pointer projector
-        report = derive_probabilities(cnot_model(), make_state(D2, [1.0, 1e-7]))
+        report = derive_probabilities(cnot_model(), make_state([1.0, 1e-7]))
         assert report.passed
         assert report.records[1].derived == 0.0
         assert report.records[1].schmidt_detail == ()
@@ -109,8 +107,8 @@ class TestDeriveProbabilities:
 
     def test_global_phase_invariance(self):
         model = degenerate_model()
-        phi = make_state(D3, [1, 1j, -1])
-        shifted = make_state(D3, np.exp(0.9j) * phi.amplitudes)
+        phi = make_state([1, 1j, -1])
+        shifted = make_state(np.exp(0.9j) * phi.amplitudes)
         a = derive_probabilities(model, phi)
         b = derive_probabilities(model, shifted)
         for ra, rb in zip(a.records, b.records):
@@ -149,19 +147,17 @@ class TestDeriveProbabilities:
     def test_pointer_state_choice_does_not_move_probabilities(self):
         # two different designated pointer states inside the same rank-2
         # pointer eigenspace: details differ, outcome sums agree
-        ptr3 = HilbertSpace(3, "pointer")
-        q0 = projector_from_span([basis_state(ptr3, 0), basis_state(ptr3, 1)])
-        q1 = projector_from_span([basis_state(ptr3, 2)])
-        pointer_obs = spectral_observable([0.0, 1.0], [q0, q1])
+        q0 = projector_from_span([basis_state(3, 0), basis_state(3, 1)])
+        q1 = projector_from_span([basis_state(3, 2)])
+        pointer_obs = Observable([0.0, 1.0], [q0, q1])
         a = complete_observable([basis_state(D2, 0), basis_state(D2, 1)])
-        phi = make_state(D2, [0.6, 0.8])
+        phi = make_state([0.6, 0.8])
         derived = []
-        for chi0 in (basis_state(ptr3, 0), make_state(ptr3, [1, 1, 0])):
+        for chi0 in (basis_state(3, 0), make_state([1, 1, 0])):
             apparatus = PointerApparatus(
-                ptr3,
-                basis_state(ptr3, 2),
+                basis_state(3, 2),
                 pointer_obs,
-                (chi0, basis_state(ptr3, 2)),
+                (chi0, basis_state(3, 2)),
             )
             model = build_premeasurement(a, apparatus)
             report = derive_probabilities(model, phi)
@@ -204,17 +200,15 @@ class TestEntangledBranches:
         # explicit rank gap: Q^0 has rank 3, the branch Schmidt rank is at
         # most 2, so the complement keeps rank >= 1 yet annihilates the state
         rng = np.random.default_rng(62)
-        ptr4 = HilbertSpace(4, "pointer")
-        q0 = projector_from_span([basis_state(ptr4, i) for i in range(3)])
-        q1 = projector_from_span([basis_state(ptr4, 3)])
-        pointer_obs = spectral_observable([0.0, 1.0], [q0, q1])
+        q0 = projector_from_span([basis_state(4, i) for i in range(3)])
+        q1 = projector_from_span([basis_state(4, 3)])
+        pointer_obs = Observable([0.0, 1.0], [q0, q1])
         apparatus = PointerApparatus(
-            ptr4,
-            basis_state(ptr4, 0),
+            basis_state(4, 0),
             pointer_obs,
-            (basis_state(ptr4, 0), basis_state(ptr4, 3)),
+            (basis_state(4, 0), basis_state(4, 3)),
         )
-        a = spectral_observable(
+        a = Observable(
             [1.0, -1.0],
             [
                 projector_from_span([basis_state(D3, 0), basis_state(D3, 1)]),
@@ -222,7 +216,7 @@ class TestEntangledBranches:
             ],
         )
         model = entangle_branches(build_premeasurement(a, apparatus), rng)
-        phi = make_state(D3, [1, 1, 1])
+        phi = make_state([1, 1, 1])
         psi12 = evolve(model, phi)
         b = branches(model, psi12).branches[0]
         form = schmidt_decompose(BipartiteState(b.normalized()))
@@ -235,7 +229,7 @@ class TestEntangledBranches:
 class TestComplementCheck:
     def test_rank1_pointer_projector_gives_zero_complement(self):
         model = cnot_model()
-        phi = make_state(D2, [0.6, 0.8])
+        phi = make_state([0.6, 0.8])
         psi12 = evolve(model, phi)
         bset = branches(model, psi12)
         b = bset.branches[0]
@@ -246,19 +240,17 @@ class TestComplementCheck:
     def test_higher_rank_pointer_projector_annihilates(self):
         # rank-2 pointer eigenspace, branch Schmidt rank 1: the complement is
         # rank 1 yet annihilates the composite state
-        ptr3 = HilbertSpace(3, "pointer")
-        q0 = projector_from_span([basis_state(ptr3, 0), basis_state(ptr3, 1)])
-        q1 = projector_from_span([basis_state(ptr3, 2)])
-        pointer_obs = spectral_observable([0.0, 1.0], [q0, q1])
+        q0 = projector_from_span([basis_state(3, 0), basis_state(3, 1)])
+        q1 = projector_from_span([basis_state(3, 2)])
+        pointer_obs = Observable([0.0, 1.0], [q0, q1])
         apparatus = PointerApparatus(
-            ptr3,
-            basis_state(ptr3, 0),
+            basis_state(3, 0),
             pointer_obs,
-            (basis_state(ptr3, 0), basis_state(ptr3, 2)),
+            (basis_state(3, 0), basis_state(3, 2)),
         )
         a = complete_observable([basis_state(D2, 0), basis_state(D2, 1)])
         model = build_premeasurement(a, apparatus)
-        phi = make_state(D2, [0.6, 0.8])
+        phi = make_state([0.6, 0.8])
         psi12 = evolve(model, phi)
         b = branches(model, psi12).branches[0]
         form = schmidt_decompose(BipartiteState(b.normalized()))
@@ -278,14 +270,12 @@ class TestComplementCheck:
     def test_omitted_outcome_complement_failure_reports_inf(self):
         # Q^1 is idempotent only to ~6e-16, so at tol 1e-20 its complement
         # check raises for the omitted outcome 1; the audit records inf there
-        ptr3 = HilbertSpace(3, "pointer")
-        q0 = projector_from_span([basis_state(ptr3, 0)])
-        q1 = projector_from_span([make_state(ptr3, [0, 1, 2j]), make_state(ptr3, [0, 2j, 1])])
+        q0 = projector_from_span([basis_state(3, 0)])
+        q1 = projector_from_span([make_state([0, 1, 2j]), make_state([0, 2j, 1])])
         apparatus = PointerApparatus(
-            ptr3,
-            basis_state(ptr3, 0),
-            spectral_observable([0.0, 1.0], [q0, q1]),
-            (basis_state(ptr3, 0), make_state(ptr3, [0, 1, 2j])),
+            basis_state(3, 0),
+            Observable([0.0, 1.0], [q0, q1]),
+            (basis_state(3, 0), make_state([0, 1, 2j])),
         )
         a = complete_observable([basis_state(D2, 0), basis_state(D2, 1)])
         model = build_premeasurement(a, apparatus)
@@ -300,31 +290,27 @@ class TestComplementCheck:
 class TestCheckAdditivity:
     def test_complete_basis_partition(self):
         rng = np.random.default_rng(45)
-        space = HilbertSpace(4)
-        rho = random_density(space, rng)
-        parts = [projector_from_span([basis_state(space, i)]) for i in range(4)]
+        rho = random_density(4, rng)
+        parts = [projector_from_span([basis_state(4, i)]) for i in range(4)]
         assert check_additivity(rho, parts) <= 1e-12
 
     def test_two_parts_of_a_rank2_projector(self):
         rng = np.random.default_rng(46)
-        space = HilbertSpace(3)
         for _ in range(20):
-            rho = random_density(space, rng)
-            parts = random_orthogonal_partition(space, 3, rng)[:2]
+            rho = random_density(3, rng)
+            parts = random_orthogonal_partition(3, 3, rng)[:2]
             assert check_additivity(rho, parts) <= 1e-10
 
     def test_zero_projector_part(self):
-        space = HilbertSpace(2)
-        rho = pure_density(make_state(space, [1, 1]))
-        zero = Projector(Operator(space, np.zeros((2, 2), dtype=complex)))
-        p = projector_from_span([basis_state(space, 0)])
+        rho = pure_density(make_state([1, 1]))
+        zero = Projector(np.zeros((2, 2), dtype=complex))
+        p = projector_from_span([basis_state(2, 0)])
         assert check_additivity(rho, [p, zero]) == 0.0
 
     def test_non_orthogonal_parts_rejected(self):
-        space = HilbertSpace(2)
-        rho = pure_density(basis_state(space, 0))
-        p = projector_from_span([basis_state(space, 0)])
-        q = projector_from_span([make_state(space, [1, 1])])
+        rho = pure_density(basis_state(2, 0))
+        p = projector_from_span([basis_state(2, 0)])
+        q = projector_from_span([make_state([1, 1])])
         with pytest.raises(ValueError, match="0 and 1 are not orthogonal"):
             check_additivity(rho, [p, q])
 
@@ -343,7 +329,7 @@ class TestCheckPrc:
         assert residuals[1] <= 1e-14
 
     def test_corrupted_report_flagged(self):
-        report = derive_probabilities(cnot_model(), make_state(D2, [0.6, 0.8]))
+        report = derive_probabilities(cnot_model(), make_state([0.6, 0.8]))
         # shift probability between outcomes to keep the distribution valid
         r0, r1 = report.records
         corrupted = dataclasses.replace(
@@ -368,11 +354,11 @@ class TestOracleAgreement:
 
 
 def _rotated(projectors, u):
-    return [Projector(Operator(p.space, u @ p.matrix @ u.conj().T)) for p in projectors]
+    return [Projector(u @ p.matrix @ u.conj().T) for p in projectors]
 
 
 def _moved(state, u):
-    return StateVector(state.space, u @ state.amplitudes)
+    return StateVector(u @ state.amplitudes)
 
 
 @settings(max_examples=40, deadline=None)
@@ -384,15 +370,14 @@ def test_local_basis_change_invariance(d1, d2, outcomes, seed):
     rng = np.random.default_rng(seed)
     model, phi = random_scenario(d1, d2, min(outcomes, d1, d2), rng)
     u1, v2 = random_unitary(d1, rng), random_unitary(d2, rng)
-    measured = spectral_observable(
+    measured = Observable(
         model.measured.eigenvalues, _rotated(model.measured.projectors, u1)
     )
     app = model.apparatus
-    pointer_obs = spectral_observable(
+    pointer_obs = Observable(
         app.pointer_observable.eigenvalues, _rotated(app.pointer_observable.projectors, v2)
     )
     apparatus = PointerApparatus(
-        app.space,
         _moved(app.ready_state, v2),
         pointer_obs,
         tuple(_moved(chi, v2) for chi in app.pointer_states),

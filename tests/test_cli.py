@@ -234,6 +234,70 @@ class TestReportCommand:
         assert code == 2
         assert "schema" in err
 
+    def test_batch_round_trip(self, tmp_path):
+        files = [fixture_path("degenerate-3d"), fixture_path("broken-unitary")]
+        stored = str(tmp_path / "batch.json")
+        code, text, _ = run_cli(["derive", *files])
+        run_cli(["derive", *files, "--format", "structured", "--out", stored])
+        report_code, rendered, err = run_cli(["report", stored])
+        assert code == report_code == 1
+        assert text == rendered
+        assert err == ""
+
+    @pytest.mark.parametrize(
+        "stored, reason",
+        [
+            ({"schema_version": "envborn.report.v1", "scenario": 5}, "no attribute 'get'"),
+            ({"schema_version": "envborn.report.v1", "derivation": {"outcomes": 3}}, "not iterable"),
+            ({"schema_version": "envborn.report.v1", "schmidt": {}}, "missing field 'coefficients'"),
+            ([], "expected an object, got list"),
+            ([{"schema_version": "envborn.report.v1"}, 5], "expected an object, got int"),
+        ],
+        ids=["scenario-int", "outcomes-int", "schmidt-empty", "empty-batch", "batch-int"],
+    )
+    def test_malformed_report_exits_2(self, tmp_path, stored, reason):
+        path = tmp_path / "r.json"
+        path.write_text(json.dumps(stored), encoding="utf-8")
+        code, out, err = run_cli(["report", str(path)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {path} is not a valid envborn report: ")
+        assert reason in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["derive", "report"])
+    @pytest.mark.parametrize(
+        "text", ["[" * 100_000, '{"seed": ' + "9" * 5000 + "}"], ids=["deep", "long-int"]
+    )
+    def test_unreadable_json_exits_2(self, tmp_path, command, text):
+        path = tmp_path / "input.json"
+        path.write_text(text, encoding="utf-8")
+        code, _, err = run_cli([command, str(path)])
+        assert code == 2
+        assert str(path) in err
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(name=st.sampled_from(sorted(GOLDEN_CASES)), data=st.data())
+    def test_one_field_mutations_exit_cleanly(self, fuzz_dir, name, data):
+        """A wrong type, number, length or a deleted key anywhere in a stored
+        report ends in exit 0, 1 or 2, never in an exception."""
+        golden = FIXTURES / "golden" / f"{name}.report.json"
+        report = json.loads(golden.read_text(encoding="utf-8"))
+        path = fuzz_dir / "mutated.report.json"
+        path.write_text(json.dumps(_mutate_one_field(report, data)), encoding="utf-8")
+        code, _, _ = run_cli(["report", str(path)])
+        assert code in (0, 1, 2)
+
+    def test_non_finite_residuals_stored_as_null(self, monkeypatch):
+        def broken_complement(*args, **kwargs):
+            raise ValueError("not a projector")
+
+        monkeypatch.setattr(envborn.born, "complement_check", broken_complement)
+        code, out, _ = run_cli(["derive", fixture_path("degenerate-3d"), "--format", "structured"])
+        assert code == 1
+        derivation = json.loads(out)["derivation"]
+        assert derivation["audits"]["complement"] == {"ok": False, "max_residual": None}
+        assert [r["complement_residual"] for r in derivation["outcomes"]] == [None, None]
+
 
 class TestScenarioEcho:
     @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
@@ -462,6 +526,32 @@ class TestInputHardening:
         path.write_text(json.dumps(data), encoding="utf-8")
         self.assert_input_error([command, str(path)], f"scenario has no {section}")
 
+    @pytest.mark.parametrize(
+        "command, name, keys, field",
+        [
+            # 10**400 is a valid seed, so the seed case is negative
+            ("derive", "degenerate-3d", ("seed",), "seed"),
+            ("derive", "degenerate-3d", ("dims",), "dims"),
+            ("derive", "degenerate-3d", ("dims", 0), "dims"),
+            ("sample", "sample-fair", ("sampling", "n"), "sampling.n"),
+            ("mixtures", "mixtures-bell", ("mixture", "trials"), "mixture.trials"),
+            ("derive", "degenerate-3d", ("input_state", 0, 0), "input_state[0]"),
+        ],
+        ids=["seed", "dims", "dims-entry", "sampling.n", "mixture.trials", "amplitude"],
+    )
+    def test_huge_value_is_clipped_in_message(self, tmp_path, command, name, keys, field):
+        data = json.loads(Path(fixture_path(name)).read_text(encoding="utf-8"))
+        node = data
+        for key in keys[:-1]:
+            node = node[key]
+        node[keys[-1]] = -(10**400) if keys == ("seed",) else 10**400
+        path = tmp_path / "variant.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        code, _, err = run_cli([command, str(path)])
+        assert code == 2
+        assert field in err
+        assert err.count("\n") == 1 and len(err) < 200
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-1", "0"])
     def test_malformed_tolerance_option(self, value):
         self.assert_input_error(
@@ -641,18 +731,10 @@ def fuzz_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
 
 
-@settings(max_examples=1000, deadline=None, derandomize=True, database=None)
-@given(
-    name=st.sampled_from(_FUZZ_FIXTURES),
-    command=st.sampled_from(["schmidt", "derive", "mixtures", "sample"]),
-    data=st.data(),
-)
-def test_one_field_mutations_exit_cleanly(fuzz_dir, name, command, data):
-    """A wrong type, a non-finite or huge number, a wrong length or a deleted
-    key anywhere in a fixture ends in exit 0, 1 or 2, never in an exception."""
-    scenario = json.loads(Path(fixture_path(name)).read_text(encoding="utf-8"))
-    # a random walk from the root picks the field
-    parent, key, node = None, None, scenario
+def _mutate_one_field(document, data):
+    """``document`` with one field, picked by a random walk from the root,
+    replaced by a fuzz value, deleted, shortened or lengthened."""
+    parent, key, node = None, None, document
     while isinstance(node, (dict, list)) and node and data.draw(st.booleans()):
         parent = node
         key = data.draw(st.sampled_from(list(node) if isinstance(node, dict) else range(len(node))))
@@ -664,10 +746,22 @@ def test_one_field_mutations_exit_cleanly(fuzz_dir, name, command, data):
         node[:] = node[:-1] if edit == "shorten" else node + [copy.deepcopy(node[-1])]
     elif edit not in _FUZZ_EDITS:
         if parent is None:
-            scenario = edit
-        else:
-            parent[key] = copy.deepcopy(edit)
+            return edit
+        parent[key] = copy.deepcopy(edit)
+    return document
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True, database=None)
+@given(
+    name=st.sampled_from(_FUZZ_FIXTURES),
+    command=st.sampled_from(["schmidt", "derive", "mixtures", "sample"]),
+    data=st.data(),
+)
+def test_one_field_mutations_exit_cleanly(fuzz_dir, name, command, data):
+    """A wrong type, a non-finite or huge number, a wrong length or a deleted
+    key anywhere in a fixture ends in exit 0, 1 or 2, never in an exception."""
+    scenario = json.loads(Path(fixture_path(name)).read_text(encoding="utf-8"))
     path = fuzz_dir / "mutated.json"
-    path.write_text(json.dumps(scenario), encoding="utf-8")
+    path.write_text(json.dumps(_mutate_one_field(scenario, data)), encoding="utf-8")
     code, _, _ = run_cli([command, str(path)])
     assert code in (0, 1, 2)

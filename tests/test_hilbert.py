@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from envborn.hilbert import (
     Audit,
     DensityOperator,
-    HilbertSpace,
+    Observable,
     Operator,
     Projector,
     StateVector,
@@ -19,7 +19,6 @@ from envborn.hilbert import (
     partial_trace,
     projector_from_span,
     pure_density,
-    spectral_observable,
     tensor,
     trace_probability,
 )
@@ -32,44 +31,40 @@ INV_SQRT2 = 0.7071067811865476
 TWO_OVER_SQRT5 = 0.8944271909999159
 ONE_OVER_SQRT5 = 0.4472135954999579
 
-D2 = HilbertSpace(2)
-D3 = HilbertSpace(3)
-D4 = HilbertSpace(4)
+D2 = 2
+D3 = 3
+D4 = 4
 
 
 def plus():
-    return make_state(D2, [1, 1])
+    return make_state([1, 1])
 
 
 class TestMakeState:
     def test_basis_vector(self):
-        assert np.allclose(make_state(D2, [1, 0]).amplitudes, [1, 0])
+        assert np.allclose(make_state([1, 0]).amplitudes, [1, 0])
 
     def test_normalizes(self):
-        assert np.allclose(make_state(D2, [1, 1]).amplitudes, [INV_SQRT2, INV_SQRT2])
+        assert np.allclose(make_state([1, 1]).amplitudes, [INV_SQRT2, INV_SQRT2])
 
     def test_divides_by_norm(self):
-        st_ = make_state(D3, [2, 0, 1])
+        st_ = make_state([2, 0, 1])
         assert np.allclose(st_.amplitudes, [TWO_OVER_SQRT5, 0.0, ONE_OVER_SQRT5])
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError, match="length"):
-            make_state(D2, [1, 0, 0])
 
     def test_zero_vector(self):
         with pytest.raises(ValueError, match="zero"):
-            make_state(D2, [0, 0])
+            make_state([0, 0])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, np.nan)])
     def test_non_finite_amplitude(self, bad):
         with pytest.raises(ValueError, match="finite"):
-            make_state(D2, [1, bad])
+            make_state([1, bad])
 
     @given(st.lists(st.floats(-10, 10), min_size=2, max_size=6))
     def test_always_unit_norm(self, values):
         if np.linalg.norm(values) < 1e-6:
             return
-        state = make_state(HilbertSpace(len(values)), values)
+        state = make_state(values)
         assert abs(np.linalg.norm(state.amplitudes) - 1.0) < 1e-12
 
 
@@ -83,7 +78,7 @@ class TestTensor:
         assert np.allclose(out.amplitudes, [INV_SQRT2, 0, INV_SQRT2, 0])
 
     def test_kronecker_expansion(self):
-        u = make_state(D2, [2, 1])
+        u = make_state([2, 1])
         out = tensor(u, basis_state(D2, 1))
         # oracle: direct Kronecker expansion
         expected = np.kron(u.amplitudes, [0, 1])
@@ -91,8 +86,8 @@ class TestTensor:
         assert np.allclose(out.amplitudes, [0, TWO_OVER_SQRT5, 0, ONE_OVER_SQRT5])
 
     def test_first_factor_is_slow_index(self):
-        u = make_state(D2, [1, 2])
-        v = make_state(D3, [3, 4, 5])
+        u = make_state([1, 2])
+        v = make_state([3, 4, 5])
         out = tensor(u, v)
         for i in range(2):
             for j in range(3):
@@ -122,7 +117,7 @@ def reduced_by_loops(vec, dims, keep):
 
 class TestPartialTrace:
     def test_bell_is_maximally_mixed(self):
-        rho = pure_density(make_state(D4, [1, 0, 0, 1]))
+        rho = pure_density(make_state([1, 0, 0, 1]))
         reduced = partial_trace(rho, (2, 2), keep=0)
         assert np.allclose(reduced.matrix, np.eye(2) / 2)
 
@@ -132,20 +127,20 @@ class TestPartialTrace:
         assert np.allclose(reduced.matrix, np.diag([1.0, 0.0]))
 
     def test_skewed_state_against_loop_oracle(self):
-        psi = make_state(D4, [2, 0, 0, 1])
+        psi = make_state([2, 0, 0, 1])
         reduced = partial_trace(pure_density(psi), (2, 2), keep=1)
         assert np.allclose(reduced.matrix, reduced_by_loops(psi.amplitudes, (2, 2), 1))
         assert np.allclose(reduced.matrix, np.diag([0.8, 0.2]))
 
     def test_non_factorizable_declaration(self):
-        rho = pure_density(make_state(D3, [1, 1, 1]))
+        rho = pure_density(make_state([1, 1, 1]))
         with pytest.raises(ValueError, match="factorization"):
             partial_trace(rho, (2, 2), keep=0)
 
     def test_trace_preserved(self):
         rng = np.random.default_rng(11)
         for d1, d2 in [(2, 2), (2, 3), (3, 4)]:
-            rho = random_density(HilbertSpace(d1 * d2), rng)
+            rho = random_density(d1 * d2, rng)
             for keep in (0, 1):
                 reduced = partial_trace(rho, (d1, d2), keep)
                 assert abs(np.trace(reduced.matrix) - 1.0) <= 1e-12
@@ -165,7 +160,7 @@ class TestPartialTrace:
 class TestTraceProbability:
     def test_completeness(self):
         rho = pure_density(plus())
-        assert trace_probability(Projector(identity(D2)), rho) == pytest.approx(1.0)
+        assert trace_probability(Projector(identity(D2).matrix), rho) == pytest.approx(1.0)
 
     def test_symmetry(self):
         p = projector_from_span([basis_state(D2, 0)])
@@ -174,43 +169,47 @@ class TestTraceProbability:
     def test_pure_state_amplitude_square(self):
         # p(P, phi) = <phi|P|phi>: 0.6^2 = 0.36 for the matching eigen-event
         p = projector_from_span([basis_state(D2, 0)])
-        phi = make_state(D2, [0.6, 0.8])
+        phi = make_state([0.6, 0.8])
         assert trace_probability(p, pure_density(phi)) == pytest.approx(0.36, abs=1e-12)
 
     def test_imaginary_part_raises(self):
         # tol fields widened to smuggle in malformed inputs
-        bad = Projector(Operator(D2, np.array([[0, 1j], [0, 0]])), tol=10)
-        rho = DensityOperator(D2, np.array([[0.5, 0.5], [0.5, 0.5]]))
+        bad = Projector(np.array([[0, 1j], [0, 0]]), tol=10)
+        rho = DensityOperator(np.array([[0.5, 0.5], [0.5, 0.5]]))
         with pytest.raises(ValueError, match="imaginary"):
             trace_probability(bad, rho)
 
     def test_clamps_tiny_negative(self):
-        rho = DensityOperator(D2, np.diag([1 + 1e-12, -1e-12]).astype(complex))
+        rho = DensityOperator(np.diag([1 + 1e-12, -1e-12]).astype(complex))
         p = projector_from_span([basis_state(D2, 1)])
         assert trace_probability(p, rho) == 0.0
+
+    def test_dimension_mismatch(self):
+        p = projector_from_span([basis_state(D2, 0)])
+        with pytest.raises(ValueError, match="dimension mismatch in trace_probability: 2 vs 3"):
+            trace_probability(p, pure_density(basis_state(D3, 0)))
 
     def test_complement_sums_to_one(self):
         rng = np.random.default_rng(13)
         for _ in range(20):
             d = int(rng.integers(2, 5))
-            space = HilbertSpace(d)
-            rho = random_density(space, rng)
-            p = random_projector(space, int(rng.integers(1, d + 1)), rng)
-            q = Projector(Operator(space, np.eye(d) - p.matrix))
+            rho = random_density(d, rng)
+            p = random_projector(d, int(rng.integers(1, d + 1)), rng)
+            q = Projector(np.eye(d) - p.matrix)
             total = trace_probability(p, rho) + trace_probability(q, rho)
             assert abs(total - 1.0) <= 1e-10
 
 
 class TestSpectralObservable:
     def test_complete_two_level(self):
-        obs = spectral_observable(
+        obs = Observable(
             [1.0, -1.0],
             [projector_from_span([basis_state(D2, 0)]), projector_from_span([basis_state(D2, 1)])],
         )
         assert obs.outcome_count == 2
 
     def test_degenerate_partition(self):
-        obs = spectral_observable(
+        obs = Observable(
             [1.0, -1.0],
             [
                 projector_from_span([basis_state(D3, 0), basis_state(D3, 1)]),
@@ -222,34 +221,39 @@ class TestSpectralObservable:
 
     def test_non_orthogonal_rejected(self):
         with pytest.raises(ValueError, match="0 and 1 are not orthogonal"):
-            spectral_observable(
+            Observable(
                 [1.0, -1.0],
                 [projector_from_span([basis_state(D2, 0)]), projector_from_span([plus()])],
             )
 
     def test_duplicate_eigenvalues_rejected(self):
         with pytest.raises(ValueError, match="distinct"):
-            spectral_observable(
+            Observable(
                 [1.0, 1.0],
                 [projector_from_span([basis_state(D2, 0)]), projector_from_span([basis_state(D2, 1)])],
             )
 
     def test_incomplete_family_rejected(self):
         with pytest.raises(ValueError, match="identity"):
-            spectral_observable([1.0], [projector_from_span([basis_state(D2, 0)])])
+            Observable([1.0], [projector_from_span([basis_state(D2, 0)])])
+
+    def test_mixed_dimensions_rejected(self):
+        projectors = [projector_from_span([basis_state(d, 0)]) for d in (D2, D3)]
+        with pytest.raises(ValueError, match="observable projector: 3 vs 2"):
+            Observable([0.0, 1.0], projectors)
 
     def test_rank_zero_projector_rejected(self):
-        zero = Projector(Operator(D2, np.zeros((2, 2), dtype=complex)))
+        zero = Projector(np.zeros((2, 2), dtype=complex))
         with pytest.raises(ValueError, match="rank"):
-            spectral_observable([0.0, 1.0], [Projector(identity(D2)), zero])
+            Observable([0.0, 1.0], [Projector(identity(D2).matrix), zero])
 
     def test_random_observables_satisfy_invariants(self):
         rng = np.random.default_rng(14)
         for _ in range(25):
             d = int(rng.integers(2, 6))
             parts = int(rng.integers(1, d + 1))
-            projs = random_orthogonal_partition(HilbertSpace(d), parts, rng)
-            obs = spectral_observable(list(range(parts)), projs)
+            projs = random_orthogonal_partition(d, parts, rng)
+            obs = Observable(list(range(parts)), projs)
             total = sum(p.matrix for p in obs.projectors)
             assert np.linalg.norm(total - np.eye(d)) <= 1e-10
             for i in range(parts):
@@ -278,23 +282,39 @@ class TestProjectorFromSpan:
         with pytest.raises(ValueError, match="dependent"):
             projector_from_span([basis_state(D2, 0), basis_state(D2, 0)])
 
+    def test_mixed_lengths_rejected(self):
+        with pytest.raises(ValueError, match="length 2"):
+            projector_from_span([basis_state(D2, 0), basis_state(D3, 2)])
+
 
 class TestInvariants:
     def test_density_operator_rejects_negative_eigenvalue(self):
         with pytest.raises(ValueError, match="negative"):
-            DensityOperator(D2, np.diag([1.5, -0.5]).astype(complex))
+            DensityOperator(np.diag([1.5, -0.5]).astype(complex))
 
     def test_projector_rejects_non_idempotent(self):
         with pytest.raises(ValueError, match="idempotent"):
-            Projector(Operator(D2, np.diag([0.5, 0.5]).astype(complex)))
+            Projector(np.diag([0.5, 0.5]).astype(complex))
 
     def test_state_vector_rejects_unnormalized(self):
         with pytest.raises(ValueError, match="normalized"):
-            StateVector(D2, np.array([1.0, 1.0]))
+            StateVector(np.array([1.0, 1.0]))
 
     def test_state_vector_rejects_nan(self):
         with pytest.raises(ValueError, match="normalized"):
-            StateVector(D2, np.array([np.nan, 0.0]))
+            StateVector(np.array([np.nan, 0.0]))
+
+    @pytest.mark.parametrize("amplitudes", [np.eye(2)[:1], np.zeros(0)], ids=["2-D", "empty"])
+    def test_state_vector_rejects_non_vector(self, amplitudes):
+        with pytest.raises(ValueError, match="non-empty 1-D vector"):
+            StateVector(amplitudes)
+
+    @pytest.mark.parametrize(
+        "matrix", [np.zeros((2, 3)), np.zeros((0, 0)), np.zeros(4)], ids=["2x3", "empty", "1-D"]
+    )
+    def test_operator_rejects_non_square(self, matrix):
+        with pytest.raises(ValueError, match="non-empty square matrix"):
+            Operator(matrix)
 
 
 class TestAudit:
@@ -331,12 +351,12 @@ class TestAudit:
 # of a fresh caller's array)
 STORED_COPY_CASES = {
     "StateVector": (
-        lambda a: StateVector(D2, a).amplitudes,
+        lambda a: StateVector(a).amplitudes,
         lambda: np.array([1, 0], dtype=complex),
     ),
-    "Operator": (lambda a: Operator(D2, a).matrix, lambda: np.eye(2, dtype=complex)),
+    "Operator": (lambda a: Operator(a).matrix, lambda: np.eye(2, dtype=complex)),
     "DensityOperator": (
-        lambda a: DensityOperator(D2, a).matrix,
+        lambda a: DensityOperator(a).matrix,
         lambda: np.diag([1, 0]).astype(complex),
     ),
     "BipartiteState": (

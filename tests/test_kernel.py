@@ -87,7 +87,7 @@ def models(draw):
         model = entangle_branches(model, rng)
     elif coupling == "identity":
         model = PremeasurementModel(
-            model.measured, model.apparatus, identity(model.composite_space)
+            model.measured, model.apparatus, identity(model.d1 * model.d2)
         )
     return model, phi
 
@@ -166,8 +166,7 @@ def block_models(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     model, phi = random_scenario(d1, d2, outcomes, rng)
     if draw(st.booleans()):
-        space = model.apparatus.space
-        blocks = tuple(Operator(space, random_unitary(d2, rng)) for _ in range(outcomes))
+        blocks = tuple(Operator(random_unitary(d2, rng)) for _ in range(outcomes))
         model = PremeasurementModel(model.measured, model.apparatus, blocks)
     return model, phi, rng
 
@@ -179,12 +178,12 @@ def perturbed(model, tol, p_delta=None, v_delta=None):
     measured, blocks = model.measured, model.coupling
     if p_delta is not None:
         projectors = tuple(
-            Projector(Operator(p.space, p.matrix + dp), LOOSE)
+            Projector(p.matrix + dp, LOOSE)
             for p, dp in zip(measured.projectors, p_delta)
         )
-        measured = Observable(measured.space, measured.eigenvalues, projectors, LOOSE)
+        measured = Observable(measured.eigenvalues, projectors, LOOSE)
     if v_delta is not None:
-        blocks = tuple(Operator(v.space, v.matrix + dv) for v, dv in zip(blocks, v_delta))
+        blocks = tuple(Operator(v.matrix + dv) for v, dv in zip(blocks, v_delta))
     return PremeasurementModel(measured, model.apparatus, blocks, tol)
 
 

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from envborn.hilbert import (
     DensityOperator,
-    HilbertSpace,
     Operator,
     make_state,
     partial_trace,
@@ -62,9 +61,8 @@ def mixtures_with_partners(draw):
     d1 = draw(st.integers(1, 5))
     parts = draw(st.integers(1, 4))
     d2 = parts + draw(st.integers(0, 2))
-    space = HilbertSpace(d1)
     weights = rng.dirichlet(np.ones(parts))
-    states = [make_state(space, complex_normal(d1, rng)) for _ in range(parts)]
+    states = [make_state(complex_normal(d1, rng)) for _ in range(parts)]
     spec = MixtureSpec(tuple(zip(states, weights)))
     partner_basis = random_unitary(d2, rng)[:, :parts]
     coeffs = sum(
@@ -85,7 +83,7 @@ def test_mixture_routes_match_composite_references(case):
     assert np.linalg.norm(rho_mix - rho1) <= AGREE
 
     for _ in range(3):
-        P = random_projector(HilbertSpace(d1), int(rng.integers(1, d1 + 1)), rng)
+        P = random_projector(d1, int(rng.integers(1, d1 + 1)), rng)
         by_components = sum(
             w * float((s.amplitudes.conj() @ P.matrix @ s.amplitudes).real)
             for s, w in spec.components
@@ -103,11 +101,10 @@ def test_equivalence_matches_lifted_trial_loop(case, seed):
     spec, psi12, _ = case
     trials = 8
     rng = np.random.default_rng(seed)
-    space1 = HilbertSpace(psi12.d1)
     rho1 = reduced(psi12, 0)
     expected = 0.0
     for _ in range(trials):
-        P = random_projector(space1, int(rng.integers(1, space1.dim + 1)), rng)
+        P = random_projector(psi12.d1, int(rng.integers(1, psi12.d1 + 1)), rng)
         proper = sum(
             w * float((s.amplitudes.conj() @ P.matrix @ s.amplitudes).real)
             for s, w in spec.components
@@ -126,7 +123,7 @@ def test_purify_matches_kron_sum(d, rank, seed):
     rank = min(rank, d)
     g = complex_normal((d, rank), rng)
     w = g @ g.conj().T
-    rho = DensityOperator(HilbertSpace(d), w / np.trace(w).real)
+    rho = DensityOperator(w / np.trace(w).real)
 
     values, vectors = np.linalg.eigh(rho.matrix)
     expected = np.zeros(d * d, dtype=complex)
@@ -159,8 +156,8 @@ def test_envariance_residual_matches_kron_lift(case):
     form = schmidt_decompose(psi12)
     twins = twin_unitary(form, rng.uniform(0, 2 * np.pi, size=len(form)))
     generic = (
-        Operator(HilbertSpace(d1), random_unitary(d1, rng)),
-        Operator(HilbertSpace(d2), random_unitary(d2, rng)),
+        Operator(random_unitary(d1, rng)),
+        Operator(random_unitary(d2, rng)),
     )
     for u1, u2 in (twins, generic):
         lifted = np.kron(u1.matrix, u2.matrix) @ vec
@@ -174,7 +171,7 @@ def test_envariance_residual_matches_kron_lift(case):
 def test_sublemma_matches_composite_references(case, rank):
     psi12, rng = case
     d1, d2 = psi12.dims
-    q2 = random_projector(HilbertSpace(d2), min(rank, d2), rng)
+    q2 = random_projector(d2, min(rank, d2), rng)
     # a state supported inside range(Q2) on the second factor
     coeffs = psi12.matrix @ q2.matrix.T
     if np.linalg.norm(coeffs) < 1e-6:

@@ -4,7 +4,6 @@ from conftest import flat_state
 
 from envborn.hilbert import (
     DensityOperator,
-    HilbertSpace,
     Projector,
     basis_state,
     identity,
@@ -24,11 +23,11 @@ from envborn.mixtures import (
 from envborn.rng import random_projector, random_state
 from envborn.schmidt import BipartiteState
 
-D2 = HilbertSpace(2)
+D2 = 2
 
 
 def zero_plus_mixture():
-    return MixtureSpec(((basis_state(D2, 0), 0.5), (make_state(D2, [1, 1]), 0.5)))
+    return MixtureSpec(((basis_state(D2, 0), 0.5), (make_state([1, 1]), 0.5)))
 
 
 def bell():
@@ -36,9 +35,8 @@ def bell():
 
 
 def random_spec(dim, parts, rng):
-    space = HilbertSpace(dim)
     weights = rng.dirichlet(np.ones(parts))
-    return MixtureSpec(tuple((random_state(space, rng), w) for w in weights))
+    return MixtureSpec(tuple((random_state(dim, rng), w) for w in weights))
 
 
 class TestMixtureSpec:
@@ -63,13 +61,13 @@ class TestMixtureSpec:
     def test_space_mismatch(self):
         with pytest.raises(ValueError, match="space"):
             MixtureSpec(
-                ((basis_state(D2, 0), 0.5), (basis_state(HilbertSpace(3), 0), 0.5))
+                ((basis_state(D2, 0), 0.5), (basis_state(3, 0), 0.5))
             )
 
 
 class TestMix:
     def test_single_component_is_pure_projector(self):
-        spec = MixtureSpec(((make_state(D2, [0.6, 0.8]), 1.0),))
+        spec = MixtureSpec(((make_state([0.6, 0.8]), 1.0),))
         assert np.allclose(mix(spec).matrix, [[0.36, 0.48], [0.48, 0.64]])
 
     def test_orthogonal_half_half_is_maximally_mixed(self):
@@ -98,10 +96,10 @@ class TestProperProbability:
         assert proper_probability(p, zero_plus_mixture()) == pytest.approx(0.75, abs=1e-12)
 
     def test_identity_event(self):
-        assert proper_probability(Projector(identity(D2)), zero_plus_mixture()) == pytest.approx(1.0)
+        assert proper_probability(Projector(identity(D2).matrix), zero_plus_mixture()) == pytest.approx(1.0)
 
     def test_single_component_reduces_to_pure_rule(self):
-        phi = make_state(D2, [0.6, 0.8])
+        phi = make_state([0.6, 0.8])
         spec = MixtureSpec(((phi, 1.0),))
         p = projector_from_span([basis_state(D2, 0)])
         assert proper_probability(p, spec) == pytest.approx(0.36, abs=1e-12)
@@ -112,7 +110,7 @@ class TestProperProbability:
         for _ in range(100):
             dim = int(rng.integers(2, 5))
             spec = random_spec(dim, int(rng.integers(2, 5)), rng)
-            p = random_projector(HilbertSpace(dim), int(rng.integers(1, dim + 1)), rng)
+            p = random_projector(dim, int(rng.integers(1, dim + 1)), rng)
             value = proper_probability(p, spec)  # raises on disagreement > 1e-12
             trace_route = float(np.trace(p.matrix @ mix(spec).matrix).real)
             assert value == pytest.approx(trace_route, abs=1e-12)
@@ -137,8 +135,8 @@ class TestImproperProbability:
         rng = np.random.default_rng(53)
         for _ in range(100):
             d1, d2 = int(rng.integers(2, 4)), int(rng.integers(2, 4))
-            psi = BipartiteState(random_state(HilbertSpace(d1 * d2), rng).amplitudes.reshape(d1, d2))
-            p = random_projector(HilbertSpace(d1), int(rng.integers(1, d1 + 1)), rng)
+            psi = BipartiteState(random_state(d1 * d2, rng).amplitudes.reshape(d1, d2))
+            p = random_projector(d1, int(rng.integers(1, d1 + 1)), rng)
             value = improper_probability(p, psi)  # raises on disagreement > 1e-12
             vec = psi.matrix.reshape(-1)
             composite_route = float(
@@ -165,7 +163,7 @@ class TestEquivalence:
 
 class TestPurify:
     def test_diagonal_purification_amplitudes(self):
-        rho = DensityOperator(D2, np.diag([0.8, 0.2]).astype(complex))
+        rho = DensityOperator(np.diag([0.8, 0.2]).astype(complex))
         psi = purify(rho)
         expected = np.zeros(4)
         expected[0] = np.sqrt(0.8)
@@ -177,7 +175,7 @@ class TestPurify:
         for _ in range(20):
             dim = int(rng.integers(2, 5))
             diag = rng.dirichlet(np.ones(dim))
-            rho = DensityOperator(HilbertSpace(dim), np.diag(diag).astype(complex))
+            rho = DensityOperator(np.diag(diag).astype(complex))
             psi = purify(rho)
             back = partial_trace(pure_density(flat_state(psi)), psi.dims, keep=0)
             assert np.linalg.norm(back.matrix - rho.matrix) <= 1e-12
@@ -187,7 +185,7 @@ class TestPurify:
         from envborn.rng import random_density
 
         for _ in range(10):
-            rho = random_density(HilbertSpace(3), rng)
+            rho = random_density(3, rng)
             psi = purify(rho)
             back = partial_trace(pure_density(flat_state(psi)), psi.dims, keep=0)
             assert np.linalg.norm(back.matrix - rho.matrix) <= 1e-12

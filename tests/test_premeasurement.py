@@ -3,7 +3,6 @@ import pytest
 from conftest import dense_coupling
 
 from envborn.hilbert import (
-    HilbertSpace,
     Observable,
     Operator,
     basis_state,
@@ -12,7 +11,6 @@ from envborn.hilbert import (
     make_state,
     projector_from_span,
     pure_density,
-    spectral_observable,
     trace_probability,
 )
 from envborn.premeasurement import (
@@ -33,15 +31,14 @@ from envborn.rng import (
     random_unit_vector,
 )
 
-D2 = HilbertSpace(2, "sys")
-D3 = HilbertSpace(3, "sys")
-POINTER2 = HilbertSpace(2, "pointer")
+D2 = 2
+D3 = 3
+POINTER2 = 2
 
 
 def qubit_apparatus():
     b = complete_observable([basis_state(POINTER2, 0), basis_state(POINTER2, 1)])
     return PointerApparatus(
-        POINTER2,
         basis_state(POINTER2, 0),
         b,
         (basis_state(POINTER2, 0), basis_state(POINTER2, 1)),
@@ -59,7 +56,7 @@ def cnot_model():
 
 def degenerate_model():
     # P^1 = span{e0, e1}, P^2 = span{e2} on a 3-dim system with a qubit pointer
-    a = spectral_observable(
+    a = Observable(
         [1.0, -1.0],
         [
             projector_from_span([basis_state(D3, 0), basis_state(D3, 1)]),
@@ -69,27 +66,25 @@ def degenerate_model():
     return build_premeasurement(a, qubit_apparatus())
 
 
-def random_model(d1, d2, outcomes, rng, pointer_label=""):
+def random_model(d1, d2, outcomes, rng):
     """Random degenerate or complete model used across the verification suite."""
-    sys_space = HilbertSpace(d1, "sys")
-    ptr_space = HilbertSpace(d2, pointer_label or "pointer")
-    measured = spectral_observable(
+    measured = Observable(
         sorted(rng.normal(size=outcomes) * 3, reverse=True),
-        random_orthogonal_partition(sys_space, outcomes, rng),
+        random_orthogonal_partition(d1, outcomes, rng),
     )
-    pointer_projs = random_orthogonal_partition(ptr_space, outcomes, rng)
-    pointer_obs = spectral_observable(list(range(outcomes)), pointer_projs)
+    pointer_projs = random_orthogonal_partition(d2, outcomes, rng)
+    pointer_obs = Observable(list(range(outcomes)), pointer_projs)
     pointer_states = tuple(
-        make_state(ptr_space, eigenspace_basis(q)[0]) for q in pointer_projs
+        make_state(eigenspace_basis(q)[0]) for q in pointer_projs
     )
-    ready = random_state(ptr_space, rng)
-    apparatus = PointerApparatus(ptr_space, ready, pointer_obs, pointer_states)
+    ready = random_state(d2, rng)
+    apparatus = PointerApparatus(ready, pointer_obs, pointer_states)
     return build_premeasurement(measured, apparatus)
 
 
 class TestHouseholderMap:
     def test_equal_states_give_identity(self):
-        v = make_state(D2, [0.6, 0.8])
+        v = make_state([0.6, 0.8])
         assert np.allclose(householder_map(v, v).matrix, np.eye(2))
 
     def test_orthogonal_basis_states(self):
@@ -99,17 +94,16 @@ class TestHouseholderMap:
     def test_exact_on_random_complex_pairs(self):
         rng = np.random.default_rng(31)
         for d in (2, 3, 5):
-            space = HilbertSpace(d)
             for _ in range(20):
-                x = random_state(space, rng)
-                y = random_state(space, rng)
+                x = random_state(d, rng)
+                y = random_state(d, rng)
                 u = householder_map(x, y)
                 assert u.is_unitary(1e-12)
                 assert np.linalg.norm(u.matrix @ x.amplitudes - y.amplitudes) <= 1e-12
 
     def test_phase_multiple_target(self):
-        x = make_state(D2, [1, 1])
-        y = make_state(D2, np.exp(0.7j) * x.amplitudes)
+        x = make_state([1, 1])
+        y = make_state(np.exp(0.7j) * x.amplitudes)
         u = householder_map(x, y)
         assert np.linalg.norm(u.matrix @ x.amplitudes - y.amplitudes) <= 1e-12
 
@@ -143,10 +137,10 @@ class TestBuildPremeasurement:
 
     def test_non_unitary_couplings_rejected(self):
         model = cnot_model()
-        halved = Operator(HilbertSpace(4), 0.5 * np.eye(4))
+        halved = Operator(0.5 * np.eye(4))
         with pytest.raises(ValueError, match="not unitary"):
             PremeasurementModel(model.measured, model.apparatus, halved)
-        blocks = (model.coupling[0], Operator(POINTER2, 0.5 * np.eye(2)))
+        blocks = (model.coupling[0], Operator(0.5 * np.eye(2)))
         with pytest.raises(ValueError, match="not unitary"):
             PremeasurementModel(model.measured, model.apparatus, blocks)
         with pytest.raises(ValueError, match="block coupling needs 2"):
@@ -167,13 +161,13 @@ class TestEvolve:
 
     def test_linearity_on_superposition(self):
         model = cnot_model()
-        psi = evolve(model, make_state(D2, [1, 1]))
+        psi = evolve(model, make_state([1, 1]))
         expected = (np.kron([1, 0], [1, 0]) + np.kron([0, 1], [0, 1])) / np.sqrt(2)
         assert np.allclose(psi.matrix.reshape(-1), expected)
 
     def test_degenerate_branch_structure(self):
         model = degenerate_model()
-        psi = evolve(model, make_state(D3, [1, 1, 1]))
+        psi = evolve(model, make_state([1, 1, 1]))
         # hand-assembled branch expression
         e = np.eye(3)
         expected = np.kron((e[0] + e[1]) / np.sqrt(3), [1, 0]) + np.kron(
@@ -182,8 +176,14 @@ class TestEvolve:
         assert np.allclose(psi.matrix.reshape(-1), expected)
 
     def test_dimension_mismatch(self):
+        model = cnot_model()
         with pytest.raises(ValueError, match="dim"):
-            evolve(cnot_model(), make_state(D3, [1, 0, 0]))
+            evolve(model, make_state([1, 0, 0]))
+        with pytest.raises(ValueError, match="composite unitary dim 3, expected 4"):
+            PremeasurementModel(model.measured, model.apparatus, Operator(np.eye(3)))
+        blocks = (model.coupling[0], Operator(np.eye(3)))
+        with pytest.raises(ValueError, match="2 apparatus operators of dim 2"):
+            PremeasurementModel(model.measured, model.apparatus, blocks)
 
 
 class TestBranches:
@@ -196,12 +196,12 @@ class TestBranches:
 
     def test_uniform_superposition(self):
         model = cnot_model()
-        bset = branches(model, evolve(model, make_state(D2, [1, 1])))
+        bset = branches(model, evolve(model, make_state([1, 1])))
         assert bset.weights == pytest.approx({0: 0.5, 1: 0.5})
 
     def test_degenerate_weights_match_oracle(self):
         model = degenerate_model()
-        phi = make_state(D3, [1, 1, 1])
+        phi = make_state([1, 1, 1])
         bset = branches(model, evolve(model, phi))
         rho = pure_density(phi)
         for b in bset.branches:
@@ -214,14 +214,14 @@ class TestBranches:
         rng = np.random.default_rng(33)
         for _ in range(20):
             model = random_model(3, 4, 2, rng)
-            bset = branches(model, evolve(model, random_state(HilbertSpace(3), rng)))
+            bset = branches(model, evolve(model, random_state(3, rng)))
             assert abs(sum(bset.weights.values()) - 1.0) <= 1e-10
 
     def test_branch_biorthogonality(self):
         rng = np.random.default_rng(34)
         for _ in range(20):
             model = random_model(4, 4, 3, rng)
-            bset = branches(model, evolve(model, random_state(HilbertSpace(4), rng)))
+            bset = branches(model, evolve(model, random_state(4, rng)))
             vecs = [b.matrix.reshape(-1) for b in bset.branches]
             for i in range(len(vecs)):
                 for j in range(i + 1, len(vecs)):
@@ -243,7 +243,7 @@ class TestVerifyCalibration:
         # ready state lies in range(Q^0) but not range(Q^1): outcome 1 cannot calibrate
         a = complete_observable([basis_state(D2, 0), basis_state(D2, 1)], [1.0, -1.0])
         apparatus = qubit_apparatus()
-        model = PremeasurementModel(a, apparatus, identity(HilbertSpace(4)))
+        model = PremeasurementModel(a, apparatus, identity(4))
         report = verify_calibration(model)
         assert not report.passed
         assert report.residuals[0] <= 1e-10
@@ -263,7 +263,7 @@ class TestVerifyNondemolition:
 
     def test_degenerate_model_passes(self):
         model = degenerate_model()
-        report = verify_nondemolition(model, coupled_branches(model, make_state(D3, [1, 1, 1])))
+        report = verify_nondemolition(model, coupled_branches(model, make_state([1, 1, 1])))
         assert report.passed
 
     def test_swap_coupling_demolishes(self):
@@ -271,15 +271,15 @@ class TestVerifyNondemolition:
         # that is not nondemolition
         a = complete_observable([basis_state(D2, 0), basis_state(D2, 1)], [1.0, -1.0])
         swap = np.eye(4)[[0, 2, 1, 3]].astype(complex)
-        model = PremeasurementModel(a, qubit_apparatus(), Operator(HilbertSpace(4), swap))
-        report = verify_nondemolition(model, coupled_branches(model, make_state(D2, [1, 1])))
+        model = PremeasurementModel(a, qubit_apparatus(), Operator(swap))
+        report = verify_nondemolition(model, coupled_branches(model, make_state([1, 1])))
         assert not report.passed
 
     def test_random_inputs_pass(self):
         rng = np.random.default_rng(36)
         model = random_model(4, 3, 3, rng)
         for _ in range(100):
-            phi = random_state(HilbertSpace(4), rng)
+            phi = random_state(4, rng)
             report = verify_nondemolition(model, coupled_branches(model, phi))
             assert report.passed
 
@@ -292,7 +292,7 @@ class TestBranchNormLaw:
         assert report.residuals[0] <= 1e-12
 
     def test_degenerate_weights(self):
-        model, phi = degenerate_model(), make_state(D3, [1, 1, 1])
+        model, phi = degenerate_model(), make_state([1, 1, 1])
         report = branch_norm_law(model, phi, coupled_branches(model, phi))
         assert report.passed
 
@@ -315,7 +315,7 @@ class TestBranchNormLaw:
                 for _ in range(10):
                     coeff = random_unit_vector(len(basis), rng)
                     vec = sum(c * b for c, b in zip(coeff, basis))
-                    phi = make_state(HilbertSpace(4), vec)
+                    phi = make_state(vec)
                     fixed = np.linalg.norm(
                         model.measured.projectors[n].matrix @ phi.amplitudes
                         - phi.amplitudes
@@ -332,31 +332,33 @@ class TestApparatusInvariants:
         b = complete_observable([basis_state(POINTER2, 0), basis_state(POINTER2, 1)])
         with pytest.raises(ValueError, match="range"):
             PointerApparatus(
-                POINTER2,
                 basis_state(POINTER2, 0),
                 b,
                 (basis_state(POINTER2, 1), basis_state(POINTER2, 0)),
             )
 
     def test_non_orthonormal_pointer_states(self):
-        space = HilbertSpace(3)
-        q = projector_from_span([basis_state(space, 0), basis_state(space, 1)])
-        q2 = projector_from_span([basis_state(space, 2)])
-        b = spectral_observable([0.0, 1.0], [q, q2])
+        q = projector_from_span([basis_state(3, 0), basis_state(3, 1)])
+        q2 = projector_from_span([basis_state(3, 2)])
+        b = Observable([0.0, 1.0], [q, q2])
         with pytest.raises(ValueError, match="orthonormal"):
             PointerApparatus(
-                space,
-                basis_state(space, 0),
+                basis_state(3, 0),
                 b,
-                (make_state(space, [1, 1, 0]), make_state(space, [1, 0, 0])),
+                (make_state([1, 1, 0]), make_state([1, 0, 0])),
             )
+
+    def test_ready_state_dimension_mismatch(self):
+        b = complete_observable([basis_state(POINTER2, 0), basis_state(POINTER2, 1)])
+        pointer_states = (basis_state(POINTER2, 0), basis_state(POINTER2, 1))
+        with pytest.raises(ValueError, match="ready state dim 3 does not match pointer observable"):
+            PointerApparatus(basis_state(3, 0), b, pointer_states)
 
     def test_ready_state_may_overlap_pointer_states(self):
         # no orthogonality requirement between ready and pointer states
         b = complete_observable([basis_state(POINTER2, 0), basis_state(POINTER2, 1)])
         apparatus = PointerApparatus(
-            POINTER2,
-            make_state(POINTER2, [1, 1]),
+            make_state([1, 1]),
             b,
             (basis_state(POINTER2, 0), basis_state(POINTER2, 1)),
         )

@@ -3,7 +3,6 @@ import pytest
 from conftest import flat_state
 
 from envborn.hilbert import (
-    HilbertSpace,
     Operator,
     StateVector,
     basis_state,
@@ -26,8 +25,8 @@ from envborn.schmidt import (
 
 INV_SQRT2 = 0.7071067811865476
 
-D2 = HilbertSpace(2)
-D3 = HilbertSpace(3)
+D2 = 2
+D3 = 3
 
 
 def bell():
@@ -40,7 +39,7 @@ def skewed():
 
 
 def random_bipartite(d1, d2, rng):
-    return BipartiteState(random_state(HilbertSpace(d1 * d2), rng).amplitudes.reshape(d1, d2))
+    return BipartiteState(random_state(d1 * d2, rng).amplitudes.reshape(d1, d2))
 
 
 def uniform_form(terms, d1, d2, rng):
@@ -50,8 +49,8 @@ def uniform_form(terms, d1, d2, rng):
     coeff = np.full(terms, 1.0 / np.sqrt(terms))
     return SchmidtForm(
         coeff,
-        tuple(StateVector(HilbertSpace(d1), u[:, i]) for i in range(terms)),
-        tuple(StateVector(HilbertSpace(d2), v[:, i]) for i in range(terms)),
+        tuple(StateVector(u[:, i]) for i in range(terms)),
+        tuple(StateVector(v[:, i]) for i in range(terms)),
     )
 
 
@@ -199,8 +198,8 @@ class TestSwapWitness:
         v = random_unitary(3, rng)
         form = SchmidtForm(
             coeff / np.linalg.norm(coeff),
-            tuple(StateVector(D3, u[:, i]) for i in range(3)),
-            tuple(StateVector(D3, v[:, i]) for i in range(3)),
+            tuple(StateVector(u[:, i]) for i in range(3)),
+            tuple(StateVector(v[:, i]) for i in range(3)),
         )
         psi = reconstruct(form)
         u1, u2 = swap_witness(form, [0, 2, 1])
@@ -215,22 +214,22 @@ class TestSwapWitness:
 class TestCheckEnvariance:
     def test_identity_pair(self):
         psi = bell()
-        ident = Operator(D2, np.eye(2, dtype=complex))
+        ident = Operator(np.eye(2, dtype=complex))
         assert check_envariance(psi, ident, ident) == 0.0
 
     def test_one_sided_flip_is_not_envariant(self):
         # sigma_x on one side moves the Bell state by exactly sqrt(2)
         psi = bell()
-        sx = Operator(D2, np.array([[0, 1], [1, 0]], dtype=complex))
-        ident = Operator(D2, np.eye(2, dtype=complex))
+        sx = Operator(np.array([[0, 1], [1, 0]], dtype=complex))
+        ident = Operator(np.eye(2, dtype=complex))
         moved = np.kron(sx.matrix, np.eye(2)) @ psi.matrix.reshape(-1)
         assert np.linalg.norm(moved - psi.matrix.reshape(-1)) == pytest.approx(np.sqrt(2))
         assert check_envariance(psi, sx, ident) == pytest.approx(np.sqrt(2), abs=1e-10)
 
     def test_non_unitary_rejected(self):
         psi = bell()
-        bad = Operator(D2, np.diag([1.0, 0.5]).astype(complex))
-        ident = Operator(D2, np.eye(2, dtype=complex))
+        bad = Operator(np.diag([1.0, 0.5]).astype(complex))
+        ident = Operator(np.eye(2, dtype=complex))
         with pytest.raises(ValueError, match="unitary"):
             check_envariance(psi, bad, ident)
 

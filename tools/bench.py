@@ -46,26 +46,20 @@ def outcome_counts(d1: int, d2: int) -> list[int]:
 def random_case(d1: int, d2: int, outcomes: int, seed: int):
     import numpy as np
 
-    from envborn.hilbert import HilbertSpace, make_state, spectral_observable
+    from envborn.hilbert import Observable, make_state
     from envborn.premeasurement import PointerApparatus, eigenspace_basis
     from envborn.rng import random_orthogonal_partition, random_state, random_unit_vector
 
     rng = np.random.default_rng(seed)
-    sys_space = HilbertSpace(d1, "sys")
-    ptr_space = HilbertSpace(d2, "pointer")
-    measured = spectral_observable(
-        list(range(outcomes)), random_orthogonal_partition(sys_space, outcomes, rng)
-    )
-    pointer_projs = random_orthogonal_partition(ptr_space, outcomes, rng)
-    pointer_obs = spectral_observable(list(range(outcomes)), pointer_projs)
+    measured = Observable(list(range(outcomes)), random_orthogonal_partition(d1, outcomes, rng))
+    pointer_projs = random_orthogonal_partition(d2, outcomes, rng)
+    pointer_obs = Observable(list(range(outcomes)), pointer_projs)
     pointer_states = []
     for q in pointer_projs:
         basis = np.column_stack(eigenspace_basis(q))
-        pointer_states.append(make_state(ptr_space, basis @ random_unit_vector(basis.shape[1], rng)))
-    apparatus = PointerApparatus(
-        ptr_space, random_state(ptr_space, rng), pointer_obs, tuple(pointer_states)
-    )
-    return measured, apparatus, random_state(sys_space, rng)
+        pointer_states.append(make_state(basis @ random_unit_vector(basis.shape[1], rng)))
+    apparatus = PointerApparatus(random_state(d2, rng), pointer_obs, tuple(pointer_states))
+    return measured, apparatus, random_state(d1, rng)
 
 
 def timed(func, repeats: int, min_total_ms: float = 200.0) -> tuple[float, int, object]:

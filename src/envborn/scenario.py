@@ -50,11 +50,11 @@ class ScenarioError(ValueError):
     """Malformed or inconsistent scenario input (CLI exit code 2)."""
 
 
-def _shown(value, limit: int = 60) -> str:
-    """``repr(value)`` for an error message, cut to ``limit`` characters plus
-    ``...``, so that a huge rejected value cannot swamp the message."""
+def _shown(value) -> str:
+    """``repr(value)`` for an error message, cut to 60 characters plus ``...``,
+    so that a huge rejected value cannot swamp the message."""
     text = repr(value)
-    return text if len(text) <= limit else text[:limit] + "..."
+    return text if len(text) <= 60 else text[:60] + "..."
 
 
 def encode_vector(vec: np.ndarray) -> list[list[float]]:

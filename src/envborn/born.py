@@ -40,6 +40,7 @@ from .hilbert import (
     Projector,
     StateVector,
     check_orthogonal,
+    gram_residual,
     pure_density,
     trace_probability,
 )
@@ -51,13 +52,12 @@ from .premeasurement import (
     verify_calibration,
     verify_nondemolition,
 )
-from .schmidt import BipartiteState, SchmidtForm, gram_residual, pointer_density, schmidt_decompose
+from .schmidt import BipartiteState, SchmidtForm, pointer_density, schmidt_decompose
 
 __all__ = [
     "OutcomeRecord",
     "ProbabilityReport",
     "derive_probabilities",
-    "pointer_density",
     "complement_check",
     "check_additivity",
 ]
@@ -110,20 +110,19 @@ def complement_check(
     model: PremeasurementModel,
     psi12: BipartiteState,
     outcome: int,
-    schmidt2: Sequence[StateVector],
+    schmidt2: np.ndarray,
     tol: float = DEFAULT_TOL,
 ) -> float:
     """Norm of ``(I (x) (Q^k)') psi = Psi @ (Q^k)'.T`` where ``(Q^k)'`` is the
-    pointer projector minus the branch's factor-2 Schmidt span.
+    pointer projector minus the span of the branch's factor-2 Schmidt vectors,
+    the columns of ``schmidt2`` (``d2 x r``; ``r = 0`` for an omitted outcome).
 
     The sub-projector relation guarantees ``(Q^k)'`` is again a projector;
     if its projector invariants fail a ValueError is raised, since that
     signals a violated sub-projector relation rather than a mere audit miss.
     """
     q = model.apparatus.pointer_observable.projectors[outcome]
-    comp = np.array(q.matrix, dtype=complex)
-    for v in schmidt2:
-        comp -= np.outer(v.amplitudes, v.amplitudes.conj())
+    comp = q.matrix - schmidt2 @ schmidt2.conj().T
     # Raises when not Hermitian/idempotent within tol.
     Projector(comp, tol)
     return float(np.linalg.norm(psi12.matrix @ comp.T))
@@ -151,7 +150,6 @@ def derive_probabilities(
     phi: StateVector,
     tol: float = DEFAULT_TOL,
     seed: int = 0,
-    calibration_trials: int = 20,
 ) -> ProbabilityReport:
     """Run the full pipeline and audit every step.
 
@@ -177,9 +175,8 @@ def derive_probabilities(
 
     # Composite biorthogonality: the union of branch Schmidt vectors must be
     # orthonormal on each factor.
-    all1 = [v for form in branch_forms.values() for v in form.basis1]
-    all2 = [v for form in branch_forms.values() for v in form.basis2]
-    biorth_residual = max(gram_residual(all1), gram_residual(all2))
+    bases1, bases2 = zip(*((form.basis1, form.basis2) for form in branch_forms.values()))
+    biorth_residual = max(gram_residual(np.hstack(bases1)), gram_residual(np.hstack(bases2)))
 
     weights = bset.weights
     additivity: dict[int, float] = {}
@@ -196,7 +193,7 @@ def derive_probabilities(
             form = branch_forms[n]
             detail = tuple(float(weights[n] * c**2) for c in form.coefficients)
             derived = float(sum(detail))
-            parts = [Projector(np.outer(v.amplitudes, v.amplitudes.conj())) for v in form.basis2]
+            parts = [Projector(np.outer(v, v.conj())) for v in form.basis2.T]
             try:
                 additivity[n] = check_additivity(rho2, parts, tol)
             except ValueError:
@@ -205,7 +202,7 @@ def derive_probabilities(
         else:
             detail = ()
             derived = 0.0
-            schmidt2 = ()
+            schmidt2 = np.zeros((model.d2, 0))
         try:
             complement_residual = complement_check(model, psi12, n, schmidt2, tol)
         except ValueError:
@@ -227,7 +224,7 @@ def derive_probabilities(
     return ProbabilityReport(
         records=tuple(records),
         audits={
-            "calibration": verify_calibration(model, tol, trials=calibration_trials, seed=seed),
+            "calibration": verify_calibration(model, tol, seed=seed),
             "nondemolition": verify_nondemolition(model, bset, tol),
             "norm_law": branch_norm_law(model, phi, bset, tol),
             "biorthogonality": Audit({None: biorth_residual}, tol),

@@ -92,8 +92,8 @@ def run_schmidt(scenario: Scenario) -> dict:
     residual = float(np.linalg.norm(back.matrix - psi.matrix))
     section = {
         "coefficients": [float(c) for c in form.coefficients],
-        "basis1": [encode_vector(v.amplitudes) for v in form.basis1],
-        "basis2": [encode_vector(v.amplitudes) for v in form.basis2],
+        "basis1": [encode_vector(v) for v in form.basis1.T],
+        "basis2": [encode_vector(v) for v in form.basis2.T],
         "probabilities": [float(p) for p in schmidt_probabilities(form)],
         "round_trip_residual": residual,
         "tolerance": scenario.operator_tol,

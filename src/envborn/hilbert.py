@@ -109,18 +109,16 @@ class Operator:
         mat = _freeze(self.matrix)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.size == 0:
             raise ValueError(f"expected a non-empty square matrix, got shape {mat.shape}")
+        if not np.isfinite(mat).all():
+            raise ValueError("matrix entries must be finite")
         object.__setattr__(self, "matrix", mat)
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def unitary_residual(self) -> float:
-        """Frobenius residual ``||M^H M - I||``."""
-        return float(np.linalg.norm(self.matrix.conj().T @ self.matrix - np.eye(self.dim)))
-
     def is_unitary(self, tol: float = DEFAULT_TOL) -> bool:
-        return self.unitary_residual() <= tol
+        return gram_residual(self.matrix) <= tol
 
 
 @dataclass(frozen=True)
@@ -142,6 +140,13 @@ class Projector(Operator):
     @property
     def rank(self) -> int:
         return int(round(np.trace(self.matrix).real))
+
+
+def gram_residual(columns: np.ndarray) -> float:
+    """``||M^H M - I||`` for the matrix ``M = columns``: zero when its columns
+    are orthonormal, and the unitarity residual when ``M`` is square."""
+    gram = columns.conj().T @ columns
+    return float(np.linalg.norm(gram - np.eye(gram.shape[0])))
 
 
 def check_orthogonal(projectors: Sequence[Projector], tol: float) -> None:

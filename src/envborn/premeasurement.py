@@ -40,11 +40,12 @@ from .hilbert import (
     Projector,
     StateVector,
     _freeze,
+    gram_residual,
     pure_density,
     trace_probability,
 )
 from .rng import random_unit_vector
-from .schmidt import ZERO_BRANCH_THRESHOLD, BipartiteState, gram_residual
+from .schmidt import ZERO_BRANCH_THRESHOLD, BipartiteState
 
 __all__ = [
     "PointerApparatus",
@@ -92,7 +93,7 @@ class PointerApparatus:
             )
         if len(states) > self.dim:
             raise ValueError("more pointer outcomes than apparatus dimensions")
-        if gram_residual(states) > self.tol:
+        if gram_residual(np.column_stack([chi.amplitudes for chi in states])) > self.tol:
             raise ValueError("pointer states are not orthonormal within tolerance")
         for n, (q, chi) in enumerate(zip(self.pointer_observable.projectors, states)):
             residual = np.linalg.norm(q.matrix @ chi.amplitudes - chi.amplitudes)
@@ -145,7 +146,7 @@ class PremeasurementModel:
             )
         ready = self.apparatus.ready_state.amplitudes
         if isinstance(self.coupling, Operator):
-            residual = self.coupling.unitary_residual()
+            residual = gram_residual(self.coupling.matrix)
             ready_map = self.coupling.matrix.reshape(d1 * d2, d1, d2) @ ready
         else:
             blocks = tuple(self.coupling)
@@ -161,7 +162,7 @@ class PremeasurementModel:
             ready_map = (p.reshape(len(p), d1 * d1).T @ (v @ ready)).reshape(d1, d1, d2)
             ready_map = ready_map.transpose(0, 2, 1).reshape(d1 * d2, d1)
             object.__setattr__(self, "coupling", blocks)
-        if residual > self.tol:
+        if not residual <= self.tol:  # also rejects NaN
             raise ValueError(
                 f"composite coupling is not unitary within tolerance: residual {residual:.3e}"
             )
@@ -312,11 +313,11 @@ def branches(model: PremeasurementModel, psi12: BipartiteState) -> BranchSet:
     return BranchSet(branches=tuple(kept), omitted=tuple(omitted))
 
 
-def eigenspace_basis(projector: Projector, tol: float = DEFAULT_TOL) -> list[np.ndarray]:
-    """Orthonormal basis of the range of a projector (eigenvectors with
-    eigenvalue near 1)."""
+def eigenspace_basis(projector: Projector) -> np.ndarray:
+    """Orthonormal basis of the range of a projector, as the columns of a
+    ``dim x rank`` matrix (eigenvectors with eigenvalue near 1)."""
     values, vectors = np.linalg.eigh(projector.matrix)
-    return [vectors[:, i] for i in range(len(values)) if values[i] > 0.5]
+    return vectors[:, values > 0.5]
 
 
 def verify_calibration(
@@ -340,7 +341,7 @@ def verify_calibration(
     for n, (p, q) in enumerate(
         zip(model.measured.projectors, model.apparatus.pointer_observable.projectors)
     ):
-        basis = np.column_stack(eigenspace_basis(p))
+        basis = eigenspace_basis(p)
         coeffs = [random_unit_vector(basis.shape[1], rng) for _ in range(trials)]
         inputs = np.column_stack([basis] + [basis @ c for c in coeffs])
         inputs = inputs / np.linalg.norm(inputs, axis=0)

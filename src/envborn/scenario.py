@@ -426,10 +426,19 @@ def _parse_mixture(spec, d1: int, has_partner: bool) -> tuple[dict, MixtureSpec]
     if not auto_purify and not has_partner:
         raise ScenarioError("mixture needs composite_state or auto_purify for a partner")
     try:
-        counts = tuple(out["counts"]) if "counts" in out else None
-        return out, MixtureSpec(tuple(components), counts)
+        mixture = MixtureSpec(tuple(components))
     except ValueError as exc:
         raise ScenarioError(f"invalid mixture: {exc}") from exc
+    if "counts" not in out:
+        return out, mixture
+    try:
+        return out, MixtureSpec(mixture.components, tuple(out["counts"]))
+    except ValueError as exc:
+        # the reason echoes the counts in full, so only the clipped list is shown
+        raise ScenarioError(
+            f"mixture.counts must be one positive count per component in the ratio "
+            f"of the weights, got {_shown(out['counts'])}"
+        ) from exc
 
 
 def _canonical_sampling(spec) -> dict:

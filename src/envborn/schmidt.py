@@ -27,8 +27,8 @@ from .hilbert import (
     DensityOperator,
     Operator,
     Projector,
-    StateVector,
     _freeze,
+    gram_residual,
 )
 
 __all__ = [
@@ -83,26 +83,22 @@ def pointer_density(psi12: BipartiteState) -> DensityOperator:
     return DensityOperator(psi.T @ psi.conj())
 
 
-def gram_residual(vectors: Sequence[StateVector]) -> float:
-    """``||G - I||`` for the Gram matrix ``G`` of ``vectors``."""
-    mat = np.column_stack([v.amplitudes for v in vectors])
-    gram = mat.conj().T @ mat
-    return float(np.linalg.norm(gram - np.eye(len(vectors))))
-
-
 @dataclass(frozen=True)
 class SchmidtForm:
-    """Coefficients (positive, descending) with paired orthonormal bases."""
+    """Coefficients (positive, descending) with paired orthonormal bases:
+    column ``i`` of ``basis1`` (``d1 x n``) and of ``basis2`` (``d2 x n``) is
+    the factor vector of term ``i``."""
 
     coefficients: np.ndarray
-    basis1: tuple[StateVector, ...]
-    basis2: tuple[StateVector, ...]
+    basis1: np.ndarray
+    basis2: np.ndarray
     tol: float = DEFAULT_TOL
 
     def __post_init__(self):
         coeffs = np.array(self.coefficients, dtype=float).reshape(-1)
         n = len(coeffs)
-        if len(self.basis1) != n or len(self.basis2) != n:
+        basis1, basis2 = _freeze(self.basis1), _freeze(self.basis2)
+        if basis1.ndim != 2 or basis2.ndim != 2 or basis1.shape[1] != n or basis2.shape[1] != n:
             raise ValueError("coefficients and bases must have equal lengths")
         if n == 0:
             raise ValueError("a Schmidt form needs at least one term")
@@ -110,19 +106,21 @@ class SchmidtForm:
             raise ValueError("coefficients must be strictly positive")
         if np.any(np.diff(coeffs) > 0):
             raise ValueError("coefficients must be in descending order")
-        if abs(np.sum(coeffs**2) - 1.0) > self.tol:
+        if not abs(np.sum(coeffs**2) - 1.0) <= self.tol:  # also rejects NaN
             raise ValueError("squared coefficients must sum to 1")
-        d1 = self.basis1[0].dim
-        d2 = self.basis2[0].dim
-        if n > min(d1, d2):
-            raise ValueError(f"{n} terms exceed min factor dimension {min(d1, d2)}")
-        for basis, name in ((self.basis1, "factor-1"), (self.basis2, "factor-2")):
-            if gram_residual(basis) > self.tol:
+        dim = min(len(basis1), len(basis2))
+        if n > dim:
+            raise ValueError(f"{n} terms exceed min factor dimension {dim}")
+        for basis, name in ((basis1, "factor-1"), (basis2, "factor-2")):
+            # written so that NaN fails both comparisons
+            if not gram_residual(basis) <= self.tol:
                 raise ValueError(f"{name} basis is not orthonormal within tolerance")
+            if not np.all(abs(np.linalg.norm(basis, axis=0) - 1.0) <= NORM_TOL):
+                raise ValueError(f"{name} basis vectors are not normalized")
         coeffs.setflags(write=False)
         object.__setattr__(self, "coefficients", coeffs)
-        object.__setattr__(self, "basis1", tuple(self.basis1))
-        object.__setattr__(self, "basis2", tuple(self.basis2))
+        object.__setattr__(self, "basis1", basis1)
+        object.__setattr__(self, "basis2", basis2)
 
     def __len__(self) -> int:
         return len(self.coefficients)
@@ -140,63 +138,39 @@ def schmidt_decompose(psi: BipartiteState) -> SchmidtForm:
     """
     u, s, vh = np.linalg.svd(psi.matrix, full_matrices=False)
     keep = s >= ZERO_BRANCH_THRESHOLD
-    s = s[keep]
-    u = u[:, keep]
-    vh = vh[keep, :]
-
-    vecs1 = []
-    vecs2 = []
-    lead_index = []
-    for i in range(len(s)):
-        col = u[:, i].copy()
-        row = vh[i, :].copy()
-        nz = np.flatnonzero(np.abs(col) > 1e-12)
-        lead = int(nz[0]) if len(nz) else 0
-        phase = col[lead] / abs(col[lead]) if len(nz) else 1.0
-        vecs1.append(col / phase)
-        vecs2.append(row * phase)
-        lead_index.append(lead)
-
+    s, u, v = s[keep], u[:, keep], vh[keep, :].T
+    # a unit column has an entry of modulus at least 1/sqrt(d1) > 1e-12
+    lead = np.argmax(np.abs(u) > 1e-12, axis=0)
+    top = u[lead, np.arange(len(s))]
+    # hypot rounds as scalar abs() does; np.abs on arrays may differ in the last bit
+    phase = top / np.hypot(top.real, top.imag)
     # SVD returns descending singular values; break ties deterministically by
     # the factor-1 leading-component index.
-    order = sorted(range(len(s)), key=lambda i: (-s[i], lead_index[i]))
-    return SchmidtForm(
-        coefficients=np.array([s[i] for i in order]),
-        basis1=tuple(StateVector(vecs1[i]) for i in order),
-        basis2=tuple(StateVector(vecs2[i]) for i in order),
-    )
+    order = np.lexsort((lead, -s))
+    return SchmidtForm(s[order], (u / phase)[:, order], (v * phase)[:, order])
 
 
 def reconstruct(form: SchmidtForm) -> BipartiteState:
     """Inverse of schmidt_decompose: ``sum_i a_i |i>_1 |i>_2``, normalized,
     with coefficient matrix ``sum_i a_i outer(|i>_1, |i>_2)``."""
-    terms = zip(form.coefficients, form.basis1, form.basis2)
-    psi = sum(a * np.outer(b1.amplitudes, b2.amplitudes) for a, b1, b2 in terms)
+    terms = zip(form.coefficients, form.basis1.T, form.basis2.T)
+    psi = sum(a * np.outer(b1, b2) for a, b1, b2 in terms)
     return BipartiteState(psi / np.linalg.norm(psi))
-
-
-def _phased_identity(dim: int, vectors: Sequence[StateVector], factors: np.ndarray) -> np.ndarray:
-    """Identity plus (factor - 1) on each |v><v|; unitary for unimodular factors."""
-    mat = np.eye(dim, dtype=complex)
-    for f, v in zip(factors, vectors):
-        amp = v.amplitudes
-        mat += (f - 1.0) * np.outer(amp, amp.conj())
-    return mat
 
 
 def twin_unitary(form: SchmidtForm, phases: Sequence[float]) -> tuple[Operator, Operator]:
     """The paired unitaries e^{+i th_i} on |i>_1 and e^{-i th_i} on |i>_2
-    (identity on the orthogonal complements).  Their tensor product leaves the
-    source state invariant."""
+    (identity on the orthogonal complements): ``I + B diag(f - 1) B^H`` for
+    each factor basis ``B`` and its phase factors ``f``.  Their tensor product
+    leaves the source state invariant."""
     if len(phases) != len(form):
         raise ValueError(
             f"expected {len(form)} phases (one per Schmidt term), got {len(phases)}"
         )
     th = np.asarray(phases, dtype=float)
-    d1 = form.basis1[0].dim
-    d2 = form.basis2[0].dim
-    u1 = _phased_identity(d1, form.basis1, np.exp(1j * th))
-    u2 = _phased_identity(d2, form.basis2, np.exp(-1j * th))
+    b1, b2 = form.basis1, form.basis2
+    u1 = np.eye(len(b1)) + (b1 * (np.exp(1j * th) - 1.0)) @ b1.conj().T
+    u2 = np.eye(len(b2)) + (b2 * (np.exp(-1j * th) - 1.0)) @ b2.conj().T
     return Operator(u1), Operator(u2)
 
 
@@ -206,30 +180,25 @@ def swap_witness(form: SchmidtForm, perm: Sequence[int]) -> tuple[Operator, Oper
     ``perm[i]`` is the image of term index i.  Factor 1 sends |i>_1 to
     |perm[i]>_1; factor 2 applies the matching counter-permutation on the
     |i>_2 family (identity on both complements), so the composite state is
-    invariant.  Coefficients moved by the permutation must be equal within
+    invariant.  For a factor basis ``B`` the map is ``I + (B[:, perm] - B)
+    B^H``.  Coefficients moved by the permutation must be equal within
     1e-12, otherwise the swap is not envariant and a ValueError signals the
     misuse.
     """
     n = len(form)
     if sorted(perm) != list(range(n)):
         raise ValueError(f"perm must be a permutation of 0..{n - 1}, got {list(perm)}")
+    perm = list(perm)
     coeffs = form.coefficients
-    moving = [i for i in range(n) if perm[i] != i]
-    for i in moving:
+    for i in range(n):
         if abs(coeffs[i] - coeffs[perm[i]]) > 1e-12:
             raise ValueError(
                 f"coefficients {coeffs[i]!r} and {coeffs[perm[i]]!r} moved by the "
                 "permutation are unequal; the swap would not be envariant"
             )
-    d1 = form.basis1[0].dim
-    d2 = form.basis2[0].dim
-    u1 = np.eye(d1, dtype=complex)
-    u2 = np.eye(d2, dtype=complex)
-    for i in moving:
-        a1, t1 = form.basis1[i].amplitudes, form.basis1[perm[i]].amplitudes
-        a2, t2 = form.basis2[i].amplitudes, form.basis2[perm[i]].amplitudes
-        u1 += np.outer(t1, a1.conj()) - np.outer(a1, a1.conj())
-        u2 += np.outer(t2, a2.conj()) - np.outer(a2, a2.conj())
+    b1, b2 = form.basis1, form.basis2
+    u1 = np.eye(len(b1)) + (b1[:, perm] - b1) @ b1.conj().T
+    u2 = np.eye(len(b2)) + (b2[:, perm] - b2) @ b2.conj().T
     return Operator(u1), Operator(u2)
 
 
@@ -272,9 +241,8 @@ def sublemma_check(
     and the first proof step ``Q2 rho_2 = rho_2``.  The hypothesis is
     checked on the coefficient matrix as ``Psi @ Q2.T``.
     """
-    d2 = psi.d2
-    if q2.dim != d2:
-        raise ValueError(f"Q2 dim {q2.dim} does not match factor 2 dim {d2}")
+    if q2.dim != psi.d2:
+        raise ValueError(f"Q2 dim {q2.dim} does not match factor 2 dim {psi.d2}")
     coeffs = psi.matrix
     hypothesis = float(np.linalg.norm(coeffs @ q2.matrix.T - coeffs))
     if hypothesis > tol:
@@ -282,16 +250,13 @@ def sublemma_check(
             f"hypothesis violated: ||(I x Q2) Psi - Psi|| = {hypothesis:.3e} > {tol:.1e}"
         )
 
-    form = schmidt_decompose(psi)
-    residuals = []
-    sub = np.zeros((d2, d2), dtype=complex)
-    for v in form.basis2:
-        amp = v.amplitudes
-        residuals.append(np.linalg.norm(q2.matrix @ amp - amp))
-        sub += np.outer(amp, amp.conj())
-    residuals.append(np.linalg.norm(q2.matrix @ sub - sub))
-
-    rho2 = pointer_density(psi)
-    residuals.append(np.linalg.norm(q2.matrix @ rho2.matrix - rho2.matrix))
-
+    q = q2.matrix
+    basis = schmidt_decompose(psi).basis2
+    sub = basis @ basis.conj().T
+    rho2 = pointer_density(psi).matrix
+    residuals = [
+        *np.linalg.norm(q @ basis - basis, axis=0),
+        np.linalg.norm(q @ sub - sub),
+        np.linalg.norm(q @ rho2 - rho2),
+    ]
     return Audit({None: float(max(residuals))}, tol)

@@ -34,9 +34,9 @@ def random_scenario(d1, d2, outcomes, rng):
     pointer_states = []
     for q in pointer_projs:
         basis = eigenspace_basis(q)
-        coeff = random_unit_vector(len(basis), rng)
+        coeff = random_unit_vector(basis.shape[1], rng)
         pointer_states.append(
-            make_state(sum(c * b for c, b in zip(coeff, basis)))
+            make_state(sum(c * b for c, b in zip(coeff, basis.T)))
         )
     apparatus = PointerApparatus(
         random_state(d2, rng), pointer_obs, tuple(pointer_states)
@@ -80,7 +80,7 @@ def entangle_branches(model, rng):
         sys_basis = eigenspace_basis(model.measured.projectors[k])
         ptr_basis = eigenspace_basis(model.apparatus.pointer_observable.projectors[k])
         cols = np.column_stack(
-            [np.kron(s, p) for s in sys_basis for p in ptr_basis]
+            [np.kron(s, p) for s in sys_basis.T for p in ptr_basis.T]
         )
         block = cols @ random_unitary(cols.shape[1], rng) @ cols.conj().T
         mixer += block

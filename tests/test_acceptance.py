@@ -186,11 +186,7 @@ def test_criterion_envariance_witnesses():
         d = int(rng.integers(2, 5))
         terms = int(rng.integers(2, d + 1))
         u, v = random_unitary(d, rng), random_unitary(d, rng)
-        form = SchmidtForm(
-            np.full(terms, 1.0 / np.sqrt(terms)),
-            tuple(make_state(u[:, i]) for i in range(terms)),
-            tuple(make_state(v[:, i]) for i in range(terms)),
-        )
+        form = SchmidtForm(np.full(terms, 1.0 / np.sqrt(terms)), u[:, :terms], v[:, :terms])
         psi = reconstruct(form)
         perm = list(rng.permutation(terms))
         u1, u2 = swap_witness(form, perm)
@@ -218,7 +214,7 @@ def test_criterion_subprojector_lemma():
         d2 = int(rng.integers(d1, 5))
         psi = BipartiteState(random_state(d1 * d2, rng).amplitudes.reshape(d1, d2))
         form = schmidt_decompose(psi)
-        support = [v.amplitudes for v in form.basis2]
+        support = list(form.basis2.T)
         # random orthogonal extension of the factor-2 Schmidt support
         full = np.linalg.svd(np.column_stack(support), full_matrices=True)[0]
         extra = int(rng.integers(0, d2 - len(support) + 1))

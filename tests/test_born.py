@@ -220,7 +220,7 @@ class TestEntangledBranches:
         psi12 = evolve(model, phi)
         b = branches(model, psi12).branches[0]
         form = schmidt_decompose(BipartiteState(b.normalized()))
-        assert len(form.basis2) == 2
+        assert form.basis2.shape[1] == 2
         assert complement_check(model, psi12, 0, form.basis2) <= 1e-10
         report = derive_probabilities(model, phi)
         assert report.passed
@@ -254,7 +254,7 @@ class TestComplementCheck:
         psi12 = evolve(model, phi)
         b = branches(model, psi12).branches[0]
         form = schmidt_decompose(BipartiteState(b.normalized()))
-        assert len(form.basis2) == 1
+        assert form.basis2.shape[1] == 1
         residual = complement_check(model, psi12, 0, form.basis2)
         assert residual <= 1e-10
 

@@ -535,9 +535,13 @@ class TestInputHardening:
             ("derive", "degenerate-3d", ("dims", 0), "dims"),
             ("sample", "sample-fair", ("sampling", "n"), "sampling.n"),
             ("mixtures", "mixtures-bell", ("mixture", "trials"), "mixture.trials"),
+            ("mixtures", "mixtures-bell", ("mixture", "counts", 0), "mixture.counts"),
             ("derive", "degenerate-3d", ("input_state", 0, 0), "input_state[0]"),
         ],
-        ids=["seed", "dims", "dims-entry", "sampling.n", "mixture.trials", "amplitude"],
+        ids=[
+            "seed", "dims", "dims-entry", "sampling.n", "mixture.trials", "mixture.counts",
+            "amplitude",
+        ],
     )
     def test_huge_value_is_clipped_in_message(self, tmp_path, command, name, keys, field):
         data = json.loads(Path(fixture_path(name)).read_text(encoding="utf-8"))
@@ -765,3 +769,39 @@ def test_one_field_mutations_exit_cleanly(fuzz_dir, name, command, data):
     path.write_text(json.dumps(_mutate_one_field(scenario, data)), encoding="utf-8")
     code, _, _ = run_cli([command, str(path)])
     assert code in (0, 1, 2)
+
+
+# Option values: signs, zero, huge, non-finite, subnormal, malformed text.
+_OPTION_VALUES = st.one_of(
+    st.sampled_from([
+        "0", "-0", "-1", "1" + "0" * 400, "-" + "9" * 400, "1e308", "-1e308",
+        "nan", "-nan", "inf", "-inf", "5e-324", "-5e-324", "1e-320", "2.2250738585072014e-308",
+        "", "x", "0x10", "1_000", " 3", "1e400", "--",
+    ]),
+    st.integers(-3, 3).map(str),
+    st.floats().map(repr),
+    st.text(max_size=6),
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(
+    name=st.sampled_from(_FUZZ_FIXTURES),
+    command=st.sampled_from(["schmidt", "derive", "mixtures", "sample"]),
+    options=st.lists(
+        st.tuples(st.sampled_from(["--trials", "--seed", "--tolerance"]), _OPTION_VALUES),
+        min_size=1,
+        max_size=3,
+    ),
+)
+def test_option_values_exit_cleanly(name, command, options):
+    """Any value of --trials, --seed or --tolerance ends in exit 0, 1 or 2
+    (argparse rejects a malformed one with SystemExit(2)), never in an
+    exception."""
+    args = [command, fixture_path(name)] + [part for option in options for part in option]
+    try:
+        code, _, err = run_cli(args)
+    except SystemExit as exc:
+        code, err = exc.code, ""
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err

@@ -200,7 +200,7 @@ class TestTraceProbability:
             assert abs(total - 1.0) <= 1e-10
 
 
-class TestSpectralObservable:
+class TestObservable:
     def test_complete_two_level(self):
         obs = Observable(
             [1.0, -1.0],
@@ -316,6 +316,12 @@ class TestInvariants:
         with pytest.raises(ValueError, match="non-empty square matrix"):
             Operator(matrix)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("cls", [Operator, Projector, DensityOperator])
+    def test_non_finite_entry_rejected(self, cls, bad):
+        with pytest.raises(ValueError, match="finite"):
+            cls(np.diag([1.0, bad]).astype(complex))
+
 
 class TestAudit:
     def test_empty_map_passes_with_zero_residual(self):
@@ -365,8 +371,16 @@ STORED_COPY_CASES = {
     ),
     "Branch": (lambda a: Branch(0, a, 1.0).matrix, lambda: np.array([[1, 0]], dtype=complex)),
     "SchmidtForm": (
-        lambda a: SchmidtForm(a, (basis_state(D2, 0),), (basis_state(D2, 0),)).coefficients,
+        lambda a: SchmidtForm(a, np.eye(D2)[:, :1], np.eye(D2)[:, :1]).coefficients,
         lambda: np.array([1.0]),
+    ),
+    "SchmidtForm.basis1": (
+        lambda a: SchmidtForm([1.0], a, np.eye(D2)[:, :1]).basis1,
+        lambda: np.array([[1], [0]], dtype=complex),
+    ),
+    "SchmidtForm.basis2": (
+        lambda a: SchmidtForm([1.0], np.eye(D2)[:, :1], a).basis2,
+        lambda: np.array([[0], [1]], dtype=complex),
     ),
 }
 

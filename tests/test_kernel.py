@@ -17,7 +17,7 @@ from conftest import dense_coupling, entangle_branches, random_scenario
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from envborn.born import complement_check, pointer_density
+from envborn.born import complement_check
 from envborn.hilbert import (
     DEFAULT_TOL,
     Observable,
@@ -34,7 +34,7 @@ from envborn.premeasurement import (
     verify_nondemolition,
 )
 from envborn.rng import random_unit_vector, random_unitary
-from envborn.schmidt import BipartiteState, schmidt_decompose
+from envborn.schmidt import BipartiteState, pointer_density, schmidt_decompose
 
 AGREE = 1e-12
 TRIALS = 5
@@ -56,10 +56,10 @@ def lifted_calibration(model, trials, seed):
     residuals = []
     for p, q in zip(model.measured.projectors, model.apparatus.pointer_observable.projectors):
         basis = eigenspace_basis(p)
-        samples = list(basis)
+        samples = list(basis.T)
         for _ in range(trials):
-            coeff = random_unit_vector(len(basis), rng)
-            samples.append(sum(c * b for c, b in zip(coeff, basis)))
+            coeff = random_unit_vector(basis.shape[1], rng)
+            samples.append(sum(c * b for c, b in zip(coeff, basis.T)))
         lifted_q = pointer_lift(model, q.matrix)
         worst = 0.0
         for vec in samples:
@@ -124,11 +124,11 @@ def test_one_sided_products_match_composite_lifts(case, seed):
         assert abs(nondemolition.residuals[b.outcome] - expected) <= AGREE
 
     for n, q in enumerate(pointer_projectors):
-        schmidt2 = ()
+        schmidt2 = np.zeros((d2, 0))
         if n in kept:
             schmidt2 = schmidt_decompose(BipartiteState(kept[n].normalized())).basis2
         comp = q.matrix - sum(
-            (np.outer(v.amplitudes, v.amplitudes.conj()) for v in schmidt2),
+            (np.outer(v, v.conj()) for v in schmidt2.T),
             np.zeros((d2, d2), dtype=complex),
         )
         expected = np.linalg.norm(pointer_lift(model, comp) @ vec)

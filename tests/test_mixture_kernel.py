@@ -183,9 +183,9 @@ def test_sublemma_matches_composite_references(case, rank):
     report = sublemma_check(psi, q2)
     residuals = []
     sub = np.zeros((d2, d2), dtype=complex)
-    for v in schmidt_decompose(psi).basis2:
-        residuals.append(np.linalg.norm(q2.matrix @ v.amplitudes - v.amplitudes))
-        sub += np.outer(v.amplitudes, v.amplitudes.conj())
+    for v in schmidt_decompose(psi).basis2.T:
+        residuals.append(np.linalg.norm(q2.matrix @ v - v))
+        sub += np.outer(v, v.conj())
     residuals.append(np.linalg.norm(q2.matrix @ sub - sub))
     rho2 = reduced(psi, 1)
     residuals.append(np.linalg.norm(q2.matrix @ rho2 - rho2))

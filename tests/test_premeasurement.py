@@ -75,7 +75,7 @@ def random_model(d1, d2, outcomes, rng):
     pointer_projs = random_orthogonal_partition(d2, outcomes, rng)
     pointer_obs = Observable(list(range(outcomes)), pointer_projs)
     pointer_states = tuple(
-        make_state(eigenspace_basis(q)[0]) for q in pointer_projs
+        make_state(eigenspace_basis(q)[:, 0]) for q in pointer_projs
     )
     ready = random_state(d2, rng)
     apparatus = PointerApparatus(ready, pointer_obs, pointer_states)
@@ -145,6 +145,19 @@ class TestBuildPremeasurement:
             PremeasurementModel(model.measured, model.apparatus, blocks)
         with pytest.raises(ValueError, match="block coupling needs 2"):
             PremeasurementModel(model.measured, model.apparatus, model.coupling[:1])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_couplings_rejected(self, bad):
+        model = cnot_model()
+        dense = np.eye(4, dtype=complex)
+        dense[3, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            PremeasurementModel(model.measured, model.apparatus, Operator(dense))
+        block = np.eye(2, dtype=complex)
+        block[0, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            blocks = (model.coupling[0], Operator(block))
+            PremeasurementModel(model.measured, model.apparatus, blocks)
 
     def test_outcome_count_mismatch(self):
         a = complete_observable([basis_state(D3, i) for i in range(3)])
@@ -313,8 +326,8 @@ class TestBranchNormLaw:
             for n in range(model.outcome_count):
                 basis = eigenspace_basis(model.measured.projectors[n])
                 for _ in range(10):
-                    coeff = random_unit_vector(len(basis), rng)
-                    vec = sum(c * b for c, b in zip(coeff, basis))
+                    coeff = random_unit_vector(basis.shape[1], rng)
+                    vec = sum(c * b for c, b in zip(coeff, basis.T))
                     phi = make_state(vec)
                     fixed = np.linalg.norm(
                         model.measured.projectors[n].matrix @ phi.amplitudes

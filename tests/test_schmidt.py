@@ -4,7 +4,6 @@ from conftest import flat_state
 
 from envborn.hilbert import (
     Operator,
-    StateVector,
     basis_state,
     partial_trace,
     projector_from_span,
@@ -12,6 +11,7 @@ from envborn.hilbert import (
 )
 from envborn.rng import random_state, random_unitary
 from envborn.schmidt import (
+    ZERO_BRANCH_THRESHOLD,
     BipartiteState,
     SchmidtForm,
     check_envariance,
@@ -47,10 +47,41 @@ def uniform_form(terms, d1, d2, rng):
     u = random_unitary(d1, rng)
     v = random_unitary(d2, rng)
     coeff = np.full(terms, 1.0 / np.sqrt(terms))
-    return SchmidtForm(
-        coeff,
-        tuple(StateVector(u[:, i]) for i in range(terms)),
-        tuple(StateVector(v[:, i]) for i in range(terms)),
+    return SchmidtForm(coeff, u[:, :terms], v[:, :terms])
+
+
+def sparse_uniform(d1, d2, terms, rng):
+    """Equal coefficients with random phases on permuted computational basis
+    vectors of both factors: every singular value ties exactly."""
+    psi = np.zeros((d1, d2), dtype=complex)
+    rows, cols = rng.permutation(d1)[:terms], rng.permutation(d2)[:terms]
+    psi[rows, cols] = np.exp(1j * rng.uniform(-np.pi, np.pi, size=terms)) / np.sqrt(terms)
+    return BipartiteState(psi)
+
+
+def per_term_decompose(psi):
+    """``schmidt_decompose`` written term by term: each factor-1 vector gets
+    its leading index and phase on its own, then the terms are sorted by
+    (-coefficient, leading index).  Returns the coefficients and both bases
+    as column matrices."""
+    u, s, vh = np.linalg.svd(psi.matrix, full_matrices=False)
+    keep = s >= ZERO_BRANCH_THRESHOLD
+    s, u, vh = s[keep], u[:, keep], vh[keep, :]
+    vecs1, vecs2, lead_index = [], [], []
+    for i in range(len(s)):
+        col = u[:, i].copy()
+        row = vh[i, :].copy()
+        nz = np.flatnonzero(np.abs(col) > 1e-12)
+        lead = int(nz[0]) if len(nz) else 0
+        phase = col[lead] / abs(col[lead]) if len(nz) else 1.0
+        vecs1.append(col / phase)
+        vecs2.append(row * phase)
+        lead_index.append(lead)
+    order = sorted(range(len(s)), key=lambda i: (-s[i], lead_index[i]))
+    return (
+        np.array([s[i] for i in order]),
+        np.column_stack([vecs1[i] for i in order]),
+        np.column_stack([vecs2[i] for i in order]),
     )
 
 
@@ -106,17 +137,78 @@ class TestDecompose:
     def test_phase_convention(self):
         rng = np.random.default_rng(22)
         form = schmidt_decompose(random_bipartite(3, 3, rng))
-        for v in form.basis1:
-            lead = v.amplitudes[np.flatnonzero(np.abs(v.amplitudes) > 1e-12)[0]]
+        for v in form.basis1.T:
+            lead = v[np.flatnonzero(np.abs(v) > 1e-12)[0]]
             assert abs(lead.imag) < 1e-12
             assert lead.real > 0
+
+    @pytest.mark.parametrize("kind", ["random", "uniform", "sparse-uniform"])
+    def test_matches_per_term_reference(self, kind):
+        rng = np.random.default_rng(29)
+        for _ in range(40):
+            d1, d2 = (int(d) for d in rng.integers(1, 6, size=2))
+            terms = int(rng.integers(1, min(d1, d2) + 1))
+            if kind == "random":
+                psi = random_bipartite(d1, d2, rng)
+            elif kind == "uniform":
+                psi = reconstruct(uniform_form(terms, d1, d2, rng))
+            else:
+                psi = sparse_uniform(d1, d2, terms, rng)
+            form = schmidt_decompose(psi)
+            coefficients, basis1, basis2 = per_term_decompose(psi)
+            assert np.array_equal(form.coefficients, coefficients)
+            assert np.array_equal(form.basis1, basis1)
+            assert np.array_equal(form.basis2, basis2)
+
+    def test_equal_coefficients_ordered_by_lead_index(self):
+        rng = np.random.default_rng(30)
+        ties = 0
+        for _ in range(20):
+            form = schmidt_decompose(sparse_uniform(5, 4, 4, rng))
+            leads = np.argmax(np.abs(form.basis1) > 1e-12, axis=0)
+            for i in np.flatnonzero(np.diff(form.coefficients) == 0):
+                ties += 1
+                assert leads[i] < leads[i + 1]
+        assert ties >= 20
+
+
+class TestSchmidtForm:
+    def test_bases_are_column_matrices(self):
+        form = schmidt_decompose(random_bipartite(3, 4, np.random.default_rng(31)))
+        assert form.basis1.shape == (3, 3)
+        assert form.basis2.shape == (4, 3)
+
+    def test_nan_column_rejected(self):
+        basis = np.eye(D2)[:, :1].astype(complex)
+        basis[1, 0] = np.nan
+        with pytest.raises(ValueError, match="orthonormal"):
+            SchmidtForm([1.0], basis, np.eye(D2)[:, :1])
+        with pytest.raises(ValueError, match="orthonormal"):
+            SchmidtForm([1.0], np.eye(D2)[:, :1], basis)
+
+    def test_column_norm_off_by_1e_11_rejected(self):
+        # the Gram residual 2e-11 is within tol; the norm check is not
+        basis = np.eye(D3)[:, :2] * np.array([1.0, 1.0 + 1e-11])
+        with pytest.raises(ValueError, match="factor-1 basis vectors are not normalized"):
+            SchmidtForm([INV_SQRT2, INV_SQRT2], basis, np.eye(D2))
+        with pytest.raises(ValueError, match="factor-2 basis vectors are not normalized"):
+            SchmidtForm([INV_SQRT2, INV_SQRT2], np.eye(D2), basis)
+
+    def test_nan_coefficient_rejected(self):
+        with pytest.raises(ValueError, match="sum to 1"):
+            SchmidtForm([np.nan], np.eye(D2)[:, :1], np.eye(D2)[:, :1])
+
+    @pytest.mark.parametrize(
+        "basis", [np.array([1.0, 0.0]), np.eye(D2)], ids=["flat", "two-columns"]
+    )
+    def test_basis_shape_must_match_coefficients(self, basis):
+        with pytest.raises(ValueError, match="equal lengths"):
+            SchmidtForm([1.0], basis, np.eye(D2)[:, :1])
 
 
 class TestReconstruct:
     def test_single_term(self):
-        form = SchmidtForm(
-            np.array([1.0]), (basis_state(D2, 0),), (basis_state(D2, 1),)
-        )
+        form = SchmidtForm(np.array([1.0]), np.eye(D2)[:, :1], np.eye(D2)[:, 1:])
         psi = reconstruct(form)
         assert np.allclose(psi.matrix.reshape(-1), [0, 1, 0, 0])
 
@@ -196,19 +288,44 @@ class TestSwapWitness:
         coeff = np.array([0.8, 0.42426406871192857, 0.42426406871192857])
         u = random_unitary(3, rng)
         v = random_unitary(3, rng)
-        form = SchmidtForm(
-            coeff / np.linalg.norm(coeff),
-            tuple(StateVector(u[:, i]) for i in range(3)),
-            tuple(StateVector(v[:, i]) for i in range(3)),
-        )
+        form = SchmidtForm(coeff / np.linalg.norm(coeff), u[:, :3], v[:, :3])
         psi = reconstruct(form)
         u1, u2 = swap_witness(form, [0, 2, 1])
         assert check_envariance(psi, u1, u2) <= 1e-10
+
+    def test_sends_term_i_to_term_perm_i(self):
+        form = uniform_form(3, 3, 4, np.random.default_rng(32))
+        perm = [1, 2, 0]
+        u1, u2 = swap_witness(form, perm)
+        assert np.allclose(u1.matrix @ form.basis1, form.basis1[:, perm], atol=1e-12)
+        assert np.allclose(u2.matrix @ form.basis2, form.basis2[:, perm], atol=1e-12)
 
     def test_not_a_permutation(self):
         form = schmidt_decompose(bell())
         with pytest.raises(ValueError, match="permutation"):
             swap_witness(form, [0, 0])
+
+
+def test_witnesses_match_outer_product_sums():
+    """The matrix forms of the twin and swap witnesses against their sums of
+    one outer product per term; the summation order differs, so they agree
+    to rounding."""
+    rng = np.random.default_rng(33)
+    for _ in range(20):
+        d = int(rng.integers(2, 5))
+        terms = int(rng.integers(1, d + 1))
+        form = uniform_form(terms, d, d + 1, rng)
+        phases = rng.uniform(-np.pi, np.pi, size=terms)
+        perm = list(rng.permutation(terms))
+        twins, swaps = twin_unitary(form, phases), swap_witness(form, perm)
+        for sign, basis, twin, swap in zip((1, -1), (form.basis1, form.basis2), twins, swaps):
+            twin_sum = np.eye(len(basis), dtype=complex)
+            swap_sum = np.eye(len(basis), dtype=complex)
+            for i, v in enumerate(basis.T):
+                twin_sum += (np.exp(sign * 1j * phases[i]) - 1) * np.outer(v, v.conj())
+                swap_sum += np.outer(basis[:, perm[i]] - v, v.conj())
+            assert np.linalg.norm(twin.matrix - twin_sum) <= 1e-12
+            assert np.linalg.norm(swap.matrix - swap_sum) <= 1e-12
 
 
 class TestCheckEnvariance:
@@ -282,7 +399,7 @@ class TestSublemma:
             d1, d2 = 2, 4
             psi = random_bipartite(d1, d2, rng)
             form = schmidt_decompose(psi)
-            support = [v.amplitudes for v in form.basis2]
+            support = list(form.basis2.T)
             basis = np.linalg.svd(np.column_stack(support), full_matrices=True)[0]
             extension = basis[:, len(support) : len(support) + 1]
             q2 = projector_from_span(support + [extension[:, 0]])

@@ -56,7 +56,7 @@ def random_case(d1: int, d2: int, outcomes: int, seed: int):
     pointer_obs = Observable(list(range(outcomes)), pointer_projs)
     pointer_states = []
     for q in pointer_projs:
-        basis = np.column_stack(eigenspace_basis(q))
+        basis = eigenspace_basis(q)
         pointer_states.append(make_state(basis @ random_unit_vector(basis.shape[1], rng)))
     apparatus = PointerApparatus(random_state(d2, rng), pointer_obs, tuple(pointer_states))
     return measured, apparatus, random_state(d1, rng)

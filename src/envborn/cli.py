@@ -9,19 +9,22 @@ sample    derive, then realize the probabilities as seeded ensemble counts
 report    pretty-print a stored structured report
 
 Exit codes: 0 all checks pass, 1 verification failure, 2 input error.
-Structured output is canonical JSON (sorted keys), byte-stable for a fixed
-scenario and seed.  ``ENVBORN_TOLERANCE`` overrides the built-in operator
-tolerance for scenarios that do not pin one; ``--tolerance`` overrides both.
+Structured output is canonical JSON, the text of ``json.dumps(report,
+sort_keys=True, indent=2)``, byte-stable for a fixed scenario and seed.
+``ENVBORN_TOLERANCE`` overrides the built-in operator tolerance for
+scenarios that do not pin one; ``--tolerance`` overrides both.
 """
 
 from __future__ import annotations
 
 import argparse
 import copy
+import functools
 import json
 import math
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -47,6 +50,8 @@ EXIT_VERIFICATION = 1
 EXIT_INPUT = 2
 
 _ENV_TOLERANCE = "ENVBORN_TOLERANCE"
+# json.dumps(value, allow_nan=False) without building an encoder per call
+_SCALAR = json.JSONEncoder(allow_nan=False).encode
 
 
 def _finite(x: float) -> float | None:
@@ -56,7 +61,28 @@ def _finite(x: float) -> float | None:
 
 def _dump(report: dict | list) -> str:
     # the builders emit plain Python values; a non-finite float is a bug, not output
-    return json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    return _canonical(report, "\n") + "\n"
+
+
+def _canonical(value, newline: str) -> str:
+    """``json.dumps(value, sort_keys=True, indent=2, allow_nan=False)`` with line
+    breaks written as ``newline``; a vector of finite float pairs is one join."""
+    inner = newline + "  "
+    if isinstance(value, dict) and value:
+        items = (f"{encode_basestring_ascii(k)}: {_canonical(value[k], inner)}" for k in sorted(value))
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if not isinstance(value, (list, tuple)) or not value:
+        return _SCALAR(value)
+    if all(
+        type(p) is list and len(p) == 2 and isinstance(p[0], float) and isinstance(p[1], float)
+        and math.isfinite(p[0]) and math.isfinite(p[1])
+        for p in value
+    ):
+        pad = inner + "  "
+        items = (f"[{pad}{float.__repr__(re)},{pad}{float.__repr__(im)}{inner}]" for re, im in value)
+    else:
+        items = (_canonical(item, inner) for item in value)
+    return "[" + inner + ("," + inner).join(items) + newline + "]"
 
 
 def _apply_overrides(scenario: Scenario, args) -> Scenario:
@@ -273,6 +299,7 @@ def _render_stored(report) -> str:
 # -- argument parsing and dispatch ----------------------------------------------
 
 
+@functools.cache  # one parser per process; argparse keeps no state between parses
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="envborn",
@@ -327,12 +354,6 @@ def _run_one(command: str, path: str, args, default_tol: float | None) -> tuple[
     else:  # pragma: no cover
         raise AssertionError(command)
     return report, EXIT_PASS if report["pass"] else EXIT_VERIFICATION
-
-
-def _emit(text: str, out_path: str | None) -> None:
-    sys.stdout.write(text)
-    if out_path:
-        Path(out_path).write_text(text, encoding="utf-8")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -392,7 +413,9 @@ def main(argv: list[str] | None = None) -> int:
         text = _dump(reports[0] if len(reports) == 1 else reports)
     else:
         text = "".join(render_text(r) for r in reports)
-    _emit(text, args.out)
+    sys.stdout.write(text)
+    if args.out:
+        Path(args.out).write_text(text, encoding="utf-8")
     return code
 
 

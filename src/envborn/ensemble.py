@@ -60,14 +60,15 @@ class SampleRun:
 
 
 def _draw_counts(p: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
-    # Inverse CDF on one uniform per trial.  Zero-width bins are never hit
-    # (searchsorted side="right" skips repeated cumulative values) and the top
-    # of the ladder is pinned to 1.0, so boundary outcomes are exact.
+    # Inverse CDF on one uniform per trial, counted on the sorted draws: the
+    # draws below cum[k] are outcomes 0..k (a draw equal to cum[k] is k + 1),
+    # so zero-width bins count 0, and the top is pinned to 1.0 so boundary
+    # outcomes are exact.  The draws are the one n-long array, 8 bytes each.
     cum = np.cumsum(p)
     cum[-1] = 1.0
     draws = rng.random(n)
-    outcomes = np.searchsorted(cum, draws, side="right")
-    return np.bincount(outcomes, minlength=len(p))
+    draws.sort()
+    return np.diff(np.searchsorted(draws, cum, side="left"), prepend=0)
 
 
 def sample_outcomes(probabilities: Sequence[float], n: int, seed: int) -> SampleRun:

@@ -9,19 +9,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .hilbert import (
-    DensityOperator,
-    Projector,
-    StateVector,
-    make_state,
-)
+from .hilbert import Projector, StateVector, make_state
 
 __all__ = [
     "random_unit_vector",
     "random_state",
     "random_unitary",
     "random_projector",
-    "random_density",
     "random_orthogonal_partition",
 ]
 
@@ -51,13 +45,6 @@ def random_projector(dim: int, rank: int, rng: np.random.Generator) -> Projector
         raise ValueError(f"rank must be in [1, {dim}], got {rank}")
     u = random_unitary(dim, rng)
     return Projector(u[:, :rank] @ u[:, :rank].conj().T)
-
-
-def random_density(dim: int, rng: np.random.Generator) -> DensityOperator:
-    """Random full-rank density operator (normalized Wishart)."""
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    w = g @ g.conj().T
-    return DensityOperator(w / np.trace(w).real)
 
 
 def random_orthogonal_partition(dim: int, parts: int, rng: np.random.Generator) -> list[Projector]:

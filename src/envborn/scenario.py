@@ -39,11 +39,12 @@ SCHEMA_VERSION = "envborn.report.v1"
 # Largest accepted d1 * d2: a dense composite complex matrix, or the d1^2 x d2^2
 # Gram product of a block coupling, stays within 256 MiB.
 MAX_COMPOSITE_DIM = 4096
-# Largest accepted sampling.n: about 16 bytes per draw, the same 256 MiB budget.
+# Largest accepted sampling.n: 8 bytes per draw, a 128 MiB peak at the cap.
 MAX_SAMPLES = 2**24
 # Largest accepted mixture.trials: each trial draws a random d1 x d1 projector,
 # so this bounds the run time as MAX_SAMPLES bounds the memory.
 MAX_TRIALS = 2**16
+_JSON_NUMBERS = frozenset((int, float))
 
 
 class ScenarioError(ValueError):
@@ -58,27 +59,32 @@ def _shown(value) -> str:
 
 
 def encode_vector(vec: np.ndarray) -> list[list[float]]:
-    return [[float(z.real), float(z.imag)] for z in np.asarray(vec, dtype=complex)]
+    vec = np.asarray(vec, dtype=complex)
+    return np.column_stack((vec.real, vec.imag)).tolist()
 
 
 def decode_vector(data, what: str, dim: int | None = None) -> np.ndarray:
     if not isinstance(data, list) or not data:
         raise ScenarioError(f"{what} must be a non-empty array of [re, im] pairs")
-    out = np.empty(len(data), dtype=complex)
-    for i, pair in enumerate(data):
-        if (
-            not isinstance(pair, list)
-            or len(pair) != 2
-            or not all(_is_number(x) for x in pair)
-        ):
-            raise ScenarioError(f"{what}[{i}] is not a [re, im] pair: {_shown(pair)}")
-        # the bound rejects NaN, infinities and integers too large to convert
-        if not all(abs(x) <= sys.float_info.max for x in pair):
-            raise ScenarioError(f"{what}[{i}] is not finite: {_shown(pair)}")
-        out[i] = complex(float(pair[0]), float(pair[1]))
-    if dim is not None and len(out) != dim:
-        raise ScenarioError(f"{what} has length {len(out)}, expected {dim}")
-    return out
+    # One conversion when each pair is two JSON numbers below the largest float
+    # (strictly: an integer may round down to it); else name the first fault.
+    try:
+        values = np.array(data, dtype=float) if all(
+            type(p) is list and len(p) == 2 and type(p[0]) in _JSON_NUMBERS and type(p[1]) in _JSON_NUMBERS
+            for p in data
+        ) else None
+    except OverflowError:  # an integer too large to convert
+        values = None
+    if values is None or not (np.abs(values) < sys.float_info.max).all():
+        for i, pair in enumerate(data):
+            if not isinstance(pair, list) or len(pair) != 2 or not all(map(_is_number, pair)):
+                raise ScenarioError(f"{what}[{i}] is not a [re, im] pair: {_shown(pair)}")
+            if not all(abs(x) <= sys.float_info.max for x in pair):
+                raise ScenarioError(f"{what}[{i}] is not finite: {_shown(pair)}")
+        values = np.array(data, dtype=float)
+    if dim is not None and len(values) != dim:
+        raise ScenarioError(f"{what} has length {len(values)}, expected {dim}")
+    return values.view(complex)[:, 0]  # each row (re, im) is one complex128
 
 
 def _decode_span(data, what: str, dim: int) -> list[np.ndarray]:

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from envborn.hilbert import Observable, Operator, StateVector, make_state
+from envborn.hilbert import DensityOperator, Observable, Operator, StateVector, make_state
 from envborn.premeasurement import (
     PointerApparatus,
     PremeasurementModel,
@@ -44,6 +44,13 @@ def random_scenario(d1, d2, outcomes, rng):
     model = build_premeasurement(measured, apparatus)
     phi = random_state(d1, rng)
     return model, phi
+
+
+def random_density(dim: int, rng: np.random.Generator) -> DensityOperator:
+    """Random full-rank density operator (normalized Wishart)."""
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    w = g @ g.conj().T
+    return DensityOperator(w / np.trace(w).real)
 
 
 def flat_state(psi12):

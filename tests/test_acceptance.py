@@ -14,7 +14,7 @@ from importlib import resources
 
 import numpy as np
 import pytest
-from conftest import entangle_branches, random_scenario
+from conftest import entangle_branches, random_density, random_scenario
 
 from envborn.born import check_additivity, derive_probabilities
 from envborn.cli import main
@@ -41,7 +41,6 @@ from envborn.premeasurement import (
     verify_calibration,
 )
 from envborn.rng import (
-    random_density,
     random_orthogonal_partition,
     random_projector,
     random_state,

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import entangle_branches, random_scenario
+from conftest import entangle_branches, random_density, random_scenario
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -33,7 +33,7 @@ from envborn.premeasurement import (
     build_premeasurement,
     evolve,
 )
-from envborn.rng import random_density, random_orthogonal_partition, random_unitary
+from envborn.rng import random_orthogonal_partition, random_unitary
 from envborn.schmidt import BipartiteState, schmidt_decompose
 
 D2 = 2

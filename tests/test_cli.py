@@ -18,7 +18,7 @@ import envborn.born
 import envborn.mixtures
 import envborn.premeasurement
 import envborn.scenario
-from envborn.cli import main
+from envborn.cli import _dump, main
 from envborn.rng import random_unit_vector, random_unitary
 from envborn.scenario import MAX_COMPOSITE_DIM, decode_vector, encode_vector, parse_scenario
 
@@ -355,6 +355,69 @@ class TestBatchAndOutput:
             ["schmidt", fixture_path("bell"), "--format", "structured", "--out", str(target)]
         )
         assert target.read_text(encoding="utf-8") == out
+
+
+def stdlib_dump(report) -> str:
+    return json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+_FLOAT = st.floats(allow_nan=False, allow_infinity=False)
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    _FLOAT,
+    st.sampled_from([-0.0, 5e-324, 2.2250738585072014e-308, 2**64 + 1, -(2**65), 10**40, 1e308]),
+    st.text(),  # non-ASCII and control characters included
+)
+# lists that take the vector path, and near misses that must not: an int in a
+# pair, a third element, a tuple pair, an empty pair
+_PAIR_LISTS = st.lists(
+    st.one_of(
+        st.lists(_FLOAT, min_size=2, max_size=2),
+        st.lists(st.one_of(_FLOAT, st.integers(), st.booleans()), min_size=0, max_size=3),
+        st.tuples(_FLOAT, _FLOAT),
+    ),
+    max_size=4,
+)
+_REPORTS = st.recursive(
+    st.one_of(_SCALARS, _PAIR_LISTS),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=3).map(tuple),
+        st.dictionaries(st.text(), children, max_size=5),
+    ),
+    max_leaves=40,
+)
+
+
+class TestCanonicalEmitter:
+    @settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    @given(_REPORTS)
+    def test_matches_stdlib(self, report):
+        assert _dump(report) == stdlib_dump(report)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "place",
+        [
+            lambda x: x,
+            lambda x: {"v": [[x, 0.0]]},
+            lambda x: {"v": [[1.0, 0.0], [0.5, x]]},
+            lambda x: [{"a": [[[0.0, 1.0], [x, x]]]}],
+        ],
+        ids=["alone", "re", "im", "nested"],
+    )
+    def test_non_finite_float_raises(self, bad, place):
+        with pytest.raises(ValueError):
+            _dump(place(bad))
+
+    def test_large_and_batch_reports_match_stdlib(self, tmp_path):
+        large = _large_scenarios(tmp_path)[1][1]
+        for args in (["sample", large], ["derive", fixture_path("degenerate-3d"), large]):
+            code, out, _ = run_cli([*args, "--format", "structured"])
+            assert code == 0
+            assert out == stdlib_dump(json.loads(out))
 
 
 def write_variant(tmp_path, name: str, **changes) -> str:
@@ -805,3 +868,45 @@ def test_option_values_exit_cleanly(name, command, options):
         code, err = exc.code, ""
     assert code in (0, 1, 2)
     assert "Traceback" not in err
+
+
+_PARSER_BUILDS = """
+import argparse, contextlib, io, sys
+builds = []
+init = argparse.ArgumentParser.__init__
+def counted(self, *args, **kwargs):
+    builds.append(1)
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counted
+import envborn.cli
+print(len(builds))
+for _ in range(2):
+    with contextlib.redirect_stdout(io.StringIO()):
+        envborn.cli.main(["report", sys.argv[1]])
+    print(len(builds))
+"""
+
+
+def test_parser_built_once_per_process_not_at_import():
+    # a cold import stays free of argparse work; the first main builds the
+    # parser and its subparsers, and the second reuses them
+    golden = str(FIXTURES / "golden" / "bell.report.json")
+    result = subprocess.run(
+        [sys.executable, "-c", _PARSER_BUILDS, golden], capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    at_import, first, second = map(int, result.stdout.split())
+    assert at_import == 0
+    assert first == second > 0
+
+
+def test_second_run_in_process_drops_earlier_options():
+    path = fixture_path("sample-fair")
+    structured = ["sample", path, "--format", "structured"]
+    _, overridden, _ = run_cli([*structured, "--seed", "9", "--trials", "3", "--tolerance", "1e-9"])
+    _, second, _ = run_cli(structured)
+    fresh = subprocess.run(
+        [sys.executable, "-m", "envborn.cli", *structured], capture_output=True, text=True, timeout=60
+    )
+    assert fresh.returncode == 0, fresh.stderr
+    assert overridden != second == fresh.stdout

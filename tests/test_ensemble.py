@@ -1,13 +1,63 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from envborn.ensemble import (
     SampleRun,
+    _draw_counts,
     frequency_check,
     sample_outcomes,
 )
+
+
+def per_draw_counts(p, n, rng):
+    """The inverse-CDF count as one outcome index per draw, then a histogram."""
+    cum = np.cumsum(p)
+    cum[-1] = 1.0
+    outcomes = np.searchsorted(cum, rng.random(n), side="right")
+    return np.bincount(outcomes, minlength=len(p))
+
+
+class FixedDraws:
+    """A generator stub whose ``random(n)`` returns the given draws."""
+
+    def __init__(self, draws):
+        self.draws = np.array(draws, dtype=float)
+
+    def random(self, n):
+        assert n == len(self.draws)
+        return self.draws.copy()
+
+
+class TestDrawCounts:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 1.0)), min_size=1, max_size=12).filter(any),
+        st.integers(1, 3000),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_matches_per_draw_reference(self, weights, n, seed):
+        # zero weights are zero-width bins, at the ends and in the middle
+        p = np.array(weights) / sum(weights)
+        counts = _draw_counts(p, n, np.random.default_rng(seed))
+        expected = per_draw_counts(p, n, np.random.default_rng(seed))
+        assert counts.tolist() == expected.tolist()
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_point_mass_between_empty_bins(self, seed):
+        p = np.array([0.0, 1.0, 0.0])
+        counts = _draw_counts(p, 1000, np.random.default_rng(seed))
+        assert counts.tolist() == [0, 1000, 0]
+
+    def test_draw_on_a_cumulative_value_counts_above_it(self):
+        # cum = [0.25, 0.5, 0.5, 1.0]: a draw equal to cum[k] falls above it,
+        # so 0.25 is outcome 1 and 0.5 skips the zero-width bin 2 to outcome 3
+        p = np.array([0.25, 0.25, 0.0, 0.5])
+        draws = [0.0, 0.25, np.nextafter(0.25, 0), 0.5, 0.5, np.nextafter(0.5, 1), 0.75, np.nextafter(1, 0)]
+        counts = _draw_counts(p, len(draws), FixedDraws(draws))
+        assert counts.tolist() == per_draw_counts(p, len(draws), FixedDraws(draws)).tolist()
+        assert counts.tolist() == [2, 1, 0, 5]
 
 
 class TestSampleOutcomes:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import random_density
 from envborn.hilbert import (
     Audit,
     DensityOperator,
@@ -23,7 +24,7 @@ from envborn.hilbert import (
     trace_probability,
 )
 from envborn.premeasurement import Branch
-from envborn.rng import random_density, random_orthogonal_partition, random_projector, random_state
+from envborn.rng import random_orthogonal_partition, random_projector, random_state
 from envborn.schmidt import BipartiteState, SchmidtForm
 
 INV_SQRT2 = 0.7071067811865476

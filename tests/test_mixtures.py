@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import flat_state
+from conftest import flat_state, random_density
 
 from envborn.hilbert import (
     DensityOperator,
@@ -182,8 +182,6 @@ class TestPurify:
 
     def test_general_density_round_trip(self):
         rng = np.random.default_rng(55)
-        from envborn.rng import random_density
-
         for _ in range(10):
             rho = random_density(3, rng)
             psi = purify(rho)

@@ -1,9 +1,13 @@
 import copy
 import json
+import math
+import sys
 
 import numpy as np
 import pytest
 from conftest import dense_coupling
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import envborn.scenario
 from envborn.scenario import (
@@ -11,6 +15,8 @@ from envborn.scenario import (
     MAX_SAMPLES,
     MAX_TRIALS,
     ScenarioError,
+    _is_number,
+    _shown,
     decode_vector,
     encode_vector,
     load_scenario,
@@ -32,7 +38,94 @@ def minimal_derive(**extra):
     return data
 
 
+def per_pair_decode(data, what, dim=None):
+    """The decoder that checks and converts one pair at a time: the reference
+    for the value bits and for the message naming the first faulty pair."""
+    if not isinstance(data, list) or not data:
+        raise ScenarioError(f"{what} must be a non-empty array of [re, im] pairs")
+    out = np.empty(len(data), dtype=complex)
+    for i, pair in enumerate(data):
+        if not isinstance(pair, list) or len(pair) != 2 or not all(_is_number(x) for x in pair):
+            raise ScenarioError(f"{what}[{i}] is not a [re, im] pair: {_shown(pair)}")
+        if not all(abs(x) <= sys.float_info.max for x in pair):
+            raise ScenarioError(f"{what}[{i}] is not finite: {_shown(pair)}")
+        out[i] = complex(float(pair[0]), float(pair[1]))
+    if dim is not None and len(out) != dim:
+        raise ScenarioError(f"{what} has length {len(out)}, expected {dim}")
+    return out
+
+
+def decoded(decode, data, dim):
+    """The value's dtype, shape and bits, or the exact rejection message."""
+    try:
+        vec = decode(data, "v", dim)
+    except ScenarioError as exc:
+        return str(exc)
+    return vec.dtype, vec.shape, vec.tobytes()
+
+
+FLOAT_MAX_INT = int(sys.float_info.max)
+FINITE = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.integers(-(2**70), 2**70))
+# non-finite floats, integers that overflow a float, and integers just above
+# the largest float that round down to it
+OUT_OF_RANGE = st.sampled_from([
+    math.nan, math.inf, -math.inf, FLOAT_MAX_INT + 1, -(FLOAT_MAX_INT + 2**969),
+    FLOAT_MAX_INT + 2**970, 2**1100, -(2**1100),
+])
+# edge values that decode: signed zero, the smallest subnormal, the largest float
+IN_RANGE = st.sampled_from([-0.0, 5e-324, sys.float_info.max, -sys.float_info.max, FLOAT_MAX_INT])
+NUMBER = st.one_of(FINITE, OUT_OF_RANGE, IN_RANGE, st.booleans(), st.integers())
+ITEM = st.one_of(
+    st.lists(st.one_of(FINITE, IN_RANGE), min_size=2, max_size=2),
+    st.lists(NUMBER, min_size=2, max_size=2),
+    st.lists(NUMBER, max_size=3),
+    st.tuples(FINITE, FINITE),
+    st.none(),
+    st.text(max_size=3),
+    st.dictionaries(st.text(max_size=2), FINITE, max_size=1),
+    NUMBER,
+)
+
+
+@st.composite
+def json_vectors(draw):
+    """Mostly valid vectors with up to three items, faulty or not, inserted."""
+    data = draw(st.lists(st.lists(FINITE, min_size=2, max_size=2), max_size=8))
+    for _ in range(draw(st.integers(0, 3))):
+        data.insert(draw(st.integers(0, len(data))), draw(ITEM))
+    return data or draw(st.sampled_from([[], None, {}, "v"]))
+
+
 class TestVectorCodec:
+    @settings(max_examples=600, deadline=None, derandomize=True, database=None)
+    @given(
+        st.one_of(json_vectors(), st.lists(st.lists(NUMBER, min_size=2, max_size=2), max_size=6)),
+        st.one_of(st.none(), st.integers(0, 10)),
+    )
+    def test_decode_matches_per_pair_reference(self, data, dim):
+        assert decoded(decode_vector, data, dim) == decoded(per_pair_decode, data, dim)
+
+    @pytest.mark.parametrize(
+        "value", [FLOAT_MAX_INT + 1, FLOAT_MAX_INT + 2**969, -(FLOAT_MAX_INT + 2**969), 2**1100]
+    )
+    def test_integer_above_largest_float_rejected(self, value):
+        # float(FLOAT_MAX_INT + 2**969) rounds down to the largest float
+        # without overflow; the exact bound still rejects it
+        with pytest.raises(ScenarioError, match=r"v\[1\] is not finite"):
+            decode_vector([[1, 0], [0, value], [math.nan, 0]], "v")
+
+    def test_first_faulty_pair_is_named(self):
+        with pytest.raises(ScenarioError, match=r"v\[1\] is not a \[re, im\] pair"):
+            decode_vector([[1, 0], [True, 0], [math.inf, 0], [2]], "v")
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.complex_numbers(allow_nan=True, allow_infinity=True), min_size=1, max_size=8))
+    def test_encode_matches_per_element_floats(self, values):
+        vec = np.array(values, dtype=complex)
+        expected = [[float(z.real), float(z.imag)] for z in vec]
+        assert repr(encode_vector(vec)) == repr(expected)
+        assert all(type(x) is float for pair in encode_vector(vec) for x in pair)
+
     def test_round_trip(self):
         vec = np.array([1 + 2j, -0.5j, 3.0])
         assert np.allclose(decode_vector(encode_vector(vec), "v"), vec)

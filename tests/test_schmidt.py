@@ -381,6 +381,20 @@ class TestSublemma:
         with pytest.raises(ValueError, match="hypothesis"):
             sublemma_check(bell(), projector_from_span([basis_state(D2, 0)]))
 
+    def test_leak_at_small_coefficient_fails(self):
+        # the term eps |1>|v> leaves Q2 by eps / sqrt(2), inside the hypothesis
+        # tolerance, but its Schmidt vector v is half outside Q2: only the span
+        # residual sees it (the rho_2 residual is of order eps^2)
+        eps = 1e-11
+        vec = np.zeros(6, dtype=complex)
+        vec[0] = np.sqrt(1 - eps**2)  # |0>|0>
+        vec[4] = vec[5] = eps / np.sqrt(2)  # |1>(|1> + |2>)/sqrt(2)
+        psi = BipartiteState(vec.reshape(2, 3))
+        q2 = projector_from_span([basis_state(D3, 0), basis_state(D3, 1)])
+        report = sublemma_check(psi, q2)
+        assert not report.passed
+        assert report.max_residual == pytest.approx(np.sqrt(0.5), rel=1e-6)
+
     def test_supported_subspace(self):
         # state supported on span{|0>_2, |1>_2} inside d2 = 3
         vec = np.zeros(6, dtype=complex)

@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Time coupling synthesis and the audited derivation over a dimension ladder.
+"""Time coupling synthesis and the audited derivation over a dimension ladder,
+and the CLI's stages on the bundled fixtures.
 
 For each rung ``d1 x d2`` (2x2 up to 64x32) and outcome count ``N`` in
 ``{2, ~d1/3, min(d1, d2)}``, a random model (random eigenspace ranks, random
@@ -9,6 +10,13 @@ timed in process with ``time.perf_counter``; each figure is the median over
 repeats.  BLAS is pinned to one thread before numpy is imported, and the
 thread count, numpy and BLAS versions and core count are recorded with the
 results.
+
+The CLI section runs each bundled fixture with its subcommand, plus one
+24x24 ``sample`` scenario from ``perfbench/workloads.py`` (seed 3, 250k
+draws), and times each stage of one structured run: ``load_scenario``, the
+subcommand's run on the loaded scenario, ``sample_outcomes`` on the report's
+probabilities (``sample`` only), ``_dump`` of the report, and the whole
+in-process ``cli.main`` with its output discarded.
 
 Run from the repository root.  Each run appends one round to the output
 file under ``--label``, so two source trees can be compared in one file;
@@ -27,6 +35,7 @@ import os
 import platform
 import statistics
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -107,6 +116,62 @@ def run_ladder(repeats: int, seed: int) -> list[dict]:
     return rungs
 
 
+def cli_cases(src: Path, workdir: Path) -> list[tuple[str, str, str]]:
+    """``(name, subcommand, path)`` for every bundled fixture and the 24x24 scenario."""
+    import importlib.util
+
+    import numpy as np
+
+    spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = sys.modules["workloads"] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    fixtures = src / "envborn" / "fixtures"
+    cases = [
+        (name, command, str(fixtures / f"{name}.json"))
+        for name, (command, _) in sorted(workloads._fixture_cases(ROOT).items())
+    ]
+    scenario, _ = workloads.derive_scenario(np.random.default_rng(3), "sample-24x24")
+    path = workdir / "sample-24x24.json"
+    path.write_text(json.dumps(scenario), encoding="utf-8")
+    return cases + [("sample-24x24", "sample", str(path))]
+
+
+def run_cli_stages(repeats: int, src: Path, workdir: Path) -> list[dict]:
+    import contextlib
+    import io
+
+    from envborn import cli
+    from envborn.ensemble import sample_outcomes
+    from envborn.scenario import load_scenario
+
+    runs = {
+        "schmidt": cli.run_schmidt,
+        "derive": cli.run_derive,
+        "mixtures": cli.run_mixtures,
+        "sample": cli.run_sample,
+    }
+
+    def main(command: str, path: str) -> int:
+        with contextlib.redirect_stdout(io.StringIO()):
+            return cli.main([command, path, "--format", "structured"])
+
+    rows = []
+    for name, command, path in cli_cases(src, workdir):
+        load_ms, _, scenario = timed(lambda: load_scenario(path), repeats)
+        run_ms, _, report = timed(lambda: runs[command](scenario), repeats)
+        row = {"case": name, "command": command, "load_ms": load_ms, "run_ms": run_ms}
+        if command == "sample":
+            sampling = report["sampling"]
+            probabilities, n, seed = sampling["probabilities"], sampling["n"], sampling["seed"]
+            row["sample_ms"] = timed(lambda: sample_outcomes(probabilities, n, seed), repeats)[0]
+        row["dump_ms"] = timed(lambda: cli._dump(report), repeats)[0]
+        row["main_ms"] = timed(lambda: main(command, path), repeats)[0]
+        row = {k: round(v, 3) if isinstance(v, float) else v for k, v in row.items()}
+        print(json.dumps(row), flush=True)
+        rows.append(row)
+    return rows
+
+
 def environment() -> dict:
     import numpy as np
 
@@ -132,15 +197,22 @@ def main(argv=None) -> int:
     sys.path.insert(0, str(Path(args.src).resolve()))
 
     rungs = run_ladder(REPEATS, SEED)
+    with tempfile.TemporaryDirectory() as workdir:
+        cli_rows = run_cli_stages(REPEATS, Path(args.src), Path(workdir))
     out = Path(args.out)
     data = json.loads(out.read_text(encoding="utf-8")) if out.exists() else {}
     data["harness"] = "tools/bench.py"
     data["metrics"] = {
         "build_ms": "build_premeasurement, median wall time in ms",
         "derive_ms": "derive_probabilities on the built model, median wall time in ms",
+        "load_ms": "cli: load_scenario of the case's file, median wall time in ms",
+        "run_ms": "cli: the subcommand's run_* on the loaded scenario, median wall time in ms",
+        "sample_ms": "cli: sample_outcomes on the report's probabilities, median wall time in ms",
+        "dump_ms": "cli: _dump of the structured report, median wall time in ms",
+        "main_ms": "cli: the whole in-process cli.main, structured, median wall time in ms",
     }
     data.setdefault("runs", {}).setdefault(args.label, []).append(
-        {"seed": SEED, "environment": environment(), "rungs": rungs}
+        {"seed": SEED, "environment": environment(), "rungs": rungs, "cli": cli_rows}
     )
     out.write_text(json.dumps(data, indent=2) + "\n", encoding="utf-8")
     return 0

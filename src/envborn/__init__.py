@@ -22,7 +22,6 @@ from .hilbert import (
     make_state,
     orthonormalize,
     partial_trace,
-    projector_from_span,
     pure_density,
     tensor,
     trace_probability,
@@ -47,7 +46,6 @@ from .premeasurement import (
     branch_norm_law,
     branches,
     build_premeasurement,
-    eigenspace_basis,
     evolve,
     householder_map,
     verify_calibration,

@@ -12,7 +12,9 @@ per call.  Matrix norms are Frobenius, vector norms Euclidean.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import sys
+from dataclasses import InitVar, dataclass, field
+from functools import cached_property
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -35,7 +37,6 @@ __all__ = [
     "partial_trace",
     "trace_probability",
     "complete_observable",
-    "projector_from_span",
     "orthonormalize",
 ]
 
@@ -137,10 +138,6 @@ class Projector(Operator):
         if idem > self.tol:
             raise ValueError(f"projector is not idempotent: residual {idem:.3e}")
 
-    @property
-    def rank(self) -> int:
-        return int(round(np.trace(self.matrix).real))
-
 
 def gram_residual(columns: np.ndarray) -> float:
     """``||M^H M - I||`` for the matrix ``M = columns``: zero when its columns
@@ -161,45 +158,68 @@ def check_orthogonal(projectors: Sequence[Projector], tol: float) -> None:
 
 @dataclass(frozen=True)
 class Observable:
-    """Spectral form: distinct real eigenvalues with an orthogonal, complete
-    projector family (eigenvalues may be arbitrarily degenerate)."""
+    """Spectral form ``A = sum_n a_n B_n B_n^H``: distinct finite real
+    eigenvalues, each with an orthonormal basis ``B_n`` (``dim x r_n``) of its
+    eigenspace; eigenvalues may be arbitrarily degenerate.
+
+    The bases are kept side by side as one ``dim x dim`` matrix ``matrix =
+    [B_1 | ... | B_N]`` with ``ranks = (r_1, ..., r_N)``.  Its blocks are
+    orthonormal, mutually orthogonal and complete exactly when it is unitary,
+    so one Gram residual decides all three; for a square matrix it equals the
+    completeness residual ``||sum_n P^n - I||`` of ``P^n = B_n B_n^H``.
+    """
 
     eigenvalues: tuple[float, ...]
-    projectors: tuple[Projector, ...]
+    bases: InitVar[Sequence[np.ndarray]]
     tol: float = DEFAULT_TOL
+    matrix: np.ndarray = field(init=False, repr=False)
+    ranks: tuple[int, ...] = field(init=False)
 
-    def __post_init__(self):
+    def __post_init__(self, bases):
         values = tuple(float(v) for v in self.eigenvalues)
-        projs = tuple(self.projectors)
-        if len(values) != len(projs):
-            raise ValueError("eigenvalues and projectors must have the same length")
-        if not projs:
+        blocks = [np.asarray(b, dtype=complex) for b in bases]
+        if len(values) != len(blocks):
+            raise ValueError("eigenvalues and eigenspace bases must have the same length")
+        if not blocks:
             raise ValueError("an observable needs at least one outcome")
+        if not all(abs(v) <= sys.float_info.max for v in values):  # also rejects NaN
+            raise ValueError(f"eigenvalues must be finite: {values}")
         if len(set(values)) != len(values):
             raise ValueError(f"eigenvalues are not pairwise distinct: {values}")
-        d = projs[0].dim
-        for p in projs:
-            if p.dim != d:
-                raise ValueError(f"dimension mismatch in observable projector: {p.dim} vs {d}")
-            if p.rank < 1:
-                raise ValueError("eigenprojectors must have rank >= 1")
-        check_orthogonal(projs, self.tol)
-        total = sum(p.matrix for p in projs)
-        completeness = np.linalg.norm(total - np.eye(d))
-        if completeness > self.tol:
+        ranks = tuple(b.shape[1] if b.ndim == 2 else 0 for b in blocks)
+        if min(ranks) < 1 or any(len(b) != sum(ranks) for b in blocks):
             raise ValueError(
-                f"projectors do not resolve the identity: residual {completeness:.3e}"
+                "eigenspace bases must be dim x rank matrices, rank >= 1, whose ranks "
+                f"sum to dim; got shapes {[b.shape for b in blocks]}"
+            )
+        matrix = _freeze(np.hstack(blocks))
+        residual = gram_residual(matrix)
+        if not residual <= self.tol:  # also rejects NaN
+            raise ValueError(
+                f"eigenspace bases are not orthonormal and complete: residual {residual:.3e}"
             )
         object.__setattr__(self, "eigenvalues", values)
-        object.__setattr__(self, "projectors", projs)
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "ranks", ranks)
 
     @property
     def dim(self) -> int:
-        return self.projectors[0].dim
+        return self.matrix.shape[0]
 
     @property
     def outcome_count(self) -> int:
         return len(self.eigenvalues)
+
+    def basis(self, n: int) -> np.ndarray:
+        """``B_n``, the columns of ``matrix`` that span eigenspace ``n``."""
+        start = sum(self.ranks[:n])
+        return self.matrix[:, start : start + self.ranks[n]]
+
+    @cached_property
+    def projectors(self) -> tuple[Operator, ...]:
+        """The dense eigenprojectors ``P^n = B_n B_n^H``, formed on first use and
+        not validated again: the Gram check of ``matrix`` decided them."""
+        return tuple(Operator(b @ b.conj().T) for b in map(self.basis, range(self.outcome_count)))
 
 
 @dataclass(frozen=True)
@@ -289,8 +309,9 @@ def partial_trace(rho: DensityOperator, dims: tuple[int, int], keep: int) -> Den
     return DensityOperator(np.einsum("ajbj->ab" if keep == 0 else "jajb->ab", blocks))
 
 
-def trace_probability(P: Projector, rho: DensityOperator, tol: float = DEFAULT_TOL) -> float:
-    """The trace-rule probability tr(P rho).
+def trace_probability(P: Operator, rho: DensityOperator, tol: float = DEFAULT_TOL) -> float:
+    """The trace-rule probability tr(P rho) of a projector ``P``: a
+    ``Projector`` or an ``Observable``'s eigenprojector.
 
     This is the oracle every derivation step in the package is audited
     against.  The trace must be real within ``tol`` (an imaginary part beyond
@@ -315,25 +336,26 @@ def complete_observable(
     eigenvalues: Sequence[float] | None = None,
     tol: float = DEFAULT_TOL,
 ) -> Observable:
-    """Nondegenerate observable with rank-1 projectors onto ``basis``.
+    """Nondegenerate observable with one-column eigenspace bases ``basis``.
 
     Eigenvalues default to 0, 1, 2, ...; they are labels for outcomes.
     """
     if eigenvalues is None:
         eigenvalues = list(range(len(basis)))
-    projectors = [projector_from_span([b], tol=tol) for b in basis]
-    return Observable(eigenvalues, projectors, tol)
+    return Observable(eigenvalues, [b.amplitudes[:, None] for b in basis], tol)
 
 
-def orthonormalize(vectors: Iterable[np.ndarray], dependence_tol: float = 1e-10) -> list[np.ndarray]:
-    """Modified Gram-Schmidt with one re-orthogonalization pass.
+def orthonormalize(vectors: Iterable[np.ndarray], dependence_tol: float = 1e-10) -> np.ndarray:
+    """Modified Gram-Schmidt with one re-orthogonalization pass; the basis is
+    returned as the columns of a ``dim x count`` matrix.
 
-    Raises ValueError when the input set is linearly dependent (residual norm
-    below ``dependence_tol`` relative to the input norm).
+    Raises ValueError when the input set is empty, mixes lengths or is
+    linearly dependent (residual norm below ``dependence_tol`` relative to the
+    input norm).
     """
     basis: list[np.ndarray] = []
     for v in vectors:
-        w = np.asarray(v, dtype=complex).reshape(-1).copy()
+        w = _as_vector(v, len(basis[0]) if basis else None).copy()
         scale = np.linalg.norm(w)
         for _ in range(2):
             for b in basis:
@@ -342,20 +364,6 @@ def orthonormalize(vectors: Iterable[np.ndarray], dependence_tol: float = 1e-10)
         if scale == 0.0 or norm < dependence_tol * scale:
             raise ValueError("input vectors are linearly dependent")
         basis.append(w / norm)
-    return basis
-
-
-def projector_from_span(
-    vectors: Sequence[StateVector | np.ndarray],
-    tol: float = DEFAULT_TOL,
-) -> Projector:
-    """Orthogonal projector onto the span of the given vectors."""
-    if not vectors:
+    if not basis:
         raise ValueError("span requires at least one vector")
-    raw = [v.amplitudes if isinstance(v, StateVector) else v for v in vectors]
-    d = len(_as_vector(raw[0]))
-    basis = orthonormalize(_as_vector(v, d) for v in raw)
-    mat = np.zeros((d, d), dtype=complex)
-    for b in basis:
-        mat += np.outer(b, b.conj())
-    return Projector(mat, tol)
+    return np.column_stack(basis)

@@ -34,10 +34,10 @@ import numpy as np
 
 from .hilbert import (
     DEFAULT_TOL,
+    NORM_TOL,
     Audit,
     Observable,
     Operator,
-    Projector,
     StateVector,
     _freeze,
     gram_residual,
@@ -59,44 +59,46 @@ __all__ = [
     "verify_calibration",
     "verify_nondemolition",
     "branch_norm_law",
-    "eigenspace_basis",
 ]
 
 
 @dataclass(frozen=True)
 class PointerApparatus:
     """Apparatus side of a premeasurement: ready state, pointer observable,
-    and one designated pointer state inside each pointer eigenspace.
+    and one designated pointer state inside each pointer eigenspace, as
+    column ``n`` of the ``dim x N`` matrix ``pointer_states``.
 
-    Pointer projectors may have rank > 1; only the designated pointer state is
-    used by the construction.  The ready state need not be orthogonal to the
-    pointer states.  The number of outcomes is finite and at most the
+    Pointer eigenspaces may have rank > 1; only the designated pointer state
+    is used by the construction.  The ready state need not be orthogonal to
+    the pointer states.  The number of outcomes is finite and at most the
     apparatus dimension (enforced through the observable's completeness).
     """
 
     ready_state: StateVector
     pointer_observable: Observable
-    pointer_states: tuple[StateVector, ...]
+    pointer_states: np.ndarray
     tol: float = DEFAULT_TOL
 
     def __post_init__(self):
-        states = tuple(self.pointer_states)
-        if self.ready_state.dim != self.pointer_observable.dim:
+        states = _freeze(self.pointer_states)
+        obs = self.pointer_observable
+        if self.ready_state.dim != obs.dim:
             raise ValueError(
                 f"ready state dim {self.ready_state.dim} does not match "
-                f"pointer observable dim {self.pointer_observable.dim}"
+                f"pointer observable dim {obs.dim}"
             )
-        if len(states) != self.pointer_observable.outcome_count:
+        if states.shape != (obs.dim, obs.outcome_count):
             raise ValueError(
-                f"{len(states)} pointer states for "
-                f"{self.pointer_observable.outcome_count} pointer outcomes"
+                f"pointer states of shape {states.shape} for {obs.outcome_count} "
+                f"pointer outcomes in dim {obs.dim}"
             )
-        if len(states) > self.dim:
-            raise ValueError("more pointer outcomes than apparatus dimensions")
-        if gram_residual(np.column_stack([chi.amplitudes for chi in states])) > self.tol:
+        if not np.all(abs(np.linalg.norm(states, axis=0) - 1.0) <= NORM_TOL):
+            raise ValueError("pointer states are not normalized")
+        if not gram_residual(states) <= self.tol:  # also rejects NaN
             raise ValueError("pointer states are not orthonormal within tolerance")
-        for n, (q, chi) in enumerate(zip(self.pointer_observable.projectors, states)):
-            residual = np.linalg.norm(q.matrix @ chi.amplitudes - chi.amplitudes)
+        for n, chi in enumerate(states.T):
+            b = obs.basis(n)
+            residual = np.linalg.norm(b @ (b.conj().T @ chi) - chi)
             if residual > self.tol:
                 raise ValueError(
                     f"pointer state {n} is not in the range of its projector "
@@ -110,7 +112,7 @@ class PointerApparatus:
 
     @property
     def outcome_count(self) -> int:
-        return len(self.pointer_states)
+        return self.pointer_states.shape[1]
 
 
 @dataclass(frozen=True)
@@ -278,7 +280,8 @@ def build_premeasurement(
     nondemolition by construction.  Complete (nondegenerate) observables are
     the special case of all rank-1 system projectors.
     """
-    blocks = tuple(householder_map(apparatus.ready_state, chi) for chi in apparatus.pointer_states)
+    ready = apparatus.ready_state
+    blocks = tuple(householder_map(ready, StateVector(chi)) for chi in apparatus.pointer_states.T)
     return PremeasurementModel(measured, apparatus, blocks, tol)
 
 
@@ -313,13 +316,6 @@ def branches(model: PremeasurementModel, psi12: BipartiteState) -> BranchSet:
     return BranchSet(branches=tuple(kept), omitted=tuple(omitted))
 
 
-def eigenspace_basis(projector: Projector) -> np.ndarray:
-    """Orthonormal basis of the range of a projector, as the columns of a
-    ``dim x rank`` matrix (eigenvectors with eigenvalue near 1)."""
-    values, vectors = np.linalg.eigh(projector.matrix)
-    return vectors[:, values > 0.5]
-
-
 def verify_calibration(
     model: PremeasurementModel,
     tol: float = DEFAULT_TOL,
@@ -328,8 +324,8 @@ def verify_calibration(
 ) -> Audit:
     """Check the calibration condition outcome by outcome.
 
-    For each outcome n, every eigenspace basis vector of P^n plus ``trials``
-    random unit vectors in that eigenspace (inputs certain for outcome n) is
+    For each outcome n, every column of the eigenspace basis ``B_n`` plus
+    ``trials`` random unit vectors ``B_n @ c`` (inputs certain for outcome n) is
     coupled to the apparatus; the output must be fixed by I (x) Q^n.  The
     samples of one outcome are coupled together as the columns of one matrix.
     The residual of outcome n is the largest ``||(I (x) Q^n) Psi - Psi||``
@@ -338,10 +334,8 @@ def verify_calibration(
     rng = np.random.default_rng(seed)
     d1, d2 = model.d1, model.d2
     residuals = {}
-    for n, (p, q) in enumerate(
-        zip(model.measured.projectors, model.apparatus.pointer_observable.projectors)
-    ):
-        basis = eigenspace_basis(p)
+    for n, q in enumerate(model.apparatus.pointer_observable.projectors):
+        basis = model.measured.basis(n)
         coeffs = [random_unit_vector(basis.shape[1], rng) for _ in range(trials)]
         inputs = np.column_stack([basis] + [basis @ c for c in coeffs])
         inputs = inputs / np.linalg.norm(inputs, axis=0)

@@ -47,18 +47,11 @@ def random_projector(dim: int, rank: int, rng: np.random.Generator) -> Projector
     return Projector(u[:, :rank] @ u[:, :rank].conj().T)
 
 
-def random_orthogonal_partition(dim: int, parts: int, rng: np.random.Generator) -> list[Projector]:
-    """Split dimension ``dim`` into ``parts`` mutually orthogonal projectors of
-    random ranks summing to ``dim`` (each part nonempty)."""
+def random_orthogonal_partition(dim: int, parts: int, rng: np.random.Generator) -> list[np.ndarray]:
+    """Split a Haar-random unitary into ``parts`` blocks of columns: mutually
+    orthogonal eigenspace bases (``dim x r``) of random ranks summing to
+    ``dim`` (each part nonempty)."""
     if not 1 <= parts <= dim:
         raise ValueError(f"parts must be in [1, {dim}], got {parts}")
     cuts = np.sort(rng.choice(np.arange(1, dim), size=parts - 1, replace=False))
-    ranks = np.diff(np.concatenate(([0], cuts, [dim])))
-    u = random_unitary(dim, rng)
-    projectors = []
-    start = 0
-    for r in ranks:
-        cols = u[:, start : start + r]
-        projectors.append(Projector(cols @ cols.conj().T))
-        start += r
-    return projectors
+    return np.split(random_unitary(dim, rng), cuts, axis=1)

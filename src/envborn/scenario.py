@@ -27,7 +27,7 @@ from .hilbert import (
     StateVector,
     identity,
     make_state,
-    projector_from_span,
+    orthonormalize,
 )
 from .mixtures import MixtureSpec, mix, purify
 from .premeasurement import PointerApparatus, PremeasurementModel, build_premeasurement
@@ -364,8 +364,8 @@ def _parse_observable(spec, d1: int, tol: float) -> tuple[dict, Observable]:
         "projectors": [[encode_vector(v) for v in span] for span in spans],
     }
     try:
-        projectors = [projector_from_span(span) for span in spans]
-        return canonical, Observable(canonical["eigenvalues"], projectors, tol)
+        bases = [orthonormalize(span) for span in spans]
+        return canonical, Observable(canonical["eigenvalues"], bases, tol)
     except ValueError as exc:
         raise ScenarioError(f"invalid observable: {exc}") from exc
 
@@ -393,11 +393,11 @@ def _parse_apparatus(spec, d2: int, tol: float) -> tuple[dict, PointerApparatus]
         "pointer_projectors": [[encode_vector(v) for v in span] for span in spans],
     }
     ready_state = _normalized(ready, "ready_state")
-    states = tuple(_normalized(v, f"pointer state {n}") for n, v in enumerate(pointer_states))
+    states = [_normalized(v, f"pointer state {n}").amplitudes for n, v in enumerate(pointer_states)]
     try:
-        projectors = [projector_from_span(span) for span in spans]
-        pointer_obs = Observable(list(range(len(projectors))), projectors, tol)
-        return canonical, PointerApparatus(ready_state, pointer_obs, states, tol)
+        bases = [orthonormalize(span) for span in spans]
+        pointer_obs = Observable(list(range(len(bases))), bases, tol)
+        return canonical, PointerApparatus(ready_state, pointer_obs, np.array(states).T, tol)
     except ValueError as exc:
         raise ScenarioError(f"invalid apparatus: {exc}") from exc
 

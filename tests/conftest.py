@@ -2,12 +2,18 @@
 
 import numpy as np
 
-from envborn.hilbert import DensityOperator, Observable, Operator, StateVector, make_state
+from envborn.hilbert import (
+    DensityOperator,
+    Observable,
+    Operator,
+    Projector,
+    StateVector,
+    orthonormalize,
+)
 from envborn.premeasurement import (
     PointerApparatus,
     PremeasurementModel,
     build_premeasurement,
-    eigenspace_basis,
 )
 from envborn.rng import (
     random_orthogonal_partition,
@@ -29,21 +35,21 @@ def random_scenario(d1, d2, outcomes, rng):
     measured = Observable(
         eigenvalues, random_orthogonal_partition(d1, outcomes, rng)
     )
-    pointer_projs = random_orthogonal_partition(d2, outcomes, rng)
-    pointer_obs = Observable(list(range(outcomes)), pointer_projs)
-    pointer_states = []
-    for q in pointer_projs:
-        basis = eigenspace_basis(q)
-        coeff = random_unit_vector(basis.shape[1], rng)
-        pointer_states.append(
-            make_state(sum(c * b for c, b in zip(coeff, basis.T)))
-        )
-    apparatus = PointerApparatus(
-        random_state(d2, rng), pointer_obs, tuple(pointer_states)
+    pointer_bases = random_orthogonal_partition(d2, outcomes, rng)
+    pointer_obs = Observable(list(range(outcomes)), pointer_bases)
+    pointer_states = np.column_stack(
+        [b @ random_unit_vector(b.shape[1], rng) for b in pointer_bases]
     )
+    apparatus = PointerApparatus(random_state(d2, rng), pointer_obs, pointer_states)
     model = build_premeasurement(measured, apparatus)
     phi = random_state(d1, rng)
     return model, phi
+
+
+def projector_from_span(vectors) -> Projector:
+    """Orthogonal projector onto the span of the given states or arrays."""
+    basis = orthonormalize(v.amplitudes if isinstance(v, StateVector) else v for v in vectors)
+    return Projector(basis @ basis.conj().T)
 
 
 def random_density(dim: int, rng: np.random.Generator) -> DensityOperator:
@@ -84,8 +90,8 @@ def entangle_branches(model, rng):
     mixer = np.eye(dim, dtype=complex)
     block_total = np.zeros((dim, dim), dtype=complex)
     for k in range(model.outcome_count):
-        sys_basis = eigenspace_basis(model.measured.projectors[k])
-        ptr_basis = eigenspace_basis(model.apparatus.pointer_observable.projectors[k])
+        sys_basis = model.measured.basis(k)
+        ptr_basis = model.apparatus.pointer_observable.basis(k)
         cols = np.column_stack(
             [np.kron(s, p) for s in sys_basis.T for p in ptr_basis.T]
         )

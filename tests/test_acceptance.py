@@ -14,18 +14,18 @@ from importlib import resources
 
 import numpy as np
 import pytest
-from conftest import entangle_branches, random_density, random_scenario
+from conftest import entangle_branches, projector_from_span, random_density, random_scenario
 
 from envborn.born import check_additivity, derive_probabilities
 from envborn.cli import main
 from envborn.ensemble import frequency_check, sample_outcomes
 from envborn.hilbert import (
     Operator,
+    Projector,
     basis_state,
     complete_observable,
     identity,
     make_state,
-    projector_from_span,
 )
 from envborn.mixtures import (
     MixtureSpec,
@@ -103,17 +103,17 @@ def test_criterion_end_to_end_born(random_suite):
         1 for e in entries if e.model.outcome_count == e.model.measured.dim
     )
     degenerate = sum(
-        1 for e in entries if any(p.rank >= 2 for p in e.model.measured.projectors)
+        1 for e in entries if max(e.model.measured.ranks) >= 2
     )
     rank1_pointers = sum(
         1
         for e in entries
-        if any(q.rank == 1 for q in e.model.apparatus.pointer_observable.projectors)
+        if min(e.model.apparatus.pointer_observable.ranks) == 1
     )
     wide_pointers = sum(
         1
         for e in entries
-        if any(q.rank >= 2 for q in e.model.apparatus.pointer_observable.projectors)
+        if max(e.model.apparatus.pointer_observable.ranks) >= 2
     )
     assert len(entries) >= 200
     assert min(complete, degenerate, rank1_pointers, wide_pointers) > 0
@@ -133,10 +133,7 @@ def test_criterion_calibration(random_suite):
 
     # negative control: identity coupling must be flagged
     pointer_obs = complete_observable([basis_state(2, 0), basis_state(2, 1)])
-    apparatus = PointerApparatus(
-        basis_state(2, 0), pointer_obs,
-        (basis_state(2, 0), basis_state(2, 1)),
-    )
+    apparatus = PointerApparatus(basis_state(2, 0), pointer_obs, np.eye(2))
     measured = complete_observable([basis_state(2, 0), basis_state(2, 1)])
     uncoupled = PremeasurementModel(measured, apparatus, identity(4))
     control_flagged = not verify_calibration(uncoupled).passed
@@ -288,7 +285,8 @@ def test_criterion_finite_additivity():
     for _ in range(100):
         d = int(rng.integers(2, 6))
         rho = random_density(d, rng)
-        parts = random_orthogonal_partition(d, int(rng.integers(1, d + 1)), rng)
+        bases = random_orthogonal_partition(d, int(rng.integers(1, d + 1)), rng)
+        parts = [Projector(b @ b.conj().T) for b in bases]
         worst = max(worst, check_additivity(rho, parts))
     verdict(
         "finite additivity over 100 random (state, partition) pairs (<= 1e-10)",

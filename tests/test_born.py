@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import entangle_branches, random_density, random_scenario
+from conftest import entangle_branches, projector_from_span, random_density, random_scenario
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,7 +22,7 @@ from envborn.hilbert import (
     complete_observable,
     identity,
     make_state,
-    projector_from_span,
+    orthonormalize,
     pure_density,
     trace_probability,
 )
@@ -43,11 +43,7 @@ POINTER2 = 2
 
 def qubit_apparatus():
     b = complete_observable([basis_state(POINTER2, 0), basis_state(POINTER2, 1)])
-    return PointerApparatus(
-        basis_state(POINTER2, 0),
-        b,
-        (basis_state(POINTER2, 0), basis_state(POINTER2, 1)),
-    )
+    return PointerApparatus(basis_state(POINTER2, 0), b, np.eye(POINTER2))
 
 
 def cnot_model():
@@ -56,13 +52,7 @@ def cnot_model():
 
 
 def degenerate_model():
-    a = Observable(
-        [1.0, -1.0],
-        [
-            projector_from_span([basis_state(D3, 0), basis_state(D3, 1)]),
-            projector_from_span([basis_state(D3, 2)]),
-        ],
-    )
+    a = Observable([1.0, -1.0], [np.eye(D3)[:, :2], np.eye(D3)[:, 2:]])
     return build_premeasurement(a, qubit_apparatus())
 
 
@@ -147,18 +137,13 @@ class TestDeriveProbabilities:
     def test_pointer_state_choice_does_not_move_probabilities(self):
         # two different designated pointer states inside the same rank-2
         # pointer eigenspace: details differ, outcome sums agree
-        q0 = projector_from_span([basis_state(3, 0), basis_state(3, 1)])
-        q1 = projector_from_span([basis_state(3, 2)])
-        pointer_obs = Observable([0.0, 1.0], [q0, q1])
+        pointer_obs = Observable([0.0, 1.0], [np.eye(3)[:, :2], np.eye(3)[:, 2:]])
         a = complete_observable([basis_state(D2, 0), basis_state(D2, 1)])
         phi = make_state([0.6, 0.8])
         derived = []
         for chi0 in (basis_state(3, 0), make_state([1, 1, 0])):
-            apparatus = PointerApparatus(
-                basis_state(3, 2),
-                pointer_obs,
-                (chi0, basis_state(3, 2)),
-            )
+            states = np.column_stack([chi0.amplitudes, basis_state(3, 2).amplitudes])
+            apparatus = PointerApparatus(basis_state(3, 2), pointer_obs, states)
             model = build_premeasurement(a, apparatus)
             report = derive_probabilities(model, phi)
             assert report.passed
@@ -200,21 +185,9 @@ class TestEntangledBranches:
         # explicit rank gap: Q^0 has rank 3, the branch Schmidt rank is at
         # most 2, so the complement keeps rank >= 1 yet annihilates the state
         rng = np.random.default_rng(62)
-        q0 = projector_from_span([basis_state(4, i) for i in range(3)])
-        q1 = projector_from_span([basis_state(4, 3)])
-        pointer_obs = Observable([0.0, 1.0], [q0, q1])
-        apparatus = PointerApparatus(
-            basis_state(4, 0),
-            pointer_obs,
-            (basis_state(4, 0), basis_state(4, 3)),
-        )
-        a = Observable(
-            [1.0, -1.0],
-            [
-                projector_from_span([basis_state(D3, 0), basis_state(D3, 1)]),
-                projector_from_span([basis_state(D3, 2)]),
-            ],
-        )
+        pointer_obs = Observable([0.0, 1.0], [np.eye(4)[:, :3], np.eye(4)[:, 3:]])
+        apparatus = PointerApparatus(basis_state(4, 0), pointer_obs, np.eye(4)[:, [0, 3]])
+        a = Observable([1.0, -1.0], [np.eye(D3)[:, :2], np.eye(D3)[:, 2:]])
         model = entangle_branches(build_premeasurement(a, apparatus), rng)
         phi = make_state([1, 1, 1])
         psi12 = evolve(model, phi)
@@ -240,14 +213,8 @@ class TestComplementCheck:
     def test_higher_rank_pointer_projector_annihilates(self):
         # rank-2 pointer eigenspace, branch Schmidt rank 1: the complement is
         # rank 1 yet annihilates the composite state
-        q0 = projector_from_span([basis_state(3, 0), basis_state(3, 1)])
-        q1 = projector_from_span([basis_state(3, 2)])
-        pointer_obs = Observable([0.0, 1.0], [q0, q1])
-        apparatus = PointerApparatus(
-            basis_state(3, 0),
-            pointer_obs,
-            (basis_state(3, 0), basis_state(3, 2)),
-        )
+        pointer_obs = Observable([0.0, 1.0], [np.eye(3)[:, :2], np.eye(3)[:, 2:]])
+        apparatus = PointerApparatus(basis_state(3, 0), pointer_obs, np.eye(3)[:, [0, 2]])
         a = complete_observable([basis_state(D2, 0), basis_state(D2, 1)])
         model = build_premeasurement(a, apparatus)
         phi = make_state([0.6, 0.8])
@@ -270,12 +237,11 @@ class TestComplementCheck:
     def test_omitted_outcome_complement_failure_reports_inf(self):
         # Q^1 is idempotent only to ~6e-16, so at tol 1e-20 its complement
         # check raises for the omitted outcome 1; the audit records inf there
-        q0 = projector_from_span([basis_state(3, 0)])
-        q1 = projector_from_span([make_state([0, 1, 2j]), make_state([0, 2j, 1])])
+        q1 = orthonormalize([[0, 1, 2j], [0, 2j, 1]])
         apparatus = PointerApparatus(
             basis_state(3, 0),
-            Observable([0.0, 1.0], [q0, q1]),
-            (basis_state(3, 0), make_state([0, 1, 2j])),
+            Observable([0.0, 1.0], [np.eye(3)[:, :1], q1]),
+            np.column_stack([basis_state(3, 0).amplitudes, q1[:, 0]]),
         )
         a = complete_observable([basis_state(D2, 0), basis_state(D2, 1)])
         model = build_premeasurement(a, apparatus)
@@ -298,7 +264,7 @@ class TestCheckAdditivity:
         rng = np.random.default_rng(46)
         for _ in range(20):
             rho = random_density(3, rng)
-            parts = random_orthogonal_partition(3, 3, rng)[:2]
+            parts = [Projector(b @ b.conj().T) for b in random_orthogonal_partition(3, 3, rng)[:2]]
             assert check_additivity(rho, parts) <= 1e-10
 
     def test_zero_projector_part(self):
@@ -353,8 +319,8 @@ class TestOracleAgreement:
             assert record.derived == pytest.approx(oracle, abs=1e-9)
 
 
-def _rotated(projectors, u):
-    return [Projector(u @ p.matrix @ u.conj().T) for p in projectors]
+def _rotated(obs, u):
+    return Observable(obs.eigenvalues, [u @ obs.basis(n) for n in range(obs.outcome_count)])
 
 
 def _moved(state, u):
@@ -370,17 +336,12 @@ def test_local_basis_change_invariance(d1, d2, outcomes, seed):
     rng = np.random.default_rng(seed)
     model, phi = random_scenario(d1, d2, min(outcomes, d1, d2), rng)
     u1, v2 = random_unitary(d1, rng), random_unitary(d2, rng)
-    measured = Observable(
-        model.measured.eigenvalues, _rotated(model.measured.projectors, u1)
-    )
+    measured = _rotated(model.measured, u1)
     app = model.apparatus
-    pointer_obs = Observable(
-        app.pointer_observable.eigenvalues, _rotated(app.pointer_observable.projectors, v2)
-    )
     apparatus = PointerApparatus(
         _moved(app.ready_state, v2),
-        pointer_obs,
-        tuple(_moved(chi, v2) for chi in app.pointer_states),
+        _rotated(app.pointer_observable, v2),
+        v2 @ app.pointer_states,
     )
     before = derive_probabilities(model, phi)
     after = derive_probabilities(build_premeasurement(measured, apparatus), _moved(phi, u1))

@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_density
+from conftest import projector_from_span, random_density
 from envborn.hilbert import (
+    DEFAULT_TOL,
     Audit,
     DensityOperator,
     Observable,
@@ -18,7 +19,6 @@ from envborn.hilbert import (
     identity,
     make_state,
     partial_trace,
-    projector_from_span,
     pure_density,
     tensor,
     trace_probability,
@@ -201,66 +201,132 @@ class TestTraceProbability:
             assert abs(total - 1.0) <= 1e-10
 
 
+E2 = np.eye(D2)
+E3 = np.eye(D3)
+
+
 class TestObservable:
     def test_complete_two_level(self):
-        obs = Observable(
-            [1.0, -1.0],
-            [projector_from_span([basis_state(D2, 0)]), projector_from_span([basis_state(D2, 1)])],
-        )
+        obs = Observable([1.0, -1.0], [E2[:, :1], E2[:, 1:]])
         assert obs.outcome_count == 2
 
     def test_degenerate_partition(self):
-        obs = Observable(
-            [1.0, -1.0],
-            [
-                projector_from_span([basis_state(D3, 0), basis_state(D3, 1)]),
-                projector_from_span([basis_state(D3, 2)]),
-            ],
-        )
-        assert obs.projectors[0].rank == 2
-        assert obs.projectors[1].rank == 1
+        # the blocks are stored side by side in order, each with its own rank
+        obs = Observable([1.0, -1.0], [E3[:, [2, 0]], E3[:, 1:2]])
+        assert obs.ranks == (2, 1)
+        assert np.array_equal(obs.matrix, E3[:, [2, 0, 1]])
+        assert np.array_equal(obs.basis(0), E3[:, [2, 0]])
+        assert np.array_equal(obs.basis(1), E3[:, 1:2])
+        assert np.array_equal(obs.projectors[0].matrix, np.diag([1, 0, 1]))
+        assert np.array_equal(obs.projectors[1].matrix, np.diag([0, 1, 0]))
 
     def test_non_orthogonal_rejected(self):
-        with pytest.raises(ValueError, match="0 and 1 are not orthogonal"):
-            Observable(
-                [1.0, -1.0],
-                [projector_from_span([basis_state(D2, 0)]), projector_from_span([plus()])],
-            )
+        # the overlapping block is the last one, so every block counts
+        with pytest.raises(ValueError, match="not orthonormal and complete"):
+            Observable([1.0, -1.0], [E2[:, :1], plus().amplitudes[:, None]])
+
+    def test_unnormalized_basis_rejected(self):
+        with pytest.raises(ValueError, match="not orthonormal and complete"):
+            Observable([1.0, -1.0], [E2[:, :1], 2 * E2[:, 1:]])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_basis_rejected(self, bad):
+        basis = E2.astype(complex)
+        basis[1, 1] = bad
+        # inf * 0 in the Gram product is NaN, which the check rejects
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="not orthonormal"):
+            Observable([1.0, -1.0], [basis[:, :1], basis[:, 1:]])
 
     def test_duplicate_eigenvalues_rejected(self):
         with pytest.raises(ValueError, match="distinct"):
-            Observable(
-                [1.0, 1.0],
-                [projector_from_span([basis_state(D2, 0)]), projector_from_span([basis_state(D2, 1)])],
-            )
+            Observable([1.0, 1.0], [E2[:, :1], E2[:, 1:]])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_eigenvalues_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            Observable([bad, 1.0], [E2[:, :1], E2[:, 1:]])
+        with pytest.raises(ValueError, match="finite"):
+            Observable([bad, bad], [E2[:, :1], E2[:, 1:]])
 
     def test_incomplete_family_rejected(self):
-        with pytest.raises(ValueError, match="identity"):
-            Observable([1.0], [projector_from_span([basis_state(D2, 0)])])
+        with pytest.raises(ValueError, match="sum to dim"):
+            Observable([1.0], [E2[:, :1]])
 
     def test_mixed_dimensions_rejected(self):
-        projectors = [projector_from_span([basis_state(d, 0)]) for d in (D2, D3)]
-        with pytest.raises(ValueError, match="observable projector: 3 vs 2"):
-            Observable([0.0, 1.0], projectors)
+        with pytest.raises(ValueError, match=r"shapes \[\(2, 1\), \(3, 1\)\]"):
+            Observable([0.0, 1.0], [E2[:, :1], E3[:, :1]])
 
     def test_rank_zero_projector_rejected(self):
-        zero = Projector(np.zeros((2, 2), dtype=complex))
-        with pytest.raises(ValueError, match="rank"):
-            Observable([0.0, 1.0], [Projector(identity(D2).matrix), zero])
+        with pytest.raises(ValueError, match="rank >= 1"):
+            Observable([0.0, 1.0], [E2, np.zeros((2, 0))])
+        with pytest.raises(ValueError, match="rank >= 1"):
+            Observable([0.0, 1.0], [E2[:, 0], E2[:, 1]])
 
     def test_random_observables_satisfy_invariants(self):
         rng = np.random.default_rng(14)
         for _ in range(25):
             d = int(rng.integers(2, 6))
             parts = int(rng.integers(1, d + 1))
-            projs = random_orthogonal_partition(d, parts, rng)
-            obs = Observable(list(range(parts)), projs)
+            bases = random_orthogonal_partition(d, parts, rng)
+            obs = Observable(list(range(parts)), bases)
+            assert obs.ranks == tuple(b.shape[1] for b in bases)
+            for n, b in enumerate(bases):
+                assert np.array_equal(obs.basis(n), b)
             total = sum(p.matrix for p in obs.projectors)
             assert np.linalg.norm(total - np.eye(d)) <= 1e-10
             for i in range(parts):
                 for j in range(i + 1, parts):
                     cross = obs.projectors[i].matrix @ obs.projectors[j].matrix
                     assert np.linalg.norm(cross) <= 1e-10
+
+
+@st.composite
+def perturbed_partitions(draw, factors):
+    """Eigenspace bases of a random partition, moved off unitarity so that
+    ``||W^H W - I||`` is about ``factor * DEFAULT_TOL`` for a drawn factor:
+    ``W + eps G`` has residual ``eps ||W^H G + G^H W||`` to first order."""
+    d = draw(st.integers(1, 5))
+    parts = draw(st.integers(1, d))
+    factor = draw(factors)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    bases = random_orthogonal_partition(d, parts, rng)
+    w = np.hstack(bases)
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    eps = factor * DEFAULT_TOL / np.linalg.norm(w.conj().T @ g + g.conj().T @ w)
+    cuts = np.cumsum([b.shape[1] for b in bases])[:-1]
+    return np.split(w + eps * g, cuts, axis=1)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(perturbed_partitions(st.floats(0.5, 2.0)))
+def test_observable_decides_like_completeness_sum(bases):
+    """The Gram check of ``W`` accepts exactly when the completeness residual
+    ``||sum_n P^n - I||`` of the dense projectors ``P^n = B_n B_n^H`` is
+    within the tolerance.  The two residuals are equal in exact arithmetic;
+    a decision is compared only outside their rounding difference."""
+    w = np.hstack(bases)
+    completeness = np.linalg.norm(sum(b @ b.conj().T for b in bases) - np.eye(len(w)))
+    gram = np.linalg.norm(w.conj().T @ w - np.eye(len(w)))
+    assert abs(gram - completeness) <= 1e-14
+    if abs(completeness - DEFAULT_TOL) <= 1e-14:
+        return
+    try:
+        Observable(list(range(len(bases))), bases)
+        accepted = True
+    except ValueError:
+        accepted = False
+    assert accepted == (completeness <= DEFAULT_TOL)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(perturbed_partitions(st.floats(0.9, 0.999)), st.integers(0, 2**32 - 1))
+def test_dense_projectors_of_an_accepted_observable_raise_nothing(bases, seed):
+    """Bases just within the tolerance are accepted once; forming the dense
+    ``P^n`` and taking the trace rule on them decides nothing again."""
+    obs = Observable(list(range(len(bases))), bases)
+    rho = random_density(obs.dim, np.random.default_rng(seed))
+    total = sum(trace_probability(p, rho) for p in obs.projectors)
+    assert abs(total - 1.0) <= 2 * DEFAULT_TOL
 
 
 class TestProjectorFromSpan:

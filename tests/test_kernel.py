@@ -22,13 +22,11 @@ from envborn.hilbert import (
     DEFAULT_TOL,
     Observable,
     Operator,
-    Projector,
     identity,
 )
 from envborn.premeasurement import (
     PremeasurementModel,
     branches,
-    eigenspace_basis,
     evolve,
     verify_calibration,
     verify_nondemolition,
@@ -54,8 +52,8 @@ def pointer_lift(model, q):
 def lifted_calibration(model, trials, seed):
     rng = np.random.default_rng(seed)
     residuals = []
-    for p, q in zip(model.measured.projectors, model.apparatus.pointer_observable.projectors):
-        basis = eigenspace_basis(p)
+    for n, q in enumerate(model.apparatus.pointer_observable.projectors):
+        basis = model.measured.basis(n)
         samples = list(basis.T)
         for _ in range(trials):
             coeff = random_unit_vector(basis.shape[1], rng)
@@ -171,17 +169,15 @@ def block_models(draw):
     return model, phi, rng
 
 
-def perturbed(model, tol, p_delta=None, v_delta=None):
-    """The model with ``P^n + p_delta[n]`` and ``V_n + v_delta[n]``, checked
-    at ``tol``; the observable is rebuilt with a loose tolerance so that
-    perturbed projectors are still accepted."""
+def perturbed(model, tol, b_delta=None, v_delta=None):
+    """The model with eigenspace bases ``B_n + b_delta[n]`` and blocks
+    ``V_n + v_delta[n]``, checked at ``tol``; the observable is rebuilt with a
+    loose tolerance so that perturbed bases are still accepted.  Each
+    ``P^n = B_n B_n^H`` then stays Hermitian but is no longer idempotent."""
     measured, blocks = model.measured, model.coupling
-    if p_delta is not None:
-        projectors = tuple(
-            Projector(p.matrix + dp, LOOSE)
-            for p, dp in zip(measured.projectors, p_delta)
-        )
-        measured = Observable(measured.eigenvalues, projectors, LOOSE)
+    if b_delta is not None:
+        bases = [measured.basis(n) + db for n, db in enumerate(b_delta)]
+        measured = Observable(measured.eigenvalues, bases, LOOSE)
     if v_delta is not None:
         blocks = tuple(Operator(v.matrix + dv) for v, dv in zip(blocks, v_delta))
     return PremeasurementModel(measured, model.apparatus, blocks, tol)
@@ -209,16 +205,19 @@ def test_block_coupling_matches_dense_coupling(case, seed):
 @settings(max_examples=60, deadline=None)
 @given(block_models(), st.sampled_from(["P", "V", "both"]), st.sampled_from([1e-6, 1e-4, 1e-2]))
 def test_block_residual_of_perturbed_coupling(case, factors, scale):
-    """Generic perturbations of every ``P^n`` (Hermitian), every ``V_n``
-    (non-Hermitian) or both make each cross term of ``U^H U`` count."""
+    """Generic perturbations of every ``B_n`` (so every ``P^n``), every
+    ``V_n`` or both make each cross term of ``U^H U`` count."""
     model, _, rng = case
     n, d1, d2 = model.outcome_count, model.d1, model.d2
-    g1 = rng.standard_normal((n, d1, d1)) + 1j * rng.standard_normal((n, d1, d1))
+    g1 = [
+        rng.standard_normal((d1, r)) + 1j * rng.standard_normal((d1, r))
+        for r in model.measured.ranks
+    ]
     g2 = rng.standard_normal((n, d2, d2)) + 1j * rng.standard_normal((n, d2, d2))
     broken = perturbed(
         model,
         LOOSE,
-        p_delta=scale * (g1 + g1.conj().transpose(0, 2, 1)) if factors != "V" else None,
+        b_delta=[scale * g for g in g1] if factors != "V" else None,
         v_delta=scale * g2 if factors != "P" else None,
     )
     assert_block_residual(broken, dense_residual(broken))
@@ -227,17 +226,18 @@ def test_block_residual_of_perturbed_coupling(case, factors, scale):
 @settings(max_examples=60, deadline=None)
 @given(block_models(), st.booleans(), st.sampled_from([1e-11, 3e-11, 1e-10, 1e-9]))
 def test_block_check_decides_like_dense_check(case, system_side, delta):
-    """Scaling one ``P^k`` or one ``V_k`` by ``1 + delta`` moves the
+    """Scaling one ``B_k`` or one ``V_k`` by ``1 + delta`` moves the
     residual across the tolerance; the block check accepts exactly when the
     dense check does, at the default tolerance and just either side of the
     dense residual."""
     model, _, rng = case
     k = int(rng.integers(model.outcome_count))
-    blocks = [p.matrix for p in model.measured.projectors] if system_side else [
-        v.matrix for v in model.coupling
-    ]
+    if system_side:
+        blocks = [model.measured.basis(n) for n in range(model.outcome_count)]
+    else:
+        blocks = [v.matrix for v in model.coupling]
     delta_k = [delta * b if n == k else 0 * b for n, b in enumerate(blocks)]
-    change = {"p_delta" if system_side else "v_delta": delta_k}
+    change = {"b_delta" if system_side else "v_delta": delta_k}
     reference = dense_residual(perturbed(model, LOOSE, **change))
     for tol in (DEFAULT_TOL, reference * (1 + 1e-3), reference * (1 - 1e-3)):
         if reference <= tol:

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import flat_state, random_density
+from conftest import flat_state, projector_from_span, random_density
 
 from envborn.hilbert import (
     DensityOperator,
@@ -9,7 +9,6 @@ from envborn.hilbert import (
     identity,
     make_state,
     partial_trace,
-    projector_from_span,
     pure_density,
 )
 from envborn.mixtures import (

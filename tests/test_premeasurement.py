@@ -9,7 +9,6 @@ from envborn.hilbert import (
     complete_observable,
     identity,
     make_state,
-    projector_from_span,
     pure_density,
     trace_probability,
 )
@@ -19,7 +18,6 @@ from envborn.premeasurement import (
     branch_norm_law,
     branches,
     build_premeasurement,
-    eigenspace_basis,
     evolve,
     householder_map,
     verify_calibration,
@@ -38,11 +36,7 @@ POINTER2 = 2
 
 def qubit_apparatus():
     b = complete_observable([basis_state(POINTER2, 0), basis_state(POINTER2, 1)])
-    return PointerApparatus(
-        basis_state(POINTER2, 0),
-        b,
-        (basis_state(POINTER2, 0), basis_state(POINTER2, 1)),
-    )
+    return PointerApparatus(basis_state(POINTER2, 0), b, np.eye(POINTER2))
 
 
 def coupled_branches(model, phi):
@@ -56,13 +50,7 @@ def cnot_model():
 
 def degenerate_model():
     # P^1 = span{e0, e1}, P^2 = span{e2} on a 3-dim system with a qubit pointer
-    a = Observable(
-        [1.0, -1.0],
-        [
-            projector_from_span([basis_state(D3, 0), basis_state(D3, 1)]),
-            projector_from_span([basis_state(D3, 2)]),
-        ],
-    )
+    a = Observable([1.0, -1.0], [np.eye(D3)[:, :2], np.eye(D3)[:, 2:]])
     return build_premeasurement(a, qubit_apparatus())
 
 
@@ -72,11 +60,9 @@ def random_model(d1, d2, outcomes, rng):
         sorted(rng.normal(size=outcomes) * 3, reverse=True),
         random_orthogonal_partition(d1, outcomes, rng),
     )
-    pointer_projs = random_orthogonal_partition(d2, outcomes, rng)
-    pointer_obs = Observable(list(range(outcomes)), pointer_projs)
-    pointer_states = tuple(
-        make_state(eigenspace_basis(q)[:, 0]) for q in pointer_projs
-    )
+    pointer_bases = random_orthogonal_partition(d2, outcomes, rng)
+    pointer_obs = Observable(list(range(outcomes)), pointer_bases)
+    pointer_states = np.column_stack([b[:, 0] for b in pointer_bases])
     ready = random_state(d2, rng)
     apparatus = PointerApparatus(ready, pointer_obs, pointer_states)
     return build_premeasurement(measured, apparatus)
@@ -124,7 +110,7 @@ class TestBuildPremeasurement:
         out = dense_coupling(model) @ np.kron(
             basis_state(D3, 1).amplitudes, model.apparatus.ready_state.amplitudes
         )
-        assert np.allclose(out, np.kron(basis_state(D3, 1).amplitudes, chi[0].amplitudes))
+        assert np.allclose(out, np.kron(basis_state(D3, 1).amplitudes, chi[:, 0]))
 
     def test_unitarity(self):
         rng = np.random.default_rng(32)
@@ -262,6 +248,21 @@ class TestVerifyCalibration:
         assert report.residuals[0] <= 1e-10
         assert report.residuals[1] == pytest.approx(1.0)
 
+    def test_every_column_of_a_degenerate_eigenspace_is_sampled(self):
+        # flipping the pointer for input e1 only breaks calibration inside the
+        # rank-2 eigenspace span{e0, e1}: the basis column e1 is certain for
+        # outcome 0 yet lands on pointer 1
+        model = degenerate_model()
+        flip_e1 = np.kron(np.diag([1.0, 0.0, 1.0]), np.eye(2)) + np.kron(
+            np.diag([0.0, 1.0, 0.0]), np.eye(2)[::-1]
+        )
+        broken = PremeasurementModel(
+            model.measured, model.apparatus, Operator(dense_coupling(model) @ flip_e1)
+        )
+        report = verify_calibration(broken)
+        assert report.residuals[0] == pytest.approx(1.0)
+        assert report.residuals[1] == 0.0
+
     def test_permutation_model_is_exact(self):
         report = verify_calibration(cnot_model())
         assert report.max_residual == 0.0
@@ -324,7 +325,7 @@ class TestBranchNormLaw:
         for _ in range(5):
             model = random_model(4, 4, 2, rng)
             for n in range(model.outcome_count):
-                basis = eigenspace_basis(model.measured.projectors[n])
+                basis = model.measured.basis(n)
                 for _ in range(10):
                     coeff = random_unit_vector(basis.shape[1], rng)
                     vec = sum(c * b for c, b in zip(coeff, basis.T))
@@ -344,37 +345,35 @@ class TestApparatusInvariants:
     def test_pointer_state_outside_projector_range(self):
         b = complete_observable([basis_state(POINTER2, 0), basis_state(POINTER2, 1)])
         with pytest.raises(ValueError, match="range"):
-            PointerApparatus(
-                basis_state(POINTER2, 0),
-                b,
-                (basis_state(POINTER2, 1), basis_state(POINTER2, 0)),
-            )
+            PointerApparatus(basis_state(POINTER2, 0), b, np.eye(POINTER2)[:, ::-1])
 
     def test_non_orthonormal_pointer_states(self):
-        q = projector_from_span([basis_state(3, 0), basis_state(3, 1)])
-        q2 = projector_from_span([basis_state(3, 2)])
-        b = Observable([0.0, 1.0], [q, q2])
+        b = Observable([0.0, 1.0], [np.eye(3)[:, :2], np.eye(3)[:, 2:]])
+        states = np.column_stack([make_state([1, 1, 0]).amplitudes, basis_state(3, 0).amplitudes])
         with pytest.raises(ValueError, match="orthonormal"):
-            PointerApparatus(
-                basis_state(3, 0),
-                b,
-                (make_state([1, 1, 0]), make_state([1, 0, 0])),
-            )
+            PointerApparatus(basis_state(3, 0), b, states)
+
+    def test_unnormalized_pointer_state_rejected(self):
+        # a norm off by 1e-11 passes the Gram check at 1e-10, but a pointer
+        # state must be a unit vector to 1e-12 like every StateVector
+        b = complete_observable([basis_state(POINTER2, 0), basis_state(POINTER2, 1)])
+        with pytest.raises(ValueError, match="not normalized"):
+            PointerApparatus(basis_state(POINTER2, 0), b, np.diag([1.0, 1.0 + 1e-11]))
+
+    def test_pointer_states_one_column_per_outcome(self):
+        b = complete_observable([basis_state(POINTER2, 0), basis_state(POINTER2, 1)])
+        with pytest.raises(ValueError, match=r"shape \(2, 1\) for 2 pointer outcomes"):
+            PointerApparatus(basis_state(POINTER2, 0), b, np.eye(POINTER2)[:, :1])
 
     def test_ready_state_dimension_mismatch(self):
         b = complete_observable([basis_state(POINTER2, 0), basis_state(POINTER2, 1)])
-        pointer_states = (basis_state(POINTER2, 0), basis_state(POINTER2, 1))
         with pytest.raises(ValueError, match="ready state dim 3 does not match pointer observable"):
-            PointerApparatus(basis_state(3, 0), b, pointer_states)
+            PointerApparatus(basis_state(3, 0), b, np.eye(POINTER2))
 
     def test_ready_state_may_overlap_pointer_states(self):
         # no orthogonality requirement between ready and pointer states
         b = complete_observable([basis_state(POINTER2, 0), basis_state(POINTER2, 1)])
-        apparatus = PointerApparatus(
-            make_state([1, 1]),
-            b,
-            (basis_state(POINTER2, 0), basis_state(POINTER2, 1)),
-        )
+        apparatus = PointerApparatus(make_state([1, 1]), b, np.eye(POINTER2))
         a = complete_observable([basis_state(D2, 0), basis_state(D2, 1)])
         model = build_premeasurement(a, apparatus)
         assert verify_calibration(model).passed

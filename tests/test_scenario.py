@@ -158,7 +158,7 @@ class TestParsing:
         assert "complete" not in obs
         assert obs["eigenvalues"] == [0.0, 1.0]
         assert len(obs["projectors"]) == 2
-        assert scenario.observable().projectors[0].rank == 1
+        assert scenario.observable().ranks == (1, 1)
 
     def test_complete_sugar_needs_full_basis(self):
         data = minimal_derive()
@@ -196,7 +196,7 @@ class TestParsing:
         }
         scenario = parse_scenario(data)
         apparatus = scenario.apparatus()
-        assert apparatus.pointer_observable.projectors[0].rank == 2
+        assert apparatus.pointer_observable.ranks == (2, 1)
 
     def test_unknown_field(self):
         with pytest.raises(ScenarioError, match="unknown"):

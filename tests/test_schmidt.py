@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
-from conftest import flat_state
+from conftest import flat_state, projector_from_span
 
 from envborn.hilbert import (
     Operator,
     basis_state,
     partial_trace,
-    projector_from_span,
     pure_density,
 )
 from envborn.rng import random_state, random_unitary

@@ -55,19 +55,16 @@ def outcome_counts(d1: int, d2: int) -> list[int]:
 def random_case(d1: int, d2: int, outcomes: int, seed: int):
     import numpy as np
 
-    from envborn.hilbert import Observable, make_state
-    from envborn.premeasurement import PointerApparatus, eigenspace_basis
+    from envborn.hilbert import Observable
+    from envborn.premeasurement import PointerApparatus
     from envborn.rng import random_orthogonal_partition, random_state, random_unit_vector
 
     rng = np.random.default_rng(seed)
     measured = Observable(list(range(outcomes)), random_orthogonal_partition(d1, outcomes, rng))
-    pointer_projs = random_orthogonal_partition(d2, outcomes, rng)
-    pointer_obs = Observable(list(range(outcomes)), pointer_projs)
-    pointer_states = []
-    for q in pointer_projs:
-        basis = eigenspace_basis(q)
-        pointer_states.append(make_state(basis @ random_unit_vector(basis.shape[1], rng)))
-    apparatus = PointerApparatus(random_state(d2, rng), pointer_obs, tuple(pointer_states))
+    pointer_bases = random_orthogonal_partition(d2, outcomes, rng)
+    pointer_obs = Observable(list(range(outcomes)), pointer_bases)
+    pointer_states = np.column_stack([b @ random_unit_vector(b.shape[1], rng) for b in pointer_bases])
+    apparatus = PointerApparatus(random_state(d2, rng), pointer_obs, pointer_states)
     return measured, apparatus, random_state(d1, rng)
 
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -37,11 +37,11 @@ from .hilbert import (
     DEFAULT_TOL,
     Audit,
     DensityOperator,
-    Projector,
+    Operator,
     StateVector,
-    check_orthogonal,
     gram_residual,
     pure_density,
+    span_residual,
     trace_probability,
 )
 from .premeasurement import (
@@ -52,7 +52,7 @@ from .premeasurement import (
     verify_calibration,
     verify_nondemolition,
 )
-from .schmidt import BipartiteState, SchmidtForm, pointer_density, schmidt_decompose
+from .schmidt import BipartiteState, pointer_density, schmidt_decompose
 
 __all__ = [
     "OutcomeRecord",
@@ -113,36 +113,49 @@ def complement_check(
     schmidt2: np.ndarray,
     tol: float = DEFAULT_TOL,
 ) -> float:
-    """Norm of ``(I (x) (Q^k)') psi = Psi @ (Q^k)'.T`` where ``(Q^k)'`` is the
-    pointer projector minus the span of the branch's factor-2 Schmidt vectors,
-    the columns of ``schmidt2`` (``d2 x r``; ``r = 0`` for an omitted outcome).
+    """Norm of ``(I (x) (Q^k)') psi = Psi @ (Q^k)'.T`` for ``(Q^k)' = Q^k - S
+    S^H``, where the orthonormal columns ``S`` of ``schmidt2`` (``d2 x r``;
+    ``r = 0`` for an omitted outcome) are the branch's factor-2 Schmidt vectors.
+    It measures the Schmidt tail that ``ZERO_BRANCH_THRESHOLD`` dropped.
 
-    The sub-projector relation guarantees ``(Q^k)'`` is again a projector;
-    if its projector invariants fail a ValueError is raised, since that
-    signals a violated sub-projector relation rather than a mere audit miss.
+    ``(Q^k)'`` is a projector when ``Q^k`` fixes ``S`` (the sub-projector
+    relation of ``sublemma_check``); a ``span_residual(Q^k, S)`` beyond
+    ``tol`` raises ValueError rather than counting as a mere audit miss.
     """
-    q = model.apparatus.pointer_observable.projectors[outcome]
-    comp = q.matrix - schmidt2 @ schmidt2.conj().T
-    # Raises when not Hermitian/idempotent within tol.
-    Projector(comp, tol)
+    q = model.apparatus.pointer_observable.projectors[outcome].matrix
+    relation = span_residual(q, schmidt2)
+    if not relation <= tol:
+        raise ValueError(f"Schmidt vectors leave the pointer eigenspace: residual {relation:.3e}")
+    comp = q - schmidt2 @ schmidt2.conj().T
     return float(np.linalg.norm(psi12.matrix @ comp.T))
 
 
-def check_additivity(
-    rho: DensityOperator, parts: Sequence[Projector], tol: float = DEFAULT_TOL
-) -> float:
-    """Finite additivity of the trace rule: ``|p(sum parts) - sum p(parts)|``.
+def check_additivity(rho: DensityOperator, basis: np.ndarray, tol: float = DEFAULT_TOL) -> float:
+    """Finite additivity of the trace rule: ``|p(sum parts) - sum p(parts)|``
+    over the rank-1 parts ``v v^H`` of the columns ``v`` of ``basis``.
 
-    Parts must be mutually orthogonal.  All finite-dimensional scenarios can
-    only exercise the finite restriction of countable additivity.
+    One Gram check of ``basis`` decides that the parts and their sum are
+    orthogonal projectors (a failure raises ValueError).  The residual is an
+    implementation tripwire: the trace is linear, so only broken code moves it.
     """
-    check_orthogonal(parts, tol)
+    residual = gram_residual(basis)
+    if not residual <= tol:  # also rejects NaN
+        raise ValueError(f"additivity parts are not orthonormal: Gram residual {residual:.3e}")
+    parts = [Operator(np.outer(v, v.conj())) for v in basis.T]
     total = np.zeros((rho.dim, rho.dim), dtype=complex)
     for p in parts:
         total += p.matrix
-    whole = trace_probability(Projector(total, tol), rho, tol)
+    whole = trace_probability(Operator(total), rho, tol)
     pieces = sum(trace_probability(p, rho, tol) for p in parts)
     return abs(whole - pieces)
+
+
+def _or_inf(check, *args) -> float:
+    """``check(*args)``, or inf when the check's precondition raises."""
+    try:
+        return check(*args)
+    except ValueError:
+        return float("inf")
 
 
 def derive_probabilities(
@@ -156,12 +169,18 @@ def derive_probabilities(
     Steps: couple the input to the ready apparatus; split into pointer
     branches; Schmidt-decompose each normalized branch; verify the assembled
     composite decomposition is biorthogonal across branches (on factor 1;
-    factor 2 holds by construction);
-    square composite coefficients for per-term probabilities; sum terms within
-    each branch (finite additivity, audited against the trace rule); verify
-    the pointer-complement projector annihilates the state so it contributes
-    zero; transfer each pointer-event probability to the measured event
-    (probability reproducibility) and compare with the trace-rule oracle.
+    factor 2 holds by construction); square composite coefficients for
+    per-term probabilities; sum terms within each branch (finite additivity,
+    audited against the trace rule); verify the pointer-complement projector
+    annihilates the state so it contributes zero; transfer each pointer-event
+    probability to the measured event (probability reproducibility) and
+    compare with the trace-rule oracle.
+
+    The oracle ``tr(P^n rho_phi)`` is computed once and serves the norm law
+    and ``prc``; a check whose precondition fails records inf.  An omitted
+    outcome's complement residual (about ``sqrt(weight)``) stays in its record,
+    out of the audit.  ``SchmidtForm`` holds ``sum(c^2) = 1``, so ``prc``
+    beyond the norm law is an implementation tripwire.
 
     Audit failures are reported in ``audits``, never raised.
     """
@@ -169,57 +188,26 @@ def derive_probabilities(
     bset = branches(model, psi12)
     rho_phi = pure_density(phi)
     rho2 = pointer_density(psi12)
-
-    branch_forms: dict[int, SchmidtForm] = {}
-    for b in bset.branches:
-        branch_forms[b.outcome] = schmidt_decompose(BipartiteState(b.normalized()))
-
-    # Composite biorthogonality on factor 1.  Factor 2 holds by construction:
-    # branch k's vectors are an orthonormal SVD basis inside range(Q^k), and
-    # the pointer projectors are mutually orthogonal.
-    biorth_residual = gram_residual(np.hstack([form.basis1 for form in branch_forms.values()]))
-
+    oracle = [trace_probability(p, rho_phi, tol) for p in model.measured.projectors]
+    forms = {b.outcome: schmidt_decompose(BipartiteState(b.normalized())) for b in bset.branches}
     weights = bset.weights
-    additivity: dict[int, float] = {}
-    # Complement annihilation is a step of the derivation only for kept
-    # branches (the nonzero-term reindexing); omitted outcomes report the
-    # full pointer-projector residual sqrt(weight) for information, and are
-    # already covered by the norm law's vanishing-oracle check.  A complement
-    # that is not a projector fails the audit for any outcome.
-    complement: dict[int, float] = {}
+
+    # Biorthogonality on factor 1.  Factor 2 holds by construction: branch k's
+    # vectors are an orthonormal SVD basis inside range(Q^k), and the pointer
+    # projectors are mutually orthogonal.
+    biorthogonality = gram_residual(np.hstack([form.basis1 for form in forms.values()]))
+    additivity = {n: _or_inf(check_additivity, rho2, form.basis2, tol) for n, form in forms.items()}
+    empty = np.zeros((model.d2, 0))
+    complement = [
+        _or_inf(complement_check, model, psi12, n, forms[n].basis2 if n in forms else empty, tol)
+        for n in range(model.outcome_count)
+    ]
     records = []
-    for n in range(model.outcome_count):
-        eigenvalue = model.measured.eigenvalues[n]
-        if n in branch_forms:
-            form = branch_forms[n]
-            detail = tuple(float(weights[n] * c**2) for c in form.coefficients)
-            derived = float(sum(detail))
-            parts = [Projector(np.outer(v, v.conj())) for v in form.basis2.T]
-            try:
-                additivity[n] = check_additivity(rho2, parts, tol)
-            except ValueError:
-                additivity[n] = float("inf")
-            schmidt2 = form.basis2
-        else:
-            detail = ()
-            derived = 0.0
-            schmidt2 = np.zeros((model.d2, 0))
-        try:
-            complement_residual = complement_check(model, psi12, n, schmidt2, tol)
-        except ValueError:
-            complement_residual = complement[n] = float("inf")
-        if n in branch_forms:
-            complement[n] = complement_residual
-        oracle = trace_probability(model.measured.projectors[n], rho_phi, tol)
+    for n, eigenvalue in enumerate(model.measured.eigenvalues):
+        form = forms.get(n)
+        detail = () if form is None else tuple(float(weights[n] * c**2) for c in form.coefficients)
         records.append(
-            OutcomeRecord(
-                outcome=n,
-                eigenvalue=eigenvalue,
-                derived=derived,
-                oracle=oracle,
-                schmidt_detail=detail,
-                complement_residual=complement_residual,
-            )
+            OutcomeRecord(n, eigenvalue, float(sum(detail)), oracle[n], detail, complement[n])
         )
 
     return ProbabilityReport(
@@ -227,10 +215,10 @@ def derive_probabilities(
         audits={
             "calibration": verify_calibration(model, tol, seed=seed),
             "nondemolition": verify_nondemolition(model, bset, tol),
-            "norm_law": branch_norm_law(model, phi, bset, tol),
-            "biorthogonality": Audit({None: biorth_residual}, tol),
+            "norm_law": branch_norm_law(bset, oracle, tol),
+            "biorthogonality": Audit({None: biorthogonality}, tol),
             "additivity": Audit(additivity, tol),
-            "complement": Audit(complement, tol),
+            "complement": Audit({n: complement[n] for n in forms}, tol),
             "prc": Audit({r.outcome: r.residual for r in records}, tol),
         },
     )

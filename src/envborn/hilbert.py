@@ -80,7 +80,7 @@ class Audit:
         return self.max_residual <= self.tolerance
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StateVector:
     """A unit vector of complex amplitudes."""
 
@@ -100,7 +100,7 @@ class StateVector:
         return self.amplitudes.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Operator:
     """A general linear map as a dense dim x dim complex matrix."""
 
@@ -122,7 +122,7 @@ class Operator:
         return gram_residual(self.matrix) <= tol
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Projector(Operator):
     """An orthogonal projector: Hermitian and idempotent within tolerance."""
 
@@ -146,17 +146,13 @@ def gram_residual(columns: np.ndarray) -> float:
     return float(np.linalg.norm(gram - np.eye(gram.shape[0])))
 
 
-def check_orthogonal(projectors: Sequence[Projector], tol: float) -> None:
-    """Raise ValueError naming the first pair ``i < j`` of ``projectors`` with
-    ``||P_i P_j|| > tol``."""
-    for i in range(len(projectors)):
-        for j in range(i + 1, len(projectors)):
-            cross = np.linalg.norm(projectors[i].matrix @ projectors[j].matrix)
-            if cross > tol:
-                raise ValueError(f"projectors {i} and {j} are not orthogonal: residual {cross:.3e}")
+def span_residual(q: np.ndarray, columns: np.ndarray) -> float:
+    """``||Q B - B||`` for the projector matrix ``Q = q`` and ``B = columns``:
+    zero when ``Q`` fixes every column, so that ``range(B)`` lies in ``range(Q)``."""
+    return float(np.linalg.norm(q @ columns - columns))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Observable:
     """Spectral form ``A = sum_n a_n B_n B_n^H``: distinct finite real
     eigenvalues, each with an orthonormal basis ``B_n`` (``dim x r_n``) of its
@@ -222,7 +218,7 @@ class Observable:
         return tuple(Operator(b @ b.conj().T) for b in map(self.basis, range(self.outcome_count)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityOperator(Operator):
     """A Hermitian, unit-trace, positive-semidefinite operator."""
 

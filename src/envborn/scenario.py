@@ -275,8 +275,9 @@ def parse_scenario(data: dict, default_operator_tol: float = DEFAULT_TOL) -> Sce
         except ValueError as exc:
             raise ScenarioError(f"cannot build premeasurement: {exc}") from exc
         if "unitary_override" in out:
-            # negative-control hook: replace the coupling with the identity
-            model = PremeasurementModel(observable, apparatus, identity(d1 * d2), tol)
+            # negative-control hook: the identity coupling, as blocks V_n = I
+            blocks = (identity(d2),) * observable.outcome_count
+            model = PremeasurementModel(observable, apparatus, blocks, tol)
 
     if "mixture" in data:
         out["mixture"], mixture = _parse_mixture(data["mixture"], d1, psi is not None)

@@ -29,6 +29,7 @@ from .hilbert import (
     Projector,
     _freeze,
     gram_residual,
+    span_residual,
 )
 
 __all__ = [
@@ -49,7 +50,7 @@ __all__ = [
 ZERO_BRANCH_THRESHOLD = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BipartiteState:
     """A unit-norm bipartite pure state as its ``d1 x d2`` coefficient matrix:
     ``matrix[i, j]`` is the amplitude of ``|i>_1 |j>_2`` (flat index ``i * d2 + j``)."""
@@ -83,7 +84,7 @@ def pointer_density(psi12: BipartiteState) -> DensityOperator:
     return DensityOperator(psi.T @ psi.conj())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SchmidtForm:
     """Coefficients (positive, descending) with paired orthonormal bases:
     column ``i`` of ``basis1`` (``d1 x n``) and of ``basis2`` (``d2 x n``) is
@@ -235,11 +236,11 @@ def sublemma_check(
 ) -> Audit:
     """Verify the sub-projector relation behind branch complements.
 
-    Hypothesis: ``(I x Q2) Psi = Psi`` within ``tol`` (violations raise).
-    Checked conclusion: Q2 fixes the span projector ``S = B B^H`` of the
-    factor-2 Schmidt vectors with nonzero coefficient, which covers each
-    vector (for orthonormal ``B``, ``||(Q2 - I) S||_F = ||(Q2 - I) B||_F``).
-    The hypothesis is checked on the coefficient matrix as ``Psi @ Q2.T``.
+    Hypothesis: ``(I x Q2) Psi = Psi`` within ``tol`` (violations raise),
+    checked as ``span_residual(Q2, Psi^T)``.  Checked conclusion: Q2 fixes
+    the factor-2 Schmidt vectors with nonzero coefficient, the columns of
+    ``B``: the residual is ``span_residual(Q2, B)``, for orthonormal ``B``
+    equal to ``||Q2 S - S||_F`` with ``S = B B^H``.
 
     The first proof step ``Q2 rho_2 = rho_2`` needs no check of its own: with
     ``rho_2 = Psi.T @ Psi.conj()``, ``||Q2 rho_2 - rho_2||_F`` is at most the
@@ -248,13 +249,9 @@ def sublemma_check(
     """
     if q2.dim != psi.d2:
         raise ValueError(f"Q2 dim {q2.dim} does not match factor 2 dim {psi.d2}")
-    coeffs = psi.matrix
-    hypothesis = float(np.linalg.norm(coeffs @ q2.matrix.T - coeffs))
+    hypothesis = span_residual(q2.matrix, psi.matrix.T)
     if hypothesis > tol:
         raise ValueError(
             f"hypothesis violated: ||(I x Q2) Psi - Psi|| = {hypothesis:.3e} > {tol:.1e}"
         )
-
-    basis = schmidt_decompose(psi).basis2
-    sub = basis @ basis.conj().T
-    return Audit({None: float(np.linalg.norm(q2.matrix @ sub - sub))}, tol)
+    return Audit({None: span_residual(q2.matrix, schmidt_decompose(psi).basis2)}, tol)

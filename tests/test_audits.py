@@ -1,0 +1,222 @@
+"""Every derive audit can fail, and each checks its identity once.
+
+The table names, for each of the seven audits of ``derive_probabilities``,
+an input that fails it or one textual mutation of ``envborn/born.py`` that
+does, with the full set of audits that then fail.  An audit that only a
+mutation fails is an implementation tripwire: additivity's residual (the
+trace is linear) and ``prc`` beyond the norm law (``SchmidtForm`` holds
+``sum(c^2) = 1``).
+
+The reference tests keep the previous forms of ``check_additivity`` (per-part
+projector checks, a pairwise orthogonality loop, a dense projector for the
+sum) and ``complement_check`` (a dense complement projector) and require the
+one-check forms to give bit-equal values and the same accept/reject
+decisions.
+"""
+
+import sys
+import types
+from importlib import resources
+from pathlib import Path
+
+import numpy as np
+import pytest
+from conftest import entangle_branches, random_scenario
+
+import envborn.born
+from envborn.born import check_additivity, complement_check, derive_probabilities
+from envborn.hilbert import (
+    Observable,
+    Operator,
+    Projector,
+    basis_state,
+    complete_observable,
+    make_state,
+    trace_probability,
+)
+from envborn.premeasurement import (
+    PointerApparatus,
+    PremeasurementModel,
+    branches,
+    build_premeasurement,
+    evolve,
+)
+from envborn.rng import random_unitary
+from envborn.scenario import load_scenario
+from envborn.schmidt import BipartiteState, pointer_density, schmidt_decompose
+
+AUDITS = {
+    "calibration",
+    "nondemolition",
+    "norm_law",
+    "biorthogonality",
+    "additivity",
+    "complement",
+    "prc",
+}
+BROKEN = {"calibration", "nondemolition", "norm_law", "prc"}
+
+
+def broken_unitary():
+    scenario = load_scenario(resources.files("envborn.fixtures") / "broken-unitary.json")
+    return scenario.model(), scenario.input_state()
+
+
+def dense_3x3():
+    """A Haar-random composite coupling with complete observables on 3x3."""
+    obs = complete_observable([basis_state(3, i) for i in range(3)])
+    apparatus = PointerApparatus(basis_state(3, 0), obs, np.eye(3))
+    coupling = Operator(random_unitary(9, np.random.default_rng(7)))
+    return PremeasurementModel(obs, apparatus, coupling), make_state([1, 1, 1])
+
+
+def schmidt_tail(eps):
+    """One outcome on 2x2: the coupling rotates ``|00>`` into
+    ``sqrt(1 - eps^2) |00> + eps |11>``, a branch with a Schmidt tail ``eps``."""
+    u = np.eye(4, dtype=complex)
+    u[[0, 3], [0, 3]] = np.sqrt(1 - eps**2)
+    u[3, 0], u[0, 3] = eps, -eps
+    one = Observable([0.0], [np.eye(2)])
+    apparatus = PointerApparatus(basis_state(2, 0), one, np.eye(2)[:, :1])
+    return PremeasurementModel(one, apparatus, Operator(u)), basis_state(2, 0)
+
+
+def qubit_cnot():
+    obs = complete_observable([basis_state(2, 0), basis_state(2, 1)])
+    apparatus = PointerApparatus(basis_state(2, 0), obs, np.eye(2))
+    return build_premeasurement(obs, apparatus), make_state([0.6, 0.8])
+
+
+def mutated_born(monkeypatch, old: str, new: str) -> types.ModuleType:
+    """``envborn.born`` with its one occurrence of ``old`` replaced by ``new``,
+    registered in ``sys.modules`` for the test's duration (its dataclasses
+    look their module up there)."""
+    path = Path(envborn.born.__file__)
+    source = path.read_text(encoding="utf-8")
+    assert source.count(old) == 1, old
+    module = types.ModuleType("envborn.born_mutant")
+    module.__package__ = "envborn"
+    monkeypatch.setitem(sys.modules, module.__name__, module)
+    exec(compile(source.replace(old, new), str(path), "exec"), module.__dict__)
+    return module
+
+
+# audit, case, tol, mutation (old, new) or None, the audits that fail, the
+# audit's max residual
+FAILURES = [
+    ("calibration", broken_unitary, 1e-10, None, BROKEN, 1.0),
+    ("nondemolition", broken_unitary, 1e-10, None, BROKEN, 0.5773502691896258),
+    ("norm_law", broken_unitary, 1e-10, None, BROKEN, 1 / 3),
+    ("prc", broken_unitary, 1e-10, None, BROKEN, 1 / 3),
+    ("biorthogonality", dense_3x3, 1e-10, None, BROKEN | {"biorthogonality"}, 1.57359619364089),
+    ("complement", lambda: schmidt_tail(5e-13), 1e-13, None, {"complement"}, 5e-13),
+    # the Schmidt factor-2 basis is orthonormal only to ~1e-16: the Gram
+    # precondition of additivity fails and records inf (null in reports)
+    (
+        "additivity",
+        broken_unitary,
+        1e-16,
+        None,
+        BROKEN | {"biorthogonality", "additivity"},
+        float("inf"),
+    ),
+    # tripwires: only a broken implementation fails them
+    (
+        "additivity",
+        qubit_cnot,
+        1e-10,
+        ("for p in parts)", "for p in parts[:-1])"),
+        {"additivity"},
+        0.64,
+    ),
+    (
+        "prc",
+        lambda: schmidt_tail(1e-11),
+        1e-13,
+        ("weights[n] * c**2", "weights[n] * c"),
+        {"prc"},
+        1e-11,
+    ),
+]
+
+
+def _row_id(row):
+    audit, _, _, mutation, _, _ = row
+    return f"{audit}-{'mutation' if mutation else 'input'}"
+
+
+@pytest.mark.parametrize("row", FAILURES, ids=[_row_id(r) for r in FAILURES])
+def test_audit_fails(row, monkeypatch):
+    audit, case, tol, mutation, failing, residual = row
+    model, phi = case()
+    derive = derive_probabilities
+    if mutation is not None:
+        # the mutation, not the input, fails the audit
+        assert derive(model, phi, tol).passed
+        derive = mutated_born(monkeypatch, *mutation).derive_probabilities
+    report = derive(model, phi, tol)
+    assert {name for name, a in report.audits.items() if not a.passed} == failing
+    assert report.audits[audit].max_residual == pytest.approx(residual, rel=1e-9)
+
+
+def test_every_audit_has_a_failing_row():
+    model, phi = qubit_cnot()
+    assert set(derive_probabilities(model, phi).audits) == AUDITS
+    assert {row[0] for row in FAILURES} == AUDITS
+
+
+def previous_check_additivity(rho, basis, tol):
+    parts = [Projector(np.outer(v, v.conj())) for v in basis.T]
+    for i in range(len(parts)):
+        for j in range(i + 1, len(parts)):
+            if np.linalg.norm(parts[i].matrix @ parts[j].matrix) > tol:
+                raise ValueError("not orthogonal")
+    total = np.zeros((rho.dim, rho.dim), dtype=complex)
+    for p in parts:
+        total += p.matrix
+    whole = trace_probability(Projector(total, tol), rho, tol)
+    pieces = sum(trace_probability(p, rho, tol) for p in parts)
+    return abs(whole - pieces)
+
+
+def previous_complement_check(model, psi12, outcome, schmidt2, tol):
+    q = model.apparatus.pointer_observable.projectors[outcome]
+    comp = q.matrix - schmidt2 @ schmidt2.conj().T
+    Projector(comp, tol)
+    return float(np.linalg.norm(psi12.matrix @ comp.T))
+
+
+def or_inf(check, *args):
+    try:
+        return check(*args)
+    except ValueError:
+        return float("inf")
+
+
+@pytest.mark.parametrize("tol", [1e-10, 1e-13, 1e-14])
+def test_one_check_forms_match_previous_forms(tol):
+    # branch Schmidt bases of random models, half with entangled branches;
+    # a doubled basis and another outcome's pointer projector are rejected
+    rng = np.random.default_rng(70)
+    decisions = {True: 0, False: 0}
+    for i in range(120):
+        d1, d2 = (int(d) for d in rng.integers(2, 7, size=2))
+        model, phi = random_scenario(d1, d2, int(rng.integers(1, min(d1, d2) + 1)), rng)
+        if i % 2:
+            model = entangle_branches(model, rng)
+        psi12 = evolve(model, phi)
+        rho2 = pointer_density(psi12)
+        for b in branches(model, psi12).branches:
+            basis2 = schmidt_decompose(BipartiteState(b.normalized())).basis2
+            other = (b.outcome + 1) % model.outcome_count
+            cases = [
+                (previous_check_additivity, check_additivity, (rho2, basis2, tol)),
+                (previous_check_additivity, check_additivity, (rho2, 2 * basis2, tol)),
+                (previous_complement_check, complement_check, (model, psi12, b.outcome, basis2, tol)),
+                (previous_complement_check, complement_check, (model, psi12, other, basis2, tol)),
+            ]
+            for previous, current, args in cases:
+                value = or_inf(current, *args)
+                assert value == or_inf(previous, *args)  # bit-equal, or inf on both sides
+                decisions[value < float("inf")] += 1
+    assert decisions[True] > 500 and decisions[False] > 300

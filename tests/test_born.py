@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import entangle_branches, projector_from_span, random_density, random_scenario
+from conftest import entangle_branches, random_density, random_scenario
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,7 +16,6 @@ from envborn.born import (
 from envborn.hilbert import (
     Observable,
     Operator,
-    Projector,
     StateVector,
     basis_state,
     complete_observable,
@@ -234,9 +233,10 @@ class TestComplementCheck:
                 form = schmidt_decompose(BipartiteState(b.normalized()))
                 assert complement_check(model, psi12, b.outcome, form.basis2) <= 1e-10
 
-    def test_omitted_outcome_complement_failure_reports_inf(self):
-        # Q^1 is idempotent only to ~6e-16, so at tol 1e-20 its complement
-        # check raises for the omitted outcome 1; the audit records inf there
+    @staticmethod
+    def _skewed_pointer_model():
+        # Q^1 spans orthonormalized complex vectors, so Q^1 fixes its own
+        # vectors only to ~1e-16; Q^0 = e0 e0^H is exact
         q1 = orthonormalize([[0, 1, 2j], [0, 2j, 1]])
         apparatus = PointerApparatus(
             basis_state(3, 0),
@@ -244,11 +244,25 @@ class TestComplementCheck:
             np.column_stack([basis_state(3, 0).amplitudes, q1[:, 0]]),
         )
         a = complete_observable([basis_state(D2, 0), basis_state(D2, 1)])
-        model = build_premeasurement(a, apparatus)
-        report = derive_probabilities(model, basis_state(D2, 0), tol=1e-20)
+        return build_premeasurement(a, apparatus)
+
+    def test_omitted_outcome_complement_is_not_revalidated(self):
+        # outcome 1 is omitted: its complement is Q^1 itself, which the
+        # pointer observable's Gram check already decided, so even at tol
+        # 1e-20 it is reported, not re-validated, and stays out of the audit
+        report = derive_probabilities(self._skewed_pointer_model(), basis_state(D2, 0), tol=1e-20)
+        complement = report.audits["complement"]
+        assert complement.residuals == {0: 0.0}
+        assert complement.passed
+        assert report.records[1].complement_residual == 0.0
+
+    def test_kept_outcome_complement_failure_reports_inf(self):
+        # outcome 1 is kept: at tol 1e-20 its Schmidt vector leaves Q^1 by a
+        # rounding-sized residual, so the sub-projector relation fails and
+        # the audit and the record both hold inf
+        report = derive_probabilities(self._skewed_pointer_model(), make_state([1, 1]), tol=1e-20)
         complement = report.audits["complement"]
         assert complement.residuals == {0: 0.0, 1: float("inf")}
-        assert complement.max_residual == float("inf")
         assert not complement.passed
         assert report.records[1].complement_residual == float("inf")
 
@@ -257,28 +271,28 @@ class TestCheckAdditivity:
     def test_complete_basis_partition(self):
         rng = np.random.default_rng(45)
         rho = random_density(4, rng)
-        parts = [projector_from_span([basis_state(4, i)]) for i in range(4)]
-        assert check_additivity(rho, parts) <= 1e-12
+        assert check_additivity(rho, np.eye(4)) <= 1e-12
 
     def test_two_parts_of_a_rank2_projector(self):
         rng = np.random.default_rng(46)
         for _ in range(20):
             rho = random_density(3, rng)
-            parts = [Projector(b @ b.conj().T) for b in random_orthogonal_partition(3, 3, rng)[:2]]
-            assert check_additivity(rho, parts) <= 1e-10
+            basis = np.hstack(random_orthogonal_partition(3, 3, rng)[:2])
+            assert check_additivity(rho, basis) <= 1e-10
 
     def test_zero_projector_part(self):
+        # no columns: the zero projector, with probability 0 on both sides;
+        # a zero column is no basis vector and fails the Gram check
         rho = pure_density(make_state([1, 1]))
-        zero = Projector(np.zeros((2, 2), dtype=complex))
-        p = projector_from_span([basis_state(2, 0)])
-        assert check_additivity(rho, [p, zero]) == 0.0
+        assert check_additivity(rho, np.zeros((2, 0))) == 0.0
+        with pytest.raises(ValueError, match="Gram residual 1.000e"):
+            check_additivity(rho, np.column_stack([[1, 0], [0, 0]]))
 
     def test_non_orthogonal_parts_rejected(self):
         rho = pure_density(basis_state(2, 0))
-        p = projector_from_span([basis_state(2, 0)])
-        q = projector_from_span([make_state([1, 1])])
-        with pytest.raises(ValueError, match="0 and 1 are not orthogonal"):
-            check_additivity(rho, [p, q])
+        basis = np.column_stack([[1, 0], make_state([1, 1]).amplitudes])
+        with pytest.raises(ValueError, match="not orthonormal"):
+            check_additivity(rho, basis)
 
 
 class TestCheckPrc:

@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -23,7 +24,7 @@ from envborn.hilbert import (
     tensor,
     trace_probability,
 )
-from envborn.premeasurement import Branch
+from envborn.premeasurement import Branch, BranchSet, PointerApparatus, build_premeasurement
 from envborn.rng import random_orthogonal_partition, random_projector, random_state
 from envborn.schmidt import BipartiteState, SchmidtForm
 
@@ -460,3 +461,34 @@ def test_constructor_stores_a_frozen_copy(name):
     assert not stored.flags.writeable
     values[0] = 5  # the caller's array stays writable ...
     assert np.array_equal(stored, make())  # ... and the stored value does not move
+
+
+def _qubit_model():
+    obs = complete_observable([basis_state(D2, 0), basis_state(D2, 1)])
+    return build_premeasurement(obs, PointerApparatus(basis_state(D2, 0), obs, np.eye(D2)))
+
+
+# class -> a maker of a fresh value; two calls give equal contents
+VALUE_MAKERS = {
+    "StateVector": lambda: basis_state(D2, 0),
+    "Operator": lambda: identity(D2),
+    "Projector": lambda: Projector(np.eye(D2)),
+    "Observable": lambda: Observable([0.0], [np.eye(D2)]),
+    "DensityOperator": lambda: DensityOperator(np.eye(D2) / D2),
+    "BipartiteState": lambda: BipartiteState(np.eye(D2) / math.sqrt(2)),
+    "SchmidtForm": lambda: SchmidtForm([1.0], np.eye(D2)[:, :1], np.eye(D2)[:, :1]),
+    "PointerApparatus": lambda: _qubit_model().apparatus,
+    "PremeasurementModel": _qubit_model,
+    "Branch": lambda: Branch(0, np.eye(D2)[:1], 1.0),
+    "BranchSet": lambda: BranchSet((Branch(0, np.eye(D2)[:1], 1.0),), ()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VALUE_MAKERS))
+def test_array_values_compare_and_hash_by_identity(name):
+    # a generated __eq__ over ndarray fields raises on ambiguous truth values
+    a, b = VALUE_MAKERS[name](), VALUE_MAKERS[name]()
+    assert a == a
+    assert a != b
+    assert a != copy.copy(a)  # the same field objects, still another value
+    assert len({a, b, a}) == 2

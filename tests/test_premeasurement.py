@@ -43,6 +43,12 @@ def coupled_branches(model, phi):
     return branches(model, evolve(model, phi))
 
 
+def input_oracle(model, phi):
+    """The trace-rule values ``<phi|P^n|phi>``, one per outcome."""
+    rho = pure_density(phi)
+    return [trace_probability(p, rho) for p in model.measured.projectors]
+
+
 def cnot_model():
     a = complete_observable([basis_state(D2, 0), basis_state(D2, 1)], [1.0, -1.0])
     return build_premeasurement(a, qubit_apparatus())
@@ -301,20 +307,20 @@ class TestVerifyNondemolition:
 class TestBranchNormLaw:
     def test_eigenstate(self):
         model, phi = cnot_model(), basis_state(D2, 0)
-        report = branch_norm_law(model, phi, coupled_branches(model, phi))
+        report = branch_norm_law(coupled_branches(model, phi), input_oracle(model, phi))
         assert report.passed
         assert report.residuals[0] <= 1e-12
 
     def test_degenerate_weights(self):
         model, phi = degenerate_model(), make_state([1, 1, 1])
-        report = branch_norm_law(model, phi, coupled_branches(model, phi))
+        report = branch_norm_law(coupled_branches(model, phi), input_oracle(model, phi))
         assert report.passed
 
     def test_omitted_branch_has_zero_oracle(self):
         model = degenerate_model()
         phi = basis_state(D3, 2)  # inside range(P^2) only
         bset = coupled_branches(model, phi)
-        report = branch_norm_law(model, phi, bset)
+        report = branch_norm_law(bset, input_oracle(model, phi))
         assert report.passed
         assert bset.omitted == (0,)
         assert report.residuals[0] <= 1e-12

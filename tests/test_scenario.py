@@ -2,6 +2,7 @@ import copy
 import json
 import math
 import sys
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -22,6 +23,8 @@ from envborn.scenario import (
     load_scenario,
     parse_scenario,
 )
+
+FIXTURES = resources.files("envborn.fixtures")
 
 
 def minimal_derive(**extra):
@@ -386,6 +389,14 @@ class TestBuilders:
         scenario = parse_scenario(minimal_derive(unitary_override="identity"))
         model = scenario.model()
         assert np.allclose(dense_coupling(model), np.eye(4))
+
+    def test_broken_unitary_fixture_holds_block_coupling(self):
+        # the identity override is the blocks V_n = I: no (d1 d2)^2 matrix
+        model = load_scenario(FIXTURES / "broken-unitary.json").model()
+        assert isinstance(model.coupling, tuple)
+        assert len(model.coupling) == model.outcome_count
+        assert all(np.array_equal(v.matrix, np.eye(model.d2)) for v in model.coupling)
+        assert np.array_equal(dense_coupling(model), np.eye(model.d1 * model.d2))
 
     def test_unknown_override(self):
         with pytest.raises(ScenarioError, match="unitary_override"):

@@ -14,7 +14,6 @@ from .hilbert import (
     DensityOperator,
     Observable,
     Operator,
-    Projector,
     StateVector,
     basis_state,
     complete_observable,

@@ -23,6 +23,7 @@ stands.  Factor-side steps are one-sided products on the coefficient matrix
 ``Psi`` of the coupled state: the complement residual is the norm of
 ``Psi @ (Q^k)'.T`` and the pointer's reduced state is ``rho_2 = Psi.T @
 Psi.conj()``, so no composite-space operator or density matrix is formed.
+Each projector ``Q = B B^H`` is applied through its basis ``B``, never dense.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from .hilbert import (
     DEFAULT_TOL,
     Audit,
     DensityOperator,
-    Operator,
     StateVector,
     gram_residual,
     pure_density,
@@ -116,23 +116,25 @@ def complement_check(
     """Norm of ``(I (x) (Q^k)') psi = Psi @ (Q^k)'.T`` for ``(Q^k)' = Q^k - S
     S^H``, where the orthonormal columns ``S`` of ``schmidt2`` (``d2 x r``;
     ``r = 0`` for an omitted outcome) are the branch's factor-2 Schmidt vectors.
-    It measures the Schmidt tail that ``ZERO_BRANCH_THRESHOLD`` dropped.
+    It measures the Schmidt tail that ``ZERO_BRANCH_THRESHOLD`` dropped, as
+    ``||Psi Bq^* Bq^T - Psi S^* S^T||`` for ``Q^k = Bq Bq^H``.
 
     ``(Q^k)'`` is a projector when ``Q^k`` fixes ``S`` (the sub-projector
-    relation of ``sublemma_check``); a ``span_residual(Q^k, S)`` beyond
+    relation of ``sublemma_check``); a ``span_residual(Bq, S)`` beyond
     ``tol`` raises ValueError rather than counting as a mere audit miss.
     """
-    q = model.apparatus.pointer_observable.projectors[outcome].matrix
-    relation = span_residual(q, schmidt2)
+    bq = model.apparatus.pointer_observable.basis(outcome)
+    relation = span_residual(bq, schmidt2)
     if not relation <= tol:
         raise ValueError(f"Schmidt vectors leave the pointer eigenspace: residual {relation:.3e}")
-    comp = q - schmidt2 @ schmidt2.conj().T
-    return float(np.linalg.norm(psi12.matrix @ comp.T))
+    psi = psi12.matrix
+    return float(np.linalg.norm((psi @ bq.conj()) @ bq.T - (psi @ schmidt2.conj()) @ schmidt2.T))
 
 
 def check_additivity(rho: DensityOperator, basis: np.ndarray, tol: float = DEFAULT_TOL) -> float:
     """Finite additivity of the trace rule: ``|p(sum parts) - sum p(parts)|``
-    over the rank-1 parts ``v v^H`` of the columns ``v`` of ``basis``.
+    over the rank-1 parts ``v v^H`` of the columns ``v`` of ``basis``, each
+    part and their sum applied through its columns by ``trace_probability``.
 
     One Gram check of ``basis`` decides that the parts and their sum are
     orthogonal projectors (a failure raises ValueError).  The residual is an
@@ -141,12 +143,8 @@ def check_additivity(rho: DensityOperator, basis: np.ndarray, tol: float = DEFAU
     residual = gram_residual(basis)
     if not residual <= tol:  # also rejects NaN
         raise ValueError(f"additivity parts are not orthonormal: Gram residual {residual:.3e}")
-    parts = [Operator(np.outer(v, v.conj())) for v in basis.T]
-    total = np.zeros((rho.dim, rho.dim), dtype=complex)
-    for p in parts:
-        total += p.matrix
-    whole = trace_probability(Operator(total), rho, tol)
-    pieces = sum(trace_probability(p, rho, tol) for p in parts)
+    whole = trace_probability(basis, rho)
+    pieces = sum(trace_probability(basis[:, [i]], rho) for i in range(basis.shape[1]))
     return abs(whole - pieces)
 
 
@@ -188,7 +186,9 @@ def derive_probabilities(
     bset = branches(model, psi12)
     rho_phi = pure_density(phi)
     rho2 = pointer_density(psi12)
-    oracle = [trace_probability(p, rho_phi, tol) for p in model.measured.projectors]
+    oracle = [
+        trace_probability(model.measured.basis(n), rho_phi) for n in range(model.outcome_count)
+    ]
     forms = {b.outcome: schmidt_decompose(BipartiteState(b.normalized())) for b in bset.branches}
     weights = bset.weights
 

@@ -1,11 +1,13 @@
 """Dense finite-dimensional Hilbert-space arithmetic.
 
-States, operators, projectors, observables and density operators are immutable
-wrappers around complex numpy arrays.  A value's dimension is its array's
-shape.  Every operation is pure; values are safe to share across threads.
+States, operators, observables and density operators are immutable wrappers
+around complex numpy arrays; an orthogonal projector ``Q = B B^H`` is the
+``d x r`` matrix ``B`` of an orthonormal basis of its range, applied through
+``B``.  A value's dimension is its array's shape.  Every operation is pure;
+values are safe to share across threads.
 
 Two absolute tolerances are used throughout the package: ``DEFAULT_TOL`` for
-operator-identity checks (idempotence, completeness, unitarity) and the
+operator-identity checks (orthonormality, completeness, unitarity) and the
 tighter ``NORM_TOL`` for vector-norm and trace checks.  Both can be overridden
 per call.  Matrix norms are Frobenius, vector norms Euclidean.
 """
@@ -14,7 +16,6 @@ from __future__ import annotations
 
 import sys
 from dataclasses import InitVar, dataclass, field
-from functools import cached_property
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -26,7 +27,6 @@ __all__ = [
     "Audit",
     "StateVector",
     "Operator",
-    "Projector",
     "Observable",
     "DensityOperator",
     "make_state",
@@ -122,23 +122,6 @@ class Operator:
         return gram_residual(self.matrix) <= tol
 
 
-@dataclass(frozen=True, eq=False)
-class Projector(Operator):
-    """An orthogonal projector: Hermitian and idempotent within tolerance."""
-
-    tol: float = DEFAULT_TOL
-
-    def __post_init__(self):
-        super().__post_init__()
-        mat = self.matrix
-        herm = np.linalg.norm(mat - mat.conj().T)
-        if herm > self.tol:
-            raise ValueError(f"projector is not Hermitian: residual {herm:.3e}")
-        idem = np.linalg.norm(mat @ mat - mat)
-        if idem > self.tol:
-            raise ValueError(f"projector is not idempotent: residual {idem:.3e}")
-
-
 def gram_residual(columns: np.ndarray) -> float:
     """``||M^H M - I||`` for the matrix ``M = columns``: zero when its columns
     are orthonormal, and the unitarity residual when ``M`` is square."""
@@ -146,10 +129,24 @@ def gram_residual(columns: np.ndarray) -> float:
     return float(np.linalg.norm(gram - np.eye(gram.shape[0])))
 
 
-def span_residual(q: np.ndarray, columns: np.ndarray) -> float:
-    """``||Q B - B||`` for the projector matrix ``Q = q`` and ``B = columns``:
-    zero when ``Q`` fixes every column, so that ``range(B)`` lies in ``range(Q)``."""
-    return float(np.linalg.norm(q @ columns - columns))
+def span_residual(basis: np.ndarray, columns: np.ndarray) -> float:
+    """``||Q C - C||`` for the projector ``Q = B B^H`` of the orthonormal
+    columns ``B = basis`` and ``C = columns``, computed as ``B (B^H C) - C``:
+    zero when ``Q`` fixes every column, so that ``range(C)`` lies in ``range(B)``."""
+    return float(np.linalg.norm(basis @ (basis.conj().T @ columns) - columns))
+
+
+def _projector_basis(basis, dim: int) -> np.ndarray:
+    """``basis`` as a ``dim x r`` complex matrix with orthonormal columns, the
+    form of an orthogonal projector; ValueError for any other shape or a Gram
+    residual beyond ``DEFAULT_TOL`` (NaN included)."""
+    b = np.asarray(basis, dtype=complex)
+    if b.ndim != 2 or len(b) != dim:
+        raise ValueError(f"expected a {dim} x r projector basis, got shape {b.shape}")
+    residual = gram_residual(b)
+    if not residual <= DEFAULT_TOL:  # also rejects NaN
+        raise ValueError(f"projector basis is not orthonormal: Gram residual {residual:.3e}")
+    return b
 
 
 @dataclass(frozen=True, eq=False)
@@ -210,12 +207,6 @@ class Observable:
         """``B_n``, the columns of ``matrix`` that span eigenspace ``n``."""
         start = sum(self.ranks[:n])
         return self.matrix[:, start : start + self.ranks[n]]
-
-    @cached_property
-    def projectors(self) -> tuple[Operator, ...]:
-        """The dense eigenprojectors ``P^n = B_n B_n^H``, formed on first use and
-        not validated again: the Gram check of ``matrix`` decided them."""
-        return tuple(Operator(b @ b.conj().T) for b in map(self.basis, range(self.outcome_count)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -305,24 +296,24 @@ def partial_trace(rho: DensityOperator, dims: tuple[int, int], keep: int) -> Den
     return DensityOperator(np.einsum("ajbj->ab" if keep == 0 else "jajb->ab", blocks))
 
 
-def trace_probability(P: Operator, rho: DensityOperator, tol: float = DEFAULT_TOL) -> float:
-    """The trace-rule probability tr(P rho) of a projector ``P``: a
-    ``Projector`` or an ``Observable``'s eigenprojector.
+def trace_probability(basis: np.ndarray, rho: DensityOperator) -> float:
+    """The trace-rule probability ``tr(Q rho) = tr(B^H rho B)`` of the
+    projector ``Q = B B^H`` of an orthonormal basis ``B``, such as ``B_n``.
 
     This is the oracle every derivation step in the package is audited
-    against.  The trace must be real within ``tol`` (an imaginary part beyond
-    that signals malformed inputs); tiny excursions outside [0, 1] from
-    floating-point projector algebra are clamped.
+    against.  The trace must be real within ``rho.tol``, the tolerance ``rho``
+    was validated at (an imaginary part beyond that signals malformed inputs);
+    excursions outside [0, 1] within it are clamped.
     """
-    if P.dim != rho.dim:
-        raise ValueError(f"dimension mismatch in trace_probability: {P.dim} vs {rho.dim}")
-    value = complex(np.trace(P.matrix @ rho.matrix))
-    if abs(value.imag) > tol:
+    if len(basis) != rho.dim:
+        raise ValueError(f"dimension mismatch in trace_probability: {len(basis)} vs {rho.dim}")
+    value = complex(np.vdot(basis, rho.matrix @ basis))
+    if abs(value.imag) > rho.tol:
         raise ValueError(
-            f"trace has imaginary part {value.imag:.3e} beyond tolerance {tol:.1e}"
+            f"trace has imaginary part {value.imag:.3e} beyond tolerance {rho.tol:.1e}"
         )
     p = value.real
-    if p < -tol or p > 1.0 + tol:
+    if p < -rho.tol or p > 1.0 + rho.tol:
         raise ValueError(f"trace value {p!r} lies outside [0, 1] beyond tolerance")
     return min(max(p, 0.0), 1.0)
 

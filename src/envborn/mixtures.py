@@ -15,7 +15,8 @@ Both work on factor 1 only: with ``Psi`` the ``d1 x d2`` coefficient matrix of
 the partner, the composite expectation is ``vdot(Psi, P @ Psi)`` and ``rho_1 =
 Psi Psi^H``, so no composite-space lift or density matrix is formed.  The
 public probabilities and every trial of ``proper_improper_equivalence`` (which
-builds ``rho_mix`` and ``rho_1`` once) run both cross-checks.
+builds ``rho_mix`` and ``rho_1`` once) run both cross-checks, on the one
+``P = B B^H`` each call or trial forms from the projector basis ``B``.
 """
 
 from __future__ import annotations
@@ -26,9 +27,9 @@ import numpy as np
 
 from .hilbert import (
     DensityOperator,
-    Projector,
     StateVector,
     NORM_TOL,
+    _projector_basis,
 )
 from .rng import random_projector
 from .schmidt import BipartiteState
@@ -91,12 +92,12 @@ def mix(spec: MixtureSpec) -> DensityOperator:
     return DensityOperator(rho)
 
 
-def _proper(P: Projector, spec: MixtureSpec, rho_mix: DensityOperator, tol: float) -> float:
+def _proper(P: np.ndarray, spec: MixtureSpec, rho_mix: DensityOperator, tol: float) -> float:
     by_components = 0.0
     for state, w in spec.components:
         amp = state.amplitudes
-        by_components += w * float((amp.conj() @ (P.matrix @ amp)).real)
-    by_trace = float(np.trace(P.matrix @ rho_mix.matrix).real)
+        by_components += w * float((amp.conj() @ (P @ amp)).real)
+    by_trace = float(np.trace(P @ rho_mix.matrix).real)
     if abs(by_components - by_trace) > tol:
         raise ValueError(
             "sub-ensemble sum and trace rule disagree: "
@@ -105,9 +106,9 @@ def _proper(P: Projector, spec: MixtureSpec, rho_mix: DensityOperator, tol: floa
     return min(max(by_components, 0.0), 1.0)
 
 
-def _improper(P1: Projector, psi: np.ndarray, rho1: DensityOperator, tol: float) -> float:
-    on_composite = float(np.vdot(psi, P1.matrix @ psi).real)
-    on_reduced = float(np.trace(P1.matrix @ rho1.matrix).real)
+def _improper(P1: np.ndarray, psi: np.ndarray, rho1: DensityOperator, tol: float) -> float:
+    on_composite = float(np.vdot(psi, P1 @ psi).real)
+    on_reduced = float(np.trace(P1 @ rho1.matrix).real)
     if abs(on_composite - on_reduced) > tol:
         raise ValueError(
             "composite and partial-trace routes disagree: "
@@ -121,22 +122,20 @@ def _reduced_first(psi: np.ndarray) -> DensityOperator:
     return DensityOperator(np.einsum("aj,bj->ab", psi, psi.conj()))
 
 
-def proper_probability(P: Projector, spec: MixtureSpec, tol: float = NORM_TOL) -> float:
-    """Event probability in a proper mixture via the sub-ensemble sum
-    ``sum_k w_k <phi_k|P|phi_k>``, verified on every call against the trace
-    rule on the mixed density operator."""
-    if P.dim != spec.dim:
-        raise ValueError("projector and mixture spaces differ")
-    return _proper(P, spec, mix(spec), tol)
+def proper_probability(basis: np.ndarray, spec: MixtureSpec, tol: float = NORM_TOL) -> float:
+    """Probability of the event ``P = B B^H`` of a projector basis ``B`` in a
+    proper mixture via the sub-ensemble sum ``sum_k w_k <phi_k|P|phi_k>``,
+    verified on every call against the trace rule on the mixed density operator."""
+    b = _projector_basis(basis, spec.dim)
+    return _proper(b @ b.conj().T, spec, mix(spec), tol)
 
 
-def improper_probability(P1: Projector, psi12: BipartiteState, tol: float = NORM_TOL) -> float:
-    """First-factor event probability in an entangled composite, computed both
-    on the composite state and through the reduced density operator; the two
-    must agree within ``tol``."""
-    if P1.dim != psi12.d1:
-        raise ValueError(f"projector dim {P1.dim} does not match factor 1 ({psi12.d1})")
-    return _improper(P1, psi12.matrix, _reduced_first(psi12.matrix), tol)
+def improper_probability(basis: np.ndarray, psi12: BipartiteState, tol: float = NORM_TOL) -> float:
+    """Probability of the first-factor event ``P1 = B B^H`` of a projector basis
+    ``B`` in an entangled composite, computed both on the composite state and
+    through the reduced density operator; the two must agree within ``tol``."""
+    b = _projector_basis(basis, psi12.d1)
+    return _improper(b @ b.conj().T, psi12.matrix, _reduced_first(psi12.matrix), tol)
 
 
 def proper_improper_equivalence(
@@ -166,7 +165,8 @@ def proper_improper_equivalence(
     worst = 0.0
     for _ in range(trials):
         rank = int(rng.integers(1, psi12.d1 + 1))
-        P = random_projector(psi12.d1, rank, rng)
+        b = random_projector(psi12.d1, rank, rng)
+        P = b @ b.conj().T
         proper = _proper(P, spec, rho_mix, NORM_TOL)
         worst = max(worst, abs(proper - _improper(P, psi, rho1, NORM_TOL)))
     return worst

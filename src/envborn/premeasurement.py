@@ -10,20 +10,22 @@ and nondemolition (branches stay in their eigenspace); the verify_* functions
 check both numerically rather than trusting the construction.
 
 A model holds its coupling in one of two forms.  ``build_premeasurement``
-stores the blocks: one ``V_n`` per outcome, with ``P^n`` taken from the
-measured observable; the ``(d1*d2)^2`` matrix is never formed.  A
-user-supplied coupling (a negative control, a branch-entangling unitary) is a
-dense composite ``Operator``.  Either way the model checks the same
-unitarity residual ``||U^H U - I||_F`` against its tolerance at construction.
-For blocks it is computed from the factor Grams, since
-``U^H U = sum_{n,m} (P^n^H P^m) (x) (V_n^H V_m)``.
+stores the blocks: one ``V_n`` per outcome, with the dense ``P^n`` formed
+only for the block Gram stack and the ready map; the ``(d1*d2)^2`` matrix is
+never formed.  A user-supplied coupling (a negative control, a
+branch-entangling unitary) is a dense composite ``Operator``.  Either way the
+model checks the same unitarity residual ``||U^H U - I||_F`` against its
+tolerance at construction.  For blocks it is computed from the factor Grams,
+since ``U^H U = sum_{n,m} (P^n^H P^m) (x) (V_n^H V_m)``.
 
 Construction also restricts the coupling to the ready state once, giving the
 ready map ``W = U (. (x) ready)`` (``d1*d2 x d1``); ``evolve`` and
 calibration read only ``W``; ``evolve`` reshapes ``W @ phi`` into the
 ``d1 x d2`` coefficient matrix ``Psi``, and each branch is such a matrix.
-Every other step acts on one factor as a one-sided product on ``Psi``:
-``(I (x) Q) psi`` is ``Psi @ Q.T`` and ``(P (x) I) psi`` is ``P @ Psi``.
+Every other step acts on one factor as a one-sided product on ``Psi``, with
+each eigenprojector applied through its eigenspace basis: ``(I (x) Q) psi`` is
+``Psi @ Q.T = (Psi @ B.conj()) @ B.T`` for ``Q = B B^H`` and ``(P (x) I) psi``
+is ``B (B^H Psi)``.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ from .hilbert import (
     StateVector,
     _freeze,
     gram_residual,
+    span_residual,
 )
 from .rng import random_unit_vector
 from .schmidt import ZERO_BRANCH_THRESHOLD, BipartiteState
@@ -96,8 +99,7 @@ class PointerApparatus:
         if not gram_residual(states) <= self.tol:  # also rejects NaN
             raise ValueError("pointer states are not orthonormal within tolerance")
         for n, chi in enumerate(states.T):
-            b = obs.basis(n)
-            residual = np.linalg.norm(b @ (b.conj().T @ chi) - chi)
+            residual = span_residual(obs.basis(n), chi)
             if residual > self.tol:
                 raise ValueError(
                     f"pointer state {n} is not in the range of its projector "
@@ -156,7 +158,8 @@ class PremeasurementModel:
                     f"a block coupling needs {self.outcome_count} apparatus operators "
                     f"of dim {d2}"
                 )
-            p = np.array([q.matrix for q in self.measured.projectors])
+            bases = map(self.measured.basis, range(self.outcome_count))
+            p = np.array([b @ b.conj().T for b in bases])
             v = np.array([b.matrix for b in blocks])
             residual = _block_unitarity_residual(p, v)
             # W[(i, a), j] = sum_n P^n[i, j] (V_n ready)[a]
@@ -294,8 +297,8 @@ def evolve(model: PremeasurementModel, phi: StateVector) -> BipartiteState:
 
 
 def branches(model: PremeasurementModel, psi12: BipartiteState) -> BranchSet:
-    """Pointer-projected terms ``(I (x) Q^n) psi = Psi @ Q^n.T`` with
-    squared-norm weights.
+    """Pointer-projected terms ``(I (x) Q^n) psi = Psi @ Q^n.T``, taken as
+    ``(Psi @ B.conj()) @ B.T`` for ``Q^n = B B^H``, with squared-norm weights.
 
     Terms with squared norm below ``ZERO_BRANCH_THRESHOLD`` are recorded as
     omitted outcomes instead of branches.
@@ -303,10 +306,12 @@ def branches(model: PremeasurementModel, psi12: BipartiteState) -> BranchSet:
     if psi12.dims != (model.d1, model.d2):
         raise ValueError(f"state dims {psi12.dims} do not match model")
     psi = psi12.matrix
+    pointer = model.apparatus.pointer_observable
     kept = []
     omitted = []
-    for n, q in enumerate(model.apparatus.pointer_observable.projectors):
-        term = psi @ q.matrix.T
+    for n in range(pointer.outcome_count):
+        b = pointer.basis(n)
+        term = (psi @ b.conj()) @ b.T
         weight = float(np.linalg.norm(term) ** 2)
         if weight < ZERO_BRANCH_THRESHOLD:
             omitted.append(n)
@@ -333,28 +338,30 @@ def verify_calibration(
     rng = np.random.default_rng(seed)
     d1, d2 = model.d1, model.d2
     residuals = {}
-    for n, q in enumerate(model.apparatus.pointer_observable.projectors):
+    pointer = model.apparatus.pointer_observable
+    for n in range(model.outcome_count):
         basis = model.measured.basis(n)
         coeffs = [random_unit_vector(basis.shape[1], rng) for _ in range(trials)]
         inputs = np.column_stack([basis] + [basis @ c for c in coeffs])
         inputs = inputs / np.linalg.norm(inputs, axis=0)
         out = model.ready_map @ inputs
         out = (out / np.linalg.norm(out, axis=0)).T.reshape(-1, d1, d2)
-        residuals[n] = float(np.linalg.norm(out @ q.matrix.T - out, axis=(1, 2)).max())
+        b = pointer.basis(n)
+        residuals[n] = float(np.linalg.norm((out @ b.conj()) @ b.T - out, axis=(1, 2)).max())
     return Audit(residuals, tol)
 
 
 def verify_nondemolition(
     model: PremeasurementModel, bset: BranchSet, tol: float = DEFAULT_TOL
 ) -> Audit:
-    """Each nonzero branch ``B_k`` must be fixed by its own system
-    eigenprojector, ``P^k @ B_k = B_k`` (it is then a joint eigenvector of
+    """Each nonzero branch ``Psi_k`` must be fixed by its own system
+    eigenprojector, ``P^k @ Psi_k = Psi_k`` (it is then a joint eigenvector of
     P^k (x) I and I (x) Q^k); the residual of branch k is
-    ``||P^k @ B_k - B_k||``."""
-    residuals = {}
-    for b in bset.branches:
-        p = model.measured.projectors[b.outcome].matrix
-        residuals[b.outcome] = float(np.linalg.norm(p @ b.matrix - b.matrix))
+    ``||P^k @ Psi_k - Psi_k||``, the ``span_residual`` of the system basis."""
+    residuals = {
+        b.outcome: span_residual(model.measured.basis(b.outcome), b.matrix)
+        for b in bset.branches
+    }
     return Audit(residuals, tol)
 
 

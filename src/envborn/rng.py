@@ -1,4 +1,4 @@
-"""Seeded random objects: unit vectors, unitaries, projectors, partitions.
+"""Seeded random objects: unit vectors, unitaries, projector bases, partitions.
 
 Used by the verification routines (random eigenspace samples, random
 projector trials) and throughout the test suite.  All generators take an
@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .hilbert import Projector, StateVector, make_state
+from .hilbert import StateVector, make_state
 
 __all__ = [
     "random_unit_vector",
@@ -39,12 +39,12 @@ def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     return q * phases
 
 
-def random_projector(dim: int, rank: int, rng: np.random.Generator) -> Projector:
-    """Random rank-``rank`` orthogonal projector of dimension ``dim``."""
+def random_projector(dim: int, rank: int, rng: np.random.Generator) -> np.ndarray:
+    """Random rank-``rank`` orthogonal projector of dimension ``dim``, as its
+    basis: the first ``rank`` columns of a Haar unitary."""
     if not 1 <= rank <= dim:
         raise ValueError(f"rank must be in [1, {dim}], got {rank}")
-    u = random_unitary(dim, rng)
-    return Projector(u[:, :rank] @ u[:, :rank].conj().T)
+    return random_unitary(dim, rng)[:, :rank]
 
 
 def random_orthogonal_partition(dim: int, parts: int, rng: np.random.Generator) -> list[np.ndarray]:

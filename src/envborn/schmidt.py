@@ -26,8 +26,8 @@ from .hilbert import (
     Audit,
     DensityOperator,
     Operator,
-    Projector,
     _freeze,
+    _projector_basis,
     gram_residual,
     span_residual,
 )
@@ -232,14 +232,16 @@ def schmidt_probabilities(form: SchmidtForm) -> np.ndarray:
 
 
 def sublemma_check(
-    psi: BipartiteState, q2: Projector, tol: float = DEFAULT_TOL
+    psi: BipartiteState, basis: np.ndarray, tol: float = DEFAULT_TOL
 ) -> Audit:
-    """Verify the sub-projector relation behind branch complements.
+    """Verify the sub-projector relation behind branch complements for
+    ``Q2 = basis basis^H`` (ValueError unless ``basis`` is a ``d2 x r``
+    matrix with a Gram residual within ``DEFAULT_TOL``).
 
     Hypothesis: ``(I x Q2) Psi = Psi`` within ``tol`` (violations raise),
-    checked as ``span_residual(Q2, Psi^T)``.  Checked conclusion: Q2 fixes
+    checked as ``span_residual(basis, Psi^T)``.  Checked conclusion: Q2 fixes
     the factor-2 Schmidt vectors with nonzero coefficient, the columns of
-    ``B``: the residual is ``span_residual(Q2, B)``, for orthonormal ``B``
+    ``B``: the residual is ``span_residual(basis, B)``, for orthonormal ``B``
     equal to ``||Q2 S - S||_F`` with ``S = B B^H``.
 
     The first proof step ``Q2 rho_2 = rho_2`` needs no check of its own: with
@@ -247,11 +249,10 @@ def sublemma_check(
     largest Schmidt coefficient (at most 1) times the hypothesis residual,
     which is already within ``tol``.
     """
-    if q2.dim != psi.d2:
-        raise ValueError(f"Q2 dim {q2.dim} does not match factor 2 dim {psi.d2}")
-    hypothesis = span_residual(q2.matrix, psi.matrix.T)
+    basis = _projector_basis(basis, psi.d2)
+    hypothesis = span_residual(basis, psi.matrix.T)
     if hypothesis > tol:
         raise ValueError(
             f"hypothesis violated: ||(I x Q2) Psi - Psi|| = {hypothesis:.3e} > {tol:.1e}"
         )
-    return Audit({None: span_residual(q2.matrix, schmidt_decompose(psi).basis2)}, tol)
+    return Audit({None: span_residual(basis, schmidt_decompose(psi).basis2)}, tol)

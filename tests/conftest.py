@@ -6,7 +6,6 @@ from envborn.hilbert import (
     DensityOperator,
     Observable,
     Operator,
-    Projector,
     StateVector,
     orthonormalize,
 )
@@ -46,10 +45,16 @@ def random_scenario(d1, d2, outcomes, rng):
     return model, phi
 
 
-def projector_from_span(vectors) -> Projector:
-    """Orthogonal projector onto the span of the given states or arrays."""
-    basis = orthonormalize(v.amplitudes if isinstance(v, StateVector) else v for v in vectors)
-    return Projector(basis @ basis.conj().T)
+def projector_from_span(vectors) -> np.ndarray:
+    """Orthogonal projector onto the span of the given states or arrays, as
+    its orthonormal basis (a column matrix)."""
+    return orthonormalize(v.amplitudes if isinstance(v, StateVector) else v for v in vectors)
+
+
+def dense_projectors(obs):
+    """The dense eigenprojectors ``P^n = B_n B_n^H`` of an observable, as
+    references for the forms that apply them through ``B_n``."""
+    return [b @ b.conj().T for b in map(obs.basis, range(obs.outcome_count))]
 
 
 def random_density(dim: int, rng: np.random.Generator) -> DensityOperator:
@@ -71,8 +76,7 @@ def dense_coupling(model):
     if isinstance(model.coupling, Operator):
         return model.coupling.matrix
     return sum(
-        np.kron(p.matrix, v.matrix)
-        for p, v in zip(model.measured.projectors, model.coupling)
+        np.kron(p, v.matrix) for p, v in zip(dense_projectors(model.measured), model.coupling)
     )
 
 

@@ -240,21 +240,22 @@ def test_criterion_mixture_identities():
         d = int(rng.integers(2, 5))
         weights = rng.dirichlet(np.ones(int(rng.integers(2, 5))))
         spec = MixtureSpec(tuple((random_state(d, rng), w) for w in weights))
-        p = random_projector(d, int(rng.integers(1, d + 1)), rng)
+        basis = random_projector(d, int(rng.integers(1, d + 1)), rng)
+        p = basis @ basis.conj().T
         # route 1: sub-ensemble sum; route 2: trace rule
         by_parts = sum(
-            w * float((s.amplitudes.conj() @ (p.matrix @ s.amplitudes)).real)
+            w * float((s.amplitudes.conj() @ (p @ s.amplitudes)).real)
             for s, w in spec.components
         )
-        by_trace = float(np.trace(p.matrix @ mix(spec).matrix).real)
-        proper_probability(p, spec)  # raises if its internal check exceeds 1e-12
+        by_trace = float(np.trace(p @ mix(spec).matrix).real)
+        proper_probability(basis, spec)  # raises if its internal check exceeds 1e-12
         worst_proper = max(worst_proper, abs(by_parts - by_trace))
 
         d2 = int(rng.integers(2, 5))
         psi = BipartiteState(random_state(d * d2, rng).amplitudes.reshape(d, d2))
         vec = psi.matrix.reshape(-1)
-        on_composite = float((vec.conj() @ (np.kron(p.matrix, np.eye(d2)) @ vec)).real)
-        on_reduced = improper_probability(p, psi)
+        on_composite = float((vec.conj() @ (np.kron(p, np.eye(d2)) @ vec)).real)
+        on_reduced = improper_probability(basis, psi)
         worst_improper = max(worst_improper, abs(on_composite - on_reduced))
 
     worst_equiv = 0.0

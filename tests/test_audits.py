@@ -7,11 +7,13 @@ mutation fails is an implementation tripwire: additivity's residual (the
 trace is linear) and ``prc`` beyond the norm law (``SchmidtForm`` holds
 ``sum(c^2) = 1``).
 
-The reference tests keep the previous forms of ``check_additivity`` (per-part
-projector checks, a pairwise orthogonality loop, a dense projector for the
-sum) and ``complement_check`` (a dense complement projector) and require the
-one-check forms to give bit-equal values and the same accept/reject
-decisions.
+The reference test keeps the previous dense forms of ``check_additivity``
+(per-part projector checks, a pairwise orthogonality loop, a dense projector
+for the sum), ``complement_check`` (a dense complement projector), the branch
+split (``Psi @ Q.T``), nondemolition (``||P B - B||``) and the trace-rule
+oracle (``tr(P rho)``), and requires the forms that apply each projector
+through its basis to make the same accept/reject decisions with values within
+1e-15.
 """
 
 import sys
@@ -21,17 +23,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import entangle_branches, random_scenario
+from conftest import dense_projectors, entangle_branches, random_scenario
 
 import envborn.born
 from envborn.born import check_additivity, complement_check, derive_probabilities
 from envborn.hilbert import (
+    DEFAULT_TOL,
     Observable,
     Operator,
-    Projector,
     basis_state,
     complete_observable,
     make_state,
+    pure_density,
     trace_probability,
 )
 from envborn.premeasurement import (
@@ -40,6 +43,7 @@ from envborn.premeasurement import (
     branches,
     build_premeasurement,
     evolve,
+    verify_nondemolition,
 )
 from envborn.rng import random_unitary
 from envborn.scenario import load_scenario
@@ -110,14 +114,15 @@ FAILURES = [
     ("prc", broken_unitary, 1e-10, None, BROKEN, 1 / 3),
     ("biorthogonality", dense_3x3, 1e-10, None, BROKEN | {"biorthogonality"}, 1.57359619364089),
     ("complement", lambda: schmidt_tail(5e-13), 1e-13, None, {"complement"}, 5e-13),
-    # the Schmidt factor-2 basis is orthonormal only to ~1e-16: the Gram
-    # precondition of additivity fails and records inf (null in reports)
+    # the Schmidt factor-2 bases are orthonormal only to ~4e-16: the Gram
+    # preconditions of additivity and the complement fail and record inf
+    # (null in reports)
     (
         "additivity",
-        broken_unitary,
+        dense_3x3,
         1e-16,
         None,
-        BROKEN | {"biorthogonality", "additivity"},
+        BROKEN | {"biorthogonality", "additivity", "complement"},
         float("inf"),
     ),
     # tripwires: only a broken implementation fails them
@@ -125,7 +130,7 @@ FAILURES = [
         "additivity",
         qubit_cnot,
         1e-10,
-        ("for p in parts)", "for p in parts[:-1])"),
+        ("range(basis.shape[1])", "range(basis.shape[1] - 1)"),
         {"additivity"},
         0.64,
     ),
@@ -165,24 +170,38 @@ def test_every_audit_has_a_failing_row():
     assert {row[0] for row in FAILURES} == AUDITS
 
 
+def dense_projector(matrix, tol=DEFAULT_TOL):
+    """``matrix`` if it is Hermitian and idempotent within ``tol``."""
+    herm = np.linalg.norm(matrix - matrix.conj().T)
+    idem = np.linalg.norm(matrix @ matrix - matrix)
+    if not (herm <= tol and idem <= tol):
+        raise ValueError("not a projector")
+    return matrix
+
+
+def dense_trace(p, rho, tol):
+    """``tr(P rho)`` for a dense ``P``, real and in [0, 1] within ``tol``, clamped."""
+    value = complex(np.trace(p @ rho.matrix))
+    if abs(value.imag) > tol or not -tol <= value.real <= 1.0 + tol:
+        raise ValueError("trace is not a probability")
+    return min(max(value.real, 0.0), 1.0)
+
+
 def previous_check_additivity(rho, basis, tol):
-    parts = [Projector(np.outer(v, v.conj())) for v in basis.T]
+    parts = [dense_projector(np.outer(v, v.conj())) for v in basis.T]
     for i in range(len(parts)):
         for j in range(i + 1, len(parts)):
-            if np.linalg.norm(parts[i].matrix @ parts[j].matrix) > tol:
+            if np.linalg.norm(parts[i] @ parts[j]) > tol:
                 raise ValueError("not orthogonal")
-    total = np.zeros((rho.dim, rho.dim), dtype=complex)
-    for p in parts:
-        total += p.matrix
-    whole = trace_probability(Projector(total, tol), rho, tol)
-    pieces = sum(trace_probability(p, rho, tol) for p in parts)
+    total = sum(parts, np.zeros((rho.dim, rho.dim), dtype=complex))
+    whole = dense_trace(dense_projector(total, tol), rho, tol)
+    pieces = sum(dense_trace(p, rho, tol) for p in parts)
     return abs(whole - pieces)
 
 
 def previous_complement_check(model, psi12, outcome, schmidt2, tol):
-    q = model.apparatus.pointer_observable.projectors[outcome]
-    comp = q.matrix - schmidt2 @ schmidt2.conj().T
-    Projector(comp, tol)
+    q = dense_projectors(model.apparatus.pointer_observable)[outcome]
+    comp = dense_projector(q - schmidt2 @ schmidt2.conj().T, tol)
     return float(np.linalg.norm(psi12.matrix @ comp.T))
 
 
@@ -193,10 +212,18 @@ def or_inf(check, *args):
         return float("inf")
 
 
+def assert_same(value, reference):
+    """The same decision (inf on both sides for a rejection) and, for an
+    accepted case, values within 1e-15."""
+    assert (value == float("inf")) == (reference == float("inf"))
+    if reference < float("inf"):
+        assert abs(value - reference) <= 1e-15
+
+
 @pytest.mark.parametrize("tol", [1e-10, 1e-13, 1e-14])
 def test_one_check_forms_match_previous_forms(tol):
-    # branch Schmidt bases of random models, half with entangled branches;
-    # a doubled basis and another outcome's pointer projector are rejected
+    # random complex models, half with entangled branches; a doubled basis
+    # and another outcome's pointer projector are rejected
     rng = np.random.default_rng(70)
     decisions = {True: 0, False: 0}
     for i in range(120):
@@ -206,7 +233,27 @@ def test_one_check_forms_match_previous_forms(tol):
             model = entangle_branches(model, rng)
         psi12 = evolve(model, phi)
         rho2 = pointer_density(psi12)
-        for b in branches(model, psi12).branches:
+        rho_phi = pure_density(phi)
+        bset = branches(model, psi12)
+        kept = {b.outcome: b for b in bset.branches}
+
+        # the branch split through Q^n = B B^H against the dense Psi @ Q^n.T
+        for n, q in enumerate(dense_projectors(model.apparatus.pointer_observable)):
+            term = psi12.matrix @ q.T
+            if n in kept:
+                assert np.abs(kept[n].matrix - term).max() <= 1e-15
+                assert_same(kept[n].weight, float(np.linalg.norm(term) ** 2))
+            else:
+                assert n in bset.omitted
+        nondemolition = verify_nondemolition(model, bset, tol)
+        for n, p in enumerate(dense_projectors(model.measured)):
+            reference = or_inf(dense_trace, p, rho_phi, tol)
+            assert_same(or_inf(trace_probability, model.measured.basis(n), rho_phi), reference)
+            if n in kept:
+                branch = kept[n].matrix
+                assert_same(nondemolition.residuals[n], np.linalg.norm(p @ branch - branch))
+
+        for b in bset.branches:
             basis2 = schmidt_decompose(BipartiteState(b.normalized())).basis2
             other = (b.outcome + 1) % model.outcome_count
             cases = [
@@ -217,6 +264,6 @@ def test_one_check_forms_match_previous_forms(tol):
             ]
             for previous, current, args in cases:
                 value = or_inf(current, *args)
-                assert value == or_inf(previous, *args)  # bit-equal, or inf on both sides
+                assert_same(value, or_inf(previous, *args))
                 decisions[value < float("inf")] += 1
     assert decisions[True] > 500 and decisions[False] > 300

@@ -329,7 +329,7 @@ class TestOracleAgreement:
         report = derive_probabilities(model, phi)
         rho = pure_density(phi)
         for record in report.records:
-            oracle = trace_probability(model.measured.projectors[record.outcome], rho)
+            oracle = trace_probability(model.measured.basis(record.outcome), rho)
             assert record.derived == pytest.approx(oracle, abs=1e-9)
 
 

@@ -114,6 +114,21 @@ class TestDeriveCommand:
         assert report["pass"] is False
         assert report["derivation"]["audits"]["calibration"]["ok"] is False
 
+    @pytest.mark.parametrize("tolerance", ["1e-18", "1e-300", "5e-324"])
+    def test_tolerance_below_rounding_fails_audits(self, tmp_path, tolerance):
+        # the oracle's imaginary rounding (about 4e-18 here) is guarded at the
+        # tolerance of the input's density, so a tiny --tolerance fails audits
+        # and does not end the run
+        complex_input = [[0.3, 0.7], [0.1, -0.9], [0.55, 0.2]]
+        path = write_variant(tmp_path, "degenerate-3d", input_state=complex_input)
+        code, out, err = run_cli(["derive", path, "--tolerance", tolerance, "--format", "structured"])
+        assert (code, err) == (1, "")
+        derivation = json.loads(out)["derivation"]
+        assert derivation["audits"]["additivity"] == {"ok": False, "max_residual": None}
+        assert not derivation["audits"]["prc"]["ok"]
+        derived = [rec["derived"] for rec in derivation["outcomes"]]
+        assert derived == pytest.approx([0.803443328551, 0.196556671449], abs=1e-12)
+
     def test_unknown_field_rejected(self, tmp_path):
         data = json.loads(Path(fixture_path("certainty")).read_text(encoding="utf-8"))
         data["frobnicate"] = 1

@@ -6,14 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import projector_from_span, random_density
+from conftest import dense_projectors, projector_from_span, random_density
 from envborn.hilbert import (
     DEFAULT_TOL,
     Audit,
     DensityOperator,
     Observable,
     Operator,
-    Projector,
     StateVector,
     basis_state,
     complete_observable,
@@ -25,7 +24,7 @@ from envborn.hilbert import (
     trace_probability,
 )
 from envborn.premeasurement import Branch, BranchSet, PointerApparatus, build_premeasurement
-from envborn.rng import random_orthogonal_partition, random_projector, random_state
+from envborn.rng import random_orthogonal_partition, random_state, random_unitary
 from envborn.schmidt import BipartiteState, SchmidtForm
 
 INV_SQRT2 = 0.7071067811865476
@@ -162,7 +161,7 @@ class TestPartialTrace:
 class TestTraceProbability:
     def test_completeness(self):
         rho = pure_density(plus())
-        assert trace_probability(Projector(identity(D2).matrix), rho) == pytest.approx(1.0)
+        assert trace_probability(np.eye(D2), rho) == pytest.approx(1.0)
 
     def test_symmetry(self):
         p = projector_from_span([basis_state(D2, 0)])
@@ -175,11 +174,11 @@ class TestTraceProbability:
         assert trace_probability(p, pure_density(phi)) == pytest.approx(0.36, abs=1e-12)
 
     def test_imaginary_part_raises(self):
-        # tol fields widened to smuggle in malformed inputs
-        bad = Projector(np.array([[0, 1j], [0, 0]]), tol=10)
-        rho = DensityOperator(np.array([[0.5, 0.5], [0.5, 0.5]]))
-        with pytest.raises(ValueError, match="imaginary"):
-            trace_probability(bad, rho)
+        # a tol field widened to smuggle in a non-Hermitian "density"; the
+        # guard runs at that same tolerance, the one rho was validated at
+        rho = DensityOperator(np.array([[0.5, 0.5j], [0.0, 0.5]]), tol=1.0)
+        with pytest.raises(ValueError, match=r"imaginary part 2.000e\+00 beyond tolerance 1.0e\+00"):
+            trace_probability(np.array([[2.0], [2.0]]), rho)
 
     def test_clamps_tiny_negative(self):
         rho = DensityOperator(np.diag([1 + 1e-12, -1e-12]).astype(complex))
@@ -196,9 +195,10 @@ class TestTraceProbability:
         for _ in range(20):
             d = int(rng.integers(2, 5))
             rho = random_density(d, rng)
-            p = random_projector(d, int(rng.integers(1, d + 1)), rng)
-            q = Projector(np.eye(d) - p.matrix)
-            total = trace_probability(p, rho) + trace_probability(q, rho)
+            # the complement of the first r columns of a unitary is the rest
+            u = random_unitary(d, rng)
+            rank = int(rng.integers(1, d + 1))
+            total = trace_probability(u[:, :rank], rho) + trace_probability(u[:, rank:], rho)
             assert abs(total - 1.0) <= 1e-10
 
 
@@ -218,8 +218,6 @@ class TestObservable:
         assert np.array_equal(obs.matrix, E3[:, [2, 0, 1]])
         assert np.array_equal(obs.basis(0), E3[:, [2, 0]])
         assert np.array_equal(obs.basis(1), E3[:, 1:2])
-        assert np.array_equal(obs.projectors[0].matrix, np.diag([1, 0, 1]))
-        assert np.array_equal(obs.projectors[1].matrix, np.diag([0, 1, 0]))
 
     def test_non_orthogonal_rejected(self):
         # the overlapping block is the last one, so every block counts
@@ -273,12 +271,11 @@ class TestObservable:
             assert obs.ranks == tuple(b.shape[1] for b in bases)
             for n, b in enumerate(bases):
                 assert np.array_equal(obs.basis(n), b)
-            total = sum(p.matrix for p in obs.projectors)
-            assert np.linalg.norm(total - np.eye(d)) <= 1e-10
+            projectors = dense_projectors(obs)
+            assert np.linalg.norm(sum(projectors) - np.eye(d)) <= 1e-10
             for i in range(parts):
                 for j in range(i + 1, parts):
-                    cross = obs.projectors[i].matrix @ obs.projectors[j].matrix
-                    assert np.linalg.norm(cross) <= 1e-10
+                    assert np.linalg.norm(projectors[i] @ projectors[j]) <= 1e-10
 
 
 @st.composite
@@ -322,29 +319,33 @@ def test_observable_decides_like_completeness_sum(bases):
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(perturbed_partitions(st.floats(0.9, 0.999)), st.integers(0, 2**32 - 1))
 def test_dense_projectors_of_an_accepted_observable_raise_nothing(bases, seed):
-    """Bases just within the tolerance are accepted once; forming the dense
-    ``P^n`` and taking the trace rule on them decides nothing again."""
+    """Bases just within the tolerance are accepted once; the trace rule
+    through each ``B_n``, the form of ``P^n``, decides nothing again."""
     obs = Observable(list(range(len(bases))), bases)
     rho = random_density(obs.dim, np.random.default_rng(seed))
-    total = sum(trace_probability(p, rho) for p in obs.projectors)
+    total = sum(trace_probability(obs.basis(n), rho) for n in range(obs.outcome_count))
     assert abs(total - 1.0) <= 2 * DEFAULT_TOL
+
+
+def dense(basis):
+    return basis @ basis.conj().T
 
 
 class TestProjectorFromSpan:
     def test_single_basis_vector(self):
-        assert np.allclose(projector_from_span([basis_state(D2, 0)]).matrix, np.diag([1, 0]))
+        assert np.allclose(dense(projector_from_span([basis_state(D2, 0)])), np.diag([1, 0]))
 
     def test_two_basis_vectors(self):
         p = projector_from_span([basis_state(D3, 0), basis_state(D3, 1)])
-        assert np.allclose(p.matrix, np.diag([1, 1, 0]))
+        assert np.allclose(dense(p), np.diag([1, 1, 0]))
 
     def test_superposition_outer_product(self):
         p = projector_from_span([plus()])
-        assert np.allclose(p.matrix, [[0.5, 0.5], [0.5, 0.5]])
+        assert np.allclose(dense(p), [[0.5, 0.5], [0.5, 0.5]])
 
     def test_unnormalized_input_ok(self):
         p = projector_from_span([np.array([1.0, 1.0])])
-        assert np.allclose(p.matrix, [[0.5, 0.5], [0.5, 0.5]])
+        assert np.allclose(dense(p), [[0.5, 0.5], [0.5, 0.5]])
 
     def test_dependent_set_rejected(self):
         with pytest.raises(ValueError, match="dependent"):
@@ -359,10 +360,6 @@ class TestInvariants:
     def test_density_operator_rejects_negative_eigenvalue(self):
         with pytest.raises(ValueError, match="negative"):
             DensityOperator(np.diag([1.5, -0.5]).astype(complex))
-
-    def test_projector_rejects_non_idempotent(self):
-        with pytest.raises(ValueError, match="idempotent"):
-            Projector(np.diag([0.5, 0.5]).astype(complex))
 
     def test_state_vector_rejects_unnormalized(self):
         with pytest.raises(ValueError, match="normalized"):
@@ -385,7 +382,7 @@ class TestInvariants:
             Operator(matrix)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
-    @pytest.mark.parametrize("cls", [Operator, Projector, DensityOperator])
+    @pytest.mark.parametrize("cls", [Operator, DensityOperator])
     def test_non_finite_entry_rejected(self, cls, bad):
         with pytest.raises(ValueError, match="finite"):
             cls(np.diag([1.0, bad]).astype(complex))
@@ -472,7 +469,6 @@ def _qubit_model():
 VALUE_MAKERS = {
     "StateVector": lambda: basis_state(D2, 0),
     "Operator": lambda: identity(D2),
-    "Projector": lambda: Projector(np.eye(D2)),
     "Observable": lambda: Observable([0.0], [np.eye(D2)]),
     "DensityOperator": lambda: DensityOperator(np.eye(D2) / D2),
     "BipartiteState": lambda: BipartiteState(np.eye(D2) / math.sqrt(2)),

@@ -13,7 +13,7 @@ and calibration.
 
 import numpy as np
 import pytest
-from conftest import dense_coupling, entangle_branches, random_scenario
+from conftest import dense_coupling, dense_projectors, entangle_branches, random_scenario
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -52,13 +52,13 @@ def pointer_lift(model, q):
 def lifted_calibration(model, trials, seed):
     rng = np.random.default_rng(seed)
     residuals = []
-    for n, q in enumerate(model.apparatus.pointer_observable.projectors):
+    for n, q in enumerate(dense_projectors(model.apparatus.pointer_observable)):
         basis = model.measured.basis(n)
         samples = list(basis.T)
         for _ in range(trials):
             coeff = random_unit_vector(basis.shape[1], rng)
             samples.append(sum(c * b for c, b in zip(coeff, basis.T)))
-        lifted_q = pointer_lift(model, q.matrix)
+        lifted_q = pointer_lift(model, q)
         worst = 0.0
         for vec in samples:
             out = lifted_evolve(model, vec / np.linalg.norm(vec))
@@ -95,7 +95,7 @@ def models(draw):
 def test_one_sided_products_match_composite_lifts(case, seed):
     model, phi = case
     d1, d2 = model.d1, model.d2
-    pointer_projectors = model.apparatus.pointer_observable.projectors
+    pointer_projectors = dense_projectors(model.apparatus.pointer_observable)
     psi12 = evolve(model, phi)
     vec = psi12.matrix.reshape(-1)
     assert np.linalg.norm(vec - lifted_evolve(model, phi.amplitudes)) <= AGREE
@@ -103,7 +103,7 @@ def test_one_sided_products_match_composite_lifts(case, seed):
     bset = branches(model, psi12)
     kept = {b.outcome: b for b in bset.branches}
     for n, q in enumerate(pointer_projectors):
-        term = pointer_lift(model, q.matrix) @ vec
+        term = pointer_lift(model, q) @ vec
         if n in kept:
             assert np.linalg.norm(kept[n].matrix.reshape(-1) - term) <= AGREE
             assert abs(kept[n].weight - np.linalg.norm(term) ** 2) <= AGREE
@@ -116,7 +116,7 @@ def test_one_sided_products_match_composite_lifts(case, seed):
 
     nondemolition = verify_nondemolition(model, bset)
     for b in bset.branches:
-        lifted_p = np.kron(model.measured.projectors[b.outcome].matrix, np.eye(d2))
+        lifted_p = np.kron(dense_projectors(model.measured)[b.outcome], np.eye(d2))
         term = b.matrix.reshape(-1)
         expected = np.linalg.norm(lifted_p @ term - term)
         assert abs(nondemolition.residuals[b.outcome] - expected) <= AGREE
@@ -125,7 +125,7 @@ def test_one_sided_products_match_composite_lifts(case, seed):
         schmidt2 = np.zeros((d2, 0))
         if n in kept:
             schmidt2 = schmidt_decompose(BipartiteState(kept[n].normalized())).basis2
-        comp = q.matrix - sum(
+        comp = q - sum(
             (np.outer(v, v.conj()) for v in schmidt2.T),
             np.zeros((d2, d2), dtype=complex),
         )

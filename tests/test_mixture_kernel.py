@@ -49,7 +49,7 @@ def reduced(psi12, keep):
 
 def lifted_expectation(P1, psi12):
     vec = psi12.matrix.reshape(-1)
-    return float((vec.conj() @ np.kron(P1.matrix, np.eye(psi12.d2)) @ vec).real)
+    return float((vec.conj() @ np.kron(P1, np.eye(psi12.d2)) @ vec).real)
 
 
 @st.composite
@@ -83,16 +83,17 @@ def test_mixture_routes_match_composite_references(case):
     assert np.linalg.norm(rho_mix - rho1) <= AGREE
 
     for _ in range(3):
-        P = random_projector(d1, int(rng.integers(1, d1 + 1)), rng)
+        basis = random_projector(d1, int(rng.integers(1, d1 + 1)), rng)
+        P = basis @ basis.conj().T
         by_components = sum(
-            w * float((s.amplitudes.conj() @ P.matrix @ s.amplitudes).real)
+            w * float((s.amplitudes.conj() @ P @ s.amplitudes).real)
             for s, w in spec.components
         )
-        assert abs(proper_probability(P, spec) - by_components) <= AGREE
-        assert abs(proper_probability(P, spec) - np.trace(P.matrix @ rho_mix).real) <= AGREE
-        improper = improper_probability(P, psi12)
+        assert abs(proper_probability(basis, spec) - by_components) <= AGREE
+        assert abs(proper_probability(basis, spec) - np.trace(P @ rho_mix).real) <= AGREE
+        improper = improper_probability(basis, psi12)
         assert abs(improper - lifted_expectation(P, psi12)) <= AGREE
-        assert abs(improper - np.trace(P.matrix @ rho1).real) <= AGREE
+        assert abs(improper - np.trace(P @ rho1).real) <= AGREE
 
 
 @settings(max_examples=30, deadline=None)
@@ -104,13 +105,14 @@ def test_equivalence_matches_lifted_trial_loop(case, seed):
     rho1 = reduced(psi12, 0)
     expected = 0.0
     for _ in range(trials):
-        P = random_projector(psi12.d1, int(rng.integers(1, psi12.d1 + 1)), rng)
+        basis = random_projector(psi12.d1, int(rng.integers(1, psi12.d1 + 1)), rng)
+        P = basis @ basis.conj().T
         proper = sum(
-            w * float((s.amplitudes.conj() @ P.matrix @ s.amplitudes).real)
+            w * float((s.amplitudes.conj() @ P @ s.amplitudes).real)
             for s, w in spec.components
         )
-        assert abs(lifted_expectation(P, psi12) - np.trace(P.matrix @ rho1).real) <= AGREE
-        improper = float(np.trace(P.matrix @ rho1).real)
+        assert abs(lifted_expectation(P, psi12) - np.trace(P @ rho1).real) <= AGREE
+        improper = float(np.trace(P @ rho1).real)
         expected = max(expected, abs(min(max(proper, 0.0), 1.0) - min(max(improper, 0.0), 1.0)))
     got = proper_improper_equivalence(spec, psi12, trials=trials, seed=seed)
     assert abs(got - expected) <= AGREE
@@ -171,23 +173,24 @@ def test_envariance_residual_matches_kron_lift(case):
 def test_sublemma_matches_composite_references(case, rank):
     psi12, rng = case
     d1, d2 = psi12.dims
-    q2 = random_projector(d2, min(rank, d2), rng)
+    basis = random_projector(d2, min(rank, d2), rng)
+    q2 = basis @ basis.conj().T
     # a state supported inside range(Q2) on the second factor
-    coeffs = psi12.matrix @ q2.matrix.T
+    coeffs = psi12.matrix @ q2.T
     if np.linalg.norm(coeffs) < 1e-6:
         return
     psi = BipartiteState(coeffs / np.linalg.norm(coeffs))
     vec = psi.matrix.reshape(-1)
-    assert np.linalg.norm(np.kron(np.eye(d1), q2.matrix) @ vec - vec) <= AGREE
+    assert np.linalg.norm(np.kron(np.eye(d1), q2) @ vec - vec) <= AGREE
 
-    report = sublemma_check(psi, q2)
+    report = sublemma_check(psi, basis)
     residuals = []
     sub = np.zeros((d2, d2), dtype=complex)
     for v in schmidt_decompose(psi).basis2.T:
-        residuals.append(np.linalg.norm(q2.matrix @ v - v))
+        residuals.append(np.linalg.norm(q2 @ v - v))
         sub += np.outer(v, v.conj())
-    residuals.append(np.linalg.norm(q2.matrix @ sub - sub))
+    residuals.append(np.linalg.norm(q2 @ sub - sub))
     rho2 = reduced(psi, 1)
-    residuals.append(np.linalg.norm(q2.matrix @ rho2 - rho2))
+    residuals.append(np.linalg.norm(q2 @ rho2 - rho2))
     assert abs(report.max_residual - max(residuals)) <= AGREE
     assert report.passed

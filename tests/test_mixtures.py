@@ -4,9 +4,7 @@ from conftest import flat_state, projector_from_span, random_density
 
 from envborn.hilbert import (
     DensityOperator,
-    Projector,
     basis_state,
-    identity,
     make_state,
     partial_trace,
     pure_density,
@@ -19,7 +17,7 @@ from envborn.mixtures import (
     proper_probability,
     purify,
 )
-from envborn.rng import random_projector, random_state
+from envborn.rng import random_projector, random_state, random_unitary
 from envborn.schmidt import BipartiteState
 
 D2 = 2
@@ -95,7 +93,7 @@ class TestProperProbability:
         assert proper_probability(p, zero_plus_mixture()) == pytest.approx(0.75, abs=1e-12)
 
     def test_identity_event(self):
-        assert proper_probability(Projector(identity(D2).matrix), zero_plus_mixture()) == pytest.approx(1.0)
+        assert proper_probability(np.eye(D2), zero_plus_mixture()) == pytest.approx(1.0)
 
     def test_single_component_reduces_to_pure_rule(self):
         phi = make_state([0.6, 0.8])
@@ -111,7 +109,7 @@ class TestProperProbability:
             spec = random_spec(dim, int(rng.integers(2, 5)), rng)
             p = random_projector(dim, int(rng.integers(1, dim + 1)), rng)
             value = proper_probability(p, spec)  # raises on disagreement > 1e-12
-            trace_route = float(np.trace(p.matrix @ mix(spec).matrix).real)
+            trace_route = float(np.trace(p @ p.conj().T @ mix(spec).matrix).real)
             assert value == pytest.approx(trace_route, abs=1e-12)
 
 
@@ -139,7 +137,7 @@ class TestImproperProbability:
             value = improper_probability(p, psi)  # raises on disagreement > 1e-12
             vec = psi.matrix.reshape(-1)
             composite_route = float(
-                (vec.conj() @ (np.kron(p.matrix, np.eye(d2)) @ vec)).real
+                (vec.conj() @ (np.kron(p @ p.conj().T, np.eye(d2)) @ vec)).real
             )
             assert value == pytest.approx(composite_route, abs=1e-12)
 
@@ -186,3 +184,34 @@ class TestPurify:
             psi = purify(rho)
             back = partial_trace(pure_density(flat_state(psi)), psi.dims, keep=0)
             assert np.linalg.norm(back.matrix - rho.matrix) <= 1e-12
+
+
+# a projector basis that is not orthonormal, holds a NaN, or has the wrong
+# number of rows -> the message it is rejected with
+BAD_BASES = {
+    "non-orthonormal": (np.array([[1.0], [1.0]]), "not orthonormal: Gram residual 1.000e.00"),
+    "nan": (np.array([[1.0], [np.nan]]), "not orthonormal: Gram residual nan"),
+    "wrong-dimension": (np.eye(3)[:, :1], r"expected a 2 x r projector basis, got shape \(3, 1\)"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_BASES))
+@pytest.mark.parametrize(
+    "probability",
+    [
+        lambda basis: proper_probability(basis, zero_plus_mixture()),
+        lambda basis: improper_probability(basis, bell()),
+    ],
+    ids=["proper", "improper"],
+)
+def test_bad_projector_basis_rejected(probability, name):
+    basis, message = BAD_BASES[name]
+    with pytest.raises(ValueError, match=message):
+        probability(basis)
+
+
+def test_random_projector_is_the_first_columns_of_a_haar_unitary():
+    # the basis form keeps the draws of the dense form, so trial streams match
+    a, b = np.random.default_rng(3), np.random.default_rng(3)
+    assert np.array_equal(random_projector(5, 2, a), random_unitary(5, b)[:, :2])
+    assert a.random() == b.random()

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import dense_coupling
+from conftest import dense_coupling, dense_projectors
 
 from envborn.hilbert import (
     Observable,
@@ -46,7 +46,7 @@ def coupled_branches(model, phi):
 def input_oracle(model, phi):
     """The trace-rule values ``<phi|P^n|phi>``, one per outcome."""
     rho = pure_density(phi)
-    return [trace_probability(p, rho) for p in model.measured.projectors]
+    return [trace_probability(model.measured.basis(n), rho) for n in range(model.outcome_count)]
 
 
 def cnot_model():
@@ -210,7 +210,7 @@ class TestBranches:
         bset = branches(model, evolve(model, phi))
         rho = pure_density(phi)
         for b in bset.branches:
-            oracle = trace_probability(model.measured.projectors[b.outcome], rho)
+            oracle = trace_probability(model.measured.basis(b.outcome), rho)
             assert b.weight == pytest.approx(oracle, abs=1e-12)
         assert bset.weights[0] == pytest.approx(2 / 3)
         assert bset.weights[1] == pytest.approx(1 / 3)
@@ -337,12 +337,12 @@ class TestBranchNormLaw:
                     vec = sum(c * b for c, b in zip(coeff, basis.T))
                     phi = make_state(vec)
                     fixed = np.linalg.norm(
-                        model.measured.projectors[n].matrix @ phi.amplitudes
+                        dense_projectors(model.measured)[n] @ phi.amplitudes
                         - phi.amplitudes
                     )
                     assert fixed <= 1e-12  # input satisfies certainty premise
                     out = evolve(model, phi).matrix.reshape(-1)
-                    q = model.apparatus.pointer_observable.projectors[n].matrix
+                    q = dense_projectors(model.apparatus.pointer_observable)[n]
                     lifted = np.kron(np.eye(model.d1), q)
                     assert np.linalg.norm(lifted @ out - out) <= 1e-10
 

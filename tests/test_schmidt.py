@@ -417,3 +417,19 @@ class TestSublemma:
             extension = basis[:, len(support) : len(support) + 1]
             q2 = projector_from_span(support + [extension[:, 0]])
             assert sublemma_check(psi, q2).passed
+
+
+# a projector basis that is not orthonormal, holds a NaN, or has the wrong
+# number of rows for factor 2 -> the message it is rejected with
+BAD_BASES = {
+    "non-orthonormal": (np.array([[1.0], [1.0]]), "not orthonormal: Gram residual 1.000e.00"),
+    "nan": (np.array([[1.0], [np.nan]]), "not orthonormal: Gram residual nan"),
+    "wrong-dimension": (np.eye(3)[:, :1], r"expected a 2 x r projector basis, got shape \(3, 1\)"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_BASES))
+def test_sublemma_rejects_a_bad_projector_basis(name):
+    basis, message = BAD_BASES[name]
+    with pytest.raises(ValueError, match=message):
+        sublemma_check(bell(), basis)

@@ -21,6 +21,16 @@ def test_bench_random_case_builds_and_derives():
     assert report.passed
 
 
+def test_bench_mixture_rung_builds_and_passes():
+    bench = load_bench()
+    spec, partner = bench.mixture_case(4, bench.SEED)
+    assert len(spec.components) == 4 and partner.dims == (4, 4)
+    rung = bench.mixture_rung(4, repeats=1, seed=bench.SEED)
+    assert (rung["dim"], rung["trials"]) == (4, 50)
+    assert rung["max_equivalence_residual"] <= 1e-10
+    assert rung["equivalence_ms"] > 0
+
+
 def test_bench_cli_cases_are_the_goldens_and_one_large_sample(tmp_path):
     bench = load_bench()
     cases = bench.cli_cases(bench.ROOT / "src", tmp_path)

@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Time coupling synthesis and the audited derivation over a dimension ladder,
-and the CLI's stages on the bundled fixtures.
+the proper/improper mixture equivalence over a second ladder, and the CLI's
+stages on the bundled fixtures.
 
 For each rung ``d1 x d2`` (2x2 up to 64x32) and outcome count ``N`` in
 ``{2, ~d1/3, min(d1, d2)}``, a random model (random eigenspace ranks, random
@@ -10,6 +11,11 @@ timed in process with ``time.perf_counter``; each figure is the median over
 repeats.  BLAS is pinned to one thread before numpy is imported, and the
 thread count, numpy and BLAS versions and core count are recorded with the
 results.
+
+The mixture ladder builds, for each ``d`` in ``{4, 16, 64}``, a random mixture
+of ``d`` pure components in ``d`` dimensions, purifies it as the ``mixtures``
+command's ``auto_purify`` does, and times ``proper_improper_equivalence`` over
+50 trials.
 
 The CLI section runs each bundled fixture with its subcommand, plus one
 24x24 ``sample`` scenario from ``perfbench/workloads.py`` (seed 3, 250k
@@ -45,6 +51,8 @@ THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 BLAS_THREADS = 1
 REPEATS = 7
 SEED = 5
+MIXTURE_DIMS = (4, 16, 64)
+MIXTURE_TRIALS = 50
 
 
 def outcome_counts(d1: int, d2: int) -> list[int]:
@@ -110,6 +118,50 @@ def run_ladder(repeats: int, seed: int) -> list[dict]:
             }
             print(json.dumps(rung), flush=True)
             rungs.append(rung)
+    return rungs
+
+
+def mixture_case(dim: int, seed: int):
+    """A random mixture of ``dim`` pure components in ``dim`` dimensions and
+    its canonical purification."""
+    import numpy as np
+
+    from envborn.mixtures import MixtureSpec, mix, purify
+    from envborn.rng import random_state
+
+    rng = np.random.default_rng(seed)
+    weights = rng.random(dim) + 0.1
+    weights /= weights.sum()
+    spec = MixtureSpec(tuple((random_state(dim, rng), float(w)) for w in weights))
+    return spec, purify(mix(spec))
+
+
+def mixture_rung(dim: int, repeats: int, seed: int) -> dict:
+    from envborn.mixtures import proper_improper_equivalence
+
+    spec, partner = mixture_case(dim, seed)
+    equivalence_ms, equivalence_n, residual = timed(
+        lambda: proper_improper_equivalence(spec, partner, trials=MIXTURE_TRIALS, seed=seed),
+        repeats,
+    )
+    if not residual <= 1e-10:
+        raise RuntimeError(f"mixture equivalence failed at d = {dim}: {residual!r}")
+    return {
+        "dim": dim,
+        "components": dim,
+        "trials": MIXTURE_TRIALS,
+        "equivalence_ms": round(equivalence_ms, 3),
+        "equivalence_repeats": equivalence_n,
+        "max_equivalence_residual": residual,
+    }
+
+
+def run_mixture_ladder(repeats: int, seed: int) -> list[dict]:
+    rungs = []
+    for dim in MIXTURE_DIMS:
+        rung = mixture_rung(dim, repeats, seed)
+        print(json.dumps(rung), flush=True)
+        rungs.append(rung)
     return rungs
 
 
@@ -194,6 +246,7 @@ def main(argv=None) -> int:
     sys.path.insert(0, str(Path(args.src).resolve()))
 
     rungs = run_ladder(REPEATS, SEED)
+    mixture_rungs = run_mixture_ladder(REPEATS, SEED)
     with tempfile.TemporaryDirectory() as workdir:
         cli_rows = run_cli_stages(REPEATS, Path(args.src), Path(workdir))
     out = Path(args.out)
@@ -202,6 +255,10 @@ def main(argv=None) -> int:
     data["metrics"] = {
         "build_ms": "build_premeasurement, median wall time in ms",
         "derive_ms": "derive_probabilities on the built model, median wall time in ms",
+        "equivalence_ms": (
+            f"proper_improper_equivalence, {MIXTURE_TRIALS} trials on an auto-purified "
+            "random mixture, median wall time in ms"
+        ),
         "load_ms": "cli: load_scenario of the case's file, median wall time in ms",
         "run_ms": "cli: the subcommand's run_* on the loaded scenario, median wall time in ms",
         "sample_ms": "cli: sample_outcomes on the report's probabilities, median wall time in ms",
@@ -209,7 +266,13 @@ def main(argv=None) -> int:
         "main_ms": "cli: the whole in-process cli.main, structured, median wall time in ms",
     }
     data.setdefault("runs", {}).setdefault(args.label, []).append(
-        {"seed": SEED, "environment": environment(), "rungs": rungs, "cli": cli_rows}
+        {
+            "seed": SEED,
+            "environment": environment(),
+            "rungs": rungs,
+            "mixtures": mixture_rungs,
+            "cli": cli_rows,
+        }
     )
     out.write_text(json.dumps(data, indent=2) + "\n", encoding="utf-8")
     return 0

@@ -92,8 +92,6 @@ class ProbabilityReport:
         derived = [r.derived for r in self.records]
         if any(p < 0 for p in derived):
             raise ValueError("derived probabilities must be nonnegative")
-        if abs(sum(derived) - 1.0) > 1e-10:
-            raise ValueError(f"derived probabilities sum to {sum(derived)!r}")
         object.__setattr__(self, "records", tuple(self.records))
         object.__setattr__(self, "audits", MappingProxyType(dict(self.audits)))
 
@@ -180,7 +178,8 @@ def derive_probabilities(
     out of the audit.  ``SchmidtForm`` holds ``sum(c^2) = 1``, so ``prc``
     beyond the norm law is an implementation tripwire.
 
-    Audit failures are reported in ``audits``, never raised.
+    Audit failures are reported in ``audits``, never raised.  The derived
+    probabilities must sum to 1 within ``model.tol`` (at least ``DEFAULT_TOL``).
     """
     psi12 = evolve(model, phi)
     bset = branches(model, psi12)
@@ -210,6 +209,9 @@ def derive_probabilities(
             OutcomeRecord(n, eigenvalue, float(sum(detail)), oracle[n], detail, complement[n])
         )
 
+    total = sum(r.derived for r in records)
+    if abs(total - 1.0) > max(model.tol, DEFAULT_TOL):
+        raise ValueError(f"derived probabilities sum to {total!r}")
     return ProbabilityReport(
         records=tuple(records),
         audits={

@@ -42,6 +42,7 @@ __all__ = [
 
 DEFAULT_TOL = 1e-10  # operator-identity checks (double-precision SVD/eig noise margin)
 NORM_TOL = 1e-12     # vector-norm and trace checks
+DEPENDENCE_TOL = 1e-10  # orthonormalize: least residual norm relative to the input norm
 
 
 def _freeze(values) -> np.ndarray:
@@ -332,12 +333,12 @@ def complete_observable(
     return Observable(eigenvalues, [b.amplitudes[:, None] for b in basis], tol)
 
 
-def orthonormalize(vectors: Iterable[np.ndarray], dependence_tol: float = 1e-10) -> np.ndarray:
+def orthonormalize(vectors: Iterable[np.ndarray]) -> np.ndarray:
     """Modified Gram-Schmidt with one re-orthogonalization pass; the basis is
     returned as the columns of a ``dim x count`` matrix.
 
     Raises ValueError when the input set is empty, mixes lengths or is
-    linearly dependent (residual norm below ``dependence_tol`` relative to the
+    linearly dependent (residual norm below ``DEPENDENCE_TOL`` relative to the
     input norm).
     """
     basis: list[np.ndarray] = []
@@ -348,7 +349,7 @@ def orthonormalize(vectors: Iterable[np.ndarray], dependence_tol: float = 1e-10)
             for b in basis:
                 w -= b * (b.conj() @ w)
         norm = np.linalg.norm(w)
-        if scale == 0.0 or norm < dependence_tol * scale:
+        if scale == 0.0 or norm < DEPENDENCE_TOL * scale:
             raise ValueError("input vectors are linearly dependent")
         basis.append(w / norm)
     if not basis:

@@ -1,13 +1,15 @@
 """Proper and improper mixtures and their probabilistic equivalence.
 
-A proper mixture blends pure sub-ensembles with statistical weights (optionally
-realized as sub-ensemble counts N_k / N); an improper mixture is a subsystem's
-reduced density operator from an entangled partner.  Each probability is
-computed by two routes that must agree, so a disagreement signals an
-arithmetic bug, not a physics result:
+A proper mixture blends pure sub-ensembles, the columns of its ``d x K`` state
+matrix ``A``, with statistical weights ``w`` (optionally realized as
+sub-ensemble counts N_k / N); an improper mixture is a subsystem's reduced
+density operator from an entangled partner.  Each probability is computed by
+two routes that must agree, so a disagreement signals an arithmetic bug, not a
+physics result:
 
-* ``_proper``: the sub-ensemble sum ``sum_k w_k <phi_k|P|phi_k>`` against the
-  trace rule ``tr(P rho_mix)`` on the mixed density operator;
+* ``_proper``: the sub-ensemble sum ``sum_k w_k <phi_k|P|phi_k> = w @
+  Re(diag(A^H P A))`` against the trace rule ``tr(P rho_mix)`` on the mixed
+  density operator ``rho_mix = (A w) A^H``;
 * ``_improper``: the composite expectation ``<Psi|(P x I)|Psi>`` against the
   trace rule ``tr(P rho_1)`` on the reduced state.
 
@@ -25,12 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import (
-    DensityOperator,
-    StateVector,
-    NORM_TOL,
-    _projector_basis,
-)
+from .hilbert import NORM_TOL, DensityOperator, _freeze, _projector_basis
 from .rng import random_projector
 from .schmidt import BipartiteState
 
@@ -43,60 +40,60 @@ __all__ = [
     "purify",
 ]
 
+PURIFY_THRESHOLD = 1e-12  # purify drops eigenvalues below this
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)
 class MixtureSpec:
-    """Pure components with statistical weights; optional integer counts must
-    reproduce the weights as N_k / N."""
+    """Pure components with statistical weights: column ``k`` of the ``d x K``
+    matrix ``states`` is the unit vector of component ``k`` and ``weights[k]``
+    its weight.  Optional integer counts must reproduce the weights as N_k / N."""
 
-    components: tuple[tuple[StateVector, float], ...]
+    states: np.ndarray
+    weights: np.ndarray
     counts: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        comps = tuple((s, float(w)) for s, w in self.components)
-        if not comps:
+        states, weights = _freeze(self.states), np.array(self.weights, dtype=float)
+        if states.ndim != 2 or len(states) == 0 or weights.shape != states.shape[1:]:
+            raise ValueError(
+                f"expected a d x K state matrix and K weights, got {states.shape}, {weights.shape}"
+            )
+        if not weights.size:
             raise ValueError("a mixture needs at least one component")
-        if any(w <= 0 for _, w in comps):
+        if not np.all(abs(np.linalg.norm(states, axis=0) - 1.0) <= NORM_TOL):  # also rejects NaN
+            raise ValueError("mixture components are not normalized")
+        if not np.all(weights > 0):  # also rejects NaN
             raise ValueError("weights must be positive")
-        total = sum(w for _, w in comps)
-        if abs(total - 1.0) > NORM_TOL:
-            raise ValueError(f"weights sum to {total!r}, expected 1")
-        if any(s.dim != comps[0][0].dim for s, _ in comps):
-            raise ValueError("all components must share one space")
+        if abs(weights.sum() - 1.0) > NORM_TOL:
+            raise ValueError(f"weights sum to {float(weights.sum())!r}, expected 1")
         if self.counts is not None:
             counts = tuple(int(n) for n in self.counts)
-            if len(counts) != len(comps):
-                raise ValueError("one count per component is required")
-            if any(n <= 0 for n in counts):
-                raise ValueError("counts must be positive integers")
+            if len(counts) != len(weights) or min(counts) <= 0:
+                raise ValueError("counts must be one positive integer per component")
             grand = sum(counts)
-            for (_, w), n in zip(comps, counts):
-                if abs(w - n / grand) > NORM_TOL:
-                    raise ValueError(
-                        f"count {n}/{grand} does not reproduce weight {w!r}"
-                    )
+            if any(abs(w - n / grand) > NORM_TOL for w, n in zip(weights.tolist(), counts)):
+                raise ValueError(f"counts {counts} do not reproduce the weights")
             object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "components", comps)
+        weights.setflags(write=False)
+        object.__setattr__(self, "states", states)
+        object.__setattr__(self, "weights", weights)
 
     @property
     def dim(self) -> int:
-        return self.components[0][0].dim
+        return self.states.shape[0]
 
 
 def mix(spec: MixtureSpec) -> DensityOperator:
-    """The proper-mixture density operator ``sum_k w_k |phi_k><phi_k|``."""
-    d = spec.dim
-    rho = np.zeros((d, d), dtype=complex)
-    for state, w in spec.components:
-        rho += w * np.outer(state.amplitudes, state.amplitudes.conj())
-    return DensityOperator(rho)
+    """The proper-mixture density operator ``sum_k w_k |phi_k><phi_k| = (A w) A^H``
+    for the state matrix ``A`` and weights ``w``."""
+    a = spec.states
+    return DensityOperator((a * spec.weights) @ a.conj().T)
 
 
 def _proper(P: np.ndarray, spec: MixtureSpec, rho_mix: DensityOperator, tol: float) -> float:
-    by_components = 0.0
-    for state, w in spec.components:
-        amp = state.amplitudes
-        by_components += w * float((amp.conj() @ (P @ amp)).real)
+    a = spec.states
+    by_components = float(spec.weights @ np.einsum("ik,ik->k", a.conj(), P @ a).real)
     by_trace = float(np.trace(P @ rho_mix.matrix).real)
     if abs(by_components - by_trace) > tol:
         raise ValueError(
@@ -172,15 +169,15 @@ def proper_improper_equivalence(
     return worst
 
 
-def purify(rho: DensityOperator, threshold: float = 1e-12) -> BipartiteState:
+def purify(rho: DensityOperator) -> BipartiteState:
     """Canonical purification: ``sum_l sqrt(r_l) |l>_1 |l>_2`` over the
-    eigenbasis of ``rho`` (eigenvalues below ``threshold`` dropped).  The
+    eigenbasis of ``rho`` (eigenvalues below ``PURIFY_THRESHOLD`` dropped).  The
     partner factor has the same dimension; tracing it out recovers ``rho``.
     The coefficient matrix is ``V diag(sqrt(r)) V.T`` over the kept
     eigenvectors ``V``, in descending eigenvalue order."""
     values, vectors = np.linalg.eigh(rho.matrix)
     order = np.argsort(values)[::-1]
-    kept = order[values[order] >= threshold]
+    kept = order[values[order] >= PURIFY_THRESHOLD]
     v = vectors[:, kept]
     psi = (v * np.sqrt(values[kept])) @ v.T
     return BipartiteState(psi / np.linalg.norm(psi))

@@ -234,9 +234,6 @@ class BranchSet:
         for b in self.branches:
             if abs(b.weight - np.linalg.norm(b.matrix) ** 2) > 1e-12:
                 raise ValueError(f"branch {b.outcome} weight does not match its norm")
-        total = sum(b.weight for b in self.branches)
-        if abs(total - 1.0) > 1e-10:
-            raise ValueError(f"branch weights sum to {total!r}, expected 1")
         object.__setattr__(self, "branches", tuple(self.branches))
         object.__setattr__(self, "omitted", tuple(self.omitted))
 
@@ -301,7 +298,8 @@ def branches(model: PremeasurementModel, psi12: BipartiteState) -> BranchSet:
     ``(Psi @ B.conj()) @ B.T`` for ``Q^n = B B^H``, with squared-norm weights.
 
     Terms with squared norm below ``ZERO_BRANCH_THRESHOLD`` are recorded as
-    omitted outcomes instead of branches.
+    omitted outcomes instead of branches.  The weights must sum to 1 within
+    ``model.tol`` (at least ``DEFAULT_TOL``), the pointer's admission tolerance.
     """
     if psi12.dims != (model.d1, model.d2):
         raise ValueError(f"state dims {psi12.dims} do not match model")
@@ -317,6 +315,9 @@ def branches(model: PremeasurementModel, psi12: BipartiteState) -> BranchSet:
             omitted.append(n)
         else:
             kept.append(Branch(outcome=n, matrix=term, weight=weight))
+    total = sum(b.weight for b in kept)
+    if abs(total - 1.0) > max(model.tol, DEFAULT_TOL):
+        raise ValueError(f"branch weights sum to {total!r}, expected 1")
     return BranchSet(branches=tuple(kept), omitted=tuple(omitted))
 
 

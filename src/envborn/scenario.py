@@ -406,14 +406,14 @@ def _parse_apparatus(spec, d2: int, tol: float) -> tuple[dict, PointerApparatus]
 def _parse_mixture(spec, d1: int, has_partner: bool) -> tuple[dict, MixtureSpec]:
     if not isinstance(spec, dict):
         raise ScenarioError("mixture must be an object")
-    canon_components, components = [], []
+    canon_components, states = [], []
     for n, comp in enumerate(_require(spec, "components", list, "mixture")):
         if not isinstance(comp, dict) or "state" not in comp or "weight" not in comp:
             raise ScenarioError(f"mixture.components[{n}] needs state and weight")
         vec = decode_vector(comp["state"], f"mixture.components[{n}].state", d1)
         weight = _positive_float(comp["weight"], f"mixture.components[{n}].weight")
         canon_components.append({"state": encode_vector(vec), "weight": weight})
-        components.append((_normalized(vec, f"mixture component {n}"), weight))
+        states.append(_normalized(vec, f"mixture component {n}").amplitudes)
     auto_purify = spec.get("auto_purify", False)
     if not isinstance(auto_purify, bool):
         raise ScenarioError(f"mixture.auto_purify must be true or false, got {_shown(auto_purify)}")
@@ -433,13 +433,14 @@ def _parse_mixture(spec, d1: int, has_partner: bool) -> tuple[dict, MixtureSpec]
     if not auto_purify and not has_partner:
         raise ScenarioError("mixture needs composite_state or auto_purify for a partner")
     try:
-        mixture = MixtureSpec(tuple(components))
+        weights = [c["weight"] for c in canon_components]
+        mixture = MixtureSpec(np.reshape(states, (-1, d1)).T, weights)
     except ValueError as exc:
         raise ScenarioError(f"invalid mixture: {exc}") from exc
     if "counts" not in out:
         return out, mixture
     try:
-        return out, MixtureSpec(mixture.components, tuple(out["counts"]))
+        return out, MixtureSpec(mixture.states, mixture.weights, tuple(out["counts"]))
     except ValueError as exc:
         # the reason echoes the counts in full, so only the clipped list is shown
         raise ScenarioError(

@@ -88,12 +88,12 @@ def pointer_density(psi12: BipartiteState) -> DensityOperator:
 class SchmidtForm:
     """Coefficients (positive, descending) with paired orthonormal bases:
     column ``i`` of ``basis1`` (``d1 x n``) and of ``basis2`` (``d2 x n``) is
-    the factor vector of term ``i``."""
+    the factor vector of term ``i``.  The squared coefficients must sum to 1
+    and the bases must be orthonormal within ``DEFAULT_TOL``."""
 
     coefficients: np.ndarray
     basis1: np.ndarray
     basis2: np.ndarray
-    tol: float = DEFAULT_TOL
 
     def __post_init__(self):
         coeffs = np.array(self.coefficients, dtype=float).reshape(-1)
@@ -107,14 +107,11 @@ class SchmidtForm:
             raise ValueError("coefficients must be strictly positive")
         if np.any(np.diff(coeffs) > 0):
             raise ValueError("coefficients must be in descending order")
-        if not abs(np.sum(coeffs**2) - 1.0) <= self.tol:  # also rejects NaN
+        if not abs(np.sum(coeffs**2) - 1.0) <= DEFAULT_TOL:  # also rejects NaN
             raise ValueError("squared coefficients must sum to 1")
-        dim = min(len(basis1), len(basis2))
-        if n > dim:
-            raise ValueError(f"{n} terms exceed min factor dimension {dim}")
         for basis, name in ((basis1, "factor-1"), (basis2, "factor-2")):
-            # written so that NaN fails both comparisons
-            if not gram_residual(basis) <= self.tol:
+            # NaN fails both; more terms than dimensions fail the Gram check
+            if not gram_residual(basis) <= DEFAULT_TOL:
                 raise ValueError(f"{name} basis is not orthonormal within tolerance")
             if not np.all(abs(np.linalg.norm(basis, axis=0) - 1.0) <= NORM_TOL):
                 raise ValueError(f"{name} basis vectors are not normalized")

@@ -24,7 +24,6 @@ from envborn.hilbert import (
     basis_state,
     complete_observable,
     identity,
-    make_state,
 )
 from envborn.mixtures import (
     MixtureSpec,
@@ -239,13 +238,14 @@ def test_criterion_mixture_identities():
     for _ in range(100):
         d = int(rng.integers(2, 5))
         weights = rng.dirichlet(np.ones(int(rng.integers(2, 5))))
-        spec = MixtureSpec(tuple((random_state(d, rng), w) for w in weights))
+        states = np.column_stack([random_state(d, rng).amplitudes for _ in weights])
+        spec = MixtureSpec(states, weights)
         basis = random_projector(d, int(rng.integers(1, d + 1)), rng)
         p = basis @ basis.conj().T
         # route 1: sub-ensemble sum; route 2: trace rule
         by_parts = sum(
-            w * float((s.amplitudes.conj() @ (p @ s.amplitudes)).real)
-            for s, w in spec.components
+            w * float((s.conj() @ (p @ s)).real)
+            for s, w in zip(spec.states.T, spec.weights)
         )
         by_trace = float(np.trace(p @ mix(spec).matrix).real)
         proper_probability(basis, spec)  # raises if its internal check exceeds 1e-12
@@ -263,9 +263,7 @@ def test_criterion_mixture_identities():
         d = int(rng.integers(2, 5))
         weights = rng.dirichlet(np.ones(d))
         basis = random_unitary(d, rng)
-        spec = MixtureSpec(
-            tuple((make_state(basis[:, i]), w) for i, w in enumerate(weights))
-        )
+        spec = MixtureSpec(basis, weights)
         psi = purify(mix(spec))
         worst_equiv = max(
             worst_equiv,

@@ -129,6 +129,33 @@ class TestDeriveCommand:
         derived = [rec["derived"] for rec in derivation["outcomes"]]
         assert derived == pytest.approx([0.803443328551, 0.196556671449], abs=1e-12)
 
+    @pytest.mark.parametrize("command", ["derive", "sample"])
+    @pytest.mark.parametrize("tolerance, overlap", [(1e-3, 5e-4), (0.1, 0.05), (0.5, 0.3)])
+    def test_loose_tolerance_reports_a_skewed_pointer(self, tmp_path, command, tolerance, overlap):
+        # pointer states at this overlap pass the pointer observable's check at
+        # the loose tolerance, and the branch weights then miss 1 by up to
+        # ~tolerance: the run reports its failed audits instead of raising
+        pointer = [[[1, 0], [0, 0]], [[overlap, 0], [1, 0]]]
+        apparatus = {
+            "ready_state": [[1, 0], [0, 0]],
+            "pointer_states": pointer,
+            "pointer_projectors": [[v] for v in pointer],
+        }
+        path = write_variant(
+            tmp_path,
+            "degenerate-3d",
+            tolerances={"operator": tolerance},
+            apparatus=apparatus,
+            sampling={"n": 1000, "seed": 1},
+        )
+        code, out, err = run_cli([command, path, "--format", "structured"])
+        assert (code, err) == (1, "")
+        report = json.loads(out)
+        assert report["pass"] is False
+        assert report["derivation"]["audits"]["biorthogonality"]["ok"] is False
+        if command == "sample":
+            assert report["sampling"] is None
+
     def test_unknown_field_rejected(self, tmp_path):
         data = json.loads(Path(fixture_path("certainty")).read_text(encoding="utf-8"))
         data["frobnicate"] = 1
@@ -370,6 +397,14 @@ class TestBatchAndOutput:
             ["schmidt", fixture_path("bell"), "--format", "structured", "--out", str(target)]
         )
         assert target.read_text(encoding="utf-8") == out
+
+    @pytest.mark.parametrize("target", ["missing/report.json", "."], ids=["missing-dir", "a-dir"])
+    def test_unwritable_out_exits_2(self, tmp_path, target):
+        target = tmp_path / target
+        code, _, err = run_cli(["derive", fixture_path("certainty"), "--out", str(target)])
+        assert code == 2
+        assert err.startswith(f"error: cannot write {target}: ")
+        assert "Traceback" not in err
 
 
 def stdlib_dump(report) -> str:

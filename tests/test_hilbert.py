@@ -23,6 +23,7 @@ from envborn.hilbert import (
     tensor,
     trace_probability,
 )
+from envborn.mixtures import MixtureSpec
 from envborn.premeasurement import Branch, BranchSet, PointerApparatus, build_premeasurement
 from envborn.rng import random_orthogonal_partition, random_state, random_unitary
 from envborn.schmidt import BipartiteState, SchmidtForm
@@ -447,6 +448,11 @@ STORED_COPY_CASES = {
         lambda a: SchmidtForm([1.0], np.eye(D2)[:, :1], a).basis2,
         lambda: np.array([[0], [1]], dtype=complex),
     ),
+    "MixtureSpec": (lambda a: MixtureSpec(a, [0.5, 0.5]).states, lambda: np.eye(D2, dtype=complex)),
+    "MixtureSpec.weights": (
+        lambda a: MixtureSpec(np.eye(D2), a).weights,
+        lambda: np.array([0.5, 0.5]),
+    ),
 }
 
 
@@ -477,6 +483,7 @@ VALUE_MAKERS = {
     "PremeasurementModel": _qubit_model,
     "Branch": lambda: Branch(0, np.eye(D2)[:1], 1.0),
     "BranchSet": lambda: BranchSet((Branch(0, np.eye(D2)[:1], 1.0),), ()),
+    "MixtureSpec": lambda: MixtureSpec(np.eye(D2), [0.5, 0.5]),
 }
 
 

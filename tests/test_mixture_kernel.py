@@ -62,12 +62,12 @@ def mixtures_with_partners(draw):
     parts = draw(st.integers(1, 4))
     d2 = parts + draw(st.integers(0, 2))
     weights = rng.dirichlet(np.ones(parts))
-    states = [make_state(complex_normal(d1, rng)) for _ in range(parts)]
-    spec = MixtureSpec(tuple(zip(states, weights)))
+    states = np.column_stack([make_state(complex_normal(d1, rng)).amplitudes for _ in range(parts)])
+    spec = MixtureSpec(states, weights)
     partner_basis = random_unitary(d2, rng)[:, :parts]
     coeffs = sum(
-        np.sqrt(w) * np.outer(s.amplitudes, partner_basis[:, k])
-        for k, (s, w) in enumerate(zip(states, weights))
+        np.sqrt(w) * np.outer(s, partner_basis[:, k])
+        for k, (s, w) in enumerate(zip(states.T, weights))
     )
     psi12 = BipartiteState(coeffs / np.linalg.norm(coeffs))
     return spec, psi12, rng
@@ -79,15 +79,15 @@ def test_mixture_routes_match_composite_references(case):
     spec, psi12, rng = case
     d1 = psi12.d1
     rho1 = reduced(psi12, 0)
-    rho_mix = sum(w * np.outer(s.amplitudes, s.amplitudes.conj()) for s, w in spec.components)
+    rho_mix = sum(w * np.outer(s, s.conj()) for s, w in zip(spec.states.T, spec.weights))
     assert np.linalg.norm(rho_mix - rho1) <= AGREE
 
     for _ in range(3):
         basis = random_projector(d1, int(rng.integers(1, d1 + 1)), rng)
         P = basis @ basis.conj().T
         by_components = sum(
-            w * float((s.amplitudes.conj() @ P @ s.amplitudes).real)
-            for s, w in spec.components
+            w * float((s.conj() @ P @ s).real)
+            for s, w in zip(spec.states.T, spec.weights)
         )
         assert abs(proper_probability(basis, spec) - by_components) <= AGREE
         assert abs(proper_probability(basis, spec) - np.trace(P @ rho_mix).real) <= AGREE
@@ -108,8 +108,8 @@ def test_equivalence_matches_lifted_trial_loop(case, seed):
         basis = random_projector(psi12.d1, int(rng.integers(1, psi12.d1 + 1)), rng)
         P = basis @ basis.conj().T
         proper = sum(
-            w * float((s.amplitudes.conj() @ P @ s.amplitudes).real)
-            for s, w in spec.components
+            w * float((s.conj() @ P @ s).real)
+            for s, w in zip(spec.states.T, spec.weights)
         )
         assert abs(lifted_expectation(P, psi12) - np.trace(P @ rho1).real) <= AGREE
         improper = float(np.trace(P @ rho1).real)

@@ -24,7 +24,8 @@ D2 = 2
 
 
 def zero_plus_mixture():
-    return MixtureSpec(((basis_state(D2, 0), 0.5), (make_state([1, 1]), 0.5)))
+    states = np.column_stack([basis_state(D2, 0).amplitudes, make_state([1, 1]).amplitudes])
+    return MixtureSpec(states, [0.5, 0.5])
 
 
 def bell():
@@ -33,42 +34,72 @@ def bell():
 
 def random_spec(dim, parts, rng):
     weights = rng.dirichlet(np.ones(parts))
-    return MixtureSpec(tuple((random_state(dim, rng), w) for w in weights))
+    states = np.column_stack([random_state(dim, rng).amplitudes for _ in weights])
+    return MixtureSpec(states, weights)
+
+
+def _nan_entry():
+    states = np.eye(D2, dtype=complex)
+    states[1, 0] = np.nan
+    return states
 
 
 class TestMixtureSpec:
     def test_weights_must_sum_to_one(self):
         with pytest.raises(ValueError, match="sum"):
-            MixtureSpec(((basis_state(D2, 0), 0.5), (basis_state(D2, 1), 0.6)))
+            MixtureSpec(np.eye(D2), [0.5, 0.6])
 
     def test_counts_must_reproduce_weights(self):
         with pytest.raises(ValueError, match="count"):
-            MixtureSpec(
-                ((basis_state(D2, 0), 0.5), (basis_state(D2, 1), 0.5)),
-                counts=(3, 1),
-            )
+            MixtureSpec(np.eye(D2), [0.5, 0.5], counts=(3, 1))
 
     def test_counts_accepted_when_proportional(self):
-        spec = MixtureSpec(
-            ((basis_state(D2, 0), 0.75), (basis_state(D2, 1), 0.25)),
-            counts=(3, 1),
-        )
+        spec = MixtureSpec(np.eye(D2), [0.75, 0.25], counts=(3, 1))
         assert spec.counts == (3, 1)
 
-    def test_space_mismatch(self):
-        with pytest.raises(ValueError, match="space"):
-            MixtureSpec(
-                ((basis_state(D2, 0), 0.5), (basis_state(3, 0), 0.5))
-            )
+    def test_columns_are_the_components(self):
+        states = np.column_stack([make_state([0.6, 0.8]).amplitudes, basis_state(D2, 1).amplitudes])
+        spec = MixtureSpec(states, [0.25, 0.75])
+        assert spec.dim == D2
+        assert np.array_equal(spec.states, states)
+        assert spec.weights.tolist() == [0.25, 0.75]
+
+    @pytest.mark.parametrize(
+        "states, weights, counts, match",
+        [
+            (np.array([1.0, 0.0]), [1.0], None, "state matrix"),
+            (np.zeros((D2, 0)), [], None, "at least one component"),
+            (np.zeros((0, 1)), [1.0], None, "state matrix"),
+            (np.eye(D2), [1.0], None, "state matrix"),
+            (np.eye(D2), [[0.5, 0.5]], None, "state matrix"),
+            (np.eye(D2) * np.array([1.0, 1.0 + 1e-11]), [0.5, 0.5], None, "not normalized"),
+            (_nan_entry(), [0.5, 0.5], None, "not normalized"),
+            (np.eye(D2), [np.nan, 1.0], None, "positive"),
+            (np.eye(D2), [0.0, 1.0], None, "positive"),
+            (np.eye(D2), [-0.5, 1.5], None, "positive"),
+            (np.eye(D2), [0.5, 0.5 + 1e-9], None, "sum to"),
+            (np.eye(D2), [0.5, 0.5], (1,), "one positive integer per component"),
+            (np.eye(D2), [0.5, 0.5], (0, 0), "one positive integer per component"),
+            (np.eye(D2), [0.75, 0.25], (2, 1), "do not reproduce"),
+        ],
+        ids=[
+            "1-D", "no-columns", "no-rows", "too-few-weights", "2-D-weights", "norm-off-by-1e-11",
+            "nan-entry", "nan-weight", "zero-weight", "negative-weight", "sum-off-by-1e-9",
+            "count-length", "zero-counts", "counts-off-ratio",
+        ],
+    )
+    def test_rejects(self, states, weights, counts, match):
+        with pytest.raises(ValueError, match=match):
+            MixtureSpec(states, weights, counts)
 
 
 class TestMix:
     def test_single_component_is_pure_projector(self):
-        spec = MixtureSpec(((make_state([0.6, 0.8]), 1.0),))
+        spec = MixtureSpec(make_state([0.6, 0.8]).amplitudes[:, None], [1.0])
         assert np.allclose(mix(spec).matrix, [[0.36, 0.48], [0.48, 0.64]])
 
     def test_orthogonal_half_half_is_maximally_mixed(self):
-        spec = MixtureSpec(((basis_state(D2, 0), 0.5), (basis_state(D2, 1), 0.5)))
+        spec = MixtureSpec(np.eye(D2), [0.5, 0.5])
         assert np.allclose(mix(spec).matrix, np.eye(2) / 2)
 
     def test_overlapping_components(self):
@@ -97,7 +128,7 @@ class TestProperProbability:
 
     def test_single_component_reduces_to_pure_rule(self):
         phi = make_state([0.6, 0.8])
-        spec = MixtureSpec(((phi, 1.0),))
+        spec = MixtureSpec(phi.amplitudes[:, None], [1.0])
         p = projector_from_span([basis_state(D2, 0)])
         assert proper_probability(p, spec) == pytest.approx(0.36, abs=1e-12)
 
@@ -144,16 +175,16 @@ class TestImproperProbability:
 
 class TestEquivalence:
     def test_bell_against_half_half(self):
-        spec = MixtureSpec(((basis_state(D2, 0), 0.5), (basis_state(D2, 1), 0.5)))
+        spec = MixtureSpec(np.eye(D2), [0.5, 0.5])
         assert proper_improper_equivalence(spec, bell(), trials=50, seed=1) <= 1e-10
 
     def test_purified_diagonal(self):
-        spec = MixtureSpec(((basis_state(D2, 0), 0.8), (basis_state(D2, 1), 0.2)))
+        spec = MixtureSpec(np.eye(D2), [0.8, 0.2])
         psi = purify(mix(spec))
         assert proper_improper_equivalence(spec, psi, trials=50, seed=2) <= 1e-10
 
     def test_mismatched_states_rejected(self):
-        spec = MixtureSpec(((basis_state(D2, 0), 0.8), (basis_state(D2, 1), 0.2)))
+        spec = MixtureSpec(np.eye(D2), [0.8, 0.2])
         with pytest.raises(ValueError, match="does not match"):
             proper_improper_equivalence(spec, bell(), trials=10, seed=3)
 

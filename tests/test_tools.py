@@ -1,6 +1,8 @@
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 from envborn.born import derive_probabilities
 from envborn.premeasurement import build_premeasurement
 from envborn.scenario import load_scenario
@@ -24,7 +26,7 @@ def test_bench_random_case_builds_and_derives():
 def test_bench_mixture_rung_builds_and_passes():
     bench = load_bench()
     spec, partner = bench.mixture_case(4, bench.SEED)
-    assert len(spec.components) == 4 and partner.dims == (4, 4)
+    assert spec.states.shape == (4, 4) and partner.dims == (4, 4)
     rung = bench.mixture_rung(4, repeats=1, seed=bench.SEED)
     assert (rung["dim"], rung["trials"]) == (4, 50)
     assert rung["max_equivalence_residual"] <= 1e-10
@@ -43,3 +45,17 @@ def test_bench_cli_cases_are_the_goldens_and_one_large_sample(tmp_path):
     scenario = load_scenario(path)
     assert scenario.dims == (24, 24)
     assert scenario.sampling()["n"] == 250_000
+
+
+def test_bench_cli_wall_times_a_fixture_as_a_process():
+    bench = load_bench()
+    assert bench.golden_cases()["bell"] == ("schmidt", 0)
+    row = bench.cli_wall_row("bell", "schmidt", 0, repeats=1, src=bench.ROOT / "src")
+    assert (row["case"], row["command"]) == ("bell", "schmidt")
+    assert row["wall_ms"] > 0 and row["wall_repeats"] >= 1
+
+
+def test_bench_cli_wall_rejects_an_unexpected_exit_code():
+    bench = load_bench()
+    with pytest.raises(RuntimeError, match="broken-unitary exited 1, not 0"):
+        bench.cli_wall_row("broken-unitary", "derive", 0, repeats=1, src=bench.ROOT / "src")

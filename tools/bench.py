@@ -24,6 +24,12 @@ subcommand's run on the loaded scenario, ``sample_outcomes`` on the report's
 probabilities (``sample`` only), ``_dump`` of the report, and the whole
 in-process ``cli.main`` with its output discarded.
 
+The wall section runs ``python -m envborn.cli <command> <fixture> --format
+structured`` as a fresh process for each case of the ``CASES`` table in
+``tools/regenerate_goldens.py``, with BLAS pinned to one thread in the child's
+environment, and records the median wall time: the CLI end to end, interpreter
+start and the numpy import included.
+
 Run from the repository root.  Each run appends one round to the output
 file under ``--label``, so two source trees can be compared in one file;
 alternate the labels over several rounds so that drift in machine speed
@@ -40,6 +46,7 @@ import json
 import os
 import platform
 import statistics
+import subprocess
 import sys
 import tempfile
 import time
@@ -132,7 +139,8 @@ def mixture_case(dim: int, seed: int):
     rng = np.random.default_rng(seed)
     weights = rng.random(dim) + 0.1
     weights /= weights.sum()
-    spec = MixtureSpec(tuple((random_state(dim, rng), float(w)) for w in weights))
+    states = np.column_stack([random_state(dim, rng).amplitudes for _ in weights])
+    spec = MixtureSpec(states, weights)
     return spec, purify(mix(spec))
 
 
@@ -221,6 +229,43 @@ def run_cli_stages(repeats: int, src: Path, workdir: Path) -> list[dict]:
     return rows
 
 
+def golden_cases() -> dict[str, tuple[str, int]]:
+    """Fixture name -> (subcommand, expected exit code), the ``CASES`` table
+    of ``tools/regenerate_goldens.py``."""
+    import importlib.util
+
+    path = ROOT / "tools" / "regenerate_goldens.py"
+    spec = importlib.util.spec_from_file_location("regenerate_goldens", path)
+    goldens = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(goldens)
+    return goldens.CASES
+
+
+def cli_wall_row(name: str, command: str, expected: int, repeats: int, src: Path) -> dict:
+    """Median wall time of the CLI as a fresh process on one bundled fixture."""
+    fixture = src / "envborn" / "fixtures" / f"{name}.json"
+    argv = [sys.executable, "-m", "envborn.cli", command, str(fixture), "--format", "structured"]
+    env = dict(os.environ, PYTHONPATH=str(src.resolve()))
+    env.update((var, str(BLAS_THREADS)) for var in THREAD_VARS)
+
+    def run() -> None:
+        done = subprocess.run(argv, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+        if done.returncode != expected:
+            raise RuntimeError(f"{name} exited {done.returncode}, not {expected}: {done.stderr!r}")
+
+    wall_ms, wall_n, _ = timed(run, repeats)
+    return {"case": name, "command": command, "wall_ms": round(wall_ms, 3), "wall_repeats": wall_n}
+
+
+def run_cli_wall(repeats: int, src: Path) -> list[dict]:
+    rows = []
+    for name, (command, expected) in golden_cases().items():
+        row = cli_wall_row(name, command, expected, repeats, src)
+        print(json.dumps(row), flush=True)
+        rows.append(row)
+    return rows
+
+
 def environment() -> dict:
     import numpy as np
 
@@ -249,6 +294,7 @@ def main(argv=None) -> int:
     mixture_rungs = run_mixture_ladder(REPEATS, SEED)
     with tempfile.TemporaryDirectory() as workdir:
         cli_rows = run_cli_stages(REPEATS, Path(args.src), Path(workdir))
+    wall_rows = run_cli_wall(REPEATS, Path(args.src))
     out = Path(args.out)
     data = json.loads(out.read_text(encoding="utf-8")) if out.exists() else {}
     data["harness"] = "tools/bench.py"
@@ -264,6 +310,10 @@ def main(argv=None) -> int:
         "sample_ms": "cli: sample_outcomes on the report's probabilities, median wall time in ms",
         "dump_ms": "cli: _dump of the structured report, median wall time in ms",
         "main_ms": "cli: the whole in-process cli.main, structured, median wall time in ms",
+        "wall_ms": (
+            "python -m envborn.cli <command> <fixture> --format structured as a fresh "
+            "process, median wall time in ms"
+        ),
     }
     data.setdefault("runs", {}).setdefault(args.label, []).append(
         {
@@ -272,6 +322,7 @@ def main(argv=None) -> int:
             "rungs": rungs,
             "mixtures": mixture_rungs,
             "cli": cli_rows,
+            "cli_wall": wall_rows,
         }
     )
     out.write_text(json.dumps(data, indent=2) + "\n", encoding="utf-8")

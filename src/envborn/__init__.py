@@ -20,9 +20,7 @@ from .hilbert import (
     identity,
     make_state,
     orthonormalize,
-    partial_trace,
     pure_density,
-    tensor,
     trace_probability,
 )
 from .schmidt import (
@@ -46,7 +44,6 @@ from .premeasurement import (
     branches,
     build_premeasurement,
     evolve,
-    householder_map,
     verify_calibration,
     verify_nondemolition,
 )

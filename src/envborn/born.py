@@ -158,7 +158,6 @@ def derive_probabilities(
     model: PremeasurementModel,
     phi: StateVector,
     tol: float = DEFAULT_TOL,
-    seed: int = 0,
 ) -> ProbabilityReport:
     """Run the full pipeline and audit every step.
 
@@ -215,7 +214,7 @@ def derive_probabilities(
     return ProbabilityReport(
         records=tuple(records),
         audits={
-            "calibration": verify_calibration(model, tol, seed=seed),
+            "calibration": verify_calibration(model, tol),
             "nondemolition": verify_nondemolition(model, bset, tol),
             "norm_law": branch_norm_law(bset, oracle, tol),
             "biorthogonality": Audit({None: biorthogonality}, tol),

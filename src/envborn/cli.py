@@ -130,9 +130,7 @@ def run_schmidt(scenario: Scenario) -> dict:
 def _derivation_section(scenario: Scenario) -> tuple[dict, list[float], bool]:
     model = scenario.model()
     phi = scenario.input_state()
-    report = derive_probabilities(
-        model, phi, tol=scenario.operator_tol, seed=scenario.seed
-    )
+    report = derive_probabilities(model, phi, tol=scenario.operator_tol)
     audits = {
         name: {"ok": audit.passed, "max_residual": _finite(audit.max_residual)}
         for name, audit in report.audits.items()
@@ -315,7 +313,12 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("files", nargs="+", help="scenario file(s), JSON")
         p.add_argument("--tolerance", type=float, default=None, help="operator tolerance override")
-        p.add_argument("--seed", type=int, default=None, help="audit seed override")
+        p.add_argument(
+            "--seed",
+            type=int,
+            default=None,
+            help="mixture trials seed override (derive and sample only echo it)",
+        )
         p.add_argument("--trials", type=int, default=None, help="mixture trials override")
         p.add_argument(
             "--format",

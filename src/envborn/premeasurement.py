@@ -46,7 +46,6 @@ from .hilbert import (
     gram_residual,
     span_residual,
 )
-from .rng import random_unit_vector
 from .schmidt import ZERO_BRANCH_THRESHOLD, BipartiteState
 
 __all__ = [
@@ -54,7 +53,6 @@ __all__ = [
     "PremeasurementModel",
     "Branch",
     "BranchSet",
-    "householder_map",
     "build_premeasurement",
     "evolve",
     "branches",
@@ -242,7 +240,7 @@ class BranchSet:
         return {b.outcome: b.weight for b in self.branches}
 
 
-def householder_map(origin: StateVector, target: StateVector) -> Operator:
+def _householder_map(origin: StateVector, target: StateVector) -> Operator:
     """Deterministic unitary sending ``origin`` exactly to ``target``.
 
     A Householder reflection takes origin to target up to phase; a diagonal
@@ -280,7 +278,7 @@ def build_premeasurement(
     the special case of all rank-1 system projectors.
     """
     ready = apparatus.ready_state
-    blocks = tuple(householder_map(ready, StateVector(chi)) for chi in apparatus.pointer_states.T)
+    blocks = tuple(_householder_map(ready, StateVector(chi)) for chi in apparatus.pointer_states.T)
     return PremeasurementModel(measured, apparatus, blocks, tol)
 
 
@@ -321,34 +319,32 @@ def branches(model: PremeasurementModel, psi12: BipartiteState) -> BranchSet:
     return BranchSet(branches=tuple(kept), omitted=tuple(omitted))
 
 
-def verify_calibration(
-    model: PremeasurementModel,
-    tol: float = DEFAULT_TOL,
-    trials: int = 20,
-    seed: int = 0,
-) -> Audit:
-    """Check the calibration condition outcome by outcome.
+def verify_calibration(model: PremeasurementModel, tol: float = DEFAULT_TOL) -> Audit:
+    """Check the calibration condition outcome by outcome, over the whole
+    eigenspace.
 
-    For each outcome n, every column of the eigenspace basis ``B_n`` plus
-    ``trials`` random unit vectors ``B_n @ c`` (inputs certain for outcome n) is
-    coupled to the apparatus; the output must be fixed by I (x) Q^n.  The
-    samples of one outcome are coupled together as the columns of one matrix.
-    The residual of outcome n is the largest ``||(I (x) Q^n) Psi - Psi||``
-    over its samples.
+    An input certain for outcome n is ``B_n @ c``; its normalized output is a
+    unit vector in the range of ``M_n = W @ B_n``.  The residual of outcome n is
+    the supremum of ``||(I (x) Q^n) Psi - Psi||`` over every such output: the
+    spectral norm of ``(I (x) Q^n - I) O_n`` for the left singular vectors
+    ``O_n`` of ``M_n``.  When ``M_n`` is singular (numerical rank below
+    ``r_n``), some certain input couples to the zero vector, and the residual
+    is inf.
     """
-    rng = np.random.default_rng(seed)
     d1, d2 = model.d1, model.d2
     residuals = {}
     pointer = model.apparatus.pointer_observable
     for n in range(model.outcome_count):
-        basis = model.measured.basis(n)
-        coeffs = [random_unit_vector(basis.shape[1], rng) for _ in range(trials)]
-        inputs = np.column_stack([basis] + [basis @ c for c in coeffs])
-        inputs = inputs / np.linalg.norm(inputs, axis=0)
-        out = model.ready_map @ inputs
-        out = (out / np.linalg.norm(out, axis=0)).T.reshape(-1, d1, d2)
+        outputs, singular, _ = np.linalg.svd(
+            model.ready_map @ model.measured.basis(n), full_matrices=False
+        )
+        if singular[-1] <= singular[0] * max(outputs.shape) * np.finfo(float).eps:
+            residuals[n] = float("inf")
+            continue
+        psi = outputs.T.reshape(-1, d1, d2)
         b = pointer.basis(n)
-        residuals[n] = float(np.linalg.norm((out @ b.conj()) @ b.T - out, axis=(1, 2)).max())
+        leak = ((psi @ b.conj()) @ b.T - psi).reshape(len(psi), d1 * d2)
+        residuals[n] = float(np.linalg.norm(leak, ord=2))
     return Audit(residuals, tol)
 
 

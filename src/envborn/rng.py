@@ -1,7 +1,7 @@
 """Seeded random objects: unit vectors, unitaries, projector bases, partitions.
 
-Used by the verification routines (random eigenspace samples, random
-projector trials) and throughout the test suite.  All generators take an
+Used by the mixture equivalence check (random projector trials) and
+throughout the test suite; the derivation audits draw nothing.  All generators take an
 explicit ``numpy.random.Generator`` so that callers own reproducibility.
 """
 

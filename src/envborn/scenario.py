@@ -256,7 +256,8 @@ def parse_scenario(data: dict, default_operator_tol: float = DEFAULT_TOL) -> Sce
     if "composite_state" in data:
         vec = decode_vector(data["composite_state"], "composite_state", d1 * d2)
         out["composite_state"] = encode_vector(vec)
-        norm = np.linalg.norm(vec)
+        with np.errstate(over="ignore"):
+            norm = np.linalg.norm(vec)
         if not 1e-12 <= norm < np.inf:
             raise ScenarioError(f"composite_state cannot be normalized: norm {norm:.3e}")
         psi = BipartiteState((vec / norm).reshape(d1, d2))

@@ -1,6 +1,8 @@
-"""Shared builders for randomized premeasurement scenarios."""
+"""Shared builders for randomized premeasurement scenarios, and composite-space
+reference helpers for the one-sided products of the library."""
 
 import numpy as np
+from hypothesis.vendor import pretty
 
 from envborn.hilbert import (
     DensityOperator,
@@ -20,6 +22,10 @@ from envborn.rng import (
     random_unit_vector,
     random_unitary,
 )
+
+# hypothesis prints a falsifying example field by field, and an Observable's
+# ``bases`` is an InitVar, not an attribute: print its repr instead
+pretty.for_type_by_name("envborn.hilbert", "Observable", lambda obj, p, cycle: p.text(repr(obj)))
 
 
 def random_scenario(d1, d2, outcomes, rng):
@@ -68,6 +74,28 @@ def flat_state(psi12):
     """The composite amplitudes of a BipartiteState as a StateVector (first
     factor is the slow index), for oracles on the composite space."""
     return StateVector(psi12.matrix.reshape(-1))
+
+
+def tensor(u: StateVector, v: StateVector) -> StateVector:
+    """Tensor product of two states; the first factor is the slow index.
+
+    The amplitude at composite index (i, j) is ``u[i] * v[j]`` with flat index
+    ``i * dim(v) + j``, matching ``np.kron``.
+    """
+    return StateVector(np.kron(u.amplitudes, v.amplitudes))
+
+
+def partial_trace(rho: DensityOperator, dims: tuple[int, int], keep: int) -> DensityOperator:
+    """Reduced density operator of one factor of a declared bipartition of the
+    composite density ``rho``: ``keep`` 0 keeps the first factor (traces out
+    the second), 1 keeps the second."""
+    d1, d2 = dims
+    if d1 * d2 != rho.dim:
+        raise ValueError(f"declared factorization {d1}x{d2} does not match dim {rho.dim}")
+    if keep not in (0, 1):
+        raise ValueError(f"keep must be 0 or 1, got {keep}")
+    blocks = rho.matrix.reshape(d1, d2, d1, d2)
+    return DensityOperator(np.einsum("ajbj->ab" if keep == 0 else "jajb->ab", blocks))
 
 
 def dense_coupling(model):

@@ -110,7 +110,7 @@ class TestDeriveProbabilities:
             d1, d2 = int(rng.integers(2, 5)), int(rng.integers(2, 5))
             outcomes = int(rng.integers(1, min(d1, d2) + 1))
             model, phi = random_scenario(d1, d2, outcomes, rng)
-            report = derive_probabilities(model, phi, seed=int(rng.integers(2**32)))
+            report = derive_probabilities(model, phi)
             assert report.passed
             assert report.audits["prc"].max_residual <= 1e-9
 
@@ -160,7 +160,7 @@ class TestEntangledBranches:
         for _ in range(10):
             base, phi = random_scenario(4, 4, 2, rng)
             model = entangle_branches(base, rng)
-            report = derive_probabilities(model, phi, seed=int(rng.integers(2**32)))
+            report = derive_probabilities(model, phi)
             assert report.passed
             assert report.audits["prc"].max_residual <= 1e-9
             found_multi = found_multi or any(
@@ -372,10 +372,10 @@ def test_parallel_scenarios_match_sequential():
 
     rng = np.random.default_rng(49)
     scenarios = [random_scenario(3, 3, 2, rng) for _ in range(12)]
-    sequential = [derive_probabilities(m, p, seed=7).derived for m, p in scenarios]
+    sequential = [derive_probabilities(m, p).derived for m, p in scenarios]
     with ThreadPoolExecutor(max_workers=4) as pool:
         parallel = list(
-            pool.map(lambda mp: derive_probabilities(mp[0], mp[1], seed=7).derived, scenarios)
+            pool.map(lambda mp: derive_probabilities(mp[0], mp[1]).derived, scenarios)
         )
     assert parallel == sequential
 

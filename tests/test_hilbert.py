@@ -6,7 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import dense_projectors, projector_from_span, random_density
+from conftest import (
+    dense_projectors,
+    partial_trace,
+    projector_from_span,
+    random_density,
+    tensor,
+)
 from envborn.hilbert import (
     DEFAULT_TOL,
     Audit,
@@ -18,9 +24,7 @@ from envborn.hilbert import (
     complete_observable,
     identity,
     make_state,
-    partial_trace,
     pure_density,
-    tensor,
     trace_probability,
 )
 from envborn.mixtures import MixtureSpec
@@ -400,6 +404,10 @@ class TestAudit:
         assert audit.max_residual == math.inf
         assert not audit.passed
 
+    @pytest.mark.parametrize("residuals", [{0: math.nan, 1: 0.0}, {0: 0.0, 1: math.nan}])
+    def test_nan_residual_fails_in_any_position(self, residuals):
+        assert not Audit(residuals, 1e-10).passed
+
     def test_tolerance_is_inclusive(self):
         assert Audit({None: 1e-10}, 1e-10).passed
         assert not Audit({None: math.nextafter(1e-10, 1.0)}, 1e-10).passed
@@ -495,3 +503,12 @@ def test_array_values_compare_and_hash_by_identity(name):
     assert a != b
     assert a != copy.copy(a)  # the same field objects, still another value
     assert len({a, b, a}) == 2
+
+
+def test_hypothesis_prints_an_observable_by_its_repr():
+    # a falsifying example holding an Observable must print, not raise on the
+    # InitVar ``bases``
+    from hypothesis.vendor.pretty import pretty
+
+    observable = Observable([0.0, 1.0], [np.eye(2)[:, :1], np.eye(2)[:, 1:]])
+    assert pretty(observable) == repr(observable)

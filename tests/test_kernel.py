@@ -8,11 +8,14 @@ agreement to 1e-12 over random models, branch-entangling couplings and the
 identity coupling.  A block coupling ``sum_n P^n (x) V_n`` is checked against
 its own kron-built dense ``U``: the unitarity residual ``||U^H U - I||``
 (unperturbed, perturbed, and straddling the tolerance), the ready map, evolve
-and calibration.
+and calibration.  The certified calibration supremum is checked against the
+generalized eigenvalue problem of the lifts and against the sampled loop it
+replaced, on unperturbed and perturbed models.
 """
 
 import numpy as np
 import pytest
+import scipy.linalg
 from conftest import dense_coupling, dense_projectors, entangle_branches, random_scenario
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,11 +25,14 @@ from envborn.hilbert import (
     DEFAULT_TOL,
     Observable,
     Operator,
+    basis_state,
     identity,
 )
 from envborn.premeasurement import (
+    PointerApparatus,
     PremeasurementModel,
     branches,
+    build_premeasurement,
     evolve,
     verify_calibration,
     verify_nondemolition,
@@ -50,6 +56,9 @@ def pointer_lift(model, q):
 
 
 def lifted_calibration(model, trials, seed):
+    """The sampled calibration loop, on dense lifts: per outcome, the worst
+    residual over the eigenspace basis columns and ``trials`` random unit
+    combinations of them.  It is a lower bound on the certified supremum."""
     rng = np.random.default_rng(seed)
     residuals = []
     for n, q in enumerate(dense_projectors(model.apparatus.pointer_observable)):
@@ -65,6 +74,31 @@ def lifted_calibration(model, trials, seed):
             worst = max(worst, float(np.linalg.norm(lifted_q @ out - out)))
         residuals.append(worst)
     return residuals
+
+
+def certified_reference(model):
+    """``sup_c ||A_n c|| / ||M_n c||`` per outcome, for ``M_n`` the dense
+    coupling on the inputs ``B_n (x) ready`` and ``A_n = (I (x) Q^n - I) M_n``:
+    the square root of the largest eigenvalue of the generalized problem
+    ``(A_n^H A_n, M_n^H M_n)``."""
+    u = dense_coupling(model)
+    ready = model.apparatus.ready_state.amplitudes[:, None]
+    residuals = []
+    for n, q in enumerate(dense_projectors(model.apparatus.pointer_observable)):
+        m = u @ np.kron(model.measured.basis(n), ready)
+        a = pointer_lift(model, q) @ m - m
+        top = scipy.linalg.eigh(a.conj().T @ a, m.conj().T @ m, eigvals_only=True)[-1]
+        residuals.append(np.sqrt(max(top, 0.0)))
+    return residuals
+
+
+def assert_certified_calibration(model, seed):
+    """verify_calibration equals the generalized-eigenvalue reference within
+    AGREE and is at least the sampled loop, up to rounding."""
+    certified = list(verify_calibration(model).residuals.values())
+    assert np.max(np.abs(np.subtract(certified, certified_reference(model)))) <= AGREE
+    sampled = lifted_calibration(model, TRIALS, seed)
+    assert np.min(np.subtract(certified, sampled)) >= -1e-15
 
 
 def lifted_partial_trace(vec, d1, d2):
@@ -110,9 +144,7 @@ def test_one_sided_products_match_composite_lifts(case, seed):
         else:
             assert n in bset.omitted
 
-    calibration = verify_calibration(model, trials=TRIALS, seed=seed)
-    reference = lifted_calibration(model, TRIALS, seed)
-    assert np.max(np.abs(np.subtract(list(calibration.residuals.values()), reference))) <= AGREE
+    assert_certified_calibration(model, seed)
 
     nondemolition = verify_nondemolition(model, bset)
     for b in bset.branches:
@@ -197,9 +229,7 @@ def test_block_coupling_matches_dense_coupling(case, seed):
     psi12 = evolve(model, phi)
     assert np.linalg.norm(psi12.matrix.reshape(-1) - lifted_evolve(model, phi.amplitudes)) <= AGREE
 
-    calibration = verify_calibration(model, trials=TRIALS, seed=seed)
-    reference = lifted_calibration(model, TRIALS, seed)
-    assert np.max(np.abs(np.subtract(list(calibration.residuals.values()), reference))) <= AGREE
+    assert_certified_calibration(model, seed)
 
 
 @settings(max_examples=60, deadline=None)
@@ -245,3 +275,60 @@ def test_block_check_decides_like_dense_check(case, system_side, delta):
         else:
             with pytest.raises(ValueError, match="not unitary"):
                 perturbed(model, tol, **change)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.one_of(models(), block_models()),
+    st.sampled_from([1e-14, 1e-6, 1e-2]),
+    st.integers(0, 2**32 - 1),
+)
+def test_certified_calibration_of_perturbed_models(case, scale, seed):
+    """Every ``B_n`` and the coupling (each ``V_n``, or the dense ``U``)
+    perturbed, so that no ``M_n`` is an isometry and the certified value is
+    a ratio, not a norm of unit outputs."""
+    model, rng = case[0], np.random.default_rng(seed)
+
+    def noise(*shape):
+        return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+    b_delta = [noise(model.d1, r) for r in model.measured.ranks]
+    if isinstance(model.coupling, Operator):
+        coupling = Operator(model.coupling.matrix + noise(*model.coupling.matrix.shape))
+        model = PremeasurementModel(model.measured, model.apparatus, coupling, LOOSE)
+        broken = perturbed(model, LOOSE, b_delta=b_delta)
+    else:
+        v_delta = [noise(model.d2, model.d2) for _ in model.coupling]
+        broken = perturbed(model, LOOSE, b_delta=b_delta, v_delta=v_delta)
+    assert_certified_calibration(broken, seed)
+
+
+def leaking_model(theta):
+    """A rank-3 eigenspace ``span{e0, e1, e2}`` of a 4-level system, measured
+    by a qubit pointer; the coupling then rotates ``|v, 0>`` toward ``|v, 1>``
+    by ``theta`` for ``v = (e0 + e1 + e2) / sqrt(3)``.  Only inputs along
+    ``v`` leak fully: the calibration supremum is ``sin(theta)``, attained at
+    ``v`` and at no basis column."""
+    measured = Observable([0.0, 1.0], [np.eye(4)[:, :3], np.eye(4)[:, 3:]])
+    pointer = Observable([0.0, 1.0], [np.eye(2)[:, :1], np.eye(2)[:, 1:]])
+    apparatus = PointerApparatus(basis_state(2, 0), pointer, np.eye(2))
+    built = build_premeasurement(measured, apparatus)
+    v = np.array([1.0, 1.0, 1.0, 0.0]) / np.sqrt(3)
+    v0, v1 = np.kron(v, [1.0, 0.0]), np.kron(v, [0.0, 1.0])
+    rotation = (
+        np.eye(8)
+        + (np.cos(theta) - 1) * (np.outer(v0, v0) + np.outer(v1, v1))
+        + np.sin(theta) * (np.outer(v1, v0) - np.outer(v0, v1))
+    )
+    return PremeasurementModel(measured, apparatus, Operator(rotation @ dense_coupling(built)))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_certified_calibration_fails_a_leak_that_samples_miss(seed):
+    model = leaking_model(1e-6)
+    certified = verify_calibration(model, tol=9e-7)
+    assert certified.residuals[0] == pytest.approx(np.sin(1e-6), rel=1e-9)
+    assert certified.residuals[1] <= AGREE
+    assert not certified.passed
+    sampled = lifted_calibration(model, trials=20, seed=seed)
+    assert max(sampled) <= 9e-7

@@ -8,7 +8,7 @@ require agreement to 1e-12.
 """
 
 import numpy as np
-from conftest import flat_state
+from conftest import flat_state, partial_trace
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,7 +16,6 @@ from envborn.hilbert import (
     DensityOperator,
     Operator,
     make_state,
-    partial_trace,
     pure_density,
 )
 from envborn.mixtures import (

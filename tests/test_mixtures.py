@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
-from conftest import flat_state, projector_from_span, random_density
+from conftest import flat_state, partial_trace, projector_from_span, random_density
 
 from envborn.hilbert import (
     DensityOperator,
     basis_state,
     make_state,
-    partial_trace,
     pure_density,
 )
 from envborn.mixtures import (

@@ -250,12 +250,15 @@ class TestParsing:
         with pytest.raises(ScenarioError, match="not both"):
             parse_scenario(data)
 
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("scale", [0.0, 1e308])
     def test_composite_state_must_normalize(self, scale):
-        # 1e308 is finite, but the norm of four such entries overflows
-        data = {"dims": [2, 2], "composite_state": [[scale, 0]] * 4}
-        with pytest.raises(ScenarioError, match="composite_state"):
-            parse_scenario(data)
+        # 1e308 is finite, but the norm of two or four such entries overflows;
+        # the rejection names the field and numpy warns nothing
+        for field, length in (("composite_state", 4), ("input_state", 2)):
+            data = {"dims": [2, 2], field: [[scale, 0]] * length}
+            with pytest.raises(ScenarioError, match=field):
+                parse_scenario(data)
 
     def test_observable_eigenvalue_projector_count_mismatch(self):
         data = minimal_derive()

@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
-from conftest import flat_state, projector_from_span
+from conftest import flat_state, partial_trace, projector_from_span
 
 from envborn.hilbert import (
     Operator,
     basis_state,
-    partial_trace,
     pure_density,
 )
 from envborn.rng import random_state, random_unitary

@@ -23,6 +23,14 @@ def test_bench_random_case_builds_and_derives():
     assert report.passed
 
 
+def test_bench_ladder_times_calibration(monkeypatch):
+    bench = load_bench()
+    monkeypatch.setattr(bench, "LADDER", [(2, 2)])
+    rungs = bench.run_ladder(repeats=1, seed=bench.SEED)
+    assert [rung["outcomes"] for rung in rungs] == bench.outcome_counts(2, 2)
+    assert all(rung["calibration_ms"] > 0 for rung in rungs)
+
+
 def test_bench_mixture_rung_builds_and_passes():
     bench = load_bench()
     spec, partner = bench.mixture_case(4, bench.SEED)

@@ -6,9 +6,9 @@ stages on the bundled fixtures.
 For each rung ``d1 x d2`` (2x2 up to 64x32) and outcome count ``N`` in
 ``{2, ~d1/3, min(d1, d2)}``, a random model (random eigenspace ranks, random
 pointer states and ready state) and a random input state are built once from
-a fixed seed.  Then ``build_premeasurement`` and ``derive_probabilities`` are
-timed in process with ``time.perf_counter``; each figure is the median over
-repeats.  BLAS is pinned to one thread before numpy is imported, and the
+a fixed seed.  Then ``build_premeasurement``, ``derive_probabilities`` and
+``verify_calibration`` on the built model are timed in process with
+``time.perf_counter``; each figure is the median over repeats.  BLAS is pinned to one thread before numpy is imported, and the
 thread count, numpy and BLAS versions and core count are recorded with the
 results.
 
@@ -103,7 +103,7 @@ def timed(func, repeats: int, min_total_ms: float = 200.0) -> tuple[float, int, 
 
 def run_ladder(repeats: int, seed: int) -> list[dict]:
     from envborn.born import derive_probabilities
-    from envborn.premeasurement import build_premeasurement
+    from envborn.premeasurement import build_premeasurement, verify_calibration
 
     rungs = []
     for d1, d2 in LADDER:
@@ -115,6 +115,7 @@ def run_ladder(repeats: int, seed: int) -> list[dict]:
             derive_ms, derive_n, report = timed(lambda: derive_probabilities(model, phi), repeats)
             if not report.passed:
                 raise RuntimeError(f"audits failed at {d1}x{d2}, N={outcomes}")
+            calibration_ms, calibration_n, _ = timed(lambda: verify_calibration(model), repeats)
             rung = {
                 "dims": [d1, d2],
                 "outcomes": outcomes,
@@ -122,6 +123,8 @@ def run_ladder(repeats: int, seed: int) -> list[dict]:
                 "build_repeats": build_n,
                 "derive_ms": round(derive_ms, 3),
                 "derive_repeats": derive_n,
+                "calibration_ms": round(calibration_ms, 3),
+                "calibration_repeats": calibration_n,
             }
             print(json.dumps(rung), flush=True)
             rungs.append(rung)
@@ -301,6 +304,7 @@ def main(argv=None) -> int:
     data["metrics"] = {
         "build_ms": "build_premeasurement, median wall time in ms",
         "derive_ms": "derive_probabilities on the built model, median wall time in ms",
+        "calibration_ms": "verify_calibration on the built model, median wall time in ms",
         "equivalence_ms": (
             f"proper_improper_equivalence, {MIXTURE_TRIALS} trials on an auto-purified "
             "random mixture, median wall time in ms"

@@ -193,9 +193,9 @@ def run_sample(scenario: Scenario, fail_fast: bool = False) -> dict:
     }
     run = None
     if derive_ok or not fail_fast:
-        try:
-            run = sample_outcomes(derived, sampling["n"], sampling["seed"])
-        except ValueError:  # a loose tolerance admits derived values that are no distribution
+        try:  # at the derivation's own sum tolerance
+            run = sample_outcomes(derived, sampling["n"], sampling["seed"], scenario.operator_tol)
+        except ValueError:  # a sum the sampler rounds past the tolerance: no distribution
             pass
     if run is None:
         report["sampling"] = None

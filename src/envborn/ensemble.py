@@ -24,17 +24,6 @@ __all__ = [
 _DIST_TOL = 1e-9
 
 
-def _validated_distribution(probabilities: Sequence[float]) -> np.ndarray:
-    p = np.asarray(probabilities, dtype=float).reshape(-1)
-    if p.size == 0:
-        raise ValueError("empty distribution")
-    if np.any(p < 0):
-        raise ValueError(f"negative probability in {p.tolist()}")
-    if abs(p.sum() - 1.0) > _DIST_TOL:
-        raise ValueError(f"probabilities sum to {p.sum()!r}, expected 1")
-    return p
-
-
 @dataclass(frozen=True)
 class SampleRun:
     """Counts from N categorical draws of a distribution under a fixed seed."""
@@ -71,9 +60,21 @@ def _draw_counts(p: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
     return np.diff(np.searchsorted(draws, cum, side="left"), prepend=0)
 
 
-def sample_outcomes(probabilities: Sequence[float], n: int, seed: int) -> SampleRun:
-    """N independent categorical draws; identical seeds give identical counts."""
-    p = _validated_distribution(probabilities)
+def sample_outcomes(
+    probabilities: Sequence[float], n: int, seed: int, tol: float = _DIST_TOL
+) -> SampleRun:
+    """N independent categorical draws; identical seeds give identical counts.
+
+    The probabilities must sum to 1 within ``tol``, and never within less than
+    1e-9: derived probabilities are drawn at the tolerance they were derived at.
+    """
+    p = np.asarray(probabilities, dtype=float).reshape(-1)
+    if p.size == 0:
+        raise ValueError("empty distribution")
+    if np.any(p < 0):
+        raise ValueError(f"negative probability in {p.tolist()}")
+    if not abs(p.sum() - 1.0) <= max(tol, _DIST_TOL):  # also rejects NaN
+        raise ValueError(f"probabilities sum to {p.sum()!r}, expected 1")
     if n < 1:
         raise ValueError("sample count must be positive")
     counts = _draw_counts(p, n, np.random.default_rng(seed))

@@ -72,7 +72,8 @@ class Audit:
 
     @property
     def max_residual(self) -> float:
-        return max(self.residuals.values(), default=0.0)
+        values = list(self.residuals.values())
+        return float(np.max(values)) if values else 0.0  # NaN anywhere gives NaN
 
     @property
     def passed(self) -> bool:
@@ -230,14 +231,16 @@ class DensityOperator(Operator):
 def make_state(amplitudes) -> StateVector:
     """Normalize ``amplitudes`` and wrap them as a StateVector.
 
-    Raises ValueError on a non-vector input, a non-finite amplitude or a
-    (numerically) zero vector.
+    Raises ValueError on a non-vector input, a non-finite amplitude, a norm
+    that overflows or a (numerically) zero vector.
     """
     vec = _as_vector(amplitudes)
     if not np.all(np.isfinite(vec)):
         raise ValueError("amplitudes must be finite")
     with np.errstate(over="ignore"):
         norm = np.linalg.norm(vec)
+    if norm == np.inf:
+        raise ValueError(f"cannot normalize a vector of norm {norm:.3e}")
     if norm < 1e-12:
         raise ValueError("cannot normalize a zero vector")
     return StateVector(vec / norm)

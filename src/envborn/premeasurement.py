@@ -10,13 +10,12 @@ and nondemolition (branches stay in their eigenspace); the verify_* functions
 check both numerically rather than trusting the construction.
 
 A model holds its coupling in one of two forms.  ``build_premeasurement``
-stores the blocks: one ``V_n`` per outcome, with the dense ``P^n`` formed
-only for the block Gram stack and the ready map; the ``(d1*d2)^2`` matrix is
-never formed.  A user-supplied coupling (a negative control, a
-branch-entangling unitary) is a dense composite ``Operator``.  Either way the
-model checks the same unitarity residual ``||U^H U - I||_F`` against its
-tolerance at construction.  For blocks it is computed from the factor Grams,
-since ``U^H U = sum_{n,m} (P^n^H P^m) (x) (V_n^H V_m)``.
+stores the blocks, one ``V_n`` per outcome; the ``(d1*d2)^2`` matrix is never
+formed.  A user-supplied coupling (a negative control, a branch-entangling
+unitary) is a dense composite ``Operator``.  Either way the model accepts it
+when ``||U^H U - I||_F`` is within its tolerance.  A block coupling is first
+certified by an upper bound from the measured basis matrix; only one that the
+bound cannot certify pays for the exact residual and the dense ``P^n``.
 
 Construction also restricts the coupling to the ready state once, giving the
 ready map ``W = U (. (x) ready)`` (``d1*d2 x d1``); ``evolve`` and
@@ -122,11 +121,11 @@ class PremeasurementModel:
     outcome, standing for ``U = sum_n P^n (x) V_n`` with the measured
     projectors ``P^n``, or a dense composite ``Operator`` for any other
     unitary.  Construction enforces type invariants only: matching outcome
-    counts and ``||U^H U - I||_F <= tol``, the same quantity for both
-    forms.  Whether the unitary actually calibrates is the job of
-    verify_calibration, so adversarial couplings can be represented and
-    flagged.  ``ready_map`` is ``W = U (. (x) ready)``, so that
-    ``U (phi (x) ready) = W @ phi``.
+    counts and ``||U^H U - I||_F <= tol`` (for blocks, a bound within tol
+    suffices; only otherwise is the exact value formed, over dense ``P^n``).
+    Whether the unitary actually calibrates is the job of verify_calibration,
+    so adversarial couplings can be represented and flagged.  ``ready_map`` is
+    ``W = U (. (x) ready)``, so that ``U (phi (x) ready) = W @ phi``.
     """
 
     measured: Observable
@@ -156,13 +155,13 @@ class PremeasurementModel:
                     f"a block coupling needs {self.outcome_count} apparatus operators "
                     f"of dim {d2}"
                 )
-            bases = map(self.measured.basis, range(self.outcome_count))
-            p = np.array([b @ b.conj().T for b in bases])
-            v = np.array([b.matrix for b in blocks])
-            residual = _block_unitarity_residual(p, v)
-            # W[(i, a), j] = sum_n P^n[i, j] (V_n ready)[a]
-            ready_map = (p.reshape(len(p), d1 * d1).T @ (v @ ready)).reshape(d1, d1, d2)
-            ready_map = ready_map.transpose(0, 2, 1).reshape(d1 * d2, d1)
+            s, v = self.measured.matrix, np.array([b.matrix for b in blocks])
+            residual = _block_unitarity_bound(s, self.measured.ranks, v)
+            if not residual <= self.tol:  # the exact residual decides and is reported
+                residual = _block_unitarity_residual(self.measured, v)
+            # W[(i, a), j] = sum_k s[i, k] (V_n(k) ready)[a] s[j, k]^*, column k in B_n(k)
+            images = (v @ ready)[np.repeat(np.arange(len(v)), self.measured.ranks)].T
+            ready_map = (s[:, None, :] * images).reshape(d1 * d2, d1) @ s.conj().T
             object.__setattr__(self, "coupling", blocks)
         if not residual <= self.tol:  # also rejects NaN
             raise ValueError(
@@ -184,25 +183,33 @@ class PremeasurementModel:
         return self.measured.outcome_count
 
 
-def _block_grams(blocks: np.ndarray) -> np.ndarray:
-    """Row ``(n, m)`` is ``vec(blocks[n]^H @ blocks[m])``, taken from one
-    product of the blocks concatenated side by side."""
-    count, d, _ = blocks.shape
-    side_by_side = blocks.transpose(1, 0, 2).reshape(d, count * d)
-    gram = side_by_side.conj().T @ side_by_side
-    return gram.reshape(count, d, count, d).transpose(0, 2, 1, 3).reshape(count * count, d * d)
+def _block_unitarity_bound(s: np.ndarray, ranks: Sequence[int], v: np.ndarray) -> float:
+    """An upper bound, rounding included, on ``||U^H U - I||_F`` for ``U = sum_n
+    B_n B_n^H (x) v[n] = (s (x) I) D (s^H (x) I)``: ``s = [B_1 | ... | B_N]`` is
+    square and ``D`` the block diagonal of ``I_{r_n} (x) V_n``.  With ``e = ||s^H
+    s - I|| = ||s s^H - I||`` and ``g_n = ||V_n^H V_n - I||``, ``||s||_2^2 <= 1 +
+    e`` and ``||D||_2^2 <= 1 + max g_n`` give ``(1 + e) sqrt(sum_n r_n g_n^2) +
+    sqrt(d2) e (1 + (1 + e)(1 + max g_n))``.  It can be attained (``s = I``, N =
+    1), and rounding grows with the values: the margin is ``4 d1 d2 eps (1 + bound)``."""
+    d1, d2 = len(s), v.shape[1]
+    e = gram_residual(s)
+    g = np.linalg.norm(v.conj().transpose(0, 2, 1) @ v - np.eye(d2), axis=(1, 2))
+    bound = (1 + e) * np.sqrt(np.dot(ranks, g**2)) + np.sqrt(d2) * e * (1 + (1 + e) * (1 + g.max()))
+    return float(bound + 4 * d1 * d2 * np.finfo(float).eps * (1 + bound))
 
 
-def _block_unitarity_residual(p: np.ndarray, v: np.ndarray) -> float:
-    """``||U^H U - I||_F`` of ``U = sum_n p[n] (x) v[n]`` without forming ``U``.
+def _block_unitarity_residual(measured: Observable, v: np.ndarray) -> float:
+    """``||U^H U - I||_F`` of ``U = sum_n P^n (x) v[n]`` without forming ``U``,
+    from ``U^H U = sum_{n,m} (P^n^H P^m) (x) (V_n^H V_m)``: row ``(n, m)`` of
+    ``grams(x)`` is ``vec(x[n]^H x[m])``, so entry ``[(i, j), (a, b)]`` of the
+    product below is ``<i, a| U^H U |j, b>``, in an order the norm ignores."""
+    p = np.array([b @ b.conj().T for b in map(measured.basis, range(len(v)))])
 
-    Entry ``[(i, j), (a, b)]`` of the product below is ``<i, a| U^H U |j, b>``;
-    the Frobenius norm does not depend on that entry order.
-    """
-    d1, d2 = p.shape[1], v.shape[1]
-    residual = _block_grams(p).T @ _block_grams(v)
-    # the identity is 1 where i == j and a == b
-    residual[:: d1 + 1, :: d2 + 1] -= 1.0
+    def grams(x):
+        return np.einsum("nij,mik->nmjk", x.conj(), x, optimize=True).reshape(len(x) ** 2, -1)
+
+    residual = grams(p).T @ grams(v)
+    residual[:: p.shape[1] + 1, :: v.shape[1] + 1] -= 1.0  # where i == j and a == b
     return float(np.linalg.norm(residual))
 
 

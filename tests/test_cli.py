@@ -134,7 +134,8 @@ class TestDeriveCommand:
     def test_loose_tolerance_reports_a_skewed_pointer(self, tmp_path, command, tolerance, overlap):
         # pointer states at this overlap pass the pointer observable's check at
         # the loose tolerance, and the branch weights then miss 1 by up to
-        # ~tolerance: the run reports its failed audits instead of raising
+        # ~tolerance: the run reports its failed audits instead of raising, and
+        # sample draws the derived values at that same tolerance
         pointer = [[[1, 0], [0, 0]], [[overlap, 0], [1, 0]]]
         apparatus = {
             "ready_state": [[1, 0], [0, 0]],
@@ -154,7 +155,8 @@ class TestDeriveCommand:
         assert report["pass"] is False
         assert report["derivation"]["audits"]["biorthogonality"]["ok"] is False
         if command == "sample":
-            assert report["sampling"] is None
+            derived = [rec["derived"] for rec in report["derivation"]["outcomes"]]
+            assert report["sampling"]["probabilities"] == derived
 
     def test_unknown_field_rejected(self, tmp_path):
         data = json.loads(Path(fixture_path("certainty")).read_text(encoding="utf-8"))
@@ -234,6 +236,31 @@ class TestSampleCommand:
         section = json.loads(out)["sampling"]
         assert section["pass"] is False
         assert max(abs(z) for z in section["zscores"]) > 4
+
+    def test_loose_tolerance_draws_a_sum_off_by_rounding(self, tmp_path):
+        # at tolerance 1e-3 these pointer states pass every audit and the
+        # derived values sum to 1 + 4e-8: the sampler must accept the sum the
+        # derivation accepted, not a fixed 1e-9
+        pointer = [[[1, 0], [0, 0]], [[2e-4, 0], [1, 0]]]
+        apparatus = {
+            "ready_state": [[1, 0], [0, 0]],
+            "pointer_states": pointer,
+            "pointer_projectors": [[v] for v in pointer],
+        }
+        path = write_variant(
+            tmp_path,
+            "degenerate-3d",
+            tolerances={"operator": 1e-3},
+            apparatus=apparatus,
+            sampling={"n": 1000, "seed": 1},
+        )
+        code, out, err = run_cli(["sample", path, "--format", "structured"])
+        report = json.loads(out)
+        derived = [rec["derived"] for rec in report["derivation"]["outcomes"]]
+        assert abs(sum(derived) - 1.0) > 1e-9
+        assert all(audit["ok"] for audit in report["derivation"]["audits"].values())
+        assert report["sampling"]["probabilities"] == derived
+        assert (code, err, report["pass"]) == (0, "", True)
 
     def test_fail_fast_skips_sampling_after_derive_failure(self, tmp_path):
         data = json.loads(Path(fixture_path("broken-unitary")).read_text(encoding="utf-8"))
@@ -486,6 +513,16 @@ class TestInputHardening:
         assert code == 2
         assert field in err
         assert "Traceback" not in err
+
+    def test_input_state_with_an_overflowing_norm(self, tmp_path):
+        # two finite 1e308 entries: the norm overflows, and the reason names it
+        huge = [[1e308, 0.0], [1e308, 0.0], [0.0, 0.0]]
+        path = write_variant(tmp_path, "degenerate-3d", input_state=huge)
+        code, _, err = run_cli(["derive", path])
+        assert (code, err) == (
+            2,
+            "error: invalid input_state: cannot normalize a vector of norm inf\n",
+        )
 
     @pytest.mark.parametrize("command", ["derive", "sample"])
     @pytest.mark.parametrize(

@@ -27,6 +27,7 @@ from envborn.hilbert import (
     pure_density,
     trace_probability,
 )
+from envborn.cli import _finite
 from envborn.mixtures import MixtureSpec
 from envborn.premeasurement import Branch, BranchSet, PointerApparatus, build_premeasurement
 from envborn.rng import random_orthogonal_partition, random_state, random_unitary
@@ -60,6 +61,13 @@ class TestMakeState:
     def test_zero_vector(self):
         with pytest.raises(ValueError, match="zero"):
             make_state([0, 0])
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_norm_cannot_be_normalized(self):
+        # each entry is finite, but the norm overflows to inf and vec / inf
+        # would be the zero vector
+        with pytest.raises(ValueError, match="cannot normalize a vector of norm inf"):
+            make_state([1e308, 1e308])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, np.nan)])
     def test_non_finite_amplitude(self, bad):
@@ -407,6 +415,17 @@ class TestAudit:
     @pytest.mark.parametrize("residuals", [{0: math.nan, 1: 0.0}, {0: 0.0, 1: math.nan}])
     def test_nan_residual_fails_in_any_position(self, residuals):
         assert not Audit(residuals, 1e-10).passed
+
+    @pytest.mark.parametrize(
+        "residuals",
+        [{0: math.nan, 1: 0.0}, {0: 0.0, 1: math.nan}, {0: math.inf, 1: math.nan, 2: 1.0}],
+    )
+    def test_nan_residual_is_the_max_in_any_position(self, residuals):
+        # a failed audit never reports a finite worst residual, and the CLI
+        # prints the NaN as null
+        audit = Audit(residuals, 1e-10)
+        assert math.isnan(audit.max_residual)
+        assert _finite(audit.max_residual) is None
 
     def test_tolerance_is_inclusive(self):
         assert Audit({None: 1e-10}, 1e-10).passed

@@ -10,7 +10,9 @@ its own kron-built dense ``U``: the unitarity residual ``||U^H U - I||``
 (unperturbed, perturbed, and straddling the tolerance), the ready map, evolve
 and calibration.  The certified calibration supremum is checked against the
 generalized eigenvalue problem of the lifts and against the sampled loop it
-replaced, on unperturbed and perturbed models.
+replaced, on unperturbed and perturbed models.  The certified unitarity bound
+is checked to cover the exact residual, to be attained where the algebra says
+so, and to hand the decision to the exact residual when it cannot certify.
 """
 
 import numpy as np
@@ -31,6 +33,8 @@ from envborn.hilbert import (
 from envborn.premeasurement import (
     PointerApparatus,
     PremeasurementModel,
+    _block_unitarity_bound,
+    _block_unitarity_residual,
     branches,
     build_premeasurement,
     evolve,
@@ -332,3 +336,93 @@ def test_certified_calibration_fails_a_leak_that_samples_miss(seed):
     assert not certified.passed
     sampled = lifted_calibration(model, trials=20, seed=seed)
     assert max(sampled) <= 9e-7
+
+
+SCALES = [0.0, 1e-14, 1e-10, 1e-6, 1e-2, 1.0]
+
+
+def noise(rng, scale, *shape):
+    return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+
+def split_basis(s, ranks):
+    """The eigenspace bases ``B_n``: the blocks of columns of ``s``."""
+    return np.split(s, np.cumsum(ranks)[:-1], axis=1)
+
+
+def kron_residual(s, ranks, v):
+    """``||U^H U - I||`` of ``U = sum_n B_n B_n^H (x) V_n`` from dense lifts."""
+    u = sum(np.kron(b @ b.conj().T, vn) for b, vn in zip(split_basis(s, ranks), v))
+    return float(np.linalg.norm(u.conj().T @ u - np.eye(len(u))))
+
+
+def unchecked_observable(eigenvalues, s, ranks):
+    """An observable whose basis matrix ``s`` may be far from unitary."""
+    return Observable(eigenvalues, split_basis(s, ranks), np.inf)
+
+
+@settings(max_examples=200, deadline=None)
+@given(block_models(), st.data())
+def test_unitarity_bound_covers_the_exact_residual(case, data):
+    """The certified bound is at least the exact residual, the kron-built one
+    and the block-Gram one, with the basis matrix ``S`` and each ``V_n``
+    unperturbed or perturbed at a scale from 1e-14 to 1."""
+    model, _, rng = case
+    d1, d2, ranks = model.d1, model.d2, model.measured.ranks
+    count = len(ranks) + 1
+    scales = data.draw(st.lists(st.sampled_from(SCALES), min_size=count, max_size=count))
+    s = model.measured.matrix + noise(rng, scales[0], d1, d1)
+    v = np.array([b.matrix + noise(rng, c, d2, d2) for b, c in zip(model.coupling, scales[1:])])
+    bound = _block_unitarity_bound(s, ranks, v)
+    assert bound >= kron_residual(s, ranks, v)
+    measured = unchecked_observable(model.measured.eigenvalues, s, ranks)
+    assert bound >= _block_unitarity_residual(measured, v)
+
+
+@pytest.mark.parametrize("d1, d2", [(1, 1), (3, 2), (4, 4)])
+def test_unitarity_bound_is_attained(d1, d2):
+    """With ``S = I`` the bound is ``sqrt(sum_n r_n g_n^2)``, and with every
+    ``V_n = I`` it is ``sqrt(d2) e (2 + e)``: both equal the exact residual to
+    first order, so neither the rank weights nor the ``sqrt(d2)`` factor can be
+    dropped."""
+    ranks = [d1] if d1 == 1 else [d1 - 1, 1]
+    scaled_blocks = np.array([(1 + 1e-6 * (n + 1)) * np.eye(d2) for n in range(len(ranks))])
+    identity_blocks = np.array([np.eye(d2)] * len(ranks))
+    for s, v in ((np.eye(d1), scaled_blocks), ((1 + 1e-6) * np.eye(d1), identity_blocks)):
+        exact = kron_residual(s, ranks, v)
+        assert exact <= _block_unitarity_bound(s, ranks, v) <= exact * (1 + 1e-5)
+
+
+def test_block_check_falls_back_to_the_exact_residual():
+    """A coupling whose bound exceeds tol but whose exact residual meets it is
+    accepted; below the exact residual it is rejected with the exact value."""
+    rng = np.random.default_rng(17)
+    model, _ = random_scenario(4, 3, 2, rng)
+    b_delta = [noise(rng, 1e-9, model.d1, r) for r in model.measured.ranks]
+    v_delta = [noise(rng, 1e-9, model.d2, model.d2) for _ in model.coupling]
+    broken = perturbed(model, LOOSE, b_delta=b_delta, v_delta=v_delta)
+    v = np.array([b.matrix for b in broken.coupling])
+    exact = _block_unitarity_residual(broken.measured, v)
+    bound = _block_unitarity_bound(broken.measured.matrix, broken.measured.ranks, v)
+    tol = (exact + bound) / 2
+    assert exact < tol < bound
+    PremeasurementModel(broken.measured, broken.apparatus, broken.coupling, tol)
+    message = f"composite coupling is not unitary within tolerance: residual {exact:.3e}"
+    with pytest.raises(ValueError, match=message):
+        PremeasurementModel(broken.measured, broken.apparatus, broken.coupling, exact / 2)
+
+
+@pytest.mark.parametrize("a, b", [(2.27, 1.54), (2.38, 1.78), (1.17, 2.67)])
+def test_block_check_decides_like_the_exact_residual_where_the_bound_is_attained(a, b):
+    """For ``U = a^2 b`` (d1 = d2 = 1) the bound equals the exact residual
+    ``a^4 b^2 - 1``, yet the two roundings differ by an ulp of a residual near
+    10 or 100, far above ``eps``: only a margin that grows with the bound keeps
+    the decision the exact one on both sides of the exact residual."""
+    measured = Observable([0.0], [[[a]]], np.inf)
+    pointer = Observable([0.0], [[[1.0]]])
+    apparatus = PointerApparatus(basis_state(1, 0), pointer, np.eye(1))
+    blocks = (Operator([[b]]),)
+    exact = _block_unitarity_residual(measured, np.array([[[b]]], dtype=complex))
+    PremeasurementModel(measured, apparatus, blocks, exact)
+    with pytest.raises(ValueError, match="not unitary"):
+        PremeasurementModel(measured, apparatus, blocks, np.nextafter(exact, 0.0))

@@ -31,6 +31,16 @@ def test_bench_ladder_times_calibration(monkeypatch):
     assert all(rung["calibration_ms"] > 0 for rung in rungs)
 
 
+def test_bench_ladder_records_build_peak_memory(monkeypatch):
+    bench = load_bench()
+    assert bench.LADDER[-1] == (64, 64)
+    monkeypatch.setattr(bench, "LADDER", [(4, 4)])
+    rungs = bench.run_ladder(repeats=1, seed=bench.SEED)
+    # the 4 x 4 ready map alone takes 1 KiB
+    assert all(rung["build_peak_mib"] * 2**20 >= 4 * 4 * 4 * 16 for rung in rungs)
+    assert bench.peak_mib(lambda: bytearray(2**20)) >= 1.0
+
+
 def test_bench_mixture_rung_builds_and_passes():
     bench = load_bench()
     spec, partner = bench.mixture_case(4, bench.SEED)

@@ -3,14 +3,15 @@
 the proper/improper mixture equivalence over a second ladder, and the CLI's
 stages on the bundled fixtures.
 
-For each rung ``d1 x d2`` (2x2 up to 64x32) and outcome count ``N`` in
+For each rung ``d1 x d2`` (2x2 up to 64x64) and outcome count ``N`` in
 ``{2, ~d1/3, min(d1, d2)}``, a random model (random eigenspace ranks, random
 pointer states and ready state) and a random input state are built once from
 a fixed seed.  Then ``build_premeasurement``, ``derive_probabilities`` and
 ``verify_calibration`` on the built model are timed in process with
-``time.perf_counter``; each figure is the median over repeats.  BLAS is pinned to one thread before numpy is imported, and the
-thread count, numpy and BLAS versions and core count are recorded with the
-results.
+``time.perf_counter``; each figure is the median over repeats.  One more,
+untimed build runs under ``tracemalloc``, whose peak counts numpy's buffers.
+BLAS is pinned to one thread before numpy is imported, and the thread count,
+numpy and BLAS versions and core count are recorded with the results.
 
 The mixture ladder builds, for each ``d`` in ``{4, 16, 64}``, a random mixture
 of ``d`` pure components in ``d`` dimensions, purifies it as the ``mixtures``
@@ -50,10 +51,11 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-LADDER = [(2, 2), (3, 4), (4, 4), (8, 8), (16, 8), (16, 16), (24, 24), (32, 32), (64, 32)]
+LADDER = [(2, 2), (3, 4), (4, 4), (8, 8), (16, 8), (16, 16), (24, 24), (32, 32), (64, 32), (64, 64)]
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 BLAS_THREADS = 1
 REPEATS = 7
@@ -101,6 +103,16 @@ def timed(func, repeats: int, min_total_ms: float = 200.0) -> tuple[float, int, 
     return statistics.median(times), len(times), result
 
 
+def peak_mib(func) -> float:
+    """The ``tracemalloc`` peak of one call of ``func``, in MiB."""
+    tracemalloc.start()
+    try:
+        func()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
 def run_ladder(repeats: int, seed: int) -> list[dict]:
     from envborn.born import derive_probabilities
     from envborn.premeasurement import build_premeasurement, verify_calibration
@@ -121,6 +133,7 @@ def run_ladder(repeats: int, seed: int) -> list[dict]:
                 "outcomes": outcomes,
                 "build_ms": round(build_ms, 3),
                 "build_repeats": build_n,
+                "build_peak_mib": round(peak_mib(lambda: build_premeasurement(measured, apparatus)), 3),
                 "derive_ms": round(derive_ms, 3),
                 "derive_repeats": derive_n,
                 "calibration_ms": round(calibration_ms, 3),
@@ -303,6 +316,7 @@ def main(argv=None) -> int:
     data["harness"] = "tools/bench.py"
     data["metrics"] = {
         "build_ms": "build_premeasurement, median wall time in ms",
+        "build_peak_mib": "build_premeasurement, tracemalloc peak of one call in MiB",
         "derive_ms": "derive_probabilities on the built model, median wall time in ms",
         "calibration_ms": "verify_calibration on the built model, median wall time in ms",
         "equivalence_ms": (

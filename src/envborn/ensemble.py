@@ -51,10 +51,10 @@ class SampleRun:
 def _draw_counts(p: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
     # Inverse CDF on one uniform per trial, counted on the sorted draws: the
     # draws below cum[k] are outcomes 0..k (a draw equal to cum[k] is k + 1),
-    # so zero-width bins count 0, and the top is pinned to 1.0 so boundary
-    # outcomes are exact.  The draws are the one n-long array, 8 bytes each.
+    # so zero-width bins count 0; the top is cum / sum = 1.0 exactly, so a sum
+    # off 1 is spread over every outcome.  One n-long array, 8 bytes a draw.
     cum = np.cumsum(p)
-    cum[-1] = 1.0
+    cum /= cum[-1]
     draws = rng.random(n)
     draws.sort()
     return np.diff(np.searchsorted(draws, cum, side="left"), prepend=0)
@@ -73,7 +73,7 @@ def sample_outcomes(
         raise ValueError("empty distribution")
     if np.any(p < 0):
         raise ValueError(f"negative probability in {p.tolist()}")
-    if not abs(p.sum() - 1.0) <= max(tol, _DIST_TOL):  # also rejects NaN
+    if not (abs(p.sum() - 1.0) <= max(tol, _DIST_TOL) and p.sum() > 0):  # also rejects NaN
         raise ValueError(f"probabilities sum to {p.sum()!r}, expected 1")
     if n < 1:
         raise ValueError("sample count must be positive")
@@ -102,12 +102,13 @@ class FrequencyReport:
 
 def frequency_check(run: SampleRun, sigmas: float = 4.0) -> FrequencyReport:
     """Binomial z-score acceptance: ``z_k = (c_k - N p_k) / sqrt(N p_k (1 - p_k))``
-    for probabilities strictly between 0 and 1; boundary probabilities must be
-    matched exactly by the counts."""
-    n = run.sample_count
+    for ``p_k`` strictly between 0 and 1, with ``p`` divided by its sum as drawn
+    (where that misses 1 by over 1e-9); the counts must match a boundary ``p_k``."""
+    n, total = run.sample_count, float(np.sum(run.probabilities))
+    p = np.divide(run.probabilities, total if abs(total - 1.0) > _DIST_TOL else 1.0)
     zscores: list[float | None] = []
     exact_ok = True
-    for p_k, c_k in zip(run.probabilities, run.counts):
+    for p_k, c_k in zip(p, run.counts):
         if p_k <= 0.0 or p_k >= 1.0:
             zscores.append(None)
             expected = 0 if p_k <= 0.0 else n

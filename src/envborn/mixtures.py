@@ -15,10 +15,10 @@ physics result:
 
 Both work on factor 1 only: with ``Psi`` the ``d1 x d2`` coefficient matrix of
 the partner, the composite expectation is ``vdot(Psi, P @ Psi)`` and ``rho_1 =
-Psi Psi^H``, so no composite-space lift or density matrix is formed.  The
-public probabilities and every trial of ``proper_improper_equivalence`` (which
-builds ``rho_mix`` and ``rho_1`` once) run both cross-checks, on the one
-``P = B B^H`` each call or trial forms from the projector basis ``B``.
+Psi Psi^H``, so no composite-space lift or density matrix is formed.  Both
+routes run, with both cross-checks, on a stack of projectors ``P = B B^H``: one
+per public call, and ``TRIAL_CHUNK`` random ones per stacked Haar draw in
+``proper_improper_equivalence``, which builds ``rho_mix`` and ``rho_1`` once.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hilbert import NORM_TOL, DensityOperator, _freeze, _projector_basis
-from .rng import random_projector
+from .rng import haar_unitary
 from .schmidt import BipartiteState
 
 __all__ = [
@@ -41,6 +41,7 @@ __all__ = [
 ]
 
 PURIFY_THRESHOLD = 1e-12  # purify drops eigenvalues below this
+TRIAL_CHUNK = 8  # equivalence trials per stacked draw; larger stacks outgrow the cache at d1 = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,27 +92,26 @@ def mix(spec: MixtureSpec) -> DensityOperator:
     return DensityOperator((a * spec.weights) @ a.conj().T)
 
 
-def _proper(P: np.ndarray, spec: MixtureSpec, rho_mix: DensityOperator, tol: float) -> float:
+def _agree(first: np.ndarray, second: np.ndarray, tol: float, what: str) -> None:
+    bad = np.flatnonzero(np.abs(first - second) > tol)
+    if bad.size:
+        raise ValueError(f"{what} disagree: {float(first[bad[0]])!r} vs {float(second[bad[0]])!r}")
+
+
+def _proper(P: np.ndarray, spec: MixtureSpec, rho_mix: DensityOperator, tol: float) -> np.ndarray:
     a = spec.states
-    by_components = float(spec.weights @ np.einsum("ik,ik->k", a.conj(), P @ a).real)
-    by_trace = float(np.trace(P @ rho_mix.matrix).real)
-    if abs(by_components - by_trace) > tol:
-        raise ValueError(
-            "sub-ensemble sum and trace rule disagree: "
-            f"{by_components!r} vs {by_trace!r}"
-        )
-    return min(max(by_components, 0.0), 1.0)
+    rows = np.einsum("ik,tik->tk", a.conj(), P @ a).real
+    by_components = np.array([spec.weights @ row for row in rows])
+    by_trace = np.trace(P @ rho_mix.matrix, axis1=1, axis2=2).real
+    _agree(by_components, by_trace, tol, "sub-ensemble sum and trace rule")
+    return np.clip(by_components, 0.0, 1.0)
 
 
-def _improper(P1: np.ndarray, psi: np.ndarray, rho1: DensityOperator, tol: float) -> float:
-    on_composite = float(np.vdot(psi, P1 @ psi).real)
-    on_reduced = float(np.trace(P1 @ rho1.matrix).real)
-    if abs(on_composite - on_reduced) > tol:
-        raise ValueError(
-            "composite and partial-trace routes disagree: "
-            f"{on_composite!r} vs {on_reduced!r}"
-        )
-    return min(max(on_reduced, 0.0), 1.0)
+def _improper(P1: np.ndarray, psi: np.ndarray, rho1: DensityOperator, tol: float) -> np.ndarray:
+    on_composite = np.array([np.vdot(psi, p_psi) for p_psi in P1 @ psi]).real
+    on_reduced = np.trace(P1 @ rho1.matrix, axis1=1, axis2=2).real
+    _agree(on_composite, on_reduced, tol, "composite and partial-trace routes")
+    return np.clip(on_reduced, 0.0, 1.0)
 
 
 def _reduced_first(psi: np.ndarray) -> DensityOperator:
@@ -124,15 +124,15 @@ def proper_probability(basis: np.ndarray, spec: MixtureSpec, tol: float = NORM_T
     proper mixture via the sub-ensemble sum ``sum_k w_k <phi_k|P|phi_k>``,
     verified on every call against the trace rule on the mixed density operator."""
     b = _projector_basis(basis, spec.dim)
-    return _proper(b @ b.conj().T, spec, mix(spec), tol)
+    return float(_proper((b @ b.conj().T)[None], spec, mix(spec), tol)[0])
 
 
 def improper_probability(basis: np.ndarray, psi12: BipartiteState, tol: float = NORM_TOL) -> float:
     """Probability of the first-factor event ``P1 = B B^H`` of a projector basis
     ``B`` in an entangled composite, computed both on the composite state and
     through the reduced density operator; the two must agree within ``tol``."""
-    b = _projector_basis(basis, psi12.d1)
-    return _improper(b @ b.conj().T, psi12.matrix, _reduced_first(psi12.matrix), tol)
+    b, psi = _projector_basis(basis, psi12.d1), psi12.matrix
+    return float(_improper((b @ b.conj().T)[None], psi, _reduced_first(psi), tol)[0])
 
 
 def proper_improper_equivalence(
@@ -158,14 +158,16 @@ def proper_improper_equivalence(
             f"mixture does not match the reduced state (residual {gap:.3e}); "
             "proper/improper comparison is meaningless"
         )
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(trials):
-        rank = int(rng.integers(1, psi12.d1 + 1))
-        b = random_projector(psi12.d1, rank, rng)
-        P = b @ b.conj().T
+    rng, d, worst = np.random.default_rng(seed), psi12.d1, 0.0
+    for start in range(0, trials, TRIAL_CHUNK):
+        count = min(TRIAL_CHUNK, trials - start)
+        ranks, ginibre = np.empty(count, dtype=int), np.empty((count, 2, d, d))
+        for t in range(count):  # per trial the rank, then the Gaussian pair
+            ranks[t] = rng.integers(1, d + 1)
+            rng.standard_normal((2, d, d), out=ginibre[t])
+        P = np.stack([u[:, :r] @ u[:, :r].conj().T for u, r in zip(haar_unitary(ginibre), ranks)])
         proper = _proper(P, spec, rho_mix, NORM_TOL)
-        worst = max(worst, abs(proper - _improper(P, psi, rho1, NORM_TOL)))
+        worst = max(worst, float(np.max(np.abs(proper - _improper(P, psi, rho1, NORM_TOL)))))
     return worst
 
 

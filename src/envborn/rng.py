@@ -1,8 +1,9 @@
-"""Seeded random objects: unit vectors, unitaries, projector bases, partitions.
+"""Seeded random objects: unit vectors, Haar unitaries, partitions.
 
-Used by the mixture equivalence check (random projector trials) and
-throughout the test suite; the derivation audits draw nothing.  All generators take an
-explicit ``numpy.random.Generator`` so that callers own reproducibility.
+``haar_unitary`` is the one Haar routine, one stacked QR over a stack of
+Gaussian draws: ``random_unitary`` passes one, the mixture trials a chunk.  The
+derivation audits draw nothing.  Every generator takes an explicit
+``numpy.random.Generator`` so that callers own reproducibility.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ from .hilbert import StateVector, make_state
 __all__ = [
     "random_unit_vector",
     "random_state",
+    "haar_unitary",
     "random_unitary",
-    "random_projector",
     "random_orthogonal_partition",
 ]
 
@@ -30,21 +31,17 @@ def random_state(dim: int, rng: np.random.Generator) -> StateVector:
     return make_state(random_unit_vector(dim, rng))
 
 
+def haar_unitary(ginibre: np.ndarray) -> np.ndarray:
+    """Haar unitaries from real Gaussian pairs ``g`` of shape ``(..., 2, d, d)``: one stacked
+    QR of the Ginibre matrices ``g[..., 0, :, :] + 1j g[..., 1, :, :]``, R-diagonal phases fixed."""
+    q, r = np.linalg.qr(ginibre[..., 0, :, :] + 1j * ginibre[..., 1, :, :])
+    diagonal = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (diagonal / np.abs(diagonal))[..., None, :]
+
+
 def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed unitary: QR of a complex Ginibre matrix with the
-    R-diagonal phase fixed."""
-    ginibre = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(ginibre)
-    phases = np.diagonal(r) / np.abs(np.diagonal(r))
-    return q * phases
-
-
-def random_projector(dim: int, rank: int, rng: np.random.Generator) -> np.ndarray:
-    """Random rank-``rank`` orthogonal projector of dimension ``dim``, as its
-    basis: the first ``rank`` columns of a Haar unitary."""
-    if not 1 <= rank <= dim:
-        raise ValueError(f"rank must be in [1, {dim}], got {rank}")
-    return random_unitary(dim, rng)[:, :rank]
+    """Haar-distributed unitary from one Gaussian pair drawn from ``rng``."""
+    return haar_unitary(rng.standard_normal((2, dim, dim)))
 
 
 def random_orthogonal_partition(dim: int, parts: int, rng: np.random.Generator) -> list[np.ndarray]:

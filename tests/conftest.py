@@ -1,5 +1,6 @@
-"""Shared builders for randomized premeasurement scenarios, and composite-space
-reference helpers for the one-sided products of the library."""
+"""Shared builders for randomized premeasurement scenarios, composite-space
+reference helpers for the one-sided products of the library, and the random
+projector draw of one mixture equivalence trial."""
 
 import numpy as np
 from hypothesis.vendor import pretty
@@ -96,6 +97,15 @@ def partial_trace(rho: DensityOperator, dims: tuple[int, int], keep: int) -> Den
         raise ValueError(f"keep must be 0 or 1, got {keep}")
     blocks = rho.matrix.reshape(d1, d2, d1, d2)
     return DensityOperator(np.einsum("ajbj->ab" if keep == 0 else "jajb->ab", blocks))
+
+
+def random_projector(dim: int, rank: int, rng: np.random.Generator) -> np.ndarray:
+    """Random rank-``rank`` orthogonal projector of dimension ``dim``, as its
+    basis: the first ``rank`` columns of a Haar unitary.  After a rank draw, it
+    is the draw of one trial of ``proper_improper_equivalence``."""
+    if not 1 <= rank <= dim:
+        raise ValueError(f"rank must be in [1, {dim}], got {rank}")
+    return random_unitary(dim, rng)[:, :rank]
 
 
 def dense_coupling(model):

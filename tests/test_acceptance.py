@@ -14,7 +14,13 @@ from importlib import resources
 
 import numpy as np
 import pytest
-from conftest import entangle_branches, projector_from_span, random_density, random_scenario
+from conftest import (
+    entangle_branches,
+    projector_from_span,
+    random_density,
+    random_projector,
+    random_scenario,
+)
 
 from envborn.born import check_additivity, derive_probabilities
 from envborn.cli import main
@@ -40,7 +46,6 @@ from envborn.premeasurement import (
 )
 from envborn.rng import (
     random_orthogonal_partition,
-    random_projector,
     random_state,
     random_unitary,
 )

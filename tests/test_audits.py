@@ -5,7 +5,9 @@ an input that fails it or one textual mutation of ``envborn/born.py`` that
 does, with the full set of audits that then fail.  An audit that only a
 mutation fails is an implementation tripwire: additivity's residual (the
 trace is linear) and ``prc`` beyond the norm law (``SchmidtForm`` holds
-``sum(c^2) = 1``).
+``sum(c^2) = 1``).  The cross-checks of the mixture routes run on every trial
+of the chunked equivalence check: one side of one route corrupted at one trial
+of the second chunk raises.
 
 The reference test keeps the previous dense forms of ``check_additivity``
 (per-part projector checks, a pairwise orthogonality loop, a dense projector
@@ -26,6 +28,7 @@ import pytest
 from conftest import dense_projectors, entangle_branches, random_scenario
 
 import envborn.born
+import envborn.mixtures
 from envborn.born import check_additivity, complement_check, derive_probabilities
 from envborn.hilbert import (
     DEFAULT_TOL,
@@ -37,6 +40,7 @@ from envborn.hilbert import (
     pure_density,
     trace_probability,
 )
+from envborn.mixtures import TRIAL_CHUNK, MixtureSpec, mix, proper_improper_equivalence, purify
 from envborn.premeasurement import (
     PointerApparatus,
     PremeasurementModel,
@@ -45,7 +49,7 @@ from envborn.premeasurement import (
     evolve,
     verify_nondemolition,
 )
-from envborn.rng import random_unitary
+from envborn.rng import random_state, random_unitary
 from envborn.scenario import load_scenario
 from envborn.schmidt import BipartiteState, pointer_density, schmidt_decompose
 
@@ -91,15 +95,16 @@ def qubit_cnot():
     return build_premeasurement(obs, apparatus), make_state([0.6, 0.8])
 
 
-def mutated_born(monkeypatch, old: str, new: str) -> types.ModuleType:
-    """``envborn.born`` with its one occurrence of ``old`` replaced by ``new``,
-    registered in ``sys.modules`` for the test's duration (its dataclasses
-    look their module up there)."""
-    path = Path(envborn.born.__file__)
+def mutated(monkeypatch, original, old: str, new: str, **names) -> types.ModuleType:
+    """The module ``original`` with its one occurrence of ``old`` replaced by
+    ``new`` and ``names`` bound in it, registered in ``sys.modules`` for the
+    test's duration (its dataclasses look their module up there)."""
+    path = Path(original.__file__)
     source = path.read_text(encoding="utf-8")
     assert source.count(old) == 1, old
-    module = types.ModuleType("envborn.born_mutant")
+    module = types.ModuleType(f"{original.__name__}_mutant")
     module.__package__ = "envborn"
+    module.__dict__.update(names)
     monkeypatch.setitem(sys.modules, module.__name__, module)
     exec(compile(source.replace(old, new), str(path), "exec"), module.__dict__)
     return module
@@ -158,7 +163,7 @@ def test_audit_fails(row, monkeypatch):
     if mutation is not None:
         # the mutation, not the input, fails the audit
         assert derive(model, phi, tol).passed
-        derive = mutated_born(monkeypatch, *mutation).derive_probabilities
+        derive = mutated(monkeypatch, envborn.born, *mutation).derive_probabilities
     report = derive(model, phi, tol)
     assert {name for name, a in report.audits.items() if not a.passed} == failing
     assert report.audits[audit].max_residual == pytest.approx(residual, rel=1e-9)
@@ -168,6 +173,50 @@ def test_every_audit_has_a_failing_row():
     model, phi = qubit_cnot()
     assert set(derive_probabilities(model, phi).audits) == AUDITS
     assert {row[0] for row in FAILURES} == AUDITS
+
+
+class OneTrialBump:
+    """Adds ``delta`` to the value of equivalence trial ``trial`` alone,
+    counting trials over the stacks that one route is called with."""
+
+    def __init__(self, trial: int, delta: float = 1e-6):
+        self.trial, self.delta, self.seen = trial, delta, 0
+
+    def __call__(self, values: np.ndarray) -> np.ndarray:
+        out = values.copy()
+        if self.seen <= self.trial < self.seen + len(values):
+            out[self.trial - self.seen] += self.delta
+        self.seen += len(values)
+        return out
+
+
+# one side of each route's cross-check, and the message its disagreement raises
+ROUTE_SIDES = {
+    "proper": (
+        "by_trace = np.trace(P @ rho_mix.matrix, axis1=1, axis2=2).real",
+        "sub-ensemble sum and trace rule disagree",
+    ),
+    "improper": (
+        "on_composite = np.array([np.vdot(psi, p_psi) for p_psi in P1 @ psi]).real",
+        "composite and partial-trace routes disagree",
+    ),
+}
+
+
+@pytest.mark.parametrize("trial", [TRIAL_CHUNK, 2 * TRIAL_CHUNK - 1], ids=["first", "last"])
+@pytest.mark.parametrize("route", sorted(ROUTE_SIDES))
+def test_every_equivalence_trial_is_cross_checked(route, trial, monkeypatch):
+    rng = np.random.default_rng(6)
+    states = np.column_stack([random_state(4, rng).amplitudes for _ in range(3)])
+    spec = MixtureSpec(states, [0.5, 0.3, 0.2])
+    partner, trials = purify(mix(spec)), 2 * TRIAL_CHUNK
+    assert proper_improper_equivalence(spec, partner, trials=trials, seed=1) <= 1e-10
+    line, message = ROUTE_SIDES[route]
+    side = line.split(" = ")[0]
+    bumped = f"{line}; {side} = bump({side})"
+    mutant = mutated(monkeypatch, envborn.mixtures, line, bumped, bump=OneTrialBump(trial))
+    with pytest.raises(ValueError, match=message):
+        mutant.proper_improper_equivalence(spec, partner, trials=trials, seed=1)
 
 
 def dense_projector(matrix, tol=DEFAULT_TOL):

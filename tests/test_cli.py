@@ -262,6 +262,36 @@ class TestSampleCommand:
         assert report["sampling"]["probabilities"] == derived
         assert (code, err, report["pass"]) == (0, "", True)
 
+    def test_loose_tolerance_draws_and_checks_the_normalized_distribution(self, tmp_path):
+        # at tolerance 0.5 a pointer overlap of 0.3 derives values summing to
+        # 1.083 (biorthogonality fails); the draws and the z-scores both use p
+        # divided by that sum, so the slack is not all given to the last
+        # outcome and blamed on the draw (z = -53 when the top was pinned)
+        pointer = [[[1, 0], [0, 0]], [[0.3, 0], [1, 0]]]
+        apparatus = {
+            "ready_state": [[1, 0], [0, 0]],
+            "pointer_states": pointer,
+            "pointer_projectors": [[v] for v in pointer],
+        }
+        path = write_variant(
+            tmp_path,
+            "degenerate-3d",
+            tolerances={"operator": 0.5},
+            apparatus=apparatus,
+            sampling={"n": 100000, "seed": 1},
+        )
+        code, out, err = run_cli(["sample", path, "--format", "structured"])
+        report = json.loads(out)
+        derived = [rec["derived"] for rec in report["derivation"]["outcomes"]]
+        assert sum(derived) == pytest.approx(1.083, abs=1e-3)
+        section = report["sampling"]
+        assert section["probabilities"] == derived
+        assert section["pass"] is True
+        assert max(abs(z) for z in section["zscores"]) <= 4
+        frequencies = np.divide(section["counts"], section["n"])
+        assert np.allclose(frequencies, np.divide(derived, sum(derived)), atol=0.01)
+        assert (code, err, report["pass"]) == (1, "", False)
+
     def test_fail_fast_skips_sampling_after_derive_failure(self, tmp_path):
         data = json.loads(Path(fixture_path("broken-unitary")).read_text(encoding="utf-8"))
         data["sampling"] = {"n": 1000, "seed": 1}

@@ -92,6 +92,9 @@ class TestSampleOutcomes:
             sample_outcomes([0.5, 0.4], 100, seed=0)
         with pytest.raises(ValueError, match="negative"):
             sample_outcomes([1.5, -0.5], 100, seed=0)
+        # a loose tolerance admits no empty distribution: it is drawn over its sum
+        with pytest.raises(ValueError, match="sum"):
+            sample_outcomes([0.0, 0.0], 100, seed=0, tol=2.0)
 
     @given(st.integers(0, 2**32 - 1))
     def test_boundary_outcomes_are_exact(self, seed):

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 from conftest import dense_coupling, dense_projectors, entangle_branches, random_scenario
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from envborn.born import complement_check
@@ -98,11 +98,13 @@ def certified_reference(model):
 
 def assert_certified_calibration(model, seed):
     """verify_calibration equals the generalized-eigenvalue reference within
-    AGREE and is at least the sampled loop, up to rounding."""
+    AGREE and is at least the sampled loop, up to the rounding of products over
+    the ``d1 d2`` composite entries: ``d1 d2 eps max(1, sampled)``."""
     certified = list(verify_calibration(model).residuals.values())
     assert np.max(np.abs(np.subtract(certified, certified_reference(model)))) <= AGREE
-    sampled = lifted_calibration(model, TRIALS, seed)
-    assert np.min(np.subtract(certified, sampled)) >= -1e-15
+    sampled = np.array(lifted_calibration(model, TRIALS, seed))
+    rounding = model.d1 * model.d2 * np.finfo(float).eps * np.maximum(1.0, sampled)
+    assert np.all(np.subtract(certified, sampled) >= -rounding)
 
 
 def lifted_partial_trace(vec, d1, d2):
@@ -111,14 +113,11 @@ def lifted_partial_trace(vec, d1, d2):
     return sum(r @ rho @ r.T for r in rows)
 
 
-@st.composite
-def models(draw):
-    d1 = draw(st.integers(2, 5))
-    d2 = draw(st.integers(2, 5))
-    outcomes = draw(st.integers(1, min(d1, d2)))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+def model_case(d1, d2, outcomes, seed, coupling):
+    """A random model and input state on ``d1 x d2``, with its built coupling,
+    that coupling entangling each branch, or the identity coupling."""
+    rng = np.random.default_rng(seed)
     model, phi = random_scenario(d1, d2, outcomes, rng)
-    coupling = draw(st.sampled_from(["built", "entangled", "identity"]))
     if coupling == "entangled":
         model = entangle_branches(model, rng)
     elif coupling == "identity":
@@ -126,6 +125,16 @@ def models(draw):
             model.measured, model.apparatus, identity(model.d1 * model.d2)
         )
     return model, phi
+
+
+@st.composite
+def models(draw):
+    d1 = draw(st.integers(2, 5))
+    d2 = draw(st.integers(2, 5))
+    outcomes = draw(st.integers(1, min(d1, d2)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    coupling = draw(st.sampled_from(["built", "entangled", "identity"]))
+    return model_case(d1, d2, outcomes, seed, coupling)
 
 
 @settings(max_examples=40, deadline=None)
@@ -287,6 +296,9 @@ def test_block_check_decides_like_dense_check(case, system_side, delta):
     st.sampled_from([1e-14, 1e-6, 1e-2]),
     st.integers(0, 2**32 - 1),
 )
+# certified 0.7449446188415653 against sampled 0.7449446188415686: a rounding
+# gap of 3.3e-15 on an O(1) residual, beyond an absolute 1e-15
+@example(case=model_case(4, 5, 2, 133, "identity"), scale=1e-14, seed=0)
 def test_certified_calibration_of_perturbed_models(case, scale, seed):
     """Every ``B_n`` and the coupling (each ``V_n``, or the dense ``U``)
     perturbed, so that no ``M_n`` is an isometry and the certified value is

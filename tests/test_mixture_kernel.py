@@ -4,28 +4,32 @@
 matrix of a bipartite state.  These properties rebuild every result with dense
 ``np.kron`` lifts and composite ``partial_trace(pure_density(...))`` reduced
 states, over random mixtures with non-square partners (``d1 != d2``), and
-require agreement to 1e-12.
+require agreement to 1e-12.  The chunked equivalence check must equal a
+per-trial loop bit for bit.
 """
 
 import numpy as np
-from conftest import flat_state, partial_trace
+from conftest import flat_state, partial_trace, random_projector
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from envborn.hilbert import (
+    NORM_TOL,
     DensityOperator,
     Operator,
     make_state,
     pure_density,
 )
 from envborn.mixtures import (
+    TRIAL_CHUNK,
     MixtureSpec,
     improper_probability,
+    mix,
     proper_improper_equivalence,
     proper_probability,
     purify,
 )
-from envborn.rng import random_projector, random_unitary
+from envborn.rng import random_unitary
 from envborn.schmidt import (
     BipartiteState,
     check_envariance,
@@ -52,12 +56,12 @@ def lifted_expectation(P1, psi12):
 
 
 @st.composite
-def mixtures_with_partners(draw):
+def mixtures_with_partners(draw, max_d1=5):
     """A random mixture of ``parts`` components in ``d1`` and a partner in
     ``d1 x d2`` (``d2 >= parts``, independent of ``d1``) whose first factor
     reduces to exactly that mixture."""
     rng = np.random.default_rng(draw(seeds))
-    d1 = draw(st.integers(1, 5))
+    d1 = draw(st.integers(1, max_d1))
     parts = draw(st.integers(1, 4))
     d2 = parts + draw(st.integers(0, 2))
     weights = rng.dirichlet(np.ones(parts))
@@ -115,6 +119,38 @@ def test_equivalence_matches_lifted_trial_loop(case, seed):
         expected = max(expected, abs(min(max(proper, 0.0), 1.0) - min(max(improper, 0.0), 1.0)))
     got = proper_improper_equivalence(spec, psi12, trials=trials, seed=seed)
     assert abs(got - expected) <= AGREE
+
+
+def looped_equivalence(spec, psi12, trials, seed):
+    """``proper_improper_equivalence`` as the per-trial loop: per trial a rank,
+    a Haar projector basis, ``P = B B^H`` and both cross-checked routes, each
+    in the arithmetic form of a single ``P``."""
+    a, psi = spec.states, psi12.matrix
+    rho_mix, rho1 = mix(spec).matrix, np.einsum("aj,bj->ab", psi, psi.conj())
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(trials):
+        basis = random_projector(psi12.d1, int(rng.integers(1, psi12.d1 + 1)), rng)
+        P = basis @ basis.conj().T
+        by_components = float(spec.weights @ np.einsum("ik,ik->k", a.conj(), P @ a).real)
+        assert abs(by_components - float(np.trace(P @ rho_mix).real)) <= NORM_TOL
+        on_reduced = float(np.trace(P @ rho1).real)
+        assert abs(float(np.vdot(psi, P @ psi).real) - on_reduced) <= NORM_TOL
+        proper, improper = min(max(by_components, 0.0), 1.0), min(max(on_reduced, 0.0), 1.0)
+        worst = max(worst, abs(proper - improper))
+    return worst
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    mixtures_with_partners(max_d1=20),
+    seeds,
+    st.sampled_from([1, TRIAL_CHUNK - 1, TRIAL_CHUNK, TRIAL_CHUNK + 1, 50]),
+)
+def test_chunked_equivalence_equals_the_trial_loop(case, seed, trials):
+    spec, psi12, _ = case
+    got = proper_improper_equivalence(spec, psi12, trials=trials, seed=seed)
+    assert got == looped_equivalence(spec, psi12, trials, seed)
 
 
 @settings(max_examples=40, deadline=None)

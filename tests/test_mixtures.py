@@ -1,6 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
-from conftest import flat_state, partial_trace, projector_from_span, random_density
+from conftest import (
+    flat_state,
+    partial_trace,
+    projector_from_span,
+    random_density,
+    random_projector,
+)
 
 from envborn.hilbert import (
     DensityOperator,
@@ -16,7 +24,7 @@ from envborn.mixtures import (
     proper_probability,
     purify,
 )
-from envborn.rng import random_projector, random_state, random_unitary
+from envborn.rng import random_state, random_unitary
 from envborn.schmidt import BipartiteState
 
 D2 = 2
@@ -186,6 +194,24 @@ class TestEquivalence:
         spec = MixtureSpec(np.eye(D2), [0.8, 0.2])
         with pytest.raises(ValueError, match="does not match"):
             proper_improper_equivalence(spec, bell(), trials=10, seed=3)
+
+    def test_memory_does_not_grow_with_the_trial_count(self):
+        # trials are drawn and checked a chunk at a time: at d = 16 one stack
+        # of 4096 projectors alone would be 16 MiB
+        rng = np.random.default_rng(4)
+        states = np.column_stack([random_state(16, rng).amplitudes for _ in range(16)])
+        spec = MixtureSpec(states, np.full(16, 1 / 16))
+        psi = purify(mix(spec))
+
+        def peak(trials):
+            tracemalloc.start()
+            try:
+                proper_improper_equivalence(spec, psi, trials=trials, seed=5)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(4096) <= 2 * peak(64)
 
 
 class TestPurify:

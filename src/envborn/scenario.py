@@ -39,10 +39,11 @@ SCHEMA_VERSION = "envborn.report.v1"
 # Largest accepted d1 * d2: a dense composite complex matrix, or the d1^2 x d2^2
 # Gram product of a block coupling, stays within 256 MiB.
 MAX_COMPOSITE_DIM = 4096
-# Largest accepted sampling.n: 8 bytes per draw, a 128 MiB peak at the cap.
+# Largest accepted sampling.n: the draws stream through one fixed-size buffer,
+# so this bounds the run time (under 0.3 s at the cap), not the memory.
 MAX_SAMPLES = 2**24
-# Largest accepted mixture.trials: each trial draws a random d1 x d1 projector,
-# so this bounds the run time as MAX_SAMPLES bounds the memory.
+# Largest accepted mixture.trials: the trials run in fixed-size chunks, so this
+# too bounds the run time, not the memory.
 MAX_TRIALS = 2**16
 _JSON_NUMBERS = frozenset((int, float))
 

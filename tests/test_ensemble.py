@@ -1,8 +1,12 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from envborn import ensemble
 from envborn.ensemble import (
     SampleRun,
     _draw_counts,
@@ -19,15 +23,32 @@ def per_draw_counts(p, n, rng):
     return np.bincount(outcomes, minlength=len(p))
 
 
+def one_array_counts(p, n, rng):
+    """The reference count on all n draws sorted as one array, 8 bytes a draw."""
+    cum = np.cumsum(p)
+    cum /= cum[-1]
+    draws = rng.random(n)
+    draws.sort()
+    return np.diff(np.searchsorted(draws, cum, side="left"), prepend=0)
+
+
 class FixedDraws:
-    """A generator stub whose ``random(n)`` returns the given draws."""
+    """A generator stub serving the given draws in order: ``random(n)`` returns
+    the next ``n`` of them and ``random(out=buf)`` fills ``buf`` with them."""
 
     def __init__(self, draws):
         self.draws = np.array(draws, dtype=float)
+        self.used = 0
 
-    def random(self, n):
-        assert n == len(self.draws)
-        return self.draws.copy()
+    def random(self, size=None, out=None):
+        k = size if out is None else len(out)
+        assert self.used + k <= len(self.draws)
+        draws = self.draws[self.used : self.used + k]
+        self.used += k
+        if out is None:
+            return draws.copy()
+        out[:] = draws
+        return out
 
 
 class TestDrawCounts:
@@ -58,6 +79,59 @@ class TestDrawCounts:
         counts = _draw_counts(p, len(draws), FixedDraws(draws))
         assert counts.tolist() == per_draw_counts(p, len(draws), FixedDraws(draws)).tolist()
         assert counts.tolist() == [2, 1, 0, 5]
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 4, 8])
+    def test_draws_on_a_cumulative_value_straddling_blocks_count_above_it(self, block):
+        # cum = [0.25, 0.5, 0.5, 1.0] again; at a block of 4 the draws on 0.25
+        # fall in blocks 0 and 1, and the two on 0.5 sit either side of the
+        # first boundary
+        p = np.array([0.25, 0.25, 0.0, 0.5])
+        draws = [0.0, 0.75, 0.25, 0.5, 0.5, 0.25, np.nextafter(0.25, 0), np.nextafter(0.5, 1), np.nextafter(1, 0)]
+        stub = FixedDraws(draws)
+        with mock.patch.object(ensemble, "DRAW_BLOCK", block):
+            counts = _draw_counts(p, len(draws), stub)
+        assert stub.used == len(draws)
+        assert counts.tolist() == one_array_counts(p, len(draws), FixedDraws(draws)).tolist()
+        assert counts.tolist() == per_draw_counts(p, len(draws), FixedDraws(draws)).tolist()
+        assert counts.tolist() == [2, 2, 0, 5]
+
+
+class TestDrawBlocks:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 1.0)), min_size=1, max_size=12).filter(any),
+        st.floats(1 - 1e-7, 1 + 1e-7),
+        st.integers(1, 200),
+        st.sampled_from([1, 7]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_blocks_count_as_one_sorted_array(self, weights, scale, n, block, seed):
+        # zero-width bins anywhere, and sums off 1 within the tolerance
+        p = np.array(weights) / sum(weights) * scale
+        with mock.patch.object(ensemble, "DRAW_BLOCK", block):
+            run = sample_outcomes(p, n, seed, tol=1e-6)
+        assert list(run.counts) == one_array_counts(p, n, np.random.default_rng(seed)).tolist()
+
+    @pytest.mark.parametrize(
+        "p", [[0.0, 0.3, 0.0, 0.7 + 1e-10, 0.0], [0.25, 0.25, 0.0, 0.5], [1 / 3] * 3]
+    )
+    def test_unpatched_blocks_count_as_one_sorted_array(self, p):
+        n = 3 * ensemble.DRAW_BLOCK + 5
+        run = sample_outcomes(p, n, seed=11)
+        assert list(run.counts) == one_array_counts(np.array(p), n, np.random.default_rng(11)).tolist()
+
+    def test_peak_memory_does_not_grow_with_n(self):
+        p = np.full(8, 1 / 8)
+
+        def peak(n):
+            tracemalloc.start()
+            try:
+                sample_outcomes(p, n, seed=0)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(2**22) <= 2 * peak(2**16)
 
 
 class TestSampleOutcomes:

@@ -77,3 +77,29 @@ def test_bench_cli_wall_rejects_an_unexpected_exit_code():
     bench = load_bench()
     with pytest.raises(RuntimeError, match="broken-unitary exited 1, not 0"):
         bench.cli_wall_row("broken-unitary", "derive", 0, repeats=1, src=bench.ROOT / "src")
+
+
+def test_bench_sampling_times_the_draws_and_their_peak(monkeypatch):
+    bench = load_bench()
+    assert bench.SAMPLE_SIZES[0] == 250_000 and bench.SAMPLE_SIZES[-1] == 2**24
+    monkeypatch.setattr(bench, "SAMPLE_SIZES", (1000, 5000))
+    rows = bench.run_sampling(repeats=1, seed=bench.SEED)
+    assert [(row["n"], row["outcomes"]) for row in rows] == [(1000, 8), (5000, 8)]
+    assert all(row["sampling_ms"] > 0 and row["sampling_peak_mib"] > 0 for row in rows)
+
+
+def test_bench_timed_alternating_reverses_the_order_every_repeat():
+    calls = []
+    medians, repeats = load_bench().timed_alternating(
+        [lambda: calls.append("a"), lambda: calls.append("b")], repeats=3, min_total_ms=0
+    )
+    assert repeats == 3 and len(medians) == 2
+    assert calls == ["a", "b", "b", "a", "a", "b"]
+
+
+def test_bench_cli_wall_interleaves_a_baseline_tree():
+    bench = load_bench()
+    src = bench.ROOT / "src"
+    row = bench.cli_wall_row("bell", "schmidt", 0, repeats=2, src=src, baseline=src)
+    assert row["wall_repeats"] >= 2
+    assert row["wall_ms"] > 0 and row["baseline_wall_ms"] > 0

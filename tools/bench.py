@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Time coupling synthesis and the audited derivation over a dimension ladder,
-the proper/improper mixture equivalence over a second ladder, and the CLI's
-stages on the bundled fixtures.
+the proper/improper mixture equivalence over a second ladder, the sampler over
+a ladder of sample counts, and the CLI's stages on the bundled fixtures.
 
 For each rung ``d1 x d2`` (2x2 up to 64x64) and outcome count ``N`` in
 ``{2, ~d1/3, min(d1, d2)}``, a random model (random eigenspace ranks, random
@@ -18,6 +18,10 @@ of ``d`` pure components in ``d`` dimensions, purifies it as the ``mixtures``
 command's ``auto_purify`` does, and times ``proper_improper_equivalence`` over
 50 trials.
 
+The sampling section runs ``sample_outcomes`` on a random distribution of 8
+outcomes for ``n`` in ``SAMPLE_SIZES`` (250k up to the cap ``2**24``) and
+records the median time and the ``tracemalloc`` peak of one call.
+
 The CLI section runs each bundled fixture with its subcommand, plus one
 24x24 ``sample`` scenario from ``perfbench/workloads.py`` (seed 3, 250k
 draws), and times each stage of one structured run: ``load_scenario``, the
@@ -29,15 +33,17 @@ The wall section runs ``python -m envborn.cli <command> <fixture> --format
 structured`` as a fresh process for each case of the ``CASES`` table in
 ``tools/regenerate_goldens.py``, with BLAS pinned to one thread in the child's
 environment, and records the median wall time: the CLI end to end, interpreter
-start and the numpy import included.
+start and the numpy import included.  Given a second source tree with
+``--baseline``, it times each case on both trees, alternating them per repeat,
+and records both medians, so that drift in machine speed falls on both alike.
 
 Run from the repository root.  Each run appends one round to the output
 file under ``--label``, so two source trees can be compared in one file;
 alternate the labels over several rounds so that drift in machine speed
 falls on both sides:
 
-    python3 tools/bench.py --label parent --src ../parent/src --out BENCH.json
-    python3 tools/bench.py --label change --out BENCH.json
+    python3 tools/bench.py --label parent --src ../parent/src --baseline src --out BENCH.json
+    python3 tools/bench.py --label change --baseline ../parent/src --out BENCH.json
 
 This harness is not part of the test suite.
 """
@@ -62,6 +68,8 @@ REPEATS = 7
 SEED = 5
 MIXTURE_DIMS = (4, 16, 64)
 MIXTURE_TRIALS = 50
+SAMPLE_SIZES = (250_000, 2**20, 2**22, 2**24)
+SAMPLE_OUTCOMES = 8
 
 
 def outcome_counts(d1: int, d2: int) -> list[int]:
@@ -85,22 +93,38 @@ def random_case(d1: int, d2: int, outcomes: int, seed: int):
     return measured, apparatus, random_state(d1, rng)
 
 
-def timed(func, repeats: int, min_total_ms: float = 200.0) -> tuple[float, int, object]:
-    """Median wall time in ms, the number of calls and the last result.
+def timed_alternating(funcs, repeats: int, min_total_ms: float = 200.0) -> tuple[list[float], int]:
+    """Median wall time in ms of each of ``funcs`` and the number of calls of each.
 
-    Calls at least ``repeats`` times and until ``min_total_ms`` has passed,
-    so that sub-millisecond rungs get enough samples; a call above 0.5 s
-    stops after three.
+    Calls the functions in turn, reversing their order every repeat, so that
+    drift in machine speed falls on each alike.  Calls the first at least
+    ``repeats`` times and until ``min_total_ms`` has passed, so that
+    sub-millisecond rungs get enough samples; a call above 0.5 s stops after
+    three.
     """
-    times = []
-    result = None
-    while len(times) < repeats or sum(times) < min_total_ms:
-        start = time.perf_counter()
-        result = func()
-        times.append(1e3 * (time.perf_counter() - start))
-        if times[0] > 500 and len(times) >= 3:
+    times = [[] for _ in funcs]
+    while len(times[0]) < repeats or sum(times[0]) < min_total_ms:
+        order = list(enumerate(funcs))
+        for i, func in order if len(times[0]) % 2 == 0 else reversed(order):
+            start = time.perf_counter()
+            func()
+            times[i].append(1e3 * (time.perf_counter() - start))
+        if times[0][0] > 500 and len(times[0]) >= 3:
             break
-    return statistics.median(times), len(times), result
+    return [statistics.median(t) for t in times], len(times[0])
+
+
+def timed(func, repeats: int, min_total_ms: float = 200.0) -> tuple[float, int, object]:
+    """Median wall time in ms, the number of calls and the last result, as
+    ``timed_alternating`` times one function."""
+    result = None
+
+    def call() -> None:
+        nonlocal result
+        result = func()
+
+    (median,), calls = timed_alternating([call], repeats, min_total_ms)
+    return median, calls, result
 
 
 def peak_mib(func) -> float:
@@ -189,6 +213,32 @@ def run_mixture_ladder(repeats: int, seed: int) -> list[dict]:
     return rungs
 
 
+def sampling_row(n: int, repeats: int, seed: int) -> dict:
+    import numpy as np
+
+    from envborn.ensemble import sample_outcomes
+
+    p = np.random.default_rng(seed).random(SAMPLE_OUTCOMES)
+    p = (p / p.sum()).tolist()
+    sampling_ms, sampling_n, _ = timed(lambda: sample_outcomes(p, n, seed), repeats)
+    return {
+        "n": n,
+        "outcomes": SAMPLE_OUTCOMES,
+        "sampling_ms": round(sampling_ms, 3),
+        "sampling_repeats": sampling_n,
+        "sampling_peak_mib": round(peak_mib(lambda: sample_outcomes(p, n, seed)), 3),
+    }
+
+
+def run_sampling(repeats: int, seed: int) -> list[dict]:
+    rows = []
+    for n in SAMPLE_SIZES:
+        row = sampling_row(n, repeats, seed)
+        print(json.dumps(row), flush=True)
+        rows.append(row)
+    return rows
+
+
 def cli_cases(src: Path, workdir: Path) -> list[tuple[str, str, str]]:
     """``(name, subcommand, path)`` for every bundled fixture and the 24x24 scenario."""
     import importlib.util
@@ -257,8 +307,9 @@ def golden_cases() -> dict[str, tuple[str, int]]:
     return goldens.CASES
 
 
-def cli_wall_row(name: str, command: str, expected: int, repeats: int, src: Path) -> dict:
-    """Median wall time of the CLI as a fresh process on one bundled fixture."""
+def cli_process(name: str, command: str, expected: int, src: Path):
+    """A function running the CLI of ``src`` as a fresh process on one bundled
+    fixture and checking its exit code."""
     fixture = src / "envborn" / "fixtures" / f"{name}.json"
     argv = [sys.executable, "-m", "envborn.cli", command, str(fixture), "--format", "structured"]
     env = dict(os.environ, PYTHONPATH=str(src.resolve()))
@@ -269,14 +320,28 @@ def cli_wall_row(name: str, command: str, expected: int, repeats: int, src: Path
         if done.returncode != expected:
             raise RuntimeError(f"{name} exited {done.returncode}, not {expected}: {done.stderr!r}")
 
-    wall_ms, wall_n, _ = timed(run, repeats)
-    return {"case": name, "command": command, "wall_ms": round(wall_ms, 3), "wall_repeats": wall_n}
+    return run
 
 
-def run_cli_wall(repeats: int, src: Path) -> list[dict]:
+def cli_wall_row(
+    name: str, command: str, expected: int, repeats: int, src: Path, baseline: Path | None = None
+) -> dict:
+    """Median wall time of the CLI as a fresh process on one bundled fixture,
+    and of the ``baseline`` tree's CLI timed alternately with it."""
+    trees = [src] if baseline is None else [src, baseline]
+    medians, wall_n = timed_alternating(
+        [cli_process(name, command, expected, tree) for tree in trees], repeats
+    )
+    row = {"case": name, "command": command, "wall_ms": round(medians[0], 3), "wall_repeats": wall_n}
+    if baseline is not None:
+        row["baseline_wall_ms"] = round(medians[1], 3)
+    return row
+
+
+def run_cli_wall(repeats: int, src: Path, baseline: Path | None = None) -> list[dict]:
     rows = []
     for name, (command, expected) in golden_cases().items():
-        row = cli_wall_row(name, command, expected, repeats, src)
+        row = cli_wall_row(name, command, expected, repeats, src, baseline)
         print(json.dumps(row), flush=True)
         rows.append(row)
     return rows
@@ -299,8 +364,12 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--label", required=True, help="name of this run in the output file")
     parser.add_argument("--src", default=str(ROOT / "src"), help="source tree to import envborn from")
+    parser.add_argument(
+        "--baseline", help="second source tree whose CLI the wall section times alternately with --src's"
+    )
     parser.add_argument("--out", required=True, help="JSON file to append this run's round to")
     args = parser.parse_args(argv)
+    baseline = None if args.baseline is None else Path(args.baseline)
 
     for var in THREAD_VARS:
         os.environ[var] = str(BLAS_THREADS)
@@ -308,9 +377,10 @@ def main(argv=None) -> int:
 
     rungs = run_ladder(REPEATS, SEED)
     mixture_rungs = run_mixture_ladder(REPEATS, SEED)
+    sampling_rows = run_sampling(REPEATS, SEED)
     with tempfile.TemporaryDirectory() as workdir:
         cli_rows = run_cli_stages(REPEATS, Path(args.src), Path(workdir))
-    wall_rows = run_cli_wall(REPEATS, Path(args.src))
+    wall_rows = run_cli_wall(REPEATS, Path(args.src), baseline)
     out = Path(args.out)
     data = json.loads(out.read_text(encoding="utf-8")) if out.exists() else {}
     data["harness"] = "tools/bench.py"
@@ -323,6 +393,10 @@ def main(argv=None) -> int:
             f"proper_improper_equivalence, {MIXTURE_TRIALS} trials on an auto-purified "
             "random mixture, median wall time in ms"
         ),
+        "sampling_ms": (
+            f"sample_outcomes, {SAMPLE_OUTCOMES} outcomes and n draws, median wall time in ms"
+        ),
+        "sampling_peak_mib": "sample_outcomes, tracemalloc peak of one call in MiB",
         "load_ms": "cli: load_scenario of the case's file, median wall time in ms",
         "run_ms": "cli: the subcommand's run_* on the loaded scenario, median wall time in ms",
         "sample_ms": "cli: sample_outcomes on the report's probabilities, median wall time in ms",
@@ -332,13 +406,18 @@ def main(argv=None) -> int:
             "python -m envborn.cli <command> <fixture> --format structured as a fresh "
             "process, median wall time in ms"
         ),
+        "baseline_wall_ms": (
+            "wall_ms of the --baseline tree's CLI, timed alternately with --src's per repeat"
+        ),
     }
     data.setdefault("runs", {}).setdefault(args.label, []).append(
         {
             "seed": SEED,
+            "baseline": args.baseline,
             "environment": environment(),
             "rungs": rungs,
             "mixtures": mixture_rungs,
+            "sampling": sampling_rows,
             "cli": cli_rows,
             "cli_wall": wall_rows,
         }

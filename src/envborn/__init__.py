@@ -30,6 +30,7 @@ from .schmidt import (
     check_envariance,
     reconstruct,
     schmidt_decompose,
+    schmidt_decompose_all,
     schmidt_probabilities,
     sublemma_check,
     swap_witness,

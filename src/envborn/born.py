@@ -52,7 +52,7 @@ from .premeasurement import (
     verify_calibration,
     verify_nondemolition,
 )
-from .schmidt import BipartiteState, pointer_density, schmidt_decompose
+from .schmidt import BipartiteState, pointer_density, schmidt_decompose_all
 
 __all__ = [
     "OutcomeRecord",
@@ -187,7 +187,8 @@ def derive_probabilities(
     oracle = [
         trace_probability(model.measured.basis(n), rho_phi) for n in range(model.outcome_count)
     ]
-    forms = {b.outcome: schmidt_decompose(BipartiteState(b.normalized())) for b in bset.branches}
+    states = [BipartiteState(b.normalized()) for b in bset.branches]
+    forms = {b.outcome: form for b, form in zip(bset.branches, schmidt_decompose_all(states))}
     weights = bset.weights
 
     # Biorthogonality on factor 1.  Factor 2 holds by construction: branch k's

@@ -66,22 +66,20 @@ def _dump(report: dict | list) -> str:
 
 def _canonical(value, newline: str) -> str:
     """``json.dumps(value, sort_keys=True, indent=2, allow_nan=False)`` with line
-    breaks written as ``newline``; a vector of finite float pairs is one join."""
+    breaks written as ``newline``; a vector of finite float pairs is one ``%``-format."""
     inner = newline + "  "
     if isinstance(value, dict) and value:
         items = (f"{encode_basestring_ascii(k)}: {_canonical(value[k], inner)}" for k in sorted(value))
         return "{" + inner + ("," + inner).join(items) + newline + "}"
     if not isinstance(value, (list, tuple)) or not value:
         return _SCALAR(value)
-    if all(
-        type(p) is list and len(p) == 2 and isinstance(p[0], float) and isinstance(p[1], float)
-        and math.isfinite(p[0]) and math.isfinite(p[1])
-        for p in value
-    ):
+    # %r of a float subclass such as np.float64 is not its float repr: exact floats only
+    flat = [x for p in value if type(p) is list and len(p) == 2 for x in p if type(x) is float]
+    if len(flat) == 2 * len(value) and math.isfinite(sum(flat)):
         pad = inner + "  "
-        items = (f"[{pad}{float.__repr__(re)},{pad}{float.__repr__(im)}{inner}]" for re, im in value)
-    else:
-        items = (_canonical(item, inner) for item in value)
+        pair = f"[{pad}%r,{pad}%r{inner}]"
+        return "[" + inner + ("," + inner).join([pair] * len(value)) % tuple(flat) + newline + "]"
+    items = (_canonical(item, inner) for item in value)
     return "[" + inner + ("," + inner).join(items) + newline + "]"
 
 

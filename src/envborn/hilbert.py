@@ -302,24 +302,27 @@ def complete_observable(
 
 
 def orthonormalize(vectors: Iterable[np.ndarray]) -> np.ndarray:
-    """Modified Gram-Schmidt with one re-orthogonalization pass; the basis is
-    returned as the columns of a ``dim x count`` matrix.
+    """Classical Gram-Schmidt applied twice (CGS2): each vector loses its
+    projection on the basis so far, ``w -= Q (Q^H w)``, in two passes of two
+    mat-vecs; the basis is returned as the columns of a ``dim x count`` matrix.
+    An entry that is zero in every input vector stays exactly zero.
 
     Raises ValueError when the input set is empty, mixes lengths or is
     linearly dependent (residual norm below ``DEPENDENCE_TOL`` relative to the
     input norm).
     """
-    basis: list[np.ndarray] = []
-    for v in vectors:
-        w = _as_vector(v, len(basis[0]) if basis else None).copy()
+    columns = list(vectors)
+    if not columns:
+        raise ValueError("span requires at least one vector")
+    basis = np.empty((len(_as_vector(columns[0])), len(columns)), dtype=complex)
+    for k, v in enumerate(columns):
+        w = _as_vector(v, len(basis)).copy()
         scale = np.linalg.norm(w)
+        q = basis[:, :k]
         for _ in range(2):
-            for b in basis:
-                w -= b * (b.conj() @ w)
+            w -= q @ (q.conj().T @ w)
         norm = np.linalg.norm(w)
         if scale == 0.0 or norm < DEPENDENCE_TOL * scale:
             raise ValueError("input vectors are linearly dependent")
-        basis.append(w / norm)
-    if not basis:
-        raise ValueError("span requires at least one vector")
-    return np.column_stack(basis)
+        basis[:, k] = w / norm
+    return basis

@@ -17,8 +17,10 @@ Both work on factor 1 only: with ``Psi`` the ``d1 x d2`` coefficient matrix of
 the partner, the composite expectation is ``vdot(Psi, P @ Psi)`` and ``rho_1 =
 Psi Psi^H``, so no composite-space lift or density matrix is formed.  Both
 routes run, with both cross-checks, on a stack of projectors ``P = B B^H``: one
-per public call, and ``TRIAL_CHUNK`` random ones per stacked Haar draw in
+per public call, and ``trial_chunk(d)`` random ones per stacked Haar draw in
 ``proper_improper_equivalence``, which builds ``rho_mix`` and ``rho_1`` once.
+Each route reduces a whole stack with one ``einsum``; its value for one
+projector does not depend on the height of the stack it is reduced in.
 """
 
 from __future__ import annotations
@@ -38,10 +40,20 @@ __all__ = [
     "improper_probability",
     "proper_improper_equivalence",
     "purify",
+    "trial_chunk",
 ]
 
 PURIFY_THRESHOLD = 1e-12  # purify drops eigenvalues below this
-TRIAL_CHUNK = 8  # equivalence trials per stacked draw; larger stacks outgrow the cache at d1 = 64
+# bytes of one stack of d x d complex projectors (or of their Gaussian pairs)
+# per equivalence chunk: 8 trials at d = 64, every one of 50 trials at d = 16;
+# larger stacks outgrow the 2 MiB L2 at d = 64
+STACK_BYTES = 2**19
+
+
+def trial_chunk(d: int) -> int:
+    """Equivalence trials per stacked draw in dimension ``d``: as many ``d x d``
+    complex matrices as fit in ``STACK_BYTES``, at least one."""
+    return max(1, STACK_BYTES // (16 * d * d))
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,14 +113,15 @@ def _agree(first: np.ndarray, second: np.ndarray, tol: float, what: str) -> None
 def _proper(P: np.ndarray, spec: MixtureSpec, rho_mix: DensityOperator, tol: float) -> np.ndarray:
     a = spec.states
     rows = np.einsum("ik,tik->tk", a.conj(), P @ a).real
-    by_components = np.array([spec.weights @ row for row in rows])
+    # not the gemv rows @ weights: its rounding of a row depends on the stack height
+    by_components = np.einsum("tk,k->t", rows, spec.weights)
     by_trace = np.trace(P @ rho_mix.matrix, axis1=1, axis2=2).real
     _agree(by_components, by_trace, tol, "sub-ensemble sum and trace rule")
     return np.clip(by_components, 0.0, 1.0)
 
 
 def _improper(P1: np.ndarray, psi: np.ndarray, rho1: DensityOperator, tol: float) -> np.ndarray:
-    on_composite = np.array([np.vdot(psi, p_psi) for p_psi in P1 @ psi]).real
+    on_composite = np.einsum("ij,tij->t", psi.conj(), P1 @ psi).real
     on_reduced = np.trace(P1 @ rho1.matrix, axis1=1, axis2=2).real
     _agree(on_composite, on_reduced, tol, "composite and partial-trace routes")
     return np.clip(on_reduced, 0.0, 1.0)
@@ -159,8 +172,9 @@ def proper_improper_equivalence(
             "proper/improper comparison is meaningless"
         )
     rng, d, worst = np.random.default_rng(seed), psi12.d1, 0.0
-    for start in range(0, trials, TRIAL_CHUNK):
-        count = min(TRIAL_CHUNK, trials - start)
+    chunk = trial_chunk(d)
+    for start in range(0, trials, chunk):
+        count = min(chunk, trials - start)
         ranks, ginibre = np.empty(count, dtype=int), np.empty((count, 2, d, d))
         for t in range(count):  # per trial the rank, then the Gaussian pair
             ranks[t] = rng.integers(1, d + 1)

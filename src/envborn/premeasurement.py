@@ -333,26 +333,36 @@ def verify_calibration(model: PremeasurementModel, tol: float = DEFAULT_TOL) -> 
     An input certain for outcome n is ``B_n @ c``; its normalized output is a
     unit vector in the range of ``M_n = W @ B_n``.  The residual of outcome n is
     the supremum of ``||(I (x) Q^n) Psi - Psi||`` over every such output: the
-    spectral norm of ``(I (x) Q^n - I) O_n`` for the left singular vectors
-    ``O_n`` of ``M_n``.  When ``M_n`` is singular (numerical rank below
-    ``r_n``), some certain input couples to the zero vector, and the residual
-    is inf.
+    spectral norm of the leak ``(I (x) Q^n - I) O_n`` for the ``Q`` factor
+    ``O_n`` of ``M_n``, taken as that of the ``R`` of the leak's own QR.  When
+    the ``R`` of ``M_n`` is singular (numerical rank below ``r_n``), some
+    certain input couples to the zero vector, and the residual is inf.
+
+    The outcomes of a rank group (equal measured and pointer ranks) share one
+    stacked call per step; LAPACK factors each matrix of a stack on its own,
+    so every residual equals the one of a single outcome.
     """
     d1, d2 = model.d1, model.d2
-    residuals = {}
-    pointer = model.apparatus.pointer_observable
-    for n in range(model.outcome_count):
-        outputs, singular, _ = np.linalg.svd(
-            model.ready_map @ model.measured.basis(n), full_matrices=False
-        )
-        if singular[-1] <= singular[0] * max(outputs.shape) * np.finfo(float).eps:
-            residuals[n] = float("inf")
-            continue
-        psi = outputs.T.reshape(-1, d1, d2)
-        b = pointer.basis(n)
-        leak = ((psi @ b.conj()) @ b.T - psi).reshape(len(psi), d1 * d2)
-        residuals[n] = float(np.linalg.norm(leak, ord=2))
-    return Audit(residuals, tol)
+    measured, pointer = model.measured, model.apparatus.pointer_observable
+    groups: dict[tuple[int, int], list[int]] = {}
+    for n, ranks in enumerate(zip(measured.ranks, pointer.ranks)):
+        groups.setdefault(ranks, []).append(n)
+    residuals = np.empty(model.outcome_count)
+    for (r, _), group in groups.items():
+        g = len(group)
+        outputs, triangle = np.linalg.qr(model.ready_map @ np.stack(list(map(measured.basis, group))))
+        # the rows of psi[k] are the d1 rows of the coefficient matrix of output k
+        psi = outputs.transpose(0, 2, 1).reshape(g, r * d1, d2)
+        del outputs  # a group's stack is as large as all of its outcomes' matrices
+        b = np.stack(list(map(pointer.basis, group)))
+        leak = (psi @ b.conj()) @ b.transpose(0, 2, 1)
+        leak -= psi
+        leak_r = np.linalg.qr(leak.reshape(g, r, d1 * d2).transpose(0, 2, 1), mode="r")
+        # one SVD call for both stacks of R: the first g give the singular test
+        singular = np.linalg.svd(np.concatenate([triangle, leak_r]), compute_uv=False)
+        cutoff = singular[:g, 0] * max(d1 * d2, r) * np.finfo(float).eps
+        residuals[group] = np.where(singular[:g, -1] <= cutoff, np.inf, singular[g:, 0])
+    return Audit(dict(enumerate(residuals.tolist())), tol)
 
 
 def verify_nondemolition(

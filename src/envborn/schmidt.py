@@ -38,6 +38,7 @@ __all__ = [
     "SchmidtForm",
     "pointer_density",
     "schmidt_decompose",
+    "schmidt_decompose_all",
     "reconstruct",
     "twin_unitary",
     "swap_witness",
@@ -134,7 +135,20 @@ def schmidt_decompose(psi: BipartiteState) -> SchmidtForm:
     nonzero component made real positive (compensating phase pushed into the
     factor-2 partner).
     """
-    u, s, vh = np.linalg.svd(psi.matrix, full_matrices=False)
+    return schmidt_decompose_all([psi])[0]
+
+
+def schmidt_decompose_all(states: Sequence[BipartiteState]) -> list[SchmidtForm]:
+    """``schmidt_decompose`` of each of ``states``, which share their dims, from
+    one stacked SVD; LAPACK factors each matrix of a stack on its own, so every
+    form equals the one of a single decomposition."""
+    if not states:
+        return []
+    u, s, vh = np.linalg.svd(np.stack([psi.matrix for psi in states]), full_matrices=False)
+    return [_schmidt_form(*svd) for svd in zip(u, s, vh)]
+
+
+def _schmidt_form(u: np.ndarray, s: np.ndarray, vh: np.ndarray) -> SchmidtForm:
     keep = s >= ZERO_BRANCH_THRESHOLD
     s, u, v = s[keep], u[:, keep], vh[keep, :].T
     # a unit column has an entry of modulus at least 1/sqrt(d1) > 1e-12

@@ -58,6 +58,19 @@ def projector_from_span(vectors) -> np.ndarray:
     return orthonormalize(v.amplitudes if isinstance(v, StateVector) else v for v in vectors)
 
 
+def mgs_orthonormalize(vectors) -> np.ndarray:
+    """Modified Gram-Schmidt with one re-orthogonalization pass, one basis
+    vector at a time: a reference for ``orthonormalize`` on independent sets."""
+    basis = []
+    for v in vectors:
+        w = np.array(v, dtype=complex)
+        for _ in range(2):
+            for b in basis:
+                w -= b * (b.conj() @ w)
+        basis.append(w / np.linalg.norm(w))
+    return np.column_stack(basis)
+
+
 def dense_projectors(obs):
     """The dense eigenprojectors ``P^n = B_n B_n^H`` of an observable, as
     references for the forms that apply them through ``B_n``."""

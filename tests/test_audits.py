@@ -40,7 +40,7 @@ from envborn.hilbert import (
     pure_density,
     trace_probability,
 )
-from envborn.mixtures import TRIAL_CHUNK, MixtureSpec, mix, proper_improper_equivalence, purify
+from envborn.mixtures import MixtureSpec, mix, proper_improper_equivalence, purify, trial_chunk
 from envborn.premeasurement import (
     PointerApparatus,
     PremeasurementModel,
@@ -197,19 +197,23 @@ ROUTE_SIDES = {
         "sub-ensemble sum and trace rule disagree",
     ),
     "improper": (
-        "on_composite = np.array([np.vdot(psi, p_psi) for p_psi in P1 @ psi]).real",
+        'on_composite = np.einsum("ij,tij->t", psi.conj(), P1 @ psi).real',
         "composite and partial-trace routes disagree",
     ),
 }
 
 
-@pytest.mark.parametrize("trial", [TRIAL_CHUNK, 2 * TRIAL_CHUNK - 1], ids=["first", "last"])
+CHUNK = trial_chunk(4)
+
+
+@pytest.mark.parametrize("trial", [CHUNK, 2 * CHUNK - 1], ids=["first", "last"])
 @pytest.mark.parametrize("route", sorted(ROUTE_SIDES))
 def test_every_equivalence_trial_is_cross_checked(route, trial, monkeypatch):
+    # the second chunk's first and last trial
     rng = np.random.default_rng(6)
     states = np.column_stack([random_state(4, rng).amplitudes for _ in range(3)])
     spec = MixtureSpec(states, [0.5, 0.3, 0.2])
-    partner, trials = purify(mix(spec)), 2 * TRIAL_CHUNK
+    partner, trials = purify(mix(spec)), 2 * CHUNK
     assert proper_improper_equivalence(spec, partner, trials=trials, seed=1) <= 1e-10
     line, message = ROUTE_SIDES[route]
     side = line.split(" = ")[0]

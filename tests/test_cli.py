@@ -519,6 +519,20 @@ class TestCanonicalEmitter:
         with pytest.raises(ValueError):
             _dump(place(bad))
 
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.lists(_FLOAT, min_size=2, max_size=2), min_size=1, max_size=4), st.data())
+    def test_numpy_float_pairs_match_stdlib(self, pairs, data):
+        # %r of an np.float64 is "np.float64(...)": such pairs take the item path
+        mixed = [
+            [np.float64(x) if data.draw(st.booleans()) else x for x in pair] for pair in pairs
+        ]
+        for report in ([[np.float64(x) for x in pair] for pair in pairs], {"v": mixed}):
+            assert _dump(report) == stdlib_dump(report)
+
+    def test_pairs_whose_sum_overflows_match_stdlib(self):
+        report = {"v": [[1.7e308, 1.7e308], [-0.0, 5e-324]]}
+        assert _dump(report) == stdlib_dump(report)
+
     def test_large_and_batch_reports_match_stdlib(self, tmp_path):
         large = _large_scenarios(tmp_path)[1][1]
         for args in (["sample", large], ["derive", fixture_path("degenerate-3d"), large]):

@@ -3,11 +3,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
     dense_projectors,
+    mgs_orthonormalize,
     partial_trace,
     projector_from_span,
     random_density,
@@ -24,6 +25,7 @@ from envborn.hilbert import (
     complete_observable,
     identity,
     make_state,
+    orthonormalize,
     pure_density,
     trace_probability,
 )
@@ -367,6 +369,42 @@ class TestProjectorFromSpan:
     def test_mixed_lengths_rejected(self):
         with pytest.raises(ValueError, match="length 2"):
             projector_from_span([basis_state(D2, 0), basis_state(D3, 2)])
+
+
+class TestOrthonormalize:
+    def test_structural_zero_row_stays_exact(self):
+        # the skewed pointer span of tests/test_born.py: its pointer model
+        # needs Q^1 to leave e0 exactly untouched
+        q = orthonormalize([[0, 1, 2j], [0, 2j, 1]])
+        assert q.shape == (3, 2)
+        assert np.all(q[0] == 0)
+        assert np.linalg.norm(q.conj().T @ q - np.eye(2)) <= 1e-15
+
+    def test_dependent_set_message(self):
+        with pytest.raises(ValueError, match="^input vectors are linearly dependent$"):
+            orthonormalize([[1, 1j, 0], [2, 2j, 0]])
+
+    def test_mixed_lengths_message(self):
+        with pytest.raises(ValueError, match=r"^expected a vector of length 3, got \(2,\)$"):
+            orthonormalize([[1, 0, 0], [0, 1]])
+
+    def test_empty_set_message(self):
+        with pytest.raises(ValueError, match="^span requires at least one vector$"):
+            orthonormalize(iter([]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 8), st.integers(1, 8), st.integers(0, 2**32 - 1), st.data())
+    def test_matches_modified_gram_schmidt(self, dim, count, seed, data):
+        rng = np.random.default_rng(seed)
+        count = min(count, dim)
+        zero_rows = data.draw(st.sets(st.integers(0, dim - 1), max_size=dim - count))
+        vectors = rng.standard_normal((count, dim)) + 1j * rng.standard_normal((count, dim))
+        vectors[:, sorted(zero_rows)] = 0
+        # a well-conditioned set, so that the two orders of rounding stay close
+        assume(np.linalg.cond(vectors) < 100)
+        q = orthonormalize(list(vectors))
+        assert np.max(np.abs(q - mgs_orthonormalize(vectors))) <= 1e-13
+        assert np.all(q[sorted(zero_rows)] == 0)
 
 
 class TestInvariants:

@@ -13,6 +13,9 @@ generalized eigenvalue problem of the lifts and against the sampled loop it
 replaced, on unperturbed and perturbed models.  The certified unitarity bound
 is checked to cover the exact residual, to be attained where the algebra says
 so, and to hand the decision to the exact residual when it cannot certify.
+The stacked kernels, the Schmidt forms of all kept branches from one SVD and
+the calibration of a rank group from one call per step, must equal the
+per-branch and per-outcome loops kept here bit for bit.
 """
 
 import numpy as np
@@ -22,13 +25,14 @@ from conftest import dense_coupling, dense_projectors, entangle_branches, random
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from envborn.born import complement_check
+from envborn.born import complement_check, derive_probabilities
 from envborn.hilbert import (
     DEFAULT_TOL,
     Observable,
     Operator,
     basis_state,
     identity,
+    make_state,
 )
 from envborn.premeasurement import (
     PointerApparatus,
@@ -42,7 +46,12 @@ from envborn.premeasurement import (
     verify_nondemolition,
 )
 from envborn.rng import random_unit_vector, random_unitary
-from envborn.schmidt import BipartiteState, pointer_density, schmidt_decompose
+from envborn.schmidt import (
+    BipartiteState,
+    pointer_density,
+    schmidt_decompose,
+    schmidt_decompose_all,
+)
 
 AGREE = 1e-12
 TRIALS = 5
@@ -438,3 +447,105 @@ def test_block_check_decides_like_the_exact_residual_where_the_bound_is_attained
     PremeasurementModel(measured, apparatus, blocks, exact)
     with pytest.raises(ValueError, match="not unitary"):
         PremeasurementModel(measured, apparatus, blocks, np.nextafter(exact, 0.0))
+
+
+def looped_schmidt_form(psi):
+    """``schmidt_decompose`` of one state by its own SVD, the per-branch form
+    the stacked decomposition must reproduce."""
+    u, s, vh = np.linalg.svd(psi.matrix, full_matrices=False)
+    keep = s >= 1e-12
+    s, u, v = s[keep], u[:, keep], vh[keep, :].T
+    lead = np.argmax(np.abs(u) > 1e-12, axis=0)
+    top = u[lead, np.arange(len(s))]
+    phase = top / np.hypot(top.real, top.imag)
+    order = np.lexsort((lead, -s))
+    return s[order], (u / phase)[:, order], (v * phase)[:, order]
+
+
+def looped_calibration(model):
+    """``verify_calibration`` outcome by outcome: one QR of each ``M_n``, the
+    singular test on the singular values of its ``R``, and the leak's spectral
+    norm from the ``R`` of the leak's QR."""
+    d1, d2 = model.d1, model.d2
+    pointer = model.apparatus.pointer_observable
+    residuals = {}
+    for n in range(model.outcome_count):
+        m = model.ready_map @ model.measured.basis(n)
+        outputs, triangle = np.linalg.qr(m)
+        singular = np.linalg.svd(triangle, compute_uv=False)
+        if singular[-1] <= singular[0] * max(m.shape) * np.finfo(float).eps:
+            residuals[n] = float("inf")
+            continue
+        psi = outputs.T.reshape(-1, d2)
+        b = pointer.basis(n)
+        leak = ((psi @ b.conj()) @ b.T - psi).reshape(m.shape[1], d1 * d2)
+        residuals[n] = float(np.linalg.norm(np.linalg.qr(leak.T, mode="r"), ord=2))
+    return residuals
+
+
+def singular_coupling(model):
+    """A dense coupling ``(I - v v^H) (x) I`` for the first basis vector ``v`` of
+    the first eigenspace of rank at least 2: ``M_n`` of that outcome has rank
+    ``r_n - 1``.  It is accepted only at the tolerance ``LOOSE``."""
+    n = next(n for n, r in enumerate(model.measured.ranks) if r >= 2)
+    v = model.measured.basis(n)[:, 0]
+    lifted = np.kron(np.eye(model.d1) - np.outer(v, v.conj()), np.eye(model.d2))
+    return PremeasurementModel(model.measured, model.apparatus, Operator(lifted), LOOSE)
+
+
+@st.composite
+def stacked_cases(draw, couplings=("built", "entangled", "identity", "singular")):
+    """A model with random ranks and couplings (built, branch-entangling,
+    identity, or one that makes some ``M_n`` singular), and an input state
+    inside a random nonempty subset of the measured eigenspaces, so that the
+    other outcomes' branches are omitted under the built coupling."""
+    d1 = draw(st.integers(2, 6))
+    d2 = draw(st.integers(2, 6))
+    outcomes = draw(st.integers(1, min(d1, d2)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    coupling = draw(st.sampled_from(couplings))
+    if coupling == "singular":  # some eigenspace of rank at least 2
+        outcomes = min(outcomes, d1 - 1)
+    model, _ = model_case(d1, d2, outcomes, seed, "built" if coupling == "singular" else coupling)
+    if coupling == "singular":
+        model = singular_coupling(model)
+    support = draw(st.sets(st.integers(0, outcomes - 1), min_size=1))
+    rng = np.random.default_rng(seed)
+    phi = sum(model.measured.basis(n) @ random_unit_vector(model.measured.ranks[n], rng) for n in support)
+    return model, make_state(phi / np.linalg.norm(phi)), coupling
+
+
+@settings(max_examples=150, deadline=None)
+@given(stacked_cases())
+def test_stacked_calibration_equals_the_outcome_loop(case):
+    model, _, coupling = case
+    residuals = verify_calibration(model).residuals
+    assert residuals == looped_calibration(model)
+    if coupling == "singular":
+        assert float("inf") in residuals.values()
+
+
+@settings(max_examples=150, deadline=None)
+@given(stacked_cases(couplings=("built", "entangled", "identity")))
+def test_stacked_schmidt_forms_equal_the_branch_loop(case):
+    model, phi, _ = case
+    kept = branches(model, evolve(model, phi)).branches
+    states = [BipartiteState(b.normalized()) for b in kept]
+    for form, psi in zip(schmidt_decompose_all(states), states, strict=True):
+        coefficients, basis1, basis2 = looped_schmidt_form(psi)
+        assert np.array_equal(form.coefficients, coefficients)
+        assert np.array_equal(form.basis1, basis1) and np.array_equal(form.basis2, basis2)
+    records = derive_probabilities(model, phi).records
+    for b, psi in zip(kept, states):
+        detail = tuple(float(b.weight * c**2) for c in looped_schmidt_form(psi)[0])
+        assert records[b.outcome].schmidt_detail == detail
+
+
+def test_stacked_schmidt_forms_skip_omitted_branches():
+    model, _ = model_case(4, 4, 3, 7, "built")
+    phi = make_state(model.measured.basis(1)[:, 0])
+    bset = branches(model, evolve(model, phi))
+    assert bset.omitted == (0, 2) and [b.outcome for b in bset.branches] == [1]
+    records = derive_probabilities(model, phi).records
+    assert [len(r.schmidt_detail) for r in records] == [0, 1, 0]
+    assert schmidt_decompose_all([]) == []

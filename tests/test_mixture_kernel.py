@@ -8,6 +8,8 @@ require agreement to 1e-12.  The chunked equivalence check must equal a
 per-trial loop bit for bit.
 """
 
+import pytest
+
 import numpy as np
 from conftest import flat_state, partial_trace, random_projector
 from hypothesis import given, settings
@@ -20,14 +22,15 @@ from envborn.hilbert import (
     make_state,
     pure_density,
 )
+from envborn import mixtures
 from envborn.mixtures import (
-    TRIAL_CHUNK,
     MixtureSpec,
     improper_probability,
     mix,
     proper_improper_equivalence,
     proper_probability,
     purify,
+    trial_chunk,
 )
 from envborn.rng import random_unitary
 from envborn.schmidt import (
@@ -124,32 +127,48 @@ def test_equivalence_matches_lifted_trial_loop(case, seed):
 def looped_equivalence(spec, psi12, trials, seed):
     """``proper_improper_equivalence`` as the per-trial loop: per trial a rank,
     a Haar projector basis, ``P = B B^H`` and both cross-checked routes, each
-    in the arithmetic form of a single ``P``."""
+    reduced as the kernel reduces a chunk, on a stack of one."""
     a, psi = spec.states, psi12.matrix
     rho_mix, rho1 = mix(spec).matrix, np.einsum("aj,bj->ab", psi, psi.conj())
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(trials):
         basis = random_projector(psi12.d1, int(rng.integers(1, psi12.d1 + 1)), rng)
-        P = basis @ basis.conj().T
-        by_components = float(spec.weights @ np.einsum("ik,ik->k", a.conj(), P @ a).real)
-        assert abs(by_components - float(np.trace(P @ rho_mix).real)) <= NORM_TOL
-        on_reduced = float(np.trace(P @ rho1).real)
-        assert abs(float(np.vdot(psi, P @ psi).real) - on_reduced) <= NORM_TOL
+        P = (basis @ basis.conj().T)[None]
+        rows = np.einsum("ik,tik->tk", a.conj(), P @ a).real
+        by_components = float(np.einsum("tk,k->t", rows, spec.weights)[0])
+        assert abs(by_components - float(np.trace(P[0] @ rho_mix).real)) <= NORM_TOL
+        on_reduced = float(np.trace(P[0] @ rho1).real)
+        on_composite = float(np.einsum("ij,tij->t", psi.conj(), P @ psi).real[0])
+        assert abs(on_composite - on_reduced) <= NORM_TOL
         proper, improper = min(max(by_components, 0.0), 1.0), min(max(on_reduced, 0.0), 1.0)
         worst = max(worst, abs(proper - improper))
     return worst
 
 
-@settings(max_examples=60, deadline=None)
+def test_trial_chunk_is_a_fixed_stack_budget():
+    # 8 trials at d = 64, every one of 50 at d = 16; never less than one
+    assert [trial_chunk(d) for d in (4, 16, 64, 256, 1024)] == [2048, 128, 8, 1, 1]
+
+
+@settings(max_examples=120, deadline=None)
 @given(
     mixtures_with_partners(max_d1=20),
     seeds,
-    st.sampled_from([1, TRIAL_CHUNK - 1, TRIAL_CHUNK, TRIAL_CHUNK + 1, 50]),
+    st.sampled_from([1, 7, 8, 9, 50]),
+    st.sampled_from([None, 1, 7]),
 )
-def test_chunked_equivalence_equals_the_trial_loop(case, seed, trials):
+def test_chunked_equivalence_equals_the_trial_loop(case, seed, trials, chunk):
+    # the default budget (chunk None) runs every trial here in one chunk; a
+    # budget of ``chunk`` d1 x d1 complex matrices splits them into many
     spec, psi12, _ = case
-    got = proper_improper_equivalence(spec, psi12, trials=trials, seed=seed)
+    d1 = psi12.d1
+    assert trial_chunk(d1) >= 50
+    with pytest.MonkeyPatch.context() as patch:
+        if chunk is not None:
+            patch.setattr(mixtures, "STACK_BYTES", chunk * 16 * d1 * d1)
+            assert trial_chunk(d1) == chunk
+        got = proper_improper_equivalence(spec, psi12, trials=trials, seed=seed)
     assert got == looped_equivalence(spec, psi12, trials, seed)
 
 

@@ -23,6 +23,7 @@ from envborn.mixtures import (
     proper_improper_equivalence,
     proper_probability,
     purify,
+    trial_chunk,
 )
 from envborn.rng import random_state, random_unitary
 from envborn.schmidt import BipartiteState
@@ -197,7 +198,7 @@ class TestEquivalence:
 
     def test_memory_does_not_grow_with_the_trial_count(self):
         # trials are drawn and checked a chunk at a time: at d = 16 one stack
-        # of 4096 projectors alone would be 16 MiB
+        # of 4096 projectors alone would be 16 MiB, one chunk of them is 512 KiB
         rng = np.random.default_rng(4)
         states = np.column_stack([random_state(16, rng).amplitudes for _ in range(16)])
         spec = MixtureSpec(states, np.full(16, 1 / 16))
@@ -211,7 +212,8 @@ class TestEquivalence:
             finally:
                 tracemalloc.stop()
 
-        assert peak(4096) <= 2 * peak(64)
+        chunk = trial_chunk(16)
+        assert peak(32 * chunk) <= 2 * peak(chunk)
 
 
 class TestPurify:

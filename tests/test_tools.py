@@ -1,4 +1,6 @@
 import importlib.util
+import py_compile
+import sys
 from pathlib import Path
 
 import pytest
@@ -103,3 +105,34 @@ def test_bench_cli_wall_interleaves_a_baseline_tree():
     row = bench.cli_wall_row("bell", "schmidt", 0, repeats=2, src=src, baseline=src)
     assert row["wall_repeats"] >= 2
     assert row["wall_ms"] > 0 and row["baseline_wall_ms"] > 0
+
+
+def test_bench_ladders_time_a_baseline_tree_alternately(monkeypatch):
+    bench = load_bench()
+    src = bench.ROOT / "src"
+    package = bench.load_baseline(src)
+    assert package == bench.BASELINE_PACKAGE
+    assert bench.module(package, "premeasurement").__name__ == f"{package}.premeasurement"
+    monkeypatch.setattr(bench, "LADDER", [(2, 2)])
+    for rung in bench.run_ladder(repeats=1, seed=bench.SEED, baseline=package):
+        for name in ("build", "derive", "calibration"):
+            assert rung[f"{name}_ms"] > 0 and rung[f"baseline_{name}_ms"] > 0
+    rung = bench.mixture_rung(4, repeats=1, seed=bench.SEED, baseline=package)
+    assert rung["equivalence_ms"] > 0 and rung["baseline_equivalence_ms"] > 0
+    assert rung["max_equivalence_residual"] <= 1e-10
+
+
+def test_bench_records_the_bytecode_state(tmp_path, monkeypatch):
+    bench = load_bench()
+    env = bench.environment()
+    assert isinstance(env["dont_write_bytecode"], bool)
+    assert "pycache_prefix" in env
+    package = tmp_path / "envborn"
+    package.mkdir()
+    (package / "mod.py").write_text("x = 1\n", encoding="utf-8")
+    assert not bench.bytecode_cached(tmp_path)
+    monkeypatch.setattr(sys, "pycache_prefix", None)
+    py_compile.compile(str(package / "mod.py"), doraise=True)
+    assert bench.bytecode_cached(tmp_path)
+    (package / "mod.py").write_text("x = 22\n", encoding="utf-8")  # stale: the size differs
+    assert not bench.bytecode_cached(tmp_path)

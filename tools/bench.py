@@ -11,12 +11,18 @@ a fixed seed.  Then ``build_premeasurement``, ``derive_probabilities`` and
 ``time.perf_counter``; each figure is the median over repeats.  One more,
 untimed build runs under ``tracemalloc``, whose peak counts numpy's buffers.
 BLAS is pinned to one thread before numpy is imported, and the thread count,
-numpy and BLAS versions and core count are recorded with the results.
+numpy and BLAS versions, core count and bytecode settings are recorded with
+the results.
 
 The mixture ladder builds, for each ``d`` in ``{4, 16, 64}``, a random mixture
 of ``d`` pure components in ``d`` dimensions, purifies it as the ``mixtures``
 command's ``auto_purify`` does, and times ``proper_improper_equivalence`` over
 50 trials.
+
+Given a second source tree with ``--baseline``, its ``envborn`` is imported
+beside the first as ``envborn_baseline``; every rung of both ladders builds
+its case in each tree from the same seed and times the two trees' calls
+alternately, recording each ``baseline_*`` figure beside its own.
 
 The sampling section runs ``sample_outcomes`` on a random distribution of 8
 outcomes for ``n`` in ``SAMPLE_SIZES`` (250k up to the cap ``2**24``) and
@@ -33,22 +39,24 @@ The wall section runs ``python -m envborn.cli <command> <fixture> --format
 structured`` as a fresh process for each case of the ``CASES`` table in
 ``tools/regenerate_goldens.py``, with BLAS pinned to one thread in the child's
 environment, and records the median wall time: the CLI end to end, interpreter
-start and the numpy import included.  Given a second source tree with
-``--baseline``, it times each case on both trees, alternating them per repeat,
-and records both medians, so that drift in machine speed falls on both alike.
+start and the numpy import included.  Each row says whether envborn's
+bytecode was cached for the processes or each compiled the source.  Given
+``--baseline``, it times each case on both trees, alternating them per
+repeat, and records both medians, so that drift in machine speed falls on both
+alike.
 
 Run from the repository root.  Each run appends one round to the output
-file under ``--label``, so two source trees can be compared in one file;
-alternate the labels over several rounds so that drift in machine speed
-falls on both sides:
+file under ``--label``; with ``--baseline``, one round holds both trees'
+figures, each pair timed alternately.  Repeat it for several rounds:
 
-    python3 tools/bench.py --label parent --src ../parent/src --baseline src --out BENCH.json
     python3 tools/bench.py --label change --baseline ../parent/src --out BENCH.json
 
 This harness is not part of the test suite.
 """
 
 import argparse
+import importlib
+import importlib.util
 import json
 import os
 import platform
@@ -70,6 +78,26 @@ MIXTURE_DIMS = (4, 16, 64)
 MIXTURE_TRIALS = 50
 SAMPLE_SIZES = (250_000, 2**20, 2**22, 2**24)
 SAMPLE_OUTCOMES = 8
+BASELINE_PACKAGE = "envborn_baseline"
+
+
+def load_baseline(src: Path) -> str:
+    """Import the ``envborn`` package of the source tree ``src`` as
+    ``BASELINE_PACKAGE`` and return that name.  Its modules import one another
+    relatively, so the copy binds only to itself."""
+    init = Path(src).resolve() / "envborn" / "__init__.py"
+    spec = importlib.util.spec_from_file_location(
+        BASELINE_PACKAGE, init, submodule_search_locations=[str(init.parent)]
+    )
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[BASELINE_PACKAGE] = package
+    spec.loader.exec_module(package)
+    return BASELINE_PACKAGE
+
+
+def module(package: str, name: str):
+    """Module ``name`` of the envborn package imported as ``package``."""
+    return importlib.import_module(f"{package}.{name}")
 
 
 def outcome_counts(d1: int, d2: int) -> list[int]:
@@ -77,20 +105,23 @@ def outcome_counts(d1: int, d2: int) -> list[int]:
     return sorted({min(2, top), max(1, min(round(d1 / 3), top)), top})
 
 
-def random_case(d1: int, d2: int, outcomes: int, seed: int):
+def random_case(d1: int, d2: int, outcomes: int, seed: int, package: str = "envborn"):
     import numpy as np
 
-    from envborn.hilbert import Observable
-    from envborn.premeasurement import PointerApparatus
-    from envborn.rng import random_orthogonal_partition, random_state, random_unit_vector
+    Observable = module(package, "hilbert").Observable
+    PointerApparatus = module(package, "premeasurement").PointerApparatus
+    rng_module = module(package, "rng")
 
     rng = np.random.default_rng(seed)
-    measured = Observable(list(range(outcomes)), random_orthogonal_partition(d1, outcomes, rng))
-    pointer_bases = random_orthogonal_partition(d2, outcomes, rng)
+    partition = rng_module.random_orthogonal_partition
+    measured = Observable(list(range(outcomes)), partition(d1, outcomes, rng))
+    pointer_bases = partition(d2, outcomes, rng)
     pointer_obs = Observable(list(range(outcomes)), pointer_bases)
-    pointer_states = np.column_stack([b @ random_unit_vector(b.shape[1], rng) for b in pointer_bases])
-    apparatus = PointerApparatus(random_state(d2, rng), pointer_obs, pointer_states)
-    return measured, apparatus, random_state(d1, rng)
+    pointer_states = np.column_stack(
+        [b @ rng_module.random_unit_vector(b.shape[1], rng) for b in pointer_bases]
+    )
+    apparatus = PointerApparatus(rng_module.random_state(d2, rng), pointer_obs, pointer_states)
+    return measured, apparatus, rng_module.random_state(d1, rng)
 
 
 def timed_alternating(funcs, repeats: int, min_total_ms: float = 200.0) -> tuple[list[float], int]:
@@ -137,77 +168,95 @@ def peak_mib(func) -> float:
         tracemalloc.stop()
 
 
-def run_ladder(repeats: int, seed: int) -> list[dict]:
-    from envborn.born import derive_probabilities
-    from envborn.premeasurement import build_premeasurement, verify_calibration
+def alternately(name: str, funcs, repeats: int) -> dict:
+    """``{name}_ms`` and ``{name}_repeats`` of the first of ``funcs`` timed
+    alternately with the second, whose median is ``baseline_{name}_ms``."""
+    medians, calls = timed_alternating(funcs, repeats)
+    row = {f"{name}_ms": round(medians[0], 3)}
+    if len(medians) > 1:
+        row[f"baseline_{name}_ms"] = round(medians[1], 3)
+    row[f"{name}_repeats"] = calls
+    return row
 
+
+def run_ladder(repeats: int, seed: int, baseline: str | None = None) -> list[dict]:
+    """Time build, derive and calibration per rung, on ``envborn`` and, when
+    ``baseline`` names a second package, on that one alternately."""
+    packages = ["envborn"] if baseline is None else ["envborn", baseline]
+    build = [module(p, "premeasurement").build_premeasurement for p in packages]
+    derive = [module(p, "born").derive_probabilities for p in packages]
+    calibrate = [module(p, "premeasurement").verify_calibration for p in packages]
     rungs = []
     for d1, d2 in LADDER:
         for outcomes in outcome_counts(d1, d2):
-            measured, apparatus, phi = random_case(d1, d2, outcomes, seed)
-            build_ms, build_n, model = timed(
-                lambda: build_premeasurement(measured, apparatus), repeats
-            )
-            derive_ms, derive_n, report = timed(lambda: derive_probabilities(model, phi), repeats)
-            if not report.passed:
-                raise RuntimeError(f"audits failed at {d1}x{d2}, N={outcomes}")
-            calibration_ms, calibration_n, _ = timed(lambda: verify_calibration(model), repeats)
+            cases = [random_case(d1, d2, outcomes, seed, p) for p in packages]
+            models = [b(measured, apparatus) for b, (measured, apparatus, _) in zip(build, cases)]
+            for model, derive_one, (_, _, phi) in zip(models, derive, cases):
+                if not derive_one(model, phi).passed:
+                    raise RuntimeError(f"audits failed at {d1}x{d2}, N={outcomes}")
+            measured, apparatus, _ = cases[0]
             rung = {
                 "dims": [d1, d2],
                 "outcomes": outcomes,
-                "build_ms": round(build_ms, 3),
-                "build_repeats": build_n,
-                "build_peak_mib": round(peak_mib(lambda: build_premeasurement(measured, apparatus)), 3),
-                "derive_ms": round(derive_ms, 3),
-                "derive_repeats": derive_n,
-                "calibration_ms": round(calibration_ms, 3),
-                "calibration_repeats": calibration_n,
+                **alternately(
+                    "build", [lambda b=b, c=c: b(c[0], c[1]) for b, c in zip(build, cases)], repeats
+                ),
+                "build_peak_mib": round(peak_mib(lambda: build[0](measured, apparatus)), 3),
+                **alternately(
+                    "derive",
+                    [lambda f=f, m=m, c=c: f(m, c[2]) for f, m, c in zip(derive, models, cases)],
+                    repeats,
+                ),
+                **alternately(
+                    "calibration", [lambda f=f, m=m: f(m) for f, m in zip(calibrate, models)], repeats
+                ),
             }
             print(json.dumps(rung), flush=True)
             rungs.append(rung)
     return rungs
 
 
-def mixture_case(dim: int, seed: int):
+def mixture_case(dim: int, seed: int, package: str = "envborn"):
     """A random mixture of ``dim`` pure components in ``dim`` dimensions and
     its canonical purification."""
     import numpy as np
 
-    from envborn.mixtures import MixtureSpec, mix, purify
-    from envborn.rng import random_state
+    mixtures = module(package, "mixtures")
+    random_state = module(package, "rng").random_state
 
     rng = np.random.default_rng(seed)
     weights = rng.random(dim) + 0.1
     weights /= weights.sum()
     states = np.column_stack([random_state(dim, rng).amplitudes for _ in weights])
-    spec = MixtureSpec(states, weights)
-    return spec, purify(mix(spec))
+    spec = mixtures.MixtureSpec(states, weights)
+    return spec, mixtures.purify(mixtures.mix(spec))
 
 
-def mixture_rung(dim: int, repeats: int, seed: int) -> dict:
-    from envborn.mixtures import proper_improper_equivalence
-
-    spec, partner = mixture_case(dim, seed)
-    equivalence_ms, equivalence_n, residual = timed(
-        lambda: proper_improper_equivalence(spec, partner, trials=MIXTURE_TRIALS, seed=seed),
-        repeats,
-    )
-    if not residual <= 1e-10:
-        raise RuntimeError(f"mixture equivalence failed at d = {dim}: {residual!r}")
+def mixture_rung(dim: int, repeats: int, seed: int, baseline: str | None = None) -> dict:
+    packages = ["envborn"] if baseline is None else ["envborn", baseline]
+    runs = []
+    for package in packages:
+        spec, partner = mixture_case(dim, seed, package)
+        equivalence = module(package, "mixtures").proper_improper_equivalence
+        runs.append(
+            lambda f=equivalence, s=spec, p=partner: f(s, p, trials=MIXTURE_TRIALS, seed=seed)
+        )
+    residuals = [run() for run in runs]
+    if not all(r <= 1e-10 for r in residuals):
+        raise RuntimeError(f"mixture equivalence failed at d = {dim}: {residuals!r}")
     return {
         "dim": dim,
         "components": dim,
         "trials": MIXTURE_TRIALS,
-        "equivalence_ms": round(equivalence_ms, 3),
-        "equivalence_repeats": equivalence_n,
-        "max_equivalence_residual": residual,
+        **alternately("equivalence", runs, repeats),
+        "max_equivalence_residual": residuals[0],
     }
 
 
-def run_mixture_ladder(repeats: int, seed: int) -> list[dict]:
+def run_mixture_ladder(repeats: int, seed: int, baseline: str | None = None) -> list[dict]:
     rungs = []
     for dim in MIXTURE_DIMS:
-        rung = mixture_rung(dim, repeats, seed)
+        rung = mixture_rung(dim, repeats, seed, baseline)
         print(json.dumps(rung), flush=True)
         rungs.append(rung)
     return rungs
@@ -241,8 +290,6 @@ def run_sampling(repeats: int, seed: int) -> list[dict]:
 
 def cli_cases(src: Path, workdir: Path) -> list[tuple[str, str, str]]:
     """``(name, subcommand, path)`` for every bundled fixture and the 24x24 scenario."""
-    import importlib.util
-
     import numpy as np
 
     spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
@@ -298,8 +345,6 @@ def run_cli_stages(repeats: int, src: Path, workdir: Path) -> list[dict]:
 def golden_cases() -> dict[str, tuple[str, int]]:
     """Fixture name -> (subcommand, expected exit code), the ``CASES`` table
     of ``tools/regenerate_goldens.py``."""
-    import importlib.util
-
     path = ROOT / "tools" / "regenerate_goldens.py"
     spec = importlib.util.spec_from_file_location("regenerate_goldens", path)
     goldens = importlib.util.module_from_spec(spec)
@@ -323,18 +368,49 @@ def cli_process(name: str, command: str, expected: int, src: Path):
     return run
 
 
+def bytecode_cached(src: Path) -> bool:
+    """Whether a process started as ``cli_process`` does finds valid bytecode
+    for every module of ``src``'s envborn and so compiles none of its source:
+    the ``.pyc`` where this process's ``PYTHONPYCACHEPREFIX`` puts it exists
+    and its header matches the source's modification time and size."""
+    for path in (Path(src) / "envborn").glob("*.py"):
+        try:
+            header = Path(importlib.util.cache_from_source(str(path))).read_bytes()[:16]
+        except OSError:
+            return False
+        stat = path.stat()
+        expected = (
+            importlib.util.MAGIC_NUMBER
+            + bytes(4)
+            + (int(stat.st_mtime) & 0xFFFFFFFF).to_bytes(4, "little")
+            + (stat.st_size & 0xFFFFFFFF).to_bytes(4, "little")
+        )
+        if header != expected:
+            return False
+    return True
+
+
 def cli_wall_row(
     name: str, command: str, expected: int, repeats: int, src: Path, baseline: Path | None = None
 ) -> dict:
     """Median wall time of the CLI as a fresh process on one bundled fixture,
-    and of the ``baseline`` tree's CLI timed alternately with it."""
+    and of the ``baseline`` tree's CLI timed alternately with it; for each tree,
+    whether its bytecode was cached after the timed processes (if not, each of
+    them compiled envborn's source)."""
     trees = [src] if baseline is None else [src, baseline]
     medians, wall_n = timed_alternating(
         [cli_process(name, command, expected, tree) for tree in trees], repeats
     )
-    row = {"case": name, "command": command, "wall_ms": round(medians[0], 3), "wall_repeats": wall_n}
+    row = {
+        "case": name,
+        "command": command,
+        "wall_ms": round(medians[0], 3),
+        "wall_repeats": wall_n,
+        "bytecode_cached": bytecode_cached(src),
+    }
     if baseline is not None:
         row["baseline_wall_ms"] = round(medians[1], 3)
+        row["baseline_bytecode_cached"] = bytecode_cached(baseline)
     return row
 
 
@@ -357,6 +433,9 @@ def environment() -> dict:
         "blas": f"{blas.get('name')} {blas.get('version')}",
         "blas_threads": BLAS_THREADS,
         "nproc": os.cpu_count(),
+        # the CLI processes of the wall section inherit both
+        "dont_write_bytecode": bool(sys.flags.dont_write_bytecode),
+        "pycache_prefix": os.environ.get("PYTHONPYCACHEPREFIX"),
     }
 
 
@@ -365,7 +444,8 @@ def main(argv=None) -> int:
     parser.add_argument("--label", required=True, help="name of this run in the output file")
     parser.add_argument("--src", default=str(ROOT / "src"), help="source tree to import envborn from")
     parser.add_argument(
-        "--baseline", help="second source tree whose CLI the wall section times alternately with --src's"
+        "--baseline",
+        help="second source tree, timed alternately with --src's in the ladders and the wall section",
     )
     parser.add_argument("--out", required=True, help="JSON file to append this run's round to")
     args = parser.parse_args(argv)
@@ -375,8 +455,9 @@ def main(argv=None) -> int:
         os.environ[var] = str(BLAS_THREADS)
     sys.path.insert(0, str(Path(args.src).resolve()))
 
-    rungs = run_ladder(REPEATS, SEED)
-    mixture_rungs = run_mixture_ladder(REPEATS, SEED)
+    package = None if baseline is None else load_baseline(baseline)
+    rungs = run_ladder(REPEATS, SEED, package)
+    mixture_rungs = run_mixture_ladder(REPEATS, SEED, package)
     sampling_rows = run_sampling(REPEATS, SEED)
     with tempfile.TemporaryDirectory() as workdir:
         cli_rows = run_cli_stages(REPEATS, Path(args.src), Path(workdir))
@@ -406,8 +487,12 @@ def main(argv=None) -> int:
             "python -m envborn.cli <command> <fixture> --format structured as a fresh "
             "process, median wall time in ms"
         ),
-        "baseline_wall_ms": (
-            "wall_ms of the --baseline tree's CLI, timed alternately with --src's per repeat"
+        "bytecode_cached": (
+            "whether every envborn module of --src had valid cached bytecode after the "
+            "wall_ms processes; false means each process compiled the source"
+        ),
+        "baseline_*": (
+            "the same figure for the --baseline tree, timed alternately with --src's per repeat"
         ),
     }
     data.setdefault("runs", {}).setdefault(args.label, []).append(

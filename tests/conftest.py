@@ -71,10 +71,12 @@ def mgs_orthonormalize(vectors) -> np.ndarray:
     return np.column_stack(basis)
 
 
-def dense_projectors(obs):
+def dense_projectors(obs, dtype=complex):
     """The dense eigenprojectors ``P^n = B_n B_n^H`` of an observable, as
-    references for the forms that apply them through ``B_n``."""
-    return [b @ b.conj().T for b in map(obs.basis, range(obs.outcome_count))]
+    references for the forms that apply them through ``B_n``, formed in
+    ``dtype``."""
+    bases = (obs.basis(n).astype(dtype) for n in range(obs.outcome_count))
+    return [b @ b.conj().T for b in bases]
 
 
 def random_density(dim: int, rng: np.random.Generator) -> DensityOperator:
@@ -121,14 +123,14 @@ def random_projector(dim: int, rank: int, rng: np.random.Generator) -> np.ndarra
     return random_unitary(dim, rng)[:, :rank]
 
 
-def dense_coupling(model):
-    """The model's coupling as a dense composite matrix: the blocks lifted as
-    ``sum_n np.kron(P^n, V_n)``, or the user-supplied operator itself."""
+def dense_coupling(model, dtype=complex):
+    """The model's coupling as a dense composite matrix in ``dtype``: the
+    blocks lifted as ``sum_n np.kron(P^n, V_n)``, or the user-supplied operator
+    itself."""
     if isinstance(model.coupling, Operator):
-        return model.coupling.matrix
-    return sum(
-        np.kron(p, v.matrix) for p, v in zip(dense_projectors(model.measured), model.coupling)
-    )
+        return model.coupling.matrix.astype(dtype)
+    projectors = dense_projectors(model.measured, dtype)
+    return sum(np.kron(p, v.matrix.astype(dtype)) for p, v in zip(projectors, model.coupling))
 
 
 def entangle_branches(model, rng):

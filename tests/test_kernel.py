@@ -56,6 +56,7 @@ from envborn.schmidt import (
 AGREE = 1e-12
 TRIALS = 5
 LOOSE = 1e3  # a tolerance that accepts any perturbation used here
+EXTENDED = np.clongdouble
 
 
 def lifted_evolve(model, vec):
@@ -68,23 +69,34 @@ def pointer_lift(model, q):
     return np.kron(np.eye(model.d1), q)
 
 
+def extended_norm(vec):
+    return np.sqrt(np.sum(np.abs(vec) ** 2))
+
+
 def lifted_calibration(model, trials, seed):
     """The sampled calibration loop, on dense lifts: per outcome, the worst
     residual over the eigenspace basis columns and ``trials`` random unit
-    combinations of them.  It is a lower bound on the certified supremum."""
+    combinations of them.  It is a lower bound on the certified supremum.
+
+    It runs in ``np.clongdouble`` (a 64-bit mantissa on x86-64) on the model's
+    float64 data, so that its own rounding is small beside the allowance for
+    the certified value's; in float64 the two roundings together exceeded that
+    allowance in about one hypothesis draw in 500."""
     rng = np.random.default_rng(seed)
+    u = dense_coupling(model, EXTENDED)
+    ready = model.apparatus.ready_state.amplitudes.astype(EXTENDED)
     residuals = []
-    for n, q in enumerate(dense_projectors(model.apparatus.pointer_observable)):
-        basis = model.measured.basis(n)
+    for n, q in enumerate(dense_projectors(model.apparatus.pointer_observable, EXTENDED)):
+        basis = model.measured.basis(n).astype(EXTENDED)
         samples = list(basis.T)
         for _ in range(trials):
-            coeff = random_unit_vector(basis.shape[1], rng)
-            samples.append(sum(c * b for c, b in zip(coeff, basis.T)))
+            samples.append(basis @ random_unit_vector(basis.shape[1], rng).astype(EXTENDED))
         lifted_q = pointer_lift(model, q)
-        worst = 0.0
+        worst = np.longdouble(0.0)
         for vec in samples:
-            out = lifted_evolve(model, vec / np.linalg.norm(vec))
-            worst = max(worst, float(np.linalg.norm(lifted_q @ out - out)))
+            out = u @ np.kron(vec / extended_norm(vec), ready)
+            out /= extended_norm(out)
+            worst = max(worst, extended_norm(lifted_q @ out - out))
         residuals.append(worst)
     return residuals
 
@@ -107,8 +119,8 @@ def certified_reference(model):
 
 def assert_certified_calibration(model, seed):
     """verify_calibration equals the generalized-eigenvalue reference within
-    AGREE and is at least the sampled loop, up to the rounding of products over
-    the ``d1 d2`` composite entries: ``d1 d2 eps max(1, sampled)``."""
+    AGREE and is at least the sampled loop, up to its own rounding of products
+    over the ``d1 d2`` composite entries: ``d1 d2 eps max(1, sampled)``."""
     certified = list(verify_calibration(model).residuals.values())
     assert np.max(np.abs(np.subtract(certified, certified_reference(model)))) <= AGREE
     sampled = np.array(lifted_calibration(model, TRIALS, seed))
@@ -308,6 +320,9 @@ def test_block_check_decides_like_dense_check(case, system_side, delta):
 # certified 0.7449446188415653 against sampled 0.7449446188415686: a rounding
 # gap of 3.3e-15 on an O(1) residual, beyond an absolute 1e-15
 @example(case=model_case(4, 5, 2, 133, "identity"), scale=1e-14, seed=0)
+# LAPACK's SVD put the norm of this leak, whose three singular values are
+# equal, 2.8 allowances below the sampled loop; its Gram eigenvalue does not
+@example(case=model_case(4, 2, 2, 8, "identity"), scale=1e-14, seed=1)
 def test_certified_calibration_of_perturbed_models(case, scale, seed):
     """Every ``B_n`` and the coupling (each ``V_n``, or the dense ``U``)
     perturbed, so that no ``M_n`` is an isometry and the certified value is
@@ -465,7 +480,7 @@ def looped_schmidt_form(psi):
 def looped_calibration(model):
     """``verify_calibration`` outcome by outcome: one QR of each ``M_n``, the
     singular test on the singular values of its ``R``, and the leak's spectral
-    norm from the ``R`` of the leak's QR."""
+    norm from the top eigenvalue of the leak's Gram matrix."""
     d1, d2 = model.d1, model.d2
     pointer = model.apparatus.pointer_observable
     residuals = {}
@@ -479,7 +494,7 @@ def looped_calibration(model):
         psi = outputs.T.reshape(-1, d2)
         b = pointer.basis(n)
         leak = ((psi @ b.conj()) @ b.T - psi).reshape(m.shape[1], d1 * d2)
-        residuals[n] = float(np.linalg.norm(np.linalg.qr(leak.T, mode="r"), ord=2))
+        residuals[n] = float(np.sqrt(np.linalg.eigvalsh(leak @ leak.conj().T)[-1]))
     return residuals
 
 

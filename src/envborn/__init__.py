@@ -30,7 +30,7 @@ from .schmidt import (
     check_envariance,
     reconstruct,
     schmidt_decompose,
-    schmidt_decompose_all,
+    schmidt_decompose_core,
     schmidt_probabilities,
     sublemma_check,
     swap_witness,
@@ -38,7 +38,6 @@ from .schmidt import (
 )
 from .premeasurement import (
     Branch,
-    BranchSet,
     PointerApparatus,
     PremeasurementModel,
     branch_norm_law,

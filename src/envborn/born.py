@@ -16,9 +16,10 @@ residuals.  Each check is an ``Audit`` in the report; a failed audit is
 reported instead of raised, so adversarial couplings produce a readable
 diagnosis.
 
-The pipeline couples and splits once; every audit reuses that branch set.
-The coupled state and each branch are ``d1 x d2`` coefficient matrices: a
-normalized branch is Schmidt-decomposed by the SVD of its matrix as it
+The pipeline couples and splits once; every audit reuses those branches.
+The coupled state and each branch are ``d1 x d2`` coefficient matrices.  A
+branch ``core @ B.T`` of the pointer basis ``B`` is Schmidt-decomposed by the
+SVD of its normalized ``d1 x r`` core; nondemolition audits its matrix as it
 stands.  Factor-side steps are one-sided products on the coefficient matrix
 ``Psi`` of the coupled state: the complement residual is the norm of
 ``Psi @ (Q^k)'.T`` and the pointer's reduced state is ``rho_2 = Psi.T @
@@ -52,7 +53,7 @@ from .premeasurement import (
     verify_calibration,
     verify_nondemolition,
 )
-from .schmidt import BipartiteState, pointer_density, schmidt_decompose_all
+from .schmidt import BipartiteState, pointer_density, schmidt_decompose_core
 
 __all__ = [
     "OutcomeRecord",
@@ -181,19 +182,22 @@ def derive_probabilities(
     probabilities must sum to 1 within ``model.tol`` (at least ``DEFAULT_TOL``).
     """
     psi12 = evolve(model, phi)
-    bset = branches(model, psi12)
+    kept = branches(model, psi12)
     rho_phi = pure_density(phi)
     rho2 = pointer_density(psi12)
     oracle = [
         trace_probability(model.measured.basis(n), rho_phi) for n in range(model.outcome_count)
     ]
-    states = [BipartiteState(b.normalized()) for b in bset.branches]
-    forms = {b.outcome: form for b, form in zip(bset.branches, schmidt_decompose_all(states))}
-    weights = bset.weights
+    pointer = model.apparatus.pointer_observable
+    forms = {
+        b.outcome: schmidt_decompose_core(b.core / np.sqrt(b.weight), pointer.basis(b.outcome))
+        for b in kept
+    }
+    weights = {b.outcome: b.weight for b in kept}
 
     # Biorthogonality on factor 1.  Factor 2 holds by construction: branch k's
-    # vectors are an orthonormal SVD basis inside range(Q^k), and the pointer
-    # projectors are mutually orthogonal.
+    # vectors are its pointer basis times the core's orthonormal SVD vectors,
+    # inside range(Q^k), and the pointer projectors are mutually orthogonal.
     biorthogonality = gram_residual(np.hstack([form.basis1 for form in forms.values()]))
     additivity = {n: _or_inf(check_additivity, rho2, form.basis2, tol) for n, form in forms.items()}
     empty = np.zeros((model.d2, 0))
@@ -216,8 +220,8 @@ def derive_probabilities(
         records=tuple(records),
         audits={
             "calibration": verify_calibration(model, tol),
-            "nondemolition": verify_nondemolition(model, bset, tol),
-            "norm_law": branch_norm_law(bset, oracle, tol),
+            "nondemolition": verify_nondemolition(model, kept, tol),
+            "norm_law": branch_norm_law(kept, oracle, tol),
             "biorthogonality": Audit({None: biorthogonality}, tol),
             "additivity": Audit(additivity, tol),
             "complement": Audit({n: complement[n] for n in forms}, tol),

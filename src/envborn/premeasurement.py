@@ -51,7 +51,6 @@ __all__ = [
     "PointerApparatus",
     "PremeasurementModel",
     "Branch",
-    "BranchSet",
     "build_premeasurement",
     "evolve",
     "branches",
@@ -215,36 +214,19 @@ def _block_unitarity_residual(measured: Observable, v: np.ndarray) -> float:
 
 @dataclass(frozen=True, eq=False)
 class Branch:
-    """One unnormalized pointer-projected term ``Psi @ Q^n.T`` (``d1 x d2``)."""
+    """One unnormalized pointer-projected term ``Psi @ Q^n.T = core @ B.T``
+    (``d1 x d2``) for ``Q^n = B B^H``, with its core ``Psi @ B.conj()``
+    (``d1 x r_n``).  ``B.T`` has orthonormal rows, so the core carries the
+    term's weight ``||core||^2`` and its Schmidt form."""
 
     outcome: int
     matrix: np.ndarray
     weight: float
+    core: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "matrix", _freeze(self.matrix))
-
-    def normalized(self) -> np.ndarray:
-        return self.matrix / np.sqrt(self.weight)
-
-
-@dataclass(frozen=True, eq=False)
-class BranchSet:
-    """Nonzero branches plus the outcome indices whose terms vanished."""
-
-    branches: tuple[Branch, ...]
-    omitted: tuple[int, ...]
-
-    def __post_init__(self):
-        for b in self.branches:
-            if abs(b.weight - np.linalg.norm(b.matrix) ** 2) > 1e-12:
-                raise ValueError(f"branch {b.outcome} weight does not match its norm")
-        object.__setattr__(self, "branches", tuple(self.branches))
-        object.__setattr__(self, "omitted", tuple(self.omitted))
-
-    @property
-    def weights(self) -> dict[int, float]:
-        return {b.outcome: b.weight for b in self.branches}
+        object.__setattr__(self, "core", _freeze(self.core))
 
 
 def _householder_map(origin: StateVector, target: StateVector) -> Operator:
@@ -298,32 +280,31 @@ def evolve(model: PremeasurementModel, phi: StateVector) -> BipartiteState:
     return BipartiteState((out / np.linalg.norm(out)).reshape(model.d1, model.d2))
 
 
-def branches(model: PremeasurementModel, psi12: BipartiteState) -> BranchSet:
+def branches(model: PremeasurementModel, psi12: BipartiteState) -> tuple[Branch, ...]:
     """Pointer-projected terms ``(I (x) Q^n) psi = Psi @ Q^n.T``, taken as
-    ``(Psi @ B.conj()) @ B.T`` for ``Q^n = B B^H``, with squared-norm weights.
+    ``core @ B.T`` with the core ``Psi @ B.conj()`` for ``Q^n = B B^H``, with
+    squared-norm weights ``||core||^2``.
 
-    Terms with squared norm below ``ZERO_BRANCH_THRESHOLD`` are recorded as
-    omitted outcomes instead of branches.  The weights must sum to 1 within
-    ``model.tol`` (at least ``DEFAULT_TOL``), the pointer's admission tolerance.
+    Terms with squared norm below ``ZERO_BRANCH_THRESHOLD`` are omitted: their
+    outcomes have no branch.  The weights must sum to 1 within ``model.tol``
+    (at least ``DEFAULT_TOL``), the pointer's admission tolerance.
     """
     if psi12.dims != (model.d1, model.d2):
         raise ValueError(f"state dims {psi12.dims} do not match model")
     psi = psi12.matrix
     pointer = model.apparatus.pointer_observable
     kept = []
-    omitted = []
     for n in range(pointer.outcome_count):
         b = pointer.basis(n)
-        term = (psi @ b.conj()) @ b.T
-        weight = float(np.linalg.norm(term) ** 2)
+        core = psi @ b.conj()
+        weight = float(np.linalg.norm(core) ** 2)
         if weight < ZERO_BRANCH_THRESHOLD:
-            omitted.append(n)
-        else:
-            kept.append(Branch(outcome=n, matrix=term, weight=weight))
+            continue
+        kept.append(Branch(outcome=n, matrix=core @ b.T, weight=weight, core=core))
     total = sum(b.weight for b in kept)
     if abs(total - 1.0) > max(model.tol, DEFAULT_TOL):
         raise ValueError(f"branch weights sum to {total!r}, expected 1")
-    return BranchSet(branches=tuple(kept), omitted=tuple(omitted))
+    return tuple(kept)
 
 
 def verify_calibration(model: PremeasurementModel, tol: float = DEFAULT_TOL) -> Audit:
@@ -369,7 +350,7 @@ def verify_calibration(model: PremeasurementModel, tol: float = DEFAULT_TOL) -> 
 
 
 def verify_nondemolition(
-    model: PremeasurementModel, bset: BranchSet, tol: float = DEFAULT_TOL
+    model: PremeasurementModel, kept: Sequence[Branch], tol: float = DEFAULT_TOL
 ) -> Audit:
     """Each nonzero branch ``Psi_k`` must be fixed by its own system
     eigenprojector, ``P^k @ Psi_k = Psi_k`` (it is then a joint eigenvector of
@@ -377,22 +358,22 @@ def verify_nondemolition(
     ``||P^k @ Psi_k - Psi_k||``, the ``span_residual`` of the system basis."""
     residuals = {
         b.outcome: span_residual(model.measured.basis(b.outcome), b.matrix)
-        for b in bset.branches
+        for b in kept
     }
     return Audit(residuals, tol)
 
 
 def branch_norm_law(
-    bset: BranchSet, oracle: Sequence[float], tol: float = DEFAULT_TOL
+    kept: Sequence[Branch], oracle: Sequence[float], tol: float = DEFAULT_TOL
 ) -> Audit:
     """Unitarity preserves each term's norm, so the weights of the branches
-    ``bset`` of an input ``phi`` must equal its eigenspace probabilities
-    ``oracle[n] = <phi|P^n|phi>``; omitted branches must correspond to
+    ``kept`` of an input ``phi`` must equal its eigenspace probabilities
+    ``oracle[n] = <phi|P^n|phi>``; an outcome without a branch must have
     vanishing eigenspace probability.
 
     The residual of a kept branch k is ``|weight_k - oracle[k]|``, and of an
-    omitted outcome n its trace-rule value ``oracle[n]``.
+    outcome n without a branch its trace-rule value ``oracle[n]``.
     """
-    residuals = {b.outcome: abs(b.weight - oracle[b.outcome]) for b in bset.branches}
-    residuals.update((n, oracle[n]) for n in bset.omitted)
+    residuals = {b.outcome: abs(b.weight - oracle[b.outcome]) for b in kept}
+    residuals.update((n, oracle[n]) for n in range(len(oracle)) if n not in residuals)
     return Audit(residuals, tol)

@@ -38,7 +38,7 @@ __all__ = [
     "SchmidtForm",
     "pointer_density",
     "schmidt_decompose",
-    "schmidt_decompose_all",
+    "schmidt_decompose_core",
     "reconstruct",
     "twin_unitary",
     "swap_witness",
@@ -135,17 +135,16 @@ def schmidt_decompose(psi: BipartiteState) -> SchmidtForm:
     nonzero component made real positive (compensating phase pushed into the
     factor-2 partner).
     """
-    return schmidt_decompose_all([psi])[0]
+    return _schmidt_form(*np.linalg.svd(psi.matrix, full_matrices=False))
 
 
-def schmidt_decompose_all(states: Sequence[BipartiteState]) -> list[SchmidtForm]:
-    """``schmidt_decompose`` of each of ``states``, which share their dims, from
-    one stacked SVD; LAPACK factors each matrix of a stack on its own, so every
-    form equals the one of a single decomposition."""
-    if not states:
-        return []
-    u, s, vh = np.linalg.svd(np.stack([psi.matrix for psi in states]), full_matrices=False)
-    return [_schmidt_form(*svd) for svd in zip(u, s, vh)]
+def schmidt_decompose_core(core: np.ndarray, basis: np.ndarray) -> SchmidtForm:
+    """``schmidt_decompose`` of the state ``core @ basis.T`` from the SVD of its
+    ``d1 x r`` core alone, for a ``d2 x r`` ``basis`` with orthonormal columns:
+    ``basis.T`` has orthonormal rows, so the state's coefficients and factor-1
+    vectors are the core's, and its factor-2 vectors are ``basis @ v``."""
+    u, s, vh = np.linalg.svd(core, full_matrices=False)
+    return _schmidt_form(u, s, vh @ basis.T)
 
 
 def _schmidt_form(u: np.ndarray, s: np.ndarray, vh: np.ndarray) -> SchmidtForm:

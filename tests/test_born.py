@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import entangle_branches, random_density, random_scenario
+from conftest import branch_form, entangle_branches, random_density, random_scenario
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -33,7 +33,6 @@ from envborn.premeasurement import (
     evolve,
 )
 from envborn.rng import random_orthogonal_partition, random_unitary
-from envborn.schmidt import BipartiteState, schmidt_decompose
 
 D2 = 2
 D3 = 3
@@ -126,11 +125,11 @@ class TestDeriveProbabilities:
         rng = np.random.default_rng(43)
         model, phi = random_scenario(3, 4, 2, rng)
         report = derive_probabilities(model, phi)
-        bset = branches(model, evolve(model, phi))
+        weights = {b.outcome: b.weight for b in branches(model, evolve(model, phi))}
         for record in report.records:
             if record.schmidt_detail:
                 assert sum(record.schmidt_detail) == pytest.approx(
-                    bset.weights[record.outcome], abs=1e-12
+                    weights[record.outcome], abs=1e-12
                 )
 
     def test_pointer_state_choice_does_not_move_probabilities(self):
@@ -173,11 +172,11 @@ class TestEntangledBranches:
         base, phi = random_scenario(4, 4, 2, rng)
         model = entangle_branches(base, rng)
         report = derive_probabilities(model, phi)
-        bset = branches(model, evolve(model, phi))
+        weights = {b.outcome: b.weight for b in branches(model, evolve(model, phi))}
         for record in report.records:
             if len(record.schmidt_detail) > 1:
                 assert sum(record.schmidt_detail) == pytest.approx(
-                    bset.weights[record.outcome], abs=1e-12
+                    weights[record.outcome], abs=1e-12
                 )
 
     def test_rank3_pointer_projector_with_rank2_branch(self):
@@ -190,8 +189,7 @@ class TestEntangledBranches:
         model = entangle_branches(build_premeasurement(a, apparatus), rng)
         phi = make_state([1, 1, 1])
         psi12 = evolve(model, phi)
-        b = branches(model, psi12).branches[0]
-        form = schmidt_decompose(BipartiteState(b.normalized()))
+        form = branch_form(model, branches(model, psi12)[0])
         assert form.basis2.shape[1] == 2
         assert complement_check(model, psi12, 0, form.basis2) <= 1e-10
         report = derive_probabilities(model, phi)
@@ -203,9 +201,7 @@ class TestComplementCheck:
         model = cnot_model()
         phi = make_state([0.6, 0.8])
         psi12 = evolve(model, phi)
-        bset = branches(model, psi12)
-        b = bset.branches[0]
-        form = schmidt_decompose(BipartiteState(b.normalized()))
+        form = branch_form(model, branches(model, psi12)[0])
         residual = complement_check(model, psi12, 0, form.basis2)
         assert residual <= 1e-12
 
@@ -218,8 +214,7 @@ class TestComplementCheck:
         model = build_premeasurement(a, apparatus)
         phi = make_state([0.6, 0.8])
         psi12 = evolve(model, phi)
-        b = branches(model, psi12).branches[0]
-        form = schmidt_decompose(BipartiteState(b.normalized()))
+        form = branch_form(model, branches(model, psi12)[0])
         assert form.basis2.shape[1] == 1
         residual = complement_check(model, psi12, 0, form.basis2)
         assert residual <= 1e-10
@@ -229,8 +224,8 @@ class TestComplementCheck:
         for _ in range(10):
             model, phi = random_scenario(4, 4, 2, rng)
             psi12 = evolve(model, phi)
-            for b in branches(model, psi12).branches:
-                form = schmidt_decompose(BipartiteState(b.normalized()))
+            for b in branches(model, psi12):
+                form = branch_form(model, b)
                 assert complement_check(model, psi12, b.outcome, form.basis2) <= 1e-10
 
     @staticmethod

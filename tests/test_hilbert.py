@@ -31,7 +31,7 @@ from envborn.hilbert import (
 )
 from envborn.cli import _finite
 from envborn.mixtures import MixtureSpec
-from envborn.premeasurement import Branch, BranchSet, PointerApparatus, build_premeasurement
+from envborn.premeasurement import Branch, PointerApparatus, build_premeasurement
 from envborn.rng import random_orthogonal_partition, random_state, random_unitary
 from envborn.schmidt import BipartiteState, SchmidtForm
 
@@ -500,7 +500,14 @@ STORED_COPY_CASES = {
         lambda a: BipartiteState(a).matrix,
         lambda: np.eye(2, dtype=complex) / math.sqrt(2),
     ),
-    "Branch": (lambda a: Branch(0, a, 1.0).matrix, lambda: np.array([[1, 0]], dtype=complex)),
+    "Branch": (
+        lambda a: Branch(0, a, 1.0, a[:, :1]).matrix,
+        lambda: np.array([[1, 0]], dtype=complex),
+    ),
+    "Branch.core": (
+        lambda a: Branch(0, np.eye(D2)[:1], 1.0, a).core,
+        lambda: np.array([[1]], dtype=complex),
+    ),
     "SchmidtForm": (
         lambda a: SchmidtForm(a, np.eye(D2)[:, :1], np.eye(D2)[:, :1]).coefficients,
         lambda: np.array([1.0]),
@@ -546,8 +553,7 @@ VALUE_MAKERS = {
     "SchmidtForm": lambda: SchmidtForm([1.0], np.eye(D2)[:, :1], np.eye(D2)[:, :1]),
     "PointerApparatus": lambda: _qubit_model().apparatus,
     "PremeasurementModel": _qubit_model,
-    "Branch": lambda: Branch(0, np.eye(D2)[:1], 1.0),
-    "BranchSet": lambda: BranchSet((Branch(0, np.eye(D2)[:1], 1.0),), ()),
+    "Branch": lambda: Branch(0, np.eye(D2)[:1], 1.0, np.eye(D2)[:1, :1]),
     "MixtureSpec": lambda: MixtureSpec(np.eye(D2), [0.5, 0.5]),
 }
 

@@ -13,15 +13,22 @@ generalized eigenvalue problem of the lifts and against the sampled loop it
 replaced, on unperturbed and perturbed models.  The certified unitarity bound
 is checked to cover the exact residual, to be attained where the algebra says
 so, and to hand the decision to the exact residual when it cannot certify.
-The stacked kernels, the Schmidt forms of all kept branches from one SVD and
-the calibration of a rank group from one call per step, must equal the
-per-branch and per-outcome loops kept here bit for bit.
+The calibration of a rank group from one call per step must equal the
+per-outcome loop kept here bit for bit.  The Schmidt form of each kept branch,
+taken from its ``d1 x r_n`` core, must agree with the SVD of the normalized
+full branch kept here to within rounding, term for term.
 """
 
 import numpy as np
 import pytest
 import scipy.linalg
-from conftest import dense_coupling, dense_projectors, entangle_branches, random_scenario
+from conftest import (
+    branch_form,
+    dense_coupling,
+    dense_projectors,
+    entangle_branches,
+    random_scenario,
+)
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -33,6 +40,7 @@ from envborn.hilbert import (
     basis_state,
     identity,
     make_state,
+    span_residual,
 )
 from envborn.premeasurement import (
     PointerApparatus,
@@ -49,8 +57,7 @@ from envborn.rng import random_unit_vector, random_unitary
 from envborn.schmidt import (
     BipartiteState,
     pointer_density,
-    schmidt_decompose,
-    schmidt_decompose_all,
+    reconstruct,
 )
 
 AGREE = 1e-12
@@ -168,20 +175,19 @@ def test_one_sided_products_match_composite_lifts(case, seed):
     vec = psi12.matrix.reshape(-1)
     assert np.linalg.norm(vec - lifted_evolve(model, phi.amplitudes)) <= AGREE
 
-    bset = branches(model, psi12)
-    kept = {b.outcome: b for b in bset.branches}
+    kept = {b.outcome: b for b in branches(model, psi12)}
     for n, q in enumerate(pointer_projectors):
         term = pointer_lift(model, q) @ vec
         if n in kept:
             assert np.linalg.norm(kept[n].matrix.reshape(-1) - term) <= AGREE
             assert abs(kept[n].weight - np.linalg.norm(term) ** 2) <= AGREE
         else:
-            assert n in bset.omitted
+            assert np.linalg.norm(term) ** 2 < 1e-12 + AGREE
 
     assert_certified_calibration(model, seed)
 
-    nondemolition = verify_nondemolition(model, bset)
-    for b in bset.branches:
+    nondemolition = verify_nondemolition(model, tuple(kept.values()))
+    for b in kept.values():
         lifted_p = np.kron(dense_projectors(model.measured)[b.outcome], np.eye(d2))
         term = b.matrix.reshape(-1)
         expected = np.linalg.norm(lifted_p @ term - term)
@@ -190,7 +196,7 @@ def test_one_sided_products_match_composite_lifts(case, seed):
     for n, q in enumerate(pointer_projectors):
         schmidt2 = np.zeros((d2, 0))
         if n in kept:
-            schmidt2 = schmidt_decompose(BipartiteState(kept[n].normalized())).basis2
+            schmidt2 = branch_form(model, kept[n]).basis2
         comp = q - sum(
             (np.outer(v, v.conj()) for v in schmidt2.T),
             np.zeros((d2, d2), dtype=complex),
@@ -465,8 +471,8 @@ def test_block_check_decides_like_the_exact_residual_where_the_bound_is_attained
 
 
 def looped_schmidt_form(psi):
-    """``schmidt_decompose`` of one state by its own SVD, the per-branch form
-    the stacked decomposition must reproduce."""
+    """``schmidt_decompose`` of one state by the SVD of its full ``d1 x d2``
+    matrix, the form that each branch's core form must agree with."""
     u, s, vh = np.linalg.svd(psi.matrix, full_matrices=False)
     keep = s >= 1e-12
     s, u, v = s[keep], u[:, keep], vh[keep, :].T
@@ -541,26 +547,37 @@ def test_stacked_calibration_equals_the_outcome_loop(case):
 
 
 @settings(max_examples=150, deadline=None)
-@given(stacked_cases(couplings=("built", "entangled", "identity")))
-def test_stacked_schmidt_forms_equal_the_branch_loop(case):
+@given(stacked_cases())
+def test_kept_branches_carry_their_core_and_weight(case):
     model, phi, _ = case
-    kept = branches(model, evolve(model, phi)).branches
-    states = [BipartiteState(b.normalized()) for b in kept]
-    for form, psi in zip(schmidt_decompose_all(states), states, strict=True):
-        coefficients, basis1, basis2 = looped_schmidt_form(psi)
-        assert np.array_equal(form.coefficients, coefficients)
-        assert np.array_equal(form.basis1, basis1) and np.array_equal(form.basis2, basis2)
+    for b in branches(model, evolve(model, phi)):
+        bq = model.apparatus.pointer_observable.basis(b.outcome)
+        assert abs(b.weight - np.linalg.norm(b.matrix) ** 2) <= 1e-12
+        assert np.array_equal(b.core @ bq.T, b.matrix)
+
+
+@settings(max_examples=150, deadline=None)
+@given(stacked_cases(couplings=("built", "entangled", "identity")))
+def test_core_schmidt_forms_equal_the_branch_loop(case):
+    model, phi, _ = case
+    kept = branches(model, evolve(model, phi))
     records = derive_probabilities(model, phi).records
-    for b, psi in zip(kept, states):
-        detail = tuple(float(b.weight * c**2) for c in looped_schmidt_form(psi)[0])
+    for b in kept:
+        form = branch_form(model, b)
+        psi = BipartiteState(b.matrix / np.sqrt(b.weight))
+        coefficients, _, _ = looped_schmidt_form(psi)
+        assert len(form) == len(coefficients)
+        assert np.max(np.abs(form.coefficients - coefficients)) <= 1e-14
+        assert np.linalg.norm(reconstruct(form).matrix - psi.matrix) <= 1e-13
+        bq = model.apparatus.pointer_observable.basis(b.outcome)
+        assert span_residual(bq, form.basis2) <= 1e-14
+        detail = tuple(float(b.weight * c**2) for c in form.coefficients)
         assert records[b.outcome].schmidt_detail == detail
 
 
-def test_stacked_schmidt_forms_skip_omitted_branches():
+def test_core_schmidt_forms_skip_omitted_branches():
     model, _ = model_case(4, 4, 3, 7, "built")
     phi = make_state(model.measured.basis(1)[:, 0])
-    bset = branches(model, evolve(model, phi))
-    assert bset.omitted == (0, 2) and [b.outcome for b in bset.branches] == [1]
+    assert [b.outcome for b in branches(model, evolve(model, phi))] == [1]
     records = derive_probabilities(model, phi).records
     assert [len(r.schmidt_detail) for r in records] == [0, 1, 0]
-    assert schmidt_decompose_all([]) == []

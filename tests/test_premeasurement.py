@@ -195,40 +195,38 @@ class TestEvolve:
 class TestBranches:
     def test_calibrated_state_single_branch(self):
         model = cnot_model()
-        bset = branches(model, evolve(model, basis_state(D2, 0)))
-        assert [b.outcome for b in bset.branches] == [0]
-        assert bset.branches[0].weight == pytest.approx(1.0)
-        assert bset.omitted == (1,)
+        kept = branches(model, evolve(model, basis_state(D2, 0)))
+        assert [b.outcome for b in kept] == [0]
+        assert kept[0].weight == pytest.approx(1.0)
 
     def test_uniform_superposition(self):
         model = cnot_model()
-        bset = branches(model, evolve(model, make_state([1, 1])))
-        assert bset.weights == pytest.approx({0: 0.5, 1: 0.5})
+        kept = branches(model, evolve(model, make_state([1, 1])))
+        assert [b.weight for b in kept] == pytest.approx([0.5, 0.5])
 
     def test_degenerate_weights_match_oracle(self):
         model = degenerate_model()
         phi = make_state([1, 1, 1])
-        bset = branches(model, evolve(model, phi))
+        kept = branches(model, evolve(model, phi))
         rho = pure_density(phi)
-        for b in bset.branches:
+        for b in kept:
             oracle = trace_probability(model.measured.basis(b.outcome), rho)
             assert b.weight == pytest.approx(oracle, abs=1e-12)
-        assert bset.weights[0] == pytest.approx(2 / 3)
-        assert bset.weights[1] == pytest.approx(1 / 3)
+        assert [b.weight for b in kept] == pytest.approx([2 / 3, 1 / 3])
 
     def test_weights_sum_to_one(self):
         rng = np.random.default_rng(33)
         for _ in range(20):
             model = random_model(3, 4, 2, rng)
-            bset = branches(model, evolve(model, random_state(3, rng)))
-            assert abs(sum(bset.weights.values()) - 1.0) <= 1e-10
+            kept = branches(model, evolve(model, random_state(3, rng)))
+            assert abs(sum(b.weight for b in kept) - 1.0) <= 1e-10
 
     def test_branch_biorthogonality(self):
         rng = np.random.default_rng(34)
         for _ in range(20):
             model = random_model(4, 4, 3, rng)
-            bset = branches(model, evolve(model, random_state(4, rng)))
-            vecs = [b.matrix.reshape(-1) for b in bset.branches]
+            kept = branches(model, evolve(model, random_state(4, rng)))
+            vecs = [b.matrix.reshape(-1) for b in kept]
             for i in range(len(vecs)):
                 for j in range(i + 1, len(vecs)):
                     assert abs(vecs[i].conj() @ vecs[j]) <= 1e-10
@@ -330,10 +328,10 @@ class TestBranchNormLaw:
     def test_omitted_branch_has_zero_oracle(self):
         model = degenerate_model()
         phi = basis_state(D3, 2)  # inside range(P^2) only
-        bset = coupled_branches(model, phi)
-        report = branch_norm_law(bset, input_oracle(model, phi))
+        kept = coupled_branches(model, phi)
+        report = branch_norm_law(kept, input_oracle(model, phi))
         assert report.passed
-        assert bset.omitted == (0,)
+        assert [b.outcome for b in kept] == [1]
         assert report.residuals[0] <= 1e-12
 
     def test_calibration_implication_on_random_eigenspace_vectors(self):

@@ -18,9 +18,9 @@ diagnosis.
 
 The pipeline couples and splits once; every audit reuses those branches.
 The coupled state and each branch are ``d1 x d2`` coefficient matrices.  A
-branch ``core @ B.T`` of the pointer basis ``B`` is Schmidt-decomposed by the
-SVD of its normalized ``d1 x r`` core; nondemolition audits its matrix as it
-stands.  Factor-side steps are one-sided products on the coefficient matrix
+branch ``core @ basis.T`` is Schmidt-decomposed by the SVD of its normalized
+``d1 x r`` core (``Branch.schmidt_form``); nondemolition audits its matrix as
+it stands.  Factor-side steps are one-sided products on the coefficient matrix
 ``Psi`` of the coupled state: the complement residual is the norm of
 ``Psi @ (Q^k)'.T`` and the pointer's reduced state is ``rho_2 = Psi.T @
 Psi.conj()``, so no composite-space operator or density matrix is formed.
@@ -53,7 +53,7 @@ from .premeasurement import (
     verify_calibration,
     verify_nondemolition,
 )
-from .schmidt import BipartiteState, pointer_density, schmidt_decompose_core
+from .schmidt import BipartiteState, pointer_density
 
 __all__ = [
     "OutcomeRecord",
@@ -188,16 +188,12 @@ def derive_probabilities(
     oracle = [
         trace_probability(model.measured.basis(n), rho_phi) for n in range(model.outcome_count)
     ]
-    pointer = model.apparatus.pointer_observable
-    forms = {
-        b.outcome: schmidt_decompose_core(b.core / np.sqrt(b.weight), pointer.basis(b.outcome))
-        for b in kept
-    }
+    forms = {b.outcome: b.schmidt_form() for b in kept}
     weights = {b.outcome: b.weight for b in kept}
 
     # Biorthogonality on factor 1.  Factor 2 holds by construction: branch k's
-    # vectors are its pointer basis times the core's orthonormal SVD vectors,
-    # inside range(Q^k), and the pointer projectors are mutually orthogonal.
+    # vectors are its basis times the core's orthonormal SVD vectors, inside
+    # range(Q^k), and the pointer projectors are mutually orthogonal.
     biorthogonality = gram_residual(np.hstack([form.basis1 for form in forms.values()]))
     additivity = {n: _or_inf(check_additivity, rho2, form.basis2, tol) for n, form in forms.items()}
     empty = np.zeros((model.d2, 0))

@@ -156,7 +156,8 @@ class Observable:
     [B_1 | ... | B_N]`` with ``ranks = (r_1, ..., r_N)``.  Its blocks are
     orthonormal, mutually orthogonal and complete exactly when it is unitary,
     so one Gram residual decides all three; for a square matrix it equals the
-    completeness residual ``||sum_n P^n - I||`` of ``P^n = B_n B_n^H``.
+    completeness residual ``||sum_n P^n - I||`` of ``P^n = B_n B_n^H``; it is
+    kept as ``residual``, and bounds the Gram residual of every block.
     """
 
     eigenvalues: tuple[float, ...]
@@ -164,6 +165,7 @@ class Observable:
     tol: float = DEFAULT_TOL
     matrix: np.ndarray = field(init=False, repr=False)
     ranks: tuple[int, ...] = field(init=False)
+    residual: float = field(init=False, repr=False)
 
     def __post_init__(self, bases):
         values = tuple(float(v) for v in self.eigenvalues)
@@ -191,6 +193,7 @@ class Observable:
         object.__setattr__(self, "eigenvalues", values)
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "ranks", ranks)
+        object.__setattr__(self, "residual", residual)
 
     @property
     def dim(self) -> int:

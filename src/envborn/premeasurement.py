@@ -45,7 +45,7 @@ from .hilbert import (
     gram_residual,
     span_residual,
 )
-from .schmidt import ZERO_BRANCH_THRESHOLD, BipartiteState
+from .schmidt import ZERO_BRANCH_THRESHOLD, BipartiteState, SchmidtForm, schmidt_decompose_core
 
 __all__ = [
     "PointerApparatus",
@@ -214,19 +214,24 @@ def _block_unitarity_residual(measured: Observable, v: np.ndarray) -> float:
 
 @dataclass(frozen=True, eq=False)
 class Branch:
-    """One unnormalized pointer-projected term ``Psi @ Q^n.T = core @ B.T``
-    (``d1 x d2``) for ``Q^n = B B^H``, with its core ``Psi @ B.conj()``
-    (``d1 x r_n``).  ``B.T`` has orthonormal rows, so the core carries the
-    term's weight ``||core||^2`` and its Schmidt form."""
+    """One unnormalized pointer-projected term ``Psi @ Q^n.T`` (``d1 x d2``),
+    also held as ``core @ basis.T`` for a ``d2 x r`` ``basis`` with orthonormal
+    columns: ``basis.T`` has orthonormal rows, so the ``d1 x r`` core carries
+    the term's weight ``||core||^2`` and its Schmidt form."""
 
     outcome: int
     matrix: np.ndarray
     weight: float
     core: np.ndarray
+    basis: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "matrix", _freeze(self.matrix))
-        object.__setattr__(self, "core", _freeze(self.core))
+        for name in ("matrix", "core", "basis"):
+            object.__setattr__(self, name, _freeze(getattr(self, name)))
+
+    def schmidt_form(self) -> SchmidtForm:
+        """The Schmidt form of the normalized term, from its normalized core."""
+        return schmidt_decompose_core(self.core / np.sqrt(self.weight), self.basis)
 
 
 def _householder_map(origin: StateVector, target: StateVector) -> Operator:
@@ -285,6 +290,11 @@ def branches(model: PremeasurementModel, psi12: BipartiteState) -> tuple[Branch,
     ``core @ B.T`` with the core ``Psi @ B.conj()`` for ``Q^n = B B^H``, with
     squared-norm weights ``||core||^2``.
 
+    That needs ``B`` orthonormal to rounding.  A pointer observable whose Gram
+    residual exceeds ``NORM_TOL`` (admitted at a looser tol) would pass its
+    error into the weights and the factor-2 Schmidt vectors ``B @ v``, so each
+    of its terms is its own core, against the identity basis.
+
     Terms with squared norm below ``ZERO_BRANCH_THRESHOLD`` are omitted: their
     outcomes have no branch.  The weights must sum to 1 within ``model.tol``
     (at least ``DEFAULT_TOL``), the pointer's admission tolerance.
@@ -293,14 +303,17 @@ def branches(model: PremeasurementModel, psi12: BipartiteState) -> tuple[Branch,
         raise ValueError(f"state dims {psi12.dims} do not match model")
     psi = psi12.matrix
     pointer = model.apparatus.pointer_observable
+    exact = pointer.residual <= NORM_TOL
     kept = []
     for n in range(pointer.outcome_count):
         b = pointer.basis(n)
         core = psi @ b.conj()
+        if not exact:
+            core, b = core @ b.T, np.eye(model.d2)
         weight = float(np.linalg.norm(core) ** 2)
         if weight < ZERO_BRANCH_THRESHOLD:
             continue
-        kept.append(Branch(outcome=n, matrix=core @ b.T, weight=weight, core=core))
+        kept.append(Branch(n, core @ b.T, weight, core, b))
     total = sum(b.weight for b in kept)
     if abs(total - 1.0) > max(model.tol, DEFAULT_TOL):
         raise ValueError(f"branch weights sum to {total!r}, expected 1")

@@ -1,6 +1,6 @@
 """Shared builders for randomized premeasurement scenarios, composite-space
-reference helpers for the one-sided products of the library, the Schmidt form
-of a branch, and the random projector draw of one mixture equivalence trial."""
+reference helpers for the one-sided products of the library, and the random
+projector draw of one mixture equivalence trial."""
 
 import numpy as np
 from hypothesis.vendor import pretty
@@ -23,7 +23,6 @@ from envborn.rng import (
     random_unit_vector,
     random_unitary,
 )
-from envborn.schmidt import schmidt_decompose_core
 
 # hypothesis prints a falsifying example field by field, and an Observable's
 # ``bases`` is an InitVar, not an attribute: print its repr instead
@@ -70,13 +69,6 @@ def mgs_orthonormalize(vectors) -> np.ndarray:
                 w -= b * (b.conj() @ w)
         basis.append(w / np.linalg.norm(w))
     return np.column_stack(basis)
-
-
-def branch_form(model, branch):
-    """The Schmidt form of the normalized ``branch`` from its core, as
-    ``derive_probabilities`` takes it."""
-    bq = model.apparatus.pointer_observable.basis(branch.outcome)
-    return schmidt_decompose_core(branch.core / np.sqrt(branch.weight), bq)
 
 
 def dense_projectors(obs, dtype=complex):

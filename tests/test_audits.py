@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import branch_form, dense_projectors, entangle_branches, random_scenario
+from conftest import dense_projectors, entangle_branches, random_scenario
 
 import envborn.born
 import envborn.mixtures
@@ -312,7 +312,7 @@ def test_one_check_forms_match_previous_forms(tol):
                 assert_same(nondemolition.residuals[n], np.linalg.norm(p @ branch - branch))
 
         for b in kept.values():
-            basis2 = branch_form(model, b).basis2
+            basis2 = b.schmidt_form().basis2
             other = (b.outcome + 1) % model.outcome_count
             cases = [
                 (previous_check_additivity, check_additivity, (rho2, basis2, tol)),

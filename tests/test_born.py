@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import branch_form, entangle_branches, random_density, random_scenario
+from conftest import entangle_branches, random_density, random_scenario
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -189,7 +189,7 @@ class TestEntangledBranches:
         model = entangle_branches(build_premeasurement(a, apparatus), rng)
         phi = make_state([1, 1, 1])
         psi12 = evolve(model, phi)
-        form = branch_form(model, branches(model, psi12)[0])
+        form = branches(model, psi12)[0].schmidt_form()
         assert form.basis2.shape[1] == 2
         assert complement_check(model, psi12, 0, form.basis2) <= 1e-10
         report = derive_probabilities(model, phi)
@@ -201,7 +201,7 @@ class TestComplementCheck:
         model = cnot_model()
         phi = make_state([0.6, 0.8])
         psi12 = evolve(model, phi)
-        form = branch_form(model, branches(model, psi12)[0])
+        form = branches(model, psi12)[0].schmidt_form()
         residual = complement_check(model, psi12, 0, form.basis2)
         assert residual <= 1e-12
 
@@ -214,7 +214,7 @@ class TestComplementCheck:
         model = build_premeasurement(a, apparatus)
         phi = make_state([0.6, 0.8])
         psi12 = evolve(model, phi)
-        form = branch_form(model, branches(model, psi12)[0])
+        form = branches(model, psi12)[0].schmidt_form()
         assert form.basis2.shape[1] == 1
         residual = complement_check(model, psi12, 0, form.basis2)
         assert residual <= 1e-10
@@ -225,7 +225,7 @@ class TestComplementCheck:
             model, phi = random_scenario(4, 4, 2, rng)
             psi12 = evolve(model, phi)
             for b in branches(model, psi12):
-                form = branch_form(model, b)
+                form = b.schmidt_form()
                 assert complement_check(model, psi12, b.outcome, form.basis2) <= 1e-10
 
     @staticmethod

@@ -23,7 +23,6 @@ import numpy as np
 import pytest
 import scipy.linalg
 from conftest import (
-    branch_form,
     dense_coupling,
     dense_projectors,
     entangle_branches,
@@ -196,7 +195,7 @@ def test_one_sided_products_match_composite_lifts(case, seed):
     for n, q in enumerate(pointer_projectors):
         schmidt2 = np.zeros((d2, 0))
         if n in kept:
-            schmidt2 = branch_form(model, kept[n]).basis2
+            schmidt2 = kept[n].schmidt_form().basis2
         comp = q - sum(
             (np.outer(v, v.conj()) for v in schmidt2.T),
             np.zeros((d2, d2), dtype=complex),
@@ -551,9 +550,9 @@ def test_stacked_calibration_equals_the_outcome_loop(case):
 def test_kept_branches_carry_their_core_and_weight(case):
     model, phi, _ = case
     for b in branches(model, evolve(model, phi)):
-        bq = model.apparatus.pointer_observable.basis(b.outcome)
+        assert np.array_equal(b.basis, model.apparatus.pointer_observable.basis(b.outcome))
         assert abs(b.weight - np.linalg.norm(b.matrix) ** 2) <= 1e-12
-        assert np.array_equal(b.core @ bq.T, b.matrix)
+        assert np.array_equal(b.core @ b.basis.T, b.matrix)
 
 
 @settings(max_examples=150, deadline=None)
@@ -563,7 +562,7 @@ def test_core_schmidt_forms_equal_the_branch_loop(case):
     kept = branches(model, evolve(model, phi))
     records = derive_probabilities(model, phi).records
     for b in kept:
-        form = branch_form(model, b)
+        form = b.schmidt_form()
         psi = BipartiteState(b.matrix / np.sqrt(b.weight))
         coefficients, _, _ = looped_schmidt_form(psi)
         assert len(form) == len(coefficients)
@@ -571,8 +570,62 @@ def test_core_schmidt_forms_equal_the_branch_loop(case):
         assert np.linalg.norm(reconstruct(form).matrix - psi.matrix) <= 1e-13
         bq = model.apparatus.pointer_observable.basis(b.outcome)
         assert span_residual(bq, form.basis2) <= 1e-14
-        detail = tuple(float(b.weight * c**2) for c in form.coefficients)
-        assert records[b.outcome].schmidt_detail == detail
+        detail = records[b.outcome].schmidt_detail
+        looped = np.linalg.norm(b.matrix) ** 2 * coefficients**2
+        assert np.max(np.abs(np.array(detail) - looped)) <= 1e-14
+        assert detail == tuple(float(b.weight * c**2) for c in form.coefficients)
+
+
+def skewed_pointer_model(skew, tol):
+    """A qubit measured by a 4-dim pointer whose outcome-0 basis ``[e0, e1 +
+    skew e2]`` overlaps the outcome-1 basis ``[e2, e3]`` by ``skew``: the
+    pointer observable's Gram residual is about ``sqrt(2) skew``, admitted at
+    ``tol``."""
+    b0 = np.array([[1, 0], [0, 1], [0, skew], [0, 0]], dtype=complex)
+    pointer = Observable([0.0, 1.0], [b0, np.eye(4)[:, 2:]], tol)
+    chi = (b0[:, 0] + b0[:, 1]) / np.linalg.norm(b0[:, 0] + b0[:, 1])
+    states = np.column_stack([chi, np.eye(4)[:, 3]])
+    apparatus = PointerApparatus(basis_state(4, 0), pointer, states, tol)
+    measured = Observable([0.0, 1.0], [np.eye(2)[:, :1], np.eye(2)[:, 1:]])
+    return build_premeasurement(measured, apparatus, tol)
+
+
+@pytest.mark.parametrize(
+    "skew, tol, failing",
+    [
+        (0.0, DEFAULT_TOL, set()),
+        (1e-13, DEFAULT_TOL, set()),
+        # the skew leaves a Schmidt term of about 5e-12 on e0 in branch 1
+        (1e-11, DEFAULT_TOL, {"biorthogonality"}),
+        (
+            1e-4,
+            1e-3,
+            {"biorthogonality", "calibration", "complement", "nondemolition", "norm_law", "prc"},
+        ),
+    ],
+)
+def test_loosely_orthonormal_pointers_are_reported_from_the_full_branch(skew, tol, failing):
+    # a pointer basis orthonormal only beyond NORM_TOL would carry its error
+    # into the weights and the factor-2 vectors B @ v (beyond DEFAULT_TOL a
+    # SchmidtForm raises), so such a branch is its own core against the
+    # identity basis and matches the full-branch SVD exactly
+    model = skewed_pointer_model(skew, tol)
+    phi = make_state([0.6, 0.8])
+    report = derive_probabilities(model, phi)
+    assert {name for name, audit in report.audits.items() if not audit.passed} == failing
+    exact = model.apparatus.pointer_observable.residual <= 1e-12
+    for b in branches(model, evolve(model, phi)):
+        if exact:
+            assert b.basis.shape == (4, 2)
+            continue
+        assert np.array_equal(b.basis, np.eye(4))
+        assert b.weight == np.linalg.norm(b.matrix) ** 2
+        form = b.schmidt_form()
+        coefficients, basis1, basis2 = looped_schmidt_form(BipartiteState(b.matrix / np.sqrt(b.weight)))
+        assert np.array_equal(form.coefficients, coefficients)
+        assert np.array_equal(form.basis1, basis1)
+        assert np.array_equal(form.basis2, basis2)
+        assert report.records[b.outcome].derived == sum(b.weight * coefficients**2)
 
 
 def test_core_schmidt_forms_skip_omitted_branches():

@@ -17,14 +17,14 @@ reported instead of raised, so adversarial couplings produce a readable
 diagnosis.
 
 The pipeline couples and splits once; every audit reuses those branches.
-The coupled state and each branch are ``d1 x d2`` coefficient matrices.  A
-branch ``core @ basis.T`` is Schmidt-decomposed by the SVD of its normalized
-``d1 x r`` core (``Branch.schmidt_form``); nondemolition audits its matrix as
-it stands.  Factor-side steps are one-sided products on the coefficient matrix
-``Psi`` of the coupled state: the complement residual is the norm of
-``Psi @ (Q^k)'.T`` and the pointer's reduced state is ``rho_2 = Psi.T @
-Psi.conj()``, so no composite-space operator or density matrix is formed.
-Each projector ``Q = B B^H`` is applied through its basis ``B``, never dense.
+The coupled state is a ``d1 x d2`` coefficient matrix; a branch ``core @
+basis.T`` is held only as its ``d1 x r`` core, which nondemolition audits and
+whose normalized SVD is the branch's Schmidt form (``Branch.schmidt_form``).
+Factor-side steps are one-sided products on the coefficient matrix ``Psi``:
+the complement residual is the norm of ``Psi @ (Q^k)'.T`` and the pointer's
+reduced state is ``rho_2 = Psi.T @ Psi.conj()``, so no composite-space
+operator or density matrix is formed.  Each projector ``Q = B B^H`` is
+applied through its basis ``B``, never dense.
 """
 
 from __future__ import annotations

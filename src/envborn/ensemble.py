@@ -24,6 +24,7 @@ __all__ = [
 _DIST_TOL = 1e-9
 # Draws sorted and counted at a time: 256 KiB, within a 2 MiB L2 cache.
 DRAW_BLOCK = 2**15
+SIGMAS = 4.0  # the z-score bound of ``frequency_check``
 
 
 @dataclass(frozen=True)
@@ -44,10 +45,6 @@ class SampleRun:
             raise ValueError(
                 f"counts sum to {sum(self.counts)}, expected {self.sample_count}"
             )
-
-    @property
-    def frequencies(self) -> np.ndarray:
-        return np.asarray(self.counts, dtype=float) / self.sample_count
 
 
 def _draw_counts(p: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -108,10 +105,11 @@ class FrequencyReport:
         return self.exact_ok and all(abs(z) <= self.sigmas for z in defined)
 
 
-def frequency_check(run: SampleRun, sigmas: float = 4.0) -> FrequencyReport:
-    """Binomial z-score acceptance: ``z_k = (c_k - N p_k) / sqrt(N p_k (1 - p_k))``
-    for ``p_k`` strictly between 0 and 1, with ``p`` divided by its sum as drawn
-    (where that misses 1 by over 1e-9); the counts must match a boundary ``p_k``."""
+def frequency_check(run: SampleRun) -> FrequencyReport:
+    """Binomial z-score acceptance within ``SIGMAS``: ``z_k = (c_k - N p_k) /
+    sqrt(N p_k (1 - p_k))`` for ``p_k`` strictly between 0 and 1, with ``p``
+    divided by its sum as drawn (where that misses 1 by over 1e-9); the counts
+    must match a boundary ``p_k``."""
     n, total = run.sample_count, float(np.sum(run.probabilities))
     p = np.divide(run.probabilities, total if abs(total - 1.0) > _DIST_TOL else 1.0)
     zscores: list[float | None] = []
@@ -124,4 +122,4 @@ def frequency_check(run: SampleRun, sigmas: float = 4.0) -> FrequencyReport:
                 exact_ok = False
         else:
             zscores.append((c_k - n * p_k) / np.sqrt(n * p_k * (1.0 - p_k)))
-    return FrequencyReport(zscores=tuple(zscores), exact_ok=exact_ok, sigmas=float(sigmas))
+    return FrequencyReport(zscores=tuple(zscores), exact_ok=exact_ok, sigmas=SIGMAS)

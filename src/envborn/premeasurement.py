@@ -20,7 +20,7 @@ bound cannot certify pays for the exact residual and the dense ``P^n``.
 Construction also restricts the coupling to the ready state once, giving the
 ready map ``W = U (. (x) ready)`` (``d1*d2 x d1``); ``evolve`` and
 calibration read only ``W``; ``evolve`` reshapes ``W @ phi`` into the
-``d1 x d2`` coefficient matrix ``Psi``, and each branch is such a matrix.
+``d1 x d2`` coefficient matrix ``Psi``; each branch is held as its core.
 Every other step acts on one factor as a one-sided product on ``Psi``, with
 each eigenprojector applied through its eigenspace basis: ``(I (x) Q) psi`` is
 ``Psi @ Q.T = (Psi @ B.conj()) @ B.T`` for ``Q = B B^H`` and ``(P (x) I) psi``
@@ -215,18 +215,18 @@ def _block_unitarity_residual(measured: Observable, v: np.ndarray) -> float:
 @dataclass(frozen=True, eq=False)
 class Branch:
     """One unnormalized pointer-projected term ``Psi @ Q^n.T`` (``d1 x d2``),
-    also held as ``core @ basis.T`` for a ``d2 x r`` ``basis`` with orthonormal
-    columns: ``basis.T`` has orthonormal rows, so the ``d1 x r`` core carries
-    the term's weight ``||core||^2`` and its Schmidt form."""
+    held only as its ``d1 x r`` core, the term being ``core @ basis.T`` for a
+    ``d2 x r`` ``basis`` with orthonormal columns: ``basis.T`` has orthonormal
+    rows, so the core carries the term's weight ``||core||^2``, its Schmidt
+    form and its system-side residuals."""
 
     outcome: int
-    matrix: np.ndarray
     weight: float
     core: np.ndarray
     basis: np.ndarray
 
     def __post_init__(self):
-        for name in ("matrix", "core", "basis"):
+        for name in ("core", "basis"):
             object.__setattr__(self, name, _freeze(getattr(self, name)))
 
     def schmidt_form(self) -> SchmidtForm:
@@ -286,9 +286,9 @@ def evolve(model: PremeasurementModel, phi: StateVector) -> BipartiteState:
 
 
 def branches(model: PremeasurementModel, psi12: BipartiteState) -> tuple[Branch, ...]:
-    """Pointer-projected terms ``(I (x) Q^n) psi = Psi @ Q^n.T``, taken as
-    ``core @ B.T`` with the core ``Psi @ B.conj()`` for ``Q^n = B B^H``, with
-    squared-norm weights ``||core||^2``.
+    """Pointer-projected terms ``(I (x) Q^n) psi = Psi @ Q^n.T``, each held as
+    its core ``Psi @ B.conj()`` for ``Q^n = B B^H`` (the term is ``core @
+    B.T``, never formed), with squared-norm weights ``||core||^2``.
 
     That needs ``B`` orthonormal to rounding.  A pointer observable whose Gram
     residual exceeds ``NORM_TOL`` (admitted at a looser tol) would pass its
@@ -313,7 +313,7 @@ def branches(model: PremeasurementModel, psi12: BipartiteState) -> tuple[Branch,
         weight = float(np.linalg.norm(core) ** 2)
         if weight < ZERO_BRANCH_THRESHOLD:
             continue
-        kept.append(Branch(n, core @ b.T, weight, core, b))
+        kept.append(Branch(n, weight, core, b))
     total = sum(b.weight for b in kept)
     if abs(total - 1.0) > max(model.tol, DEFAULT_TOL):
         raise ValueError(f"branch weights sum to {total!r}, expected 1")
@@ -368,10 +368,11 @@ def verify_nondemolition(
     """Each nonzero branch ``Psi_k`` must be fixed by its own system
     eigenprojector, ``P^k @ Psi_k = Psi_k`` (it is then a joint eigenvector of
     P^k (x) I and I (x) Q^k); the residual of branch k is
-    ``||P^k @ Psi_k - Psi_k||``, the ``span_residual`` of the system basis."""
+    ``||P^k @ Psi_k - Psi_k||``, the ``span_residual`` of the system basis.
+    It is taken on the core ``K_k``: ``Psi_k = K_k @ B^T`` and ``B^T`` has
+    orthonormal rows, so ``||P^k K_k - K_k||`` is the same norm."""
     residuals = {
-        b.outcome: span_residual(model.measured.basis(b.outcome), b.matrix)
-        for b in kept
+        b.outcome: span_residual(model.measured.basis(b.outcome), b.core) for b in kept
     }
     return Audit(residuals, tol)
 

@@ -303,7 +303,7 @@ def test_criterion_ensemble_frequencies():
     for p in ([0.5, 0.5], [2 / 3, 1 / 3]):
         for seed in range(20):
             run = sample_outcomes(p, 100000, seed)
-            ok = ok and frequency_check(run, sigmas=4.0).passed
+            ok = ok and frequency_check(run).passed
     certainty = sample_outcomes([0.0, 1.0], 100000, 0)
     ok = ok and certainty.counts == (0, 100000)
     elapsed = time.monotonic() - started

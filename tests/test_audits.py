@@ -299,7 +299,7 @@ def test_one_check_forms_match_previous_forms(tol):
         for n, q in enumerate(dense_projectors(model.apparatus.pointer_observable)):
             term = psi12.matrix @ q.T
             if n in kept:
-                assert np.abs(kept[n].matrix - term).max() <= 1e-15
+                assert np.abs(kept[n].core @ kept[n].basis.T - term).max() <= 1e-15
                 assert_same(kept[n].weight, float(np.linalg.norm(term) ** 2))
             else:
                 assert float(np.linalg.norm(term) ** 2) < 1e-12
@@ -308,7 +308,7 @@ def test_one_check_forms_match_previous_forms(tol):
             reference = or_inf(dense_trace, p, rho_phi, tol)
             assert_same(or_inf(trace_probability, model.measured.basis(n), rho_phi), reference)
             if n in kept:
-                branch = kept[n].matrix
+                branch = kept[n].core @ kept[n].basis.T
                 assert_same(nondemolition.residuals[n], np.linalg.norm(p @ branch - branch))
 
         for b in kept.values():

@@ -721,6 +721,37 @@ class TestInputHardening:
         self.assert_input_error([command, str(path)], f"scenario has no {section}")
 
     @pytest.mark.parametrize(
+        "command, name, section, edit, message",
+        [
+            ("sample", "sample-fair", "sampling", lambda s: s.update(bias=[1, -1, 0]),
+             "sampling.bias length does not match outcome count"),
+            ("sample", "sample-fair", "sampling", lambda s: s.update(bias=[1, 1]),
+             "must sum to zero"),
+            ("sample", "sample-fair", "sampling", lambda s: s.update(bias=[-100001, 100001]),
+             "drives a count negative"),
+            ("derive", "degenerate-3d", "observable",
+             lambda s: s.update(complete=list(map(encode_vector, np.eye(3))), eigenvalues=[1, 0, -1]),
+             "cannot build premeasurement: measured and pointer outcome counts differ (3 vs 2)"),
+            ("derive", "degenerate-3d", "apparatus",
+             lambda s: s.update(pointer_projectors=[
+                 [encode_vector(np.eye(2)[0]), encode_vector(2 * np.eye(2)[0])],
+                 [encode_vector(np.eye(2)[1])],
+             ]),
+             "invalid apparatus: input vectors are linearly dependent"),
+            ("mixtures", "mixtures-bell", "mixture", lambda s: s["components"][0].update(weight=0.2),
+             "invalid mixture: weights sum to 0.7"),
+        ],
+        ids=["bias-length", "bias-sum", "bias-negative", "outcome-counts", "dependent-span",
+             "mixture-weights"],
+    )
+    def test_rejected_section_value(self, tmp_path, command, name, section, edit, message):
+        # well-typed values that a later check rejects: the sample's bias, the
+        # model build, the span's orthonormalization and the mixture's weights
+        spec = json.loads(Path(fixture_path(name)).read_text(encoding="utf-8"))[section]
+        edit(spec)
+        self.assert_input_error([command, write_variant(tmp_path, name, **{section: spec})], message)
+
+    @pytest.mark.parametrize(
         "command, name, keys, field",
         [
             # 10**400 is a valid seed, so the seed case is negative

@@ -183,7 +183,7 @@ class TestSampleOutcomes:
             errors = []
             for seed in range(20):
                 run = sample_outcomes(p, n, seed)
-                errors.append(max(abs(f - q) for f, q in zip(run.frequencies, p)))
+                errors.append(max(abs(c / n - q) for c, q in zip(run.counts, p)))
             medians.append(np.median(errors))
         assert medians[0] >= medians[1] >= medians[2]
 

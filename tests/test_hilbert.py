@@ -501,15 +501,11 @@ STORED_COPY_CASES = {
         lambda: np.eye(2, dtype=complex) / math.sqrt(2),
     ),
     "Branch": (
-        lambda a: Branch(0, a, 1.0, a[:, :1], np.eye(D2)[:, :1]).matrix,
-        lambda: np.array([[1, 0]], dtype=complex),
-    ),
-    "Branch.core": (
-        lambda a: Branch(0, np.eye(D2)[:1], 1.0, a, np.eye(D2)[:, :1]).core,
+        lambda a: Branch(0, 1.0, a, np.eye(D2)[:, :1]).core,
         lambda: np.array([[1]], dtype=complex),
     ),
     "Branch.basis": (
-        lambda a: Branch(0, np.eye(D2)[:1], 1.0, np.eye(D2)[:1, :1], a).basis,
+        lambda a: Branch(0, 1.0, np.eye(D2)[:1, :1], a).basis,
         lambda: np.array([[1], [0]], dtype=complex),
     ),
     "SchmidtForm": (
@@ -557,7 +553,7 @@ VALUE_MAKERS = {
     "SchmidtForm": lambda: SchmidtForm([1.0], np.eye(D2)[:, :1], np.eye(D2)[:, :1]),
     "PointerApparatus": lambda: _qubit_model().apparatus,
     "PremeasurementModel": _qubit_model,
-    "Branch": lambda: Branch(0, np.eye(D2)[:1], 1.0, np.eye(D2)[:1, :1], np.eye(D2)[:, :1]),
+    "Branch": lambda: Branch(0, 1.0, np.eye(D2)[:1, :1], np.eye(D2)[:, :1]),
     "MixtureSpec": lambda: MixtureSpec(np.eye(D2), [0.5, 0.5]),
 }
 

@@ -178,7 +178,8 @@ def test_one_sided_products_match_composite_lifts(case, seed):
     for n, q in enumerate(pointer_projectors):
         term = pointer_lift(model, q) @ vec
         if n in kept:
-            assert np.linalg.norm(kept[n].matrix.reshape(-1) - term) <= AGREE
+            branch = kept[n].core @ kept[n].basis.T
+            assert np.linalg.norm(branch.reshape(-1) - term) <= AGREE
             assert abs(kept[n].weight - np.linalg.norm(term) ** 2) <= AGREE
         else:
             assert np.linalg.norm(term) ** 2 < 1e-12 + AGREE
@@ -188,7 +189,7 @@ def test_one_sided_products_match_composite_lifts(case, seed):
     nondemolition = verify_nondemolition(model, tuple(kept.values()))
     for b in kept.values():
         lifted_p = np.kron(dense_projectors(model.measured)[b.outcome], np.eye(d2))
-        term = b.matrix.reshape(-1)
+        term = (b.core @ b.basis.T).reshape(-1)
         expected = np.linalg.norm(lifted_p @ term - term)
         assert abs(nondemolition.residuals[b.outcome] - expected) <= AGREE
 
@@ -551,8 +552,7 @@ def test_kept_branches_carry_their_core_and_weight(case):
     model, phi, _ = case
     for b in branches(model, evolve(model, phi)):
         assert np.array_equal(b.basis, model.apparatus.pointer_observable.basis(b.outcome))
-        assert abs(b.weight - np.linalg.norm(b.matrix) ** 2) <= 1e-12
-        assert np.array_equal(b.core @ b.basis.T, b.matrix)
+        assert abs(b.weight - np.linalg.norm(b.core @ b.basis.T) ** 2) <= 1e-12
 
 
 @settings(max_examples=150, deadline=None)
@@ -563,7 +563,8 @@ def test_core_schmidt_forms_equal_the_branch_loop(case):
     records = derive_probabilities(model, phi).records
     for b in kept:
         form = b.schmidt_form()
-        psi = BipartiteState(b.matrix / np.sqrt(b.weight))
+        branch = b.core @ b.basis.T
+        psi = BipartiteState(branch / np.sqrt(b.weight))
         coefficients, _, _ = looped_schmidt_form(psi)
         assert len(form) == len(coefficients)
         assert np.max(np.abs(form.coefficients - coefficients)) <= 1e-14
@@ -571,7 +572,7 @@ def test_core_schmidt_forms_equal_the_branch_loop(case):
         bq = model.apparatus.pointer_observable.basis(b.outcome)
         assert span_residual(bq, form.basis2) <= 1e-14
         detail = records[b.outcome].schmidt_detail
-        looped = np.linalg.norm(b.matrix) ** 2 * coefficients**2
+        looped = np.linalg.norm(branch) ** 2 * coefficients**2
         assert np.max(np.abs(np.array(detail) - looped)) <= 1e-14
         assert detail == tuple(float(b.weight * c**2) for c in form.coefficients)
 
@@ -619,9 +620,10 @@ def test_loosely_orthonormal_pointers_are_reported_from_the_full_branch(skew, to
             assert b.basis.shape == (4, 2)
             continue
         assert np.array_equal(b.basis, np.eye(4))
-        assert b.weight == np.linalg.norm(b.matrix) ** 2
+        branch = b.core @ b.basis.T
+        assert b.weight == np.linalg.norm(branch) ** 2
         form = b.schmidt_form()
-        coefficients, basis1, basis2 = looped_schmidt_form(BipartiteState(b.matrix / np.sqrt(b.weight)))
+        coefficients, basis1, basis2 = looped_schmidt_form(BipartiteState(branch / np.sqrt(b.weight)))
         assert np.array_equal(form.coefficients, coefficients)
         assert np.array_equal(form.basis1, basis1)
         assert np.array_equal(form.basis2, basis2)

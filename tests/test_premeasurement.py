@@ -226,7 +226,7 @@ class TestBranches:
         for _ in range(20):
             model = random_model(4, 4, 3, rng)
             kept = branches(model, evolve(model, random_state(4, rng)))
-            vecs = [b.matrix.reshape(-1) for b in kept]
+            vecs = [(b.core @ b.basis.T).reshape(-1) for b in kept]
             for i in range(len(vecs)):
                 for j in range(i + 1, len(vecs)):
                     assert abs(vecs[i].conj() @ vecs[j]) <= 1e-10

@@ -504,6 +504,10 @@ STORED_COPY_CASES = {
         lambda a: Branch(0, 1.0, a, np.eye(D2)[:, :1]).core,
         lambda: np.array([[1]], dtype=complex),
     ),
+    "Branch.core": (
+        lambda a: Branch(0, 1.0, a, np.eye(D2)).core,
+        lambda: np.eye(2, dtype=complex) / math.sqrt(2),
+    ),
     "Branch.basis": (
         lambda a: Branch(0, 1.0, np.eye(D2)[:1, :1], a).basis,
         lambda: np.array([[1], [0]], dtype=complex),

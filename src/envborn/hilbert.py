@@ -8,8 +8,10 @@ values are safe to share across threads.
 
 Two absolute tolerances are used throughout the package: ``DEFAULT_TOL`` for
 operator-identity checks (orthonormality, completeness, unitarity) and the
-tighter ``NORM_TOL`` for vector-norm and trace checks.  Both can be overridden
-per call.  Matrix norms are Frobenius, vector norms Euclidean.
+tighter ``NORM_TOL`` for vector-norm and trace checks.  The checks a
+scenario's operator tolerance applies to take it as an argument, or carry it
+as an observable, a pointer apparatus and a premeasurement model do.  Matrix
+norms are Frobenius, vector norms Euclidean.
 """
 
 from __future__ import annotations
@@ -211,21 +213,20 @@ class Observable:
 
 @dataclass(frozen=True, eq=False)
 class DensityOperator(Operator):
-    """A Hermitian, unit-trace, positive-semidefinite operator."""
-
-    tol: float = DEFAULT_TOL
+    """A Hermitian, unit-trace, positive-semidefinite operator, each within
+    ``DEFAULT_TOL``."""
 
     def __post_init__(self):
         super().__post_init__()
         mat = self.matrix
         herm = np.linalg.norm(mat - mat.conj().T)
-        if herm > self.tol:
+        if herm > DEFAULT_TOL:
             raise ValueError(f"density operator is not Hermitian: residual {herm:.3e}")
         tr = np.trace(mat)
-        if abs(tr - 1.0) > self.tol:
+        if abs(tr - 1.0) > DEFAULT_TOL:
             raise ValueError(f"density operator trace is {tr:.12f}, expected 1")
         lowest = float(np.linalg.eigvalsh(mat)[0])
-        if lowest < -self.tol:
+        if lowest < -DEFAULT_TOL:
             raise ValueError(
                 f"density operator has a negative eigenvalue: {lowest:.3e}"
             )
@@ -273,27 +274,25 @@ def trace_probability(basis: np.ndarray, rho: DensityOperator) -> float:
     projector ``Q = B B^H`` of an orthonormal basis ``B``, such as ``B_n``.
 
     This is the oracle every derivation step in the package is audited
-    against.  The trace must be real within ``rho.tol``, the tolerance ``rho``
-    was validated at (an imaginary part beyond that signals malformed inputs);
-    excursions outside [0, 1] within it are clamped.
+    against.  The trace must be real within ``DEFAULT_TOL``, the tolerance
+    ``rho`` was validated at (an imaginary part beyond that signals malformed
+    inputs); excursions outside [0, 1] within it are clamped.
     """
     if len(basis) != rho.dim:
         raise ValueError(f"dimension mismatch in trace_probability: {len(basis)} vs {rho.dim}")
     value = complex(np.vdot(basis, rho.matrix @ basis))
-    if abs(value.imag) > rho.tol:
+    if abs(value.imag) > DEFAULT_TOL:
         raise ValueError(
-            f"trace has imaginary part {value.imag:.3e} beyond tolerance {rho.tol:.1e}"
+            f"trace has imaginary part {value.imag:.3e} beyond tolerance {DEFAULT_TOL:.1e}"
         )
     p = value.real
-    if p < -rho.tol or p > 1.0 + rho.tol:
+    if p < -DEFAULT_TOL or p > 1.0 + DEFAULT_TOL:
         raise ValueError(f"trace value {p!r} lies outside [0, 1] beyond tolerance")
     return min(max(p, 0.0), 1.0)
 
 
 def complete_observable(
-    basis: Sequence[StateVector],
-    eigenvalues: Sequence[float] | None = None,
-    tol: float = DEFAULT_TOL,
+    basis: Sequence[StateVector], eigenvalues: Sequence[float] | None = None
 ) -> Observable:
     """Nondegenerate observable with one-column eigenspace bases ``basis``.
 
@@ -301,13 +300,14 @@ def complete_observable(
     """
     if eigenvalues is None:
         eigenvalues = list(range(len(basis)))
-    return Observable(eigenvalues, [b.amplitudes[:, None] for b in basis], tol)
+    return Observable(eigenvalues, [b.amplitudes[:, None] for b in basis])
 
 
 def orthonormalize(vectors: Iterable[np.ndarray]) -> np.ndarray:
     """Classical Gram-Schmidt applied twice (CGS2): each vector loses its
     projection on the basis so far, ``w -= Q (Q^H w)``, in two passes of two
-    mat-vecs; the basis is returned as the columns of a ``dim x count`` matrix.
+    mat-vecs, each formed as ``(w^H Q)^H`` so that no conjugate copy of ``Q``
+    is made; the basis is returned as the columns of a ``dim x count`` matrix.
     An entry that is zero in every input vector stays exactly zero.
 
     Raises ValueError when the input set is empty, mixes lengths or is
@@ -323,7 +323,7 @@ def orthonormalize(vectors: Iterable[np.ndarray]) -> np.ndarray:
         scale = np.linalg.norm(w)
         q = basis[:, :k]
         for _ in range(2):
-            w -= q @ (q.conj().T @ w)
+            w -= q @ (w.conj() @ q).conj()
         norm = np.linalg.norm(w)
         if scale == 0.0 or norm < DEPENDENCE_TOL * scale:
             raise ValueError("input vectors are linearly dependent")

@@ -30,7 +30,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hilbert import NORM_TOL, DensityOperator, _freeze, _projector_basis
-from .rng import haar_unitary
 from .schmidt import BipartiteState
 
 __all__ = [
@@ -48,6 +47,15 @@ PURIFY_THRESHOLD = 1e-12  # purify drops eigenvalues below this
 # per equivalence chunk: 8 trials at d = 64, every one of 50 trials at d = 16;
 # larger stacks outgrow the 2 MiB L2 at d = 64
 STACK_BYTES = 2**19
+
+
+def haar_unitary(ginibre: np.ndarray) -> np.ndarray:
+    """Haar unitaries from complex Ginibre matrices ``(..., d, d)``, each entry's
+    real and imaginary parts standard normal: one stacked QR, R-diagonal phases fixed."""
+    q, r = np.linalg.qr(ginibre)
+    diagonal = np.diagonal(r, axis1=-2, axis2=-1)
+    q *= (diagonal / np.abs(diagonal))[..., None, :]
+    return q
 
 
 def trial_chunk(d: int) -> int:
@@ -104,26 +112,26 @@ def mix(spec: MixtureSpec) -> DensityOperator:
     return DensityOperator((a * spec.weights) @ a.conj().T)
 
 
-def _agree(first: np.ndarray, second: np.ndarray, tol: float, what: str) -> None:
-    bad = np.flatnonzero(np.abs(first - second) > tol)
+def _agree(first: np.ndarray, second: np.ndarray, what: str) -> None:
+    bad = np.flatnonzero(np.abs(first - second) > NORM_TOL)
     if bad.size:
         raise ValueError(f"{what} disagree: {float(first[bad[0]])!r} vs {float(second[bad[0]])!r}")
 
 
-def _proper(P: np.ndarray, spec: MixtureSpec, rho_mix: DensityOperator, tol: float) -> np.ndarray:
+def _proper(P: np.ndarray, spec: MixtureSpec, rho_mix: DensityOperator) -> np.ndarray:
     a = spec.states
     rows = np.einsum("ik,tik->tk", a.conj(), P @ a).real
     # not the gemv rows @ weights: its rounding of a row depends on the stack height
     by_components = np.einsum("tk,k->t", rows, spec.weights)
     by_trace = np.trace(P @ rho_mix.matrix, axis1=1, axis2=2).real
-    _agree(by_components, by_trace, tol, "sub-ensemble sum and trace rule")
+    _agree(by_components, by_trace, "sub-ensemble sum and trace rule")
     return np.clip(by_components, 0.0, 1.0)
 
 
-def _improper(P1: np.ndarray, psi: np.ndarray, rho1: DensityOperator, tol: float) -> np.ndarray:
+def _improper(P1: np.ndarray, psi: np.ndarray, rho1: DensityOperator) -> np.ndarray:
     on_composite = np.einsum("ij,tij->t", psi.conj(), P1 @ psi).real
     on_reduced = np.trace(P1 @ rho1.matrix, axis1=1, axis2=2).real
-    _agree(on_composite, on_reduced, tol, "composite and partial-trace routes")
+    _agree(on_composite, on_reduced, "composite and partial-trace routes")
     return np.clip(on_reduced, 0.0, 1.0)
 
 
@@ -132,20 +140,20 @@ def _reduced_first(psi: np.ndarray) -> DensityOperator:
     return DensityOperator(np.einsum("aj,bj->ab", psi, psi.conj()))
 
 
-def proper_probability(basis: np.ndarray, spec: MixtureSpec, tol: float = NORM_TOL) -> float:
+def proper_probability(basis: np.ndarray, spec: MixtureSpec) -> float:
     """Probability of the event ``P = B B^H`` of a projector basis ``B`` in a
     proper mixture via the sub-ensemble sum ``sum_k w_k <phi_k|P|phi_k>``,
     verified on every call against the trace rule on the mixed density operator."""
     b = _projector_basis(basis, spec.dim)
-    return float(_proper((b @ b.conj().T)[None], spec, mix(spec), tol)[0])
+    return float(_proper((b @ b.conj().T)[None], spec, mix(spec))[0])
 
 
-def improper_probability(basis: np.ndarray, psi12: BipartiteState, tol: float = NORM_TOL) -> float:
+def improper_probability(basis: np.ndarray, psi12: BipartiteState) -> float:
     """Probability of the first-factor event ``P1 = B B^H`` of a projector basis
     ``B`` in an entangled composite, computed both on the composite state and
-    through the reduced density operator; the two must agree within ``tol``."""
+    through the reduced density operator; the two must agree within ``NORM_TOL``."""
     b, psi = _projector_basis(basis, psi12.d1), psi12.matrix
-    return float(_improper((b @ b.conj().T)[None], psi, _reduced_first(psi), tol)[0])
+    return float(_improper((b @ b.conj().T)[None], psi, _reduced_first(psi))[0])
 
 
 def proper_improper_equivalence(
@@ -175,13 +183,15 @@ def proper_improper_equivalence(
     chunk = trial_chunk(d)
     for start in range(0, trials, chunk):
         count = min(chunk, trials - start)
-        ranks, ginibre = np.empty(count, dtype=int), np.empty((count, 2, d, d))
+        ranks, pairs = np.empty(count, dtype=int), np.empty((count, 2, d, d))
         for t in range(count):  # per trial the rank, then the Gaussian pair
             ranks[t] = rng.integers(1, d + 1)
-            rng.standard_normal((2, d, d), out=ginibre[t])
+            rng.standard_normal((2, d, d), out=pairs[t])
+        ginibre = pairs[:, 0] + 1j * pairs[:, 1]
+        del pairs  # not held through the QR, which holds four stacks itself
         P = np.stack([u[:, :r] @ u[:, :r].conj().T for u, r in zip(haar_unitary(ginibre), ranks)])
-        proper = _proper(P, spec, rho_mix, NORM_TOL)
-        worst = max(worst, float(np.max(np.abs(proper - _improper(P, psi, rho1, NORM_TOL)))))
+        proper = _proper(P, spec, rho_mix)
+        worst = max(worst, float(np.max(np.abs(proper - _improper(P, psi, rho1)))))
     return worst
 
 

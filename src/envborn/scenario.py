@@ -108,18 +108,8 @@ class Scenario:
     raw: dict
     _input_state: StateVector | None = field(default=None, repr=False, compare=False)
     _composite_state: BipartiteState | None = field(default=None, repr=False, compare=False)
-    _observable: Observable | None = field(default=None, repr=False, compare=False)
-    _apparatus: PointerApparatus | None = field(default=None, repr=False, compare=False)
     _model: PremeasurementModel | None = field(default=None, repr=False, compare=False)
     _mixture: MixtureSpec | None = field(default=None, repr=False, compare=False)
-
-    @property
-    def name(self) -> str:
-        return self.raw["name"]
-
-    @property
-    def dims(self) -> tuple[int, int]:
-        return tuple(self.raw["dims"])
 
     @property
     def seed(self) -> int:
@@ -135,17 +125,10 @@ class Scenario:
     def composite_state(self) -> BipartiteState:
         return _present(self._composite_state, "composite_state")
 
-    def observable(self) -> Observable:
-        return _present(self._observable, "observable")
-
-    def apparatus(self) -> PointerApparatus:
-        return _present(self._apparatus, "apparatus")
-
     def model(self) -> PremeasurementModel:
-        # the model exists exactly when both halves do; each names its absence
-        self.observable()
-        self.apparatus()
-        return self._model
+        # the model exists exactly when both halves do; name the first one missing
+        missing = "apparatus" if "observable" in self.raw else "observable"
+        return _present(self._model, missing)
 
     def mixture_spec(self) -> MixtureSpec:
         return _present(self._mixture, "mixture section")
@@ -290,8 +273,6 @@ def parse_scenario(data: dict, default_operator_tol: float = DEFAULT_TOL) -> Sce
         out,
         _input_state=phi,
         _composite_state=psi,
-        _observable=observable,
-        _apparatus=apparatus,
         _model=model,
         _mixture=mixture,
     )

@@ -219,12 +219,10 @@ def swap_witness(form: SchmidtForm, perm: Sequence[int]) -> tuple[Operator, Oper
     return Operator(u1), Operator(u2)
 
 
-def check_envariance(
-    psi: BipartiteState, u1: Operator, u2: Operator, tol: float = DEFAULT_TOL
-) -> float:
+def check_envariance(psi: BipartiteState, u1: Operator, u2: Operator) -> float:
     """The invariance residual ||(U1 x U2) Psi - Psi||, computed on the
     coefficient matrix as ``U1 @ Psi @ U2.T``; ValueError unless each factor
-    has a Gram residual within ``tol``.
+    has a Gram residual within ``DEFAULT_TOL``.
 
     Public as one of the paper's witnesses; the derivation pipeline does not
     call it."""
@@ -235,8 +233,8 @@ def check_envariance(
             f"state factors {psi.dims}"
         )
     for name, u in (("U1", u1), ("U2", u2)):
-        if not gram_residual(u.matrix) <= tol:
-            raise ValueError(f"{name} is not unitary within tolerance {tol:.1e}")
+        if not gram_residual(u.matrix) <= DEFAULT_TOL:
+            raise ValueError(f"{name} is not unitary within tolerance {DEFAULT_TOL:.1e}")
     coeffs = psi.matrix
     moved = u1.matrix @ coeffs @ u2.matrix.T
     return float(np.linalg.norm(moved - coeffs))
@@ -251,14 +249,12 @@ def schmidt_probabilities(form: SchmidtForm) -> np.ndarray:
     return form.coefficients**2
 
 
-def sublemma_check(
-    psi: BipartiteState, basis: np.ndarray, tol: float = DEFAULT_TOL
-) -> Audit:
+def sublemma_check(psi: BipartiteState, basis: np.ndarray) -> Audit:
     """Verify the sub-projector relation behind branch complements for
     ``Q2 = basis basis^H`` (ValueError unless ``basis`` is a ``d2 x r``
     matrix with a Gram residual within ``DEFAULT_TOL``).
 
-    Hypothesis: ``(I x Q2) Psi = Psi`` within ``tol`` (violations raise),
+    Hypothesis: ``(I x Q2) Psi = Psi`` within ``DEFAULT_TOL`` (violations raise),
     checked as ``span_residual(basis, Psi^T)``.  Checked conclusion: Q2 fixes
     the factor-2 Schmidt vectors with nonzero coefficient, the columns of
     ``B``: the residual is ``span_residual(basis, B)``, for orthonormal ``B``
@@ -267,15 +263,15 @@ def sublemma_check(
     The first proof step ``Q2 rho_2 = rho_2`` needs no check of its own: with
     ``rho_2 = Psi.T @ Psi.conj()``, ``||Q2 rho_2 - rho_2||_F`` is at most the
     largest Schmidt coefficient (at most 1) times the hypothesis residual,
-    which is already within ``tol``.
+    which is already within ``DEFAULT_TOL``.
 
     Public as one of the paper's witnesses; the derivation pipeline applies
     the relation through ``born.complement_check`` instead.
     """
     basis = _projector_basis(basis, psi.d2)
     hypothesis = span_residual(basis, psi.matrix.T)
-    if hypothesis > tol:
+    if hypothesis > DEFAULT_TOL:
         raise ValueError(
-            f"hypothesis violated: ||(I x Q2) Psi - Psi|| = {hypothesis:.3e} > {tol:.1e}"
+            f"hypothesis violated: ||(I x Q2) Psi - Psi|| = {hypothesis:.3e} > {DEFAULT_TOL:.1e}"
         )
-    return Audit({None: span_residual(basis, schmidt_decompose(psi).basis2)}, tol)
+    return Audit({None: span_residual(basis, schmidt_decompose(psi).basis2)}, DEFAULT_TOL)

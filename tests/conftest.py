@@ -1,6 +1,7 @@
-"""Shared builders for randomized premeasurement scenarios, composite-space
-reference helpers for the one-sided products of the library, and the random
-projector draw of one mixture equivalence trial."""
+"""Shared builders for randomized premeasurement scenarios, the seeded random
+generators they draw from, composite-space reference helpers for the one-sided
+products of the library, and the random projector draw of one mixture
+equivalence trial."""
 
 import numpy as np
 from hypothesis.vendor import pretty
@@ -10,23 +11,45 @@ from envborn.hilbert import (
     Observable,
     Operator,
     StateVector,
+    make_state,
     orthonormalize,
 )
+from envborn.mixtures import haar_unitary
 from envborn.premeasurement import (
     PointerApparatus,
     PremeasurementModel,
     build_premeasurement,
 )
-from envborn.rng import (
-    random_orthogonal_partition,
-    random_state,
-    random_unit_vector,
-    random_unitary,
-)
 
 # hypothesis prints a falsifying example field by field, and an Observable's
 # ``bases`` is an InitVar, not an attribute: print its repr instead
 pretty.for_type_by_name("envborn.hilbert", "Observable", lambda obj, p, cycle: p.text(repr(obj)))
+
+
+def random_unit_vector(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar-uniform unit vector via normalized complex Gaussian."""
+    vec = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    return vec / np.linalg.norm(vec)
+
+
+def random_state(dim: int, rng: np.random.Generator) -> StateVector:
+    return make_state(random_unit_vector(dim, rng))
+
+
+def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar-distributed unitary from one Gaussian pair drawn from ``rng``."""
+    pair = rng.standard_normal((2, dim, dim))
+    return haar_unitary(pair[0] + 1j * pair[1])
+
+
+def random_orthogonal_partition(dim: int, parts: int, rng: np.random.Generator) -> list[np.ndarray]:
+    """Split a Haar-random unitary into ``parts`` blocks of columns: mutually
+    orthogonal eigenspace bases (``dim x r``) of random ranks summing to
+    ``dim`` (each part nonempty)."""
+    if not 1 <= parts <= dim:
+        raise ValueError(f"parts must be in [1, {dim}], got {parts}")
+    cuts = np.sort(rng.choice(np.arange(1, dim), size=parts - 1, replace=False))
+    return np.split(random_unitary(dim, rng), cuts, axis=1)
 
 
 def random_scenario(d1, d2, outcomes, rng):

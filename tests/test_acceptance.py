@@ -18,8 +18,11 @@ from conftest import (
     entangle_branches,
     projector_from_span,
     random_density,
+    random_orthogonal_partition,
     random_projector,
     random_scenario,
+    random_state,
+    random_unitary,
 )
 
 from envborn.born import check_additivity, derive_probabilities
@@ -43,11 +46,6 @@ from envborn.premeasurement import (
     PointerApparatus,
     PremeasurementModel,
     verify_calibration,
-)
-from envborn.rng import (
-    random_orthogonal_partition,
-    random_state,
-    random_unitary,
 )
 from envborn.schmidt import (
     BipartiteState,

@@ -25,7 +25,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import dense_projectors, entangle_branches, random_scenario
+from conftest import (
+    dense_projectors,
+    entangle_branches,
+    random_scenario,
+    random_state,
+    random_unitary,
+)
 
 import envborn.born
 import envborn.mixtures
@@ -50,7 +56,6 @@ from envborn.premeasurement import (
     evolve,
     verify_nondemolition,
 )
-from envborn.rng import random_state, random_unitary
 from envborn.scenario import load_scenario
 from envborn.schmidt import pointer_density
 

@@ -4,7 +4,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import entangle_branches, random_density, random_scenario
+from conftest import (
+    entangle_branches,
+    random_density,
+    random_orthogonal_partition,
+    random_scenario,
+    random_unitary,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -32,7 +38,6 @@ from envborn.premeasurement import (
     build_premeasurement,
     evolve,
 )
-from envborn.rng import random_orthogonal_partition, random_unitary
 
 D2 = 2
 D3 = 3

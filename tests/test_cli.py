@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import random_unit_vector, random_unitary
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,7 +20,6 @@ import envborn.mixtures
 import envborn.premeasurement
 import envborn.scenario
 from envborn.cli import _dump, main
-from envborn.rng import random_unit_vector, random_unitary
 from envborn.scenario import MAX_COMPOSITE_DIM, decode_vector, encode_vector, parse_scenario
 
 FIXTURES = resources.files("envborn.fixtures")

@@ -12,6 +12,9 @@ from conftest import (
     partial_trace,
     projector_from_span,
     random_density,
+    random_orthogonal_partition,
+    random_state,
+    random_unitary,
     tensor,
 )
 from envborn.hilbert import (
@@ -32,7 +35,6 @@ from envborn.hilbert import (
 from envborn.cli import _finite
 from envborn.mixtures import MixtureSpec
 from envborn.premeasurement import Branch, PointerApparatus, build_premeasurement
-from envborn.rng import random_orthogonal_partition, random_state, random_unitary
 from envborn.schmidt import BipartiteState, SchmidtForm
 
 INV_SQRT2 = 0.7071067811865476
@@ -189,11 +191,12 @@ class TestTraceProbability:
         assert trace_probability(p, pure_density(phi)) == pytest.approx(0.36, abs=1e-12)
 
     def test_imaginary_part_raises(self):
-        # a tol field widened to smuggle in a non-Hermitian "density"; the
-        # guard runs at that same tolerance, the one rho was validated at
-        rho = DensityOperator(np.array([[0.5, 0.5j], [0.0, 0.5]]), tol=1.0)
-        with pytest.raises(ValueError, match=r"imaginary part 2.000e\+00 beyond tolerance 1.0e\+00"):
-            trace_probability(np.array([[2.0], [2.0]]), rho)
+        # a density admitted at DEFAULT_TOL (Hermitian residual 9.9e-11), read
+        # through a basis that is not orthonormal: the trace's imaginary part is
+        # 100 times the off-diagonal 7e-11, beyond DEFAULT_TOL
+        rho = DensityOperator(np.array([[0.5, 0.0], [7e-11j, 0.5]]))
+        with pytest.raises(ValueError, match=r"imaginary part 7.000e-09 beyond tolerance 1.0e-10"):
+            trace_probability(np.array([[10.0], [10.0]]), rho)
 
     def test_clamps_tiny_negative(self):
         rho = DensityOperator(np.diag([1 + 1e-12, -1e-12]).astype(complex))

@@ -27,6 +27,8 @@ from conftest import (
     dense_projectors,
     entangle_branches,
     random_scenario,
+    random_unit_vector,
+    random_unitary,
 )
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -52,7 +54,6 @@ from envborn.premeasurement import (
     verify_calibration,
     verify_nondemolition,
 )
-from envborn.rng import random_unit_vector, random_unitary
 from envborn.schmidt import (
     BipartiteState,
     pointer_density,

@@ -8,10 +8,12 @@ require agreement to 1e-12.  The chunked equivalence check must equal a
 per-trial loop bit for bit.
 """
 
+import tracemalloc
+
 import pytest
 
 import numpy as np
-from conftest import flat_state, partial_trace, random_projector
+from conftest import flat_state, partial_trace, random_projector, random_unitary
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -32,7 +34,6 @@ from envborn.mixtures import (
     purify,
     trial_chunk,
 )
-from envborn.rng import random_unitary
 from envborn.schmidt import (
     BipartiteState,
     check_envariance,
@@ -149,6 +150,26 @@ def looped_equivalence(spec, psi12, trials, seed):
 def test_trial_chunk_is_a_fixed_stack_budget():
     # 8 trials at d = 64, every one of 50 at d = 16; never less than one
     assert [trial_chunk(d) for d in (4, 16, 64, 256, 1024)] == [2048, 128, 8, 1, 1]
+
+
+def test_equivalence_chunk_holds_at_most_four_trial_stacks():
+    # 50 trials at d = 16 run as one chunk of 200 KiB stacks.  The QR holds
+    # the Ginibre stack, its copy, Q and R; a stack of the real Gaussian pairs
+    # kept beside them lifted the peak past five stacks (1033 KiB), just over
+    # the 1032 KiB heap trim threshold glibc sets once a 512 KiB buffer has
+    # been freed, so each call could return the heap and fault it back in.
+    d, trials = 16, 50
+    states = np.linalg.qr(complex_normal((d, d), np.random.default_rng(1)))[0]
+    spec = MixtureSpec(states, np.full(d, 1 / d))
+    partner = purify(mix(spec))
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        proper_improper_equivalence(spec, partner, trials=trials, seed=2)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * trials * d * d * 16
 
 
 @settings(max_examples=120, deadline=None)

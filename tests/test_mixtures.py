@@ -8,6 +8,8 @@ from conftest import (
     projector_from_span,
     random_density,
     random_projector,
+    random_state,
+    random_unitary,
 )
 
 from envborn.hilbert import (
@@ -25,7 +27,6 @@ from envborn.mixtures import (
     purify,
     trial_chunk,
 )
-from envborn.rng import random_state, random_unitary
 from envborn.schmidt import BipartiteState
 
 D2 = 2

@@ -1,6 +1,12 @@
 import numpy as np
 import pytest
-from conftest import dense_coupling, dense_projectors
+from conftest import (
+    dense_coupling,
+    dense_projectors,
+    random_orthogonal_partition,
+    random_state,
+    random_unit_vector,
+)
 
 from envborn.hilbert import (
     Observable,
@@ -23,11 +29,6 @@ from envborn.premeasurement import (
     evolve,
     verify_calibration,
     verify_nondemolition,
-)
-from envborn.rng import (
-    random_orthogonal_partition,
-    random_state,
-    random_unit_vector,
 )
 
 D2 = 2

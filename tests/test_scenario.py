@@ -150,7 +150,7 @@ class TestVectorCodec:
 class TestParsing:
     def test_defaults_resolved(self):
         scenario = parse_scenario(minimal_derive())
-        assert scenario.name == "scenario"
+        assert scenario.raw["name"] == "scenario"
         assert scenario.seed == 0
         assert scenario.operator_tol == 1e-10
         assert scenario.raw["tolerances"]["norm"] == 1e-12
@@ -161,7 +161,7 @@ class TestParsing:
         assert "complete" not in obs
         assert obs["eigenvalues"] == [0.0, 1.0]
         assert len(obs["projectors"]) == 2
-        assert scenario.observable().ranks == (1, 1)
+        assert scenario.model().measured.ranks == (1, 1)
 
     def test_complete_sugar_needs_full_basis(self):
         data = minimal_derive()
@@ -198,8 +198,7 @@ class TestParsing:
             ],
         }
         scenario = parse_scenario(data)
-        apparatus = scenario.apparatus()
-        assert apparatus.pointer_observable.ranks == (2, 1)
+        assert scenario.model().apparatus.pointer_observable.ranks == (2, 1)
 
     def test_unknown_field(self):
         with pytest.raises(ScenarioError, match="unknown"):
@@ -225,7 +224,7 @@ class TestParsing:
                 }
             }
         )
-        assert scenario.dims == (2, 2)
+        assert scenario.raw["dims"] == [2, 2]
         assert scenario.raw["mixture"]["trials"] == 50
 
     def test_mixture_needs_some_partner(self):
@@ -308,8 +307,8 @@ class TestParsing:
 
     def test_dims_bounded_by_composite_dimension(self):
         side = int(MAX_COMPOSITE_DIM**0.5)
-        assert parse_scenario({"dims": [side, side]}).dims == (side, side)
-        assert parse_scenario({"dims": [MAX_COMPOSITE_DIM, 1]}).dims == (MAX_COMPOSITE_DIM, 1)
+        assert parse_scenario({"dims": [side, side]}).raw["dims"] == [side, side]
+        assert parse_scenario({"dims": [MAX_COMPOSITE_DIM, 1]}).raw["dims"] == [MAX_COMPOSITE_DIM, 1]
         with pytest.raises(ScenarioError, match="dims"):
             parse_scenario({"dims": [MAX_COMPOSITE_DIM + 1, 1]})
 

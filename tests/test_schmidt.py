@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
-from conftest import flat_state, partial_trace, projector_from_span
+from conftest import flat_state, partial_trace, projector_from_span, random_state, random_unitary
 
 from envborn.hilbert import (
     Operator,
     basis_state,
     pure_density,
 )
-from envborn.rng import random_state, random_unitary
 from envborn.schmidt import (
     ZERO_BRANCH_THRESHOLD,
     BipartiteState,

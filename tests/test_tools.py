@@ -3,7 +3,9 @@ import py_compile
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from conftest import random_orthogonal_partition, random_state, random_unit_vector
 
 from envborn.born import derive_probabilities
 from envborn.premeasurement import build_premeasurement
@@ -23,6 +25,32 @@ def test_bench_random_case_builds_and_derives():
     measured, apparatus, phi = load_bench().random_case(2, 2, 2, 0)
     report = derive_probabilities(build_premeasurement(measured, apparatus), phi)
     assert report.passed
+
+
+def test_bench_cases_draw_the_arrays_of_the_test_generators():
+    # the bench keeps its own generators; a seed must build the same models
+    bench = load_bench()
+    measured, apparatus, phi = bench.random_case(8, 6, 3, bench.SEED)
+    rng = np.random.default_rng(bench.SEED)
+    bases = random_orthogonal_partition(8, 3, rng)
+    pointer_bases = random_orthogonal_partition(6, 3, rng)
+    pointer_states = np.column_stack([b @ random_unit_vector(b.shape[1], rng) for b in pointer_bases])
+    ready, expected_phi = random_state(6, rng), random_state(8, rng)
+    assert measured.ranks == tuple(b.shape[1] for b in bases)
+    assert np.array_equal(measured.matrix, np.hstack(bases))
+    assert apparatus.pointer_observable.ranks == tuple(b.shape[1] for b in pointer_bases)
+    assert np.array_equal(apparatus.pointer_observable.matrix, np.hstack(pointer_bases))
+    assert np.array_equal(apparatus.pointer_states, pointer_states)
+    assert np.array_equal(apparatus.ready_state.amplitudes, ready.amplitudes)
+    assert np.array_equal(phi.amplitudes, expected_phi.amplitudes)
+
+    spec, _ = bench.mixture_case(4, bench.SEED)
+    rng = np.random.default_rng(bench.SEED)
+    weights = rng.random(4) + 0.1
+    weights /= weights.sum()
+    states = np.column_stack([random_state(4, rng).amplitudes for _ in weights])
+    assert np.array_equal(spec.weights, weights)
+    assert np.array_equal(spec.states, states)
 
 
 def test_bench_ladder_times_calibration(monkeypatch):
@@ -63,7 +91,7 @@ def test_bench_cli_cases_are_the_goldens_and_one_large_sample(tmp_path):
     name, command, path = cases[-1]
     assert (name, command) == ("sample-24x24", "sample")
     scenario = load_scenario(path)
-    assert scenario.dims == (24, 24)
+    assert scenario.raw["dims"] == [24, 24]
     assert scenario.sampling()["n"] == 250_000
 
 

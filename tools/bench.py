@@ -72,7 +72,7 @@ ROOT = Path(__file__).resolve().parent.parent
 LADDER = [(2, 2), (3, 4), (4, 4), (8, 8), (16, 8), (16, 16), (24, 24), (32, 32), (64, 32), (64, 64)]
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 BLAS_THREADS = 1
-REPEATS = 7
+REPEATS = 30  # least alternating calls per tree: fewer let machine noise flip a 64x64 rung
 SEED = 5
 MIXTURE_DIMS = (4, 16, 64)
 MIXTURE_TRIALS = 50
@@ -105,23 +105,48 @@ def outcome_counts(d1: int, d2: int) -> list[int]:
     return sorted({min(2, top), max(1, min(round(d1 / 3), top)), top})
 
 
+# The three generators below draw what those of tests/conftest.py draw, in the
+# same order, so that a seed builds the same models in the tests and in every
+# recorded round of this harness.
+
+
+def _unit_vector(dim: int, rng):
+    """Haar-uniform unit vector via normalized complex Gaussian."""
+    import numpy as np
+
+    vec = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    return vec / np.linalg.norm(vec)
+
+
+def _state(dim: int, rng, package: str):
+    return module(package, "hilbert").make_state(_unit_vector(dim, rng))
+
+
+def _partition(dim: int, parts: int, rng):
+    """The columns of a Haar unitary split into ``parts`` blocks of random
+    sizes: the cuts are drawn first, then the unitary's Gaussian pair."""
+    import numpy as np
+
+    cuts = np.sort(rng.choice(np.arange(1, dim), size=parts - 1, replace=False))
+    ginibre = rng.standard_normal((2, dim, dim))
+    q, r = np.linalg.qr(ginibre[0] + 1j * ginibre[1])
+    diagonal = np.diagonal(r)
+    return np.split(q * (diagonal / np.abs(diagonal)), cuts, axis=1)
+
+
 def random_case(d1: int, d2: int, outcomes: int, seed: int, package: str = "envborn"):
     import numpy as np
 
     Observable = module(package, "hilbert").Observable
     PointerApparatus = module(package, "premeasurement").PointerApparatus
-    rng_module = module(package, "rng")
 
     rng = np.random.default_rng(seed)
-    partition = rng_module.random_orthogonal_partition
-    measured = Observable(list(range(outcomes)), partition(d1, outcomes, rng))
-    pointer_bases = partition(d2, outcomes, rng)
+    measured = Observable(list(range(outcomes)), _partition(d1, outcomes, rng))
+    pointer_bases = _partition(d2, outcomes, rng)
     pointer_obs = Observable(list(range(outcomes)), pointer_bases)
-    pointer_states = np.column_stack(
-        [b @ rng_module.random_unit_vector(b.shape[1], rng) for b in pointer_bases]
-    )
-    apparatus = PointerApparatus(rng_module.random_state(d2, rng), pointer_obs, pointer_states)
-    return measured, apparatus, rng_module.random_state(d1, rng)
+    pointer_states = np.column_stack([b @ _unit_vector(b.shape[1], rng) for b in pointer_bases])
+    apparatus = PointerApparatus(_state(d2, rng, package), pointer_obs, pointer_states)
+    return measured, apparatus, _state(d1, rng, package)
 
 
 def timed_alternating(funcs, repeats: int, min_total_ms: float = 200.0) -> tuple[list[float], int]:
@@ -222,12 +247,11 @@ def mixture_case(dim: int, seed: int, package: str = "envborn"):
     import numpy as np
 
     mixtures = module(package, "mixtures")
-    random_state = module(package, "rng").random_state
 
     rng = np.random.default_rng(seed)
     weights = rng.random(dim) + 0.1
     weights /= weights.sum()
-    states = np.column_stack([random_state(dim, rng).amplitudes for _ in weights])
+    states = np.column_stack([_state(dim, rng, package).amplitudes for _ in weights])
     spec = mixtures.MixtureSpec(states, weights)
     return spec, mixtures.purify(mixtures.mix(spec))
 

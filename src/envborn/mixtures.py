@@ -17,10 +17,17 @@ Both work on factor 1 only: with ``Psi`` the ``d1 x d2`` coefficient matrix of
 the partner, the composite expectation is ``vdot(Psi, P @ Psi)`` and ``rho_1 =
 Psi Psi^H``, so no composite-space lift or density matrix is formed.  Both
 routes run, with both cross-checks, on a stack of projectors ``P = B B^H``: one
-per public call, and ``trial_chunk(d)`` random ones per stacked Haar draw in
+per public call, and ``trial_chunk(d)`` random ones at a time in
 ``proper_improper_equivalence``, which builds ``rho_mix`` and ``rho_1`` once.
-Each route reduces a whole stack with one ``einsum``; its value for one
-projector does not depend on the height of the stack it is reduced in.
+Each route reduces a whole stack with one ``einsum``, the trace rule as the
+``d^2`` sum ``einsum("tij,ji->t", P, rho)``; its value for one projector does
+not depend on the height of the stack it is reduced in.
+
+The equivalence's projectors come from two child streams of its seed: every
+trial's rank in one draw from the first, and each chunk's Gaussian pairs in
+one draw from the second, so a trial's projector depends only on the seed and
+its index.  A chunk's trials are split at rank ``d // 2``, and each half's
+Haar QR factors only its top rank's columns of the Ginibre matrices.
 """
 
 from __future__ import annotations
@@ -50,8 +57,11 @@ STACK_BYTES = 2**19
 
 
 def haar_unitary(ginibre: np.ndarray) -> np.ndarray:
-    """Haar unitaries from complex Ginibre matrices ``(..., d, d)``, each entry's
-    real and imaginary parts standard normal: one stacked QR, R-diagonal phases fixed."""
+    """The first ``w`` columns of Haar unitaries from the first ``w`` columns of
+    complex Ginibre matrices, a ``(..., d, w)`` stack (``w <= d``) whose entries
+    have standard normal real and imaginary parts: one stacked QR, R-diagonal
+    phases fixed.  Householder QR makes column ``k`` of ``Q`` depend only on
+    input columns ``<= k``, so these are the columns of the full ``d x d`` draw."""
     q, r = np.linalg.qr(ginibre)
     diagonal = np.diagonal(r, axis1=-2, axis2=-1)
     q *= (diagonal / np.abs(diagonal))[..., None, :]
@@ -123,16 +133,31 @@ def _proper(P: np.ndarray, spec: MixtureSpec, rho_mix: DensityOperator) -> np.nd
     rows = np.einsum("ik,tik->tk", a.conj(), P @ a).real
     # not the gemv rows @ weights: its rounding of a row depends on the stack height
     by_components = np.einsum("tk,k->t", rows, spec.weights)
-    by_trace = np.trace(P @ rho_mix.matrix, axis1=1, axis2=2).real
+    by_trace = np.einsum("tij,ji->t", P, rho_mix.matrix).real
     _agree(by_components, by_trace, "sub-ensemble sum and trace rule")
     return np.clip(by_components, 0.0, 1.0)
 
 
 def _improper(P1: np.ndarray, psi: np.ndarray, rho1: DensityOperator) -> np.ndarray:
     on_composite = np.einsum("ij,tij->t", psi.conj(), P1 @ psi).real
-    on_reduced = np.trace(P1 @ rho1.matrix, axis1=1, axis2=2).real
+    on_reduced = np.einsum("tij,ji->t", P1, rho1.matrix).real
     _agree(on_composite, on_reduced, "composite and partial-trace routes")
     return np.clip(on_reduced, 0.0, 1.0)
+
+
+def _rank_halves(ranks: np.ndarray, pairs: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """A chunk's trials split at rank ``d // 2``, given their ranks and their
+    ``(count, 2, d, d)`` Gaussian pairs: per nonempty half, its ranks and the
+    complex Ginibre stack of its pairs' first ``w`` columns, ``w`` its top rank."""
+    d, halves = pairs.shape[-1], []
+    for half in (ranks <= d // 2, ranks > d // 2):
+        if half.any():
+            rank = ranks[half]
+            w = rank.max()
+            ginibre = np.empty((rank.size, d, w), dtype=complex)
+            ginibre.real, ginibre.imag = pairs[half, 0, :, :w], pairs[half, 1, :, :w]
+            halves.append((rank, ginibre))
+    return halves
 
 
 def _reduced_first(psi: np.ndarray) -> DensityOperator:
@@ -179,19 +204,24 @@ def proper_improper_equivalence(
             f"mixture does not match the reduced state (residual {gap:.3e}); "
             "proper/improper comparison is meaningless"
         )
-    rng, d, worst = np.random.default_rng(seed), psi12.d1, 0.0
+    ranks_seed, pairs_seed = np.random.SeedSequence(seed).spawn(2)
+    d, worst = psi12.d1, 0.0
+    ranks = np.random.default_rng(ranks_seed).integers(1, d + 1, size=trials)
+    normal = np.random.default_rng(pairs_seed).standard_normal
     chunk = trial_chunk(d)
     for start in range(0, trials, chunk):
-        count = min(chunk, trials - start)
-        ranks, pairs = np.empty(count, dtype=int), np.empty((count, 2, d, d))
-        for t in range(count):  # per trial the rank, then the Gaussian pair
-            ranks[t] = rng.integers(1, d + 1)
-            rng.standard_normal((2, d, d), out=pairs[t])
-        ginibre = pairs[:, 0] + 1j * pairs[:, 1]
+        pairs = normal((min(chunk, trials - start), 2, d, d))
+        halves = _rank_halves(ranks[start : start + chunk], pairs)
         del pairs  # not held through the QR, which holds four stacks itself
-        P = np.stack([u[:, :r] @ u[:, :r].conj().T for u, r in zip(haar_unitary(ginibre), ranks)])
-        proper = _proper(P, spec, rho_mix)
-        worst = max(worst, float(np.max(np.abs(proper - _improper(P, psi, rho1)))))
+        while halves:
+            rank, ginibre = halves.pop()
+            u = haar_unitary(ginibre)
+            del ginibre  # freed before P
+            # each trial's columns past its rank
+            np.swapaxes(u, 1, 2)[np.arange(u.shape[2]) >= rank[:, None]] = 0
+            P = u @ np.swapaxes(u.conj(), 1, 2)
+            proper = _proper(P, spec, rho_mix)
+            worst = max(worst, float(np.max(np.abs(proper - _improper(P, psi, rho1)))))
     return worst
 
 

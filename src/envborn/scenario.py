@@ -396,7 +396,16 @@ def _parse_mixture(spec, d1: int, has_partner: bool) -> tuple[dict, MixtureSpec]
         vec = decode_vector(comp["state"], f"mixture.components[{n}].state", d1)
         weight = _positive_float(comp["weight"], f"mixture.components[{n}].weight")
         canon_components.append({"state": encode_vector(vec), "weight": weight})
-        states.append(_normalized(vec, f"mixture component {n}").amplitudes)
+        states.append(vec)
+    states = np.reshape(states, (-1, d1)).T  # one column per component
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = np.linalg.norm(states, axis=0)
+    if np.all((norms >= 1e-12) & (norms < np.inf)):
+        states = states / norms
+    else:  # make_state names the first component it cannot normalize
+        states = np.column_stack(
+            [_normalized(v, f"mixture component {n}").amplitudes for n, v in enumerate(states.T)]
+        )
     auto_purify = spec.get("auto_purify", False)
     if not isinstance(auto_purify, bool):
         raise ScenarioError(f"mixture.auto_purify must be true or false, got {_shown(auto_purify)}")
@@ -417,7 +426,7 @@ def _parse_mixture(spec, d1: int, has_partner: bool) -> tuple[dict, MixtureSpec]
         raise ScenarioError("mixture needs composite_state or auto_purify for a partner")
     try:
         weights = [c["weight"] for c in canon_components]
-        mixture = MixtureSpec(np.reshape(states, (-1, d1)).T, weights)
+        mixture = MixtureSpec(states, weights)
     except ValueError as exc:
         raise ScenarioError(f"invalid mixture: {exc}") from exc
     if "counts" not in out:

@@ -1,7 +1,6 @@
 """Shared builders for randomized premeasurement scenarios, the seeded random
 generators they draw from, composite-space reference helpers for the one-sided
-products of the library, and the random projector draw of one mixture
-equivalence trial."""
+products of the library, and random projector bases."""
 
 import numpy as np
 from hypothesis.vendor import pretty
@@ -139,8 +138,7 @@ def partial_trace(rho: DensityOperator, dims: tuple[int, int], keep: int) -> Den
 
 def random_projector(dim: int, rank: int, rng: np.random.Generator) -> np.ndarray:
     """Random rank-``rank`` orthogonal projector of dimension ``dim``, as its
-    basis: the first ``rank`` columns of a Haar unitary.  After a rank draw, it
-    is the draw of one trial of ``proper_improper_equivalence``."""
+    basis: the first ``rank`` columns of a Haar unitary."""
     if not 1 <= rank <= dim:
         raise ValueError(f"rank must be in [1, {dim}], got {rank}")
     return random_unitary(dim, rng)[:, :rank]

@@ -204,7 +204,7 @@ class OneTrialBump:
 # one side of each route's cross-check, and the message its disagreement raises
 ROUTE_SIDES = {
     "proper": (
-        "by_trace = np.trace(P @ rho_mix.matrix, axis1=1, axis2=2).real",
+        'by_trace = np.einsum("tij,ji->t", P, rho_mix.matrix).real',
         "sub-ensemble sum and trace rule disagree",
     ),
     "improper": (

@@ -54,7 +54,8 @@ class FixedDraws:
 class TestDrawCounts:
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(
-        st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 1.0)), min_size=1, max_size=12).filter(any),
+        # past COUNT_BY_COMPARISON, so that both counting routes are checked
+        st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 1.0)), min_size=1, max_size=40).filter(any),
         st.integers(1, 3000),
         st.integers(0, 2**32 - 1),
     )
@@ -95,11 +96,22 @@ class TestDrawCounts:
         assert counts.tolist() == per_draw_counts(p, len(draws), FixedDraws(draws)).tolist()
         assert counts.tolist() == [2, 2, 0, 5]
 
+    @pytest.mark.parametrize("crossover", [0, 4])
+    def test_both_counting_routes_count_a_draw_on_a_cumulative_value_above_it(self, crossover):
+        # 4 outcomes are counted by comparison passes at a crossover of 4 and
+        # by sorting at 0; either way the draws on 0.25 and 0.5 count above them
+        p = np.array([0.25, 0.25, 0.0, 0.5])
+        draws = [0.5, 0.25, 0.0, np.nextafter(0.5, 0), 0.25, 0.75, 0.5, np.nextafter(1, 0)]
+        with mock.patch.object(ensemble, "COUNT_BY_COMPARISON", crossover):
+            counts = _draw_counts(p, len(draws), FixedDraws(draws))
+        assert counts.tolist() == [1, 3, 0, 4]
+
 
 class TestDrawBlocks:
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(
-        st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 1.0)), min_size=1, max_size=12).filter(any),
+        # past COUNT_BY_COMPARISON, so that both counting routes are checked
+        st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 1.0)), min_size=1, max_size=40).filter(any),
         st.floats(1 - 1e-7, 1 + 1e-7),
         st.integers(1, 200),
         st.sampled_from([1, 7]),

@@ -103,16 +103,26 @@ def test_mixture_routes_match_composite_references(case):
         assert abs(improper - np.trace(P @ rho1).real) <= AGREE
 
 
+def trial_bases(d, trials, seed):
+    """Each trial's projector basis as ``proper_improper_equivalence`` draws it:
+    the ranks in one draw from the first child stream of ``seed``, then per
+    trial a Gaussian pair from the second and the first ``rank`` columns of the
+    full ``d x d`` Haar draw."""
+    ranks_stream, pairs_stream = (
+        np.random.default_rng(child) for child in np.random.SeedSequence(seed).spawn(2)
+    )
+    for rank in ranks_stream.integers(1, d + 1, size=trials):
+        yield random_unitary(d, pairs_stream)[:, :rank]
+
+
 @settings(max_examples=30, deadline=None)
 @given(mixtures_with_partners(), seeds)
 def test_equivalence_matches_lifted_trial_loop(case, seed):
     spec, psi12, _ = case
     trials = 8
-    rng = np.random.default_rng(seed)
     rho1 = reduced(psi12, 0)
     expected = 0.0
-    for _ in range(trials):
-        basis = random_projector(psi12.d1, int(rng.integers(1, psi12.d1 + 1)), rng)
+    for basis in trial_bases(psi12.d1, trials, seed):
         P = basis @ basis.conj().T
         proper = sum(
             w * float((s.conj() @ P @ s).real)
@@ -125,25 +135,26 @@ def test_equivalence_matches_lifted_trial_loop(case, seed):
     assert abs(got - expected) <= AGREE
 
 
-def looped_equivalence(spec, psi12, trials, seed):
-    """``proper_improper_equivalence`` as the per-trial loop: per trial a rank,
-    a Haar projector basis, ``P = B B^H`` and both cross-checked routes, each
-    reduced as the kernel reduces a chunk, on a stack of one."""
+def looped_equivalence(spec, psi12, trials, seed, residuals=None):
+    """``proper_improper_equivalence`` as the per-trial loop over
+    ``trial_bases``: per trial ``P = B B^H`` and both cross-checked routes, each
+    reduced as the kernel reduces a chunk, on a stack of one.  Each trial's
+    residual is appended to ``residuals`` when given."""
     a, psi = spec.states, psi12.matrix
     rho_mix, rho1 = mix(spec).matrix, np.einsum("aj,bj->ab", psi, psi.conj())
-    rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(trials):
-        basis = random_projector(psi12.d1, int(rng.integers(1, psi12.d1 + 1)), rng)
+    for basis in trial_bases(psi12.d1, trials, seed):
         P = (basis @ basis.conj().T)[None]
         rows = np.einsum("ik,tik->tk", a.conj(), P @ a).real
         by_components = float(np.einsum("tk,k->t", rows, spec.weights)[0])
-        assert abs(by_components - float(np.trace(P[0] @ rho_mix).real)) <= NORM_TOL
-        on_reduced = float(np.trace(P[0] @ rho1).real)
+        assert abs(by_components - float(np.einsum("tij,ji->t", P, rho_mix).real[0])) <= NORM_TOL
+        on_reduced = float(np.einsum("tij,ji->t", P, rho1).real[0])
         on_composite = float(np.einsum("ij,tij->t", psi.conj(), P @ psi).real[0])
         assert abs(on_composite - on_reduced) <= NORM_TOL
         proper, improper = min(max(by_components, 0.0), 1.0), min(max(on_reduced, 0.0), 1.0)
         worst = max(worst, abs(proper - improper))
+        if residuals is not None:
+            residuals.append(abs(proper - improper))
     return worst
 
 
@@ -191,6 +202,35 @@ def test_chunked_equivalence_equals_the_trial_loop(case, seed, trials, chunk):
             assert trial_chunk(d1) == chunk
         got = proper_improper_equivalence(spec, psi12, trials=trials, seed=seed)
     assert got == looped_equivalence(spec, psi12, trials, seed)
+
+
+def test_trial_draws_do_not_depend_on_the_trial_count():
+    # trial t's projector depends only on the seed and t: the ranks come in one
+    # draw from their own stream, the Gaussian pairs in order from another
+    states = np.linalg.qr(complex_normal((16, 16), np.random.default_rng(3)))[0]
+    spec = MixtureSpec(states, np.full(16, 1 / 16))
+    partner = purify(mix(spec))
+    fifty, sixty = [], []
+    looped_equivalence(spec, partner, 50, 4, fifty)
+    looped_equivalence(spec, partner, 60, 4, sixty)
+    assert len(sixty) == 60 and sixty[:50] == fifty
+    assert proper_improper_equivalence(spec, partner, trials=60, seed=4) >= (
+        proper_improper_equivalence(spec, partner, trials=50, seed=4)
+    )
+
+
+def test_chunked_equivalence_equals_the_trial_loop_at_d64():
+    # the hypothesis case stops at d1 = 20; here 17 trials run as chunks of
+    # 8, 8 and 1, each rank half QR-factoring only its widest rank's columns
+    d = 64
+    rng = np.random.default_rng(8)
+    weights = rng.random(d) + 0.1
+    states = np.column_stack([make_state(complex_normal(d, rng)).amplitudes for _ in range(d)])
+    spec = MixtureSpec(states, weights / weights.sum())
+    partner = purify(mix(spec))
+    assert trial_chunk(d) == 8
+    got = proper_improper_equivalence(spec, partner, trials=17, seed=9)
+    assert got == looped_equivalence(spec, partner, 17, 9)
 
 
 @settings(max_examples=40, deadline=None)

@@ -259,6 +259,31 @@ class TestParsing:
             with pytest.raises(ScenarioError, match=field):
                 parse_scenario(data)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "state, reason",
+        [
+            ([[0, 0], [0, 0]], "cannot normalize a zero vector"),
+            ([[1e308, 1e308], [1e308, 0]], "cannot normalize a vector of norm inf"),
+        ],
+    )
+    def test_first_unnormalizable_mixture_component_is_named(self, state, reason):
+        components = [{"state": [[3, 0], [0, 4]], "weight": 0.4}]
+        components += [{"state": state, "weight": 0.3}] * 2
+        data = {"mixture": {"components": components, "auto_purify": True}}
+        with pytest.raises(ScenarioError, match=f"^invalid mixture component 1: {reason}$"):
+            parse_scenario(data)
+
+    def test_mixture_components_normalized_as_unit_columns(self):
+        components = [
+            {"state": [[3, 0], [0, 4]], "weight": 0.5},
+            {"state": [[0, 1e-6], [1e-6, 0]], "weight": 0.5},
+        ]
+        data = {"mixture": {"components": components, "auto_purify": True}}
+        spec = parse_scenario(data).mixture_spec()
+        expected = np.array([[0.6, 0.8j], [1j / np.sqrt(2), 1 / np.sqrt(2)]]).T
+        assert np.allclose(spec.states, expected, rtol=0, atol=1e-15)
+
     def test_observable_eigenvalue_projector_count_mismatch(self):
         data = minimal_derive()
         data["observable"] = {

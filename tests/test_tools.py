@@ -8,6 +8,7 @@ import pytest
 from conftest import random_orthogonal_partition, random_state, random_unit_vector
 
 from envborn.born import derive_probabilities
+from envborn.ensemble import COUNT_BY_COMPARISON
 from envborn.premeasurement import build_premeasurement
 from envborn.scenario import load_scenario
 
@@ -113,8 +114,12 @@ def test_bench_sampling_times_the_draws_and_their_peak(monkeypatch):
     bench = load_bench()
     assert bench.SAMPLE_SIZES[0] == 250_000 and bench.SAMPLE_SIZES[-1] == 2**24
     monkeypatch.setattr(bench, "SAMPLE_SIZES", (1000, 5000))
+    # 8 and 64 outcomes, either side of the switch from comparison passes to sorting
+    assert bench.SAMPLE_OUTCOMES[0] <= COUNT_BY_COMPARISON < bench.SAMPLE_OUTCOMES[1]
     rows = bench.run_sampling(repeats=1, seed=bench.SEED)
-    assert [(row["n"], row["outcomes"]) for row in rows] == [(1000, 8), (5000, 8)]
+    assert [(row["n"], row["outcomes"]) for row in rows] == [
+        (1000, 8), (5000, 8), (1000, 64), (5000, 64)
+    ]
     assert all(row["sampling_ms"] > 0 and row["sampling_peak_mib"] > 0 for row in rows)
 
 
@@ -148,6 +153,8 @@ def test_bench_ladders_time_a_baseline_tree_alternately(monkeypatch):
     rung = bench.mixture_rung(4, repeats=1, seed=bench.SEED, baseline=package)
     assert rung["equivalence_ms"] > 0 and rung["baseline_equivalence_ms"] > 0
     assert rung["max_equivalence_residual"] <= 1e-10
+    row = bench.sampling_row(1000, 8, repeats=1, seed=bench.SEED, baseline=package)
+    assert row["sampling_ms"] > 0 and row["baseline_sampling_ms"] > 0
 
 
 def test_bench_records_the_bytecode_state(tmp_path, monkeypatch):

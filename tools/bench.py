@@ -20,13 +20,16 @@ command's ``auto_purify`` does, and times ``proper_improper_equivalence`` over
 50 trials.
 
 Given a second source tree with ``--baseline``, its ``envborn`` is imported
-beside the first as ``envborn_baseline``; every rung of both ladders builds
-its case in each tree from the same seed and times the two trees' calls
-alternately, recording each ``baseline_*`` figure beside its own.
+beside the first as ``envborn_baseline``; every rung of both ladders and
+every sampling row builds its case in each tree from the same seed and times
+the two trees' calls alternately, recording each ``baseline_*`` figure beside
+its own.
 
 The sampling section runs ``sample_outcomes`` on a random distribution of 8
-outcomes for ``n`` in ``SAMPLE_SIZES`` (250k up to the cap ``2**24``) and
-records the median time and the ``tracemalloc`` peak of one call.
+and of 64 outcomes, either side of the sampler's switch from comparison
+passes to sorting, for ``n`` in ``SAMPLE_SIZES`` (250k up to the cap
+``2**24``) and records the median time and the ``tracemalloc`` peak of one
+call.
 
 The CLI section runs each bundled fixture with its subcommand, plus one
 24x24 ``sample`` scenario from ``perfbench/workloads.py`` (seed 3, 250k
@@ -77,7 +80,9 @@ SEED = 5
 MIXTURE_DIMS = (4, 16, 64)
 MIXTURE_TRIALS = 50
 SAMPLE_SIZES = (250_000, 2**20, 2**22, 2**24)
-SAMPLE_OUTCOMES = 8
+# outcome counts on either side of ensemble.COUNT_BY_COMPARISON, which picks
+# how each block of draws is counted
+SAMPLE_OUTCOMES = (8, 64)
 BASELINE_PACKAGE = "envborn_baseline"
 
 
@@ -286,29 +291,30 @@ def run_mixture_ladder(repeats: int, seed: int, baseline: str | None = None) -> 
     return rungs
 
 
-def sampling_row(n: int, repeats: int, seed: int) -> dict:
+def sampling_row(
+    n: int, outcomes: int, repeats: int, seed: int, baseline: str | None = None
+) -> dict:
     import numpy as np
 
-    from envborn.ensemble import sample_outcomes
-
-    p = np.random.default_rng(seed).random(SAMPLE_OUTCOMES)
+    packages = ["envborn"] if baseline is None else ["envborn", baseline]
+    samplers = [module(package, "ensemble").sample_outcomes for package in packages]
+    p = np.random.default_rng(seed).random(outcomes)
     p = (p / p.sum()).tolist()
-    sampling_ms, sampling_n, _ = timed(lambda: sample_outcomes(p, n, seed), repeats)
     return {
         "n": n,
-        "outcomes": SAMPLE_OUTCOMES,
-        "sampling_ms": round(sampling_ms, 3),
-        "sampling_repeats": sampling_n,
-        "sampling_peak_mib": round(peak_mib(lambda: sample_outcomes(p, n, seed)), 3),
+        "outcomes": outcomes,
+        **alternately("sampling", [lambda f=f: f(p, n, seed) for f in samplers], repeats),
+        "sampling_peak_mib": round(peak_mib(lambda: samplers[0](p, n, seed)), 3),
     }
 
 
-def run_sampling(repeats: int, seed: int) -> list[dict]:
+def run_sampling(repeats: int, seed: int, baseline: str | None = None) -> list[dict]:
     rows = []
-    for n in SAMPLE_SIZES:
-        row = sampling_row(n, repeats, seed)
-        print(json.dumps(row), flush=True)
-        rows.append(row)
+    for outcomes in SAMPLE_OUTCOMES:
+        for n in SAMPLE_SIZES:
+            row = sampling_row(n, outcomes, repeats, seed, baseline)
+            print(json.dumps(row), flush=True)
+            rows.append(row)
     return rows
 
 
@@ -469,7 +475,8 @@ def main(argv=None) -> int:
     parser.add_argument("--src", default=str(ROOT / "src"), help="source tree to import envborn from")
     parser.add_argument(
         "--baseline",
-        help="second source tree, timed alternately with --src's in the ladders and the wall section",
+        help="second source tree, timed alternately with --src's in the ladders, the sampling "
+        "rows and the wall section",
     )
     parser.add_argument("--out", required=True, help="JSON file to append this run's round to")
     args = parser.parse_args(argv)
@@ -482,7 +489,7 @@ def main(argv=None) -> int:
     package = None if baseline is None else load_baseline(baseline)
     rungs = run_ladder(REPEATS, SEED, package)
     mixture_rungs = run_mixture_ladder(REPEATS, SEED, package)
-    sampling_rows = run_sampling(REPEATS, SEED)
+    sampling_rows = run_sampling(REPEATS, SEED, package)
     with tempfile.TemporaryDirectory() as workdir:
         cli_rows = run_cli_stages(REPEATS, Path(args.src), Path(workdir))
     wall_rows = run_cli_wall(REPEATS, Path(args.src), baseline)
@@ -498,9 +505,7 @@ def main(argv=None) -> int:
             f"proper_improper_equivalence, {MIXTURE_TRIALS} trials on an auto-purified "
             "random mixture, median wall time in ms"
         ),
-        "sampling_ms": (
-            f"sample_outcomes, {SAMPLE_OUTCOMES} outcomes and n draws, median wall time in ms"
-        ),
+        "sampling_ms": "sample_outcomes, n draws over the row's outcomes, median wall time in ms",
         "sampling_peak_mib": "sample_outcomes, tracemalloc peak of one call in MiB",
         "load_ms": "cli: load_scenario of the case's file, median wall time in ms",
         "run_ms": "cli: the subcommand's run_* on the loaded scenario, median wall time in ms",

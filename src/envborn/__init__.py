@@ -30,7 +30,7 @@ from .schmidt import (
     check_envariance,
     reconstruct,
     schmidt_decompose,
-    schmidt_decompose_core,
+    schmidt_decompose_cores,
     schmidt_probabilities,
     sublemma_check,
     swap_witness,

@@ -121,18 +121,31 @@ class Operator:
         return self.matrix.shape[0]
 
 
-def gram_residual(columns: np.ndarray) -> float:
+def _norms(gaps: np.ndarray):
+    """The Frobenius norm of a matrix as a float, or of each matrix of a stack
+    as an array: each matrix's sum of squares is one dot product of its real
+    and imaginary parts with themselves, so it does not depend on the stack's
+    height."""
+    if gaps.ndim < 3:
+        return float(np.linalg.norm(gaps))
+    flat = gaps.reshape(len(gaps), 1, -1).view(float)
+    return np.sqrt(flat @ flat.swapaxes(1, 2)).reshape(-1)
+
+
+def gram_residual(columns: np.ndarray):
     """``||M^H M - I||`` for the matrix ``M = columns``: zero when its columns
-    are orthonormal, and the unitarity residual when ``M`` is square."""
-    gram = columns.conj().T @ columns
-    return float(np.linalg.norm(gram - np.eye(gram.shape[0])))
+    are orthonormal, and the unitarity residual when ``M`` is square.  For a
+    stack of matrices, the array of their residuals."""
+    gram = columns.conj().swapaxes(-1, -2) @ columns
+    return _norms(gram - np.eye(gram.shape[-1]))
 
 
-def span_residual(basis: np.ndarray, columns: np.ndarray) -> float:
+def span_residual(basis: np.ndarray, columns: np.ndarray):
     """``||Q C - C||`` for the projector ``Q = B B^H`` of the orthonormal
     columns ``B = basis`` and ``C = columns``, computed as ``B (B^H C) - C``:
-    zero when ``Q`` fixes every column, so that ``range(C)`` lies in ``range(B)``."""
-    return float(np.linalg.norm(basis @ (basis.conj().T @ columns) - columns))
+    zero when ``Q`` fixes every column, so that ``range(C)`` lies in ``range(B)``.
+    For stacks of bases and column matrices, the array of their residuals."""
+    return _norms(basis @ (basis.conj().swapaxes(-1, -2) @ columns) - columns)
 
 
 def _projector_basis(basis, dim: int) -> np.ndarray:
@@ -307,7 +320,8 @@ def orthonormalize(vectors: Iterable[np.ndarray]) -> np.ndarray:
     """Classical Gram-Schmidt applied twice (CGS2): each vector loses its
     projection on the basis so far, ``w -= Q (Q^H w)``, in two passes of two
     mat-vecs, each formed as ``(w^H Q)^H`` so that no conjugate copy of ``Q``
-    is made; the basis is returned as the columns of a ``dim x count`` matrix.
+    is made; the first vector is only normalized.  The basis is returned as
+    the columns of a ``dim x count`` matrix.
     An entry that is zero in every input vector stays exactly zero.
 
     Raises ValueError when the input set is empty, mixes lengths or is
@@ -320,11 +334,12 @@ def orthonormalize(vectors: Iterable[np.ndarray]) -> np.ndarray:
     basis = np.empty((len(_as_vector(columns[0])), len(columns)), dtype=complex)
     for k, v in enumerate(columns):
         w = _as_vector(v, len(basis)).copy()
-        scale = np.linalg.norm(w)
-        q = basis[:, :k]
-        for _ in range(2):
-            w -= q @ (w.conj() @ q).conj()
-        norm = np.linalg.norm(w)
+        scale = norm = np.linalg.norm(w)
+        if k:  # the first vector has no basis to lose a projection on
+            q = basis[:, :k]
+            for _ in range(2):
+                w -= q @ (w.conj() @ q).conj()
+            norm = np.linalg.norm(w)
         if scale == 0.0 or norm < DEPENDENCE_TOL * scale:
             raise ValueError("input vectors are linearly dependent")
         basis[:, k] = w / norm

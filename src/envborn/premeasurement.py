@@ -10,21 +10,29 @@ and nondemolition (branches stay in their eigenspace); the verify_* functions
 check both numerically rather than trusting the construction.
 
 A model holds its coupling in one of two forms.  ``build_premeasurement``
-stores the blocks, one ``V_n`` per outcome; the ``(d1*d2)^2`` matrix is never
-formed.  A user-supplied coupling (a negative control, a branch-entangling
-unitary) is a dense composite ``Operator``.  Either way the model accepts it
-when ``||U^H U - I||_F`` is within its tolerance.  A block coupling is first
-certified by an upper bound from the measured basis matrix; only one that the
-bound cannot certify pays for the exact residual and the dense ``P^n``.
+stores the blocks, one ``V_n`` per outcome, all formed as one ``N x d2 x d2``
+stack; the ``(d1*d2)^2`` matrix is never formed.  A user-supplied coupling
+(a negative control, a branch-entangling unitary) is a dense composite
+``Operator``.  Either way the model accepts it when ``||U^H U - I||_F`` is
+within its tolerance.  A block coupling is first certified by an upper bound
+from the measured basis matrix; only one that the bound cannot certify pays
+for the exact residual and the dense ``P^n``.
 
 Construction also restricts the coupling to the ready state once, giving the
 ready map ``W = U (. (x) ready)`` (``d1*d2 x d1``); ``evolve`` and
 calibration read only ``W``; ``evolve`` reshapes ``W @ phi`` into the
-``d1 x d2`` coefficient matrix ``Psi``; each branch is held as its core.
-Every other step acts on one factor as a one-sided product on ``Psi``, with
-each eigenprojector applied through its eigenspace basis: ``(I (x) Q) psi`` is
-``Psi @ Q.T = (Psi @ B.conj()) @ B.T`` for ``Q = B B^H`` and ``(P (x) I) psi``
-is ``B (B^H Psi)``.
+``d1 x d2`` coefficient matrix ``Psi``; each branch is held as its core, a
+column block of one product ``Psi @ M.conj()`` with the pointer's basis
+matrix.  Every other step acts on one factor as a one-sided product on
+``Psi``, with each eigenprojector applied through its eigenspace basis:
+``(I (x) Q) psi`` is ``Psi @ Q.T = (Psi @ B.conj()) @ B.T`` for ``Q = B B^H``
+and ``(P (x) I) psi`` is ``B (B^H Psi)``.
+
+The per-outcome steps run once per rank group, the outcomes whose matrices
+share a shape: calibration, the branches' Schmidt forms and nondemolition
+each make one stacked call per group.  A stacked call computes each matrix
+of its stack by the same operations as a stack of one, so a residual or a
+form does not depend on the group it was computed in.
 """
 
 from __future__ import annotations
@@ -45,7 +53,13 @@ from .hilbert import (
     gram_residual,
     span_residual,
 )
-from .schmidt import ZERO_BRANCH_THRESHOLD, BipartiteState, SchmidtForm, schmidt_decompose_core
+from .schmidt import (
+    ZERO_BRANCH_THRESHOLD,
+    BipartiteState,
+    SchmidtForm,
+    schmidt_decompose_cores,
+    term_cutoff,
+)
 
 __all__ = [
     "PointerApparatus",
@@ -54,10 +68,19 @@ __all__ = [
     "build_premeasurement",
     "evolve",
     "branches",
+    "schmidt_forms",
     "verify_calibration",
     "verify_nondemolition",
     "branch_norm_law",
 ]
+
+
+def _grouped(items, key) -> dict:
+    """``items`` by ``key(item)``, each group in the order of ``items``."""
+    groups: dict = {}
+    for item in items:
+        groups.setdefault(key(item), []).append(item)
+    return groups
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,13 +117,17 @@ class PointerApparatus:
             raise ValueError("pointer states are not normalized")
         if not gram_residual(states) <= self.tol:  # also rejects NaN
             raise ValueError("pointer states are not orthonormal within tolerance")
-        for n, chi in enumerate(states.T):
-            residual = span_residual(obs.basis(n), chi)
-            if residual > self.tol:
-                raise ValueError(
-                    f"pointer state {n} is not in the range of its projector "
-                    f"(residual {residual:.3e})"
-                )
+        residuals = np.empty(obs.outcome_count)  # one stacked call per rank
+        for group in _grouped(range(obs.outcome_count), obs.ranks.__getitem__).values():
+            bases = np.array(list(map(obs.basis, group)))
+            residuals[group] = span_residual(bases, states.T[group, :, None])
+        failing = np.flatnonzero(residuals > self.tol)
+        if failing.size:
+            n = int(failing[0])
+            raise ValueError(
+                f"pointer state {n} is not in the range of its projector "
+                f"(residual {residuals[n]:.3e})"
+            )
         object.__setattr__(self, "pointer_states", states)
 
     @property
@@ -192,7 +219,7 @@ def _block_unitarity_bound(s: np.ndarray, ranks: Sequence[int], v: np.ndarray) -
     1), and rounding grows with the values: the margin is ``4 d1 d2 eps (1 + bound)``."""
     d1, d2 = len(s), v.shape[1]
     e = gram_residual(s)
-    g = np.linalg.norm(v.conj().transpose(0, 2, 1) @ v - np.eye(d2), axis=(1, 2))
+    g = gram_residual(v)
     bound = (1 + e) * np.sqrt(np.dot(ranks, g**2)) + np.sqrt(d2) * e * (1 + (1 + e) * (1 + g.max()))
     return float(bound + 4 * d1 * d2 * np.finfo(float).eps * (1 + bound))
 
@@ -218,61 +245,84 @@ class Branch:
     held only as its ``d1 x r`` core, the term being ``core @ basis.T`` for a
     ``d2 x r`` ``basis`` with orthonormal columns: ``basis.T`` has orthonormal
     rows, so the core carries the term's weight ``||core||^2``, its Schmidt
-    form and its system-side residuals."""
+    form and its system-side residuals.  Its Schmidt form keeps the terms of
+    coefficient at least ``cutoff``."""
 
     outcome: int
     weight: float
     core: np.ndarray
     basis: np.ndarray
+    cutoff: float = ZERO_BRANCH_THRESHOLD
 
     def __post_init__(self):
         for name in ("core", "basis"):
             object.__setattr__(self, name, _freeze(getattr(self, name)))
 
     def schmidt_form(self) -> SchmidtForm:
-        """The Schmidt form of the normalized term, from its normalized core."""
-        return schmidt_decompose_core(self.core / np.sqrt(self.weight), self.basis)
+        """The Schmidt form of the normalized term, from its normalized core:
+        the one-branch case of ``schmidt_forms``."""
+        return schmidt_forms([self])[self.outcome]
 
 
-def _householder_map(origin: StateVector, target: StateVector) -> Operator:
-    """Deterministic unitary sending ``origin`` exactly to ``target``.
+def schmidt_forms(kept: Sequence[Branch]) -> dict[int, SchmidtForm]:
+    """The Schmidt form of each branch's normalized term by outcome, from one
+    ``schmidt_decompose_cores`` call per group of equal core shapes and cutoffs;
+    a form does not depend on the group it was computed in."""
+    forms = {}
+    for group in _grouped(kept, lambda b: (b.core.shape, b.cutoff)).values():
+        cores = np.array([b.core for b in group])
+        weights = np.array([b.weight for b in group])
+        bases = np.array([b.basis for b in group])
+        found = schmidt_decompose_cores(cores / np.sqrt(weights)[:, None, None], bases, group[0].cutoff)
+        forms.update(zip((b.outcome for b in group), found))
+    return {b.outcome: forms[b.outcome] for b in kept}
 
-    A Householder reflection takes origin to target up to phase; a diagonal
-    phase rotation on the target direction then pins the image to ``target``
-    with coefficient +1.  Equal states map to the identity.
+
+def _householder_blocks(ready: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """The ``N x d x d`` stack of deterministic unitaries ``V_n`` that send
+    ``ready`` exactly to column ``n`` of the ``d x N`` unit columns ``targets``.
+
+    A Householder reflection ``I - s w w^H`` takes ready to a target ``y`` up
+    to phase; a phase rotation ``I + a y y^H`` on the target direction then
+    pins the image to the target with coefficient +1.  A target that is
+    (numerically) a phase multiple of ready gets the rotation alone (``s =
+    0``), so equal states map to the identity.  Each block is computed from
+    its own column alone, by the same operations at any ``N``.
     """
-    if origin.dim != target.dim:
-        raise ValueError("origin and target must share a dimension")
-    d = origin.dim
-    x = origin.amplitudes
-    y = target.amplitudes
-    overlap = complex(y.conj() @ x)
-    alpha = overlap / abs(overlap) if abs(overlap) > 0 else 1.0
-    w = x - alpha * y
-    norm_w_sq = float((w.conj() @ w).real)
-    phase_fix = np.eye(d, dtype=complex) + (np.conj(alpha) - 1.0) * np.outer(y, y.conj())
-    if norm_w_sq < 1e-24:
-        # origin is (numerically) a phase multiple of target: rotate that ray.
-        return Operator(phase_fix)
+    y = targets.T
+    overlap = np.einsum("nj,j->n", y.conj(), ready)
+    # hypot rounds as scalar abs() does; np.abs on arrays may differ in the last bit
+    modulus = np.hypot(overlap.real, overlap.imag)
+    alpha = np.divide(overlap, modulus, out=np.ones_like(overlap), where=modulus > 0)
+    w = ready - alpha[:, None] * y
+    norm_w_sq = np.einsum("nj,nj->n", w.conj(), w).real
     # dividing by <w, w> instead of normalizing w keeps basis-to-basis maps
     # exact permutation matrices
-    reflection = np.eye(d, dtype=complex) - (2.0 / norm_w_sq) * np.outer(w, w.conj())
-    return Operator(phase_fix @ reflection)
+    scale = np.divide(2.0, norm_w_sq, out=np.zeros_like(norm_w_sq), where=norm_w_sq >= 1e-24)
+    # (I + a y y^H)(I - s w w^H) = I + a y y^H - s u w^H for u = w + a <y, w> y:
+    # two outer products per block and no d^3 product
+    a = alpha.conj() - 1.0
+    u = w + (a * np.einsum("nj,nj->n", y.conj(), w))[:, None] * y
+    blocks = a[:, None, None] * (y[:, :, None] * y.conj()[:, None, :])
+    blocks += np.eye(len(ready))
+    blocks -= scale[:, None, None] * (u[:, :, None] * w.conj()[:, None, :])
+    return blocks
 
 
 def build_premeasurement(
     measured: Observable, apparatus: PointerApparatus, tol: float = DEFAULT_TOL
 ) -> PremeasurementModel:
     """Construct the block coupling ``sum_n P^n (x) V_n`` with
-    ``V_n ready = pointer_n``.
+    ``V_n ready = pointer_n``, every ``V_n`` formed in one stack.
 
     The result is unitary because the system projectors are orthogonal and
     complete and each block is unitary; it satisfies calibration and
     nondemolition by construction.  Complete (nondegenerate) observables are
     the special case of all rank-1 system projectors.
     """
-    ready = apparatus.ready_state
-    blocks = tuple(_householder_map(ready, StateVector(chi)) for chi in apparatus.pointer_states.T)
+    ready, targets = apparatus.ready_state.amplitudes, apparatus.pointer_states
+    # the stack is freed once each block is copied into its Operator
+    blocks = tuple(map(Operator, _householder_blocks(ready, targets)))
     return PremeasurementModel(measured, apparatus, blocks, tol)
 
 
@@ -288,12 +338,16 @@ def evolve(model: PremeasurementModel, phi: StateVector) -> BipartiteState:
 def branches(model: PremeasurementModel, psi12: BipartiteState) -> tuple[Branch, ...]:
     """Pointer-projected terms ``(I (x) Q^n) psi = Psi @ Q^n.T``, each held as
     its core ``Psi @ B.conj()`` for ``Q^n = B B^H`` (the term is ``core @
-    B.T``, never formed), with squared-norm weights ``||core||^2``.
+    B.T``, never formed), with squared-norm weights ``||core||^2``.  Every
+    core is a column block of the one product ``Psi @ M.conj()`` of the
+    pointer's basis matrix ``M = [B_1 | ... | B_N]``.
 
     That needs ``B`` orthonormal to rounding.  A pointer observable whose Gram
     residual exceeds ``NORM_TOL`` (admitted at a looser tol) would pass its
     error into the weights and the factor-2 Schmidt vectors ``B @ v``, so each
-    of its terms is its own core, against the identity basis.
+    of its terms is its own core, against the identity basis.  Either way a
+    branch's Schmidt form drops the terms below ``term_cutoff`` of the
+    pointer's Gram residual: at most 1e-11 for an exact pointer.
 
     Terms with squared norm below ``ZERO_BRANCH_THRESHOLD`` are omitted: their
     outcomes have no branch.  The weights must sum to 1 within ``model.tol``
@@ -301,19 +355,19 @@ def branches(model: PremeasurementModel, psi12: BipartiteState) -> tuple[Branch,
     """
     if psi12.dims != (model.d1, model.d2):
         raise ValueError(f"state dims {psi12.dims} do not match model")
-    psi = psi12.matrix
     pointer = model.apparatus.pointer_observable
     exact = pointer.residual <= NORM_TOL
-    kept = []
-    for n in range(pointer.outcome_count):
-        b = pointer.basis(n)
-        core = psi @ b.conj()
+    # the loose route's cores are d1 x d2; the cap never binds on an exact pointer
+    cutoff = term_cutoff(pointer.residual, min(model.d1, model.d2))
+    product, start, kept = psi12.matrix @ pointer.matrix.conj(), 0, []
+    for n, rank in enumerate(pointer.ranks):
+        core, b = product[:, start : start + rank], pointer.basis(n)
+        start += rank
         if not exact:
             core, b = core @ b.T, np.eye(model.d2)
         weight = float(np.linalg.norm(core) ** 2)
-        if weight < ZERO_BRANCH_THRESHOLD:
-            continue
-        kept.append(Branch(n, weight, core, b))
+        if weight >= ZERO_BRANCH_THRESHOLD:
+            kept.append(Branch(n, weight, core, b, cutoff))
     total = sum(b.weight for b in kept)
     if abs(total - 1.0) > max(model.tol, DEFAULT_TOL):
         raise ValueError(f"branch weights sum to {total!r}, expected 1")
@@ -341,17 +395,15 @@ def verify_calibration(model: PremeasurementModel, tol: float = DEFAULT_TOL) -> 
     """
     d1, d2 = model.d1, model.d2
     measured, pointer = model.measured, model.apparatus.pointer_observable
-    groups: dict[tuple[int, int], list[int]] = {}
-    for n, ranks in enumerate(zip(measured.ranks, pointer.ranks)):
-        groups.setdefault(ranks, []).append(n)
+    groups = _grouped(range(model.outcome_count), lambda n: (measured.ranks[n], pointer.ranks[n]))
     residuals = np.empty(model.outcome_count)
     for (r, _), group in groups.items():
         g = len(group)
-        outputs, triangle = np.linalg.qr(model.ready_map @ np.stack(list(map(measured.basis, group))))
+        outputs, triangle = np.linalg.qr(model.ready_map @ np.array(list(map(measured.basis, group))))
         # the rows of psi[k] are the d1 rows of the coefficient matrix of output k
         psi = outputs.transpose(0, 2, 1).reshape(g, r * d1, d2)
         del outputs  # a group's stack is as large as all of its outcomes' matrices
-        b = np.stack(list(map(pointer.basis, group)))
+        b = np.array(list(map(pointer.basis, group)))
         leak = (psi @ b.conj()) @ b.transpose(0, 2, 1)
         leak -= psi
         leak = leak.reshape(g, r, d1 * d2)
@@ -370,11 +422,15 @@ def verify_nondemolition(
     P^k (x) I and I (x) Q^k); the residual of branch k is
     ``||P^k @ Psi_k - Psi_k||``, the ``span_residual`` of the system basis.
     It is taken on the core ``K_k``: ``Psi_k = K_k @ B^T`` and ``B^T`` has
-    orthonormal rows, so ``||P^k K_k - K_k||`` is the same norm."""
-    residuals = {
-        b.outcome: span_residual(model.measured.basis(b.outcome), b.core) for b in kept
-    }
-    return Audit(residuals, tol)
+    orthonormal rows, so ``||P^k K_k - K_k||`` is the same norm.  One stacked
+    residual per group of equal measured ranks and core shapes; a residual does
+    not depend on the group it was computed in."""
+    residuals = {}
+    for group in _grouped(kept, lambda b: (model.measured.ranks[b.outcome], b.core.shape)).values():
+        bases = np.array([model.measured.basis(b.outcome) for b in group])
+        found = span_residual(bases, np.array([b.core for b in group]))
+        residuals.update(zip((b.outcome for b in group), found.tolist()))
+    return Audit({b.outcome: residuals[b.outcome] for b in kept}, tol)
 
 
 def branch_norm_law(

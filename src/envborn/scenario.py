@@ -5,10 +5,11 @@ apparatus, input states, and optional mixture/sampling sections.  Complex
 scalars are two-element arrays ``[re, im]`` of decimal floats, vectors are
 arrays of such pairs, and projectors are lists of spanning vectors.
 
-Parsing decodes every vector once, resolves all defaults and builds each
-declared section.  ``Scenario.raw`` is the canonical form: plain floats with
-every default spelled out, which parses back to an identical scenario and
-keeps reports self-contained and diffable.
+Parsing converts every vector once (a section's list of vectors in one
+conversion, whose float array also gives the canonical echo), resolves all
+defaults and builds each declared section.  ``Scenario.raw`` is the canonical
+form: plain floats with every default spelled out, which parses back to an
+identical scenario and keeps reports self-contained and diffable.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -64,39 +66,75 @@ def encode_vector(vec: np.ndarray) -> list[list[float]]:
     return np.column_stack((vec.real, vec.imag)).tolist()
 
 
+def _pairs(vectors: list, dim: int) -> np.ndarray | None:
+    """``vectors`` in one conversion, as a ``k x dim x 2`` float array whose
+    ``tolist()`` is their canonical echo, when each is a list of ``dim`` pairs
+    of two JSON numbers below the largest float (strictly: an integer may round
+    down to it); else None.  The type checks run at C level."""
+    if set(map(type, vectors)) != {list} or set(map(len, vectors)) != {dim}:
+        return None
+    pairs = list(chain.from_iterable(vectors))
+    if set(map(type, pairs)) != {list} or set(map(len, pairs)) != {2}:
+        return None
+    numbers = list(chain.from_iterable(pairs))
+    if not set(map(type, numbers)) <= _JSON_NUMBERS:
+        return None
+    try:  # a flat list converts faster than the nested one
+        values = np.array(numbers, dtype=float)
+    except OverflowError:  # an integer too large to convert
+        return None
+    return values.reshape(len(vectors), dim, 2) if (np.abs(values) < sys.float_info.max).all() else None
+
+
+def _complex(values: np.ndarray) -> np.ndarray:
+    """The complex vectors of a ``... x dim x 2`` float array: each row (re, im)
+    is one complex128."""
+    return values.view(complex)[..., 0]
+
+
 def decode_vector(data, what: str, dim: int | None = None) -> np.ndarray:
     if not isinstance(data, list) or not data:
         raise ScenarioError(f"{what} must be a non-empty array of [re, im] pairs")
-    # One conversion when each pair is two JSON numbers below the largest float
-    # (strictly: an integer may round down to it); else name the first fault.
-    try:
-        values = np.array(data, dtype=float) if all(
-            type(p) is list and len(p) == 2 and type(p[0]) in _JSON_NUMBERS and type(p[1]) in _JSON_NUMBERS
-            for p in data
-        ) else None
-    except OverflowError:  # an integer too large to convert
-        values = None
-    if values is None or not (np.abs(values) < sys.float_info.max).all():
+    values = _pairs([data], len(data))
+    if values is None:  # name the first fault
         for i, pair in enumerate(data):
             if not isinstance(pair, list) or len(pair) != 2 or not all(map(_is_number, pair)):
                 raise ScenarioError(f"{what}[{i}] is not a [re, im] pair: {_shown(pair)}")
             if not all(abs(x) <= sys.float_info.max for x in pair):
                 raise ScenarioError(f"{what}[{i}] is not finite: {_shown(pair)}")
-        values = np.array(data, dtype=float)
-    if dim is not None and len(values) != dim:
-        raise ScenarioError(f"{what} has length {len(values)}, expected {dim}")
-    return values.view(complex)[:, 0]  # each row (re, im) is one complex128
+        values = np.array([data], dtype=float)
+    if dim is not None and values.shape[1] != dim:
+        raise ScenarioError(f"{what} has length {values.shape[1]}, expected {dim}")
+    return _complex(values)[0]
 
 
-def _decode_span(data, what: str, dim: int) -> list[np.ndarray]:
+def _decode_vectors(data: list, what: str, dim: int) -> np.ndarray:
+    """The ``k x dim x 2`` float array of a list of ``k`` vectors, in one
+    conversion; otherwise each vector is decoded on its own, so that the first
+    fault is named as ``decode_vector`` names it."""
+    values = _pairs(data, dim)
+    if values is None:
+        vectors = [decode_vector(v, f"{what}[{i}]", dim) for i, v in enumerate(data)]
+        values = np.array(vectors, dtype=complex).view(float).reshape(len(data), dim, 2)
+    return values
+
+
+def _decode_span(data, what: str, dim: int) -> np.ndarray:
     if not isinstance(data, list) or not data:
         raise ScenarioError(f"{what} must be a non-empty list of spanning vectors")
-    return [decode_vector(v, f"{what}[{i}]", dim) for i, v in enumerate(data)]
+    return _decode_vectors(data, what, dim)
 
 
-def _decode_spans(data, what: str, dim: int) -> list[list[np.ndarray]]:
+def _decode_spans(data, what: str, dim: int) -> list[np.ndarray]:
+    """The float arrays of the spans of a section, all in one conversion when
+    every span is a non-empty list of well-formed vectors; otherwise span by
+    span, so that the first fault is named."""
     if not isinstance(data, list):
         raise ScenarioError(f"{what} must be a list of spans")
+    if data and set(map(type, data)) == {list} and all(data):
+        values = _pairs(list(chain.from_iterable(data)), dim)
+        if values is not None:
+            return np.split(values, np.cumsum(list(map(len, data[:-1]))).tolist())
     return [_decode_span(span, f"{what}[{n}]", dim) for n, span in enumerate(data)]
 
 
@@ -327,7 +365,7 @@ def _parse_observable(spec, d1: int, tol: float) -> tuple[dict, Observable]:
                 f"a complete observable needs {d1} basis vectors, got {len(basis)}"
             )
         eigenvalues = spec.get("eigenvalues", list(range(d1)))
-        spans = [[v] for v in basis]
+        spans = list(basis[:, None])
     else:
         if "projectors" not in spec or "eigenvalues" not in spec:
             raise ScenarioError("observable needs eigenvalues and projectors (or complete)")
@@ -345,10 +383,10 @@ def _parse_observable(spec, d1: int, tol: float) -> tuple[dict, Observable]:
         raise ScenarioError("observable needs one eigenvalue per projector")
     canonical = {
         "eigenvalues": [float(v) for v in eigenvalues],
-        "projectors": [[encode_vector(v) for v in span] for span in spans],
+        "projectors": [span.tolist() for span in spans],
     }
     try:
-        bases = [orthonormalize(span) for span in spans]
+        bases = [orthonormalize(_complex(span)) for span in spans]
         return canonical, Observable(canonical["eigenvalues"], bases, tol)
     except ValueError as exc:
         raise ScenarioError(f"invalid observable: {exc}") from exc
@@ -358,10 +396,9 @@ def _parse_apparatus(spec, d2: int, tol: float) -> tuple[dict, PointerApparatus]
     if not isinstance(spec, dict):
         raise ScenarioError("apparatus must be an object")
     ready = decode_vector(_require(spec, "ready_state", list, "apparatus"), "ready_state", d2)
-    pointer_states = [
-        decode_vector(v, f"apparatus.pointer_states[{n}]", d2)
-        for n, v in enumerate(_require(spec, "pointer_states", list, "apparatus"))
-    ]
+    pointer_states = _decode_vectors(
+        _require(spec, "pointer_states", list, "apparatus"), "apparatus.pointer_states", d2
+    )
     if "pointer_projectors" in spec:
         spans = _decode_spans(spec["pointer_projectors"], "apparatus.pointer_projectors", d2)
     else:
@@ -370,20 +407,33 @@ def _parse_apparatus(spec, d2: int, tol: float) -> tuple[dict, PointerApparatus]
                 "pointer_projectors can only default to rank-1 when the pointer "
                 f"states form a full basis ({len(pointer_states)} states in dim {d2})"
             )
-        spans = [[v] for v in pointer_states]
+        spans = list(pointer_states[:, None])
     canonical = {
         "ready_state": encode_vector(ready),
-        "pointer_states": [encode_vector(v) for v in pointer_states],
-        "pointer_projectors": [[encode_vector(v) for v in span] for span in spans],
+        "pointer_states": pointer_states.tolist(),
+        "pointer_projectors": [span.tolist() for span in spans],
     }
     ready_state = _normalized(ready, "ready_state")
-    states = [_normalized(v, f"pointer state {n}").amplitudes for n, v in enumerate(pointer_states)]
+    states = _unit_columns(_complex(pointer_states).T, "pointer state")
     try:
-        bases = [orthonormalize(span) for span in spans]
+        bases = [orthonormalize(_complex(span)) for span in spans]
         pointer_obs = Observable(list(range(len(bases))), bases, tol)
-        return canonical, PointerApparatus(ready_state, pointer_obs, np.array(states).T, tol)
+        return canonical, PointerApparatus(ready_state, pointer_obs, states, tol)
     except ValueError as exc:
         raise ScenarioError(f"invalid apparatus: {exc}") from exc
+
+
+def _unit_columns(columns: np.ndarray, what: str) -> np.ndarray:
+    """The columns of ``columns`` normalized as one matrix.  When a column
+    cannot be normalized, ``make_state`` runs column by column and raises
+    ``invalid <what> n: ...`` for the first such column ``n``."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = np.linalg.norm(columns, axis=0)
+    if np.all((norms >= 1e-12) & (norms < np.inf)):
+        return columns / norms
+    return np.column_stack(
+        [_normalized(v, f"{what} {n}").amplitudes for n, v in enumerate(columns.T)]
+    )
 
 
 def _parse_mixture(spec, d1: int, has_partner: bool) -> tuple[dict, MixtureSpec]:
@@ -397,15 +447,7 @@ def _parse_mixture(spec, d1: int, has_partner: bool) -> tuple[dict, MixtureSpec]
         weight = _positive_float(comp["weight"], f"mixture.components[{n}].weight")
         canon_components.append({"state": encode_vector(vec), "weight": weight})
         states.append(vec)
-    states = np.reshape(states, (-1, d1)).T  # one column per component
-    with np.errstate(over="ignore", invalid="ignore"):
-        norms = np.linalg.norm(states, axis=0)
-    if np.all((norms >= 1e-12) & (norms < np.inf)):
-        states = states / norms
-    else:  # make_state names the first component it cannot normalize
-        states = np.column_stack(
-            [_normalized(v, f"mixture component {n}").amplitudes for n, v in enumerate(states.T)]
-        )
+    states = _unit_columns(np.reshape(states, (-1, d1)).T, "mixture component")
     auto_purify = spec.get("auto_purify", False)
     if not isinstance(auto_purify, bool):
         raise ScenarioError(f"mixture.auto_purify must be true or false, got {_shown(auto_purify)}")

@@ -38,7 +38,8 @@ __all__ = [
     "SchmidtForm",
     "pointer_density",
     "schmidt_decompose",
-    "schmidt_decompose_core",
+    "schmidt_decompose_cores",
+    "term_cutoff",
     "reconstruct",
     "twin_unitary",
     "swap_witness",
@@ -98,24 +99,10 @@ class SchmidtForm:
 
     def __post_init__(self):
         coeffs = np.array(self.coefficients, dtype=float).reshape(-1)
-        n = len(coeffs)
         basis1, basis2 = _freeze(self.basis1), _freeze(self.basis2)
-        if basis1.ndim != 2 or basis2.ndim != 2 or basis1.shape[1] != n or basis2.shape[1] != n:
+        if basis1.ndim != 2 or basis2.ndim != 2:
             raise ValueError("coefficients and bases must have equal lengths")
-        if n == 0:
-            raise ValueError("a Schmidt form needs at least one term")
-        if np.any(coeffs <= 0):
-            raise ValueError("coefficients must be strictly positive")
-        if np.any(np.diff(coeffs) > 0):
-            raise ValueError("coefficients must be in descending order")
-        if not abs(np.sum(coeffs**2) - 1.0) <= DEFAULT_TOL:  # also rejects NaN
-            raise ValueError("squared coefficients must sum to 1")
-        for basis, name in ((basis1, "factor-1"), (basis2, "factor-2")):
-            # NaN fails both; more terms than dimensions fail the Gram check
-            if not gram_residual(basis) <= DEFAULT_TOL:
-                raise ValueError(f"{name} basis is not orthonormal within tolerance")
-            if not np.all(abs(np.linalg.norm(basis, axis=0) - 1.0) <= NORM_TOL):
-                raise ValueError(f"{name} basis vectors are not normalized")
+        _check_forms(coeffs[None], basis1[None], basis2[None])
         coeffs.setflags(write=False)
         object.__setattr__(self, "coefficients", coeffs)
         object.__setattr__(self, "basis1", basis1)
@@ -123,6 +110,39 @@ class SchmidtForm:
 
     def __len__(self) -> int:
         return len(self.coefficients)
+
+
+def _check_forms(coeffs: np.ndarray, basis1: np.ndarray, basis2: np.ndarray) -> None:
+    """``SchmidtForm``'s checks on stacks of ``g`` forms of ``n`` terms each:
+    ``g x n`` coefficients, ``g x d1 x n`` and ``g x d2 x n`` bases.  ValueError
+    names the first check that any form of the stack fails."""
+    n = coeffs.shape[1]
+    if basis1.shape[2] != n or basis2.shape[2] != n:
+        raise ValueError("coefficients and bases must have equal lengths")
+    if n == 0:
+        raise ValueError("a Schmidt form needs at least one term")
+    if (coeffs <= 0).any():
+        raise ValueError("coefficients must be strictly positive")
+    if (coeffs[:, 1:] > coeffs[:, :-1]).any():
+        raise ValueError("coefficients must be in descending order")
+    if not (abs((coeffs**2).sum(axis=1) - 1.0) <= DEFAULT_TOL).all():  # also rejects NaN
+        raise ValueError("squared coefficients must sum to 1")
+    for basis, name in ((basis1, "factor-1"), (basis2, "factor-2")):
+        # NaN fails both; more terms than dimensions fail the Gram check
+        if not (gram_residual(basis) <= DEFAULT_TOL).all():
+            raise ValueError(f"{name} basis is not orthonormal within tolerance")
+        if not (abs(np.linalg.norm(basis, axis=1) - 1.0) <= NORM_TOL).all():
+            raise ValueError(f"{name} basis vectors are not normalized")
+
+
+def term_cutoff(error: float, terms: int) -> float:
+    """The least Schmidt coefficient a form keeps when its factor-2 vectors
+    carry an error ``error`` (a pointer basis's Gram residual): terms below
+    ``10 * error`` are that error's image, not the state's.  It is capped at
+    ``sqrt(DEFAULT_TOL / (2 terms))``, so that the squares of all dropped terms
+    sum below ``DEFAULT_TOL / 2`` and the kept ones still sum to 1 within
+    ``DEFAULT_TOL``, and is never below ``ZERO_BRANCH_THRESHOLD``."""
+    return max(ZERO_BRANCH_THRESHOLD, min(10 * error, (DEFAULT_TOL / (2 * terms)) ** 0.5))
 
 
 def schmidt_decompose(psi: BipartiteState) -> SchmidtForm:
@@ -135,30 +155,49 @@ def schmidt_decompose(psi: BipartiteState) -> SchmidtForm:
     nonzero component made real positive (compensating phase pushed into the
     factor-2 partner).
     """
-    return _schmidt_form(*np.linalg.svd(psi.matrix, full_matrices=False))
+    return schmidt_decompose_cores(psi.matrix[None])[0]
 
 
-def schmidt_decompose_core(core: np.ndarray, basis: np.ndarray) -> SchmidtForm:
-    """``schmidt_decompose`` of the state ``core @ basis.T`` from the SVD of its
-    ``d1 x r`` core alone, for a ``d2 x r`` ``basis`` with orthonormal columns:
-    ``basis.T`` has orthonormal rows, so the state's coefficients and factor-1
-    vectors are the core's, and its factor-2 vectors are ``basis @ v``."""
-    u, s, vh = np.linalg.svd(core, full_matrices=False)
-    return _schmidt_form(u, s, vh @ basis.T)
+def schmidt_decompose_cores(
+    cores: np.ndarray, bases: np.ndarray | None = None, cutoff: float = ZERO_BRANCH_THRESHOLD
+) -> list[SchmidtForm]:
+    """``schmidt_decompose`` of each state ``cores[k] @ bases[k].T`` of a stack
+    (``g x d1 x r`` cores, ``g x d2 x r`` bases with orthonormal columns, or no
+    bases for the states ``cores[k]`` themselves), from one stacked SVD of the
+    cores: ``bases[k].T`` has orthonormal rows, so a state's coefficients and
+    factor-1 vectors are its core's, and its factor-2 vectors are ``bases[k] @ v``.
+    Terms below ``cutoff`` are dropped.
 
-
-def _schmidt_form(u: np.ndarray, s: np.ndarray, vh: np.ndarray) -> SchmidtForm:
-    keep = s >= ZERO_BRANCH_THRESHOLD
-    s, u, v = s[keep], u[:, keep], vh[keep, :].T
+    The phase fix and the ordering act on the whole stack, and the forms that
+    keep equal numbers of terms are checked as one stack by ``SchmidtForm``'s
+    checks.  LAPACK factors each matrix of a stack on its own, so a form does
+    not depend on the stack it was computed in."""
+    u, s, vh = np.linalg.svd(cores, full_matrices=False)
+    v = (vh if bases is None else vh @ bases.swapaxes(1, 2)).swapaxes(1, 2)
     # a unit column has an entry of modulus at least 1/sqrt(d1) > 1e-12
-    lead = np.argmax(np.abs(u) > 1e-12, axis=0)
-    top = u[lead, np.arange(len(s))]
+    lead = np.argmax(np.abs(u) > 1e-12, axis=1)
+    rows = np.arange(len(u))[:, None]
+    top = u[rows, lead, np.arange(u.shape[2])]
     # hypot rounds as scalar abs() does; np.abs on arrays may differ in the last bit
-    phase = top / np.hypot(top.real, top.imag)
+    phase = (top / np.hypot(top.real, top.imag))[:, None, :]
     # SVD returns descending singular values; break ties deterministically by
-    # the factor-1 leading-component index.
+    # the factor-1 leading-component index.  The terms kept lead the order.
     order = np.lexsort((lead, -s))
-    return SchmidtForm(s[order], (u / phase)[:, order], (v * phase)[:, order])
+    s = s[rows, order]
+    u = (u / phase)[rows, :, order].swapaxes(1, 2)
+    v = (v * phase)[rows, :, order].swapaxes(1, 2)
+    counts = (s >= cutoff).sum(axis=1).tolist()
+    forms = [None] * len(counts)
+    for n in set(counts):
+        members = [k for k, count in enumerate(counts) if count == n]
+        parts = s.take(members, 0)[:, :n], u.take(members, 0)[..., :n], v.take(members, 0)[..., :n]
+        _check_forms(*parts)
+        for k, coeffs, basis1, basis2 in zip(members, *parts):
+            forms[k] = form = object.__new__(SchmidtForm)  # checked above as a stack
+            for name, value in zip(("coefficients", "basis1", "basis2"), (coeffs, basis1, basis2)):
+                value.setflags(write=False)
+                object.__setattr__(form, name, value)
+    return forms
 
 
 def reconstruct(form: SchmidtForm) -> BipartiteState:

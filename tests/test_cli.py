@@ -20,7 +20,8 @@ import envborn.mixtures
 import envborn.premeasurement
 import envborn.scenario
 from envborn.cli import _dump, main
-from envborn.scenario import MAX_COMPOSITE_DIM, decode_vector, encode_vector, parse_scenario
+from envborn.scenario import MAX_COMPOSITE_DIM, encode_vector, parse_scenario
+from envborn.scenario import _pairs as pairs
 
 FIXTURES = resources.files("envborn.fixtures")
 
@@ -387,10 +388,12 @@ class TestReportCommand:
         assert code in (0, 1, 2)
 
     def test_non_finite_residuals_stored_as_null(self, monkeypatch):
-        def broken_complement(*args, **kwargs):
-            raise ValueError("not a projector")
+        # the complement's precondition fails for every outcome (a NaN
+        # sub-projector residual, as from broken inputs): each records inf
+        def broken_relation(basis, columns):
+            return np.full(len(basis), np.nan)
 
-        monkeypatch.setattr(envborn.born, "complement_check", broken_complement)
+        monkeypatch.setattr(envborn.born, "span_residual", broken_relation)
         code, out, _ = run_cli(["derive", fixture_path("degenerate-3d"), "--format", "structured"])
         assert code == 1
         derivation = json.loads(out)["derivation"]
@@ -903,18 +906,56 @@ def _count_vectors(value) -> int:
 
 
 def test_each_json_vector_decoded_once(monkeypatch, tmp_path):
+    # every conversion of JSON vectors to floats goes through _pairs, one call
+    # per section: input_state, the projectors, ready_state, the pointer
+    # states and the pointer projectors
     command, path = _large_scenarios(tmp_path)[1]
-    calls = []
+    converted = []
 
-    def counted(data, what, dim=None):
-        calls.append(what)
-        return decode_vector(data, what, dim)
+    def counted(vectors, dim):
+        values = pairs(vectors, dim)
+        if values is not None:
+            converted.append(len(values))
+        return values
 
-    monkeypatch.setattr(envborn.scenario, "decode_vector", counted)
+    monkeypatch.setattr(envborn.scenario, "_pairs", counted)
     code, _, _ = run_cli([command, path, "--format", "structured"])
     assert code == 0
     data = json.loads(Path(path).read_text(encoding="utf-8"))
-    assert len(calls) == _count_vectors(data) == 58
+    assert sum(converted) == _count_vectors(data) == 58
+    assert sorted(converted) == [1, 1, 8, 24, 24]
+
+
+@pytest.mark.parametrize(
+    "section, where",
+    [
+        (("observable", "projectors", 4, 1), "observable.projectors[4][1][11]"),
+        (("apparatus", "pointer_states", 5), "apparatus.pointer_states[5][11]"),
+        (("apparatus", "pointer_projectors", 7, 9), "apparatus.pointer_projectors[7][9][11]"),
+    ],
+)
+@pytest.mark.parametrize(
+    "bad, fault",
+    [
+        ([0.25, True], "is not a [re, im] pair: [0.25, True]"),
+        ("0.5", "is not a [re, im] pair: '0.5'"),
+        ([0.1, 0.2, 0.3], "is not a [re, im] pair: [0.1, 0.2, 0.3]"),
+        ([10**400, 0.0], "is not finite: [1" + "0" * 58 + "..."),
+    ],
+    ids=["bool", "string", "triple", "huge-int"],
+)
+def test_fault_mid_span_is_named(tmp_path, section, where, bad, fault):
+    # a section whose one conversion fails is decoded vector by vector,
+    # naming its first fault as a per-vector decode does
+    _, path = _large_scenarios(tmp_path)[0]
+    data = json.loads(Path(path).read_text(encoding="utf-8"))
+    part, key, *index = section
+    vector = data[part][key]
+    for i in index:
+        vector = vector[i]
+    vector[11] = bad
+    Path(path).write_text(json.dumps(data), encoding="utf-8")
+    assert run_cli(["derive", path]) == (2, "", f"error: {where} {fault}\n")
 
 
 _EACH_STRUCTURED = """

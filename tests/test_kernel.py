@@ -33,7 +33,7 @@ from conftest import (
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from envborn.born import complement_check, derive_probabilities
+from envborn.born import check_additivity, complement_check, derive_probabilities
 from envborn.hilbert import (
     DEFAULT_TOL,
     Observable,
@@ -51,6 +51,7 @@ from envborn.premeasurement import (
     branches,
     build_premeasurement,
     evolve,
+    schmidt_forms,
     verify_calibration,
     verify_nondemolition,
 )
@@ -471,11 +472,12 @@ def test_block_check_decides_like_the_exact_residual_where_the_bound_is_attained
         PremeasurementModel(measured, apparatus, blocks, np.nextafter(exact, 0.0))
 
 
-def looped_schmidt_form(psi):
+def looped_schmidt_form(psi, cutoff=1e-12):
     """``schmidt_decompose`` of one state by the SVD of its full ``d1 x d2``
-    matrix, the form that each branch's core form must agree with."""
+    matrix, keeping the terms of coefficient at least ``cutoff``: the form
+    that each branch's core form must agree with."""
     u, s, vh = np.linalg.svd(psi.matrix, full_matrices=False)
-    keep = s >= 1e-12
+    keep = s >= cutoff
     s, u, v = s[keep], u[:, keep], vh[keep, :].T
     lead = np.argmax(np.abs(u) > 1e-12, axis=0)
     top = u[lead, np.arange(len(s))]
@@ -515,10 +517,26 @@ def singular_coupling(model):
     return PremeasurementModel(model.measured, model.apparatus, Operator(lifted), LOOSE)
 
 
+MODEL_CASES = ("built", "entangled", "identity")
+
+
+def loose_pointer(model, rng):
+    """The built model on a pointer observable whose bases are perturbed by
+    about 2e-12 an entry: its Gram residual lies between ``NORM_TOL`` and
+    ``DEFAULT_TOL``, so each branch is its own core against the identity basis."""
+    pointer = model.apparatus.pointer_observable
+    bases = [b + noise(rng, 2e-12, *b.shape) for b in map(pointer.basis, range(pointer.outcome_count))]
+    loose = Observable(pointer.eigenvalues, bases)
+    assert 1e-12 < loose.residual <= DEFAULT_TOL
+    apparatus = PointerApparatus(model.apparatus.ready_state, loose, model.apparatus.pointer_states)
+    return build_premeasurement(model.measured, apparatus)
+
+
 @st.composite
 def stacked_cases(draw, couplings=("built", "entangled", "identity", "singular")):
     """A model with random ranks and couplings (built, branch-entangling,
-    identity, or one that makes some ``M_n`` singular), and an input state
+    identity, one that makes some ``M_n`` singular, or built on a loosely
+    orthonormal pointer), and an input state
     inside a random nonempty subset of the measured eigenspaces, so that the
     other outcomes' branches are omitted under the built coupling."""
     d1 = draw(st.integers(2, 6))
@@ -528,9 +546,11 @@ def stacked_cases(draw, couplings=("built", "entangled", "identity", "singular")
     coupling = draw(st.sampled_from(couplings))
     if coupling == "singular":  # some eigenspace of rank at least 2
         outcomes = min(outcomes, d1 - 1)
-    model, _ = model_case(d1, d2, outcomes, seed, "built" if coupling == "singular" else coupling)
+    model, _ = model_case(d1, d2, outcomes, seed, coupling if coupling in MODEL_CASES else "built")
     if coupling == "singular":
         model = singular_coupling(model)
+    elif coupling == "loose":
+        model = loose_pointer(model, np.random.default_rng(seed))
     support = draw(st.sets(st.integers(0, outcomes - 1), min_size=1))
     rng = np.random.default_rng(seed)
     phi = sum(model.measured.basis(n) @ random_unit_vector(model.measured.ranks[n], rng) for n in support)
@@ -597,8 +617,9 @@ def skewed_pointer_model(skew, tol):
     [
         (0.0, DEFAULT_TOL, set()),
         (1e-13, DEFAULT_TOL, set()),
-        # the skew leaves a Schmidt term of about 5e-12 on e0 in branch 1
-        (1e-11, DEFAULT_TOL, {"biorthogonality"}),
+        # the skew leaves a Schmidt term of about 5e-12 on e0 in branch 1,
+        # below the term cutoff of 10x the pointer's Gram residual
+        (1e-11, DEFAULT_TOL, set()),
         (
             1e-4,
             1e-3,
@@ -624,11 +645,47 @@ def test_loosely_orthonormal_pointers_are_reported_from_the_full_branch(skew, to
         branch = b.core @ b.basis.T
         assert b.weight == np.linalg.norm(branch) ** 2
         form = b.schmidt_form()
-        coefficients, basis1, basis2 = looped_schmidt_form(BipartiteState(branch / np.sqrt(b.weight)))
+        psi = BipartiteState(branch / np.sqrt(b.weight))
+        coefficients, basis1, basis2 = looped_schmidt_form(psi, b.cutoff)
         assert np.array_equal(form.coefficients, coefficients)
         assert np.array_equal(form.basis1, basis1)
         assert np.array_equal(form.basis2, basis2)
         assert report.records[b.outcome].derived == sum(b.weight * coefficients**2)
+
+
+def or_inf(check, *args):
+    try:
+        return check(*args)
+    except ValueError:
+        return float("inf")
+
+
+@settings(max_examples=150, deadline=None)
+@given(stacked_cases(couplings=(*MODEL_CASES, "loose")))
+def test_stacked_audits_equal_their_one_outcome_functions(case):
+    """The Schmidt forms, nondemolition, complement and additivity residuals
+    that derive computes per rank group equal those of the one-outcome public
+    functions bit for bit, over mixed rank groups and omitted outcomes."""
+    model, phi, coupling = case
+    psi12 = evolve(model, phi)
+    kept = branches(model, psi12)
+    forms = schmidt_forms(kept)
+    report = derive_probabilities(model, phi)
+    rho2 = pointer_density(psi12)
+    assert list(forms) == [b.outcome for b in kept]
+    for b in kept:
+        assert coupling != "loose" or np.array_equal(b.basis, np.eye(model.d2))
+        form, one = forms[b.outcome], b.schmidt_form()
+        for name in ("coefficients", "basis1", "basis2"):
+            assert np.array_equal(getattr(form, name), getattr(one, name))
+        assert report.records[b.outcome].schmidt_detail == tuple(float(b.weight * c**2) for c in one.coefficients)
+        nondemolition = verify_nondemolition(model, [b]).residuals[b.outcome]
+        assert report.audits["nondemolition"].residuals[b.outcome] == nondemolition
+        additivity = or_inf(check_additivity, rho2, one.basis2)
+        assert report.audits["additivity"].residuals[b.outcome] == additivity
+    for n, record in enumerate(report.records):
+        schmidt2 = forms[n].basis2 if n in forms else np.zeros((model.d2, 0))
+        assert record.complement_residual == or_inf(complement_check, model, psi12, n, schmidt2)
 
 
 def test_core_schmidt_forms_skip_omitted_branches():

@@ -6,7 +6,10 @@ from conftest import (
     random_orthogonal_partition,
     random_state,
     random_unit_vector,
+    random_unitary,
 )
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from envborn.hilbert import (
     Observable,
@@ -22,7 +25,7 @@ from envborn.hilbert import (
 from envborn.premeasurement import (
     PointerApparatus,
     PremeasurementModel,
-    _householder_map,
+    _householder_blocks,
     branch_norm_law,
     branches,
     build_premeasurement,
@@ -76,14 +79,20 @@ def random_model(d1, d2, outcomes, rng):
     return build_premeasurement(measured, apparatus)
 
 
+def _householder_map(origin, target):
+    """The block that sends the state ``origin`` to the state ``target``: the
+    one-column case of the stacked Householder kernel."""
+    return _householder_blocks(origin.amplitudes, target.amplitudes[:, None])[0]
+
+
 class TestHouseholderMap:
     def test_equal_states_give_identity(self):
         v = make_state([0.6, 0.8])
-        assert np.allclose(_householder_map(v, v).matrix, np.eye(2))
+        assert np.allclose(_householder_map(v, v), np.eye(2))
 
     def test_orthogonal_basis_states(self):
         u = _householder_map(basis_state(D2, 0), basis_state(D2, 1))
-        assert np.allclose(u.matrix @ [1, 0], [0, 1])
+        assert np.allclose(u @ [1, 0], [0, 1])
 
     def test_exact_on_random_complex_pairs(self):
         rng = np.random.default_rng(31)
@@ -92,14 +101,58 @@ class TestHouseholderMap:
                 x = random_state(d, rng)
                 y = random_state(d, rng)
                 u = _householder_map(x, y)
-                assert gram_residual(u.matrix) <= 1e-12
-                assert np.linalg.norm(u.matrix @ x.amplitudes - y.amplitudes) <= 1e-12
+                assert gram_residual(u) <= 1e-12
+                assert np.linalg.norm(u @ x.amplitudes - y.amplitudes) <= 1e-12
 
     def test_phase_multiple_target(self):
         x = make_state([1, 1])
         y = make_state(np.exp(0.7j) * x.amplitudes)
         u = _householder_map(x, y)
-        assert np.linalg.norm(u.matrix @ x.amplitudes - y.amplitudes) <= 1e-12
+        assert np.linalg.norm(u @ x.amplitudes - y.amplitudes) <= 1e-12
+
+
+def product_householder(ready, chi):
+    """One block ``V`` with ``V ready = chi`` as the product of its phase
+    rotation and its reflection, ``(I + a chi chi^H)(I - s w w^H)``: the form
+    the kernel's two outer products expand."""
+    # the kernel's phase: a near-orthogonal pair leaves alpha free, and the
+    # rounding of a tiny overlap picks it
+    overlap = np.einsum("j,j->", chi.conj(), ready)
+    modulus = np.hypot(overlap.real, overlap.imag)
+    alpha = overlap / modulus if modulus > 0 else 1.0
+    w = ready - alpha * chi
+    norm_w_sq = np.vdot(w, w).real
+    scale = 2.0 / norm_w_sq if norm_w_sq >= 1e-24 else 0.0
+    eye = np.eye(len(ready))
+    return (eye + (np.conj(alpha) - 1.0) * np.outer(chi, chi.conj())) @ (eye - scale * np.outer(w, w.conj()))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 12),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(["random", "ready is a pointer state", "basis states"]),
+)
+def test_stacked_householder_blocks_equal_the_outcome_loop(d, seed, case):
+    rng = np.random.default_rng(seed)
+    pointer = random_unitary(d, rng)[:, : int(rng.integers(1, d + 1))]
+    ready = random_unit_vector(d, rng)
+    if case == "ready is a pointer state":
+        k = int(rng.integers(pointer.shape[1]))
+        ready = pointer[:, k].copy()
+    elif case == "basis states":
+        pointer, ready = np.eye(d, dtype=complex)[:, ::-1], np.eye(d, dtype=complex)[:, 0]
+    blocks = _householder_blocks(ready, pointer)
+    assert blocks.shape == (pointer.shape[1], d, d)
+    for block, chi in zip(blocks, pointer.T):
+        # each block is the one the kernel forms from its column alone
+        assert np.array_equal(block, _householder_blocks(ready, chi[:, None])[0])
+        assert np.linalg.norm(block - product_householder(ready, chi)) <= 1e-14
+        assert np.linalg.norm(block @ ready - chi) <= 1e-12
+    if case == "ready is a pointer state":  # the phase rotation alone, about 1
+        assert np.linalg.norm(blocks[k] - np.eye(d)) <= 1e-14
+    if case == "basis states":  # exact permutations: e0 to e_{d-1-n}
+        assert all(np.array_equal(np.abs(block), np.abs(block) ** 2) for block in blocks)
 
 
 class TestBuildPremeasurement:
@@ -362,6 +415,14 @@ class TestApparatusInvariants:
         b = complete_observable([basis_state(POINTER2, 0), basis_state(POINTER2, 1)])
         with pytest.raises(ValueError, match="range"):
             PointerApparatus(basis_state(POINTER2, 0), b, np.eye(POINTER2)[:, ::-1])
+
+    def test_first_pointer_state_outside_its_range_is_named(self):
+        # ranks 1, 2, 1: the rank-1 outcomes share one stacked check, and the
+        # first failing outcome in order is named with its residual
+        b = Observable([0.0, 1.0, 2.0], [np.eye(4)[:, :1], np.eye(4)[:, 1:3], np.eye(4)[:, 3:]])
+        states = np.eye(4)[:, :3]  # pointer state 2 is e2, in outcome 1's range
+        with pytest.raises(ValueError, match=r"^pointer state 2 is not in the range of its projector \(residual 1.000e\+00\)$"):
+            PointerApparatus(basis_state(4, 0), b, states)
 
     def test_non_orthonormal_pointer_states(self):
         b = Observable([0.0, 1.0], [np.eye(3)[:, :2], np.eye(3)[:, 2:]])

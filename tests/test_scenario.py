@@ -18,6 +18,9 @@ from envborn.scenario import (
     ScenarioError,
     _is_number,
     _shown,
+    _complex,
+    _decode_spans,
+    _pairs as pairs,
     decode_vector,
     encode_vector,
     load_scenario,
@@ -58,6 +61,28 @@ def per_pair_decode(data, what, dim=None):
     return out
 
 
+def per_vector_spans(data, what, dim):
+    """The spans of a section decoded one vector at a time: the reference for
+    the value bits and for the message naming the first fault."""
+    if not isinstance(data, list):
+        raise ScenarioError(f"{what} must be a list of spans")
+    spans = []
+    for n, span in enumerate(data):
+        if not isinstance(span, list) or not span:
+            raise ScenarioError(f"{what}[{n}] must be a non-empty list of spanning vectors")
+        spans.append(np.array([per_pair_decode(v, f"{what}[{n}][{i}]", dim) for i, v in enumerate(span)]))
+    return spans
+
+
+def decoded_spans(decode, data, dim):
+    """Each span's dtype, shape and bits, or the exact rejection message."""
+    try:
+        spans = decode(data, "s", dim)
+    except ScenarioError as exc:
+        return str(exc)
+    return [(span.dtype, span.shape, span.tobytes()) for span in spans]
+
+
 def decoded(decode, data, dim):
     """The value's dtype, shape and bits, or the exact rejection message."""
     try:
@@ -77,6 +102,7 @@ OUT_OF_RANGE = st.sampled_from([
 ])
 # edge values that decode: signed zero, the smallest subnormal, the largest float
 IN_RANGE = st.sampled_from([-0.0, 5e-324, sys.float_info.max, -sys.float_info.max, FLOAT_MAX_INT])
+PAIR = st.lists(FINITE, min_size=2, max_size=2)
 NUMBER = st.one_of(FINITE, OUT_OF_RANGE, IN_RANGE, st.booleans(), st.integers())
 ITEM = st.one_of(
     st.lists(st.one_of(FINITE, IN_RANGE), min_size=2, max_size=2),
@@ -116,6 +142,23 @@ class TestVectorCodec:
         # without overflow; the exact bound still rejects it
         with pytest.raises(ScenarioError, match=r"v\[1\] is not finite"):
             decode_vector([[1, 0], [0, value], [math.nan, 0]], "v")
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        st.one_of(
+            st.lists(st.lists(json_vectors(), max_size=3), max_size=3),
+            st.lists(st.lists(st.lists(PAIR, min_size=2, max_size=2), min_size=1, max_size=3), max_size=3),
+            st.sampled_from([None, {}, "s", [[]], [None]]),
+        ),
+        st.integers(1, 3),
+    )
+    def test_spans_match_the_per_vector_reference(self, data, dim):
+        # a section converts in one call only when every vector is well formed;
+        # otherwise the first fault is named as one vector at a time names it
+        def decode(*args):
+            return [_complex(values) for values in _decode_spans(*args)]
+
+        assert decoded_spans(decode, data, dim) == decoded_spans(per_vector_spans, data, dim)
 
     def test_first_faulty_pair_is_named(self):
         with pytest.raises(ScenarioError, match=r"v\[1\] is not a \[re, im\] pair"):
@@ -385,23 +428,21 @@ class TestParsing:
         assert scenario.raw == before
 
     def test_each_vector_decoded_once(self, monkeypatch):
-        # complete sugar and default pointer projectors reuse their basis vectors
-        calls = []
+        # complete sugar and default pointer projectors reuse their basis
+        # vectors; every conversion of JSON vectors goes through _pairs, one
+        # call each for input_state, ready_state, the two complete basis
+        # vectors and the two pointer states
+        converted = []
 
-        def counted(data, what, dim=None):
-            calls.append(what)
-            return decode_vector(data, what, dim)
+        def counted(vectors, dim):
+            values = pairs(vectors, dim)
+            if values is not None:
+                converted.append(len(values))
+            return values
 
-        monkeypatch.setattr(envborn.scenario, "decode_vector", counted)
+        monkeypatch.setattr(envborn.scenario, "_pairs", counted)
         parse_scenario(minimal_derive()).model()
-        assert sorted(calls) == [
-            "apparatus.pointer_states[0]",
-            "apparatus.pointer_states[1]",
-            "input_state",
-            "observable.complete[0]",
-            "observable.complete[1]",
-            "ready_state",
-        ]
+        assert sorted(converted) == [1, 1, 2, 2]
 
 
 class TestBuilders:

@@ -20,10 +20,11 @@ The pipeline couples and splits once; every audit reuses those branches.
 The coupled state is a ``d1 x d2`` coefficient matrix; a branch ``core @
 basis.T`` is held only as its ``d1 x r`` core, which nondemolition audits and
 whose normalized SVD is the branch's Schmidt form.  The forms, nondemolition,
-complement and additivity each run as one stacked kernel per rank group (the
-outcomes with equal shapes); ``Branch.schmidt_form``, ``complement_check`` and
-``check_additivity`` are their one-outcome cases and equal the stacked
-values bit for bit.
+complement and additivity each run once per group of outcomes whose matrices
+share their shapes, as one call of a stacked function: ``complement_check``
+and ``check_additivity`` take one basis or a stack of them, return inf where
+their precondition fails, and compute each entry of a stack as they would
+alone.
 Factor-side steps are one-sided products on the coefficient matrix ``Psi``:
 the complement residual is the norm of ``Psi @ (Q^k)'.T`` and the pointer's
 reduced state is ``rho_2 = Psi.T @ Psi.conj()``, so no composite-space
@@ -52,7 +53,7 @@ from .hilbert import (
 )
 from .premeasurement import (
     PremeasurementModel,
-    _grouped,
+    _per_group,
     branch_norm_law,
     branches,
     evolve,
@@ -113,77 +114,52 @@ class ProbabilityReport:
 
 
 def complement_check(
-    model: PremeasurementModel,
-    psi12: BipartiteState,
-    outcome: int,
-    schmidt2: np.ndarray,
-    tol: float = DEFAULT_TOL,
-) -> float:
+    psi12: BipartiteState, pointer: np.ndarray, schmidt2: np.ndarray, tol: float = DEFAULT_TOL
+) -> float | np.ndarray:
     """Norm of ``(I (x) (Q^k)') psi = Psi @ (Q^k)'.T`` for ``(Q^k)' = Q^k - S
-    S^H``, where the orthonormal columns ``S`` of ``schmidt2`` (``d2 x r``;
-    ``r = 0`` for an omitted outcome) are the branch's factor-2 Schmidt vectors.
-    It measures the Schmidt tail that the term cutoff dropped, as
-    ``||Psi Bq^* Bq^T - Psi S^* S^T||`` for ``Q^k = Bq Bq^H``.
+    S^H``, where ``Q^k = Bq Bq^H`` for the pointer basis ``Bq = pointer``
+    (``d2 x r``) and the orthonormal columns ``S`` of ``schmidt2`` (``d2 x n``;
+    ``n = 0`` for an omitted outcome) are the branch's factor-2 Schmidt vectors.
+    It measures the Schmidt tail that the term cutoff dropped, as ``||Psi Bq^*
+    Bq^T - Psi S^* S^T||``.  For stacks of bases, the array of the residuals,
+    each computed by the same operations at any stack height.
 
     ``(Q^k)'`` is a projector when ``Q^k`` fixes ``S`` (the sub-projector
-    relation of ``sublemma_check``); a ``span_residual(Bq, S)`` beyond
-    ``tol`` raises ValueError rather than counting as a mere audit miss.
-    The one-outcome case of ``_complements``.
+    relation of ``sublemma_check``); where ``span_residual(Bq, S)`` exceeds
+    ``tol`` (NaN included) the residual is inf.
     """
-    bq = model.apparatus.pointer_observable.basis(outcome)
-    residual, relation = _complements(psi12.matrix, bq[None], np.asarray(schmidt2)[None], tol)
-    if not relation[0] <= tol:
-        raise ValueError(f"Schmidt vectors leave the pointer eigenspace: residual {relation[0]:.3e}")
-    return float(residual[0])
-
-
-def _complements(psi: np.ndarray, pointer: np.ndarray, schmidt2: np.ndarray, tol: float):
-    """``complement_check`` of each pair of a stack of ``g`` pointer bases
-    ``Bq`` (``g x d2 x r``) and factor-2 Schmidt vectors ``S`` (``g x d2 x
-    n``): the residuals, inf where the precondition fails, and the
-    preconditions' ``span_residual(Bq, S)``.  A residual does not depend on
-    the stack it was computed in."""
     relation = span_residual(pointer, schmidt2)
-    tails = (psi @ pointer.conj()) @ pointer.swapaxes(1, 2)
-    tails -= (psi @ schmidt2.conj()) @ schmidt2.swapaxes(1, 2)
-    return np.where(relation <= tol, _norms(tails), np.inf), relation
+    tails = (psi12.matrix @ pointer.conj()) @ pointer.swapaxes(-1, -2)
+    tails -= (psi12.matrix @ schmidt2.conj()) @ schmidt2.swapaxes(-1, -2)
+    # [()] makes the 0-d result of one basis a float (np.float64)
+    return np.where(relation <= tol, _norms(tails), np.inf)[()]
 
 
-def check_additivity(rho: DensityOperator, basis: np.ndarray, tol: float = DEFAULT_TOL) -> float:
+def check_additivity(
+    rho: DensityOperator, basis: np.ndarray, tol: float = DEFAULT_TOL
+) -> float | np.ndarray:
     """Finite additivity of the trace rule: ``|p(sum parts) - sum p(parts)|``
-    over the rank-1 parts ``v v^H`` of the columns ``v`` of ``basis``, each
-    part and their sum applied through its columns, with the guards of
-    ``trace_probability``.
+    over the rank-1 parts ``v v^H`` of the columns ``v`` of ``basis`` (``d x
+    n``), each part and their sum applied through its columns.  For a stack of
+    bases, the array of the residuals, each computed by the same operations at
+    any stack height.
 
     One Gram check of ``basis`` decides that the parts and their sum are
-    orthogonal projectors (a failure raises ValueError, as does a trace that
-    is no probability).  The residual is an implementation tripwire: the trace
-    is linear, so only broken code moves it.  The one-basis case of
-    ``_additivities``.
+    orthogonal projectors; the residual is inf where it exceeds ``tol`` (NaN
+    included) or where a trace ``p`` fails ``trace_probability``'s guards: an
+    imaginary part beyond ``DEFAULT_TOL`` or a value outside [0, 1] beyond it
+    (within it, ``p`` is clamped).  The residual is an implementation
+    tripwire: the trace is linear, so only broken code moves it.
     """
-    residual, gram = _additivities(rho.matrix, np.asarray(basis)[None], tol)
-    if not gram[0] <= tol:  # also rejects NaN
-        raise ValueError(f"additivity parts are not orthonormal: Gram residual {gram[0]:.3e}")
-    if residual[0] == np.inf:
-        raise ValueError(f"a trace is not a probability within {DEFAULT_TOL:.1e}")
-    return float(residual[0])
-
-
-def _additivities(rho: np.ndarray, bases: np.ndarray, tol: float):
-    """``check_additivity`` of each basis of a ``g x d x n`` stack: the
-    residuals, inf where the Gram check fails or a trace ``p`` has an
-    imaginary part beyond ``DEFAULT_TOL`` or lies outside [0, 1] beyond it
-    (within it, ``p`` is clamped), and the Gram residuals.  Entry ``[k, a, i]``
-    of ``terms`` adds ``v_i[a]^* (rho v_i)[a]`` to the trace of part ``i`` of
-    basis ``k``; a residual does not depend on the stack it was computed in."""
-    gram = gram_residual(bases)
-    terms = bases.conj() * (rho @ bases)
-    traces = np.concatenate([terms.sum(axis=(1, 2))[:, None], terms.sum(axis=1)], axis=1)
+    gram = gram_residual(basis)
+    # entry [..., a, i] adds v_i[a]^* (rho v_i)[a] to the trace of part i
+    terms = basis.conj() * (rho.matrix @ basis)
+    traces = np.concatenate([terms.sum(axis=(-2, -1))[..., None], terms.sum(axis=-2)], axis=-1)
     p = traces.real
     guarded = (abs(traces.imag) <= DEFAULT_TOL) & (p >= -DEFAULT_TOL) & (p <= 1.0 + DEFAULT_TOL)
     p = p.clip(0.0, 1.0)
-    whole, pieces = p[:, 0], p[:, 1:].sum(axis=1)
-    return np.where((gram <= tol) & guarded.all(axis=1), abs(whole - pieces), np.inf), gram
+    whole, pieces = p[..., 0], p[..., 1:].sum(axis=-1)
+    return np.where((gram <= tol) & guarded.all(axis=-1), abs(whole - pieces), np.inf)[()]
 
 
 def derive_probabilities(
@@ -216,9 +192,8 @@ def derive_probabilities(
     kept = branches(model, psi12)
     rho_phi = pure_density(phi)
     rho2 = pointer_density(psi12)
-    oracle = [
-        trace_probability(model.measured.basis(n), rho_phi) for n in range(model.outcome_count)
-    ]
+    outcomes = range(model.outcome_count)
+    oracle = [trace_probability(model.measured.basis(n), rho_phi) for n in outcomes]
     forms = schmidt_forms(kept)
     weights = {b.outcome: b.weight for b in kept}
 
@@ -226,19 +201,14 @@ def derive_probabilities(
     # vectors are its basis times the core's orthonormal SVD vectors, inside
     # range(Q^k), and the pointer projectors are mutually orthogonal.
     biorthogonality = gram_residual(np.hstack([form.basis1 for form in forms.values()]))
-    # complement and additivity: one stacked call per group of outcomes with
-    # equal pointer ranks and numbers of Schmidt terms (0 for an omitted outcome)
-    pointer = model.apparatus.pointer_observable
+    # complement: one stacked call per group of outcomes with equal pointer
+    # ranks and numbers of Schmidt terms (0 for an omitted outcome);
+    # additivity: one per group of kept branches with equal numbers of terms
+    pointer = list(map(model.apparatus.pointer_observable.basis, outcomes))
     empty = np.zeros((model.d2, 0))
-    complement, additivity = {}, {}
-    for group in _grouped(
-        range(model.outcome_count), lambda n: (pointer.ranks[n], len(forms[n]) if n in forms else 0)
-    ).values():
-        schmidt2 = np.array([forms[n].basis2 if n in forms else empty for n in group])
-        bq = np.array(list(map(pointer.basis, group)))
-        complement.update(zip(group, _complements(psi12.matrix, bq, schmidt2, tol)[0].tolist()))
-        if group[0] in forms:
-            additivity.update(zip(group, _additivities(rho2.matrix, schmidt2, tol)[0].tolist()))
+    schmidt2 = [forms[n].basis2 if n in forms else empty for n in outcomes]
+    complement = _per_group(lambda b, s: complement_check(psi12, b, s, tol), pointer, schmidt2)
+    additivity = _per_group(lambda s: check_additivity(rho2, s, tol), [schmidt2[n] for n in forms])
     records = []
     for n, eigenvalue in enumerate(model.measured.eigenvalues):
         form = forms.get(n)
@@ -257,7 +227,7 @@ def derive_probabilities(
             "nondemolition": verify_nondemolition(model, kept, tol),
             "norm_law": branch_norm_law(kept, oracle, tol),
             "biorthogonality": Audit({None: biorthogonality}, tol),
-            "additivity": Audit({n: additivity[n] for n in forms}, tol),
+            "additivity": Audit(dict(zip(forms, additivity)), tol),
             "complement": Audit({n: complement[n] for n in forms}, tol),
             "prc": Audit({r.outcome: r.residual for r in records}, tol),
         },

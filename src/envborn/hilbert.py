@@ -324,9 +324,10 @@ def orthonormalize(vectors: Iterable[np.ndarray]) -> np.ndarray:
     the columns of a ``dim x count`` matrix.
     An entry that is zero in every input vector stays exactly zero.
 
-    Raises ValueError when the input set is empty, mixes lengths or is
-    linearly dependent (residual norm below ``DEPENDENCE_TOL`` relative to the
-    input norm).
+    Raises ValueError when the input set is empty, mixes lengths, holds a
+    vector whose norm overflows (as ``make_state`` does) or is linearly
+    dependent (residual norm below ``DEPENDENCE_TOL`` relative to the input
+    norm).
     """
     columns = list(vectors)
     if not columns:
@@ -334,7 +335,10 @@ def orthonormalize(vectors: Iterable[np.ndarray]) -> np.ndarray:
     basis = np.empty((len(_as_vector(columns[0])), len(columns)), dtype=complex)
     for k, v in enumerate(columns):
         w = _as_vector(v, len(basis)).copy()
-        scale = norm = np.linalg.norm(w)
+        with np.errstate(over="ignore"):
+            scale = norm = np.linalg.norm(w)
+        if not np.isfinite(scale):
+            raise ValueError(f"cannot normalize a vector of norm {scale:.3e}")
         if k:  # the first vector has no basis to lose a projection on
             q = basis[:, :k]
             for _ in range(2):

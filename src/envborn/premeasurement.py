@@ -29,10 +29,12 @@ matrix.  Every other step acts on one factor as a one-sided product on
 and ``(P (x) I) psi`` is ``B (B^H Psi)``.
 
 The per-outcome steps run once per rank group, the outcomes whose matrices
-share a shape: calibration, the branches' Schmidt forms and nondemolition
-each make one stacked call per group.  A stacked call computes each matrix
-of its stack by the same operations as a stack of one, so a residual or a
-form does not depend on the group it was computed in.
+share their shapes: ``_per_group`` stacks each group's matrices for one call
+of the step's kernel, for the pointer states' range check, calibration, the
+branches' Schmidt forms and nondemolition (and for complement and additivity
+in ``born``).  A kernel computes each matrix of its stack by the same
+operations as a stack of one, so a residual or a form does not depend on the
+group it was computed in.
 """
 
 from __future__ import annotations
@@ -75,12 +77,23 @@ __all__ = [
 ]
 
 
-def _grouped(items, key) -> dict:
-    """``items`` by ``key(item)``, each group in the order of ``items``."""
+def _per_group(kernel, *items) -> list:
+    """``kernel`` called once per group of entries whose arrays share their
+    shapes, where entry ``i`` is ``item[i]`` of each sequence in ``items`` (a
+    NumPy array or scalar): each call gets, per sequence, the stack of its
+    group's arrays.  Returns the kernel's results, one per entry, in entry
+    order; an array of results comes back as Python floats."""
     groups: dict = {}
-    for item in items:
-        groups.setdefault(key(item), []).append(item)
-    return groups
+    for i, shapes in enumerate(zip(*([a.shape for a in item] for item in items))):
+        groups.setdefault(shapes, []).append(i)
+    if len(groups) == 1:  # one group: each sequence is stacked whole, with no gathering
+        found = kernel(*map(np.array, items))
+        return found.tolist() if isinstance(found, np.ndarray) else list(found)
+    results: dict = {}
+    for group in groups.values():
+        found = kernel(*(np.array([item[i] for i in group]) for item in items))
+        results.update(zip(group, found.tolist() if isinstance(found, np.ndarray) else found))
+    return [results[i] for i in range(len(items[0]))]
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,10 +130,8 @@ class PointerApparatus:
             raise ValueError("pointer states are not normalized")
         if not gram_residual(states) <= self.tol:  # also rejects NaN
             raise ValueError("pointer states are not orthonormal within tolerance")
-        residuals = np.empty(obs.outcome_count)  # one stacked call per rank
-        for group in _grouped(range(obs.outcome_count), obs.ranks.__getitem__).values():
-            bases = np.array(list(map(obs.basis, group)))
-            residuals[group] = span_residual(bases, states.T[group, :, None])
+        bases = list(map(obs.basis, range(obs.outcome_count)))
+        residuals = np.array(_per_group(span_residual, bases, states.T[:, :, None]))
         failing = np.flatnonzero(residuals > self.tol)
         if failing.size:
             n = int(failing[0])
@@ -258,24 +269,19 @@ class Branch:
         for name in ("core", "basis"):
             object.__setattr__(self, name, _freeze(getattr(self, name)))
 
-    def schmidt_form(self) -> SchmidtForm:
-        """The Schmidt form of the normalized term, from its normalized core:
-        the one-branch case of ``schmidt_forms``."""
-        return schmidt_forms([self])[self.outcome]
-
 
 def schmidt_forms(kept: Sequence[Branch]) -> dict[int, SchmidtForm]:
     """The Schmidt form of each branch's normalized term by outcome, from one
-    ``schmidt_decompose_cores`` call per group of equal core shapes and cutoffs;
-    a form does not depend on the group it was computed in."""
-    forms = {}
-    for group in _grouped(kept, lambda b: (b.core.shape, b.cutoff)).values():
-        cores = np.array([b.core for b in group])
-        weights = np.array([b.weight for b in group])
-        bases = np.array([b.basis for b in group])
-        found = schmidt_decompose_cores(cores / np.sqrt(weights)[:, None, None], bases, group[0].cutoff)
-        forms.update(zip((b.outcome for b in group), found))
-    return {b.outcome: forms[b.outcome] for b in kept}
+    ``schmidt_decompose_cores`` call per group of equal core shapes, each
+    branch with its own cutoff; a form does not depend on the group it was
+    computed in."""
+    forms = _per_group(
+        lambda cores, bases, cutoffs: schmidt_decompose_cores(cores, bases, cutoffs[:, None]),
+        [b.core / np.sqrt(b.weight) for b in kept],
+        [b.basis for b in kept],
+        np.array([b.cutoff for b in kept]),
+    )
+    return dict(zip((b.outcome for b in kept), forms))
 
 
 def _householder_blocks(ready: np.ndarray, targets: np.ndarray) -> np.ndarray:
@@ -394,24 +400,25 @@ def verify_calibration(model: PremeasurementModel, tol: float = DEFAULT_TOL) -> 
     so every residual equals the one of a single outcome.
     """
     d1, d2 = model.d1, model.d2
-    measured, pointer = model.measured, model.apparatus.pointer_observable
-    groups = _grouped(range(model.outcome_count), lambda n: (measured.ranks[n], pointer.ranks[n]))
-    residuals = np.empty(model.outcome_count)
-    for (r, _), group in groups.items():
-        g = len(group)
-        outputs, triangle = np.linalg.qr(model.ready_map @ np.array(list(map(measured.basis, group))))
+
+    def leak_norms(a, b):  # the measured and the pointer bases of a rank group
+        g, r = a.shape[0], a.shape[2]
+        outputs, triangle = np.linalg.qr(model.ready_map @ a)
         # the rows of psi[k] are the d1 rows of the coefficient matrix of output k
         psi = outputs.transpose(0, 2, 1).reshape(g, r * d1, d2)
         del outputs  # a group's stack is as large as all of its outcomes' matrices
-        b = np.array(list(map(pointer.basis, group)))
         leak = (psi @ b.conj()) @ b.transpose(0, 2, 1)
         leak -= psi
         leak = leak.reshape(g, r, d1 * d2)
         top = np.linalg.eigvalsh(leak @ leak.conj().transpose(0, 2, 1))[:, -1]
         singular = np.linalg.svd(triangle, compute_uv=False)
         cutoff = singular[:, 0] * max(d1 * d2, r) * np.finfo(float).eps
-        residuals[group] = np.where(singular[:, -1] <= cutoff, np.inf, np.sqrt(top))
-    return Audit(dict(enumerate(residuals.tolist())), tol)
+        return np.where(singular[:, -1] <= cutoff, np.inf, np.sqrt(top))
+
+    outcomes = range(model.outcome_count)
+    measured = list(map(model.measured.basis, outcomes))
+    pointer = list(map(model.apparatus.pointer_observable.basis, outcomes))
+    return Audit(dict(enumerate(_per_group(leak_norms, measured, pointer))), tol)
 
 
 def verify_nondemolition(
@@ -425,12 +432,9 @@ def verify_nondemolition(
     orthonormal rows, so ``||P^k K_k - K_k||`` is the same norm.  One stacked
     residual per group of equal measured ranks and core shapes; a residual does
     not depend on the group it was computed in."""
-    residuals = {}
-    for group in _grouped(kept, lambda b: (model.measured.ranks[b.outcome], b.core.shape)).values():
-        bases = np.array([model.measured.basis(b.outcome) for b in group])
-        found = span_residual(bases, np.array([b.core for b in group]))
-        residuals.update(zip((b.outcome for b in group), found.tolist()))
-    return Audit({b.outcome: residuals[b.outcome] for b in kept}, tol)
+    bases = [model.measured.basis(b.outcome) for b in kept]
+    residuals = _per_group(span_residual, bases, [b.core for b in kept])
+    return Audit(dict(zip((b.outcome for b in kept), residuals)), tol)
 
 
 def branch_norm_law(

@@ -159,14 +159,17 @@ def schmidt_decompose(psi: BipartiteState) -> SchmidtForm:
 
 
 def schmidt_decompose_cores(
-    cores: np.ndarray, bases: np.ndarray | None = None, cutoff: float = ZERO_BRANCH_THRESHOLD
+    cores: np.ndarray,
+    bases: np.ndarray | None = None,
+    cutoff: float | np.ndarray = ZERO_BRANCH_THRESHOLD,
 ) -> list[SchmidtForm]:
     """``schmidt_decompose`` of each state ``cores[k] @ bases[k].T`` of a stack
     (``g x d1 x r`` cores, ``g x d2 x r`` bases with orthonormal columns, or no
     bases for the states ``cores[k]`` themselves), from one stacked SVD of the
     cores: ``bases[k].T`` has orthonormal rows, so a state's coefficients and
     factor-1 vectors are its core's, and its factor-2 vectors are ``bases[k] @ v``.
-    Terms below ``cutoff`` are dropped.
+    Terms below ``cutoff`` are dropped; a ``g x 1`` column of cutoffs gives
+    each state its own.
 
     The phase fix and the ordering act on the whole stack, and the forms that
     keep equal numbers of terms are checked as one stack by ``SchmidtForm``'s
@@ -305,7 +308,8 @@ def sublemma_check(psi: BipartiteState, basis: np.ndarray) -> Audit:
     which is already within ``DEFAULT_TOL``.
 
     Public as one of the paper's witnesses; the derivation pipeline applies
-    the relation through ``born.complement_check`` instead.
+    the relation through ``born.complement_check`` instead, which records inf
+    where the relation fails.
     """
     basis = _projector_basis(basis, psi.d2)
     hypothesis = span_residual(basis, psi.matrix.T)

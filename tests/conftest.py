@@ -1,6 +1,7 @@
 """Shared builders for randomized premeasurement scenarios, the seeded random
 generators they draw from, composite-space reference helpers for the one-sided
-products of the library, and random projector bases."""
+products of the library, random projector bases, and scenario documents shared
+by the parser and CLI tests."""
 
 import numpy as np
 from hypothesis.vendor import pretty
@@ -179,3 +180,22 @@ def entangle_branches(model, rng):
     mixer -= block_total  # identity outside the blocks, random inside
     unitary = Operator(mixer @ dense_coupling(model))
     return PremeasurementModel(model.measured, model.apparatus, unitary)
+
+
+def overflowing_span_scenario(section: str) -> dict:
+    """A 2x2 derive scenario document whose second ``section`` projector
+    (``observable`` or ``apparatus``) is spanned by a vector holding the
+    largest float: a valid direction whose norm overflows."""
+    spans = [[[[1, 0], [0, 0]]], [[[0, 0], [1.7976931348623157e308, 0]]]]
+    basis = [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]
+    data = {
+        "dims": [2, 2],
+        "observable": {"complete": basis},
+        "apparatus": {"ready_state": basis[0], "pointer_states": basis},
+        "input_state": [[1, 0], [1, 0]],
+    }
+    if section == "observable":
+        data["observable"] = {"eigenvalues": [0, 1], "projectors": spans}
+    else:
+        data["apparatus"]["pointer_projectors"] = spans
+    return data

@@ -54,6 +54,7 @@ from envborn.premeasurement import (
     branches,
     build_premeasurement,
     evolve,
+    schmidt_forms,
     verify_nondemolition,
 )
 from envborn.scenario import load_scenario
@@ -146,7 +147,7 @@ FAILURES = [
         "additivity",
         qubit_cnot,
         1e-10,
-        ("p[:, 1:].sum(axis=1)", "p[:, 1:-1].sum(axis=1)"),
+        ("p[..., 1:].sum(axis=-1)", "p[..., 1:-1].sum(axis=-1)"),
         {"additivity"},
         0.64,
     ),
@@ -316,17 +317,21 @@ def test_one_check_forms_match_previous_forms(tol):
                 branch = kept[n].core @ kept[n].basis.T
                 assert_same(nondemolition.residuals[n], np.linalg.norm(p @ branch - branch))
 
-        for b in kept.values():
-            basis2 = b.schmidt_form().basis2
-            other = (b.outcome + 1) % model.outcome_count
+        # the current forms record inf where the previous ones raised
+        pointer = model.apparatus.pointer_observable
+        for n, form in schmidt_forms(tuple(kept.values())).items():
+            basis2 = form.basis2
             cases = [
-                (previous_check_additivity, check_additivity, (rho2, basis2, tol)),
-                (previous_check_additivity, check_additivity, (rho2, 2 * basis2, tol)),
-                (previous_complement_check, complement_check, (model, psi12, b.outcome, basis2, tol)),
-                (previous_complement_check, complement_check, (model, psi12, other, basis2, tol)),
+                (check_additivity(rho2, s, tol), or_inf(previous_check_additivity, rho2, s, tol))
+                for s in (basis2, 2 * basis2)
+            ] + [
+                (
+                    complement_check(psi12, pointer.basis(k), basis2, tol),
+                    or_inf(previous_complement_check, model, psi12, k, basis2, tol),
+                )
+                for k in (n, (n + 1) % model.outcome_count)
             ]
-            for previous, current, args in cases:
-                value = or_inf(current, *args)
-                assert_same(value, or_inf(previous, *args))
+            for value, reference in cases:
+                assert_same(value, reference)
                 decisions[value < float("inf")] += 1
     assert decisions[True] > 500 and decisions[False] > 300

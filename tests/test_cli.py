@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import random_unit_vector, random_unitary
+from conftest import overflowing_span_scenario, random_unit_vector, random_unitary
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -569,6 +569,16 @@ class TestInputHardening:
         assert (code, err) == (
             2,
             "error: invalid input_state: cannot normalize a vector of norm inf\n",
+        )
+
+    @pytest.mark.parametrize("section", ["observable", "apparatus"])
+    def test_span_vector_with_an_overflowing_norm(self, tmp_path, section):
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(overflowing_span_scenario(section)), encoding="utf-8")
+        assert run_cli(["derive", str(path)]) == (
+            2,
+            "",
+            f"error: invalid {section}: cannot normalize a vector of norm inf\n",
         )
 
     @pytest.mark.parametrize("command", ["derive", "sample"])

@@ -198,13 +198,14 @@ def test_one_sided_products_match_composite_lifts(case, seed):
     for n, q in enumerate(pointer_projectors):
         schmidt2 = np.zeros((d2, 0))
         if n in kept:
-            schmidt2 = kept[n].schmidt_form().basis2
+            schmidt2 = schmidt_forms([kept[n]])[n].basis2
         comp = q - sum(
             (np.outer(v, v.conj()) for v in schmidt2.T),
             np.zeros((d2, d2), dtype=complex),
         )
         expected = np.linalg.norm(pointer_lift(model, comp) @ vec)
-        assert abs(complement_check(model, psi12, n, schmidt2) - expected) <= AGREE
+        bq = model.apparatus.pointer_observable.basis(n)
+        assert abs(complement_check(psi12, bq, schmidt2) - expected) <= AGREE
 
     rho2 = pointer_density(psi12)
     assert np.linalg.norm(rho2.matrix - lifted_partial_trace(vec, d1, d2)) <= AGREE
@@ -583,7 +584,7 @@ def test_core_schmidt_forms_equal_the_branch_loop(case):
     kept = branches(model, evolve(model, phi))
     records = derive_probabilities(model, phi).records
     for b in kept:
-        form = b.schmidt_form()
+        form = schmidt_forms([b])[b.outcome]
         branch = b.core @ b.basis.T
         psi = BipartiteState(branch / np.sqrt(b.weight))
         coefficients, _, _ = looped_schmidt_form(psi)
@@ -644,7 +645,7 @@ def test_loosely_orthonormal_pointers_are_reported_from_the_full_branch(skew, to
         assert np.array_equal(b.basis, np.eye(4))
         branch = b.core @ b.basis.T
         assert b.weight == np.linalg.norm(branch) ** 2
-        form = b.schmidt_form()
+        form = schmidt_forms([b])[b.outcome]
         psi = BipartiteState(branch / np.sqrt(b.weight))
         coefficients, basis1, basis2 = looped_schmidt_form(psi, b.cutoff)
         assert np.array_equal(form.coefficients, coefficients)
@@ -653,39 +654,35 @@ def test_loosely_orthonormal_pointers_are_reported_from_the_full_branch(skew, to
         assert report.records[b.outcome].derived == sum(b.weight * coefficients**2)
 
 
-def or_inf(check, *args):
-    try:
-        return check(*args)
-    except ValueError:
-        return float("inf")
-
-
 @settings(max_examples=150, deadline=None)
 @given(stacked_cases(couplings=(*MODEL_CASES, "loose")))
 def test_stacked_audits_equal_their_one_outcome_functions(case):
     """The Schmidt forms, nondemolition, complement and additivity residuals
-    that derive computes per rank group equal those of the one-outcome public
-    functions bit for bit, over mixed rank groups and omitted outcomes."""
+    that derive computes per rank group equal those of the public stacked
+    functions called on each outcome alone, a stack of one, bit for bit, over
+    mixed rank groups and omitted outcomes."""
     model, phi, coupling = case
     psi12 = evolve(model, phi)
     kept = branches(model, psi12)
     forms = schmidt_forms(kept)
     report = derive_probabilities(model, phi)
     rho2 = pointer_density(psi12)
+    pointer = model.apparatus.pointer_observable
     assert list(forms) == [b.outcome for b in kept]
     for b in kept:
         assert coupling != "loose" or np.array_equal(b.basis, np.eye(model.d2))
-        form, one = forms[b.outcome], b.schmidt_form()
+        form, one = forms[b.outcome], schmidt_forms([b])[b.outcome]
         for name in ("coefficients", "basis1", "basis2"):
             assert np.array_equal(getattr(form, name), getattr(one, name))
         assert report.records[b.outcome].schmidt_detail == tuple(float(b.weight * c**2) for c in one.coefficients)
         nondemolition = verify_nondemolition(model, [b]).residuals[b.outcome]
         assert report.audits["nondemolition"].residuals[b.outcome] == nondemolition
-        additivity = or_inf(check_additivity, rho2, one.basis2)
+        (additivity,) = check_additivity(rho2, one.basis2[None])
         assert report.audits["additivity"].residuals[b.outcome] == additivity
     for n, record in enumerate(report.records):
         schmidt2 = forms[n].basis2 if n in forms else np.zeros((model.d2, 0))
-        assert record.complement_residual == or_inf(complement_check, model, psi12, n, schmidt2)
+        (complement,) = complement_check(psi12, pointer.basis(n)[None], schmidt2[None])
+        assert record.complement_residual == complement
 
 
 def test_core_schmidt_forms_skip_omitted_branches():

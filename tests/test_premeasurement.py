@@ -26,6 +26,7 @@ from envborn.premeasurement import (
     PointerApparatus,
     PremeasurementModel,
     _householder_blocks,
+    _per_group,
     branch_norm_law,
     branches,
     build_premeasurement,
@@ -153,6 +154,32 @@ def test_stacked_householder_blocks_equal_the_outcome_loop(d, seed, case):
         assert np.linalg.norm(blocks[k] - np.eye(d)) <= 1e-14
     if case == "basis states":  # exact permutations: e0 to e_{d-1-n}
         assert all(np.array_equal(np.abs(block), np.abs(block) ** 2) for block in blocks)
+
+
+def test_per_group_calls_the_kernel_once_per_shape_in_entry_order():
+    # entries of lengths 2, 1, 2, 3, 1 form three interleaved groups
+    calls = []
+
+    def kernel(values, labels):
+        calls.append((values.tolist(), labels.tolist()))
+        return values.sum(axis=1)
+
+    values = [np.full(k, float(i)) for i, k in enumerate((2, 1, 2, 3, 1))]
+    labels = np.array(list("abcde"))
+    results = _per_group(kernel, values, labels)
+    assert results == [0.0, 1.0, 4.0, 9.0, 4.0]
+    assert all(type(r) is float for r in results)
+    assert calls == [
+        ([[0.0, 0.0], [2.0, 2.0]], ["a", "c"]),
+        ([[1.0], [4.0]], ["b", "e"]),
+        ([[3.0, 3.0, 3.0]], ["d"]),
+    ]
+    # one group is one call on the sequences whole
+    calls.clear()
+    assert _per_group(kernel, values[:3:2], labels[:3:2]) == [0.0, 4.0]
+    assert calls == [([[0.0, 0.0], [2.0, 2.0]], ["a", "c"])]
+    # a kernel's list of results is scattered as it is
+    assert _per_group(lambda v: [f"n{len(x)}" for x in v], values) == ["n2", "n1", "n2", "n3", "n1"]
 
 
 class TestBuildPremeasurement:

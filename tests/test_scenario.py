@@ -6,7 +6,7 @@ from importlib import resources
 
 import numpy as np
 import pytest
-from conftest import dense_coupling
+from conftest import dense_coupling, overflowing_span_scenario
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -316,6 +316,13 @@ class TestParsing:
         data = {"mixture": {"components": components, "auto_purify": True}}
         with pytest.raises(ScenarioError, match=f"^invalid mixture component 1: {reason}$"):
             parse_scenario(data)
+
+    @pytest.mark.parametrize("section", ["observable", "apparatus"])
+    def test_span_vector_with_an_overflowing_norm(self, section):
+        # a valid direction whose norm overflows is rejected as make_state
+        # rejects such a vector, with no RuntimeWarning (an error in this suite)
+        with pytest.raises(ScenarioError, match=f"^invalid {section}: cannot normalize a vector of norm inf$"):
+            parse_scenario(overflowing_span_scenario(section))
 
     def test_mixture_components_normalized_as_unit_columns(self):
         components = [

@@ -12,14 +12,19 @@ from envborn.ensemble import COUNT_BY_COMPARISON
 from envborn.premeasurement import build_premeasurement
 from envborn.scenario import load_scenario
 
-BENCH = Path(__file__).resolve().parent.parent / "tools" / "bench.py"
+TOOLS = Path(__file__).resolve().parent.parent / "tools"
+BENCH = TOOLS / "bench.py"
+
+
+def load_tool(path):
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
 
 
 def load_bench():
-    spec = importlib.util.spec_from_file_location("bench", BENCH)
-    bench = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(bench)
-    return bench
+    return load_tool(BENCH)
 
 
 def test_bench_random_case_builds_and_derives():
@@ -171,3 +176,33 @@ def test_bench_records_the_bytecode_state(tmp_path, monkeypatch):
     assert bench.bytecode_cached(tmp_path)
     (package / "mod.py").write_text("x = 22\n", encoding="utf-8")  # stale: the size differs
     assert not bench.bytecode_cached(tmp_path)
+
+
+LOC_SNIPPET = '''"""A module docstring
+over two lines."""
+
+import numpy as np  # a comment after code
+
+
+def f(x):
+    """A one-line docstring."""
+    # a comment line
+    y = np.array(
+        [x, x],  # one expression over three lines
+    )
+    return y
+'''
+
+
+def test_loc_counts_lines_and_code_lines(tmp_path, capsys):
+    loc = load_tool(TOOLS / "loc.py")
+    # the import, the def, the three lines of the expression and the return
+    assert loc.code_lines(LOC_SNIPPET) == 6
+    assert loc.code_lines("") == 0
+    package = tmp_path / "envborn"
+    package.mkdir()
+    (package / "a.py").write_text(LOC_SNIPPET, encoding="utf-8")
+    (package / "b.py").write_text("x = 1\n\n", encoding="utf-8")
+    assert loc.main([str(tmp_path)]) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert rows == [["module", "lines", "code"], ["a.py", "13", "6"], ["b.py", "2", "1"], ["total", "15", "7"]]

@@ -193,7 +193,7 @@ def derive_probabilities(
     rho_phi = pure_density(phi)
     rho2 = pointer_density(psi12)
     outcomes = range(model.outcome_count)
-    oracle = [trace_probability(model.measured.basis(n), rho_phi) for n in outcomes]
+    oracle = [trace_probability(b, rho_phi) for b in model.measured.bases]
     forms = schmidt_forms(kept)
     weights = {b.outcome: b.weight for b in kept}
 
@@ -204,7 +204,7 @@ def derive_probabilities(
     # complement: one stacked call per group of outcomes with equal pointer
     # ranks and numbers of Schmidt terms (0 for an omitted outcome);
     # additivity: one per group of kept branches with equal numbers of terms
-    pointer = list(map(model.apparatus.pointer_observable.basis, outcomes))
+    pointer = model.apparatus.pointer_observable.bases
     empty = np.zeros((model.d2, 0))
     schmidt2 = [forms[n].basis2 if n in forms else empty for n in outcomes]
     complement = _per_group(lambda b, s: complement_check(psi12, b, s, tol), pointer, schmidt2)

@@ -183,12 +183,7 @@ def run_mixtures(scenario: Scenario) -> dict:
 def run_sample(scenario: Scenario, fail_fast: bool = False) -> dict:
     derivation, derived, derive_ok = _derivation_section(scenario)
     sampling = scenario.sampling()
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "sample",
-        "scenario": scenario.raw,
-        "derivation": derivation,
-    }
+    report = _envelope("sample", scenario, "derivation", derivation, False)
     run = None
     if derive_ok or not fail_fast:
         try:  # at the derivation's own sum tolerance
@@ -197,7 +192,6 @@ def run_sample(scenario: Scenario, fail_fast: bool = False) -> dict:
             pass
     if run is None:
         report["sampling"] = None
-        report["pass"] = False
         return report
     bias = sampling.get("bias")
     if bias is not None:
@@ -290,7 +284,9 @@ def _render_stored(report) -> str:
     if report.get("schema_version") != SCHEMA_VERSION:
         raise ValueError(f"has unsupported schema {report.get('schema_version')!r}")
     try:
-        return render_text(report)
+        text = render_text(report)
+        text.encode()  # a lone surrogate, valid in JSON, has no UTF-8 form
+        return text
     except KeyError as exc:
         raise ValueError(f"is not a valid envborn report: missing field {exc}") from exc
     except (AttributeError, IndexError, TypeError, ValueError, ArithmeticError) as exc:

@@ -17,7 +17,7 @@ norms are Frobenius, vector norms Euclidean.
 from __future__ import annotations
 
 import sys
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -168,23 +168,25 @@ class Observable:
     eigenspace; eigenvalues may be arbitrarily degenerate.
 
     The bases are kept side by side as one ``dim x dim`` matrix ``matrix =
-    [B_1 | ... | B_N]`` with ``ranks = (r_1, ..., r_N)``.  Its blocks are
-    orthonormal, mutually orthogonal and complete exactly when it is unitary,
-    so one Gram residual decides all three; for a square matrix it equals the
-    completeness residual ``||sum_n P^n - I||`` of ``P^n = B_n B_n^H``; it is
-    kept as ``residual``, and bounds the Gram residual of every block.
+    [B_1 | ... | B_N]`` with ``ranks = (r_1, ..., r_N)``, and ``bases`` holds
+    each ``B_n`` as a read-only view of its columns.  The blocks are
+    orthonormal, mutually orthogonal and complete exactly when ``matrix`` is
+    unitary, so one Gram residual decides all three; for a square matrix it
+    equals the completeness residual ``||sum_n P^n - I||`` of ``P^n = B_n
+    B_n^H``; it is kept as ``residual``, and bounds the Gram residual of every
+    block.
     """
 
     eigenvalues: tuple[float, ...]
-    bases: InitVar[Sequence[np.ndarray]]
+    bases: Sequence[np.ndarray] = field(repr=False)
     tol: float = DEFAULT_TOL
     matrix: np.ndarray = field(init=False, repr=False)
     ranks: tuple[int, ...] = field(init=False)
     residual: float = field(init=False, repr=False)
 
-    def __post_init__(self, bases):
+    def __post_init__(self):
         values = tuple(float(v) for v in self.eigenvalues)
-        blocks = [np.asarray(b, dtype=complex) for b in bases]
+        blocks = [np.asarray(b, dtype=complex) for b in self.bases]
         if len(values) != len(blocks):
             raise ValueError("eigenvalues and eigenspace bases must have the same length")
         if not blocks:
@@ -206,6 +208,7 @@ class Observable:
                 f"eigenspace bases are not orthonormal and complete: residual {residual:.3e}"
             )
         object.__setattr__(self, "eigenvalues", values)
+        object.__setattr__(self, "bases", tuple(np.split(matrix, np.cumsum(ranks[:-1]), axis=1)))
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "ranks", ranks)
         object.__setattr__(self, "residual", residual)
@@ -217,11 +220,6 @@ class Observable:
     @property
     def outcome_count(self) -> int:
         return len(self.eigenvalues)
-
-    def basis(self, n: int) -> np.ndarray:
-        """``B_n``, the columns of ``matrix`` that span eigenspace ``n``."""
-        start = sum(self.ranks[:n])
-        return self.matrix[:, start : start + self.ranks[n]]
 
 
 @dataclass(frozen=True, eq=False)

@@ -130,8 +130,7 @@ class PointerApparatus:
             raise ValueError("pointer states are not normalized")
         if not gram_residual(states) <= self.tol:  # also rejects NaN
             raise ValueError("pointer states are not orthonormal within tolerance")
-        bases = list(map(obs.basis, range(obs.outcome_count)))
-        residuals = np.array(_per_group(span_residual, bases, states.T[:, :, None]))
+        residuals = np.array(_per_group(span_residual, obs.bases, states.T[:, :, None]))
         failing = np.flatnonzero(residuals > self.tol)
         if failing.size:
             n = int(failing[0])
@@ -240,7 +239,7 @@ def _block_unitarity_residual(measured: Observable, v: np.ndarray) -> float:
     from ``U^H U = sum_{n,m} (P^n^H P^m) (x) (V_n^H V_m)``: row ``(n, m)`` of
     ``grams(x)`` is ``vec(x[n]^H x[m])``, so entry ``[(i, j), (a, b)]`` of the
     product below is ``<i, a| U^H U |j, b>``, in an order the norm ignores."""
-    p = np.array([b @ b.conj().T for b in map(measured.basis, range(len(v)))])
+    p = np.array([b @ b.conj().T for b in measured.bases])
 
     def grams(x):
         return np.einsum("nij,mik->nmjk", x.conj(), x, optimize=True).reshape(len(x) ** 2, -1)
@@ -299,7 +298,9 @@ def _householder_blocks(ready: np.ndarray, targets: np.ndarray) -> np.ndarray:
     overlap = np.einsum("nj,j->n", y.conj(), ready)
     # hypot rounds as scalar abs() does; np.abs on arrays may differ in the last bit
     modulus = np.hypot(overlap.real, overlap.imag)
-    alpha = np.divide(overlap, modulus, out=np.ones_like(overlap), where=modulus > 0)
+    # a subnormal overlap overflows the division; alpha = 1 then still maps ready
+    # to the target, to within the overlap's modulus
+    alpha = np.divide(overlap, modulus, out=np.ones_like(overlap), where=modulus >= np.finfo(float).tiny)
     w = ready - alpha[:, None] * y
     norm_w_sq = np.einsum("nj,nj->n", w.conj(), w).real
     # dividing by <w, w> instead of normalizing w keeps basis-to-basis maps
@@ -365,10 +366,9 @@ def branches(model: PremeasurementModel, psi12: BipartiteState) -> tuple[Branch,
     exact = pointer.residual <= NORM_TOL
     # the loose route's cores are d1 x d2; the cap never binds on an exact pointer
     cutoff = term_cutoff(pointer.residual, min(model.d1, model.d2))
-    product, start, kept = psi12.matrix @ pointer.matrix.conj(), 0, []
-    for n, rank in enumerate(pointer.ranks):
-        core, b = product[:, start : start + rank], pointer.basis(n)
-        start += rank
+    cores = np.split(psi12.matrix @ pointer.matrix.conj(), np.cumsum(pointer.ranks[:-1]), axis=1)
+    kept = []
+    for n, (core, b) in enumerate(zip(cores, pointer.bases)):
         if not exact:
             core, b = core @ b.T, np.eye(model.d2)
         weight = float(np.linalg.norm(core) ** 2)
@@ -415,10 +415,8 @@ def verify_calibration(model: PremeasurementModel, tol: float = DEFAULT_TOL) -> 
         cutoff = singular[:, 0] * max(d1 * d2, r) * np.finfo(float).eps
         return np.where(singular[:, -1] <= cutoff, np.inf, np.sqrt(top))
 
-    outcomes = range(model.outcome_count)
-    measured = list(map(model.measured.basis, outcomes))
-    pointer = list(map(model.apparatus.pointer_observable.basis, outcomes))
-    return Audit(dict(enumerate(_per_group(leak_norms, measured, pointer))), tol)
+    pointer = model.apparatus.pointer_observable
+    return Audit(dict(enumerate(_per_group(leak_norms, model.measured.bases, pointer.bases))), tol)
 
 
 def verify_nondemolition(
@@ -432,7 +430,7 @@ def verify_nondemolition(
     orthonormal rows, so ``||P^k K_k - K_k||`` is the same norm.  One stacked
     residual per group of equal measured ranks and core shapes; a residual does
     not depend on the group it was computed in."""
-    bases = [model.measured.basis(b.outcome) for b in kept]
+    bases = [model.measured.bases[b.outcome] for b in kept]
     residuals = _per_group(span_residual, bases, [b.core for b in kept])
     return Audit(dict(zip((b.outcome for b in kept), residuals)), tol)
 

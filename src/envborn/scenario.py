@@ -237,6 +237,9 @@ def parse_scenario(data: dict, default_operator_tol: float = DEFAULT_TOL) -> Sce
     out["name"] = data.get("name", "scenario")
     if not isinstance(out["name"], str):
         raise ScenarioError(f"name must be a string, got {_shown(out['name'])}")
+    # JSON admits a lone surrogate, which no UTF-8 output can write
+    if out["name"].encode(errors="replace").decode() != out["name"]:
+        raise ScenarioError(f"name must be Unicode text, got {_shown(out['name'])}")
     out["seed"] = _integer(data.get("seed", 0), "seed", 0)
 
     tolerances = data.get("tolerances", {})
@@ -385,11 +388,7 @@ def _parse_observable(spec, d1: int, tol: float) -> tuple[dict, Observable]:
         "eigenvalues": [float(v) for v in eigenvalues],
         "projectors": [span.tolist() for span in spans],
     }
-    try:
-        bases = [orthonormalize(_complex(span)) for span in spans]
-        return canonical, Observable(canonical["eigenvalues"], bases, tol)
-    except ValueError as exc:
-        raise ScenarioError(f"invalid observable: {exc}") from exc
+    return canonical, _observable(canonical["eigenvalues"], spans, tol, "observable")
 
 
 def _parse_apparatus(spec, d2: int, tol: float) -> tuple[dict, PointerApparatus]:
@@ -415,12 +414,21 @@ def _parse_apparatus(spec, d2: int, tol: float) -> tuple[dict, PointerApparatus]
     }
     ready_state = _normalized(ready, "ready_state")
     states = _unit_columns(_complex(pointer_states).T, "pointer state")
+    pointer = _observable(range(len(spans)), spans, tol, "apparatus")
     try:
-        bases = [orthonormalize(_complex(span)) for span in spans]
-        pointer_obs = Observable(list(range(len(bases))), bases, tol)
-        return canonical, PointerApparatus(ready_state, pointer_obs, states, tol)
+        return canonical, PointerApparatus(ready_state, pointer, states, tol)
     except ValueError as exc:
         raise ScenarioError(f"invalid apparatus: {exc}") from exc
+
+
+def _observable(eigenvalues, spans: list, tol: float, what: str) -> Observable:
+    """The observable whose eigenspaces are the spans of the float-pair arrays
+    ``spans``, each orthonormalized, checked at operator tolerance ``tol``; a
+    ValueError from either step becomes ``invalid <what>: ...``."""
+    try:
+        return Observable(eigenvalues, [orthonormalize(_complex(span)) for span in spans], tol)
+    except ValueError as exc:
+        raise ScenarioError(f"invalid {what}: {exc}") from exc
 
 
 def _unit_columns(columns: np.ndarray, what: str) -> np.ndarray:
@@ -500,7 +508,7 @@ def _canonical_sampling(spec) -> dict:
 def load_scenario(path: str | Path, default_operator_tol: float = DEFAULT_TOL) -> Scenario:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioError(f"cannot read {path}: {exc}") from exc
     try:
         data = json.loads(text)

@@ -4,7 +4,6 @@ products of the library, random projector bases, and scenario documents shared
 by the parser and CLI tests."""
 
 import numpy as np
-from hypothesis.vendor import pretty
 
 from envborn.hilbert import (
     DensityOperator,
@@ -20,10 +19,6 @@ from envborn.premeasurement import (
     PremeasurementModel,
     build_premeasurement,
 )
-
-# hypothesis prints a falsifying example field by field, and an Observable's
-# ``bases`` is an InitVar, not an attribute: print its repr instead
-pretty.for_type_by_name("envborn.hilbert", "Observable", lambda obj, p, cycle: p.text(repr(obj)))
 
 
 def random_unit_vector(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -98,7 +93,7 @@ def dense_projectors(obs, dtype=complex):
     """The dense eigenprojectors ``P^n = B_n B_n^H`` of an observable, as
     references for the forms that apply them through ``B_n``, formed in
     ``dtype``."""
-    bases = (obs.basis(n).astype(dtype) for n in range(obs.outcome_count))
+    bases = (b.astype(dtype) for b in obs.bases)
     return [b @ b.conj().T for b in bases]
 
 
@@ -169,8 +164,8 @@ def entangle_branches(model, rng):
     mixer = np.eye(dim, dtype=complex)
     block_total = np.zeros((dim, dim), dtype=complex)
     for k in range(model.outcome_count):
-        sys_basis = model.measured.basis(k)
-        ptr_basis = model.apparatus.pointer_observable.basis(k)
+        sys_basis = model.measured.bases[k]
+        ptr_basis = model.apparatus.pointer_observable.bases[k]
         cols = np.column_stack(
             [np.kron(s, p) for s in sys_basis.T for p in ptr_basis.T]
         )

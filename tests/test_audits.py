@@ -312,7 +312,7 @@ def test_one_check_forms_match_previous_forms(tol):
         nondemolition = verify_nondemolition(model, tuple(kept.values()), tol)
         for n, p in enumerate(dense_projectors(model.measured)):
             reference = or_inf(dense_trace, p, rho_phi, tol)
-            assert_same(or_inf(trace_probability, model.measured.basis(n), rho_phi), reference)
+            assert_same(or_inf(trace_probability, model.measured.bases[n], rho_phi), reference)
             if n in kept:
                 branch = kept[n].core @ kept[n].basis.T
                 assert_same(nondemolition.residuals[n], np.linalg.norm(p @ branch - branch))
@@ -326,7 +326,7 @@ def test_one_check_forms_match_previous_forms(tol):
                 for s in (basis2, 2 * basis2)
             ] + [
                 (
-                    complement_check(psi12, pointer.basis(k), basis2, tol),
+                    complement_check(psi12, pointer.bases[k], basis2, tol),
                     or_inf(previous_complement_check, model, psi12, k, basis2, tol),
                 )
                 for k in (n, (n + 1) % model.outcome_count)

@@ -61,7 +61,7 @@ def degenerate_model():
 
 
 def pointer_basis(model, n):
-    return model.apparatus.pointer_observable.basis(n)
+    return model.apparatus.pointer_observable.bases[n]
 
 
 class TestDeriveProbabilities:
@@ -331,12 +331,12 @@ class TestOracleAgreement:
         report = derive_probabilities(model, phi)
         rho = pure_density(phi)
         for record in report.records:
-            oracle = trace_probability(model.measured.basis(record.outcome), rho)
+            oracle = trace_probability(model.measured.bases[record.outcome], rho)
             assert record.derived == pytest.approx(oracle, abs=1e-9)
 
 
 def _rotated(obs, u):
-    return Observable(obs.eigenvalues, [u @ obs.basis(n) for n in range(obs.outcome_count)])
+    return Observable(obs.eigenvalues, [u @ b for b in obs.bases])
 
 
 def _moved(state, u):

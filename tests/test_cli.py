@@ -352,8 +352,10 @@ class TestReportCommand:
             ({"schema_version": "envborn.report.v1", "schmidt": {}}, "missing field 'coefficients'"),
             ([], "expected an object, got list"),
             ([{"schema_version": "envborn.report.v1"}, 5], "expected an object, got int"),
+            # valid JSON, but its text has no UTF-8 form for stdout to write
+            ({"schema_version": "envborn.report.v1", "scenario": {"name": "\ud800x"}}, "surrogates"),
         ],
-        ids=["scenario-int", "outcomes-int", "schmidt-empty", "empty-batch", "batch-int"],
+        ids=["scenario-int", "outcomes-int", "schmidt-empty", "empty-batch", "batch-int", "surrogate"],
     )
     def test_malformed_report_exits_2(self, tmp_path, stored, reason):
         path = tmp_path / "r.json"
@@ -366,14 +368,17 @@ class TestReportCommand:
 
     @pytest.mark.parametrize("command", ["derive", "report"])
     @pytest.mark.parametrize(
-        "text", ["[" * 100_000, '{"seed": ' + "9" * 5000 + "}"], ids=["deep", "long-int"]
+        "content",
+        [b"[" * 100_000, b'{"seed": ' + b"9" * 5000 + b"}", b'{"name": "\xff"}'],
+        ids=["deep", "long-int", "not-utf8"],
     )
-    def test_unreadable_json_exits_2(self, tmp_path, command, text):
+    def test_unreadable_json_exits_2(self, tmp_path, command, content):
         path = tmp_path / "input.json"
-        path.write_text(text, encoding="utf-8")
+        path.write_bytes(content)
         code, _, err = run_cli([command, str(path)])
         assert code == 2
         assert str(path) in err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(name=st.sampled_from(sorted(GOLDEN_CASES)), data=st.data())
@@ -709,6 +714,36 @@ class TestInputHardening:
         path.write_text(json.dumps(data), encoding="utf-8")
         self.assert_input_error(["schmidt", str(path)], "name")
 
+    def test_name_with_a_lone_surrogate(self, tmp_path):
+        # valid JSON, but no UTF-8 output can write it: a real stdout encodes,
+        # where run_cli's StringIO does not
+        data = json.loads(Path(fixture_path("certainty")).read_text(encoding="utf-8"))
+        data["name"] = "\ud800x"
+        path = tmp_path / "surrogate.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        for args in (["--format", "structured"], []):
+            result = subprocess.run(
+                [sys.executable, "-m", "envborn.cli", "derive", str(path), *args],
+                capture_output=True,
+                text=True,
+            )
+            assert (result.returncode, result.stdout) == (2, "")
+            assert result.stderr == "error: name must be Unicode text, got '\\ud800x'\n"
+
+    @pytest.mark.parametrize(
+        "ready",
+        [[[1.0, 0.0], [5e-324, 0.0]], [[0.0, 5e-324], [1.0, 0.0]], [[1.0, 0.0], [1e-310, 1e-310]]],
+        ids=["subnormal-real", "subnormal-imaginary", "subnormal-pair"],
+    )
+    def test_ready_state_with_a_subnormal_component(self, tmp_path, ready):
+        # a unit vector: its overlap with a pointer state is subnormal, whose
+        # phase the coupling's synthesis must not divide out (warnings are errors)
+        data = json.loads(Path(fixture_path("certainty")).read_text(encoding="utf-8"))
+        apparatus = dict(data["apparatus"], ready_state=ready)
+        code, out, err = run_cli(["derive", write_variant(tmp_path, "certainty", apparatus=apparatus)])
+        assert (code, err) == (0, "")
+        assert out.endswith("PASS\n")
+
     @pytest.mark.parametrize("fixture, command", [("degenerate-3d", "derive"), ("bell", "schmidt")])
     @pytest.mark.parametrize("override", [5, "swap", "Identity", None])
     def test_unknown_unitary_override(self, tmp_path, fixture, command, override):
@@ -1002,6 +1037,7 @@ _FUZZ_FIXTURES = sorted([*GOLDEN_CASES, "mixtures-mismatch"])
 _FUZZ_VALUES = [
     7, -1, 0, "x", {}, [], None, True, False,
     math.nan, math.inf, -math.inf, 10**400, MAX_COMPOSITE_DIM + 1,
+    5e-324, -5e-324, 1e-310, 1e308, -1e308,
 ]
 _FUZZ_EDITS = ["delete", "shorten", "lengthen"]
 

@@ -234,8 +234,19 @@ class TestObservable:
         obs = Observable([1.0, -1.0], [E3[:, [2, 0]], E3[:, 1:2]])
         assert obs.ranks == (2, 1)
         assert np.array_equal(obs.matrix, E3[:, [2, 0, 1]])
-        assert np.array_equal(obs.basis(0), E3[:, [2, 0]])
-        assert np.array_equal(obs.basis(1), E3[:, 1:2])
+        assert np.array_equal(obs.bases[0], E3[:, [2, 0]])
+        assert np.array_equal(obs.bases[1], E3[:, 1:2])
+
+    def test_bases_are_read_only_views_of_the_matrix(self):
+        obs = Observable([1.0, -1.0, 0.5], [E3[:, [2]], E3[:, :1], E3[:, 1:2] * 1j])
+        assert [b.shape for b in obs.bases] == [(3, 1), (3, 1), (3, 1)]
+        for b in obs.bases:
+            assert np.shares_memory(b, obs.matrix)
+            assert not b.flags.writeable
+        assert np.array_equal(np.hstack(obs.bases), obs.matrix)
+        degenerate = Observable([1.0, -1.0], [E3[:, [2, 0]], E3[:, 1:2]])
+        assert [b.shape for b in degenerate.bases] == [(3, 2), (3, 1)]
+        assert np.array_equal(np.hstack(degenerate.bases), degenerate.matrix)
 
     def test_non_orthogonal_rejected(self):
         # the overlapping block is the last one, so every block counts
@@ -288,7 +299,7 @@ class TestObservable:
             obs = Observable(list(range(parts)), bases)
             assert obs.ranks == tuple(b.shape[1] for b in bases)
             for n, b in enumerate(bases):
-                assert np.array_equal(obs.basis(n), b)
+                assert np.array_equal(obs.bases[n], b)
             projectors = dense_projectors(obs)
             assert np.linalg.norm(sum(projectors) - np.eye(d)) <= 1e-10
             for i in range(parts):
@@ -341,7 +352,7 @@ def test_dense_projectors_of_an_accepted_observable_raise_nothing(bases, seed):
     through each ``B_n``, the form of ``P^n``, decides nothing again."""
     obs = Observable(list(range(len(bases))), bases)
     rho = random_density(obs.dim, np.random.default_rng(seed))
-    total = sum(trace_probability(obs.basis(n), rho) for n in range(obs.outcome_count))
+    total = sum(trace_probability(b, rho) for b in obs.bases)
     assert abs(total - 1.0) <= 2 * DEFAULT_TOL
 
 
@@ -575,10 +586,12 @@ def test_array_values_compare_and_hash_by_identity(name):
     assert len({a, b, a}) == 2
 
 
-def test_hypothesis_prints_an_observable_by_its_repr():
-    # a falsifying example holding an Observable must print, not raise on the
-    # InitVar ``bases``
+def test_hypothesis_prints_an_observable_field_by_field():
+    # a falsifying example holding an Observable prints each constructor
+    # argument, ``bases`` included, with no printer registered for the class
     from hypothesis.vendor.pretty import pretty
 
     observable = Observable([0.0, 1.0], [np.eye(2)[:, :1], np.eye(2)[:, 1:]])
-    assert pretty(observable) == repr(observable)
+    text = pretty(observable)
+    assert text.startswith("Observable(eigenvalues=(0.0, 1.0), bases=(array(")
+    assert text.endswith("), tol=1e-10)")

@@ -95,7 +95,7 @@ def lifted_calibration(model, trials, seed):
     ready = model.apparatus.ready_state.amplitudes.astype(EXTENDED)
     residuals = []
     for n, q in enumerate(dense_projectors(model.apparatus.pointer_observable, EXTENDED)):
-        basis = model.measured.basis(n).astype(EXTENDED)
+        basis = model.measured.bases[n].astype(EXTENDED)
         samples = list(basis.T)
         for _ in range(trials):
             samples.append(basis @ random_unit_vector(basis.shape[1], rng).astype(EXTENDED))
@@ -118,7 +118,7 @@ def certified_reference(model):
     ready = model.apparatus.ready_state.amplitudes[:, None]
     residuals = []
     for n, q in enumerate(dense_projectors(model.apparatus.pointer_observable)):
-        m = u @ np.kron(model.measured.basis(n), ready)
+        m = u @ np.kron(model.measured.bases[n], ready)
         a = pointer_lift(model, q) @ m - m
         top = scipy.linalg.eigh(a.conj().T @ a, m.conj().T @ m, eigvals_only=True)[-1]
         residuals.append(np.sqrt(max(top, 0.0)))
@@ -204,7 +204,7 @@ def test_one_sided_products_match_composite_lifts(case, seed):
             np.zeros((d2, d2), dtype=complex),
         )
         expected = np.linalg.norm(pointer_lift(model, comp) @ vec)
-        bq = model.apparatus.pointer_observable.basis(n)
+        bq = model.apparatus.pointer_observable.bases[n]
         assert abs(complement_check(psi12, bq, schmidt2) - expected) <= AGREE
 
     rho2 = pointer_density(psi12)
@@ -251,7 +251,7 @@ def perturbed(model, tol, b_delta=None, v_delta=None):
     ``P^n = B_n B_n^H`` then stays Hermitian but is no longer idempotent."""
     measured, blocks = model.measured, model.coupling
     if b_delta is not None:
-        bases = [measured.basis(n) + db for n, db in enumerate(b_delta)]
+        bases = [measured.bases[n] + db for n, db in enumerate(b_delta)]
         measured = Observable(measured.eigenvalues, bases, LOOSE)
     if v_delta is not None:
         blocks = tuple(Operator(v.matrix + dv) for v, dv in zip(blocks, v_delta))
@@ -306,7 +306,7 @@ def test_block_check_decides_like_dense_check(case, system_side, delta):
     model, _, rng = case
     k = int(rng.integers(model.outcome_count))
     if system_side:
-        blocks = [model.measured.basis(n) for n in range(model.outcome_count)]
+        blocks = model.measured.bases
     else:
         blocks = [v.matrix for v in model.coupling]
     delta_k = [delta * b if n == k else 0 * b for n, b in enumerate(blocks)]
@@ -495,14 +495,14 @@ def looped_calibration(model):
     pointer = model.apparatus.pointer_observable
     residuals = {}
     for n in range(model.outcome_count):
-        m = model.ready_map @ model.measured.basis(n)
+        m = model.ready_map @ model.measured.bases[n]
         outputs, triangle = np.linalg.qr(m)
         singular = np.linalg.svd(triangle, compute_uv=False)
         if singular[-1] <= singular[0] * max(m.shape) * np.finfo(float).eps:
             residuals[n] = float("inf")
             continue
         psi = outputs.T.reshape(-1, d2)
-        b = pointer.basis(n)
+        b = pointer.bases[n]
         leak = ((psi @ b.conj()) @ b.T - psi).reshape(m.shape[1], d1 * d2)
         residuals[n] = float(np.sqrt(np.linalg.eigvalsh(leak @ leak.conj().T)[-1]))
     return residuals
@@ -513,7 +513,7 @@ def singular_coupling(model):
     the first eigenspace of rank at least 2: ``M_n`` of that outcome has rank
     ``r_n - 1``.  It is accepted only at the tolerance ``LOOSE``."""
     n = next(n for n, r in enumerate(model.measured.ranks) if r >= 2)
-    v = model.measured.basis(n)[:, 0]
+    v = model.measured.bases[n][:, 0]
     lifted = np.kron(np.eye(model.d1) - np.outer(v, v.conj()), np.eye(model.d2))
     return PremeasurementModel(model.measured, model.apparatus, Operator(lifted), LOOSE)
 
@@ -526,7 +526,7 @@ def loose_pointer(model, rng):
     about 2e-12 an entry: its Gram residual lies between ``NORM_TOL`` and
     ``DEFAULT_TOL``, so each branch is its own core against the identity basis."""
     pointer = model.apparatus.pointer_observable
-    bases = [b + noise(rng, 2e-12, *b.shape) for b in map(pointer.basis, range(pointer.outcome_count))]
+    bases = [b + noise(rng, 2e-12, *b.shape) for b in pointer.bases]
     loose = Observable(pointer.eigenvalues, bases)
     assert 1e-12 < loose.residual <= DEFAULT_TOL
     apparatus = PointerApparatus(model.apparatus.ready_state, loose, model.apparatus.pointer_states)
@@ -554,7 +554,7 @@ def stacked_cases(draw, couplings=("built", "entangled", "identity", "singular")
         model = loose_pointer(model, np.random.default_rng(seed))
     support = draw(st.sets(st.integers(0, outcomes - 1), min_size=1))
     rng = np.random.default_rng(seed)
-    phi = sum(model.measured.basis(n) @ random_unit_vector(model.measured.ranks[n], rng) for n in support)
+    phi = sum(model.measured.bases[n] @ random_unit_vector(model.measured.ranks[n], rng) for n in support)
     return model, make_state(phi / np.linalg.norm(phi)), coupling
 
 
@@ -573,7 +573,7 @@ def test_stacked_calibration_equals_the_outcome_loop(case):
 def test_kept_branches_carry_their_core_and_weight(case):
     model, phi, _ = case
     for b in branches(model, evolve(model, phi)):
-        assert np.array_equal(b.basis, model.apparatus.pointer_observable.basis(b.outcome))
+        assert np.array_equal(b.basis, model.apparatus.pointer_observable.bases[b.outcome])
         assert abs(b.weight - np.linalg.norm(b.core @ b.basis.T) ** 2) <= 1e-12
 
 
@@ -591,7 +591,7 @@ def test_core_schmidt_forms_equal_the_branch_loop(case):
         assert len(form) == len(coefficients)
         assert np.max(np.abs(form.coefficients - coefficients)) <= 1e-14
         assert np.linalg.norm(reconstruct(form).matrix - psi.matrix) <= 1e-13
-        bq = model.apparatus.pointer_observable.basis(b.outcome)
+        bq = model.apparatus.pointer_observable.bases[b.outcome]
         assert span_residual(bq, form.basis2) <= 1e-14
         detail = records[b.outcome].schmidt_detail
         looped = np.linalg.norm(branch) ** 2 * coefficients**2
@@ -681,13 +681,13 @@ def test_stacked_audits_equal_their_one_outcome_functions(case):
         assert report.audits["additivity"].residuals[b.outcome] == additivity
     for n, record in enumerate(report.records):
         schmidt2 = forms[n].basis2 if n in forms else np.zeros((model.d2, 0))
-        (complement,) = complement_check(psi12, pointer.basis(n)[None], schmidt2[None])
+        (complement,) = complement_check(psi12, pointer.bases[n][None], schmidt2[None])
         assert record.complement_residual == complement
 
 
 def test_core_schmidt_forms_skip_omitted_branches():
     model, _ = model_case(4, 4, 3, 7, "built")
-    phi = make_state(model.measured.basis(1)[:, 0])
+    phi = make_state(model.measured.bases[1][:, 0])
     assert [b.outcome for b in branches(model, evolve(model, phi))] == [1]
     records = derive_probabilities(model, phi).records
     assert [len(r.schmidt_detail) for r in records] == [0, 1, 0]

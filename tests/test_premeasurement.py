@@ -52,7 +52,7 @@ def coupled_branches(model, phi):
 def input_oracle(model, phi):
     """The trace-rule values ``<phi|P^n|phi>``, one per outcome."""
     rho = pure_density(phi)
-    return [trace_probability(model.measured.basis(n), rho) for n in range(model.outcome_count)]
+    return [trace_probability(b, rho) for b in model.measured.bases]
 
 
 def cnot_model():
@@ -291,7 +291,7 @@ class TestBranches:
         kept = branches(model, evolve(model, phi))
         rho = pure_density(phi)
         for b in kept:
-            oracle = trace_probability(model.measured.basis(b.outcome), rho)
+            oracle = trace_probability(model.measured.bases[b.outcome], rho)
             assert b.weight == pytest.approx(oracle, abs=1e-12)
         assert [b.weight for b in kept] == pytest.approx([2 / 3, 1 / 3])
 
@@ -421,7 +421,7 @@ class TestBranchNormLaw:
         for _ in range(5):
             model = random_model(4, 4, 2, rng)
             for n in range(model.outcome_count):
-                basis = model.measured.basis(n)
+                basis = model.measured.bases[n]
                 for _ in range(10):
                     coeff = random_unit_vector(basis.shape[1], rng)
                     vec = sum(c * b for c, b in zip(coeff, basis.T))

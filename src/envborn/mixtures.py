@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import NORM_TOL, DensityOperator, _freeze, _projector_basis
+from .hilbert import DEFAULT_TOL, NORM_TOL, DensityOperator, _freeze, _projector_basis
 from .schmidt import BipartiteState
 
 __all__ = [
@@ -186,7 +186,7 @@ def proper_improper_equivalence(
     psi12: BipartiteState,
     trials: int = 50,
     seed: int = 0,
-    tol: float = 1e-10,
+    tol: float = DEFAULT_TOL,
 ) -> float:
     """Max difference between proper and improper probabilities over random
     projectors of random rank.

@@ -192,7 +192,7 @@ class PremeasurementModel:
                     f"of dim {d2}"
                 )
             s, v = self.measured.matrix, np.array([b.matrix for b in blocks])
-            residual = _block_unitarity_bound(s, self.measured.ranks, v)
+            residual = _block_unitarity_bound(self.measured, v)
             if not residual <= self.tol:  # the exact residual decides and is reported
                 residual = _block_unitarity_residual(self.measured, v)
             # W[(i, a), j] = sum_k s[i, k] (V_n(k) ready)[a] s[j, k]^*, column k in B_n(k)
@@ -219,18 +219,19 @@ class PremeasurementModel:
         return self.measured.outcome_count
 
 
-def _block_unitarity_bound(s: np.ndarray, ranks: Sequence[int], v: np.ndarray) -> float:
+def _block_unitarity_bound(measured: Observable, v: np.ndarray) -> float:
     """An upper bound, rounding included, on ``||U^H U - I||_F`` for ``U = sum_n
     B_n B_n^H (x) v[n] = (s (x) I) D (s^H (x) I)``: ``s = [B_1 | ... | B_N]`` is
-    square and ``D`` the block diagonal of ``I_{r_n} (x) V_n``.  With ``e = ||s^H
-    s - I|| = ||s s^H - I||`` and ``g_n = ||V_n^H V_n - I||``, ``||s||_2^2 <= 1 +
-    e`` and ``||D||_2^2 <= 1 + max g_n`` give ``(1 + e) sqrt(sum_n r_n g_n^2) +
-    sqrt(d2) e (1 + (1 + e)(1 + max g_n))``.  It can be attained (``s = I``, N =
-    1), and rounding grows with the values: the margin is ``4 d1 d2 eps (1 + bound)``."""
-    d1, d2 = len(s), v.shape[1]
-    e = gram_residual(s)
+    the square ``measured.matrix`` and ``D`` the block diagonal of ``I_{r_n} (x)
+    V_n``.  With ``e = ||s^H s - I|| = ||s s^H - I||``, the observable's
+    ``residual``, and ``g_n = ||V_n^H V_n - I||``, ``||s||_2^2 <= 1 + e`` and
+    ``||D||_2^2 <= 1 + max g_n`` give ``(1 + e) sqrt(sum_n r_n g_n^2) + sqrt(d2) e
+    (1 + (1 + e)(1 + max g_n))``.  It can be attained (``s = I``, N = 1), and
+    rounding grows with the values: the margin is ``4 d1 d2 eps (1 + bound)``."""
+    d1, d2 = measured.dim, v.shape[1]
+    e = measured.residual
     g = gram_residual(v)
-    bound = (1 + e) * np.sqrt(np.dot(ranks, g**2)) + np.sqrt(d2) * e * (1 + (1 + e) * (1 + g.max()))
+    bound = (1 + e) * np.sqrt(np.dot(measured.ranks, g**2)) + np.sqrt(d2) * e * (1 + (1 + e) * (1 + g.max()))
     return float(bound + 4 * d1 * d2 * np.finfo(float).eps * (1 + bound))
 
 

@@ -418,9 +418,9 @@ def test_unitarity_bound_covers_the_exact_residual(case, data):
     scales = data.draw(st.lists(st.sampled_from(SCALES), min_size=count, max_size=count))
     s = model.measured.matrix + noise(rng, scales[0], d1, d1)
     v = np.array([b.matrix + noise(rng, c, d2, d2) for b, c in zip(model.coupling, scales[1:])])
-    bound = _block_unitarity_bound(s, ranks, v)
-    assert bound >= kron_residual(s, ranks, v)
     measured = unchecked_observable(model.measured.eigenvalues, s, ranks)
+    bound = _block_unitarity_bound(measured, v)
+    assert bound >= kron_residual(s, ranks, v)
     assert bound >= _block_unitarity_residual(measured, v)
 
 
@@ -435,7 +435,8 @@ def test_unitarity_bound_is_attained(d1, d2):
     identity_blocks = np.array([np.eye(d2)] * len(ranks))
     for s, v in ((np.eye(d1), scaled_blocks), ((1 + 1e-6) * np.eye(d1), identity_blocks)):
         exact = kron_residual(s, ranks, v)
-        assert exact <= _block_unitarity_bound(s, ranks, v) <= exact * (1 + 1e-5)
+        measured = unchecked_observable(range(len(ranks)), s, ranks)
+        assert exact <= _block_unitarity_bound(measured, v) <= exact * (1 + 1e-5)
 
 
 def test_block_check_falls_back_to_the_exact_residual():
@@ -448,7 +449,7 @@ def test_block_check_falls_back_to_the_exact_residual():
     broken = perturbed(model, LOOSE, b_delta=b_delta, v_delta=v_delta)
     v = np.array([b.matrix for b in broken.coupling])
     exact = _block_unitarity_residual(broken.measured, v)
-    bound = _block_unitarity_bound(broken.measured.matrix, broken.measured.ranks, v)
+    bound = _block_unitarity_bound(broken.measured, v)
     tol = (exact + bound) / 2
     assert exact < tol < bound
     PremeasurementModel(broken.measured, broken.apparatus, broken.coupling, tol)
